@@ -20,74 +20,20 @@ using namespace bench;
 
 double charlotte_rpc_ms(std::size_t bytes, net::TokenRingParams ring,
                         charlotte::Costs costs) {
-  sim::Engine engine;
-  charlotte::Cluster cluster(engine, 4, ring, costs);
-  lynx::Process server(engine, "server",
-                       lynx::make_charlotte_backend(cluster, net::NodeId(0)),
-                       lynx::vax_runtime_costs());
-  lynx::Process client(engine, "client",
-                       lynx::make_charlotte_backend(cluster, net::NodeId(1)),
-                       lynx::vax_runtime_costs());
-  server.start();
-  client.start();
-  lynx::LinkHandle se, ce;
-  engine.spawn("wire", [](lynx::Process* s, lynx::Process* c,
-                          lynx::LinkHandle* a,
-                          lynx::LinkHandle* b) -> sim::Task<> {
-    auto [x, y] = co_await lynx::CharlotteBackend::connect(*s, *c);
-    *a = x;
-    *b = y;
-  }(&server, &client, &se, &ce));
-  engine.run();
-  sim::Time t0 = 0, t1 = 0;
-  server.spawn_thread("srv", [&](lynx::ThreadCtx& ctx) {
-    return echo_server(ctx, se, 7);
-  });
-  client.spawn_thread("cli", [&](lynx::ThreadCtx& ctx) {
-    return echo_client(ctx, ce, 6, bytes, &t0, &t1, &engine);
-  });
-  engine.run();
-  RELYNX_ASSERT(engine.process_failures().empty());
-  return sim::to_msec(t1 - t0) / 6;
+  load::UniverseSpec spec = pair_spec(load::Substrate::kCharlotte);
+  spec.ring = ring;
+  spec.charlotte = costs;
+  Pair w(spec);
+  return lynx_rpc_ms(w, bytes, 6);
 }
 
 double soda_rpc_ms(std::size_t bytes, std::size_t mtu) {
-  sim::Engine engine;
-  lynx::SodaDirectory directory;
-  net::CsmaBusParams bus;
-  bus.broadcast_drop_prob = 0.0;
-  soda::Costs costs;
-  costs.mtu_bytes = mtu;
-  soda::Network network(engine, 4, sim::Rng(3), bus, costs);
-  lynx::Process server(engine, "server",
-                       lynx::make_soda_backend(network, directory,
-                                               net::NodeId(0)),
-                       lynx::pdp11_runtime_costs());
-  lynx::Process client(engine, "client",
-                       lynx::make_soda_backend(network, directory,
-                                               net::NodeId(1)),
-                       lynx::pdp11_runtime_costs());
-  server.start();
-  client.start();
-  lynx::LinkHandle se, ce;
-  engine.spawn("wire", [](lynx::Process* s, lynx::Process* c,
-                          lynx::LinkHandle* a,
-                          lynx::LinkHandle* b) -> sim::Task<> {
-    auto [x, y] = co_await lynx::SodaBackend::connect(*s, *c);
-    *a = x;
-    *b = y;
-  }(&server, &client, &se, &ce));
-  engine.run();
-  sim::Time t0 = 0, t1 = 0;
-  server.spawn_thread("srv", [&](lynx::ThreadCtx& ctx) {
-    return echo_server(ctx, se, 7);
-  });
-  client.spawn_thread("cli", [&](lynx::ThreadCtx& ctx) {
-    return echo_client(ctx, ce, 6, bytes, &t0, &t1, &engine);
-  });
-  engine.run();
-  RELYNX_ASSERT(engine.process_failures().empty());
-  return sim::to_msec(t1 - t0) / 6;
+  load::UniverseSpec spec = pair_spec(load::Substrate::kSoda);
+  spec.nodes = 4;
+  spec.seed = 3;
+  spec.soda.mtu_bytes = mtu;
+  Pair w(spec);
+  return lynx_rpc_ms(w, bytes, 6);
 }
 
 charlotte::Costs scaled_charlotte(double s) {

@@ -20,6 +20,7 @@
 namespace {
 
 using namespace bench;
+using load::Substrate;
 using lynx::Incoming;
 using lynx::LinkHandle;
 using lynx::LynxError;
@@ -49,9 +50,8 @@ sim::Task<> aborting_caller(ThreadCtx& ctx, LinkHandle link) {
   co_await ctx.delay(sim::msec(600));  // keep process alive
 }
 
-template <typename World>
-bool detects_reply_abort() {
-  World w;
+bool detects_reply_abort(Substrate substrate) {
+  Pair w(substrate);
   bool felt = false;
   w.server.spawn_thread("slow", [&](ThreadCtx& ctx) {
     return slow_replier(ctx, w.server_end, &felt);
@@ -95,9 +95,8 @@ sim::Task<> busy_peer(ThreadCtx& ctx, LinkHandle link) {
   }
 }
 
-template <typename World>
-bool recovers_enclosures() {
-  World w;
+bool recovers_enclosures(Substrate substrate) {
+  Pair w(substrate);
   bool recovered = false;
   w.server.spawn_thread("busy", [&](ThreadCtx& ctx) {
     return busy_peer(ctx, w.server_end);
@@ -116,12 +115,12 @@ bool recovers_enclosures() {
 bool charlotte_single_message_multimove() { return false; }  // figure 2
 
 void report() {
-  const bool ch4 = detects_reply_abort<CharlotteWorld>();
-  const bool so4 = detects_reply_abort<SodaWorld>();
-  const bool cy4 = detects_reply_abort<ChrysalisWorld>();
-  const bool ch3 = recovers_enclosures<CharlotteWorld>();
-  const bool so3 = recovers_enclosures<SodaWorld>();
-  const bool cy3 = recovers_enclosures<ChrysalisWorld>();
+  const bool ch4 = detects_reply_abort(Substrate::kCharlotte);
+  const bool so4 = detects_reply_abort(Substrate::kSoda);
+  const bool cy4 = detects_reply_abort(Substrate::kChrysalis);
+  const bool ch3 = recovers_enclosures(Substrate::kCharlotte);
+  const bool so3 = recovers_enclosures(Substrate::kSoda);
+  const bool cy3 = recovers_enclosures(Substrate::kChrysalis);
 
   auto caps = [](const lynx::Capabilities& c, bool validated3,
                  bool validated4) {
@@ -129,9 +128,9 @@ void report() {
                                c.all_received_messages_wanted, validated3,
                                validated4};
   };
-  CharlotteWorld cw;
-  SodaWorld sw;
-  ChrysalisWorld yw;
+  Pair cw(Substrate::kCharlotte);
+  Pair sw(Substrate::kSoda);
+  Pair yw(Substrate::kChrysalis);
   auto ch = caps(cw.client.backend().capabilities(), ch3, ch4);
   auto so = caps(sw.client.backend().capabilities(), so3, so4);
   auto cy = caps(yw.client.backend().capabilities(), cy3, cy4);
@@ -163,7 +162,7 @@ void report() {
 
 void BM_CapabilityScenario4Soda(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detects_reply_abort<SodaWorld>());
+    benchmark::DoNotOptimize(detects_reply_abort(Substrate::kSoda));
   }
 }
 BENCHMARK(BM_CapabilityScenario4Soda)->Unit(benchmark::kMillisecond);

@@ -135,7 +135,7 @@ void curves_report(bool smoke, sweep::ThreadPool& pool) {
 // The protocol knobs each substrate ran with, recorded alongside every
 // peak so a baseline JSON is self-describing: a reviewer diffing a
 // refreshed baseline sees *which* knob moved with the number.  Values
-// mirror what load::Fleet configures — default kernel cost structs plus
+// mirror what load::Runner configures — default kernel cost structs plus
 // the scenario's formation window.
 void emit_capacity_knobs(load::Substrate sub, const load::Scenario& sc) {
   auto j = json();

@@ -13,6 +13,7 @@
 namespace {
 
 using namespace bench;
+using load::Substrate;
 
 // ---- raw kernel workload (the paper's "C programs") -------------------------
 
@@ -62,7 +63,7 @@ double raw_kernel_rpc_ms(std::size_t bytes, int reps = 10) {
 }
 
 double lynx_charlotte_ms(std::size_t bytes) {
-  CharlotteWorld w;
+  Pair w(Substrate::kCharlotte);
   return lynx_rpc_ms(w, bytes);
 }
 
@@ -86,7 +87,7 @@ void report() {
 
   // The same table, decomposed: where does a 1000-byte round trip spend
   // its time?  Derived from the trace spans of one recorded run.
-  CharlotteWorld tw;
+  Pair tw(Substrate::kCharlotte);
   traced_phase_report(tw, "E3 Charlotte RPC (1000 B both ways)", 1000);
 }
 

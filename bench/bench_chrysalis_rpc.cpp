@@ -13,9 +13,29 @@
 namespace {
 
 using namespace bench;
+using load::Substrate;
+
+// The default pair with the microcode-adjacent kernel op costs and the
+// run-time package's per-operation overhead scaled by `s`.
+load::UniverseSpec tuned_spec(double s) {
+  const auto f = [s](sim::Duration d) {
+    return static_cast<sim::Duration>(static_cast<double>(d) * s);
+  };
+  load::UniverseSpec spec = pair_spec(Substrate::kChrysalis);
+  chrysalis::Costs& c = spec.chrysalis;
+  c.primitive_call = f(c.primitive_call);
+  c.event_post = f(c.event_post);
+  c.event_wait = f(c.event_wait);
+  c.dq_enqueue = f(c.dq_enqueue);
+  c.dq_dequeue = f(c.dq_dequeue);
+  lynx::RuntimeCosts rc = lynx::mc68000_runtime_costs();
+  rc.per_operation = f(rc.per_operation);
+  spec.runtime = rc;
+  return spec;
+}
 
 double chrysalis_ms(std::size_t bytes, double tuning_scale = 1.0) {
-  ChrysalisWorld w(tuning_scale);
+  Pair w(tuned_spec(tuning_scale));
   return lynx_rpc_ms(w, bytes);
 }
 
@@ -28,7 +48,7 @@ void report() {
   const double tuned_null = chrysalis_ms(0, 0.65);
   const double tuned_kb = chrysalis_ms(1000, 0.65);
 
-  CharlotteWorld cw;
+  Pair cw(Substrate::kCharlotte);
   const double charlotte_null = lynx_rpc_ms(cw, 0);
 
   table_header("E7: Chrysalis simple remote operation (paper §5.3)");
@@ -43,7 +63,7 @@ void report() {
   print_note("shape checks: ~2.4/4.6 ms band; order-of-magnitude faster");
   print_note("than Charlotte; tuning knob moves both figures 30-40%.");
 
-  ChrysalisWorld tw;
+  Pair tw(Substrate::kChrysalis);
   traced_phase_report(tw, "E7 Chrysalis RPC (1000 B both ways)", 1000);
 }
 

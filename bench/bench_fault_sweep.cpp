@@ -11,101 +11,35 @@
 // Every (backend, drop-rate) point also emits a JSON line for plotting.
 #include "fault/faulty_medium.hpp"
 #include "harness.hpp"
-#include "net/token_ring.hpp"
 
 namespace {
 
 using namespace bench;
+using load::Substrate;
+using load::UniverseSpec;
 
-struct FaultyCharlotteWorld {
-  sim::Engine engine;
-  net::TokenRing ring{engine};
-  fault::FaultyMedium medium;
-  charlotte::Cluster cluster;
-  lynx::Process server;
-  lynx::Process client;
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
-
-  explicit FaultyCharlotteWorld(std::uint64_t seed)
-      : medium(engine, ring, seed),
-        cluster(engine, 2, medium, robust_costs()),
-        server(engine, "server",
-               lynx::make_charlotte_backend(cluster, net::NodeId(0)),
-               lynx::vax_runtime_costs()),
-        client(engine, "client",
-               lynx::make_charlotte_backend(cluster, net::NodeId(1)),
-               lynx::vax_runtime_costs()) {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static charlotte::Costs robust_costs() {
-    charlotte::Costs c;
-    c.send_retransmit_timeout = sim::msec(150);
-    c.max_send_attempts = 20;  // loss, not failure: keep trying
-    return c;
-  }
-  static sim::Task<> wire(FaultyCharlotteWorld* w) {
-    auto [se, ce] =
-        co_await lynx::CharlotteBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-};
-
-struct FaultySodaWorld {
-  sim::Engine engine;
-  net::CsmaBus bus;
-  fault::FaultyMedium medium;
-  lynx::SodaDirectory directory;
-  soda::Network network;
-  lynx::Process server;
-  lynx::Process client;
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
-
-  explicit FaultySodaWorld(std::uint64_t seed)
-      : bus(engine, sim::Rng(2026), quiet_bus()),
-        medium(engine, bus, seed),
-        network(engine, 2, medium, robust_costs()),
-        server(engine, "server",
-               lynx::make_soda_backend(network, directory, net::NodeId(0)),
-               lynx::pdp11_runtime_costs()),
-        client(engine, "client",
-               lynx::make_soda_backend(network, directory, net::NodeId(1)),
-               lynx::pdp11_runtime_costs()) {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static net::CsmaBusParams quiet_bus() {
-    net::CsmaBusParams p;
-    p.broadcast_drop_prob = 0.0;  // the fault layer owns all loss here
-    return p;
-  }
-  static soda::Costs robust_costs() {
-    soda::Costs c;
-    c.ack_timeout = sim::msec(8);
-    c.max_transport_attempts = 20;
-    return c;
-  }
-  static sim::Task<> wire(FaultySodaWorld* w) {
-    auto [se, ce] = co_await lynx::SodaBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-};
+// A two-node pair over a FaultyMedium with retransmission budgets that
+// ride out loss rather than report failure.  `fault_seed` drives the
+// injected loss.
+UniverseSpec lossy_spec(Substrate substrate, std::uint64_t fault_seed) {
+  UniverseSpec spec = pair_spec(substrate);
+  spec.nodes = 2;
+  spec.faults = fault::Plan{};
+  spec.fault_seed = fault_seed;
+  spec.charlotte.send_retransmit_timeout = sim::msec(150);
+  spec.charlotte.max_send_attempts = 20;  // loss, not failure: keep trying
+  spec.soda.ack_timeout = sim::msec(8);
+  spec.soda.max_transport_attempts = 20;
+  return spec;
+}
 
 constexpr std::size_t kPayload = 16;
 constexpr int kReps = 8;
 
-template <typename World>
-double impaired_rpc_ms(std::uint64_t seed, double drop) {
-  World w(seed);  // boots over a clean wire
-  w.medium.set_background({.drop_prob = drop});
+double impaired_rpc_ms(Substrate substrate, std::uint64_t fault_seed,
+                       double drop) {
+  Pair w(lossy_spec(substrate, fault_seed));  // boots over a clean wire
+  w.universe.faulty_medium()->set_background({.drop_prob = drop});
   return lynx_rpc_ms(w, kPayload, kReps);
 }
 
@@ -114,19 +48,19 @@ void report() {
 
   // Chrysalis: no Medium anywhere in the stack — one measurement serves
   // every rate, and the flat line is itself the result.
-  ChrysalisWorld chw;
+  Pair chw(Substrate::kChrysalis);
   const double chrysalis_ms = lynx_rpc_ms(chw, kPayload, kReps);
 
   sweep::ThreadPool pool;
   auto charlotte = sweep::map<double, double>(
       rates,
       [](const double& r) {
-        return impaired_rpc_ms<FaultyCharlotteWorld>(401, r);
+        return impaired_rpc_ms(Substrate::kCharlotte, 401, r);
       },
       pool);
   auto soda = sweep::map<double, double>(
       rates,
-      [](const double& r) { return impaired_rpc_ms<FaultySodaWorld>(402, r); },
+      [](const double& r) { return impaired_rpc_ms(Substrate::kSoda, 402, r); },
       pool);
 
   table_header("E11: small-RPC latency vs frame drop rate (fault layer)");
@@ -164,14 +98,14 @@ void report() {
 
 void BM_CharlotteLossyRpc(benchmark::State& state) {
   double ms = 0;
-  for (auto _ : state) ms = impaired_rpc_ms<FaultyCharlotteWorld>(401, 0.1);
+  for (auto _ : state) ms = impaired_rpc_ms(Substrate::kCharlotte, 401, 0.1);
   state.counters["sim_ms_per_op"] = ms;
 }
 BENCHMARK(BM_CharlotteLossyRpc)->Unit(benchmark::kMillisecond);
 
 void BM_SodaLossyRpc(benchmark::State& state) {
   double ms = 0;
-  for (auto _ : state) ms = impaired_rpc_ms<FaultySodaWorld>(402, 0.1);
+  for (auto _ : state) ms = impaired_rpc_ms(Substrate::kSoda, 402, 0.1);
   state.counters["sim_ms_per_op"] = ms;
 }
 BENCHMARK(BM_SodaLossyRpc)->Unit(benchmark::kMillisecond);

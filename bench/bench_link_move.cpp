@@ -11,6 +11,7 @@
 namespace {
 
 using namespace bench;
+using load::Substrate;
 using lynx::Incoming;
 using lynx::LinkHandle;
 using lynx::LocalLinkPair;
@@ -41,8 +42,7 @@ sim::Task<> take_and_serve(ThreadCtx& ctx, LinkHandle via) {
   co_await ctx.reply(ping, std::move(rep));
 }
 
-template <typename World>
-double move_ping_ms(World& w) {
+double move_ping_ms(Pair& w) {
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("taker", [&](ThreadCtx& ctx) {
     return take_and_serve(ctx, w.server_end);
@@ -94,34 +94,32 @@ struct Fig1Result {
   std::uint64_t kernel_move_frames = 0;
 };
 
-Fig1Result fig1_charlotte() {
+// Processes A..D on nodes 0..3, wired A-B, D-C and A-D; A and D then
+// move their ends of A-D simultaneously.
+Fig1Result fig1(Substrate substrate) {
   sim::Engine engine;
-  charlotte::Cluster cluster(engine, 4);
-  std::vector<std::unique_ptr<lynx::Process>> procs;
-  for (int i = 0; i < 4; ++i) {
-    procs.push_back(std::make_unique<lynx::Process>(
-        engine, std::string(1, static_cast<char>('A' + i)),
-        lynx::make_charlotte_backend(cluster,
-                                     net::NodeId(static_cast<std::uint32_t>(i))),
-        lynx::vax_runtime_costs()));
-    procs.back()->start();
+  load::Universe u(engine, pair_spec(substrate));
+  std::vector<lynx::Process*> procs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    procs.push_back(&u.spawn(std::string(1, static_cast<char>('A' + i)), i));
   }
   LinkHandle ab_a, ab_b, dc_d, dc_c, l3_a, l3_d;
-  engine.spawn("wire", [](lynx::Process* a, lynx::Process* b,
-                          lynx::Process* c, lynx::Process* d, LinkHandle* o1,
-                          LinkHandle* o2, LinkHandle* o3, LinkHandle* o4,
-                          LinkHandle* o5, LinkHandle* o6) -> sim::Task<> {
-    auto [x1, y1] = co_await lynx::CharlotteBackend::connect(*a, *b);
+  engine.spawn("wire", [](load::Universe* u, lynx::Process* a,
+                          lynx::Process* b, lynx::Process* c,
+                          lynx::Process* d, LinkHandle* o1, LinkHandle* o2,
+                          LinkHandle* o3, LinkHandle* o4, LinkHandle* o5,
+                          LinkHandle* o6) -> sim::Task<> {
+    auto [x1, y1] = co_await u->connect(*a, *b);
     *o1 = x1;
     *o2 = y1;
-    auto [x2, y2] = co_await lynx::CharlotteBackend::connect(*d, *c);
+    auto [x2, y2] = co_await u->connect(*d, *c);
     *o3 = x2;
     *o4 = y2;
-    auto [x3, y3] = co_await lynx::CharlotteBackend::connect(*a, *d);
+    auto [x3, y3] = co_await u->connect(*a, *d);
     *o5 = x3;
     *o6 = y3;
-  }(procs[0].get(), procs[1].get(), procs[2].get(), procs[3].get(), &ab_a,
-                          &ab_b, &dc_d, &dc_c, &l3_a, &l3_d));
+  }(&u, procs[0], procs[1], procs[2], procs[3], &ab_a, &ab_b, &dc_d, &dc_c,
+                          &l3_a, &l3_d));
   engine.run();
 
   bool heard = false;
@@ -141,77 +139,29 @@ Fig1Result fig1_charlotte() {
   Fig1Result r;
   r.worked = heard && engine.process_failures().empty();
   r.ms = sim::to_msec(engine.now() - t0);
-  r.kernel_move_frames = cluster.total_move_frames();
-  return r;
-}
-
-Fig1Result fig1_chrysalis() {
-  sim::Engine engine;
-  chrysalis::Kernel kernel(engine);
-  std::vector<std::unique_ptr<lynx::Process>> procs;
-  for (int i = 0; i < 4; ++i) {
-    procs.push_back(std::make_unique<lynx::Process>(
-        engine, std::string(1, static_cast<char>('A' + i)),
-        lynx::make_chrysalis_backend(kernel,
-                                     net::NodeId(static_cast<std::uint32_t>(i))),
-        lynx::mc68000_runtime_costs()));
-    procs.back()->start();
+  // Chrysalis shares memory: no move protocol at all.
+  if (substrate == Substrate::kCharlotte) {
+    r.kernel_move_frames = u.charlotte_cluster().total_move_frames();
   }
-  LinkHandle ab_a, ab_b, dc_d, dc_c, l3_a, l3_d;
-  engine.spawn("wire", [](lynx::Process* a, lynx::Process* b,
-                          lynx::Process* c, lynx::Process* d, LinkHandle* o1,
-                          LinkHandle* o2, LinkHandle* o3, LinkHandle* o4,
-                          LinkHandle* o5, LinkHandle* o6) -> sim::Task<> {
-    auto [x1, y1] = co_await lynx::ChrysalisBackend::connect(*a, *b);
-    *o1 = x1;
-    *o2 = y1;
-    auto [x2, y2] = co_await lynx::ChrysalisBackend::connect(*d, *c);
-    *o3 = x2;
-    *o4 = y2;
-    auto [x3, y3] = co_await lynx::ChrysalisBackend::connect(*a, *d);
-    *o5 = x3;
-    *o6 = y3;
-  }(procs[0].get(), procs[1].get(), procs[2].get(), procs[3].get(), &ab_a,
-                          &ab_b, &dc_d, &dc_c, &l3_a, &l3_d));
-  engine.run();
-
-  bool heard = false;
-  const sim::Time t0 = engine.now();
-  procs[0]->spawn_thread("A", [&](ThreadCtx& ctx) {
-    return fig1_mover(ctx, ab_a, l3_a);
-  });
-  procs[3]->spawn_thread("D", [&](ThreadCtx& ctx) {
-    return fig1_mover(ctx, dc_d, l3_d);
-  });
-  procs[1]->spawn_thread("B",
-                         [&](ThreadCtx& ctx) { return fig1_speaker(ctx, ab_b); });
-  procs[2]->spawn_thread("C", [&](ThreadCtx& ctx) {
-    return fig1_listener(ctx, dc_c, &heard);
-  });
-  engine.run();
-  Fig1Result r;
-  r.worked = heard && engine.process_failures().empty();
-  r.ms = sim::to_msec(engine.now() - t0);
-  r.kernel_move_frames = 0;  // shared memory: no move protocol at all
   return r;
 }
 
 void report() {
   table_header("E1: moving a link end (paper figure 1, lesson one)");
 
-  CharlotteWorld cw;
+  Pair cw(Substrate::kCharlotte);
   const double ch_ms = move_ping_ms(cw);
-  ChrysalisWorld yw;
+  Pair yw(Substrate::kChrysalis);
   const double cy_ms = move_ping_ms(yw);
-  SodaWorld sw;
+  Pair sw(Substrate::kSoda);
   const double so_ms = move_ping_ms(sw);
   std::printf("%-34s %12s\n", "move one end + first use", "sim ms");
   std::printf("%-34s %12.2f\n", "charlotte (3-party agreement)", ch_ms);
   std::printf("%-34s %12.2f\n", "soda (hints)", so_ms);
   std::printf("%-34s %12.3f\n", "chrysalis (remap + hint rewrite)", cy_ms);
 
-  Fig1Result f_ch = fig1_charlotte();
-  Fig1Result f_cy = fig1_chrysalis();
+  Fig1Result f_ch = fig1(Substrate::kCharlotte);
+  Fig1Result f_cy = fig1(Substrate::kChrysalis);
   std::printf("\nfigure-1 simultaneous both-end move:\n");
   std::printf("%-14s %8s %10s %22s\n", "backend", "works", "sim ms",
               "kernel move frames");
@@ -228,7 +178,9 @@ void report() {
 }
 
 void BM_Fig1Charlotte(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(fig1_charlotte().worked);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fig1(Substrate::kCharlotte).worked);
+  }
 }
 BENCHMARK(BM_Fig1Charlotte)->Unit(benchmark::kMillisecond);
 

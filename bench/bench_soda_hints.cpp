@@ -41,53 +41,42 @@ struct ChainResult {
 // chain of transfer links; then C makes one call on L.
 ChainResult run_chain(int hops, std::size_t cache_capacity,
                       double broadcast_drop, std::uint64_t seed) {
+  load::UniverseSpec spec;
+  spec.substrate = load::Substrate::kSoda;
+  spec.nodes = static_cast<std::size_t>(hops) + 3;
+  spec.bus = net::CsmaBusParams{};
+  spec.bus.broadcast_drop_prob = broadcast_drop;
+  spec.seed = seed;
+  spec.soda_backend.moved_cache_capacity = cache_capacity;
   sim::Engine engine;
-  lynx::SodaDirectory directory;
-  net::CsmaBusParams bus;
-  bus.broadcast_drop_prob = broadcast_drop;
-  soda::Network network(engine,
-                        static_cast<std::size_t>(hops) + 3, sim::Rng(seed),
-                        bus);
-  lynx::SodaBackendParams bp;
-  bp.moved_cache_capacity = cache_capacity;
+  load::Universe u(engine, spec);
 
-  std::vector<std::unique_ptr<lynx::Process>> chain;
+  std::vector<lynx::Process*> chain;
   for (int i = 0; i <= hops; ++i) {
-    chain.push_back(std::make_unique<lynx::Process>(
-        engine, "hop" + std::to_string(i),
-        lynx::make_soda_backend(network, directory,
-                                net::NodeId(static_cast<std::uint32_t>(i)),
-                                bp),
-        lynx::pdp11_runtime_costs()));
-    chain.back()->start();
+    chain.push_back(&u.spawn("hop" + std::to_string(i),
+                             static_cast<std::size_t>(i)));
   }
-  lynx::Process user(engine, "user",
-                     lynx::make_soda_backend(
-                         network, directory,
-                         net::NodeId(static_cast<std::uint32_t>(hops) + 1),
-                         bp),
-                     lynx::pdp11_runtime_costs());
-  user.start();
+  lynx::Process& user = u.spawn("user", static_cast<std::size_t>(hops) + 1);
 
   // wiring: transfer links hop[i] <-> hop[i+1]; link L: hop0 <-> user
   std::vector<LinkHandle> xfer_out(static_cast<std::size_t>(hops));
   std::vector<LinkHandle> xfer_in(static_cast<std::size_t>(hops));
   LinkHandle l_mover, l_user;
-  engine.spawn("wire", [](std::vector<std::unique_ptr<lynx::Process>>* ch,
+  engine.spawn("wire", [](load::Universe* u, std::vector<lynx::Process*>* ch,
                           lynx::Process* usr, std::vector<LinkHandle>* xo,
                           std::vector<LinkHandle>* xi, LinkHandle* lm,
                           LinkHandle* lu, int n) -> sim::Task<> {
     for (int i = 0; i < n; ++i) {
-      auto [a, b] = co_await lynx::SodaBackend::connect(
+      auto [a, b] = co_await u->connect(
           *(*ch)[static_cast<std::size_t>(i)],
           *(*ch)[static_cast<std::size_t>(i) + 1]);
       (*xo)[static_cast<std::size_t>(i)] = a;
       (*xi)[static_cast<std::size_t>(i)] = b;
     }
-    auto [m, u] = co_await lynx::SodaBackend::connect(*(*ch)[0], *usr);
+    auto [m, usr_end] = co_await u->connect(*(*ch)[0], *usr);
     *lm = m;
-    *lu = u;
-  }(&chain, &user, &xfer_out, &xfer_in, &l_mover, &l_user, hops));
+    *lu = usr_end;
+  }(&u, &chain, &user, &xfer_out, &xfer_in, &l_mover, &l_user, hops));
   engine.run();
 
   // hop0 ships L's end down the chain; every hop forwards; the last hop
@@ -151,7 +140,7 @@ ChainResult run_chain(int hops, std::size_t cache_capacity,
   r.served = flag_slot();
   flag_slot() = false;
   r.late_call_ms = sim::to_msec(t1 - t0);
-  for (auto& p : chain) {
+  for (lynx::Process* p : chain) {
     const auto& st = dynamic_cast<lynx::SodaBackend&>(p->backend()).stats();
     r.redirects += st.moved_redirects;
   }

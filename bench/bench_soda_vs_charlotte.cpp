@@ -13,14 +13,15 @@
 namespace {
 
 using namespace bench;
+using load::Substrate;
 
 double soda_ms(std::size_t bytes) {
-  SodaWorld w;
+  Pair w(Substrate::kSoda);
   return lynx_rpc_ms(w, bytes, 6);
 }
 
 double charlotte_ms(std::size_t bytes) {
-  CharlotteWorld w;
+  Pair w(Substrate::kCharlotte);
   return lynx_rpc_ms(w, bytes, 6);
 }
 
@@ -55,7 +56,7 @@ void report() {
   print_note("large payloads because SODA's 1 Mb/s bus dominates; the");
   print_note("crossover falls inside the paper's 1K-2K band.");
 
-  SodaWorld tw;
+  Pair tw(Substrate::kSoda);
   traced_phase_report(tw, "E5 SODA RPC (null op)", 0, 6);
 }
 

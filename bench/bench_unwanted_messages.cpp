@@ -15,6 +15,7 @@
 namespace {
 
 using namespace bench;
+using load::Substrate;
 using lynx::Incoming;
 using lynx::LinkHandle;
 using lynx::Message;
@@ -69,7 +70,7 @@ struct Outcome {
 };
 
 Outcome run_charlotte(int rounds) {
-  CharlotteWorld w;
+  Pair w(Substrate::kCharlotte);
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("serve", [&](ThreadCtx& ctx) {
     return serve_thread(ctx, w.server_end, rounds);
@@ -93,7 +94,7 @@ Outcome run_charlotte(int rounds) {
 }
 
 Outcome run_soda(int rounds) {
-  SodaWorld w;
+  Pair w(Substrate::kSoda);
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("serve", [&](ThreadCtx& ctx) {
     return serve_thread(ctx, w.server_end, rounds);

@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "load/universe.hpp"
 #include "lynx/lynx.hpp"
+#include "net/butterfly_switch.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sweep/sweep.hpp"
@@ -90,130 +92,59 @@ inline void init(int* argc, char** argv, const char* name) {
   });
 }
 
-// ---- worlds: one client/server pair per substrate -------------------------
+// ---- the client/server pair every RPC experiment measures ------------------
 
-struct CharlotteWorld {
-  sim::Engine engine;
-  charlotte::Cluster cluster{engine, 4};
-  lynx::Process server{engine, "server",
-                       lynx::make_charlotte_backend(cluster, net::NodeId(0)),
-                       lynx::vax_runtime_costs()};
-  lynx::Process client{engine, "client",
-                       lynx::make_charlotte_backend(cluster, net::NodeId(1)),
-                       lynx::vax_runtime_costs()};
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
+// Each substrate's pair at its historical size: a 4-node Charlotte
+// cluster, a 6-node SODA bus seeded by --seed, and the default 16-node
+// Butterfly.
+inline load::UniverseSpec pair_spec(load::Substrate substrate) {
+  load::UniverseSpec spec;
+  spec.substrate = substrate;
+  switch (substrate) {
+    case load::Substrate::kCharlotte:
+      spec.nodes = 4;
+      break;
+    case load::Substrate::kSoda:
+      spec.nodes = 6;
+      spec.seed = seed();
+      break;
+    case load::Substrate::kChrysalis:
+      spec.nodes = net::ButterflyParams{}.nodes;
+      break;
+  }
+  return spec;
+}
 
-  CharlotteWorld() { boot(); }
-
-  void boot() {
-    server.start();
-    client.start();
+// Server on node 0, client on node 1, and one link between them, wired
+// before the constructor returns.
+struct Pair {
+  explicit Pair(load::Substrate substrate) : Pair(pair_spec(substrate)) {}
+  explicit Pair(const load::UniverseSpec& spec)
+      : universe(engine, spec),
+        server(universe.spawn("server", 0)),
+        client(universe.spawn("client", 1)) {
     engine.spawn("wire", wire(this));
     engine.run();
   }
-  static sim::Task<> wire(CharlotteWorld* w) {
-    auto [se, ce] =
-        co_await lynx::CharlotteBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
+  static sim::Task<> wire(Pair* p) {
+    auto [se, ce] = co_await p->universe.connect(p->server, p->client);
+    p->server_end = se;
+    p->client_end = ce;
   }
+  // Charlotte's protocol counters (E2, E9).
   [[nodiscard]] const lynx::CharlotteBackend::Stats& client_stats() {
     return dynamic_cast<lynx::CharlotteBackend&>(client.backend()).stats();
   }
   [[nodiscard]] const lynx::CharlotteBackend::Stats& server_stats() {
     return dynamic_cast<lynx::CharlotteBackend&>(server.backend()).stats();
   }
-};
-
-struct ChrysalisWorld {
-  explicit ChrysalisWorld(double tuning_scale = 1.0,
-                          lynx::RuntimeCosts rc = lynx::mc68000_runtime_costs())
-      : kernel(engine, net::ButterflyParams{}, scaled_costs(tuning_scale)),
-        server(engine, "server",
-               lynx::make_chrysalis_backend(kernel, net::NodeId(0)),
-               scale_rc(rc, tuning_scale)),
-        client(engine, "client",
-               lynx::make_chrysalis_backend(kernel, net::NodeId(1)),
-               scale_rc(rc, tuning_scale)) {
-    boot();
-  }
-
-  static chrysalis::Costs scaled_costs(double s) {
-    chrysalis::Costs c;
-    auto f = [s](sim::Duration d) {
-      return static_cast<sim::Duration>(static_cast<double>(d) * s);
-    };
-    c.primitive_call = f(c.primitive_call);
-    c.event_post = f(c.event_post);
-    c.event_wait = f(c.event_wait);
-    c.dq_enqueue = f(c.dq_enqueue);
-    c.dq_dequeue = f(c.dq_dequeue);
-    return c;
-  }
-  static lynx::RuntimeCosts scale_rc(lynx::RuntimeCosts rc, double s) {
-    rc.per_operation =
-        static_cast<sim::Duration>(static_cast<double>(rc.per_operation) * s);
-    return rc;
-  }
 
   sim::Engine engine;
-  chrysalis::Kernel kernel;
-  lynx::Process server;
-  lynx::Process client;
+  load::Universe universe;
+  lynx::Process& server;
+  lynx::Process& client;
   lynx::LinkHandle server_end;
   lynx::LinkHandle client_end;
-
-  void boot() {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static sim::Task<> wire(ChrysalisWorld* w) {
-    auto [se, ce] =
-        co_await lynx::ChrysalisBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
-};
-
-struct SodaWorld {
-  explicit SodaWorld(lynx::SodaBackendParams bp = {})
-      : network(engine, 6, sim::Rng(bench::seed()), quiet_bus()),
-        server(engine, "server",
-               lynx::make_soda_backend(network, directory, net::NodeId(0), bp),
-               lynx::pdp11_runtime_costs()),
-        client(engine, "client",
-               lynx::make_soda_backend(network, directory, net::NodeId(1), bp),
-               lynx::pdp11_runtime_costs()) {
-    boot();
-  }
-  static net::CsmaBusParams quiet_bus() {
-    net::CsmaBusParams p;
-    p.broadcast_drop_prob = 0.0;
-    return p;
-  }
-
-  sim::Engine engine;
-  lynx::SodaDirectory directory;
-  soda::Network network;
-  lynx::Process server;
-  lynx::Process client;
-  lynx::LinkHandle server_end;
-  lynx::LinkHandle client_end;
-
-  void boot() {
-    server.start();
-    client.start();
-    engine.spawn("wire", wire(this));
-    engine.run();
-  }
-  static sim::Task<> wire(SodaWorld* w) {
-    auto [se, ce] = co_await lynx::SodaBackend::connect(w->server, w->client);
-    w->server_end = se;
-    w->client_end = ce;
-  }
 };
 
 // ---- the standard workload: N echo RPCs with a given payload ---------------
@@ -251,9 +182,8 @@ inline sim::Task<> echo_client(lynx::ThreadCtx& ctx, lynx::LinkHandle link,
   *t1 = engine->now();
 }
 
-// Runs N echo RPCs on a world; returns mean simulated ms per operation.
-template <typename World>
-double lynx_rpc_ms(World& w, std::size_t bytes, int reps = 10) {
+// Runs N echo RPCs on a pair; returns mean simulated ms per operation.
+inline double lynx_rpc_ms(Pair& w, std::size_t bytes, int reps = 10) {
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("srv", [&](lynx::ThreadCtx& ctx) {
     return echo_server(ctx, w.server_end, reps + 1);
@@ -324,9 +254,8 @@ inline JsonLine json() {
 // JSON.  Coverage compares the mean "call" span against the measured
 // per-op end-to-end latency (the warm-up op is traced but untimed, so
 // the comparison is per-op, not total).
-template <typename World>
-void traced_phase_report(World& w, const char* title, std::size_t bytes = 0,
-                         int reps = 10) {
+inline void traced_phase_report(Pair& w, const char* title,
+                                std::size_t bytes = 0, int reps = 10) {
   trace::Recorder rec(w.engine, 1u << 18);
   sim::Time t0 = 0, t1 = 0;
   w.server.spawn_thread("srv", [&](lynx::ThreadCtx& ctx) {

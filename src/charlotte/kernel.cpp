@@ -513,7 +513,14 @@ void Kernel::terminate_process(Pid pid) {
     if (EndState* end = find_end(id)) begin_destroy(*end);
   }
   processes_.erase(pid);
-  completions_.erase(pid);
+  // The process's pump may be parked in this mailbox's get(), or already
+  // woken with its resume queued: retire the mailbox rather than free it
+  // under that waiter.  A pump that resumes drains what was queued and
+  // then stops on its own.
+  if (auto it = completions_.find(pid); it != completions_.end()) {
+    retired_completions_.push_back(std::move(it->second));
+    completions_.erase(it);
+  }
 }
 
 // ===================== delivery =====================

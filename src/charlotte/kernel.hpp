@@ -233,6 +233,8 @@ class Kernel {
   std::unordered_set<Pid> processes_;
   std::unordered_map<Pid, std::unique_ptr<sim::Mailbox<Completion>>>
       completions_;
+  // Mailboxes of terminated processes, kept until the kernel dies.
+  std::vector<std::unique_ptr<sim::Mailbox<Completion>>> retired_completions_;
   std::uint64_t next_move_seq_ = 1;
   std::uint64_t frames_out_ = 0;
   std::uint64_t move_frames_ = 0;

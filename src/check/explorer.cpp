@@ -7,18 +7,9 @@
 #include <thread>
 #include <utility>
 
-#include "charlotte/kernel.hpp"
 #include "check/linearizability.hpp"
-#include "chrysalis/kernel.hpp"
-#include "fault/faulty_medium.hpp"
-#include "fault/invariant_checker.hpp"
-#include "lynx/connect.hpp"
 #include "lynx/lynx.hpp"
-#include "net/csma_bus.hpp"
-#include "net/token_ring.hpp"
 #include "replica/replica.hpp"
-#include "sim/random.hpp"
-#include "soda/kernel.hpp"
 #include "sweep/sweep.hpp"
 #include "trace/trace.hpp"
 
@@ -71,44 +62,40 @@ fault::Plan plan_of(PlanSpec spec) {
          spec == PlanSpec::kBackupBounce;
 }
 
-charlotte::Costs charlotte_costs(const RunConfig& cfg) {
-  charlotte::Costs c;
+// The echo pair: server on node 0, client on node 1, medium impaired by
+// the plan.  On Chrysalis it runs on the default 16-node Butterfly and
+// has no medium, hence no plan and no medium invariants — the other two
+// oracles still apply.
+load::UniverseSpec echo_spec(const RunConfig& cfg) {
+  load::UniverseSpec spec;
+  spec.substrate = cfg.substrate;
+  spec.nodes = cfg.substrate == load::Substrate::kChrysalis ? 16 : 2;
+  spec.seed = cfg.seed;
+  spec.faults = plan_of(cfg.plan);
+  spec.fault_seed = cfg.seed;
   // 8 x 100ms of retransmission outlasts the storm window.
-  c.send_retransmit_timeout = sim::msec(100);
-  c.max_send_attempts = 8;
-  c.debug_drop_reacks = cfg.inject_reack_bug;
-  if (formation_on(cfg)) c.form_delay = kFormDelay;
-  return c;
-}
-
-soda::Costs soda_costs(const RunConfig& cfg) {
-  soda::Costs c;
+  spec.charlotte.send_retransmit_timeout = sim::msec(100);
+  spec.charlotte.max_send_attempts = 8;
+  spec.charlotte.debug_drop_reacks = cfg.inject_reack_bug;
   // 40 x 12ms of per-fragment retransmission outlasts the storm window.
-  c.ack_timeout = sim::msec(12);
-  c.max_transport_attempts = 40;
-  if (formation_on(cfg)) c.form_delay = kFormDelay;
-  return c;
-}
-
-lynx::ChrysalisBackendParams chrysalis_params(const RunConfig& cfg) {
-  lynx::ChrysalisBackendParams p;
-  if (formation_on(cfg)) p.form_delay = kFormDelay;
-  return p;
-}
-
-net::CsmaBusParams quiet_bus() {
-  net::CsmaBusParams p;
-  p.broadcast_drop_prob = 0.0;  // loss comes from the plan, not the bus
-  return p;
+  spec.soda.ack_timeout = sim::msec(12);
+  spec.soda.max_transport_attempts = 40;
+  if (formation_on(cfg)) {
+    spec.charlotte.form_delay = kFormDelay;
+    spec.soda.form_delay = kFormDelay;
+    spec.chrysalis_backend.form_delay = kFormDelay;
+  }
+  return spec;
 }
 
 // Coroutine bodies are free functions (CP.51: no capturing coroutine
 // lambdas); spawn sites wrap them in plain capturing lambdas.
-sim::Task<> wire(lynx::Process* server, lynx::Process* client, int channels,
+sim::Task<> wire(load::Universe* u, lynx::Process* server,
+                 lynx::Process* client, int channels,
                  std::vector<lynx::LinkHandle>* server_ends,
                  std::vector<lynx::LinkHandle>* client_ends) {
   for (int ch = 0; ch < channels; ++ch) {
-    auto [se, ce] = co_await lynx::connect_any(*server, *client);
+    auto [se, ce] = co_await u->connect(*server, *client);
     server_ends->push_back(se);
     client_ends->push_back(ce);
   }
@@ -287,84 +274,17 @@ RunVerdict run_one(const RunConfig& cfg) {
   engine.set_tie_policy(
       {.kind = cfg.tie, .seed = cfg.seed, .horizon = cfg.horizon});
   trace::Recorder rec(engine, 1u << 18);
+  load::Universe universe(engine, echo_spec(cfg));
+  lynx::Process* server = &universe.spawn("server", 0);
+  lynx::Process* client = &universe.spawn("client", 1);
 
-  // Substrate members, declared engine-first so teardown runs processes
-  // -> kernels -> medium; engine.shutdown() below handles parked frames
-  // while everything is still alive (the Fleet discipline).
-  std::unique_ptr<net::TokenRing> ring;
-  std::unique_ptr<net::CsmaBus> bus;
-  std::unique_ptr<fault::FaultyMedium> medium;
-  std::unique_ptr<fault::InvariantChecker> invariants;
-  std::unique_ptr<charlotte::Cluster> cluster;
-  lynx::SodaDirectory directory;
-  std::unique_ptr<soda::Network> network;
-  std::unique_ptr<chrysalis::Kernel> kernel;
-  std::unique_ptr<lynx::Process> server;
-  std::unique_ptr<lynx::Process> client;
-
-  const fault::Plan plan = plan_of(cfg.plan);
-  switch (cfg.substrate) {
-    case load::Substrate::kCharlotte: {
-      ring = std::make_unique<net::TokenRing>(engine);
-      medium =
-          std::make_unique<fault::FaultyMedium>(engine, *ring, cfg.seed, plan);
-      invariants = std::make_unique<fault::InvariantChecker>(*medium);
-      cluster = std::make_unique<charlotte::Cluster>(engine, 2, *medium,
-                                                     charlotte_costs(cfg));
-      server = std::make_unique<lynx::Process>(
-          engine, "server", lynx::make_charlotte_backend(*cluster, NodeId(0)),
-          lynx::vax_runtime_costs());
-      client = std::make_unique<lynx::Process>(
-          engine, "client", lynx::make_charlotte_backend(*cluster, NodeId(1)),
-          lynx::vax_runtime_costs());
-      break;
-    }
-    case load::Substrate::kSoda: {
-      bus = std::make_unique<net::CsmaBus>(engine, sim::Rng(cfg.seed),
-                                           quiet_bus());
-      medium =
-          std::make_unique<fault::FaultyMedium>(engine, *bus, cfg.seed, plan);
-      invariants = std::make_unique<fault::InvariantChecker>(*medium);
-      network =
-          std::make_unique<soda::Network>(engine, 2, *medium, soda_costs(cfg));
-      server = std::make_unique<lynx::Process>(
-          engine, "server",
-          lynx::make_soda_backend(*network, directory, NodeId(0)),
-          lynx::pdp11_runtime_costs());
-      client = std::make_unique<lynx::Process>(
-          engine, "client",
-          lynx::make_soda_backend(*network, directory, NodeId(1)),
-          lynx::pdp11_runtime_costs());
-      break;
-    }
-    case load::Substrate::kChrysalis: {
-      // Shared-memory Butterfly: no medium, hence no plan and no
-      // medium invariants — the other two oracles still apply.
-      kernel = std::make_unique<chrysalis::Kernel>(engine,
-                                                   net::ButterflyParams{});
-      server = std::make_unique<lynx::Process>(
-          engine, "server",
-          lynx::make_chrysalis_backend(*kernel, NodeId(0),
-                                       chrysalis_params(cfg)),
-          lynx::mc68000_runtime_costs());
-      client = std::make_unique<lynx::Process>(
-          engine, "client",
-          lynx::make_chrysalis_backend(*kernel, NodeId(1),
-                                       chrysalis_params(cfg)),
-          lynx::mc68000_runtime_costs());
-      break;
-    }
-  }
-
-  server->start();
-  client->start();
   // cfg.channels independent links; per-channel server and client
   // threads with identical costs give the permutation policy genuine
   // same-instant ties to reorder.
   const int channels = cfg.channels > 0 ? cfg.channels : 1;
   std::vector<lynx::LinkHandle> server_ends;
   std::vector<lynx::LinkHandle> client_ends;
-  engine.spawn("wire", wire(server.get(), client.get(), channels,
+  engine.spawn("wire", wire(&universe, server, client, channels,
                             &server_ends, &client_ends));
   engine.run();
 
@@ -394,8 +314,8 @@ RunVerdict run_one(const RunConfig& cfg) {
   if (!conforms) {
     v.divergence = model.divergence();
     v.failure = v.divergence->render();
-  } else if (invariants != nullptr && !invariants->ok()) {
-    v.failure = "medium invariant: " + invariants->violations().front();
+  } else if (const auto violation = universe.invariant_violation()) {
+    v.failure = "medium invariant: " + *violation;
   } else if (!engine.process_failures().empty()) {
     v.failure = "process failure: " + engine.process_failures().front();
   } else if (!server->thread_failures().empty()) {
@@ -410,9 +330,6 @@ RunVerdict run_one(const RunConfig& cfg) {
   } else {
     v.ok = true;
   }
-
-  // Destroy parked frames while processes and kernels are still alive.
-  engine.shutdown();
   return v;
 }
 

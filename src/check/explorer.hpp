@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "check/reference_model.hpp"
-#include "load/fleet.hpp"
+#include "load/universe.hpp"
 #include "sim/engine.hpp"
 
 namespace check {

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "load/fleet.hpp"
+#include "load/universe.hpp"
 #include "load/report.hpp"
 #include "load/scenario.hpp"
 

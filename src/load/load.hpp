@@ -10,7 +10,7 @@
 #pragma once
 
 #include "load/capacity.hpp"
-#include "load/fleet.hpp"
 #include "load/report.hpp"
 #include "load/runner.hpp"
 #include "load/scenario.hpp"
+#include "load/universe.hpp"

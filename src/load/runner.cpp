@@ -46,11 +46,21 @@ struct OpenArrival {
 }  // namespace
 
 struct Runner::Impl {
-  Impl(Substrate substrate, Scenario scenario)
-      : sc(std::move(scenario)), fleet(substrate, sc) {}
+  Impl(Substrate substrate, Scenario scenario);
 
-  Scenario sc;  // declared before fleet: fleet's ctor reads it
-  Fleet fleet;
+  Scenario sc;
+  sim::Engine engine;
+  Universe universe;  // declared after engine: shuts it down first
+  // Node layout: servers (or pipeline stages) occupy nodes 0..M-1,
+  // clients M..M+N-1.
+  std::vector<lynx::Process*> servers;
+  std::vector<lynx::Process*> clients;
+  // Link ends, filled by the wiring coroutine during construction.
+  std::vector<std::vector<lynx::LinkHandle>> server_inbound;
+  std::vector<std::vector<lynx::LinkHandle>> client_channels;
+  // Pipeline only: stage s's calling ends toward stage s+1, one per
+  // worker thread; empty for the last stage and for fan-in.
+  std::vector<std::vector<lynx::LinkHandle>> forward_links;
 
   struct Window {
     sim::Time start = 0;
@@ -69,7 +79,7 @@ struct Runner::Impl {
   std::int64_t backlog_start = 0;
   std::int64_t backlog_end = 0;
   std::int64_t backlog_peak = 0;
-  std::uint64_t wire_ops_start = 0;  // Fleet::wire_ops at the window edges
+  std::uint64_t wire_ops_start = 0;  // Universe::wire_ops at the window edges
   std::uint64_t wire_ops_end = 0;
   bool capped = false;
   bool stall_done = false;
@@ -105,6 +115,81 @@ struct Runner::Impl {
     if (in_window(t_sched)) ++op_errors;
   }
 };
+
+namespace {
+
+UniverseSpec spec_of(Substrate substrate, const Scenario& sc) {
+  UniverseSpec spec;
+  spec.substrate = substrate;
+  spec.nodes = sc.servers + sc.clients;
+  spec.seed = sc.seed ^ 0x50da50daULL;
+  spec.with_formation(sc.form_delay, sc.form_max_bytes);
+  // Each LYNX link end parks one standing status signal at its peer
+  // (SodaBackend::post_signal), so a client pipelining across N channels
+  // holds N signal slots PLUS up to N data requests against the §4.2.1
+  // per-pair admission budget — at N == the default budget of 8 the
+  // signals alone fill it and every data request bounces with
+  // kTooManyRequests forever.  Scale the budget with the wiring so
+  // deep-pipeline scenarios saturate on the wire, not on the admission
+  // limit.
+  spec.soda.max_outstanding_per_pair =
+      std::max(spec.soda.max_outstanding_per_pair,
+               static_cast<int>(2 * sc.channels_per_client + 2));
+  return spec;
+}
+
+// Fan-in wires every channel of client i to server i mod M; a pipeline
+// wires its clients to stage 0 and additionally `server_threads` forward
+// links from each stage to the next, one per worker thread, so
+// concurrent forwards never serialize on a link's one-outstanding-call
+// rule.
+sim::Task<> wire(Runner::Impl* st) {
+  const Scenario& sc = st->sc;
+  for (std::size_t i = 0; i < sc.clients; ++i) {
+    const std::size_t target =
+        sc.topology == Topology::kFanIn ? i % sc.servers : 0;
+    for (std::size_t c = 0; c < sc.channels_per_client; ++c) {
+      auto [srv_end, cli_end] = co_await st->universe.connect(
+          *st->servers[target], *st->clients[i]);
+      st->server_inbound[target].push_back(srv_end);
+      st->client_channels[i].push_back(cli_end);
+    }
+  }
+  if (sc.topology == Topology::kPipeline) {
+    for (std::size_t s = 0; s + 1 < sc.servers; ++s) {
+      for (std::size_t w = 0; w < sc.server_threads; ++w) {
+        auto [next_end, stage_end] = co_await st->universe.connect(
+            *st->servers[s + 1], *st->servers[s]);
+        st->server_inbound[s + 1].push_back(next_end);
+        st->forward_links[s].push_back(stage_end);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Runner::Impl::Impl(Substrate substrate, Scenario scenario)
+    : sc(std::move(scenario)), universe(engine, spec_of(substrate, sc)) {
+  RELYNX_ASSERT(sc.servers >= 1 && sc.clients >= 1);
+  RELYNX_ASSERT(sc.channels_per_client >= 1 && sc.server_threads >= 1);
+  for (std::size_t s = 0; s < sc.servers; ++s) {
+    servers.push_back(&universe.spawn("server" + std::to_string(s), s));
+  }
+  for (std::size_t i = 0; i < sc.clients; ++i) {
+    clients.push_back(
+        &universe.spawn("client" + std::to_string(i), sc.servers + i));
+  }
+  server_inbound.resize(sc.servers);
+  client_channels.resize(sc.clients);
+  forward_links.resize(sc.servers);
+  engine.spawn("wire", wire(this));
+  engine.run();  // only bootstrap traffic exists yet
+  for (const auto& channels : client_channels) {
+    RELYNX_ASSERT_MSG(channels.size() == sc.channels_per_client,
+                      "bootstrap wiring incomplete");
+  }
+}
 
 namespace {
 
@@ -225,13 +310,13 @@ Runner::Runner(Substrate substrate, Scenario scenario)
 
 Runner::~Runner() = default;
 
-sim::Engine& Runner::engine() { return impl_->fleet.engine(); }
+sim::Engine& Runner::engine() { return impl_->engine; }
 
 Report Runner::run() {
   auto& st = *impl_;
   RELYNX_ASSERT_MSG(!st.ran, "Runner::run is single-shot");
   st.ran = true;
-  auto& eng = st.fleet.engine();
+  auto& eng = st.engine;
 
   const sim::Time t0 = eng.now();
   st.win.start = t0;
@@ -242,21 +327,21 @@ Report Runner::run() {
 
   eng.schedule_at(st.win.meas_start, [&st] {
     st.backlog_start = st.in_flight;
-    st.wire_ops_start = st.fleet.wire_ops();
+    st.wire_ops_start = st.universe.wire_ops();
   });
   eng.schedule_at(st.win.meas_end, [&st] {
     st.backlog_end = st.in_flight;
-    st.wire_ops_end = st.fleet.wire_ops();
+    st.wire_ops_end = st.universe.wire_ops();
   });
 
-  for (std::size_t s = 0; s < st.fleet.servers(); ++s) {
-    const auto& fwd = st.fleet.forward_links(s);
+  for (std::size_t s = 0; s < st.servers.size(); ++s) {
+    const auto& fwd = st.forward_links[s];
     for (std::size_t w = 0; w < st.sc.server_threads; ++w) {
       const lynx::LinkHandle f =
           w < fwd.size() ? fwd[w] : lynx::LinkHandle();
-      st.fleet.server(s).spawn_thread(
+      st.servers[s]->spawn_thread(
           "worker" + std::to_string(w), [&st, s, f](lynx::ThreadCtx& ctx) {
-            return server_worker(ctx, &st, s, st.fleet.server_inbound(s), f);
+            return server_worker(ctx, &st, s, st.server_inbound[s], f);
           });
     }
   }
@@ -267,11 +352,11 @@ Report Runner::run() {
   st.cstate.resize(st.sc.clients);
   for (std::size_t i = 0; i < st.sc.clients; ++i) {
     auto& cs = st.cstate[i];
-    const auto& channels = st.fleet.client_channels(i);
+    const auto& channels = st.client_channels[i];
     if (st.sc.arrival == Arrival::kClosed) {
       for (lynx::LinkHandle ch : channels) {
         const sim::Rng rng = master.fork();
-        st.fleet.client(i).spawn_thread(
+        st.clients[i]->spawn_thread(
             "gen", [&st, ch, rng](lynx::ThreadCtx& ctx) {
               return closed_client(ctx, &st, ch, rng);
             });
@@ -280,7 +365,7 @@ Report Runner::run() {
       cs.rng = master.fork();
       cs.box = std::make_unique<sim::Mailbox<OpenArrival>>(eng);
       for (lynx::LinkHandle ch : channels) {
-        st.fleet.client(i).spawn_thread(
+        st.clients[i]->spawn_thread(
             "send", [&st, i, ch](lynx::ThreadCtx& ctx) {
               return open_sender(ctx, &st, i, ch);
             });
@@ -292,7 +377,7 @@ Report Runner::run() {
   (void)eng.run_until(st.win.hard_end);
 
   Report r;
-  r.backend = to_string(st.fleet.substrate());
+  r.backend = to_string(st.universe.substrate());
   r.scenario = st.sc.name;
   r.offered_rate =
       st.sc.arrival == Arrival::kClosed ? 0.0 : st.sc.offered_rate;
@@ -301,13 +386,8 @@ Report Runner::run() {
   r.dropped = st.dropped;
   std::int64_t failures =
       static_cast<std::int64_t>(eng.process_failures().size());
-  for (std::size_t s = 0; s < st.fleet.servers(); ++s) {
-    failures +=
-        static_cast<std::int64_t>(st.fleet.server(s).thread_failures().size());
-  }
-  for (std::size_t i = 0; i < st.fleet.clients(); ++i) {
-    failures +=
-        static_cast<std::int64_t>(st.fleet.client(i).thread_failures().size());
+  for (const lynx::Process* p : st.universe.processes()) {
+    failures += static_cast<std::int64_t>(p->thread_failures().size());
   }
   r.errors = st.op_errors + failures;
   r.samples = st.latency_ms.summary().count();

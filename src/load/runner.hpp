@@ -1,10 +1,12 @@
 // Runs one Scenario against one substrate and measures it.
 //
-// The Runner owns the Fleet, spawns the server workers and the chosen
-// generator (scenario.hpp), runs the engine to the scenario's hard end
-// (warmup + measure + drain), and distills a Report.  Latency lands in
-// a sim::Histogram, so the per-RPC recording cost is O(1) and the
-// quoted p50/p99 are within the histogram's ~1.6% bucket resolution.
+// The Runner builds the Scenario's topology in a load::Universe (kernel,
+// server and client processes, bootstrap links), spawns the server
+// workers and the chosen generator (scenario.hpp), runs the engine to
+// the scenario's hard end (warmup + measure + drain), and distills a
+// Report.  Latency lands in a sim::Histogram, so the per-RPC recording
+// cost is O(1) and the quoted p50/p99 are within the histogram's ~1.6%
+// bucket resolution.
 //
 // Everything is deterministic: the same (substrate, Scenario) produces
 // a bit-identical Report and engine clock, which the determinism suite
@@ -13,7 +15,7 @@
 
 #include <memory>
 
-#include "load/fleet.hpp"
+#include "load/universe.hpp"
 #include "load/report.hpp"
 #include "load/scenario.hpp"
 

@@ -757,8 +757,8 @@ sim::Task<> CharlotteBackend::perform_shutdown() {
   // Process termination destroys all links (the kernel guarantees this
   // for real termination; we do it explicitly, then poison the pump).
   cluster_->terminate(pid_);
-  // terminate_process dropped the completion mailbox, so the pump stays
-  // parked forever; the engine reaps its frame at teardown.
+  // A pump still parked on the retired completion mailbox stays parked;
+  // the engine reaps its frame at teardown.
   co_return;
 }
 

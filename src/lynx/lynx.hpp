@@ -21,7 +21,6 @@
 #include "lynx/backend.hpp"
 #include "lynx/charlotte_backend.hpp"
 #include "lynx/chrysalis_backend.hpp"
-#include "lynx/connect.hpp"
 #include "lynx/errors.hpp"
 #include "lynx/message.hpp"
 #include "lynx/runtime.hpp"

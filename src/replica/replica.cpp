@@ -5,16 +5,7 @@
 #include <utility>
 #include <variant>
 
-#include "charlotte/kernel.hpp"
-#include "chrysalis/kernel.hpp"
 #include "common/assert.hpp"
-#include "fault/faulty_medium.hpp"
-#include "fault/invariant_checker.hpp"
-#include "lynx/connect.hpp"
-#include "net/csma_bus.hpp"
-#include "net/token_ring.hpp"
-#include "sim/random.hpp"
-#include "soda/kernel.hpp"
 #include "trace/trace.hpp"
 
 namespace replica {
@@ -33,10 +24,8 @@ const char* to_string(OpType t) {
 // the fault schedule and the view-change driver.
 struct Group::Core {
   sim::Engine* engine = nullptr;
+  load::Universe* universe = nullptr;  // borrowed from the Group
   Options opt;
-  fault::FaultyMedium* medium = nullptr;  // borrowed from the Group
-  std::function<std::unique_ptr<lynx::Process>(std::string, std::size_t)>
-      spawn_process;
 
   struct Node {
     Role role = Role::kBackup;
@@ -52,10 +41,9 @@ struct Group::Core {
     std::unique_ptr<sim::WaitList> rewire;
   };
 
-  std::vector<std::unique_ptr<lynx::Process>> replicas;
-  std::vector<std::unique_ptr<lynx::Process>> clients;
-  // Pre-restart incarnations, kept so their thread-failure logs survive.
-  std::vector<std::unique_ptr<lynx::Process>> graveyard;
+  // Current incarnations; the universe owns every process ever spawned.
+  std::vector<lynx::Process*> replicas;
+  std::vector<lynx::Process*> clients;
   std::vector<Node> nodes;
   std::vector<Session> sessions;
 
@@ -68,13 +56,6 @@ struct Group::Core {
 namespace {
 
 using Core = Group::Core;
-using net::NodeId;
-
-net::CsmaBusParams quiet_bus() {
-  net::CsmaBusParams p;
-  p.broadcast_drop_prob = 0.0;  // loss would come from a plan, not the bus
-  return p;
-}
 
 std::int64_t arg_i64(const lynx::Message& m, std::size_t i) {
   return std::get<std::int64_t>(m.args.at(i));
@@ -325,12 +306,14 @@ sim::Task<> enable_links(lynx::ThreadCtx& ctx,
 
 sim::Task<> wire_initial(Core* g) {
   for (std::size_t b = 1; b < g->nodes.size(); ++b) {
-    auto [pe, be] = co_await lynx::connect_any(*g->replicas[0], *g->replicas[b]);
+    auto [pe, be] =
+        co_await g->universe->connect(*g->replicas[0], *g->replicas[b]);
     g->nodes[0].ps.backups.push_back({pe, true});
     g->nodes[b].initial_links.push_back(be);
   }
   for (std::size_t c = 0; c < g->sessions.size(); ++c) {
-    auto [pe, ce] = co_await lynx::connect_any(*g->replicas[0], *g->clients[c]);
+    auto [pe, ce] =
+        co_await g->universe->connect(*g->replicas[0], *g->clients[c]);
     g->nodes[0].initial_links.push_back(pe);
     g->sessions[c].link = ce;
   }
@@ -339,15 +322,8 @@ sim::Task<> wire_initial(Core* g) {
 // ---- fault schedule ---------------------------------------------------
 
 void crash_node(Core* g, std::size_t idx) {
-  // Medium first: a crashed node cannot transmit, so the frames its
-  // teardown would have sent die on the wire (Charlotte peers learn of
-  // the crash from the distributed kernel's notice instead; SODA peers
-  // only ever find out from their own timeouts).
-  if (g->medium != nullptr) {
-    g->medium->crash(NodeId(static_cast<std::uint32_t>(idx)));
-  }
   g->nodes[idx].alive = false;
-  g->replicas[idx]->terminate();
+  g->universe->crash(idx);
 }
 
 // Harness-driven view change: anoint the live replica with the most
@@ -375,7 +351,7 @@ sim::Task<> view_change(Core* g) {
   for (std::size_t s = 0; s < g->nodes.size(); ++s) {
     if (s == np || !g->nodes[s].alive) continue;
     auto [pe, be] =
-        co_await lynx::connect_any(*g->replicas[np], *g->replicas[s]);
+        co_await g->universe->connect(*g->replicas[np], *g->replicas[s]);
     const std::vector<lynx::LinkHandle> links{be};
     g->replicas[s]->spawn_thread("enable", [links](lynx::ThreadCtx& ctx) {
       return enable_links(ctx, links);
@@ -384,7 +360,8 @@ sim::Task<> view_change(Core* g) {
   }
   std::vector<lynx::LinkHandle> primary_ends;
   for (std::size_t c = 0; c < g->sessions.size(); ++c) {
-    auto [pe, ce] = co_await lynx::connect_any(*g->replicas[np], *g->clients[c]);
+    auto [pe, ce] =
+        co_await g->universe->connect(*g->replicas[np], *g->clients[c]);
     primary_ends.push_back(pe);
     g->sessions[c].link = ce;
   }
@@ -406,19 +383,15 @@ sim::Task<> view_change(Core* g) {
 // A crashed replica comes back empty on the same node and rejoins the
 // current primary's fan-out as a backup (catch-up via "sync").
 sim::Task<> rejoin(Core* g, std::size_t idx) {
-  if (g->medium != nullptr) {
-    g->medium->restart(NodeId(static_cast<std::uint32_t>(idx)));
-  }
-  g->graveyard.push_back(std::move(g->replicas[idx]));
-  g->replicas[idx] = g->spawn_process("rep" + std::to_string(idx), idx);
+  g->universe->restart(idx);
+  g->replicas[idx] = &g->universe->spawn("rep" + std::to_string(idx), idx);
   Core::Node& me = g->nodes[idx];
   me.role = Role::kBackup;
   me.store = Store{};
   me.ps = PrimaryState{};
-  g->replicas[idx]->start();
-  lynx::Process* primary = g->replicas[g->primary].get();
+  lynx::Process* primary = g->replicas[g->primary];
   if (primary->terminated()) co_return;  // nobody to rejoin
-  auto [pe, be] = co_await lynx::connect_any(*primary, *g->replicas[idx]);
+  auto [pe, be] = co_await g->universe->connect(*primary, *g->replicas[idx]);
   me.initial_links.push_back(be);
   g->replicas[idx]->spawn_thread("serve", [g, idx](lynx::ThreadCtx& ctx) {
     return node_serve(ctx, g, idx);
@@ -435,63 +408,24 @@ sim::Task<> rejoin(Core* g, std::size_t idx) {
 Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
     : engine_(&engine), substrate_(substrate), opt_(opt) {
   RELYNX_ASSERT(opt_.replicas >= 1 && opt_.clients >= 1);
-  const std::size_t total = opt_.replicas + opt_.clients;
-  switch (substrate_) {
-    case load::Substrate::kCharlotte: {
-      ring_ = std::make_unique<net::TokenRing>(engine);
-      medium_ =
-          std::make_unique<fault::FaultyMedium>(engine, *ring_, opt_.seed);
-      invariants_ = std::make_unique<fault::InvariantChecker>(*medium_);
-      charlotte::Costs ccosts;
-      ccosts.form_delay = opt_.form_delay;
-      ccosts.form_max_bytes = opt_.form_max_bytes;
-      cluster_ = std::make_unique<charlotte::Cluster>(engine, total, *medium_,
-                                                      ccosts);
-      // Charlotte's distributed kernel knows the state of every link:
-      // a crash becomes an absolute node-down notice at every peer.
-      medium_->on_crash(
-          [this](net::NodeId n) { cluster_->notify_node_down(n); });
-      break;
-    }
-    case load::Substrate::kSoda: {
-      bus_ = std::make_unique<net::CsmaBus>(engine, sim::Rng(opt_.seed),
-                                            quiet_bus());
-      medium_ = std::make_unique<fault::FaultyMedium>(engine, *bus_, opt_.seed);
-      invariants_ = std::make_unique<fault::InvariantChecker>(*medium_);
-      // Transport acks on: SODA has no absolute crash notice, so a call
-      // into a crashed node must die by retransmission exhaustion
-      // (CrashInterrupt) rather than hang forever (§2, §4.1).
-      soda::Costs costs;
-      costs.ack_timeout = sim::msec(10);
-      costs.form_delay = opt_.form_delay;
-      costs.form_max_bytes = opt_.form_max_bytes;
-      network_ = std::make_unique<soda::Network>(engine, total, *medium_, costs);
-      // SODA peers get no crash notice — a call parked at a node that
-      // dies would hang forever.  The reboot announcement is the lazy
-      // SODA-style resolution: when the node returns, peers learn their
-      // rendezvous there died (calls into the *down* node die earlier,
-      // by transport-ack exhaustion).
-      medium_->on_restart(
-          [this](net::NodeId n) { network_->kernel(n).announce_reboot(); });
-      break;
-    }
-    case load::Substrate::kChrysalis: {
-      // Shared-memory Butterfly: no medium; crash is pure termination.
-      net::ButterflyParams fabric;
-      fabric.nodes = static_cast<std::uint32_t>(total);
-      kernel_ = std::make_unique<chrysalis::Kernel>(engine, fabric);
-      break;
-    }
-  }
+  load::UniverseSpec spec;
+  spec.substrate = substrate_;
+  spec.nodes = opt_.replicas + opt_.clients;
+  spec.seed = opt_.seed;
+  spec.faults = fault::Plan{};  // crashes come from the schedule below
+  spec.fault_seed = opt_.seed;
+  // Transport acks on: SODA has no absolute crash notice, so a call
+  // into a crashed node must die by retransmission exhaustion
+  // (CrashInterrupt) rather than hang forever (§2, §4.1).
+  spec.soda.ack_timeout = sim::msec(10);
+  spec.with_formation(opt_.form_delay, opt_.form_max_bytes);
+  universe_ = std::make_unique<load::Universe>(engine, spec);
 
   core_ = std::make_unique<Core>();
   Core* g = core_.get();
   g->engine = &engine;
+  g->universe = universe_.get();
   g->opt = opt_;
-  g->medium = medium_.get();
-  g->spawn_process = [this](std::string name, std::size_t node) {
-    return make_process(std::move(name), node);
-  };
   g->nodes.resize(opt_.replicas);
   for (Core::Node& n : g->nodes) {
     n.wake = std::make_unique<sim::WaitList>(engine);
@@ -502,14 +436,12 @@ Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
     s.rewire = std::make_unique<sim::WaitList>(engine);
   }
   for (std::size_t i = 0; i < opt_.replicas; ++i) {
-    g->replicas.push_back(make_process("rep" + std::to_string(i), i));
+    g->replicas.push_back(&universe_->spawn("rep" + std::to_string(i), i));
   }
   for (std::size_t i = 0; i < opt_.clients; ++i) {
     g->clients.push_back(
-        make_process("cli" + std::to_string(i), opt_.replicas + i));
+        &universe_->spawn("cli" + std::to_string(i), opt_.replicas + i));
   }
-  for (auto& p : g->replicas) p->start();
-  for (auto& p : g->clients) p->start();
 
   engine.spawn("replica-wire", wire_initial(g));
   engine.run();  // only bootstrap traffic exists yet
@@ -567,37 +499,7 @@ Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
   }
 }
 
-Group::~Group() {
-  // Destroy parked frames while processes and kernels are still alive.
-  engine_->shutdown();
-}
-
-std::unique_ptr<lynx::Process> Group::make_process(std::string name,
-                                                   std::size_t node) {
-  const net::NodeId nid(static_cast<std::uint32_t>(node));
-  switch (substrate_) {
-    case load::Substrate::kCharlotte:
-      return std::make_unique<lynx::Process>(
-          *engine_, std::move(name),
-          lynx::make_charlotte_backend(*cluster_, nid),
-          lynx::vax_runtime_costs());
-    case load::Substrate::kSoda:
-      return std::make_unique<lynx::Process>(
-          *engine_, std::move(name),
-          lynx::make_soda_backend(*network_, directory_, nid),
-          lynx::pdp11_runtime_costs());
-    case load::Substrate::kChrysalis: {
-      lynx::ChrysalisBackendParams bp;
-      bp.form_delay = opt_.form_delay;
-      bp.form_max_notices = std::max<std::size_t>(2, opt_.form_max_bytes / 16);
-      return std::make_unique<lynx::Process>(
-          *engine_, std::move(name),
-          lynx::make_chrysalis_backend(*kernel_, nid, bp),
-          lynx::mc68000_runtime_costs());
-    }
-  }
-  return nullptr;
-}
+Group::~Group() = default;
 
 std::uint64_t Group::view() const { return core_->view; }
 std::size_t Group::primary_index() const { return core_->primary; }
@@ -614,23 +516,15 @@ lynx::Process& Group::replica_process(std::size_t i) {
 lynx::Process& Group::client_process(std::size_t i) {
   return *core_->clients.at(i);
 }
-fault::FaultyMedium* Group::medium() { return medium_.get(); }
-
 std::optional<std::string> Group::invariant_violation() const {
-  if (invariants_ == nullptr || invariants_->ok()) return std::nullopt;
-  return invariants_->violations().front();
+  return universe_->invariant_violation();
 }
 
 std::vector<std::string> Group::thread_failures() const {
   std::vector<std::string> out;
-  const auto collect = [&out](const auto& procs) {
-    for (const auto& p : procs) {
-      for (const std::string& f : p->thread_failures()) out.push_back(f);
-    }
-  };
-  collect(core_->replicas);
-  collect(core_->clients);
-  collect(core_->graveyard);
+  for (const lynx::Process* p : universe_->processes()) {
+    for (const std::string& f : p->thread_failures()) out.push_back(f);
+  }
   return out;
 }
 

@@ -26,29 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "load/fleet.hpp"
+#include "load/universe.hpp"
 #include "lynx/lynx.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
-
-namespace charlotte {
-class Cluster;
-}
-namespace soda {
-class Network;
-}
-namespace chrysalis {
-class Kernel;
-}
-namespace net {
-class TokenRing;
-class CsmaBus;
-}
-namespace fault {
-class FaultyMedium;
-class InvariantChecker;
-}
 
 namespace replica {
 
@@ -123,15 +105,13 @@ struct Metrics {
 
 class Group {
  public:
-  // Builds the whole world on `engine` — substrate, processes, links,
-  // service threads, fault schedule — and runs the engine until the
-  // bootstrap wiring has finished (the Fleet discipline).  The caller
+  // Builds the whole world on `engine` — a load::Universe with its
+  // processes and links, the service threads, the fault schedule — and
+  // runs the engine until the bootstrap wiring has finished.  The caller
   // then drives the workload with engine.run().
   Group(sim::Engine& engine, load::Substrate substrate, Options opt);
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
-  // Shuts the engine down first so parked frames die while the kernels
-  // and processes they reference are still alive.
   ~Group();
 
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
@@ -146,7 +126,6 @@ class Group {
 
   [[nodiscard]] lynx::Process& replica_process(std::size_t i);
   [[nodiscard]] lynx::Process& client_process(std::size_t i);
-  [[nodiscard]] fault::FaultyMedium* medium();
   // First medium-invariant violation, if any (empty when there is no
   // medium, i.e. Chrysalis).
   [[nodiscard]] std::optional<std::string> invariant_violation() const;
@@ -161,25 +140,13 @@ class Group {
   struct Core;  // shared by the service-thread bodies in replica.cpp
 
  private:
-  [[nodiscard]] std::unique_ptr<lynx::Process> make_process(std::string name,
-                                                            std::size_t node);
-
   sim::Engine* engine_;
   load::Substrate substrate_;
   Options opt_;
-
-  // Substrate members, engine-first declaration order so teardown runs
-  // processes -> kernels -> medium (reverse order), mirroring Fleet.
-  std::unique_ptr<net::TokenRing> ring_;
-  std::unique_ptr<net::CsmaBus> bus_;
-  std::unique_ptr<fault::FaultyMedium> medium_;
-  std::unique_ptr<fault::InvariantChecker> invariants_;
-  std::unique_ptr<charlotte::Cluster> cluster_;
-  lynx::SodaDirectory directory_;
-  std::unique_ptr<soda::Network> network_;
-  std::unique_ptr<chrysalis::Kernel> kernel_;
-
-  std::unique_ptr<Core> core_;  // holds all processes and mutable state
+  std::unique_ptr<Core> core_;  // mutable group state
+  // Declared after core_, so its teardown shuts the engine down while
+  // the service state that parked frames reference still exists.
+  std::unique_ptr<load::Universe> universe_;
 };
 
 }  // namespace replica

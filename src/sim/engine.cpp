@@ -1,8 +1,6 @@
 #include "sim/engine.hpp"
 
-#include <ostream>
 
-#include "trace/trace.hpp"
 
 namespace sim {
 
@@ -544,15 +542,6 @@ void Engine::spawn(std::string name, Task<> body) {
   const std::uint64_t id = next_root_++;
   Root root = drive(id, std::move(name), std::move(body));
   schedule(0, [h = root.handle] { h.resume(); });
-}
-
-void Engine::trace(const char* category, const std::string& message) {
-  // Re-routed through the structured recorder: the legacy ostream form
-  // stays available (here, and via trace::render_text over the stream).
-  if (auto* rec = trace::get(*this)) rec->text(0, category, message);
-  if (!trace_os_) return;
-  *trace_os_ << "[" << to_usec(now_) << "us] " << category << ": " << message
-             << "\n";
 }
 
 }  // namespace sim

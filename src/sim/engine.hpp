@@ -150,7 +150,7 @@ class Engine {
   // which may run after them.  Idempotent.
   void shutdown();
   // True once shutdown() has run: the engine is inert and rejects new
-  // bootstrap work (lynx::connect_any checks this).
+  // bootstrap work (load::Universe::connect checks this).
   [[nodiscard]] bool is_shut_down() const { return shut_down_; }
 
   // -- coroutine processes ----------------------------------------------
@@ -193,15 +193,6 @@ class Engine {
   }
 
   // -- tracing -----------------------------------------------------------
-  // Legacy unstructured hook.  Messages are routed into the structured
-  // recorder when one is attached (as kText records, exportable and
-  // digested like everything else) and still mirrored to the ostream.
-  void set_trace(std::ostream* os) { trace_os_ = os; }
-  [[nodiscard]] bool tracing() const {
-    return trace_os_ != nullptr || recorder_ != nullptr;
-  }
-  void trace(const char* category, const std::string& message);
-
   // Structured recorder attachment (normally done by the Recorder's own
   // constructor/destructor).  The engine never dereferences the pointer
   // except through trace::get, which also checks the runtime enable.
@@ -406,7 +397,6 @@ class Engine {
   std::uint64_t next_root_ = 0;
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
   std::vector<std::string> failures_;
-  std::ostream* trace_os_ = nullptr;
   trace::Recorder* recorder_ = nullptr;
 };
 

@@ -116,18 +116,6 @@ void write_chrome_trace(const Recorder& rec, std::ostream& os) {
            << ",\"b\":" << r.b << "}}";
         break;
       }
-      case Kind::kText: {
-        const std::string* msg = rec.text_of(r.seq);
-        auto& ev = out.event();
-        ev << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\""
-           << escaped(rec.label_name(r.label)) << "\",\"cat\":\"text\""
-           << ",\"pid\":" << r.node << ",\"tid\":" << r.track << ",\"ts\":";
-        put_ts(ev, r.at);
-        ev << ",\"args\":{\"message\":\""
-           << escaped(msg != nullptr ? *msg : std::string("<evicted>"))
-           << "\"}}";
-        break;
-      }
       case Kind::kCtxPush:
       case Kind::kCtxPop:
         break;  // stream bookkeeping, not timeline content

@@ -1,7 +1,7 @@
 // The fixed-size structured trace record (modelled on Motr's addb2).
 //
 // Every observable step of an RPC — runtime phases, kernel frames,
-// fault injections, legacy text traces — is one 64-byte POD appended to
+// fault injections — is one 64-byte POD appended to
 // a per-node ring.  Records never hold host pointers or host time, only
 // simulated time and small interned indices, so the stream for a run is
 // a pure function of (seed, plan, workload) and can be digested for
@@ -22,13 +22,13 @@ using TraceId = std::uint64_t;
 // Pairs a kSpanBegin with its kSpanEnd.  0 is never a live span.
 using SpanId = std::uint64_t;
 
+// The values are folded into Recorder::digest(): never renumber them.
 enum class Kind : std::uint8_t {
-  kSpanBegin,  // span = id, a/b = extra args
-  kSpanEnd,    // span = id
-  kInstant,    // point event
-  kText,       // legacy category/message; message in the side table
-  kCtxPush,    // dim + a = value
-  kCtxPop,     // closes the innermost push
+  kSpanBegin = 0,  // span = id, a/b = extra args
+  kSpanEnd = 1,    // span = id
+  kInstant = 2,    // point event
+  kCtxPush = 4,    // dim + a = value
+  kCtxPop = 5,     // closes the innermost push
 };
 
 // Context-stack dimensions, outermost first by convention.

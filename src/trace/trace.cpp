@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 namespace trace {
 
@@ -14,7 +13,6 @@ const char* to_string(Kind kind) {
     case Kind::kSpanBegin: return "span-begin";
     case Kind::kSpanEnd: return "span-end";
     case Kind::kInstant: return "instant";
-    case Kind::kText: return "text";
     case Kind::kCtxPush: return "ctx-push";
     case Kind::kCtxPop: return "ctx-pop";
   }
@@ -101,8 +99,6 @@ void Recorder::emit(Record rec) {
     ring.slots.push_back(rec);
     return;
   }
-  const Record& victim = ring.slots[ring.head];
-  if (victim.kind == Kind::kText) texts_.erase(victim.seq);
   ++overwritten_;
   ring.slots[ring.head] = rec;
   ring.head = (ring.head + 1) % capacity_;
@@ -150,21 +146,6 @@ void Recorder::instant(std::uint32_t node, const char* track,
   emit(rec);
 }
 
-void Recorder::text(std::uint32_t node, const char* category,
-                    std::string_view message) {
-  if (!enabled_) return;
-  Record rec;
-  rec.kind = Kind::kText;
-  rec.label = intern_label(category);
-  rec.node = node;
-  rec.track = intern_track("text");
-  rec.a = message.size();
-  fold_bytes(message);
-  const std::uint64_t seq = next_seq_;  // emit() assigns this seq
-  emit(rec);
-  texts_.emplace(seq, std::string(message));
-}
-
 void Recorder::push_context(Dim dim, std::uint64_t value) {
   if (!enabled_) return;
   ctx_.emplace_back(dim, value);
@@ -198,11 +179,6 @@ std::vector<Record> Recorder::snapshot() const {
   return out;
 }
 
-const std::string* Recorder::text_of(std::uint64_t seq) const {
-  auto it = texts_.find(seq);
-  return it == texts_.end() ? nullptr : &it->second;
-}
-
 std::size_t Recorder::retained() const {
   std::size_t n = 0;
   for (const auto& [node, ring] : rings_) {
@@ -219,15 +195,6 @@ std::size_t Recorder::allocated_slots() const {
     n += ring.slots.capacity();
   }
   return n;
-}
-
-void render_text(const Recorder& rec, std::ostream& os) {
-  for (const Record& r : rec.snapshot()) {
-    if (r.kind != Kind::kText) continue;
-    const std::string* msg = rec.text_of(r.seq);
-    os << "[" << sim::to_usec(r.at) << "us] " << rec.label_name(r.label)
-       << ": " << (msg != nullptr ? *msg : std::string("<evicted>")) << "\n";
-  }
 }
 
 }  // namespace trace

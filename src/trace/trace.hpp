@@ -63,9 +63,6 @@ class Recorder {
   void end_span(std::uint32_t node, SpanId span);
   void instant(std::uint32_t node, const char* track, const char* label,
                TraceId trace, std::uint64_t a = 0, std::uint64_t b = 0);
-  // Legacy sim::Engine::trace(category, message) lands here.
-  void text(std::uint32_t node, const char* category,
-            std::string_view message);
 
   // ---- context stack (synchronous scopes only) ------------------------
   void push_context(Dim dim, std::uint64_t value);
@@ -86,8 +83,6 @@ class Recorder {
   // ---- inspection -----------------------------------------------------
   // All retained records, merged across rings, in emission order.
   [[nodiscard]] std::vector<Record> snapshot() const;
-  // Message body of a kText record (by its seq), or nullptr if evicted.
-  [[nodiscard]] const std::string* text_of(std::uint64_t seq) const;
 
   [[nodiscard]] std::uint64_t total_emitted() const { return emitted_; }
   [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
@@ -97,8 +92,8 @@ class Recorder {
   [[nodiscard]] std::size_t allocated_slots() const;
   [[nodiscard]] std::size_t ring_capacity() const { return capacity_; }
 
-  // Order-sensitive FNV-1a over every record (and interned name / text
-  // byte) ever emitted.  kEmptyDigest until the first record.
+  // Order-sensitive FNV-1a over every record (and interned name) ever
+  // emitted.  kEmptyDigest until the first record.
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
   static constexpr std::uint64_t kEmptyDigest = 14695981039346656037ull;
 
@@ -124,7 +119,6 @@ class Recorder {
   std::vector<std::string> tracks_;
   std::unordered_map<std::string, std::uint16_t> label_ids_;
   std::unordered_map<std::string, std::uint32_t> track_ids_;
-  std::unordered_map<std::uint64_t, std::string> texts_;  // seq -> message
   std::vector<std::pair<Dim, std::uint64_t>> ctx_;
 
   TraceId next_trace_ = 0;
@@ -209,10 +203,5 @@ class CtxScope {
  private:
   Recorder* rec_;
 };
-
-// Renders retained records back into the legacy "[123us] category:
-// message" text form — the adapter that keeps sim::Engine::set_trace
-// output available from the structured stream.
-void render_text(const Recorder& rec, std::ostream& os);
 
 }  // namespace trace

@@ -224,6 +224,48 @@ TEST(Explorer, ParallelSweepMatchesSequentialSweep) {
   EXPECT_EQ(par.failures.size(), seq.failures.size());
 }
 
+// check_explorer --smoke's three sweeps, pinned.  Each digest folds the
+// trace digest of every universe in the sweep, so any change to event
+// order, timing or trace content anywhere beneath the explorer moves it.
+// The values hold for one standard library's hash-table layout (they
+// were recorded with gcc's libstdc++); see ROADMAP "Fix first".
+ExploreOptions smoke_options(Workload workload) {
+  ExploreOptions opts;
+  opts.workload = workload;
+  opts.seeds = 10;
+  opts.threads = 2;
+  return opts;
+}
+
+TEST(Explorer, SmokeEchoSweepDigestIsPinned) {
+  ExploreOptions opts = smoke_options(Workload::kEcho);
+  opts.plans = {PlanSpec::kNone, PlanSpec::kAckStorm, PlanSpec::kBatchStorm};
+  const ExploreResult res = explore(opts);
+  EXPECT_EQ(res.runs, 140u);
+  EXPECT_TRUE(res.failures.empty());
+  EXPECT_EQ(res.sweep_digest, 0x9a42b681cbe9d661ull);
+}
+
+TEST(Explorer, SmokeReplicaSweepDigestIsPinned) {
+  ExploreOptions opts = smoke_options(Workload::kReplica);
+  opts.plans = {PlanSpec::kNone, PlanSpec::kPrimaryCrash,
+                PlanSpec::kPrimaryBounce, PlanSpec::kBackupBounce};
+  const ExploreResult res = explore(opts);
+  EXPECT_EQ(res.runs, 240u);
+  EXPECT_TRUE(res.failures.empty());
+  EXPECT_EQ(res.sweep_digest, 0x7aed98e2a13572b7ull);
+}
+
+TEST(Explorer, SmokeReplicaFormationDigestIsPinned) {
+  ExploreOptions opts = smoke_options(Workload::kReplica);
+  opts.plans = {PlanSpec::kNone, PlanSpec::kPrimaryBounce};
+  opts.formation = true;
+  const ExploreResult res = explore(opts);
+  EXPECT_EQ(res.runs, 120u);
+  EXPECT_TRUE(res.failures.empty());
+  EXPECT_EQ(res.sweep_digest, 0xf6c2c2b168c03311ull);
+}
+
 TEST(Explorer, ExploreCatchesAndMinimizesPlantedBug) {
   ExploreOptions opts;
   opts.substrates = {load::Substrate::kCharlotte};

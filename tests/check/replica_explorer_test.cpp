@@ -63,6 +63,24 @@ TEST(ReplicaExplorer, CrashPlansStayLinearizableAcrossSeeds) {
   }
 }
 
+TEST(ReplicaExplorer, CrashPlansWithFormationStayClean) {
+  // Formation batches the commit fan-out, so a crash kills whole batches
+  // and the Charlotte backend's shutdown races completions still in
+  // flight.  Run under AddressSanitizer, this is the test that catches a
+  // kernel freeing state a parked waiter is about to touch.
+  ExploreOptions opts;
+  opts.workload = Workload::kReplica;
+  opts.formation = true;
+  opts.seeds = 2;
+  opts.plans = {PlanSpec::kPrimaryCrash, PlanSpec::kPrimaryBounce,
+                PlanSpec::kBackupBounce};
+  const ExploreResult res = explore(opts);
+  EXPECT_EQ(res.runs, 3u * 3u * 2u * 2u);  // plans x substrates x ties x seeds
+  for (const FailureReport& f : res.failures) {
+    ADD_FAILURE() << f.token() << "\n" << f.verdict.failure;
+  }
+}
+
 TEST(ReplicaExplorer, SeededPermutationExploresDistinctSchedules) {
   std::set<std::uint64_t> digests;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {

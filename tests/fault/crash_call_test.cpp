@@ -6,129 +6,32 @@
 // SODA by the crashed node's reboot announcement (nothing is learned
 // while it is down — the lazy hint philosophy), Chrysalis by plain
 // process termination inside the shared Butterfly.  A second set of
-// scenarios checks that connect_any() works against a node that
+// scenarios checks that Universe::connect works against a node that
 // crashed and came back with a fresh process.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "charlotte/kernel.hpp"
-#include "chrysalis/kernel.hpp"
-#include "fault/faulty_medium.hpp"
-#include "fault/invariant_checker.hpp"
-#include "load/fleet.hpp"
-#include "lynx/connect.hpp"
+#include "load/universe.hpp"
 #include "lynx/lynx.hpp"
-#include "net/csma_bus.hpp"
-#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
-#include "soda/kernel.hpp"
 
 namespace fault {
 namespace {
 
-using net::NodeId;
-
-// A two-node world (server node 0, client node 1) with the same
-// crash-semantics wiring as replica::Group: Charlotte crashes fan out
-// as node-down notices, SODA runs transport acks (calls into a dead
-// node die by exhaustion) and announces reboots (calls parked at the
-// dead node die when it returns), Chrysalis has no medium at all.
-struct World {
-  sim::Engine engine;
-  std::unique_ptr<net::TokenRing> ring;
-  std::unique_ptr<net::CsmaBus> bus;
-  std::unique_ptr<FaultyMedium> medium;
-  std::unique_ptr<InvariantChecker> invariants;
-  std::unique_ptr<charlotte::Cluster> cluster;
-  lynx::SodaDirectory directory;
-  std::unique_ptr<soda::Network> network;
-  std::unique_ptr<chrysalis::Kernel> kernel;
-  load::Substrate substrate;
-  // Every incarnation ever started, so teardown outlives the engine.
-  std::vector<std::unique_ptr<lynx::Process>> procs;
-
-  explicit World(load::Substrate s) : substrate(s) {
-    switch (s) {
-      case load::Substrate::kCharlotte: {
-        ring = std::make_unique<net::TokenRing>(engine);
-        medium = std::make_unique<FaultyMedium>(engine, *ring, 1);
-        invariants = std::make_unique<InvariantChecker>(*medium);
-        cluster = std::make_unique<charlotte::Cluster>(engine, 2, *medium);
-        medium->on_crash(
-            [this](NodeId n) { cluster->notify_node_down(n); });
-        break;
-      }
-      case load::Substrate::kSoda: {
-        net::CsmaBusParams p;
-        p.broadcast_drop_prob = 0.0;
-        bus = std::make_unique<net::CsmaBus>(engine, sim::Rng(1), p);
-        medium = std::make_unique<FaultyMedium>(engine, *bus, 1);
-        invariants = std::make_unique<InvariantChecker>(*medium);
-        soda::Costs costs;
-        costs.ack_timeout = sim::msec(10);
-        network = std::make_unique<soda::Network>(engine, 2, *medium, costs);
-        medium->on_restart(
-            [this](NodeId n) { network->kernel(n).announce_reboot(); });
-        break;
-      }
-      case load::Substrate::kChrysalis: {
-        kernel = std::make_unique<chrysalis::Kernel>(engine,
-                                                     net::ButterflyParams{});
-        break;
-      }
-    }
-  }
-
-  ~World() { engine.shutdown(); }
-
-  lynx::Process* add_process(std::string name, std::uint32_t node) {
-    const NodeId nid(node);
-    std::unique_ptr<lynx::Process> p;
-    switch (substrate) {
-      case load::Substrate::kCharlotte:
-        p = std::make_unique<lynx::Process>(
-            engine, std::move(name),
-            lynx::make_charlotte_backend(*cluster, nid),
-            lynx::vax_runtime_costs());
-        break;
-      case load::Substrate::kSoda:
-        p = std::make_unique<lynx::Process>(
-            engine, std::move(name),
-            lynx::make_soda_backend(*network, directory, nid),
-            lynx::pdp11_runtime_costs());
-        break;
-      case load::Substrate::kChrysalis:
-        p = std::make_unique<lynx::Process>(
-            engine, std::move(name),
-            lynx::make_chrysalis_backend(*kernel, nid),
-            lynx::mc68000_runtime_costs());
-        break;
-    }
-    p->start();
-    procs.push_back(std::move(p));
-    return procs.back().get();
-  }
-
-  // Crash semantics borrowed from replica::Group: medium first (a dead
-  // node cannot transmit its teardown), then process termination.
-  void crash(std::uint32_t node, lynx::Process* victim) {
-    if (medium != nullptr) medium->crash(NodeId(node));
-    victim->terminate();
-  }
-
-  void restart(std::uint32_t node) {
-    if (medium != nullptr) medium->restart(NodeId(node));
-  }
-
-  [[nodiscard]] bool invariants_ok() const {
-    return invariants == nullptr || invariants->ok();
-  }
-};
+// A two-node world (server node 0, client node 1) with replica::Group's
+// crash wiring: the universe announces crashes the substrate's way, and
+// SODA runs transport acks so calls into a dead node die by exhaustion.
+load::UniverseSpec crash_spec(load::Substrate s) {
+  load::UniverseSpec spec;
+  spec.substrate = s;
+  spec.nodes = s == load::Substrate::kChrysalis ? 16 : 2;
+  spec.faults = Plan{};
+  spec.soda.ack_timeout = sim::msec(10);
+  return spec;
+}
 
 struct CallOutcome {
   bool done = false;
@@ -137,10 +40,10 @@ struct CallOutcome {
 };
 
 // Coroutine bodies are free functions (CP.51); spawn sites wrap them.
-sim::Task<> wire_pair(lynx::Process* server, lynx::Process* client,
-                      lynx::LinkHandle* server_end,
+sim::Task<> wire_pair(load::Universe* u, lynx::Process* server,
+                      lynx::Process* client, lynx::LinkHandle* server_end,
                       lynx::LinkHandle* client_end) {
-  auto [se, ce] = co_await lynx::connect_any(*server, *client);
+  auto [se, ce] = co_await u->connect(*server, *client);
   *server_end = se;
   *client_end = ce;
 }
@@ -186,27 +89,28 @@ sim::Task<> call_once(lynx::ThreadCtx& ctx, lynx::LinkHandle link,
 
 TEST(CrashCall, CrashDuringInFlightCallSurfacesOrDeliversNeverHangs) {
   for (load::Substrate s : load::all_substrates()) {
-    World w(s);
-    lynx::Process* server = w.add_process("server", 0);
-    lynx::Process* client = w.add_process("client", 1);
+    sim::Engine engine;
+    load::Universe w(engine, crash_spec(s));
+    lynx::Process* server = &w.spawn("server", 0);
+    lynx::Process* client = &w.spawn("client", 1);
     lynx::LinkHandle server_end;
     lynx::LinkHandle client_end;
-    w.engine.spawn("wire",
-                   wire_pair(server, client, &server_end, &client_end));
-    w.engine.run();
+    engine.spawn("wire",
+                 wire_pair(&w, server, client, &server_end, &client_end));
+    engine.run();
     ASSERT_TRUE(server_end.valid()) << load::to_string(s);
 
     CallOutcome out;
-    World* wp = &w;
-    server->spawn_thread("srv", [wp, server, server_end](lynx::ThreadCtx& c) {
-      return serve_one_then_crash(c, server_end, [wp, server] {
-        wp->engine.schedule(sim::usec(1), [wp, server] {
-          wp->crash(0, server);
+    load::Universe* wp = &w;
+    server->spawn_thread("srv", [wp, server_end](lynx::ThreadCtx& c) {
+      return serve_one_then_crash(c, server_end, [wp] {
+        wp->engine().schedule(sim::usec(1), [wp] {
+          wp->crash(0);
           // The node returns (empty — no new process) a while later:
           // on SODA this is the reboot announcement that fails the
           // parked call; on Charlotte the earlier node-down notice
           // already did.
-          wp->engine.schedule(sim::msec(100), [wp] { wp->restart(0); });
+          wp->engine().schedule(sim::msec(100), [wp] { wp->restart(0); });
         });
       });
     });
@@ -214,7 +118,7 @@ TEST(CrashCall, CrashDuringInFlightCallSurfacesOrDeliversNeverHangs) {
       return call_once(c, client_end, &out);
     });
 
-    const bool finished = w.engine.run_until(sim::sec(30));
+    const bool finished = engine.run_until(sim::sec(30));
     EXPECT_TRUE(finished) << load::to_string(s) << ": engine wedged";
     ASSERT_TRUE(out.done) << load::to_string(s) << ": call hung forever";
     // The request was consumed and the server died before replying, so
@@ -225,39 +129,40 @@ TEST(CrashCall, CrashDuringInFlightCallSurfacesOrDeliversNeverHangs) {
     ASSERT_TRUE(out.error.has_value()) << load::to_string(s);
     EXPECT_EQ(*out.error, lynx::ErrorKind::kLinkDestroyed)
         << load::to_string(s) << ": " << lynx::to_string(*out.error);
-    EXPECT_TRUE(w.invariants_ok()) << load::to_string(s);
+    EXPECT_FALSE(w.invariant_violation().has_value()) << load::to_string(s);
     EXPECT_TRUE(client->thread_failures().empty()) << load::to_string(s);
   }
 }
 
 TEST(CrashCall, ConnectAnyReachesRestartedServerNode) {
   for (load::Substrate s : load::all_substrates()) {
-    World w(s);
-    lynx::Process* old_server = w.add_process("server", 0);
-    lynx::Process* client = w.add_process("client", 1);
+    sim::Engine engine;
+    load::Universe w(engine, crash_spec(s));
+    lynx::Process* old_server = &w.spawn("server", 0);
+    lynx::Process* client = &w.spawn("client", 1);
     lynx::LinkHandle server_end;
     lynx::LinkHandle client_end;
-    w.engine.spawn("wire",
-                   wire_pair(old_server, client, &server_end, &client_end));
-    w.engine.run();
+    engine.spawn("wire",
+                 wire_pair(&w, old_server, client, &server_end, &client_end));
+    engine.run();
     ASSERT_TRUE(server_end.valid()) << load::to_string(s);
 
     // Crash the server node outright, then bring the node back.
-    w.crash(0, old_server);
-    w.engine.schedule(sim::msec(50), [&w] { w.restart(0); });
-    w.engine.run();
+    w.crash(0);
+    engine.schedule(sim::msec(50), [&w] { w.restart(0); });
+    engine.run();
 
     // A fresh process on the restarted node must be reachable by
-    // connect_any, and a call over the new link must complete.
-    lynx::Process* new_server = w.add_process("server2", 0);
+    // Universe::connect, and a call over the new link must complete.
+    lynx::Process* new_server = &w.spawn("server2", 0);
     lynx::LinkHandle new_server_end;
     lynx::LinkHandle new_client_end;
-    w.engine.spawn("rewire", wire_pair(new_server, client, &new_server_end,
-                                       &new_client_end));
-    const bool wired = w.engine.run_until(sim::sec(30));
+    engine.spawn("rewire", wire_pair(&w, new_server, client, &new_server_end,
+                                     &new_client_end));
+    const bool wired = engine.run_until(sim::sec(30));
     ASSERT_TRUE(wired) << load::to_string(s) << ": rewire wedged";
     ASSERT_TRUE(new_server_end.valid())
-        << load::to_string(s) << ": connect_any never completed";
+        << load::to_string(s) << ": connect never completed";
 
     CallOutcome out;
     new_server->spawn_thread("srv", [new_server_end](lynx::ThreadCtx& c) {
@@ -266,12 +171,12 @@ TEST(CrashCall, ConnectAnyReachesRestartedServerNode) {
     client->spawn_thread("cli", [new_client_end, &out](lynx::ThreadCtx& c) {
       return call_once(c, new_client_end, &out);
     });
-    const bool finished = w.engine.run_until(sim::sec(30));
+    const bool finished = engine.run_until(sim::sec(30));
     EXPECT_TRUE(finished) << load::to_string(s) << ": engine wedged";
     ASSERT_TRUE(out.done) << load::to_string(s) << ": call hung";
     EXPECT_TRUE(out.ok) << load::to_string(s) << ": call failed"
                         << (out.error ? lynx::to_string(*out.error) : "");
-    EXPECT_TRUE(w.invariants_ok()) << load::to_string(s);
+    EXPECT_FALSE(w.invariant_violation().has_value()) << load::to_string(s);
   }
 }
 

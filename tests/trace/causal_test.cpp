@@ -79,8 +79,7 @@ void run_echo(World& w, int n) {
 // kSpanEnd/kCtx records leave `label` at 0, so only look at the kinds
 // that actually carry one.
 bool labelled(const Record& r) {
-  return r.kind == Kind::kSpanBegin || r.kind == Kind::kInstant ||
-         r.kind == Kind::kText;
+  return r.kind == Kind::kSpanBegin || r.kind == Kind::kInstant;
 }
 
 std::vector<Record> with_label(const Recorder& rec,

@@ -1,9 +1,8 @@
 // Recorder unit tests: interning, span pairing, the context stack, the
-// determinism digest (including its survival of ring overwrite), the
-// legacy text sink, and the disabled-recorder zero-cost contract.
+// determinism digest (including its survival of ring overwrite), and the
+// disabled-recorder zero-cost contract.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -84,40 +83,6 @@ TEST(Recorder, ContextStackPushPop) {
   EXPECT_EQ(records[3].kind, Kind::kCtxPop);
 }
 
-TEST(Recorder, TextRecordsKeepMessages) {
-  sim::Engine e;
-  Recorder rec(e);
-  rec.text(0, "engine", "hello world");
-  auto records = rec.snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].kind, Kind::kText);
-  const std::string* msg = rec.text_of(records[0].seq);
-  ASSERT_NE(msg, nullptr);
-  EXPECT_EQ(*msg, "hello world");
-}
-
-TEST(Recorder, EngineTraceRoutesThroughRecorder) {
-  sim::Engine e;
-  Recorder rec(e);
-  e.trace("cat", "legacy message");
-  auto records = rec.snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].kind, Kind::kText);
-  EXPECT_EQ(rec.label_name(records[0].label), "cat");
-}
-
-TEST(Recorder, RenderTextShowsLegacyMessages) {
-  sim::Engine e;
-  Recorder rec(e);
-  rec.text(1, "kernel", "packet sent");
-  rec.instant(1, "wire", "frame.tx", 42);  // structured records: not rendered
-  std::ostringstream os;
-  render_text(rec, os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("kernel: packet sent"), std::string::npos);
-  EXPECT_EQ(out.find("frame.tx"), std::string::npos);
-}
-
 TEST(Recorder, DigestIsDeterministicAcrossRuns) {
   auto run = [] {
     sim::Engine e;
@@ -173,7 +138,6 @@ TEST(Recorder, DisabledRecorderEmitsAndAllocatesNothing) {
   EXPECT_EQ(trace::get(e), nullptr);  // the gate refuses a disabled recorder
   rec.instant(0, "wire", "frame.tx", 1);
   (void)rec.begin_span(0, "runtime", "call", 1);
-  rec.text(0, "cat", "dropped");
   EXPECT_EQ(rec.total_emitted(), 0u);
   EXPECT_EQ(rec.allocated_slots(), 0u);  // rings are lazy: nothing touched
   EXPECT_EQ(rec.digest(), Recorder::kEmptyDigest);

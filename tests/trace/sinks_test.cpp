@@ -16,7 +16,7 @@ namespace {
 
 // A deterministic stream with known span durations: two "call" spans of
 // 2 ms and 4 ms on node 0, one 1 ms "frame.tx"-bracketed span on node 1,
-// plus an instant and a text record.
+// plus two instants.
 void record_known_stream(sim::Engine& e, Recorder& rec) {
   struct Ctx {
     sim::Engine* e;
@@ -36,7 +36,7 @@ void record_known_stream(sim::Engine& e, Recorder& rec) {
     co_await c->e->sleep(sim::msec(1));
     c->rec->end_span(1, s);
     c->rec->instant(1, "wire", "frame.tx", t, 7, 100);
-    c->rec->text(0, "engine", "note");
+    c->rec->instant(0, "engine", "note", t);
   };
   e.spawn("script", script(&ctx));
   e.run();
@@ -90,7 +90,7 @@ TEST(PhaseTable, AggregatesPairedSpansByLabel) {
   EXPECT_DOUBLE_EQ(table.mean_ms("call"), 3.0);
   EXPECT_EQ(table.count("frame.hold"), 1u);
   EXPECT_DOUBLE_EQ(table.total_ms("frame.hold"), 1.0);
-  // Instants and text records contribute no phase rows.
+  // Instants contribute no phase rows.
   EXPECT_EQ(table.count("frame.tx"), 0u);
   ASSERT_EQ(table.rows().size(), 2u);
   EXPECT_EQ(table.rows()[0].label, "call");  // first-seen order
