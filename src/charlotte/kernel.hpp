@@ -22,12 +22,11 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "charlotte/types.hpp"
 #include "charlotte/wire.hpp"
+#include "common/id_map.hpp"
 #include "common/result.hpp"
 #include "common/rtt_estimator.hpp"
 #include "form/packer.hpp"
@@ -227,12 +226,11 @@ class Kernel {
   Cluster* cluster_;
   net::NodeId node_;
   form::Packer packer_;  // sits between transmit() and the medium
-  std::unordered_map<EndId, EndState> ends_;
-  std::unordered_map<LinkId, HomeRecord> homes_;
-  std::unordered_map<EndId, net::NodeId> forwarded_;  // tombstones
-  std::unordered_set<Pid> processes_;
-  std::unordered_map<Pid, std::unique_ptr<sim::Mailbox<Completion>>>
-      completions_;
+  common::IdMap<EndId, EndState> ends_;
+  common::IdMap<LinkId, HomeRecord> homes_;
+  common::IdMap<EndId, net::NodeId> forwarded_;  // tombstones
+  common::IdSet<Pid> processes_;
+  common::IdMap<Pid, std::unique_ptr<sim::Mailbox<Completion>>> completions_;
   // Mailboxes of terminated processes, kept until the kernel dies.
   std::vector<std::unique_ptr<sim::Mailbox<Completion>>> retired_completions_;
   std::uint64_t next_move_seq_ = 1;
@@ -296,7 +294,7 @@ class Cluster {
   std::unique_ptr<net::TokenRing> ring_;  // null when medium is external
   net::Medium* medium_;                   // the wire all kernels use
   std::vector<std::unique_ptr<Kernel>> kernels_;
-  std::unordered_map<Pid, net::NodeId> process_node_;
+  common::IdMap<Pid, net::NodeId> process_node_;
   common::IdAllocator<EndId> end_ids_;
   common::IdAllocator<LinkId> link_ids_;
   common::IdAllocator<Pid> pids_;

@@ -401,7 +401,7 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
   if (q.fast_armed && q.data.empty() && q.waiters.empty()) {
     // Cheap-flag fast path: claim the armed slot at the call instant
     // (an atomic16 — nothing else can take it across the suspension)
-    // and post the consumer's event directly.  No deque is touched.
+    // and post the consumer's event directly.  No queue is touched.
     const EventId target = q.fast_event;
     q.fast_armed = false;
     ++fast_deliveries_;
@@ -482,7 +482,7 @@ sim::Task<Result<Kernel::DequeueOutcome>> Kernel::dequeue(Pid caller, DqId id,
   // "Once a queue becomes empty, subsequent dequeue operations actually
   // enqueue event block names, on which the calling processes can wait."
   // An uncontended consumer arms the cheap flag instead of pushing its
-  // event name; a second concurrent consumer falls back to the deque.
+  // event name; a second concurrent consumer falls back to the queue.
   if (!q2.fast_armed && q2.waiters.empty()) {
     q2.fast_event = my_event;
     q2.fast_armed = true;

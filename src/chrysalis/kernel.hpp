@@ -9,19 +9,18 @@
 // paper's point in lesson two.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
 #include "chrysalis/types.hpp"
+#include "common/id_map.hpp"
 #include "common/result.hpp"
 #include "net/butterfly_switch.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
 namespace chrysalis {
@@ -137,11 +136,11 @@ class Kernel {
   // once, however many data the latter carries) — Chrysalis has no wire
   // frames, so this is its frames-per-message analogue for E16.
   [[nodiscard]] std::uint64_t enqueue_calls() const { return enqueue_calls_; }
-  // Pushes into a dual queue's data/waiter deques — the bookkeeping the
+  // Pushes into a dual queue's data/waiter queues — the bookkeeping the
   // cheap-flag fast path exists to avoid.
   [[nodiscard]] std::uint64_t queue_allocs() const { return queue_allocs_; }
   // Deliveries that took the cheap-flag fast path: an armed 16-bit flag
-  // turned the enqueue into a bare event post, no deque touched.
+  // turned the enqueue into a bare event post, no queue touched.
   [[nodiscard]] std::uint64_t fast_deliveries() const {
     return fast_deliveries_;
   }
@@ -151,13 +150,13 @@ class Kernel {
     MemId id;
     net::NodeId home;  // memory board it lives on
     std::vector<std::uint8_t> bytes;
-    std::unordered_set<Pid> mapped_by;
+    common::IdSet<Pid> mapped_by;
     bool release_pending = false;
   };
   struct Event {
     EventId id;
     Pid owner;
-    std::deque<std::uint32_t> pending;  // posted data not yet waited for
+    sim::Fifo<std::uint32_t> pending;  // posted data not yet waited for
     std::unique_ptr<sim::OneShot<std::uint32_t>> waiter;  // armed by wait
   };
   struct DualQueue {
@@ -165,8 +164,8 @@ class Kernel {
     net::NodeId home;
     std::size_t capacity;
     // either data or event names, never both
-    std::deque<std::uint32_t> data;
-    std::deque<EventId> waiters;
+    sim::Fifo<std::uint32_t> data;
+    sim::Fifo<EventId> waiters;
     // Cheap-flag fast path: a lone consumer's empty dequeue arms this
     // 16-bit-flag-sized slot instead of pushing onto `waiters`; the next
     // enqueue finding it armed posts the event directly — an atomic16
@@ -190,11 +189,11 @@ class Kernel {
   sim::Engine* engine_;
   Costs costs_;
   net::ButterflyFabric fabric_;
-  std::unordered_map<Pid, host::ProcessInfo> procs_;
-  std::unordered_map<Pid, std::function<void()>> term_handlers_;
-  std::unordered_map<MemId, Object> objects_;
-  std::unordered_map<EventId, Event> events_;
-  std::unordered_map<DqId, DualQueue> queues_;
+  common::IdMap<Pid, host::ProcessInfo> procs_;
+  common::IdMap<Pid, std::function<void()>> term_handlers_;
+  common::IdMap<MemId, Object> objects_;
+  common::IdMap<EventId, Event> events_;
+  common::IdMap<DqId, DualQueue> queues_;
   common::IdAllocator<Pid> pids_;
   common::IdAllocator<MemId> mem_ids_;
   common::IdAllocator<EventId> event_ids_;

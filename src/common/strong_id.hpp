@@ -12,6 +12,14 @@
 #include <functional>
 #include <ostream>
 
+// Salt mixed into std::hash<StrongId> (CMake option RELYNX_HASH_SALT).
+// 0, the default, hashes the raw value as before.  No simulated outcome
+// may depend on a hashed table's layout, so a salted build must
+// reproduce every pinned digest; CI builds one to check that.
+#ifndef RELYNX_HASH_SALT
+#define RELYNX_HASH_SALT 0
+#endif
+
 namespace common {
 
 template <typename Tag, typename Rep = std::uint64_t>
@@ -58,7 +66,17 @@ namespace std {
 template <typename Tag, typename Rep>
 struct hash<common::StrongId<Tag, Rep>> {
   size_t operator()(common::StrongId<Tag, Rep> id) const noexcept {
-    return std::hash<Rep>{}(id.value());
+    constexpr std::uint64_t salt = RELYNX_HASH_SALT;
+    if constexpr (salt == 0) {
+      return std::hash<Rep>{}(id.value());
+    } else {
+      // splitmix64 finaliser over the salted value
+      std::uint64_t z = static_cast<std::uint64_t>(id.value()) +
+                        salt * 0x9e3779b97f4a7c15ull;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+      return static_cast<size_t>(z ^ (z >> 31));
+    }
   }
 };
 }  // namespace std

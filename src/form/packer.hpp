@@ -25,9 +25,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_map.hpp"
 #include "form/batch.hpp"
 #include "net/packet.hpp"
 #include "sim/engine.hpp"
@@ -84,7 +84,7 @@ class Packer {
   net::Medium* medium_;
   net::NodeId src_;
   Params params_;
-  std::unordered_map<net::NodeId, Queue> queues_;
+  common::IdMap<net::NodeId, Queue> queues_;
   std::uint64_t batches_ = 0;
   std::uint64_t enclosed_ = 0;
   std::uint64_t singles_ = 0;

@@ -545,7 +545,7 @@ void CharlotteBackend::deliver(CLink& link, MsgKind kind, Bytes body,
   ev.body = std::move(body);
   ev.enclosures = std::move(enclosures);
   ev.trace = trace;
-  if (sink_) sink_(ev);
+  if (sink_) sink_(std::move(ev));
 }
 
 // ===================== receive posting & screening =====================
@@ -710,7 +710,7 @@ void CharlotteBackend::fail_link(CLink& link) {
   BackendEvent ev;
   ev.kind = BackendEvent::Kind::kLinkDestroyed;
   ev.link = link.token;
-  if (sink_) sink_(ev);
+  if (sink_) sink_(std::move(ev));
 }
 
 sim::Task<void> CharlotteBackend::destroy(BLink token) {

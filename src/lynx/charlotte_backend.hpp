@@ -30,7 +30,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "charlotte/kernel.hpp"
 #include "lynx/backend.hpp"
@@ -204,9 +204,9 @@ class CharlotteBackend final : public Backend {
   bool draining_ = false;
   sim::WaitList drained_;
 
-  std::unordered_map<BLink, CLink> links_;
-  std::unordered_map<charlotte::EndId, BLink> by_end_;
-  std::unordered_map<std::uint64_t, OutMsg> out_msgs_;
+  common::IdMap<BLink, CLink> links_;
+  common::IdMap<charlotte::EndId, BLink> by_end_;
+  common::IdMap<std::uint64_t, OutMsg> out_msgs_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
   std::uint64_t packets_sent_ = 0;

@@ -595,7 +595,7 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   ev.body = std::move(decoded.body);
   ev.enclosures = std::move(enclosures);
   ev.trace = decoded.trace;
-  if (sink_) sink_(ev);
+  if (sink_) sink_(std::move(ev));
 }
 
 sim::Task<> ChrysalisBackend::recheck_link(chrysalis::MemId obj) {
@@ -637,7 +637,7 @@ sim::Task<> ChrysalisBackend::handle_destroyed_notice(chrysalis::MemId obj) {
     BackendEvent ev;
     ev.kind = BackendEvent::Kind::kLinkDestroyed;
     ev.link = rec->token;
-    if (sink_) sink_(ev);
+    if (sink_) sink_(std::move(ev));
     const chrysalis::MemId dead_obj = rec->obj;
     unindex_link(*rec);
     links_.erase(rec->token);

@@ -21,7 +21,7 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "chrysalis/kernel.hpp"
 #include "lynx/backend.hpp"
@@ -176,8 +176,8 @@ class ChrysalisBackend final : public Backend {
   chrysalis::EventId my_event_;
   bool comm_ready_ = false;
 
-  std::unordered_map<BLink, LinkRec> links_;
-  std::unordered_map<chrysalis::MemId, std::array<BLink, 2>> by_obj_;
+  common::IdMap<BLink, LinkRec> links_;
+  common::IdMap<chrysalis::MemId, std::array<BLink, 2>> by_obj_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t notices_ = 0;  // logical notices, batched or not
   std::uint64_t notices_taken_ = 0;
@@ -185,7 +185,7 @@ class ChrysalisBackend final : public Backend {
     std::vector<std::uint32_t> pending;
     sim::TimerHandle deadline;
   };
-  std::unordered_map<chrysalis::DqId, NoticeQueue> notice_queues_;
+  common::IdMap<chrysalis::DqId, NoticeQueue> notice_queues_;
 };
 
 [[nodiscard]] std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(

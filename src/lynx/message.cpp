@@ -72,19 +72,43 @@ struct Reader {
     for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
     return v;
   }
-  Bytes blob(std::size_t n) {
+  // The next n bytes, read in place.
+  const std::uint8_t* span(std::size_t n) {
     RELYNX_ASSERT_MSG(pos + n <= in.size(), "truncated LYNX message");
-    Bytes out(in.begin() + static_cast<std::ptrdiff_t>(pos),
-              in.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const std::uint8_t* p = in.data() + pos;
     pos += n;
-    return out;
+    return p;
+  }
+  std::string str(std::size_t n) {
+    return std::string(reinterpret_cast<const char*>(span(n)), n);
+  }
+  Bytes blob(std::size_t n) {
+    const std::uint8_t* p = span(n);
+    return Bytes(p, p + n);
   }
 };
+
+// Exact encoded size, so serialize() allocates its buffer once.
+std::size_t encoded_size(const Message& m) {
+  std::size_t n = 4 + m.op.size() + 4;
+  for (const Value& v : m.args) {
+    n += 1;
+    switch (type_of(v)) {
+      case ValueType::kInt:
+      case ValueType::kReal: n += 8; break;
+      case ValueType::kString: n += 4 + std::get<std::string>(v).size(); break;
+      case ValueType::kBytes: n += 4 + std::get<Bytes>(v).size(); break;
+      case ValueType::kLink: n += 4; break;
+    }
+  }
+  return n;
+}
 
 }  // namespace
 
 Serialized serialize(const Message& m) {
   Serialized out;
+  out.body.reserve(encoded_size(m));
   put_u32(out.body, static_cast<std::uint32_t>(m.op.size()));
   out.body.insert(out.body.end(), m.op.begin(), m.op.end());
   put_u32(out.body, static_cast<std::uint32_t>(m.args.size()));
@@ -128,9 +152,7 @@ Message deserialize(const Bytes& body,
                     const std::vector<LinkHandle>& enclosures) {
   Reader r{body};
   Message m;
-  const std::uint32_t op_len = r.u32();
-  const Bytes op = r.blob(op_len);
-  m.op.assign(op.begin(), op.end());
+  m.op = r.str(r.u32());
   const std::uint32_t argc = r.u32();
   m.args.reserve(argc);
   for (std::uint32_t i = 0; i < argc; ++i) {
@@ -146,11 +168,9 @@ Message deserialize(const Bytes& body,
         m.args.emplace_back(d);
         break;
       }
-      case ValueType::kString: {
-        const Bytes s = r.blob(r.u32());
-        m.args.emplace_back(std::string(s.begin(), s.end()));
+      case ValueType::kString:
+        m.args.emplace_back(r.str(r.u32()));
         break;
-      }
       case ValueType::kBytes:
         m.args.emplace_back(r.blob(r.u32()));
         break;

@@ -174,7 +174,7 @@ void Process::on_backend_event(BackendEvent ev) {
       std::vector<LinkHandle> handles;
       handles.reserve(ev.enclosures.size());
       for (BLink e : ev.enclosures) handles.push_back(adopt_link(e));
-      Delivered d{deserialize(ev.body, handles), ev.body, ev.trace};
+      Delivered d{deserialize(ev.body, handles), ev.body.size(), ev.trace};
 
       if (ev.kind == BackendEvent::Kind::kRequestArrived) {
         if (!declared_ops_.empty() && !declared_ops_.contains(d.msg.op)) {
@@ -414,7 +414,8 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   trace::SpanScope send_span(rec, tnode, "runtime", "call.send", call_trace,
                              ser.body.size());
   auto ps = p.backend_->begin_send(
-      ls.blink, WireMessage{MsgKind::kRequest, ser.body, blinks, call_trace});
+      ls.blink, WireMessage{MsgKind::kRequest, std::move(ser.body),
+                            std::move(blinks), call_trace});
   auto& ts = p.threads_.at(id_);
   ts.current_send = ps.get();
   ++ls.sends_in_flight;
@@ -495,11 +496,10 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
 
   // scatter + type check
   trace::SpanScope scatter_span(rec, tnode, "runtime", "call.scatter",
-                                call_trace, reply_msg.raw_body.size());
+                                call_trace, reply_msg.raw_size);
   co_await engine().sleep(
       p.costs_.per_operation +
-      p.costs_.per_byte *
-          static_cast<sim::Duration>(reply_msg.raw_body.size()));
+      p.costs_.per_byte * static_cast<sim::Duration>(reply_msg.raw_size));
   if (reply_msg.msg.op == "%reject") {
     throw_traced(rec, tnode, call_trace, ErrorKind::kOperationRejected,
                  request.op);
@@ -513,7 +513,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   call_span.end();
   ++p.ops_;
   check_abort();
-  co_return reply_msg.msg;
+  co_return std::move(reply_msg.msg);
 }
 
 sim::Task<Incoming> ThreadCtx::receive() {
@@ -542,10 +542,10 @@ sim::Task<Incoming> ThreadCtx::receive() {
       {
         trace::SpanScope scatter(trace::get(engine()),
                                  p.backend_->trace_node(), "runtime",
-                                 "recv.scatter", d.trace, d.raw_body.size());
+                                 "recv.scatter", d.trace, d.raw_size);
         co_await engine().sleep(
             p.costs_.per_operation +
-            p.costs_.per_byte * static_cast<sim::Duration>(d.raw_body.size()));
+            p.costs_.per_byte * static_cast<sim::Duration>(d.raw_size));
       }
       const std::uint64_t token = p.next_token_++;
       p.owed_[token] = ls->handle;
@@ -594,8 +594,8 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
   trace::SpanScope send_span(rec, tnode, "runtime", "reply.send",
                              incoming.trace, ser.body.size());
   auto ps = p.backend_->begin_send(
-      ls->blink,
-      WireMessage{MsgKind::kReply, ser.body, blinks, incoming.trace});
+      ls->blink, WireMessage{MsgKind::kReply, std::move(ser.body),
+                             std::move(blinks), incoming.trace});
   auto& ts = p.threads_.at(id_);
   ts.current_send = ps.get();
   ++ls->sends_in_flight;

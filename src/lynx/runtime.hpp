@@ -17,19 +17,19 @@
 //   * kernel failures reflected as LynxError exceptions.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_map.hpp"
 #include "lynx/backend.hpp"
 #include "lynx/errors.hpp"
 #include "lynx/message.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 
 namespace lynx {
@@ -136,7 +136,7 @@ class Process {
 
   struct Delivered {
     Message msg;
-    Bytes raw_body;  // kept for size accounting
+    std::size_t raw_size = 0;  // wire body bytes, for scatter costs
     std::uint64_t trace = 0;
   };
   struct CallRecord {
@@ -151,8 +151,8 @@ class Process {
     BLink blink;
     bool open_requests = false;
     bool destroyed = false;
-    std::deque<Delivered> request_q;
-    std::deque<Delivered> reply_q;
+    sim::Fifo<Delivered> request_q;
+    sim::Fifo<Delivered> reply_q;
     CallRecord* active_call = nullptr;  // at most one outstanding call
     std::unique_ptr<sim::WaitList> call_serializer;
     int owed_replies = 0;
@@ -189,10 +189,10 @@ class Process {
   bool started_ = false;
   bool terminated_ = false;
 
-  std::unordered_map<LinkHandle, LinkState> links_;
-  std::unordered_map<BLink, LinkHandle> by_blink_;
+  common::IdMap<LinkHandle, LinkState> links_;
+  common::IdMap<BLink, LinkHandle> by_blink_;
   common::IdAllocator<LinkHandle> link_ids_;
-  std::unordered_map<ThreadId, ThreadState> threads_;
+  common::IdMap<ThreadId, ThreadState> threads_;
   common::IdAllocator<ThreadId> thread_ids_;
   std::vector<std::pair<ThreadId, ThreadBody>> pending_threads_;
   std::size_t live_threads_ = 0;
@@ -203,7 +203,7 @@ class Process {
   std::size_t fair_cursor_ = 0;
   std::unordered_set<std::string> declared_ops_;
   std::uint64_t next_token_ = 1;
-  std::unordered_map<std::uint64_t, LinkHandle> owed_;
+  common::IdMap<std::uint64_t, LinkHandle> owed_;
   std::uint64_t ops_ = 0;
 };
 

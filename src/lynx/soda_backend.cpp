@@ -767,7 +767,7 @@ sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
   ev.body = std::move(decoded.body);
   ev.enclosures = std::move(enclosures);
   ev.trace = trace;
-  if (sink_) sink_(ev);
+  if (sink_) sink_(std::move(ev));
 }
 
 sim::Task<> SodaBackend::finish_moves(BLink carrier,
@@ -855,7 +855,7 @@ void SodaBackend::mark_destroyed(SLink& link) {
   BackendEvent ev;
   ev.kind = BackendEvent::Kind::kLinkDestroyed;
   ev.link = link.token;
-  if (sink_) sink_(ev);
+  if (sink_) sink_(std::move(ev));
   // Outstanding sends are NOT failed here: every in-flight put resolves
   // through a kernel path (acceptance completion, kDestroyed accept from
   // the destroyer, or a crash interrupt), and a completion may already

@@ -28,8 +28,8 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "common/id_map.hpp"
 #include "lynx/backend.hpp"
 #include "lynx/runtime.hpp"
 #include "soda/kernel.hpp"
@@ -235,10 +235,10 @@ class SodaBackend final : public Backend {
   bool comm_ready_ = false;
   std::unique_ptr<sim::Gate> ready_;
 
-  std::unordered_map<BLink, SLink> links_;
+  common::IdMap<BLink, SLink> links_;
   std::unordered_map<soda::Name, BLink> by_name_;
   std::unordered_map<soda::ReqId, ParkedInfo> parked_;
-  std::unordered_map<std::uint64_t, OutSend> outs_;
+  common::IdMap<std::uint64_t, OutSend> outs_;
   std::unordered_map<soda::ReqId, std::uint64_t> out_by_req_;
   // signals we posted, keyed by kernel request id -> link
   std::unordered_map<soda::ReqId, BLink> signal_by_req_;

@@ -17,6 +17,7 @@
 
 #include <deque>
 
+#include "common/id_map.hpp"
 #include "net/packet.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -75,14 +76,14 @@ class CsmaBus final : public Medium {
   sim::Engine* engine_;
   sim::Rng rng_;
   CsmaBusParams params_;
-  std::unordered_map<NodeId, FrameHandler> handlers_;
+  common::IdMap<NodeId, FrameHandler> handlers_;
   DropObserver on_drop_;
   bool busy_ = false;
   std::uint64_t frames_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t backoffs_ = 0;
   std::uint64_t drops_ = 0;
-  std::unordered_map<NodeId, std::uint64_t> drops_at_;
+  common::IdMap<NodeId, std::uint64_t> drops_at_;
 };
 
 }  // namespace net

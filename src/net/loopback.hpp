@@ -4,8 +4,7 @@
 // a wire model in the way.
 #pragma once
 
-#include <unordered_map>
-
+#include "common/id_map.hpp"
 #include "net/packet.hpp"
 #include "sim/engine.hpp"
 
@@ -48,7 +47,7 @@ class Loopback final : public Medium {
  private:
   sim::Engine* engine_;
   sim::Duration latency_;
-  std::unordered_map<NodeId, FrameHandler> handlers_;
+  common::IdMap<NodeId, FrameHandler> handlers_;
   std::uint64_t frames_ = 0;
   std::uint64_t bytes_ = 0;
 };

@@ -12,6 +12,7 @@
 
 #include <deque>
 
+#include "common/id_map.hpp"
 #include "net/packet.hpp"
 #include "sim/engine.hpp"
 
@@ -52,7 +53,7 @@ class TokenRing final : public Medium {
 
   sim::Engine* engine_;
   TokenRingParams params_;
-  std::unordered_map<NodeId, FrameHandler> handlers_;
+  common::IdMap<NodeId, FrameHandler> handlers_;
   std::deque<Frame> backlog_;
   bool busy_ = false;
   std::uint64_t frames_ = 0;

@@ -42,12 +42,16 @@ void Engine::shutdown() {
   // Destroy any still-suspended process frames (servers parked at a block
   // point when the experiment ended).  Destroying the root frame unwinds
   // nested Task frames because each child Task object lives inside its
-  // awaiter's frame.  Promise destructors mutate roots_, so detach first.
-  auto roots = std::move(roots_);
-  roots_.clear();
-  for (auto& [id, handle] : roots) {
-    (void)id;
-    if (handle && !handle.done()) handle.destroy();
+  // awaiter's frame.  Detach the whole list first: a frame spawned while
+  // unwinding joins a fresh list, reaped by the next shutdown().
+  Root::promise_type* p = roots_head_;
+  roots_head_ = roots_tail_ = nullptr;
+  while (p != nullptr) {
+    Root::promise_type* next = p->next;
+    p->engine = nullptr;
+    auto h = std::coroutine_handle<Root::promise_type>::from_promise(*p);
+    if (!h.done()) h.destroy();
+    p = next;
   }
   // Unwinding frames can enqueue wakeups (e.g. a serializer guard waking
   // the next waiter, whose frame we then destroy too).  Those events hold
@@ -524,8 +528,7 @@ bool Engine::run_until(Time deadline) {
   }
 }
 
-Engine::Root Engine::drive(std::uint64_t id, std::string name, Task<> body) {
-  (void)id;
+Engine::Root Engine::drive(std::string name, Task<> body) {
   ++live_;
   try {
     co_await std::move(body);
@@ -539,8 +542,7 @@ Engine::Root Engine::drive(std::uint64_t id, std::string name, Task<> body) {
 
 void Engine::spawn(std::string name, Task<> body) {
   RELYNX_ASSERT_MSG(body.valid(), "spawn of empty task");
-  const std::uint64_t id = next_root_++;
-  Root root = drive(id, std::move(name), std::move(body));
+  Root root = drive(std::move(name), std::move(body));
   schedule(0, [h = root.handle] { h.resume(); });
 }
 

@@ -38,7 +38,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -319,13 +318,17 @@ class Engine {
   friend class TimerHandle;
 
   // Root driver for spawned processes.  Detached: the frame lives until
-  // the body finishes (then unregisters itself) or the engine is
-  // destroyed (then the engine destroys it).
+  // the body finishes (then unlinks itself) or the engine is shut down
+  // (then the engine destroys it).  Live roots form an intrusive list
+  // threaded through their promises, in spawn order: a spawn costs no
+  // table insert, and shutdown needs no key.
   struct Root {
     struct promise_type;
     std::coroutine_handle<> handle;
   };
-  Root drive(std::uint64_t id, std::string name, Task<> body);
+  Root drive(std::string name, Task<> body);
+  void link_root(Root::promise_type* p);
+  void unlink_root(Root::promise_type* p);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -394,8 +397,8 @@ class Engine {
   bool stop_requested_ = false;
 
   std::size_t live_ = 0;
-  std::uint64_t next_root_ = 0;
-  std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
+  Root::promise_type* roots_head_ = nullptr;
+  Root::promise_type* roots_tail_ = nullptr;
   std::vector<std::string> failures_;
   trace::Recorder* recorder_ = nullptr;
 };
@@ -409,18 +412,17 @@ inline bool TimerHandle::pending() const {
 }
 
 struct Engine::Root::promise_type {
-  Engine* engine = nullptr;
-  std::uint64_t id = 0;
+  Engine* engine = nullptr;  // null once detached by shutdown()
+  promise_type* prev = nullptr;
+  promise_type* next = nullptr;
 
   // The driver coroutine is a member coroutine of Engine: parameters are
-  // (Engine* this, id, name, body).
-  promise_type(Engine& e, std::uint64_t root_id, std::string&, Task<>&)
-      : engine(&e), id(root_id) {}
+  // (Engine* this, name, body).
+  promise_type(Engine& e, std::string&, Task<>&) : engine(&e) {}
 
   Root get_return_object() {
-    auto h = std::coroutine_handle<promise_type>::from_promise(*this);
-    engine->roots_.emplace(id, h);
-    return Root{h};
+    engine->link_root(this);
+    return Root{std::coroutine_handle<promise_type>::from_promise(*this)};
   }
   std::suspend_always initial_suspend() noexcept { return {}; }
   std::suspend_never final_suspend() noexcept { return {}; }
@@ -437,10 +439,22 @@ struct Engine::Root::promise_type {
     RELYNX_ASSERT_MSG(false, "engine root leaked an exception");
   }
   ~promise_type() {
-    // Frame is being destroyed: either normal completion (final_suspend
-    // never suspends) or engine teardown.  Unregister in both cases.
-    if (engine) engine->roots_.erase(id);
+    // Frame is being destroyed: normal completion (final_suspend never
+    // suspends) unlinks it; shutdown() detached it first.
+    if (engine) engine->unlink_root(this);
   }
 };
+
+inline void Engine::link_root(Root::promise_type* p) {
+  p->prev = roots_tail_;
+  p->next = nullptr;
+  (roots_tail_ != nullptr ? roots_tail_->next : roots_head_) = p;
+  roots_tail_ = p;
+}
+
+inline void Engine::unlink_root(Root::promise_type* p) {
+  (p->prev != nullptr ? p->prev->next : roots_head_) = p->next;
+  (p->next != nullptr ? p->next->prev : roots_tail_) = p->prev;
+}
 
 }  // namespace sim

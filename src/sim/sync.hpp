@@ -12,12 +12,12 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/task.hpp"
 
 namespace sim {
@@ -57,7 +57,7 @@ class WaitList {
 
  private:
   Engine* engine_;
-  std::deque<std::coroutine_handle<>> parked_;
+  Fifo<std::coroutine_handle<>> parked_;
 };
 
 class Gate {
@@ -139,7 +139,7 @@ class Mailbox {
   void clear() { items_.clear(); }
 
  private:
-  std::deque<T> items_;
+  Fifo<T> items_;
   WaitList waiters_;
 };
 

@@ -150,15 +150,16 @@ void Kernel::advance_base(net::NodeId from, std::uint64_t base,
 }
 
 std::uint64_t Kernel::tx_frontier(net::NodeId dst) {
-  std::uint64_t base = peer_tx_[dst].next_tseq;
-  for (const auto& [req, ts] : transport_) {
-    if (ts.dst != dst) continue;
+  const PeerTx& tx = peer_tx_[dst];
+  std::uint64_t base = tx.next_tseq;
+  for (const ReqId req : tx.sends) {
+    const TransportSend& ts = transport_.at(req);
     for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
       if (!ts.acked[i]) base = std::min(base, ts.tseq[i]);
     }
   }
-  for (const auto& [req, pa] : pending_accepts_) {
-    if (pa.dst != dst) continue;
+  for (const ReqId req : tx.accepts) {
+    const PendingAccept& pa = pending_accepts_.at(req);
     for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
       if (!pa.acked[i]) base = std::min(base, pa.tseq[i]);
     }
@@ -233,8 +234,13 @@ void Kernel::attach_frag_ack(net::NodeId dst, WireFrame& frame) {
 void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
   const Costs& costs = network_->costs();
   const sim::Time now = network_->engine().now();
-  for (auto& [req, ts] : transport_) {
-    if (ts.dst != from || ts.tseq.empty()) continue;
+  auto peer = peer_tx_.find(from);
+  if (peer == peer_tx_.end()) return;
+  PeerTx& tx = peer->second;
+  // Newest ReqId first: a batch of RTT samples reaches the estimator in
+  // the order E11's SODA loss curves were recorded with.
+  for (auto r = tx.sends.rbegin(); r != tx.sends.rend(); ++r) {
+    TransportSend& ts = transport_.at(*r);
     bool all = true;
     bool any_new = false;
     for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
@@ -247,13 +253,14 @@ void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
     if (all && any_new && costs.adaptive_rto && ts.attempts == 1 &&
         ts.first_sent_at > 0) {
       // Karn's rule: only unretransmitted exchanges produce samples.
-      peer_tx_[from].rtt.observe(now - ts.first_sent_at);
+      tx.rtt.observe(now - ts.first_sent_at);
       ts.first_sent_at = 0;
     }
   }
   std::vector<ReqId> finished;
-  for (auto& [req, pa] : pending_accepts_) {
-    if (pa.dst != from || pa.tseq.empty()) continue;
+  for (auto r = tx.accepts.rbegin(); r != tx.accepts.rend(); ++r) {
+    const ReqId req = *r;
+    PendingAccept& pa = pending_accepts_.at(req);
     bool all = true;
     bool any_new = false;
     for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
@@ -266,7 +273,7 @@ void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
     if (all) {
       if (any_new && costs.adaptive_rto && pa.attempts == 1 &&
           pa.first_sent_at > 0) {
-        peer_tx_[from].rtt.observe(now - pa.first_sent_at);
+        tx.rtt.observe(now - pa.first_sent_at);
       }
       finished.push_back(req);
     }
@@ -274,7 +281,7 @@ void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
   for (const ReqId req : finished) {
     auto it = pending_accepts_.find(req);
     it->second.timer.cancel();
-    pending_accepts_.erase(it);
+    erase_accept(it);
   }
 }
 
@@ -353,11 +360,16 @@ void Kernel::register_process(Pid pid) {
 
 void Kernel::terminate_process(Pid pid) {
   if (!processes_.contains(pid)) return;
-  // Crash interrupts for everything parked here and unaccepted.
+  // Crash interrupts for everything parked here and unaccepted.  The
+  // ReqId tables are hashed: act in ReqId order, not bucket order.
   std::vector<ParkedRequest> doomed;
   for (auto& [id, parked] : parked_) {
     if (parked.target == pid) doomed.push_back(parked);
   }
+  std::sort(doomed.begin(), doomed.end(),
+            [](const ParkedRequest& a, const ParkedRequest& b) {
+              return a.id < b.id;
+            });
   for (const ParkedRequest& parked : doomed) {
     parked_.erase(parked.id);
     transmit(parked.from_node, CrashNote{parked.id, pid}, 16);
@@ -367,8 +379,9 @@ void Kernel::terminate_process(Pid pid) {
   for (auto& [id, out] : outstanding_) {
     if (out.from == pid) mine.push_back(id);
   }
+  std::sort(mine.begin(), mine.end());
   for (ReqId id : mine) {
-    per_pair_[pair_key(outstanding_[id].from, outstanding_[id].target)]--;
+    pair_count(outstanding_[id].from, outstanding_[id].target)--;
     outstanding_.erase(id);
     drop_transport(id);
   }
@@ -495,7 +508,37 @@ void Kernel::drop_transport(ReqId req) {
   auto it = transport_.find(req);
   if (it == transport_.end()) return;
   it->second.timer.cancel();
+  erase_transport(it);
+}
+
+namespace {
+
+void insert_sorted(std::vector<ReqId>& ids, ReqId id) {
+  ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+}
+
+void erase_sorted(std::vector<ReqId>& ids, ReqId id) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  RELYNX_ASSERT(it != ids.end() && *it == id);
+  ids.erase(it);
+}
+
+}  // namespace
+
+void Kernel::erase_transport(
+    std::unordered_map<ReqId, TransportSend>::iterator it) {
+  if (!it->second.tseq.empty()) {
+    erase_sorted(peer_tx_.at(it->second.dst).sends, it->first);
+  }
   transport_.erase(it);
+}
+
+void Kernel::erase_accept(
+    std::unordered_map<ReqId, PendingAccept>::iterator it) {
+  if (!it->second.tseq.empty()) {
+    erase_sorted(peer_tx_.at(it->second.dst).accepts, it->first);
+  }
+  pending_accepts_.erase(it);
 }
 
 void Kernel::note_done(ReqId req) {
@@ -522,7 +565,7 @@ void Kernel::on_transport_timeout(ReqId req) {
   if (tt == transport_.end()) return;
   auto it = outstanding_.find(req);
   if (it == outstanding_.end()) {  // resolved while the timer was armed
-    transport_.erase(tt);
+    erase_transport(tt);
     return;
   }
   TransportSend& ts = tt->second;
@@ -531,7 +574,7 @@ void Kernel::on_transport_timeout(ReqId req) {
   if (all_acked) {
     // The wire leg is done; the rendezvous itself may take arbitrarily
     // long (accept is the target's business) — stop watching.
-    transport_.erase(tt);
+    erase_transport(tt);
     return;
   }
   if (ts.attempts >= network_->costs().max_transport_attempts) {
@@ -540,9 +583,9 @@ void Kernel::on_transport_timeout(ReqId req) {
     Outstanding& out = it->second;
     CrashInterrupt intr{out.id, out.target};
     const Pid from_pid = out.from;
-    per_pair_[pair_key(out.from, out.target)]--;
+    pair_count(out.from, out.target)--;
     outstanding_.erase(it);
-    transport_.erase(tt);
+    erase_transport(tt);
     raise(from_pid, intr);
     return;
   }
@@ -578,7 +621,7 @@ void Kernel::on_accept_timeout(ReqId req) {
     // the rendezvous failed (the note itself may be lost; the requester
     // side then never learns, which is exactly SODA's failure mode).
     transmit(pa.dst, CrashNote{pa.req, Pid::invalid()}, 16, pa.trace);
-    pending_accepts_.erase(it);
+    erase_accept(it);
     return;
   }
   ++pa.attempts;
@@ -610,7 +653,7 @@ void Kernel::handle(const AcceptAck& f, net::NodeId /*from*/) {
   if (std::all_of(pa.acked.begin(), pa.acked.end(),
                   [](bool b) { return b; })) {
     pa.timer.cancel();
-    pending_accepts_.erase(it);
+    erase_accept(it);
   }
 }
 
@@ -631,11 +674,11 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
   if (!network_->process_exists(target)) {
     co_return common::Err(Status::kNoSuchProcess);
   }
-  auto& pair_count = per_pair_[pair_key(caller, target)];
-  if (pair_count >= costs.max_outstanding_per_pair) {
+  int& in_flight = pair_count(caller, target);
+  if (in_flight >= costs.max_outstanding_per_pair) {
     co_return common::Err(Status::kTooManyRequests);
   }
-  ++pair_count;
+  ++in_flight;
 
   const ReqId id = network_->new_req();
   Outstanding out{id,   caller, target, network_->node_of(target),
@@ -651,6 +694,7 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
       PeerTx& tx = peer_tx_[out.target_node];
       ts.tseq.resize(frag_count);
       for (std::uint64_t& s : ts.tseq) s = tx.next_tseq++;
+      insert_sorted(tx.sends, id);
       if (costs.adaptive_rto) {
         ts.cur_rto =
             tx.rtt.rto(costs.ack_timeout, costs.rto_min, costs.rto_max);
@@ -750,6 +794,9 @@ sim::Task<Result<Payload>> Kernel::accept(Pid caller, ReqId request, Oob oob,
     // or the fragments would carry a tseq_base beyond themselves and
     // the receiver would screen them as duplicates.
     auto [pit, inserted] = pending_accepts_.emplace(request, std::move(pa));
+    if (inserted && !pit->second.tseq.empty()) {
+      insert_sorted(peer_tx_.at(pit->second.dst).accepts, request);
+    }
     send_accept_frags(pit->second);
     arm_accept_timer(request);
   } else {
@@ -862,7 +909,7 @@ void Kernel::handle(const ReqNack& f, net::NodeId /*from*/) {
     case NackReason::kDead: {
       CrashInterrupt intr{out.id, out.target};
       const Pid from_pid = out.from;
-      per_pair_[pair_key(out.from, out.target)]--;
+      pair_count(out.from, out.target)--;
       outstanding_.erase(it);
       drop_transport(f.req);
       raise(from_pid, intr);
@@ -873,7 +920,7 @@ void Kernel::handle(const ReqNack& f, net::NodeId /*from*/) {
       if (++out.attempts >= network_->costs().max_request_attempts) {
         RejectInterrupt intr{out.id, out.target, out.name};
         const Pid from_pid = out.from;
-        per_pair_[pair_key(out.from, out.target)]--;
+        pair_count(out.from, out.target)--;
         outstanding_.erase(it);
         drop_transport(f.req);
         raise(from_pid, intr);
@@ -930,7 +977,7 @@ void Kernel::handle(const AcceptFrag& f, net::NodeId from) {
   CompletionInterrupt intr{f.req, f.oob, std::move(data), f.delivered,
                            f.trace};
   const Pid from_pid = out.from;
-  per_pair_[pair_key(out.from, out.target)]--;
+  pair_count(out.from, out.target)--;
   outstanding_.erase(it);
   drop_transport(f.req);
   raise(from_pid, intr);
@@ -941,7 +988,7 @@ void Kernel::handle(const CrashNote& f, net::NodeId /*from*/) {
   if (it == outstanding_.end()) return;
   CrashInterrupt intr{f.req, f.target};
   const Pid from_pid = it->second.from;
-  per_pair_[pair_key(it->second.from, it->second.target)]--;
+  pair_count(it->second.from, it->second.target)--;
   outstanding_.erase(it);
   drop_transport(f.req);
   raise(from_pid, intr);
@@ -963,11 +1010,12 @@ void Kernel::handle(const RebootNote& f, net::NodeId /*from*/) {
   for (const auto& [id, out] : outstanding_) {
     if (network_->node_of(out.target) == f.node) doomed.push_back(id);
   }
+  std::sort(doomed.begin(), doomed.end());  // ReqId order, not bucket order
   for (const ReqId id : doomed) {
     Outstanding& out = outstanding_.at(id);
     CrashInterrupt intr{out.id, out.target};
     const Pid from_pid = out.from;
-    per_pair_[pair_key(out.from, out.target)]--;
+    pair_count(out.from, out.target)--;
     outstanding_.erase(id);
     drop_transport(id);
     raise(from_pid, intr);

@@ -26,6 +26,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/id_map.hpp"
 #include "common/result.hpp"
 #include "common/rtt_estimator.hpp"
 #include "form/packer.hpp"
@@ -165,6 +166,13 @@ class Kernel {
   struct PeerTx {  // sender side
     std::uint64_t next_tseq = 1;
     common::RttEstimator rtt;
+    // The ReqIds whose fragments to this peer carry live tseqs, kept in
+    // ascending order: requests tracked in transport_ and accepts in
+    // pending_accepts_.  A cumulative ack from the peer scans only these,
+    // so it touches no other peer's sends, and feeds the RTT estimator
+    // newest ReqId first.
+    std::vector<ReqId> sends;
+    std::vector<ReqId> accepts;
   };
   struct PeerRx {  // receiver side
     std::uint64_t watermark = 0;      // all tseq <= watermark received
@@ -294,6 +302,10 @@ class Kernel {
   void arm_accept_timer(ReqId req);
   void on_accept_timeout(ReqId req);
   void drop_transport(ReqId req);  // cancels the retransmit timer
+  // Every transport_ / pending_accepts_ entry leaves through these, so
+  // the per-peer in-flight lists stay exact.
+  void erase_transport(std::unordered_map<ReqId, TransportSend>::iterator it);
+  void erase_accept(std::unordered_map<ReqId, PendingAccept>::iterator it);
   void note_done(ReqId req);       // remember accepted reqs for re-acking
   // ---- v2 transport helpers ----
   // Receiver: is this a transport-level duplicate from `from`?
@@ -326,20 +338,18 @@ class Kernel {
   void attach_frag_ack(net::NodeId dst, WireFrame& frame);
   void raise(Pid pid, Interrupt intr);
   void park_and_interrupt(ParkedRequest parked);
-  [[nodiscard]] std::uint64_t pair_key(Pid a, Pid b) const {
-    return (a.value() < b.value())
-               ? (static_cast<std::uint64_t>(a.value()) << 32) | b.value()
-               : (static_cast<std::uint64_t>(b.value()) << 32) | a.value();
+  // Outstanding requests between two processes, in either direction.
+  [[nodiscard]] int& pair_count(Pid a, Pid b) {
+    return a < b ? per_pair_[a][b] : per_pair_[b][a];
   }
 
   Network* network_;
   net::NodeId node_;
   form::Packer packer_;
-  std::unordered_set<Pid> processes_;
-  std::unordered_map<Pid, std::unordered_set<Name>> advertised_;
-  std::unordered_map<Pid, bool> handler_open_;
-  std::unordered_map<Pid, std::unique_ptr<sim::Mailbox<Interrupt>>>
-      interrupts_;
+  common::IdSet<Pid> processes_;
+  common::IdMap<Pid, std::unordered_set<Name>> advertised_;
+  common::IdMap<Pid, bool> handler_open_;
+  common::IdMap<Pid, std::unique_ptr<sim::Mailbox<Interrupt>>> interrupts_;
   std::unordered_map<ReqId, ParkedRequest> parked_;
   std::unordered_map<ReqId, Reassembly> req_reassembly_;
   std::unordered_map<ReqId, Outstanding> outstanding_;
@@ -347,14 +357,14 @@ class Kernel {
   std::unordered_map<ReqId, AcceptFrag> accept_header_;
   std::unordered_map<ReqId, TransportSend> transport_;
   std::unordered_map<ReqId, PendingAccept> pending_accepts_;
-  std::unordered_map<net::NodeId, PeerTx> peer_tx_;
-  std::unordered_map<net::NodeId, PeerRx> peer_rx_;
+  common::IdMap<net::NodeId, PeerTx> peer_tx_;
+  common::IdMap<net::NodeId, PeerRx> peer_rx_;
   // Requests already accepted here; duplicated ReqFrags for them are
   // re-acked and dropped instead of being parked twice.
   std::deque<ReqId> done_fifo_;
   std::unordered_set<ReqId> done_set_;
-  std::unordered_map<std::uint64_t, int> per_pair_;
-  std::unordered_map<std::uint64_t, DiscoverWait> discovers_;
+  common::IdMap<Pid, common::IdMap<Pid, int>> per_pair_;  // see pair_count
+  common::IdMap<std::uint64_t, DiscoverWait> discovers_;
   std::uint64_t next_qid_ = 1;
   std::uint64_t frames_out_ = 0;
   std::uint64_t retries_ = 0;
@@ -405,8 +415,8 @@ class Network {
   std::unique_ptr<net::CsmaBus> bus_;  // null when medium is external
   net::Medium* medium_;                // the wire all kernels use
   std::vector<std::unique_ptr<Kernel>> kernels_;
-  std::unordered_map<Pid, net::NodeId> process_node_;
-  std::unordered_set<Pid> dead_;
+  common::IdMap<Pid, net::NodeId> process_node_;
+  common::IdSet<Pid> dead_;
   common::IdAllocator<Pid> pids_;
   common::IdAllocator<Name> names_;
   common::IdAllocator<ReqId> reqs_;

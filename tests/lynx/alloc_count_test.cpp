@@ -1,0 +1,120 @@
+// Heap allocations per RPC on each substrate, with a ceiling.
+//
+// This executable replaces the global operator new with a counting one
+// (which is why it is its own binary) and drives a fixed echo run: one
+// client calling one server over a bootstrap link, 64-byte bodies, the
+// calibrated default costs.  Simulated results do not depend on how many
+// allocations the host makes, so nothing else would notice a runtime or
+// backend change that starts copying message bodies again or a table
+// that goes back to allocating a node per entry.  The ceilings sit a
+// little above the current counts; lower them when a change cuts more.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <utility>
+
+#include "load/universe.hpp"
+#include "lynx/lynx.hpp"
+#include "sim/engine.hpp"
+
+namespace {
+
+std::uint64_t g_allocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace load {
+namespace {
+
+using lynx::Bytes;
+using lynx::Incoming;
+using lynx::LinkHandle;
+using lynx::Message;
+using lynx::ThreadCtx;
+
+constexpr int kWarmup = 20;
+constexpr int kMeasured = 200;
+
+sim::Task<> echo_server(ThreadCtx& ctx, LinkHandle link) {
+  ctx.enable_requests(link);
+  for (;;) {
+    Incoming in = co_await ctx.receive();
+    Message rep;
+    rep.args = std::move(in.msg.args);
+    co_await ctx.reply(in, std::move(rep));
+  }
+}
+
+Message echo_request(const Bytes& body) {
+  return lynx::make_message("echo", {body});
+}
+
+sim::Task<> echo_client(ThreadCtx& ctx, LinkHandle link,
+                        std::uint64_t* allocations) {
+  const Bytes body(64, 0x5a);
+  for (int i = 0; i < kWarmup; ++i) {
+    (void)co_await ctx.call(link, echo_request(body));
+  }
+  const std::uint64_t before = g_allocations;
+  for (int i = 0; i < kMeasured; ++i) {
+    (void)co_await ctx.call(link, echo_request(body));
+  }
+  *allocations = g_allocations - before;
+}
+
+sim::Task<> wire(Universe* u, lynx::Process* client, lynx::Process* server,
+                 std::uint64_t* allocations) {
+  auto [ce, se] = co_await u->connect(*client, *server);
+  server->spawn_thread("echo", [se](ThreadCtx& ctx) {
+    return echo_server(ctx, se);
+  });
+  client->spawn_thread("client", [ce, allocations](ThreadCtx& ctx) {
+    return echo_client(ctx, ce, allocations);
+  });
+}
+
+double allocations_per_rpc(Substrate s) {
+  sim::Engine engine;
+  UniverseSpec spec;
+  spec.substrate = s;
+  Universe u(engine, spec);
+  lynx::Process& client = u.spawn("client", 0);
+  lynx::Process& server = u.spawn("server", 1);
+  std::uint64_t allocations = 0;
+  engine.spawn("wire", wire(&u, &client, &server, &allocations));
+  engine.run();
+  EXPECT_EQ(client.operations_completed(),
+            static_cast<std::uint64_t>(kWarmup + kMeasured));
+  return static_cast<double>(allocations) / kMeasured;
+}
+
+TEST(AllocCount, CharlotteEchoStaysUnderCeiling) {
+  const double per_rpc = allocations_per_rpc(Substrate::kCharlotte);
+  RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
+  EXPECT_LE(per_rpc, 48.0);  // 43.3 measured
+}
+
+TEST(AllocCount, SodaEchoStaysUnderCeiling) {
+  const double per_rpc = allocations_per_rpc(Substrate::kSoda);
+  RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
+  EXPECT_LE(per_rpc, 54.0);  // 49.1 measured
+}
+
+TEST(AllocCount, ChrysalisEchoStaysUnderCeiling) {
+  const double per_rpc = allocations_per_rpc(Substrate::kChrysalis);
+  RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
+  EXPECT_LE(per_rpc, 27.0);  // 24.0 measured
+}
+
+}  // namespace
+}  // namespace load
