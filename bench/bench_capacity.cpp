@@ -147,7 +147,6 @@ void emit_capacity_knobs(load::Substrate sub, const load::Scenario& sc) {
       j.field("send_retransmit_timeout_ms",
               sim::to_msec(c.send_retransmit_timeout))
           .field("ack_coalesce_delay_ms", sim::to_msec(c.ack_coalesce_delay))
-          .field("adaptive_rto", c.adaptive_rto ? 1.0 : 0.0)
           .field("rto_min_ms", sim::to_msec(c.rto_min))
           .field("rto_max_ms", sim::to_msec(c.rto_max));
       break;
@@ -155,19 +154,15 @@ void emit_capacity_knobs(load::Substrate sub, const load::Scenario& sc) {
     case load::Substrate::kSoda: {
       const soda::Costs c;
       j.field("ack_timeout_ms", sim::to_msec(c.ack_timeout))
-          .field("cumulative_acks", c.cumulative_acks ? 1.0 : 0.0)
           .field("ack_coalesce_delay_ms", sim::to_msec(c.ack_coalesce_delay))
-          .field("adaptive_rto", c.adaptive_rto ? 1.0 : 0.0)
           .field("rto_min_ms", sim::to_msec(c.rto_min))
           .field("rto_max_ms", sim::to_msec(c.rto_max));
       break;
     }
     case load::Substrate::kChrysalis: {
       const lynx::ChrysalisBackendParams p;
-      j.field("batched_drain", p.batched_drain ? 1.0 : 0.0)
-          .field("drain_max_notices", static_cast<double>(p.drain_max_notices))
-          .field("consumed_coalesce_delay_ms",
-                 sim::to_msec(p.consumed_coalesce_delay));
+      j.field("consumed_coalesce_delay_ms",
+              sim::to_msec(p.consumed_coalesce_delay));
       break;
     }
   }
@@ -480,7 +475,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   // One optional baseline path per substrate: --baseline= stays the
   // Charlotte spelling CI has used all along; the SODA and Chrysalis
-  // wires got their own gates when the ack-v2 playbook was ported to
+  // wires got their own gates when the ack protocol was ported to
   // them.  Indexed by load::Substrate.
   std::string baselines[3];
   int kept = 1;

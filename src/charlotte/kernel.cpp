@@ -351,9 +351,6 @@ void Kernel::attach_piggyback(EndState& end, wire::Msg& m, net::NodeId dst) {
 
 sim::Duration Kernel::initial_rto(const EndState& end) const {
   const Costs& costs = cluster_->costs();
-  if (!costs.adaptive_rto) {
-    return costs.send_retransmit_timeout;
-  }
   return end.rtt.rto(costs.send_retransmit_timeout, costs.rto_min,
                      costs.rto_max);
 }
@@ -363,12 +360,9 @@ void Kernel::arm_send_timer(EndState& end) {
       !end.send.has_value()) {
     return;
   }
-  const sim::Duration timeout = end.send->cur_rto > 0
-                                    ? end.send->cur_rto
-                                    : cluster_->costs().send_retransmit_timeout;
   end.send->retry.cancel();
   end.send->retry = cluster_->engine().schedule_cancellable(
-      timeout, [this, id = end.id, seq = end.send->msg.seq] {
+      end.send->cur_rto, [this, id = end.id, seq = end.send->msg.seq] {
         on_send_timeout(id, seq);
       });
 }
@@ -394,12 +388,10 @@ void Kernel::on_send_timeout(EndId end_id, std::uint64_t seq) {
                  static_cast<std::uint64_t>(end->send->attempts));
   }
   transmit(end->peer_node, end->send->msg, end->send->msg.trace);
-  if (cluster_->costs().adaptive_rto && end->send->cur_rto > 0) {
-    // Exponential backoff: a timeout is evidence the estimate was low
-    // (or the path is impaired); don't hammer a congested ring.
-    end->send->cur_rto =
-        std::min(end->send->cur_rto * 2, cluster_->costs().rto_max);
-  }
+  // Exponential backoff: a timeout is evidence the estimate was low (or
+  // the path is impaired); don't hammer a congested ring.
+  end->send->cur_rto =
+      std::min(end->send->cur_rto * 2, cluster_->costs().rto_max);
   arm_send_timer(*end);
 }
 
@@ -581,8 +573,8 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
   EndState* end = find_end(end_id);
   if (end == nullptr) {
     // The end vanished (moved away or destroyed) between delivery and
-    // this point: fall back to an immediate standalone ack, exactly the
-    // v1 wire behaviour.
+    // this point: fall back to an immediate standalone ack, as with
+    // ack_coalesce_delay = 0.
     transmit(owed.to, wire::MsgAck{owed.seq, owed.peer, owed.len, owed.trace},
              owed.trace);
     return;
@@ -740,8 +732,7 @@ void Kernel::apply_ack(EndId to_end, std::uint64_t seq, std::size_t len,
       end->send->msg.seq != seq) {
     return;  // stale ack (e.g. the send was failed by a LinkDown race)
   }
-  if (cluster_->costs().adaptive_rto && end->send->attempts == 1 &&
-      end->send->first_sent_at > 0) {
+  if (end->send->attempts == 1 && end->send->first_sent_at > 0) {
     // Karn's rule: only unretransmitted exchanges produce samples (a
     // retransmitted one can't tell which copy this ack answers).
     end->rtt.observe(cluster_->engine().now() - end->send->first_sent_at);

@@ -146,7 +146,7 @@ class Kernel {
     std::optional<RecvActivity> recv;
     std::deque<PendingMsg> pending;
     int unwaited_recv_completions = 0;
-    // ---- ack protocol v2 (see DESIGN.md) ----
+    // ---- ack protocol (DESIGN.md §12) ----
     // Send sequence numbers are allocated per END (not per kernel) and
     // travel with the end when it moves, so the stream of seqs arriving
     // at the peer is strictly increasing for the lifetime of the link.
@@ -206,7 +206,7 @@ class Kernel {
   void clear_send(EndState& end);  // cancels the retry timer too
   // True if `seq` was already delivered on `end` (re-acks if so).
   bool deduplicate(EndState& end, const wire::Msg& m, net::NodeId from);
-  // ---- ack protocol v2 helpers ----
+  // ---- ack protocol helpers ----
   // Settle `end`'s outstanding send if it matches `seq` (shared by
   // standalone MsgAck frames and piggybacked acks on data frames).
   void apply_ack(EndId to_end, std::uint64_t seq, std::size_t len,

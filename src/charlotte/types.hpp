@@ -104,11 +104,11 @@ struct Costs {
   // extra kernel work when a frame carries an enclosure (move protocol
   // bookkeeping on each involved kernel)
   sim::Duration enclosure_processing = sim::msec(2);
-  // Ack coalescing (ack protocol v2): after a delivery the owed ack is
+  // Ack coalescing (DESIGN.md §12): after a delivery the owed ack is
   // withheld for this long, hoping to piggyback on a data frame headed
   // the other way on the same link; if none leaves in time a standalone
   // MsgAck goes out so idle links still ack promptly.  0 = ack
-  // immediately with a standalone frame (the v1 wire behaviour).
+  // immediately with a standalone frame.
   sim::Duration ack_coalesce_delay = sim::msec(3);
   // ---- RPC formation (src/form/, DESIGN.md §14) ----
   // Kernel frames posted to the same destination node within form_delay
@@ -129,13 +129,12 @@ struct Costs {
   // failure notice.
   sim::Duration send_retransmit_timeout = sim::Duration(0);
   int max_send_attempts = 5;
-  // Retransmission pacing.  With adaptive_rto the kernel keeps a
-  // Jacobson/Karels estimator per link end (srtt + 4*rttvar, Karn's
-  // rule for samples) and doubles the timeout on every retransmission;
-  // send_retransmit_timeout is then only the initial RTO before the
-  // first sample.  false = the v1 behaviour: a fixed timeout re-armed
-  // verbatim after every attempt.
-  bool adaptive_rto = true;
+  // Retransmission pacing.  The kernel keeps a Jacobson/Karels
+  // estimator per link end (srtt + 4*rttvar, Karn's rule for samples)
+  // and doubles the timeout on every retransmission, both clamped to
+  // [rto_min, rto_max]; send_retransmit_timeout is the initial RTO
+  // before the first sample.  rto_min == rto_max ==
+  // send_retransmit_timeout paces retransmissions at a fixed timeout.
   sim::Duration rto_min = sim::msec(10);
   sim::Duration rto_max = sim::msec(2000);
   // TESTING ONLY — a deliberately injected semantic bug used by the

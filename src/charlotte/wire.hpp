@@ -23,7 +23,7 @@ namespace charlotte::wire {
 
 // Describes an enclosure riding in a data frame.  Besides routing
 // state, it carries the moving end's ack-protocol counters (see
-// DESIGN.md "Charlotte ack protocol v2"): sequence numbers are per-end,
+// DESIGN.md §12, "Charlotte"): sequence numbers are per-end,
 // so the receiving kernel must resume the end's send counter and its
 // receive watermark exactly where the old kernel left them — otherwise
 // a retransmit chasing the moved end could be delivered a second time.
@@ -51,7 +51,7 @@ struct Msg {
   // attributable to the originating RPC.  Simulation metadata: not
   // counted in frame_bytes.
   std::uint64_t trace = 0;
-  // Piggybacked acknowledgement (ack protocol v2): an ack the sending
+  // Piggybacked acknowledgement (DESIGN.md §12): an ack the sending
   // end owed for a delivery in the opposite direction rides along
   // instead of costing a standalone MsgAck frame.  It acknowledges
   // `ack_seq` on `to_end`'s outstanding send (the reverse direction of

@@ -1,6 +1,6 @@
 // Jacobson/Karels round-trip-time estimator (the SIGCOMM '88 gains:
 // srtt moves by err/8, rttvar by |err|/4), shared by every substrate's
-// ack protocol v2 (DESIGN.md §12).  Charlotte keeps one per link end
+// ack protocol (DESIGN.md §12).  Charlotte keeps one per link end
 // (reset when the end moves — a new path makes old samples stale);
 // SODA keeps one per peer node.  Karn's rule — never sample a
 // retransmitted exchange — is the caller's responsibility: only feed

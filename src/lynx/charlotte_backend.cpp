@@ -219,7 +219,7 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
   charlotte::Status st = co_await cluster_->kernel(node_).send(
       pid_, link->end, ks.payload, ks.enclosure, ks.trace);
   if (st == charlotte::Status::kOk) {
-    // Fast path (ack protocol v2): a single-packet reply is "delivered"
+    // Fast path (DESIGN.md §12): a single-packet reply is "delivered"
     // from LYNX's point of view the moment the kernel accepts it.  The
     // paper already rules out telling a server about its reply's fate —
     // a caller that aborted is never reported (§3.2, deviation two), and
@@ -744,14 +744,14 @@ void CharlotteBackend::note_drain_progress() {
 
 sim::Task<> CharlotteBackend::perform_shutdown() {
   // "Before terminating, each process destroys all of its links" (§2.1)
-  // — but destruction must not outrun delivery.  With the v2 reply fast
+  // — but destruction must not outrun delivery.  With the reply fast
   // path a server thread can exit while its final reply is still in a
   // kernel send (possibly mid-retransmission under loss); yanking the
   // links down at that instant would race the delivery the caller is
   // blocked on.  Drain accepted kernel sends first; the pump keeps
   // dispatching completions while draining_ is set.  If a send can
   // never settle (lossy medium, retransmission disabled) this parks
-  // forever — exactly as the v1 thread blocked in reply() did.
+  // forever — exactly as a thread blocked in reply() would.
   while (has_unsettled_ksends()) co_await drained_.wait();
   draining_ = false;
   // Process termination destroys all links (the kernel guarantees this

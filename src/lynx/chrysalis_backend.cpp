@@ -39,6 +39,9 @@ constexpr std::uint32_t kCodeDestroyed = 8;
 constexpr std::uint32_t kCodeRecheck = 13;
 constexpr std::uint32_t kCodePoison = 15;
 
+// Most notices one pump wakeup takes off the dual queue.
+constexpr std::size_t kDrainMaxNotices = 16;
+
 [[nodiscard]] constexpr std::uint32_t make_notice(chrysalis::MemId obj,
                                                   std::uint32_t code) {
   return static_cast<std::uint32_t>(obj.value() << 4) | code;
@@ -236,26 +239,19 @@ sim::Task<> ChrysalisBackend::pump() {
     ready_->open();
   }
   for (;;) {
-    // Batched drain (ack protocol v2, DESIGN.md §12): one dequeue_many
-    // dispatch services every ready notice; an empty queue falls back to
-    // a bare event wait (the dequeue left our event name — or the cheap
-    // flag — behind).
+    // Batched drain (DESIGN.md §12): one dequeue_many dispatch services
+    // every ready notice; an empty queue falls back to a bare event wait
+    // (the dequeue left our event name — or the cheap flag — behind).
     std::vector<std::uint32_t> batch;
-    if (params_.batched_drain) {
-      auto got = co_await kernel_->dequeue_many(pid_, my_dq_, my_event_,
-                                                params_.drain_max_notices);
-      if (!got.ok()) break;
-      if (got.value().would_block) {
-        auto datum = co_await kernel_->wait_event(pid_, my_event_);
-        if (!datum.ok()) break;
-        batch.push_back(datum.value());
-      } else {
-        batch = std::move(got.value().data);
-      }
-    } else {
-      auto datum = co_await kernel_->dequeue_wait(pid_, my_dq_, my_event_);
+    auto got = co_await kernel_->dequeue_many(pid_, my_dq_, my_event_,
+                                              kDrainMaxNotices);
+    if (!got.ok()) break;
+    if (got.value().would_block) {
+      auto datum = co_await kernel_->wait_event(pid_, my_event_);
       if (!datum.ok()) break;
       batch.push_back(datum.value());
+    } else {
+      batch = std::move(got.value().data);
     }
     bool poisoned = false;
     for (const std::uint32_t raw : batch) {
@@ -416,11 +412,11 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
         chrysalis::DqId(dq_name.value()),
         make_notice(obj, kCodeFilledBase + static_cast<std::uint32_t>(slot)));
   }
-  // Enclosure-free replies resolve early (ack protocol v2, DESIGN.md
-  // §12): the flag bit is absolute truth and the buffer lives in the
-  // link object, which shared memory keeps intact until the consumer
-  // reads it regardless of what this process does next — waiting for
-  // the consumed hint teaches us nothing the flag write didn't.
+  // Enclosure-free replies resolve early (DESIGN.md §12): the flag bit
+  // is absolute truth and the buffer lives in the link object, which
+  // shared memory keeps intact until the consumer reads it regardless
+  // of what this process does next — waiting for the consumed hint
+  // teaches us nothing the flag write didn't.
   if (msg.kind == MsgKind::kReply && msg.enclosures.empty()) {
     ps->settle(SendOutcome{SendResult::kDelivered, {}});
     co_return;
@@ -507,7 +503,7 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   (void)co_await kernel_->fetch_and16(
       pid_, obj, kOffFlags, static_cast<std::uint16_t>(~slot_bit(slot)));
   DecodedBuffer decoded = decode_buffer(raw.value());
-  // Ack the producer (ack protocol v2, DESIGN.md §12):
+  // Ack the producer (DESIGN.md §12):
   //  * enclosure-free replies: the sender resolved early at the flag
   //    write — nobody is parked on the hint, skip the dq round trip;
   //  * replies generally: their arrival proves our own request on this

@@ -39,18 +39,12 @@ struct ChrysalisBackendParams {
   // batch).  0 = one enqueue per notice (the default).
   sim::Duration form_delay = sim::Duration(0);
   std::size_t form_max_notices = 16;
-  // Batched dual-queue drains (ack protocol v2, DESIGN.md §12): each
-  // pump wakeup services every ready notice through one
-  // Kernel::dequeue_many dispatch instead of paying a full dq_dequeue
-  // per notice.  false = one notice per wakeup (the v1 behaviour).
-  bool batched_drain = true;
-  std::size_t drain_max_notices = 16;
-  // Consumed-notice coalescing (the ack-v2 piggyback, DESIGN.md §12):
+  // Consumed-notice coalescing (the ack piggyback, DESIGN.md §12):
   // after consuming a request we owe the sender a CONSUMED notice — but
   // if our reply goes out within this delay, the reply's FILLED notice
   // proves consumption (RPC ordering) and the standalone notice is
   // skipped; the requester infers delivery from the reply itself.
-  // 0 = post immediately (the v1 behaviour).
+  // 0 = post immediately.
   sim::Duration consumed_coalesce_delay = sim::msec(2);
 };
 

@@ -1,5 +1,5 @@
-// Ack protocol v2 regression pins (DESIGN.md "Charlotte ack protocol
-// v2"): the cumulative-ack watermark, the counters that travel with a
+// Ack protocol regression pins (DESIGN.md §12, "Charlotte"): the
+// cumulative-ack watermark, the counters that travel with a
 // moved end, retransmit accounting on the re-ack race, and the
 // piggyback/coalescing machinery.
 #include <gtest/gtest.h>
@@ -217,11 +217,12 @@ TEST(CharlotteAckProtocol, WatermarkTravelsWithMovedEnd) {
 
 // Satellite bugfix: a re-ack racing a just-armed retransmit timer.  The
 // first copy of the message is dropped; the timeout retransmit gets
-// through and its ack races the next timer tick.  With the v1 fixed
-// timeout the tick wins: one spurious retransmit goes out and is billed
-// to `retransmits_`.  With the adaptive RTO the backed-off tick loses
-// the race and the counter records exactly the one real retransmission.
-// Both runs must deliver exactly once either way.
+// through and its ack races the next timer tick.  With fixed pacing
+// (rto_min == rto_max == send_retransmit_timeout) the tick wins: one
+// spurious retransmit goes out and is billed to `retransmits_`.  With
+// the adaptive RTO the backed-off tick loses the race and the counter
+// records exactly the one real retransmission.  Both runs must deliver
+// exactly once either way.
 std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
   sim::Engine e;
   net::TokenRing ring(e);
@@ -234,7 +235,9 @@ std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
   Costs costs;
   costs.ack_coalesce_delay = 0;
   costs.send_retransmit_timeout = sim::msec(15);
-  costs.adaptive_rto = adaptive;
+  if (!adaptive) {
+    costs.rto_min = costs.rto_max = costs.send_retransmit_timeout;
+  }
   Cluster cluster(e, 2, fm, costs);
 
   Pid pa = cluster.create_process(NodeId(0));
@@ -253,7 +256,7 @@ TEST(CharlotteAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
   const std::uint64_t fixed = run_reack_race(false, &fixed_log);
   ASSERT_EQ(fixed_log.size(), 2u);
   EXPECT_EQ(fixed_log[0], "got:m1");
-  // v1 pacing: the 30 ms tick fires before the ~51 ms ack arrival —
+  // Fixed pacing: the 30 ms tick fires before the ~51 ms ack arrival —
   // a spurious second retransmit is in flight and billed.
   EXPECT_EQ(fixed, 2u);
 
@@ -306,8 +309,8 @@ TEST(CharlotteAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
 
   std::vector<std::string> log_off;
   std::vector<std::string> log_on;
-  const std::uint64_t frames_off = run(0, &log_off);            // v1 wire
-  const std::uint64_t frames_on = run(sim::msec(2), &log_on);   // v2 wire
+  const std::uint64_t frames_off = run(0, &log_off);
+  const std::uint64_t frames_on = run(sim::msec(2), &log_on);
   EXPECT_EQ(log_off, log_on);  // identical semantics either way
   ASSERT_EQ(log_on.size(), 16u);
   // 16 deliveries each way; with coalescing the pong side's acks (and

@@ -87,7 +87,7 @@ TEST(Explorer, PlantedBugShrinksToScheduleIndependence) {
 }
 
 TEST(Explorer, StormPlansDeterministicOnSodaV2Wire) {
-  // The SODA universe now runs the v2 cumulative-ack wire (watermarks,
+  // The SODA universe runs the cumulative-ack wire (watermarks,
   // piggybacked acks, adaptive RTO, frontier repair).  Under the full
   // drop plans — ack-storm (server->client dark for 250 ms) and
   // batch-storm (both directions dark, formation on) — with seeded

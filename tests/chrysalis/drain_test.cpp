@@ -1,5 +1,5 @@
 // Batched dual-queue drains and the cheap-flag fast path (DESIGN.md
-// "ack protocol v2", Chrysalis half): dequeue_many must be
+// §12, "Chrysalis"): dequeue_many must be
 // FIFO-equivalent to a one-notice-at-a-time loop, the uncontended
 // single-notice delivery must bypass the queue machinery entirely, and
 // the batched drain must collapse the per-notice dispatch count.
@@ -44,7 +44,7 @@ sim::Task<> burst_produce(sim::Engine* e, Kernel* k, Pid me, DqId q, int n,
 }
 
 // Consumer, batched: every wakeup drains all ready notices through one
-// dequeue_many dispatch (the v2 pump loop).
+// dequeue_many dispatch (the backend's pump loop).
 sim::Task<> drain_batched(Kernel* k, Pid me, DqId q, EventId ev, int n,
                           std::vector<std::uint32_t>* log) {
   while (static_cast<int>(log->size()) < n) {
@@ -60,7 +60,7 @@ sim::Task<> drain_batched(Kernel* k, Pid me, DqId q, EventId ev, int n,
   }
 }
 
-// Consumer, v1: one notice per wakeup.
+// Consumer, reference: one notice per wakeup.
 sim::Task<> drain_single(Kernel* k, Pid me, DqId q, EventId ev, int n,
                          std::vector<std::uint32_t>* log) {
   while (static_cast<int>(log->size()) < n) {
@@ -165,7 +165,7 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
 
 // The dispatch-count pin: draining 32 parked notices takes 32 kernel
 // dispatches one-at-a-time but exactly 2 dequeue_many dispatches at
-// drain_max_notices = 16 — the 16x per-wakeup op ratio the backend's
+// 16 notices per drain — the 16x per-wakeup op ratio the backend's
 // pump relies on (each dispatch is a primitive_call on the wire; extra
 // notices in a batch cost only dq_dequeue_extra).
 TEST(ChrysalisDrain, BatchedDrainCollapsesDispatchCount) {

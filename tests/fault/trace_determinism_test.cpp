@@ -64,9 +64,10 @@ sim::Task<> so_client(soda::Network* nw, soda::Pid me, soda::Pid server,
   (void)co_await k.next_interrupt(me);
 }
 
-soda::Costs soda_ack_costs() {
+soda::Costs soda_ack_costs(sim::Duration coalesce = sim::msec(3)) {
   soda::Costs c;
   c.ack_timeout = sim::msec(10);
+  c.ack_coalesce_delay = coalesce;
   return c;
 }
 
@@ -81,8 +82,11 @@ struct RunResult {
 // `tie` selects the engine's same-instant tie-break policy — determinism
 // must hold under schedule exploration too, where the seed additionally
 // permutes simultaneous events (sim::TieBreak::kSeededPermutation).
+// `coalesce` = 0 drops the owed-ack deadline timer: every ack goes out
+// standalone at once, a different set of timer event sources.
 RunResult run_universe(std::uint64_t seed,
-                       sim::TieBreak tie = sim::TieBreak::kFifo) {
+                       sim::TieBreak tie = sim::TieBreak::kFifo,
+                       sim::Duration coalesce = sim::msec(3)) {
   sim::Engine e;
   e.set_tie_policy({.kind = tie, .seed = seed});
   trace::Recorder rec(e);
@@ -93,7 +97,7 @@ RunResult run_universe(std::uint64_t seed,
                                      .corrupt_prob = 0.05,
                                      .max_jitter = sim::usec(300)}));
   InvariantChecker check(fm);
-  soda::Network nw(e, 3, fm, soda_ack_costs());
+  soda::Network nw(e, 3, fm, soda_ack_costs(coalesce));
 
   soda::Pid s = nw.create_process(NodeId(0));
   soda::Pid c = nw.create_process(NodeId(1));
@@ -109,12 +113,12 @@ RunResult run_universe(std::uint64_t seed,
   return {rec.digest(), fm.fault_digest(), rec.total_emitted()};
 }
 
-// A Charlotte universe under loss and duplication, exercising the v2
-// ack machinery end to end: retransmit timers (adaptive RTO + backoff),
+// A Charlotte universe under loss and duplication, exercising the ack
+// machinery end to end: retransmit timers (adaptive RTO + backoff),
 // watermark dedup of duplicated frames, and — when `coalesce` is on —
 // owed-ack timers and piggybacked acks.  The coalescing timer is a new
 // event source, so determinism is pinned with piggybacking both ON
-// (default delay) and OFF (0 = the v1 wire: immediate standalone acks).
+// (default delay) and OFF (0: immediate standalone acks).
 // `formation` additionally arms RPC formation (src/form/, DESIGN.md
 // §14): the packer's deadline timers and batch dispatch are two more
 // event sources, and a dropped frame now kills a whole Batch — the
@@ -173,42 +177,6 @@ RunResult run_charlotte_universe(std::uint64_t seed, bool coalesce,
   return {rec.digest(), fm.fault_digest(), rec.total_emitted()};
 }
 
-// The same lossy SODA universe on an explicit wire variant (DESIGN.md
-// "ack protocol v2", SODA half).  `coalesce` off drops the owed-ack
-// deadline timer (acks go out standalone, immediately); `v2` off runs
-// the old per-fragment-ack wire with its done-ring dedup.  Each variant
-// has a different set of timer event sources, and all of them must
-// digest identically run over run.
-RunResult run_soda_wire_universe(std::uint64_t seed, bool v2, bool coalesce) {
-  sim::Engine e;
-  trace::Recorder rec(e);
-  net::CsmaBus bus(e, sim::Rng(7));
-  FaultyMedium fm(e, bus, seed,
-                  Plan{}.background({.drop_prob = 0.15,
-                                     .duplicate_prob = 0.1,
-                                     .corrupt_prob = 0.05,
-                                     .max_jitter = sim::usec(300)}));
-  InvariantChecker check(fm);
-  soda::Costs costs;
-  costs.ack_timeout = sim::msec(10);
-  costs.cumulative_acks = v2;
-  costs.ack_coalesce_delay = coalesce ? sim::msec(3) : sim::Duration(0);
-  soda::Network nw(e, 3, fm, costs);
-
-  soda::Pid s = nw.create_process(NodeId(0));
-  soda::Pid c = nw.create_process(NodeId(1));
-  soda::Name name;
-  sim::Gate ready(e);
-  e.spawn("server", so_server(&nw, s, &name, &ready));
-  e.spawn("client", so_client(&nw, c, s, &name, &ready, rec.new_trace()));
-  e.run();
-
-  EXPECT_TRUE(check.ok()) << "seed " << seed << ": "
-                          << check.violations().front();
-  EXPECT_TRUE(e.process_failures().empty()) << "seed " << seed;
-  return {rec.digest(), fm.fault_digest(), rec.total_emitted()};
-}
-
 sim::Task<> ch_echo_serve(lynx::ThreadCtx& ctx, lynx::LinkHandle link, int n) {
   ctx.enable_requests(link);
   for (int i = 0; i < n; ++i) {
@@ -229,19 +197,17 @@ sim::Task<> ch_echo_drive(lynx::ThreadCtx& ctx, lynx::LinkHandle link, int n) {
 
 // A Chrysalis universe: LYNX echo over the shared-memory backend.  No
 // medium, so the seed enters through the engine's seeded-permutation
-// tie-break instead — schedule exploration over the backend's new event
-// sources (batched pump drains, the cheap-flag fast path, and — with
-// `v2` — the consumed-notice coalescing timers).  `v2` off runs the
-// one-notice-per-wakeup, post-consumed-immediately backend.
-RunResult run_chrysalis_universe(std::uint64_t seed, bool v2) {
+// tie-break instead — schedule exploration over the backend's event
+// sources (batched pump drains, the cheap-flag fast path, and — unless
+// `coalesce` is 0 — the consumed-notice coalescing timers).
+RunResult run_chrysalis_universe(std::uint64_t seed, sim::Duration coalesce) {
   sim::Engine e;
   e.set_tie_policy(
       {.kind = sim::TieBreak::kSeededPermutation, .seed = seed});
   trace::Recorder rec(e);
   chrysalis::Kernel kernel(e);
   lynx::ChrysalisBackendParams params;
-  params.batched_drain = v2;
-  params.consumed_coalesce_delay = v2 ? sim::msec(2) : sim::Duration(0);
+  params.consumed_coalesce_delay = coalesce;
   lynx::Process server(e, "server",
                        lynx::make_chrysalis_backend(kernel, NodeId(0), params));
   lynx::Process client(e, "client",
@@ -309,12 +275,11 @@ struct SeedDigests {
   RunResult chaos;      // lossy SODA, FIFO tie-break
   RunResult perm;       // same universe, seeded-permutation tie-break
   RunResult ch;         // lossy Charlotte, ack piggybacking ON
-  RunResult ch_v1;      // ... piggybacking OFF (v1 wire)
+  RunResult ch_nc;      // ... piggybacking OFF
   RunResult ch_form;    // ... with RPC formation armed
-  RunResult soda_nc;    // lossy SODA v2 wire, no coalescing
-  RunResult soda_v1;    // lossy SODA v1 per-fragment-ack wire
-  RunResult chry_v2;    // Chrysalis backend, batched drains + coalescing
-  RunResult chry_v1;    // Chrysalis backend, v1 notices
+  RunResult soda_nc;    // lossy SODA, no ack coalescing
+  RunResult chry;       // Chrysalis backend, consumed-notice coalescing
+  RunResult chry_nc;    // ... consumed notices posted immediately
   RunResult load;       // open-loop Poisson load on SODA
   RunResult load_form;  // ... with RPC formation
 };
@@ -324,13 +289,12 @@ SeedDigests run_seed(std::uint64_t seed) {
   d.chaos = run_universe(seed);
   d.perm = run_universe(seed, sim::TieBreak::kSeededPermutation);
   d.ch = run_charlotte_universe(seed, /*coalesce=*/true);
-  d.ch_v1 = run_charlotte_universe(seed, /*coalesce=*/false);
+  d.ch_nc = run_charlotte_universe(seed, /*coalesce=*/false);
   d.ch_form =
       run_charlotte_universe(seed, /*coalesce=*/true, /*formation=*/true);
-  d.soda_nc = run_soda_wire_universe(seed, /*v2=*/true, /*coalesce=*/false);
-  d.soda_v1 = run_soda_wire_universe(seed, /*v2=*/false, /*coalesce=*/false);
-  d.chry_v2 = run_chrysalis_universe(seed, /*v2=*/true);
-  d.chry_v1 = run_chrysalis_universe(seed, /*v2=*/false);
+  d.soda_nc = run_universe(seed, sim::TieBreak::kFifo, sim::Duration(0));
+  d.chry = run_chrysalis_universe(seed, sim::msec(2));
+  d.chry_nc = run_chrysalis_universe(seed, sim::Duration(0));
   d.load = run_load_universe(seed);
   d.load_form = run_load_universe(seed, /*formation=*/true);
   return d;
@@ -383,7 +347,7 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
     expect_same(a.ch, b.ch, "charlotte", seed);
     ASSERT_GT(a.ch.emitted, 0u) << "charlotte seed " << seed;
     distinct_charlotte.insert(a.ch.trace_digest);
-    expect_same(a.ch_v1, b.ch_v1, "charlotte v1-wire", seed);
+    expect_same(a.ch_nc, b.ch_nc, "charlotte no-coalesce", seed);
 
     // Lossy Charlotte with RPC formation armed (DESIGN.md §14): batch
     // deadline timers, shared-frame dispatch, and whole-batch drops all
@@ -395,19 +359,15 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
     EXPECT_NE(a.ch_form.trace_digest, a.ch.trace_digest)
         << "formation left no mark on the stream, seed " << seed;
 
-    // The lossy SODA universe on each wire variant: v2 with the
-    // coalescing timer, v2 with immediate standalone acks, and the v1
-    // per-fragment-ack wire.  (run_universe above already covers the
-    // v2 default; these pin the knob-dependent event sources.)
+    // The lossy SODA universe with immediate standalone acks: no
+    // coalescing timer.  (chaos above covers the default.)
     expect_same(a.soda_nc, b.soda_nc, "soda no-coalesce", seed);
-    expect_same(a.soda_v1, b.soda_v1, "soda v1-wire", seed);
 
-    // The Chrysalis backend universes, v2 (batched drains + consumed
-    // coalescing) and v1 (one notice per wakeup, immediate consumed
-    // notices), under seeded-permutation schedule exploration.
-    expect_same(a.chry_v2, b.chry_v2, "chrysalis v2", seed);
-    ASSERT_GT(a.chry_v2.emitted, 0u) << "chrysalis v2 seed " << seed;
-    expect_same(a.chry_v1, b.chry_v1, "chrysalis v1", seed);
+    // The Chrysalis backend universes, with and without consumed-notice
+    // coalescing, under seeded-permutation schedule exploration.
+    expect_same(a.chry, b.chry, "chrysalis", seed);
+    ASSERT_GT(a.chry.emitted, 0u) << "chrysalis seed " << seed;
+    expect_same(a.chry_nc, b.chry_nc, "chrysalis no-coalesce", seed);
 
     expect_same(a.load, b.load, "load", seed);
     ASSERT_GT(a.load.emitted, 0u) << "load seed " << seed;
@@ -424,6 +384,22 @@ TEST(TraceDeterminism, SweepSeedsReproduceDigestsUnderAnyParallelism) {
   EXPECT_GT(distinct_load.size(), 90u);
   // Charlotte chaos (drops -> retransmits -> re-acks) differs per seed.
   EXPECT_GT(distinct_charlotte.size(), 90u);
+}
+
+TEST(TraceDeterminism, SodaFrameTxCodesArePinned) {
+  // trace::Recorder folds each SODA frame.tx record's type code into its
+  // digest, so every pinned digest depends on these values.
+  using K = soda::Kernel;
+  using W = K::WireFrame;
+  EXPECT_EQ(K::frame_code(W(K::ReqFrag{})), 0u);
+  EXPECT_EQ(K::frame_code(W(K::ReqNack{})), 1u);
+  EXPECT_EQ(K::frame_code(W(K::AcceptFrag{})), 2u);
+  EXPECT_EQ(K::frame_code(W(K::CrashNote{})), 3u);
+  EXPECT_EQ(K::frame_code(W(K::DiscoverQuery{})), 4u);
+  EXPECT_EQ(K::frame_code(W(K::DiscoverReply{})), 5u);
+  EXPECT_EQ(K::frame_code(W(K::RebootNote{})), 8u);
+  EXPECT_EQ(K::frame_code(W(K::TransportAck{})), 9u);
+  EXPECT_EQ(std::variant_size_v<W>, 8u) << "a new frame needs a pinned code";
 }
 
 TEST(TraceDeterminism, FaultEventsLandInTheSameStream) {

@@ -256,7 +256,7 @@ TEST_P(CrashTest, ServerCrashSurfacesAsExceptionEverywhere) {
                     std::vector<std::string>* out) -> sim::Task<> {
             try {
               // Long enough that no substrate drains the burst before
-              // the 250 ms crash (the v2 fast paths finish 100 calls
+              // the 250 ms crash (the ack fast paths finish 100 calls
               // early on Chrysalis).
               for (int k = 0; k < 400; ++k) {
                 Message req =

@@ -1,8 +1,8 @@
-// Ack protocol v2 on the SODA fragment transport (DESIGN.md "ack
-// protocol v2"): the Charlotte regression battery ported to the
-// request/accept wire.  Pins the cumulative-ack watermark against
-// arbitrarily delayed duplicates, the sender-frontier hole repair,
-// retransmit accounting under adaptive RTO, and the piggyback win.
+// The ack protocol on the SODA fragment transport (DESIGN.md §12): the
+// Charlotte regression battery ported to the request/accept wire.  Pins
+// the cumulative-ack watermark against arbitrarily delayed duplicates,
+// the sender-frontier hole repair, retransmit accounting under adaptive
+// RTO, and the piggyback win.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -27,7 +27,7 @@ std::string text(const Payload& p) { return std::string(p.begin(), p.end()); }
 // A medium that keeps a copy of the first request fragment leaving
 // `watch_src` and can re-inject it later — the "duplicate delayed by
 // the network for an arbitrarily long time" that windowed dedup schemes
-// (SODA v1's 64-entry done ring) cannot screen.
+// (like the kernel's 64-entry ring of accepted requests) cannot screen.
 class ReplayMedium final : public net::Medium {
  public:
   ReplayMedium(net::Medium& inner, NodeId watch_src)
@@ -103,20 +103,17 @@ sim::Task<> call_n(Network* nw, Pid me, Pid server, Name* name,
   }
 }
 
-// Satellite regression: SODA v1 screens whole-request duplicates with a
-// 64-entry FIFO of recently accepted request ids, so a duplicate
-// fragment delayed past 64 subsequent requests falls out of the window
-// and is parked (and serviced) a second time.  The v2 per-peer
-// watermark is windowless: the duplicate of request #1 is screened no
-// matter how many requests intervene.  Both wires run the identical
-// scenario; the v1 half documents the bug, the v2 half pins the fix.
-std::string run_delayed_duplicate(bool cumulative) {
+// A 64-entry FIFO of recently accepted request ids cannot screen a
+// duplicate fragment delayed past 64 subsequent requests: it falls out
+// of the window and would be parked (and serviced) a second time.  The
+// per-peer transport watermark is windowless: the duplicate of request
+// #1 is screened no matter how many requests intervene.
+TEST(SodaAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
   sim::Engine e;
   net::CsmaBus bus(e, sim::Rng(7));
   ReplayMedium medium(bus, NodeId(1));  // watch the client's requests
   Costs costs;
   costs.ack_timeout = sim::msec(10);
-  costs.cumulative_acks = cumulative;
   Network nw(e, 2, medium, costs);
 
   Pid server = nw.create_process(NodeId(0));
@@ -135,7 +132,7 @@ std::string run_delayed_duplicate(bool cumulative) {
 
   // The network "finds" the long-lost duplicate of request #1, then a
   // genuinely new request follows.  The server takes exactly one more
-  // request: on the v2 wire it must be the fresh one.
+  // request, and it must be the fresh one.
   medium.replay();
   std::vector<std::string> tail;
   auto one_more = [](Network* n, Pid me, std::vector<std::string>* log)
@@ -154,24 +151,13 @@ std::string run_delayed_duplicate(bool cumulative) {
     auto req =
         co_await k.request(me, srv, *nm, Oob{}, bytes("fresh"), 4096);
     CO_CHECK(req.ok());
-    // On the v1 wire the server services the replayed duplicate instead
-    // and this request is never accepted — the task stays parked, which
-    // is precisely the defect being documented.
     (void)co_await k.next_interrupt(me);
   };
   e.spawn("serve-tail", one_more(&nw, server, &tail));
   e.spawn("call-fresh", fresh(&nw, client, server, &name));
   e.run();
-  EXPECT_EQ(tail.size(), 1u);
-  return tail.empty() ? std::string() : tail.front();
-}
-
-TEST(SodaAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
-  // v1 per-fragment-ack wire: the done ring has forgotten request #1,
-  // so the replayed fragment is parked and serviced again.
-  EXPECT_EQ(run_delayed_duplicate(false), "took:m0");
-  // v2 cumulative watermark: screened, the fresh request is serviced.
-  EXPECT_EQ(run_delayed_duplicate(true), "took:fresh");
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail.front(), "took:fresh");
 }
 
 // The sender frontier must repair watermark holes left by abandoned
@@ -194,7 +180,8 @@ TEST(SodaAckProtocol, FrontierRepairUnsticksWatermarkAfterAbandonedSend) {
       fault::Plan{}.drop_between(0, sim::msec(80), 1.0, NodeId(1), NodeId(0)));
   Costs costs;
   costs.ack_timeout = sim::msec(10);
-  costs.adaptive_rto = false;  // fixed spacing: abandoned well before 80 ms
+  // Fixed spacing: abandoned well before 80 ms.
+  costs.rto_min = costs.rto_max = costs.ack_timeout;
   Network nw(e, 2, fm, costs);
 
   Pid server = nw.create_process(NodeId(0));
@@ -254,11 +241,12 @@ TEST(SodaAckProtocol, FrontierRepairUnsticksWatermarkAfterAbandonedSend) {
 
 // Satellite bugfix pin: a re-ack racing a just-armed retransmit timer.
 // The original fragment is dropped; the timeout retransmit gets through
-// and its cumulative ack races the next timer tick.  With the v1 fixed
-// timeout the tick wins: a spurious second retransmit goes out and is
-// billed to retries().  With the adaptive RTO the backed-off tick loses
-// the race and the counter records exactly the one real retransmission.
-// Both runs must deliver exactly once either way.
+// and its cumulative ack races the next timer tick.  With fixed pacing
+// (rto_min == rto_max == ack_timeout) the tick wins: a spurious second
+// retransmit goes out and is billed to retries().  With the adaptive
+// RTO the backed-off tick loses the race and the counter records
+// exactly the one real retransmission.  Both runs must deliver exactly
+// once either way.
 std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
   sim::Engine e;
   net::CsmaBus bus(e, sim::Rng(7));
@@ -271,10 +259,10 @@ std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
   Costs costs;
   costs.ack_timeout = sim::msec(15);
   costs.ack_coalesce_delay = 0;  // ack the retransmit immediately
-  costs.adaptive_rto = adaptive;
+  if (!adaptive) costs.rto_min = costs.rto_max = costs.ack_timeout;
   // Slow frame handling so the retransmit's ack lands between the
   // fixed tick (one RTO after the retransmit) and the backed-off tick
-  // (two RTOs after): the race both wires are being timed on.
+  // (two RTOs after): the race both pacings are being timed on.
   costs.frame_processing = sim::usec(9000);
   Network nw(e, 2, fm, costs);
 
@@ -296,7 +284,7 @@ TEST(SodaAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
   const std::uint64_t fixed = run_reack_race(false, &fixed_log);
   ASSERT_EQ(fixed_log.size(), 1u);
   EXPECT_EQ(fixed_log[0], "got:pong");
-  // v1 pacing: the second tick fires before the ack arrives — a
+  // Fixed pacing: the second tick fires before the ack arrives — a
   // spurious retransmit is in flight and billed.
   EXPECT_EQ(fixed, 2u);
 
@@ -310,19 +298,19 @@ TEST(SodaAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
   EXPECT_LT(adaptive, fixed);
 }
 
-// Piggybacking: on the v2 wire the request fragments' ack rides the
-// accept fragments and the accept's ack rides the next request, so the
-// wire carries fewer frames than v1's standalone per-fragment acks —
-// for the identical workload and identical delivery log.
+// Piggybacking: with coalescing on, the request fragments' ack rides
+// the accept fragments and the accept's ack rides the next request, so
+// the wire carries fewer frames than with every ack sent standalone at
+// once (ack_coalesce_delay = 0) — for the identical workload and
+// identical delivery log.
 TEST(SodaAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
-  auto run = [](bool cumulative, std::vector<std::string>* served,
+  auto run = [](sim::Duration coalesce, std::vector<std::string>* served,
                 std::vector<std::string>* got) {
     sim::Engine e;
     net::CsmaBus bus(e, sim::Rng(7));
     Costs costs;
     costs.ack_timeout = sim::msec(10);
-    costs.cumulative_acks = cumulative;
-    costs.ack_coalesce_delay = sim::msec(5);
+    costs.ack_coalesce_delay = coalesce;
     costs.frame_processing = sim::usec(200);  // accept within the window
     Network nw(e, 2, bus, costs);
 
@@ -339,8 +327,8 @@ TEST(SodaAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
   };
 
   std::vector<std::string> served_off, got_off, served_on, got_on;
-  const std::uint64_t frames_off = run(false, &served_off, &got_off);  // v1
-  const std::uint64_t frames_on = run(true, &served_on, &got_on);      // v2
+  const std::uint64_t frames_off = run(0, &served_off, &got_off);
+  const std::uint64_t frames_on = run(sim::msec(5), &served_on, &got_on);
   EXPECT_EQ(served_off, served_on);  // identical semantics either way
   EXPECT_EQ(got_off, got_on);
   ASSERT_EQ(got_on.size(), 8u);
