@@ -117,8 +117,8 @@ Kernel::Kernel(Cluster& cluster, net::NodeId node)
       packer_(cluster.engine(), cluster.medium(), node,
               form::Params{cluster.costs().form_delay,
                            cluster.costs().form_max_bytes}) {
-  cluster_->medium().attach(node_,
-                            [this](const net::Frame& f) { on_frame(f); });
+  cluster_->medium().attach(
+      node_, [this](net::Frame f) { on_frame(std::move(f)); });
 }
 
 void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
@@ -139,8 +139,8 @@ void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
     // kernel still does the protocol work.
     cluster_->engine().schedule(
         cluster_->costs().frame_processing,
-        [this, f = std::move(frame)] {
-          std::visit([this](const auto& m) { handle(m, node_); }, f);
+        [this, f = std::move(frame)]() mutable {
+          std::visit([this](auto& m) { handle(std::move(m), node_); }, f);
         });
     return;
   }
@@ -149,12 +149,12 @@ void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
   packer_.submit(std::move(out));
 }
 
-void Kernel::on_frame(const net::Frame& frame) {
+void Kernel::on_frame(net::Frame frame) {
   if (std::any_cast<form::Batch>(&frame.body) != nullptr) {
-    on_batch(frame);
+    on_batch(std::move(frame));
     return;
   }
-  const auto& kf = frame.as<wire::KernelFrame>();
+  wire::KernelFrame kf = frame.take<wire::KernelFrame>();
   sim::Duration cost = cluster_->costs().frame_processing;
   if (const auto* msg = std::get_if<wire::Msg>(&kf)) {
     cost += cluster_->costs().per_byte_copy *
@@ -164,17 +164,18 @@ void Kernel::on_frame(const net::Frame& frame) {
     rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
                  frame.payload_bytes);
   }
-  cluster_->engine().schedule(cost, [this, kf, src = frame.src] {
-    std::visit([this, src](const auto& m) { handle(m, src); }, kf);
-  });
+  cluster_->engine().schedule(
+      cost, [this, kf = std::move(kf), src = frame.src]() mutable {
+        std::visit([this, src](auto& m) { handle(std::move(m), src); }, kf);
+      });
 }
 
 // A form::Batch arrived: pay frame absorption ONCE, then a cheap
 // demultiplex per enclosure, and dispatch the enclosures in submission
 // order within a single scheduled event — per-link FIFO is exactly what
 // it would have been frame-per-message, minus the per-frame overheads.
-void Kernel::on_batch(const net::Frame& frame) {
-  const auto& batch = frame.as<form::Batch>();
+void Kernel::on_batch(net::Frame frame) {
+  form::Batch batch = frame.take<form::Batch>();
   const Costs& costs = cluster_->costs();
   sim::Duration cost = costs.frame_processing;
   auto* rec = trace::get(cluster_->engine());
@@ -184,8 +185,8 @@ void Kernel::on_batch(const net::Frame& frame) {
   }
   std::vector<wire::KernelFrame> enclosed;
   enclosed.reserve(batch.frames.size());
-  for (const net::Frame& sub : batch.frames) {
-    const auto& kf = sub.as<wire::KernelFrame>();
+  for (net::Frame& sub : batch.frames) {
+    wire::KernelFrame kf = sub.take<wire::KernelFrame>();
     cost += costs.form_enclosure_processing;
     if (const auto* msg = std::get_if<wire::Msg>(&kf)) {
       cost += costs.per_byte_copy *
@@ -198,12 +199,12 @@ void Kernel::on_batch(const net::Frame& frame) {
       rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
                    sub.payload_bytes);
     }
-    enclosed.push_back(kf);
+    enclosed.push_back(std::move(kf));
   }
   cluster_->engine().schedule(
-      cost, [this, enclosed = std::move(enclosed), src = frame.src] {
-        for (const wire::KernelFrame& kf : enclosed) {
-          std::visit([this, src](const auto& m) { handle(m, src); }, kf);
+      cost, [this, enclosed = std::move(enclosed), src = frame.src]() mutable {
+        for (wire::KernelFrame& kf : enclosed) {
+          std::visit([this, src](auto& m) { handle(std::move(m), src); }, kf);
         }
       });
 }
@@ -310,6 +311,7 @@ sim::Task<Status> Kernel::send(Pid caller, EndId end_id, Payload data,
   wire::Msg msg{seq,  end_id, end->peer, std::move(data),
                 has_enclosure, desc,   trace};
   const std::size_t len = msg.data.size();
+  // The activity's copy shares the payload with `msg`.
   end->send = SendActivity{msg, has_enclosure ? desc.end : EndId::invalid(),
                            false, 1, {}, 0, 0};
   const net::NodeId dst = end->peer_node;
@@ -530,8 +532,10 @@ void Kernel::deliver_pending(EndState& end) {
   c.status = Status::kOk;
   c.length = len;
   c.trace = pm.msg.trace;
-  c.data.assign(pm.msg.data.begin(),
-                pm.msg.data.begin() + static_cast<std::ptrdiff_t>(len));
+  // A receive shorter than the message only narrows this holder's view:
+  // the sender's retained copy, and any resend of it, keep every byte.
+  c.data = std::move(pm.msg.data);
+  c.data.truncate(len);
 
   sim::Duration cost = cluster_->costs().per_byte_copy *
                        static_cast<sim::Duration>(len);
@@ -563,8 +567,8 @@ void Kernel::deliver_pending(EndState& end) {
   const EndId end_id = end.id;
   OwedAck owed{pm.msg.seq, len, pm.msg.from_end, pm.from_node, pm.msg.trace};
   cluster_->engine().schedule(cost, [this, owner, c = std::move(c), end_id,
-                                     owed] {
-    complete(owner, c);
+                                     owed]() mutable {
+    complete(owner, std::move(c));
     owe_ack(end_id, owed);
   });
 }
@@ -673,7 +677,7 @@ void Kernel::fail_end_activities(EndState& end, Status status) {
 
 // ===================== frame handlers =====================
 
-void Kernel::handle(const wire::Msg& m, net::NodeId from) {
+void Kernel::handle(wire::Msg m, net::NodeId from) {
   // A piggybacked ack settles the reverse direction first — it may well
   // be what this very frame's recipient is blocked on.
   if (m.has_ack) apply_ack(m.to_end, m.ack_seq, m.ack_len, from);
@@ -692,7 +696,7 @@ void Kernel::handle(const wire::Msg& m, net::NodeId from) {
     return;
   }
   if (deduplicate(*end, m, from)) return;
-  end->pending.push_back(PendingMsg{m, from});
+  end->pending.push_back(PendingMsg{std::move(m), from});
   deliver_pending(*end);
 }
 

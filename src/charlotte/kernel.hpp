@@ -104,7 +104,9 @@ class Kernel {
   friend class Cluster;
 
   struct SendActivity {
-    wire::Msg msg;  // retained whole for NACK- and timeout-driven resends
+    // Retained whole for NACK- and timeout-driven resends, which share
+    // its payload rather than copy it.
+    wire::Msg msg;
     EndId enclosure = EndId::invalid();
     bool cancel_requested = false;
     int attempts = 1;
@@ -179,9 +181,9 @@ class Kernel {
   };
 
   // frame handling
-  void on_frame(const net::Frame& frame);
-  void on_batch(const net::Frame& frame);
-  void handle(const wire::Msg& m, net::NodeId from);
+  void on_frame(net::Frame frame);
+  void on_batch(net::Frame frame);
+  void handle(wire::Msg m, net::NodeId from);
   void handle(const wire::MsgAck& m, net::NodeId from);
   void handle(const wire::MsgNackMoved& m, net::NodeId from);
   void handle(const wire::MsgNackDestroyed& m, net::NodeId from);

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "common/body.hpp"
 #include "common/strong_id.hpp"
 #include "host/process.hpp"
 #include "sim/time.hpp"
@@ -31,7 +31,9 @@ struct LinkTag {
 };
 using LinkId = common::StrongId<LinkTag>;
 
-using Payload = std::vector<std::uint8_t>;
+// Message bytes.  A Payload is shared, not copied, between the sender's
+// retained Msg, its retransmissions and the receiver's completion.
+using Payload = common::Body;
 
 enum class Status : std::uint8_t {
   kOk,

@@ -246,7 +246,7 @@ sim::Task<Status> Kernel::write32(Pid caller, MemId id, std::size_t offset,
 
 sim::Task<Status> Kernel::block_write(Pid caller, MemId id,
                                       std::size_t offset,
-                                      const std::vector<std::uint8_t>& data) {
+                                      std::span<const std::uint8_t> data) {
   ++ops_;
   Object* obj = nullptr;
   if (Status st = check_access(caller, id, offset, data.size(), &obj);
@@ -265,7 +265,7 @@ sim::Task<Status> Kernel::block_write(Pid caller, MemId id,
   co_return Status::kOk;
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> Kernel::block_read(
+sim::Task<Result<common::Body>> Kernel::block_read(
     Pid caller, MemId id, std::size_t offset, std::size_t length) {
   ++ops_;
   Object* obj = nullptr;
@@ -280,7 +280,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> Kernel::block_read(
                           fabric_.block_transfer(length, remote));
   obj = find_object(id);
   if (obj == nullptr) co_return common::Err(Status::kDeallocated);
-  std::vector<std::uint8_t> out(
+  common::Body out(
       obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset),
       obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset + length));
   co_return out;

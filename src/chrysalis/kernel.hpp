@@ -12,10 +12,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
 #include "chrysalis/types.hpp"
+#include "common/body.hpp"
 #include "common/id_map.hpp"
 #include "common/result.hpp"
 #include "net/butterfly_switch.hpp"
@@ -75,9 +77,11 @@ class Kernel {
   [[nodiscard]] sim::Task<Status> write32(Pid, MemId, std::size_t offset,
                                           std::uint32_t value);
   // block transfer through the switch (microcoded copy)
+  // These two copies are the model: the bytes really do cross the switch.
+  // `data` must stay alive until the write completes.
   [[nodiscard]] sim::Task<Status> block_write(
-      Pid, MemId, std::size_t offset, const std::vector<std::uint8_t>& data);
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> block_read(
+      Pid, MemId, std::size_t offset, std::span<const std::uint8_t> data);
+  [[nodiscard]] sim::Task<Result<common::Body>> block_read(
       Pid, MemId, std::size_t offset, std::size_t length);
 
   // ---- event blocks ------------------------------------------------------

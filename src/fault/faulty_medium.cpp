@@ -26,8 +26,8 @@ FaultyMedium::FaultyMedium(sim::Engine& engine, net::Medium& inner,
 
 void FaultyMedium::attach(net::NodeId node, net::FrameHandler handler) {
   auto shared = std::make_shared<net::FrameHandler>(std::move(handler));
-  inner_->attach(node, [this, node, shared](const net::Frame& frame) {
-    deliver(*shared, node, frame);
+  inner_->attach(node, [this, node, shared](net::Frame frame) {
+    deliver(*shared, node, std::move(frame));
   });
 }
 
@@ -173,7 +173,9 @@ bool FaultyMedium::impair_outbound(net::Frame& frame, bool is_broadcast) {
     ++duplicates_;
     record(FaultKind::kDuplicate, frame.id, frame.src, dst, 0,
            frame.trace_id);
-    net::Frame copy = frame;  // same id: a duplicate, not a new frame
+    // Same id: a duplicate, not a new frame.  The copy shares any
+    // message body with the original.
+    net::Frame copy = frame;
     if (is_broadcast) {
       inner_->broadcast(std::move(copy));
     } else {
@@ -184,7 +186,7 @@ bool FaultyMedium::impair_outbound(net::Frame& frame, bool is_broadcast) {
 }
 
 void FaultyMedium::deliver(const net::FrameHandler& handler,
-                           net::NodeId receiver, const net::Frame& frame) {
+                           net::NodeId receiver, net::Frame frame) {
   if (crashed_.contains(receiver)) {
     ++drops_;
     record(FaultKind::kCrashDrop, frame.id, frame.src, receiver, 0,
@@ -209,21 +211,21 @@ void FaultyMedium::deliver(const net::FrameHandler& handler,
       ++delays_;
       record(FaultKind::kDelay, frame.id, frame.src, receiver, extra,
              frame.trace_id);
-      engine_->schedule(extra, [this, h = &handler, receiver, f = frame] {
-        finish_delivery(*h, receiver, f);
+      engine_->schedule(extra, [this, h = &handler, receiver,
+                                f = std::move(frame)]() mutable {
+        finish_delivery(*h, receiver, std::move(f));
       });
       return;
     }
   }
-  finish_delivery(handler, receiver, frame);
+  finish_delivery(handler, receiver, std::move(frame));
 }
 
 void FaultyMedium::finish_delivery(const net::FrameHandler& handler,
-                                   net::NodeId receiver,
-                                   const net::Frame& frame) {
+                                   net::NodeId receiver, net::Frame frame) {
   ++deliveries_;
   for (auto& obs : delivery_observers_) obs(frame, receiver);
-  handler(frame);
+  handler(std::move(frame));
 }
 
 }  // namespace fault

@@ -125,9 +125,9 @@ class FaultyMedium final : public net::Medium {
   // (dropped).  May mark the frame corrupted or inject a duplicate.
   bool impair_outbound(net::Frame& frame, bool is_broadcast);
   void deliver(const net::FrameHandler& handler, net::NodeId receiver,
-               const net::Frame& frame);
+               net::Frame frame);
   void finish_delivery(const net::FrameHandler& handler, net::NodeId receiver,
-                       const net::Frame& frame);
+                       net::Frame frame);
   [[nodiscard]] double drop_probability(net::NodeId src,
                                         net::NodeId dst) const;
   // Which kind of severance (if any) separates a and b right now.

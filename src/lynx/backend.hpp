@@ -30,7 +30,9 @@ enum class MsgKind : std::uint8_t { kRequest, kReply };
 
 struct WireMessage {
   MsgKind kind = MsgKind::kRequest;
-  Bytes body;
+  // Serialized with Backend::header_bytes() of headroom; the backend
+  // prepends its packet header there and moves the body on.
+  common::Body body;
   std::vector<BLink> enclosures;
   // Causal identity threaded from the runtime into the kernel frames
   // (trace::TraceId; 0 = untraced).
@@ -69,7 +71,7 @@ struct BackendEvent {
   };
   Kind kind = Kind::kRequestArrived;
   BLink link;
-  Bytes body;
+  common::Body body;  // the serialized body, packet header stripped
   std::vector<BLink> enclosures;  // receiver-side tokens of moved ends
   // TraceId recovered from the arriving message (0 = untraced), so the
   // receiving runtime continues the sender's causal chain.
@@ -98,6 +100,12 @@ class Backend {
   virtual void start(Sink sink) = 0;
   // Destroys every link still attached (normal exit and crash alike).
   virtual void shutdown() = 0;
+
+  // Bytes of packet header this backend writes in front of a serialized
+  // body that moves `enclosures` link ends.  The runtime serializes with
+  // that much headroom, so the header never costs a copy of the body.
+  [[nodiscard]] virtual std::size_t header_bytes(
+      std::size_t enclosures) const = 0;
 
   // Creates a link with both ends owned by this process.
   [[nodiscard]] virtual sim::Task<std::pair<BLink, BLink>> make_link() = 0;

@@ -114,17 +114,14 @@ sim::Task<std::pair<BLink, BLink>> CharlotteBackend::make_link() {
 //
 // payload: [0] ptype, [1] total enclosures of the LYNX message,
 //          [2..] serialized body (Request/Reply first packets only).
+// The first packet's header goes into the headroom the runtime left in
+// front of the body (header_bytes); the receiver strips it by offset.
 
 namespace {
 
-Bytes encode_packet(std::uint8_t ptype, std::uint8_t enc_total,
-                    const Bytes& body) {
-  Bytes out;
-  out.reserve(2 + body.size());
-  out.push_back(ptype);
-  out.push_back(enc_total);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+charlotte::Payload control_packet(std::uint8_t ptype,
+                                  std::uint8_t enc_total) {
+  return charlotte::Payload{ptype, enc_total};
 }
 
 }  // namespace
@@ -140,7 +137,6 @@ std::unique_ptr<PendingSend> CharlotteBackend::begin_send(BLink token,
   out.id = id;
   out.link = token;
   out.kind = msg.kind;
-  out.body = std::move(msg.body);
   out.ps = ps.get();
   out.trace = msg.trace_id;
   for (BLink e : msg.enclosures) {
@@ -149,6 +145,11 @@ std::unique_ptr<PendingSend> CharlotteBackend::begin_send(BLink token,
     out.enclosure_ends.push_back(enc->end);
     out.enclosure_blinks.push_back(e);
   }
+  out.packet = std::move(msg.body);
+  std::uint8_t* header = out.packet.prepend(header_bytes(0));
+  header[0] = static_cast<std::uint8_t>(
+      out.kind == MsgKind::kRequest ? PType::kRequest : PType::kReply);
+  header[1] = static_cast<std::uint8_t>(out.enclosure_ends.size());
   CLink* link = find(token);
   if (link == nullptr || link->destroyed) {
     ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
@@ -177,8 +178,7 @@ void CharlotteBackend::start_next_out(CLink& link) {
   const auto total = static_cast<std::uint8_t>(out.enclosure_ends.size());
   KSend ks;
   ks.ptype = out.kind == MsgKind::kRequest ? PType::kRequest : PType::kReply;
-  ks.payload = encode_packet(static_cast<std::uint8_t>(ks.ptype), total,
-                             out.body);
+  ks.payload = out.packet;  // shared: a RETRY resend reuses it
   ks.out_id = out.id;
   ks.trace = out.trace;
   if (total >= 1) {
@@ -211,13 +211,13 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
     co_return;
   }
   link->kernel_send_busy = true;
-  const KSend& ks = link->ksend_queue.front();
+  KSend& ks = link->ksend_queue.front();
   const std::uint64_t sent_out_id = ks.out_id;
   const PType sent_ptype = ks.ptype;
   ++packets_sent_;
   ++stats_.packets_sent;
   charlotte::Status st = co_await cluster_->kernel(node_).send(
-      pid_, link->end, ks.payload, ks.enclosure, ks.trace);
+      pid_, link->end, std::move(ks.payload), ks.enclosure, ks.trace);
   if (st == charlotte::Status::kOk) {
     // Fast path (DESIGN.md §12): a single-packet reply is "delivered"
     // from LYNX's point of view the moment the kernel accepts it.  The
@@ -266,7 +266,7 @@ sim::Task<> CharlotteBackend::pump() {
     if (c.direction == charlotte::Direction::kSend) {
       dispatch_send_done(c);
     } else {
-      dispatch_receive(c);
+      dispatch_receive(std::move(c));
     }
     note_drain_progress();
   }
@@ -321,8 +321,8 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
         // reply multi-enclosure, or post-goahead stream: next ENC packet
         KSend enc;
         enc.ptype = PType::kEnc;
-        enc.payload = encode_packet(static_cast<std::uint8_t>(PType::kEnc),
-                                    static_cast<std::uint8_t>(total), {});
+        enc.payload = control_packet(static_cast<std::uint8_t>(PType::kEnc),
+                                     static_cast<std::uint8_t>(total));
         enc.enclosure = out.enclosure_ends[
             static_cast<std::size_t>(out.next_enclosure)];
         enc.out_id = out.id;
@@ -352,7 +352,7 @@ void CharlotteBackend::drain(CLink& link) {
   }
 }
 
-void CharlotteBackend::dispatch_receive(const charlotte::Completion& c) {
+void CharlotteBackend::dispatch_receive(charlotte::Completion c) {
   CLink* link = find_by_end(c.end);
   if (link == nullptr) return;
   if (link_gone(c.status)) {
@@ -365,7 +365,8 @@ void CharlotteBackend::dispatch_receive(const charlotte::Completion& c) {
   RELYNX_ASSERT_MSG(c.data.size() >= 2, "short Charlotte packet");
   const auto ptype = static_cast<PType>(c.data[0]);
   const std::uint8_t enc_total = c.data[1];
-  Bytes body(c.data.begin() + 2, c.data.end());
+  common::Body body = std::move(c.data);
+  body.drop_front(2);
   on_incoming(*link, ptype, enc_total, std::move(body), c.enclosure, c.trace);
   if (CLink* again = find(link->token)) {
     update_receive_posting(*again);
@@ -373,7 +374,7 @@ void CharlotteBackend::dispatch_receive(const charlotte::Completion& c) {
 }
 
 void CharlotteBackend::on_incoming(CLink& link, PType ptype,
-                                   std::uint8_t enc_total, Bytes body,
+                                   std::uint8_t enc_total, common::Body body,
                                    charlotte::EndId enclosure,
                                    std::uint64_t trace) {
   switch (ptype) {
@@ -386,14 +387,14 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
           // We must keep a Receive posted (a reply/goahead is coming),
           // so the kernel cannot delay retransmissions for us: FORBID.
           back.ptype = PType::kForbid;
-          back.payload = encode_packet(
-              static_cast<std::uint8_t>(PType::kForbid), 0, {});
+          back.payload =
+              control_packet(static_cast<std::uint8_t>(PType::kForbid), 0);
           link.forbade_peer = true;
           ++stats_.forbids_sent;
         } else {
           back.ptype = PType::kRetry;
-          back.payload = encode_packet(
-              static_cast<std::uint8_t>(PType::kRetry), 0, {});
+          back.payload =
+              control_packet(static_cast<std::uint8_t>(PType::kRetry), 0);
           ++stats_.retries_sent;
         }
         back.enclosure = enclosure;  // return the moved end
@@ -412,7 +413,7 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
         KSend go;
         go.ptype = PType::kGoahead;
         go.payload =
-            encode_packet(static_cast<std::uint8_t>(PType::kGoahead), 0, {});
+            control_packet(static_cast<std::uint8_t>(PType::kGoahead), 0);
         go.trace = trace;
         ++stats_.goaheads_sent;
         queue_ksend(link, std::move(go));
@@ -464,8 +465,8 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
       if (out.next_enclosure < total) {
         KSend enc;
         enc.ptype = PType::kEnc;
-        enc.payload = encode_packet(static_cast<std::uint8_t>(PType::kEnc),
-                                    static_cast<std::uint8_t>(total), {});
+        enc.payload = control_packet(static_cast<std::uint8_t>(PType::kEnc),
+                                     static_cast<std::uint8_t>(total));
         enc.enclosure = out.enclosure_ends[
             static_cast<std::size_t>(out.next_enclosure)];
         enc.out_id = out.id;
@@ -528,7 +529,7 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
   }
 }
 
-void CharlotteBackend::deliver(CLink& link, MsgKind kind, Bytes body,
+void CharlotteBackend::deliver(CLink& link, MsgKind kind, common::Body body,
                                std::vector<BLink> enclosures,
                                std::uint64_t trace) {
   // Delivering a request ends any pending retry/forbid consideration on
@@ -614,7 +615,7 @@ void CharlotteBackend::maybe_send_allow(CLink& link) {
     KSend allow;
     allow.ptype = PType::kAllow;
     allow.payload =
-        encode_packet(static_cast<std::uint8_t>(PType::kAllow), 0, {});
+        control_packet(static_cast<std::uint8_t>(PType::kAllow), 0);
     ++stats_.allows_sent;
     queue_ksend(link, std::move(allow));
   }

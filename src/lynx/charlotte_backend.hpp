@@ -59,6 +59,9 @@ class CharlotteBackend final : public Backend {
 
   void start(Sink sink) override;
   void shutdown() override;
+  [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
+    return 2;  // [ptype][total enclosures]
+  }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
   [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
       BLink link, WireMessage msg) override;
@@ -116,7 +119,9 @@ class CharlotteBackend final : public Backend {
     std::uint64_t id;
     BLink link;
     MsgKind kind = MsgKind::kRequest;
-    Bytes body;
+    // The first packet, header and body, built once: every
+    // (re)transmission of it shares this buffer.
+    charlotte::Payload packet;
     std::vector<charlotte::EndId> enclosure_ends;
     std::vector<BLink> enclosure_blinks;
     int next_enclosure = 0;      // how many already shipped
@@ -129,7 +134,7 @@ class CharlotteBackend final : public Backend {
   // One kernel Send in flight or queued (Charlotte allows one
   // outstanding send activity per end).
   struct KSend {
-    Bytes payload;
+    charlotte::Payload payload;  // moved into the kernel Send
     charlotte::EndId enclosure = charlotte::EndId::invalid();
     std::uint64_t out_id = 0;    // owning OutMsg, 0 for control packets
     PType ptype = PType::kRequest;
@@ -141,7 +146,7 @@ class CharlotteBackend final : public Backend {
   // Reassembly of an incoming multi-enclosure message.
   struct Assembly {
     MsgKind kind = MsgKind::kRequest;
-    Bytes body;
+    common::Body body;
     std::vector<BLink> enclosures;
     int expected = 0;
     std::uint64_t trace = 0;  // from the first packet of the message
@@ -166,12 +171,12 @@ class CharlotteBackend final : public Backend {
   };
 
   [[nodiscard]] sim::Task<> pump();
-  void dispatch_receive(const charlotte::Completion& c);
+  void dispatch_receive(charlotte::Completion c);
   void dispatch_send_done(const charlotte::Completion& c);
   void on_incoming(CLink& link, PType ptype, std::uint8_t enc_total,
-                   Bytes body, charlotte::EndId enclosure,
+                   common::Body body, charlotte::EndId enclosure,
                    std::uint64_t trace);
-  void deliver(CLink& link, MsgKind kind, Bytes body,
+  void deliver(CLink& link, MsgKind kind, common::Body body,
                std::vector<BLink> enclosures, std::uint64_t trace);
   void start_next_out(CLink& link);
   void queue_ksend(CLink& link, KSend ks);

@@ -1,7 +1,6 @@
 #include "lynx/chrysalis_backend.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "trace/trace.hpp"
 
@@ -57,65 +56,64 @@ constexpr std::size_t kOffSlots = 16;
   return side == 0 ? kOffDqA : kOffDqB;
 }
 
-// buffer content: u32 body_len | body | u8 enc_count | per enc (u64 obj,
-// u8 side) | u64 trace.  The trailing trace word carries the causal
-// identity through the shared-memory link object: Chrysalis has no
-// network frame to stamp, so it rides in the buffer encoding itself.
-Bytes encode_buffer(const Bytes& body,
-                    const std::vector<std::pair<std::uint64_t,
-                                                std::uint8_t>>& encs,
-                    std::uint64_t trace) {
-  Bytes out;
-  out.reserve(4 + body.size() + 1 + encs.size() * 9 + 8);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(body.size() >> (8 * i)));
+// slot content: u32 frame_len | u32 body_len | u8 enc_count | per enc
+// (u64 obj, u8 side) | u64 trace | body.  The header is written into
+// the headroom the runtime left in front of the body (header_bytes), so
+// the one block_write moves the body straight from its serialized
+// buffer; the reader strips the header by offset.  The trace word
+// carries the causal identity through the shared-memory link object:
+// Chrysalis has no network frame to stamp, so it rides in the buffer
+// encoding itself.
+void put_le(std::uint8_t*& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    *out++ = static_cast<std::uint8_t>(v >> (8 * i));
   }
-  out.insert(out.end(), body.begin(), body.end());
-  out.push_back(static_cast<std::uint8_t>(encs.size()));
+}
+
+std::uint64_t get_le(const common::Body& raw, std::size_t& pos, int bytes) {
+  RELYNX_ASSERT(pos + static_cast<std::size_t>(bytes) <= raw.size());
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(raw[pos++]) << (8 * i);
+  }
+  return v;
+}
+
+void encode_header(std::uint8_t* out, std::size_t frame_len,
+                   std::size_t body_len,
+                   const std::vector<std::pair<std::uint64_t,
+                                               std::uint8_t>>& encs,
+                   std::uint64_t trace) {
+  put_le(out, frame_len, 4);
+  put_le(out, body_len, 4);
+  *out++ = static_cast<std::uint8_t>(encs.size());
   for (const auto& [obj, side] : encs) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(obj >> (8 * i)));
-    }
-    out.push_back(side);
+    put_le(out, obj, 8);
+    *out++ = side;
   }
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(trace >> (8 * i)));
-  }
-  return out;
+  put_le(out, trace, 8);
 }
 
 struct DecodedBuffer {
-  Bytes body;
+  common::Body body;
   std::vector<std::pair<std::uint64_t, std::uint8_t>> encs;
   std::uint64_t trace = 0;
 };
 
-DecodedBuffer decode_buffer(const Bytes& raw) {
+// `raw` is the slot after its frame_len word.
+DecodedBuffer decode_buffer(common::Body raw) {
   DecodedBuffer out;
-  RELYNX_ASSERT(raw.size() >= 5);
   std::size_t pos = 0;
-  std::uint32_t body_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    body_len |= static_cast<std::uint32_t>(raw[pos++]) << (8 * i);
-  }
-  RELYNX_ASSERT(pos + body_len + 1 <= raw.size());
-  out.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(pos),
-                  raw.begin() + static_cast<std::ptrdiff_t>(pos + body_len));
-  pos += body_len;
-  const std::uint8_t n = raw[pos++];
+  const std::uint64_t body_len = get_le(raw, pos, 4);
+  const auto n = static_cast<std::uint8_t>(get_le(raw, pos, 1));
   for (std::uint8_t i = 0; i < n; ++i) {
-    RELYNX_ASSERT(pos + 9 <= raw.size());
-    std::uint64_t obj = 0;
-    for (int b = 0; b < 8; ++b) {
-      obj |= static_cast<std::uint64_t>(raw[pos++]) << (8 * b);
-    }
-    out.encs.emplace_back(obj, raw[pos++]);
+    const std::uint64_t obj = get_le(raw, pos, 8);
+    out.encs.emplace_back(obj, static_cast<std::uint8_t>(get_le(raw, pos, 1)));
   }
-  if (pos + 8 <= raw.size()) {
-    for (int b = 0; b < 8; ++b) {
-      out.trace |= static_cast<std::uint64_t>(raw[pos++]) << (8 * b);
-    }
-  }
+  out.trace = get_le(raw, pos, 8);
+  RELYNX_ASSERT(pos + body_len == raw.size());
+  raw.drop_front(pos);
+  out.body = std::move(raw);
   return out;
 }
 
@@ -387,20 +385,20 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
     RELYNX_ASSERT_MSG(er != nullptr, "enclosure token unknown");
     encs.emplace_back(er->obj.value(), er->side);
   }
-  Bytes buf = encode_buffer(msg.body, encs, msg.trace_id);
-  RELYNX_ASSERT_MSG(buf.size() + 4 <= 4 + params_.max_message_bytes,
+  const std::size_t body_len = msg.body.size();
+  const std::size_t frame_len = header_bytes(encs.size()) - 4 + body_len;
+  common::Body framed = std::move(msg.body);
+  encode_header(framed.prepend(header_bytes(encs.size())), frame_len,
+                body_len, encs, msg.trace_id);
+  RELYNX_ASSERT_MSG(framed.size() <= 4 + params_.max_message_bytes,
                     "message exceeds link buffer");
-  // One block transfer covers the length word and the payload — the
-  // flag bit (set below) is what publishes the slot, so the combined
-  // write needs no internal ordering.
-  Bytes framed(4 + buf.size());
-  const auto frame_len = static_cast<std::uint32_t>(buf.size());
-  std::memcpy(framed.data(), &frame_len, 4);
-  std::copy(buf.begin(), buf.end(), framed.begin() + 4);
+  // One block transfer covers the length word, the header and the body
+  // — the flag bit (set below) is what publishes the slot, so the
+  // combined write needs no internal ordering.
   (void)co_await kernel_->block_write(pid_, obj, slot_offset(slot), framed);
   if (auto* rec2 = trace::get(kernel_->engine())) {
     rec2->instant(node_.value(), "backend", "slot.fill", msg.trace_id,
-                  static_cast<std::uint64_t>(slot), buf.size());
+                  static_cast<std::uint64_t>(slot), framed.size() - 4);
   }
   // Set the flag FIRST, then read the peer's dual-queue name: this
   // ordering (against the mover's write-name-then-inspect-flags) is what
@@ -502,7 +500,8 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   if (!raw.ok()) co_return;
   (void)co_await kernel_->fetch_and16(
       pid_, obj, kOffFlags, static_cast<std::uint16_t>(~slot_bit(slot)));
-  DecodedBuffer decoded = decode_buffer(raw.value());
+  const std::size_t raw_size = raw.value().size();
+  DecodedBuffer decoded = decode_buffer(std::move(raw.value()));
   // Ack the producer (DESIGN.md §12):
   //  * enclosure-free replies: the sender resolved early at the flag
   //    write — nobody is parked on the hint, skip the dq round trip;
@@ -551,7 +550,7 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   }
   if (auto* trec = trace::get(kernel_->engine())) {
     trec->instant(node_.value(), "backend", "slot.consume", decoded.trace,
-                  static_cast<std::uint64_t>(slot), raw.value().size());
+                  static_cast<std::uint64_t>(slot), raw_size);
   }
   // Install moved ends: map, write our dual-queue name (non-atomic),
   // THEN inspect flags and self-notice anything already set.

@@ -67,6 +67,11 @@ class ChrysalisBackend final : public Backend {
   }
 
   void start(Sink sink) override;
+  [[nodiscard]] std::size_t header_bytes(
+      std::size_t enclosures) const override {
+    // [frame len][body len][count][per end: object + side][trace]
+    return 4 + 4 + 1 + 9 * enclosures + 8;
+  }
   void shutdown() override;
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
   [[nodiscard]] std::unique_ptr<PendingSend> begin_send(

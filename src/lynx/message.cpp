@@ -1,5 +1,6 @@
 #include "lynx/message.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/assert.hpp"
@@ -42,22 +43,30 @@ Message make_message(std::string op, std::vector<Value> args) {
 
 namespace {
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+// Smallest encoding of one argument: a tag and a 4-byte word.
+constexpr std::size_t kMinArgBytes = 5;
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+struct Writer {
+  std::uint8_t* out;
+
+  void u8(std::uint8_t v) { *out++ = v; }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-}
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void raw(const void* p, std::size_t n) {
+    if (n > 0) std::memcpy(out, p, n);
+    out += n;
+  }
+};
 
 struct Reader {
-  const Bytes& in;
+  std::span<const std::uint8_t> in;
   std::size_t pos = 0;
 
+  [[nodiscard]] std::size_t remaining() const { return in.size() - pos; }
   std::uint8_t u8() {
     RELYNX_ASSERT_MSG(pos < in.size(), "truncated LYNX message");
     return in[pos++];
@@ -74,7 +83,7 @@ struct Reader {
   }
   // The next n bytes, read in place.
   const std::uint8_t* span(std::size_t n) {
-    RELYNX_ASSERT_MSG(pos + n <= in.size(), "truncated LYNX message");
+    RELYNX_ASSERT_MSG(n <= remaining(), "truncated LYNX message");
     const std::uint8_t* p = in.data() + pos;
     pos += n;
     return p;
@@ -106,55 +115,57 @@ std::size_t encoded_size(const Message& m) {
 
 }  // namespace
 
-Serialized serialize(const Message& m) {
+Serialized serialize(const Message& m, std::size_t headroom) {
   Serialized out;
-  out.body.reserve(encoded_size(m));
-  put_u32(out.body, static_cast<std::uint32_t>(m.op.size()));
-  out.body.insert(out.body.end(), m.op.begin(), m.op.end());
-  put_u32(out.body, static_cast<std::uint32_t>(m.args.size()));
+  out.body = common::Body::make(encoded_size(m), headroom);
+  Writer w{out.body.writable()};
+  w.u32(static_cast<std::uint32_t>(m.op.size()));
+  w.raw(m.op.data(), m.op.size());
+  w.u32(static_cast<std::uint32_t>(m.args.size()));
   for (const Value& v : m.args) {
-    out.body.push_back(static_cast<std::uint8_t>(type_of(v)));
+    w.u8(static_cast<std::uint8_t>(type_of(v)));
     switch (type_of(v)) {
       case ValueType::kInt:
-        put_u64(out.body,
-                static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
+        w.u64(static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
         break;
       case ValueType::kReal: {
         std::uint64_t bits;
         const double d = std::get<double>(v);
         std::memcpy(&bits, &d, 8);
-        put_u64(out.body, bits);
+        w.u64(bits);
         break;
       }
       case ValueType::kString: {
         const auto& s = std::get<std::string>(v);
-        put_u32(out.body, static_cast<std::uint32_t>(s.size()));
-        out.body.insert(out.body.end(), s.begin(), s.end());
+        w.u32(static_cast<std::uint32_t>(s.size()));
+        w.raw(s.data(), s.size());
         break;
       }
       case ValueType::kBytes: {
         const auto& b = std::get<Bytes>(v);
-        put_u32(out.body, static_cast<std::uint32_t>(b.size()));
-        out.body.insert(out.body.end(), b.begin(), b.end());
+        w.u32(static_cast<std::uint32_t>(b.size()));
+        w.raw(b.data(), b.size());
         break;
       }
       case ValueType::kLink:
-        put_u32(out.body,
-                static_cast<std::uint32_t>(out.enclosures.size()));
+        w.u32(static_cast<std::uint32_t>(out.enclosures.size()));
         out.enclosures.push_back(std::get<LinkHandle>(v));
         break;
     }
   }
+  RELYNX_ASSERT(w.out == out.body.end());
   return out;
 }
 
-Message deserialize(const Bytes& body,
+Message deserialize(std::span<const std::uint8_t> body,
                     const std::vector<LinkHandle>& enclosures) {
   Reader r{body};
   Message m;
   m.op = r.str(r.u32());
   const std::uint32_t argc = r.u32();
-  m.args.reserve(argc);
+  // The count is unvalidated: reserve no more than the bytes left could
+  // encode.
+  m.args.reserve(std::min<std::size_t>(argc, r.remaining() / kMinArgBytes));
   for (std::uint32_t i = 0; i < argc; ++i) {
     const auto tag = static_cast<ValueType>(r.u8());
     switch (tag) {
@@ -181,6 +192,8 @@ Message deserialize(const Bytes& body,
         m.args.emplace_back(enclosures[idx]);
         break;
       }
+      default:
+        RELYNX_ASSERT_MSG(false, "unknown LYNX value tag");
     }
   }
   return m;

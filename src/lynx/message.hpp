@@ -9,10 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "common/body.hpp"
 #include "common/strong_id.hpp"
 
 namespace lynx {
@@ -59,15 +61,23 @@ struct Message {
 // Wire form: op name, then each arg as [tag][payload].  Link args are
 // encoded as an index into the side-channel enclosure list; the backend
 // substitutes its own representation for each enclosure.
+//
+// serialize writes the body into one buffer, the only one the message
+// gets (DESIGN.md "Message body ownership"); deserialize reads a body in
+// place and copies out only string and byte-block arguments.
 
 struct Serialized {
-  Bytes body;                            // everything but the links
+  common::Body body;                     // everything but the links
   std::vector<LinkHandle> enclosures;    // in arg order
 };
 
-[[nodiscard]] Serialized serialize(const Message& m);
+// `headroom` bytes are left free in front of the body for a backend's
+// packet header (common::Body::prepend).
+[[nodiscard]] Serialized serialize(const Message& m,
+                                   std::size_t headroom = 0);
 // `enclosures` supplies the (receiver-side) handles for link args.
-[[nodiscard]] Message deserialize(const Bytes& body,
+// Asserts on a malformed body: truncated, or with an unknown value tag.
+[[nodiscard]] Message deserialize(std::span<const std::uint8_t> body,
                                   const std::vector<LinkHandle>& enclosures);
 
 }  // namespace lynx

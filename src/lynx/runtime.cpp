@@ -189,7 +189,8 @@ void Process::on_backend_event(BackendEvent ev) {
           Message reject;
           reject.op = "%reject";
           for (LinkHandle h : handles) reject.args.emplace_back(h);
-          Serialized ser = serialize(reject);
+          Serialized ser =
+              serialize(reject, backend_->header_bytes(handles.size()));
           std::vector<BLink> blinks;
           for (LinkHandle h : ser.enclosures) {
             blinks.push_back(links_.at(h).blink);
@@ -381,7 +382,8 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   // gather + type bookkeeping
   trace::SpanScope gather_span(rec, tnode, "runtime", "call.gather",
                                call_trace);
-  Serialized ser = serialize(request);
+  Serialized ser =
+      serialize(request, p.backend_->header_bytes(request.count_links()));
   co_await engine().sleep(
       p.costs_.per_operation +
       p.costs_.per_byte * static_cast<sim::Duration>(ser.body.size()));
@@ -583,7 +585,8 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
   reply_msg.op = incoming.msg.op;  // replies answer the operation called
   trace::SpanScope gather_span(rec, tnode, "runtime", "reply.gather",
                                incoming.trace);
-  Serialized ser = serialize(reply_msg);
+  Serialized ser =
+      serialize(reply_msg, p.backend_->header_bytes(reply_msg.count_links()));
   co_await engine().sleep(
       p.costs_.per_operation +
       p.costs_.per_byte * static_cast<sim::Duration>(ser.body.size()));

@@ -9,33 +9,31 @@ namespace {
 constexpr std::size_t kBigBuffer = 64 * 1024;
 
 // put data layout: [u8 n_enc][per enc: u64 my_name, u64 peer_name,
-// u32 hint_pid][body...]
-soda::Payload encode_put(const Bytes& body,
-                         const std::vector<std::array<std::uint64_t, 3>>&
-                             encs) {
-  soda::Payload out;
-  out.reserve(1 + encs.size() * 20 + body.size());
-  out.push_back(static_cast<std::uint8_t>(encs.size()));
+// u32 hint_pid][body...].  The header is written into the headroom the
+// runtime left in front of the body (header_bytes), and stripped by
+// offset on arrival.
+void encode_put_header(std::uint8_t* out,
+                       const std::vector<std::array<std::uint64_t, 3>>&
+                           encs) {
+  *out++ = static_cast<std::uint8_t>(encs.size());
   for (const auto& e : encs) {
     for (int w = 0; w < 2; ++w) {
       for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(e[static_cast<std::size_t>(w)] >> (8 * i)));
+        *out++ = static_cast<std::uint8_t>(e[static_cast<std::size_t>(w)] >> (8 * i));
       }
     }
     for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(e[2] >> (8 * i)));
+      *out++ = static_cast<std::uint8_t>(e[2] >> (8 * i));
     }
   }
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
 }
 
 struct DecodedPut {
-  Bytes body;
+  common::Body body;
   std::vector<std::array<std::uint64_t, 3>> encs;
 };
 
-DecodedPut decode_put(const soda::Payload& raw) {
+DecodedPut decode_put(soda::Payload raw) {
   DecodedPut out;
   RELYNX_ASSERT(!raw.empty());
   std::size_t pos = 0;
@@ -54,15 +52,16 @@ DecodedPut decode_put(const soda::Payload& raw) {
     }
     out.encs.push_back(e);
   }
-  out.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(pos), raw.end());
+  raw.drop_front(pos);
+  out.body = std::move(raw);
   return out;
 }
 
 soda::Payload encode_name(soda::Name name) {
-  soda::Payload out(8);
+  soda::Payload out = soda::Payload::make(8);
+  std::uint8_t* p = out.writable();
   for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(name.value() >> (8 * i));
+    p[i] = static_cast<std::uint8_t>(name.value() >> (8 * i));
   }
   return out;
 }
@@ -211,7 +210,8 @@ std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
                     rec->peer_hint.value()});
     out.enclosure_tokens.push_back(e);
   }
-  out.data = encode_put(msg.body, encs);
+  out.data = std::move(msg.body);
+  encode_put_header(out.data.prepend(header_bytes(encs.size())), encs);
   outs_.emplace(id, std::move(out));
   network_->engine().spawn("soda-send", issue_send(id));
   return ps;
@@ -730,7 +730,7 @@ sim::Task<> SodaBackend::accept_parked_request(BLink token, soda::ReqId req,
       {}, kBigBuffer);
   SLink* link = find(token);
   if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, MsgKind::kRequest, taken.value(), trace);
+  co_await deliver(*link, MsgKind::kRequest, std::move(taken.value()), trace);
 }
 
 sim::Task<> SodaBackend::accept_reply(BLink token, soda::ReqId req,
@@ -740,13 +740,12 @@ sim::Task<> SodaBackend::accept_reply(BLink token, soda::ReqId req,
       {}, kBigBuffer);
   SLink* link = find(token);
   if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, MsgKind::kReply, taken.value(), trace);
+  co_await deliver(*link, MsgKind::kReply, std::move(taken.value()), trace);
 }
 
 sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
-                                 const soda::Payload& raw,
-                                 std::uint64_t trace) {
-  DecodedPut decoded = decode_put(raw);
+                                 soda::Payload raw, std::uint64_t trace) {
+  DecodedPut decoded = decode_put(std::move(raw));
   std::vector<BLink> enclosures;
   soda::Kernel& k = network_->kernel_of(pid_);
   for (const auto& e : decoded.encs) {

@@ -73,6 +73,10 @@ class SodaBackend final : public Backend {
 
   void start(Sink sink) override;
   void shutdown() override;
+  [[nodiscard]] std::size_t header_bytes(
+      std::size_t enclosures) const override {
+    return 1 + 20 * enclosures;  // [count][per end: names + hint]
+  }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
   [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
       BLink link, WireMessage msg) override;
@@ -157,7 +161,7 @@ class SodaBackend final : public Backend {
     std::uint64_t id = 0;
     BLink link;
     MsgKind kind = MsgKind::kRequest;
-    soda::Payload data;
+    soda::Payload data;            // the put, shared with each (re)issue
     soda::ReqId req;               // current kernel request
     soda::Pid target;              // pid the request went to
     std::vector<BLink> enclosure_tokens;
@@ -203,8 +207,7 @@ class SodaBackend final : public Backend {
                                          std::vector<BLink> moved,
                                          soda::Pid new_owner);
   [[nodiscard]] sim::Task<> deliver(SLink& link, MsgKind kind,
-                                    const soda::Payload& raw,
-                                    std::uint64_t trace);
+                                    soda::Payload raw, std::uint64_t trace);
   [[nodiscard]] sim::Task<> perform_destroy(BLink token);
   [[nodiscard]] sim::Task<> perform_shutdown();
   [[nodiscard]] sim::Task<> post_signal(BLink token);

@@ -64,10 +64,12 @@ void CsmaBus::deliver(Frame frame, bool is_broadcast) {
     }
     auto it = handlers_.find(frame.dst);
     RELYNX_ASSERT(it != handlers_.end());
-    // Unicast: the frame moves end-to-end (its std::any body is never
-    // cloned); only broadcast fan-out below copies.
+    // Unicast: the frame moves end-to-end, into the handler; only
+    // broadcast fan-out below copies it (sharing any message body).
     engine_->schedule(params_.propagation,
-                      [h = &it->second, f = std::move(frame)] { (*h)(f); });
+                      [h = &it->second, f = std::move(frame)]() mutable {
+                        (*h)(std::move(f));
+                      });
     return;
   }
   for (auto& [node, handler] : handlers_) {
@@ -77,8 +79,9 @@ void CsmaBus::deliver(Frame frame, bool is_broadcast) {
       record_drop(frame, node);
       continue;
     }
-    engine_->schedule(params_.propagation,
-                      [h = &handler, f = frame] { (*h)(f); });
+    engine_->schedule(params_.propagation, [h = &handler, f = frame]() mutable {
+      (*h)(std::move(f));
+    });
   }
 }
 

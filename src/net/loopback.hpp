@@ -26,8 +26,10 @@ class Loopback final : public Medium {
     bytes_ += frame.payload_bytes;
     auto it = handlers_.find(frame.dst);
     RELYNX_ASSERT_MSG(it != handlers_.end(), "send to unattached node");
-    engine_->schedule(latency_, [handler = &it->second,
-                                 f = std::move(frame)] { (*handler)(f); });
+    engine_->schedule(latency_,
+                      [handler = &it->second, f = std::move(frame)]() mutable {
+                        (*handler)(std::move(f));
+                      });
   }
 
   void broadcast(Frame frame) override {
@@ -36,8 +38,9 @@ class Loopback final : public Medium {
     bytes_ += frame.payload_bytes;
     for (auto& [node, handler] : handlers_) {
       if (node == frame.src) continue;
-      engine_->schedule(latency_,
-                        [h = &handler, f = frame] { (*h)(f); });
+      engine_->schedule(latency_, [h = &handler, f = frame]() mutable {
+        (*h)(std::move(f));
+      });
     }
   }
 

@@ -46,10 +46,19 @@ struct Frame {
     RELYNX_ASSERT_MSG(p != nullptr, "frame body has unexpected type");
     return *p;
   }
+  // Moves the body out; for the frame's owner, once it is done with it.
+  template <typename T>
+  [[nodiscard]] T take() {
+    T* p = std::any_cast<T>(&body);
+    RELYNX_ASSERT_MSG(p != nullptr, "frame body has unexpected type");
+    return std::move(*p);
+  }
 };
 
 // Delivery callback, invoked in simulated time at the receiving node.
-using FrameHandler = std::function<void(const Frame&)>;
+// The handler owns the frame it is given: unicast media move a frame
+// from send() to its handler, so the kernel can move the body on.
+using FrameHandler = std::function<void(Frame)>;
 
 class Medium {
  public:

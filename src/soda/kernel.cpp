@@ -77,8 +77,8 @@ Kernel::Kernel(Network& network, net::NodeId node)
       packer_(network.engine(), network.medium(), node,
               form::Params{network.costs().form_delay,
                            network.costs().form_max_bytes}) {
-  network_->medium().attach(node_,
-                            [this](const net::Frame& f) { on_frame(f); });
+  network_->medium().attach(
+      node_, [this](net::Frame f) { on_frame(std::move(f)); });
 }
 
 void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
@@ -284,12 +284,12 @@ void Kernel::handle(const TransportAck& f, net::NodeId from) {
   apply_cumulative_ack(from, f.watermark);
 }
 
-void Kernel::on_frame(const net::Frame& frame) {
+void Kernel::on_frame(net::Frame frame) {
   if (std::any_cast<form::Batch>(&frame.body) != nullptr) {
-    on_batch(frame);
+    on_batch(std::move(frame));
     return;
   }
-  const auto& wf = frame.as<WireFrame>();
+  WireFrame wf = frame.take<WireFrame>();
   sim::Duration cost = network_->costs().frame_processing;
   if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
     cost += network_->costs().per_byte_copy *
@@ -302,9 +302,10 @@ void Kernel::on_frame(const net::Frame& frame) {
     rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
                  frame.payload_bytes);
   }
-  network_->engine().schedule(cost, [this, wf, src = frame.src] {
-    std::visit([this, src](const auto& m) { handle(m, src); }, wf);
-  });
+  network_->engine().schedule(
+      cost, [this, wf = std::move(wf), src = frame.src]() mutable {
+        std::visit([this, src](auto& m) { handle(std::move(m), src); }, wf);
+      });
 }
 
 // A form::Batch arrived: one frame absorption for the whole batch, then
@@ -312,8 +313,8 @@ void Kernel::on_frame(const net::Frame& frame) {
 // enclosures dispatch in one scheduled event, in submission order, so
 // per-link FIFO is preserved exactly as if they had been separate
 // frames (src/form/, DESIGN.md §14).
-void Kernel::on_batch(const net::Frame& frame) {
-  const auto& batch = frame.as<form::Batch>();
+void Kernel::on_batch(net::Frame frame) {
+  form::Batch batch = frame.take<form::Batch>();
   const Costs& costs = network_->costs();
   sim::Duration cost = costs.frame_processing;
   for (const net::Frame& sub : batch.frames) {
@@ -335,13 +336,13 @@ void Kernel::on_batch(const net::Frame& frame) {
   }
   std::vector<WireFrame> enclosed;
   enclosed.reserve(batch.frames.size());
-  for (const net::Frame& sub : batch.frames) {
-    enclosed.push_back(sub.as<WireFrame>());
+  for (net::Frame& sub : batch.frames) {
+    enclosed.push_back(sub.take<WireFrame>());
   }
   network_->engine().schedule(
-      cost, [this, enclosed = std::move(enclosed), src = frame.src] {
-        for (const WireFrame& wf : enclosed) {
-          std::visit([this, src](const auto& m) { handle(m, src); }, wf);
+      cost, [this, enclosed = std::move(enclosed), src = frame.src]() mutable {
+        for (WireFrame& wf : enclosed) {
+          std::visit([this, src](auto& m) { handle(std::move(m), src); }, wf);
         }
       });
 }
@@ -389,10 +390,10 @@ void Kernel::terminate_process(Pid pid) {
 void Kernel::raise(Pid pid, Interrupt intr) {
   network_->engine().schedule(
       network_->costs().interrupt_delivery,
-      [this, pid, intr = std::move(intr)] {
+      [this, pid, intr = std::move(intr)]() mutable {
         auto it = interrupts_.find(pid);
         if (it == interrupts_.end()) return;  // died meanwhile
-        it->second->put(intr);
+        it->second->put(std::move(intr));
       });
 }
 
@@ -465,11 +466,12 @@ void Kernel::send_request_frags(const Outstanding& out,
     if (skip != nullptr && i < skip->size() && (*skip)[i]) continue;
     const std::size_t lo = static_cast<std::size_t>(i) * mtu;
     const std::size_t hi = std::min(len, lo + mtu);
+    // Each fragment shares the request's buffer; a retransmission
+    // shares it again.
     ReqFrag frag{out.id,  out.from,       out.target,
                  out.name, out.oob,       out.data.size(),
                  out.recv_limit, i,       frag_count,
-                 Payload(out.data.begin() + static_cast<std::ptrdiff_t>(lo),
-                         out.data.begin() + static_cast<std::ptrdiff_t>(hi)),
+                 out.data.slice(lo, hi - lo),
                  out.trace};
     if (tseqs != nullptr && i < tseqs->size()) frag.tseq = (*tseqs)[i];
     transmit(out.target_node, std::move(frag), 24 + (hi - lo), out.trace);
@@ -487,10 +489,7 @@ void Kernel::send_accept_frags(const PendingAccept& pa,
     const std::size_t lo = static_cast<std::size_t>(i) * mtu;
     const std::size_t hi = std::min(give, lo + mtu);
     AcceptFrag frag{pa.req, pa.oob, pa.delivered, pa.reply_total, i,
-                    frag_count,
-                    Payload(pa.reply.begin() + static_cast<std::ptrdiff_t>(lo),
-                            pa.reply.begin() + static_cast<std::ptrdiff_t>(hi)),
-                    pa.trace};
+                    frag_count, pa.reply.slice(lo, hi - lo), pa.trace};
     if (i < pa.tseq.size()) frag.tseq = pa.tseq[i];
     transmit(pa.dst, std::move(frag), 24 + (hi - lo), pa.trace);
   }
@@ -708,11 +707,13 @@ sim::Task<Result<Payload>> Kernel::accept(Pid caller, ReqId request, Oob oob,
   // handle(ReqFrag) and be parked — and serviced — a second time.
   note_done(request);
 
+  // Both limits narrow a window; neither copies.  A retransmitted
+  // ReqFrag still carries the requester's whole buffer.
   const std::size_t take = std::min(parked.data.size(), recv_limit);
-  Payload taken(parked.data.begin(),
-                parked.data.begin() + static_cast<std::ptrdiff_t>(take));
+  Payload taken = std::move(parked.data);
+  taken.truncate(take);
   const std::size_t give = std::min(reply_data.size(), parked.recv_limit);
-  reply_data.resize(give);
+  reply_data.truncate(give);
 
   const std::size_t mtu = costs.mtu_bytes;
   const auto frag_count = static_cast<std::uint32_t>(
@@ -754,7 +755,7 @@ sim::Task<Result<Payload>> Kernel::accept(Pid caller, ReqId request, Oob oob,
 
 // ===================== frame handlers =====================
 
-void Kernel::handle(const ReqFrag& f, net::NodeId from) {
+void Kernel::handle(ReqFrag f, net::NodeId from) {
   // A piggybacked cumulative ack applies no matter what becomes of the
   // fragment itself.
   if (f.has_ack) apply_cumulative_ack(from, f.ack_seq);
@@ -790,7 +791,7 @@ void Kernel::handle(const ReqFrag& f, net::NodeId from) {
   // behind so retransmission re-elicits the verdict.
   if (f.frag_count > 1) {
     Reassembly& r = req_reassembly_[f.req];
-    if (r.data.empty()) r.data.resize(f.send_total);
+    if (r.data.empty()) r.data = Payload(f.send_total, 0);
     if (r.have.empty()) r.have.resize(f.frag_count, false);
     if (f.frag_index >= r.have.size()) return;
     if (r.have[f.frag_index]) {
@@ -800,8 +801,8 @@ void Kernel::handle(const ReqFrag& f, net::NodeId from) {
     r.have[f.frag_index] = true;
     const std::size_t lo = static_cast<std::size_t>(f.frag_index) *
                            network_->costs().mtu_bytes;
-    std::copy(f.data.begin(), f.data.end(),
-              r.data.begin() + static_cast<std::ptrdiff_t>(lo));
+    RELYNX_ASSERT(lo + f.data.size() <= r.data.size());
+    std::copy(f.data.begin(), f.data.end(), r.data.writable() + lo);
     if (++r.seen < f.frag_count) {
       ack_req_frag(from, f);
       return;
@@ -841,7 +842,7 @@ void Kernel::handle(const ReqFrag& f, net::NodeId from) {
     data = std::move(req_reassembly_[f.req].data);
     req_reassembly_.erase(f.req);
   } else {
-    data = f.data;
+    data = std::move(f.data);
   }
   park_and_interrupt(ParkedRequest{f.req, f.from, from, f.target, f.name,
                                    f.oob, std::move(data), f.send_total,
@@ -879,7 +880,7 @@ void Kernel::handle(const ReqNack& f, net::NodeId /*from*/) {
   }
 }
 
-void Kernel::handle(const AcceptFrag& f, net::NodeId from) {
+void Kernel::handle(AcceptFrag f, net::NodeId from) {
   if (f.has_ack) apply_cumulative_ack(from, f.ack_seq);
   // Ack even when the request is already resolved here: the accepter
   // may be retransmitting because *its* acks were lost.  AcceptFrags
@@ -900,23 +901,23 @@ void Kernel::handle(const AcceptFrag& f, net::NodeId from) {
   Payload data;
   if (f.frag_count > 1) {
     Reassembly& r = accept_reassembly_[f.req];
-    if (r.data.empty()) r.data.resize(f.reply_total);
+    if (r.data.empty()) r.data = Payload(f.reply_total, 0);
     if (r.have.empty()) r.have.resize(f.frag_count, false);
     if (f.frag_index >= r.have.size() || r.have[f.frag_index]) return;
     r.have[f.frag_index] = true;
     const std::size_t lo = static_cast<std::size_t>(f.frag_index) *
                            network_->costs().mtu_bytes;
-    std::copy(f.data.begin(), f.data.end(),
-              r.data.begin() + static_cast<std::ptrdiff_t>(lo));
+    RELYNX_ASSERT(lo + f.data.size() <= r.data.size());
+    std::copy(f.data.begin(), f.data.end(), r.data.writable() + lo);
     if (++r.seen < f.frag_count) return;
     data = std::move(r.data);
     accept_reassembly_.erase(f.req);
   } else {
-    data = f.data;
+    data = std::move(f.data);
   }
 
   Outstanding& out = it->second;
-  if (data.size() > out.recv_limit) data.resize(out.recv_limit);
+  data.truncate(out.recv_limit);
   CompletionInterrupt intr{f.req, f.oob, std::move(data), f.delivered,
                            f.trace};
   const Pid from_pid = out.from;

@@ -129,7 +129,7 @@ class Kernel {
   struct Reassembly {
     std::uint32_t expected = 0;
     std::uint32_t seen = 0;
-    Payload data;
+    Payload data;  // unshared until the last fragment lands
     // Which fragment indices arrived; lets duplicated fragments (ack
     // lost, retransmission raced the original) be counted once.
     std::vector<bool> have;
@@ -266,11 +266,11 @@ class Kernel {
   [[nodiscard]] static std::uint64_t frame_code(const WireFrame& frame);
 
  private:
-  void on_frame(const net::Frame& frame);
-  void on_batch(const net::Frame& frame);
-  void handle(const ReqFrag& f, net::NodeId from);
+  void on_frame(net::Frame frame);
+  void on_batch(net::Frame frame);
+  void handle(ReqFrag f, net::NodeId from);
   void handle(const ReqNack& f, net::NodeId from);
-  void handle(const AcceptFrag& f, net::NodeId from);
+  void handle(AcceptFrag f, net::NodeId from);
   void handle(const CrashNote& f, net::NodeId from);
   void handle(const DiscoverQuery& f, net::NodeId from);
   void handle(const DiscoverReply& f, net::NodeId from);

@@ -14,8 +14,8 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
+#include "common/body.hpp"
 #include "common/strong_id.hpp"
 #include "host/process.hpp"
 #include "sim/time.hpp"
@@ -35,7 +35,9 @@ struct ReqTag {
 };
 using ReqId = common::StrongId<ReqTag>;
 
-using Payload = std::vector<std::uint8_t>;
+// Request and accept data.  Fragments, retransmissions and the parked
+// request share one Payload buffer instead of copying it.
+using Payload = common::Body;
 
 // "a small amount of out-of-band information": two 32-bit words.  The
 // paper (§4.2.1) worries that ~48 bits are needed for LYNX's

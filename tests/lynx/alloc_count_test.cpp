@@ -2,12 +2,16 @@
 //
 // This executable replaces the global operator new with a counting one
 // (which is why it is its own binary) and drives a fixed echo run: one
-// client calling one server over a bootstrap link, 64-byte bodies, the
-// calibrated default costs.  Simulated results do not depend on how many
-// allocations the host makes, so nothing else would notice a runtime or
-// backend change that starts copying message bodies again or a table
-// that goes back to allocating a node per entry.  The ceilings sit a
-// little above the current counts; lower them when a change cuts more.
+// client calling one server over a bootstrap link, the calibrated
+// default costs.  The 64-byte echo is the fixed per-message cost; the
+// 1.8 KB echo is the bulk regime, where SODA fragments the body; the
+// formation runs send through the RPC-formation packer.  Simulated
+// results do not depend on how many allocations the host makes, so
+// nothing else would notice a runtime, backend or kernel change that
+// starts copying message bodies again (each copy of a body is one more
+// allocation) or a table that goes back to allocating a node per entry.
+// The ceilings sit a little above the current counts; lower them when a
+// change cuts more.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -60,8 +64,8 @@ Message echo_request(const Bytes& body) {
 }
 
 sim::Task<> echo_client(ThreadCtx& ctx, LinkHandle link,
-                        std::uint64_t* allocations) {
-  const Bytes body(64, 0x5a);
+                        std::size_t body_bytes, std::uint64_t* allocations) {
+  const Bytes body(body_bytes, 0x5a);
   for (int i = 0; i < kWarmup; ++i) {
     (void)co_await ctx.call(link, echo_request(body));
   }
@@ -73,47 +77,78 @@ sim::Task<> echo_client(ThreadCtx& ctx, LinkHandle link,
 }
 
 sim::Task<> wire(Universe* u, lynx::Process* client, lynx::Process* server,
-                 std::uint64_t* allocations) {
+                 std::size_t body_bytes, std::uint64_t* allocations) {
   auto [ce, se] = co_await u->connect(*client, *server);
   server->spawn_thread("echo", [se](ThreadCtx& ctx) {
     return echo_server(ctx, se);
   });
-  client->spawn_thread("client", [ce, allocations](ThreadCtx& ctx) {
-    return echo_client(ctx, ce, allocations);
+  client->spawn_thread("client", [ce, body_bytes, allocations](ThreadCtx& ctx) {
+    return echo_client(ctx, ce, body_bytes, allocations);
   });
 }
 
-double allocations_per_rpc(Substrate s) {
+struct Echo {
+  Substrate substrate;
+  std::size_t body_bytes = 64;
+  bool formation = false;
+};
+
+double allocations_per_rpc(const Echo& echo) {
   sim::Engine engine;
   UniverseSpec spec;
-  spec.substrate = s;
+  spec.substrate = echo.substrate;
+  if (echo.formation) spec.with_formation(sim::msec(5), 1024);
   Universe u(engine, spec);
   lynx::Process& client = u.spawn("client", 0);
   lynx::Process& server = u.spawn("server", 1);
   std::uint64_t allocations = 0;
-  engine.spawn("wire", wire(&u, &client, &server, &allocations));
+  engine.spawn("wire", wire(&u, &client, &server, echo.body_bytes,
+                            &allocations));
   engine.run();
   EXPECT_EQ(client.operations_completed(),
             static_cast<std::uint64_t>(kWarmup + kMeasured));
   return static_cast<double>(allocations) / kMeasured;
 }
 
+double recorded(const Echo& echo) {
+  const double per_rpc = allocations_per_rpc(echo);
+  ::testing::Test::RecordProperty("allocations_per_rpc",
+                                  std::to_string(per_rpc));
+  return per_rpc;
+}
+
+constexpr std::size_t kBulk = 1800;
+
 TEST(AllocCount, CharlotteEchoStaysUnderCeiling) {
-  const double per_rpc = allocations_per_rpc(Substrate::kCharlotte);
-  RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
-  EXPECT_LE(per_rpc, 48.0);  // 43.3 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte}), 26.0);  // 23.3 measured
 }
 
 TEST(AllocCount, SodaEchoStaysUnderCeiling) {
-  const double per_rpc = allocations_per_rpc(Substrate::kSoda);
-  RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
-  EXPECT_LE(per_rpc, 54.0);  // 49.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda}), 36.0);  // 33.1 measured
 }
 
 TEST(AllocCount, ChrysalisEchoStaysUnderCeiling) {
-  const double per_rpc = allocations_per_rpc(Substrate::kChrysalis);
-  RecordProperty("allocations_per_rpc", std::to_string(per_rpc));
-  EXPECT_LE(per_rpc, 27.0);  // 24.0 measured
+  EXPECT_LE(recorded({Substrate::kChrysalis}), 20.0);  // 18.0 measured
+}
+
+TEST(AllocCount, CharlotteBulkEchoStaysUnderCeiling) {
+  EXPECT_LE(recorded({Substrate::kCharlotte, kBulk}), 26.0);  // 23.3 measured
+}
+
+TEST(AllocCount, SodaBulkEchoStaysUnderCeiling) {
+  EXPECT_LE(recorded({Substrate::kSoda, kBulk}), 58.0);  // 53.1 measured
+}
+
+TEST(AllocCount, ChrysalisBulkEchoStaysUnderCeiling) {
+  EXPECT_LE(recorded({Substrate::kChrysalis, kBulk}), 20.0);  // 18.0 measured
+}
+
+TEST(AllocCount, CharlotteFormationEchoStaysUnderCeiling) {
+  EXPECT_LE(recorded({Substrate::kCharlotte, 64, true}), 30.0);  // 27.3 measured
+}
+
+TEST(AllocCount, SodaFormationEchoStaysUnderCeiling) {
+  EXPECT_LE(recorded({Substrate::kSoda, 64, true}), 45.0);  // 41.1 measured
 }
 
 }  // namespace

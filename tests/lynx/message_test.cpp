@@ -66,5 +66,41 @@ TEST(MessageTest, PayloadSizeScalesWithContent) {
             990u);
 }
 
+TEST(MessageTest, HeadroomIsLeftFreeInFrontOfTheBody) {
+  Message m = make_message("op", {std::int64_t(7), Bytes(32, 0x11)});
+  Serialized plain = serialize(m);
+  Serialized roomy = serialize(m, 21);
+  EXPECT_EQ(roomy.body, plain.body);
+  std::uint8_t* header = roomy.body.prepend(21);
+  header[0] = 0xee;
+  EXPECT_EQ(roomy.body.size(), plain.body.size() + 21);
+  roomy.body.drop_front(21);
+  EXPECT_EQ(roomy.body, plain.body);
+  Message back = deserialize(roomy.body, {});
+  EXPECT_EQ(std::get<std::int64_t>(back.args[0]), 7);
+  EXPECT_EQ(std::get<Bytes>(back.args[1]), Bytes(32, 0x11));
+}
+
+// A body with argument count `argc` and then the bytes `rest`.
+Bytes body_with(std::uint32_t argc, Bytes rest) {
+  Bytes b = {2, 0, 0, 0, 'o', 'p'};
+  for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(argc >> (8 * i)));
+  b.insert(b.end(), rest.begin(), rest.end());
+  return b;
+}
+
+TEST(MessageDeathTest, UnknownValueTagAsserts) {
+  // One int argument, then an argument tagged 9: there is no such type.
+  Bytes body = body_with(2, {0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0});
+  EXPECT_DEATH((void)deserialize(body, {}), "unknown LYNX value tag");
+}
+
+TEST(MessageDeathTest, HugeArgumentCountAssertsInsteadOfAllocating) {
+  // The count claims four billion arguments; the body holds none.  The
+  // decoder must report truncation, not try to reserve room for them.
+  Bytes body = body_with(0xffffffffu, {});
+  EXPECT_DEATH((void)deserialize(body, {}), "truncated LYNX message");
+}
+
 }  // namespace
 }  // namespace lynx
