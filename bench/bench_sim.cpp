@@ -40,6 +40,7 @@
 
 #include "harness.hpp"
 #include "load/load.hpp"
+#include "sim/random.hpp"
 
 namespace {
 
@@ -57,22 +58,25 @@ struct Metric {
   std::string name;
   std::uint64_t events = 0;
   double wall_s = 0.0;
+  // Work done, for the full-stack fan-ins (0 elsewhere): the RPCs the
+  // run completed in its measure window, as perfbench counts them.  An
+  // events/s rate alone cannot tell fewer, cheaper events from a slower
+  // simulator; host ns per RPC can.
+  std::int64_t rpcs = 0;
   [[nodiscard]] double events_per_sec() const {
     return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
+  }
+  [[nodiscard]] double host_ns_per_rpc() const {
+    return rpcs > 0 ? wall_s * 1e9 / static_cast<double>(rpcs) : 0.0;
   }
 };
 
 // ---- storm: raw engine event throughput ------------------------------------
 
-// splitmix64, the engine's own mixing function: the storm's delays are a
-// pure function of (seed, event index), so the workload is identical
-// run over run and engine over engine.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// The storm's delays are mixed by sim::splitmix64, the engine's own
+// mixing function: a pure function of (seed, event index), so the
+// workload is identical run over run and engine over engine.
+using sim::splitmix64;
 
 // `chains` self-rescheduling event chains, each firing `hops` times.
 // Delays are 0..127 us, so chains collide on the same instant constantly
@@ -89,7 +93,7 @@ Metric run_storm(std::uint64_t seed, int chains, int hops) {
     std::uint64_t state;
     void fire() {
       if (--*remaining <= 0) return;
-      state = mix(state);
+      state = splitmix64(state);
       const sim::Duration d =
           (state & 7) == 0 ? 0 : sim::usec(static_cast<std::int64_t>(state & 127));
       e->schedule(d, [c = *this]() mutable { c.fire(); });
@@ -119,7 +123,7 @@ Metric run_cancel_storm(std::uint64_t seed, int chains, int hops) {
     void fire() {
       armed.cancel();
       if (--*remaining <= 0) return;
-      state = mix(state);
+      state = splitmix64(state);
       armed = e->schedule_cancellable(sim::msec(50), [] {});
       e->schedule(sim::usec(static_cast<std::int64_t>(state & 63) + 1),
                   [c = *this]() mutable { c.fire(); });
@@ -152,7 +156,7 @@ Metric run_fanin_storm(std::uint64_t seed, int sources, int rounds) {
     std::uint64_t state;
     void fire() {
       if (--*remaining <= 0) return;
-      state = mix(state);
+      state = splitmix64(state);
       struct Payload {
         std::uint64_t words[3];
       } p{{state, state ^ 0xa5a5a5a5a5a5a5a5ULL, ~state}};
@@ -168,7 +172,8 @@ Metric run_fanin_storm(std::uint64_t seed, int sources, int rounds) {
   };
   for (int i = 0; i < sources; ++i) {
     Source s{&e, &remaining, &sink,
-             mix(seed ^ (0x517cc1b727220a95ULL * static_cast<std::uint64_t>(i + 1)))};
+             splitmix64(seed ^ (0x517cc1b727220a95ULL *
+                                static_cast<std::uint64_t>(i + 1)))};
     e.schedule(sim::usec(i & 1023), [s]() mutable { s.fire(); });
   }
   e.run();
@@ -221,7 +226,8 @@ Metric run_fanin(load::Substrate sub, bool smoke) {
   load::Runner runner(sub, fanin_scenario(smoke, fanin_rate_for(sub)));
   const load::Report r = runner.run();
   Metric m{std::string("fanin-") + to_string(sub),
-           runner.engine().events_fired(), wall_seconds_since(t0)};
+           runner.engine().events_fired(), wall_seconds_since(t0),
+           r.completed};
   RELYNX_ASSERT_MSG(r.errors == 0, "fan-in run must be clean");
   RELYNX_ASSERT_MSG(r.samples > 0, "fan-in run must complete requests");
   return m;
@@ -230,16 +236,24 @@ Metric run_fanin(load::Substrate sub, bool smoke) {
 // ---- reporting and the baseline gate ---------------------------------------
 
 void report(const Metric& m) {
-  std::printf("%-16s %14llu events %10.3f s %16.0f events/s\n",
+  std::printf("%-16s %14llu events %10.3f s %16.0f events/s",
               m.name.c_str(), static_cast<unsigned long long>(m.events),
               m.wall_s, m.events_per_sec());
-  json()
-      .field("kind", "sim_speed")
+  if (m.rpcs > 0) {
+    std::printf(" %9lld rpcs %9.0f host ns/rpc", static_cast<long long>(m.rpcs),
+                m.host_ns_per_rpc());
+  }
+  std::printf("\n");
+  auto line = json();
+  line.field("kind", "sim_speed")
       .field("metric", m.name)
       .field("events", static_cast<std::int64_t>(m.events))
       .field("wall_s", m.wall_s)
-      .field("events_per_sec", m.events_per_sec())
-      .emit();
+      .field("events_per_sec", m.events_per_sec());
+  if (m.rpcs > 0) {
+    line.field("rpcs", m.rpcs).field("host_ns_per_rpc", m.host_ns_per_rpc());
+  }
+  line.emit();
 }
 
 // Flat-JSON field read, the same idiom as bench_capacity's gate.

@@ -145,6 +145,7 @@ class ChrysalisPendingSend final : public PendingSend {
   }
 
   [[nodiscard]] bool settled() const { return settled_; }
+  [[nodiscard]] bool cancel_requested() const { return cancel_requested_; }
   [[nodiscard]] MsgKind kind() const { return kind_; }
 
   std::vector<BLink> enclosures;  // backend tokens riding this send
@@ -399,6 +400,13 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
   if (auto* rec2 = trace::get(kernel_->engine())) {
     rec2->instant(node_.value(), "backend", "slot.fill", msg.trace_id,
                   static_cast<std::uint64_t>(slot), framed.size() - 4);
+  }
+  // A cancel that arrived before the slot is published wins outright:
+  // perform_cancel's flag clear may land before our flag set, when it
+  // cannot tell an unpublished slot from a consumed one.
+  if (ps->cancel_requested()) {
+    ps->settle(SendOutcome{SendResult::kCancelled, {}});
+    co_return;
   }
   // Set the flag FIRST, then read the peer's dual-queue name: this
   // ordering (against the mover's write-name-then-inspect-flags) is what

@@ -403,6 +403,8 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
     }
     ~ClaimGuard() { release(); }
   } claim{&p, link};
+  // An abort that landed during the gather sleep: nothing was sent yet.
+  check_abort();
 
   Process::LinkState& ls = p.require_link(link);
   std::vector<BLink> blinks =

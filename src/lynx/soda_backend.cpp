@@ -218,44 +218,54 @@ std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
 }
 
 sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
-  // Frozen processes cease execution of everything but searches (§4.2).
-  while (freeze_count_ > 0) {
-    co_await network_->engine().sleep(sim::msec(1));
-  }
-  auto it = outs_.find(out_id);
-  if (it == outs_.end()) co_return;
-  OutSend& out = it->second;
-  SLink* link = find(out.link);
-  if (link == nullptr || link->destroyed) {
-    resolve_out(out_id, SendOutcome{SendResult::kLinkDestroyed, {}});
-    co_return;
-  }
-  const soda::Oob oob{
-      static_cast<std::uint32_t>(out.kind == MsgKind::kRequest
-                                     ? Oop::kRequestMsg
-                                     : Oop::kReplyMsg),
-      0};
-  out.target = link->peer_hint;
-  ++requests_issued_;
-  ++stats_.requests_issued;
-  auto req = co_await network_->kernel_of(pid_).request(
-      pid_, link->peer_hint, link->peer_name, oob, out.data, 0, out.trace);
-  auto it2 = outs_.find(out_id);
-  if (it2 == outs_.end()) co_return;
-  if (!req.ok()) {
-    if (req.error() == soda::Status::kTooManyRequests) {
-      // the §4.2.1 outstanding-requests limit: back off and retry
-      network_->engine().schedule(sim::msec(10), [this, out_id] {
-        network_->engine().spawn("soda-resend", issue_send(out_id));
-      });
+  soda::ReqId placed_req;
+  for (;;) {
+    // Frozen processes cease execution of everything but searches (§4.2).
+    while (freeze_count_ > 0) {
+      co_await network_->engine().sleep(sim::msec(1));
+    }
+    auto it = outs_.find(out_id);
+    if (it == outs_.end()) co_return;
+    OutSend& out = it->second;
+    SLink* link = find(out.link);
+    if (link == nullptr || link->destroyed) {
+      resolve_out(out_id, SendOutcome{SendResult::kLinkDestroyed, {}});
       co_return;
     }
-    // kNoSuchProcess etc.: the hint names a pid that never existed
-    network_->engine().spawn("soda-fix", hint_fix_and_resend(out_id));
-    co_return;
+    const soda::Oob oob{
+        static_cast<std::uint32_t>(out.kind == MsgKind::kRequest
+                                       ? Oop::kRequestMsg
+                                       : Oop::kReplyMsg),
+        0};
+    out.target = link->peer_hint;
+    ++requests_issued_;
+    ++stats_.requests_issued;
+    auto req = co_await network_->kernel_of(pid_).request(
+        pid_, link->peer_hint, link->peer_name, oob, out.data, 0, out.trace);
+    if (!outs_.contains(out_id)) co_return;
+    if (req.ok()) {
+      placed_req = req.value();
+      break;
+    }
+    if (req.error() != soda::Status::kTooManyRequests) {
+      // kNoSuchProcess etc.: the hint names a pid that never existed
+      network_->engine().spawn("soda-fix", hint_fix_and_resend(out_id));
+      co_return;
+    }
+    // The §4.2.1 outstanding-requests limit: back off and poll again.  A
+    // cancel that arrives meanwhile ends the send here: the peer never
+    // saw the request.
+    co_await network_->engine().sleep(sim::msec(10));
+    auto polled = outs_.find(out_id);
+    if (polled == outs_.end()) co_return;
+    if (polled->second.cancel_requested) {
+      resolve_out(out_id, SendOutcome{SendResult::kCancelled, {}});
+      co_return;
+    }
   }
-  it2->second.req = req.value();
-  out_by_req_[req.value()] = out_id;
+  auto it2 = outs_.find(out_id);
+  it2->second.req = placed_req;
+  out_by_req_[placed_req] = out_id;
   // Early reply resolve (DESIGN.md §12): the request is on the wire and
   // the kernel retries/redirects on its own — "the requesting user can
   // proceed" (§4.1).  Replies carry no further protocol obligations for
@@ -278,6 +288,9 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
     placed.ps = nullptr;
     placed.early_resolved = true;
   }
+  // A cancel that arrived while the kernel was placing the request
+  // could not name it yet (request_cancel leaves it to us).
+  if (placed.cancel_requested) co_await issue_cancel(out_id);
 }
 
 void SodaBackend::resolve_out(std::uint64_t out_id, SendOutcome outcome) {
@@ -304,7 +317,11 @@ void SodaBackend::request_cancel(std::uint64_t out_id) {
   auto it = outs_.find(out_id);
   if (it == outs_.end()) return;
   it->second.cancel_requested = true;
-  network_->engine().spawn("soda-cancel", issue_cancel(out_id));
+  // A request not yet placed has no ReqId to revoke: issue_send sees
+  // the flag once the kernel answers, and cancels or drops it then.
+  if (it->second.req.valid()) {
+    network_->engine().spawn("soda-cancel", issue_cancel(out_id));
+  }
 }
 
 sim::Task<> SodaBackend::issue_cancel(std::uint64_t out_id) {

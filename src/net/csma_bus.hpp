@@ -13,9 +13,20 @@
 // The slow wire is the point of experiment E5: at 1 Mb/s, a kilobyte
 // costs ~8 ms to clock out, which is what pushes the SODA/Charlotte
 // crossover into the 1–2 KB range of the paper's footnote 2.
+//
+// Event model (DESIGN.md §17).  Every frame handed to send()/broadcast()
+// gets an entry number, and its backoff draws are a pure function of
+// (bus seed, entry, attempt): a FaultyMedium duplicate, which reuses the
+// frame id, is a new entry with its own chain.  The bus is busy until
+// `busy_until_`, a time, so every retry that would fire before it is
+// sure to find the bus busy; a deferring frame therefore draws its
+// chain up to the first retry at or after busy_until_ and schedules
+// only that one — one event per frame per busy period, with backoffs()
+// still counting every draw.  A unicast frame arrives in one event, at
+// end of transmission plus propagation; a broadcast keeps an
+// end-of-transmission event that fans out one delivery event per
+// receiver, so permuted schedules still interleave the receivers.
 #pragma once
-
-#include <deque>
 
 #include "common/id_map.hpp"
 #include "net/packet.hpp"
@@ -37,8 +48,12 @@ struct CsmaBusParams {
 
 class CsmaBus final : public Medium {
  public:
+  // `rng` seeds the backoff draws and drives the drop draws.
   CsmaBus(sim::Engine& engine, sim::Rng rng, CsmaBusParams params = {})
-      : engine_(&engine), rng_(rng), params_(params) {}
+      : engine_(&engine),
+        rng_(rng),
+        backoff_seed_(rng_.next_u64()),
+        params_(params) {}
 
   void attach(NodeId node, FrameHandler handler) override;
   void send(Frame frame) override;
@@ -60,6 +75,12 @@ class CsmaBus final : public Medium {
     return it == drops_at_.end() ? 0 : it->second;
   }
 
+  // The backoff before retry `attempt` (0, 1, ...) of the frame that
+  // entered the bus as entry `entry` (1, 2, ... in send/broadcast
+  // order): a pure function of (bus seed, entry, attempt).
+  [[nodiscard]] sim::Duration backoff_delay(std::uint64_t entry,
+                                            int attempt) const;
+
   [[nodiscard]] sim::Duration clock_out_time(std::size_t payload_bytes) const {
     const auto bits = static_cast<std::int64_t>(
         8 * (payload_bytes + params_.header_bytes));
@@ -68,17 +89,20 @@ class CsmaBus final : public Medium {
   }
 
  private:
-  void try_transmit(Frame frame, bool is_broadcast, int attempt);
-  void deliver(Frame frame, bool is_broadcast);
+  // A broadcast frame is one whose dst is invalid.
+  void try_transmit(Frame frame, std::uint64_t entry, int attempt);
+  void deliver(Frame frame);
+  void fan_out(const Frame& frame);
   void record_drop(const Frame& frame, NodeId receiver);
-  [[nodiscard]] sim::Duration backoff_delay(int attempt);
 
   sim::Engine* engine_;
-  sim::Rng rng_;
+  sim::Rng rng_;  // drop draws, in event order
+  std::uint64_t backoff_seed_;
   CsmaBusParams params_;
   common::IdMap<NodeId, FrameHandler> handlers_;
   DropObserver on_drop_;
-  bool busy_ = false;
+  sim::Time busy_until_ = 0;  // the bus is busy while now < busy_until_
+  std::uint64_t entries_ = 0;
   std::uint64_t frames_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t backoffs_ = 0;

@@ -14,17 +14,25 @@
 
 namespace sim {
 
+// splitmix64's output function: a bijective 64-bit mix.  Keyed draws
+// (the engine's tie-break keys, the CSMA bus's backoff draws) hash a
+// (seed, key) pair through it instead of advancing a shared stream, so
+// a draw does not depend on how many other draws came first.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) {
     // splitmix64 seeding, as recommended by the xoshiro authors.
     std::uint64_t x = seed;
     for (auto& word : state_) {
+      word = splitmix64(x);
       x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
     }
   }
 

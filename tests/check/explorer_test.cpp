@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "check/explorer.hpp"
 
@@ -224,46 +226,93 @@ TEST(Explorer, ParallelSweepMatchesSequentialSweep) {
   EXPECT_EQ(par.failures.size(), seq.failures.size());
 }
 
-// check_explorer --smoke's three sweeps, pinned.  Each digest folds the
-// trace digest of every universe in the sweep, so any change to event
-// order, timing or trace content anywhere beneath the explorer moves it.
-// No loop that decides event order walks a hash table, so the values do
-// not depend on hash layout; the RELYNX_HASH_SALT CI job checks that.
-ExploreOptions smoke_options(Workload workload) {
+// check_explorer --smoke's three sweeps, pinned one substrate at a
+// time, so a change beneath one substrate re-pins only that substrate's
+// values.  Each digest folds the trace digest of every universe in the
+// sweep, so any change to event order, timing or trace content anywhere
+// beneath the explorer moves it.  No loop that decides event order walks
+// a hash table, so the values do not depend on hash layout; the
+// RELYNX_HASH_SALT CI job checks that.
+ExploreResult smoke_sweep(Workload workload, load::Substrate substrate,
+                          std::vector<PlanSpec> plans, bool formation = false) {
   ExploreOptions opts;
   opts.workload = workload;
+  opts.substrates = {substrate};
+  opts.plans = std::move(plans);
+  opts.formation = formation;
   opts.seeds = 10;
   opts.threads = 2;
-  return opts;
+  return explore(opts);
 }
 
-TEST(Explorer, SmokeEchoSweepDigestIsPinned) {
-  ExploreOptions opts = smoke_options(Workload::kEcho);
-  opts.plans = {PlanSpec::kNone, PlanSpec::kAckStorm, PlanSpec::kBatchStorm};
-  const ExploreResult res = explore(opts);
-  EXPECT_EQ(res.runs, 140u);
-  EXPECT_TRUE(res.failures.empty());
-  EXPECT_EQ(res.sweep_digest, 0xb11f1f0d29367ac6ull);
+ExploreResult echo_sweep(load::Substrate substrate) {
+  return smoke_sweep(Workload::kEcho, substrate,
+                     {PlanSpec::kNone, PlanSpec::kAckStorm,
+                      PlanSpec::kBatchStorm});
 }
 
-TEST(Explorer, SmokeReplicaSweepDigestIsPinned) {
-  ExploreOptions opts = smoke_options(Workload::kReplica);
-  opts.plans = {PlanSpec::kNone, PlanSpec::kPrimaryCrash,
-                PlanSpec::kPrimaryBounce, PlanSpec::kBackupBounce};
-  const ExploreResult res = explore(opts);
-  EXPECT_EQ(res.runs, 240u);
-  EXPECT_TRUE(res.failures.empty());
-  EXPECT_EQ(res.sweep_digest, 0x113d73030884df37ull);
+ExploreResult replica_sweep(load::Substrate substrate) {
+  return smoke_sweep(Workload::kReplica, substrate,
+                     {PlanSpec::kNone, PlanSpec::kPrimaryCrash,
+                      PlanSpec::kPrimaryBounce, PlanSpec::kBackupBounce});
 }
 
-TEST(Explorer, SmokeReplicaFormationDigestIsPinned) {
-  ExploreOptions opts = smoke_options(Workload::kReplica);
-  opts.plans = {PlanSpec::kNone, PlanSpec::kPrimaryBounce};
-  opts.formation = true;
-  const ExploreResult res = explore(opts);
-  EXPECT_EQ(res.runs, 120u);
+ExploreResult replica_formation_sweep(load::Substrate substrate) {
+  return smoke_sweep(Workload::kReplica, substrate,
+                     {PlanSpec::kNone, PlanSpec::kPrimaryBounce},
+                     /*formation=*/true);
+}
+
+void expect_pinned(const ExploreResult& res, std::uint64_t runs,
+                   std::uint64_t digest) {
+  EXPECT_EQ(res.runs, runs);
   EXPECT_TRUE(res.failures.empty());
-  EXPECT_EQ(res.sweep_digest, 0xbee8df5c2caf068dull);
+  EXPECT_EQ(res.sweep_digest, digest)
+      << std::hex << "0x" << res.sweep_digest;
+}
+
+using load::Substrate;
+
+TEST(Explorer, SmokeEchoSweepCharlotteDigestIsPinned) {
+  expect_pinned(echo_sweep(Substrate::kCharlotte), 60, 0xd34dd59d5dd95137ull);
+}
+
+TEST(Explorer, SmokeEchoSweepSodaDigestIsPinned) {
+  expect_pinned(echo_sweep(Substrate::kSoda), 60, 0xa4f21315099c3852ull);
+}
+
+TEST(Explorer, SmokeEchoSweepChrysalisDigestIsPinned) {
+  // Ack-storm and batch-storm need a medium; Chrysalis runs only `none`.
+  expect_pinned(echo_sweep(Substrate::kChrysalis), 20, 0xca0c546d8d1ea5edull);
+}
+
+TEST(Explorer, SmokeReplicaSweepCharlotteDigestIsPinned) {
+  expect_pinned(replica_sweep(Substrate::kCharlotte), 80,
+                0x8df46e0d6124875eull);
+}
+
+TEST(Explorer, SmokeReplicaSweepSodaDigestIsPinned) {
+  expect_pinned(replica_sweep(Substrate::kSoda), 80, 0x1b5de333af097d4eull);
+}
+
+TEST(Explorer, SmokeReplicaSweepChrysalisDigestIsPinned) {
+  expect_pinned(replica_sweep(Substrate::kChrysalis), 80,
+                0xee6764705b6f0d9cull);
+}
+
+TEST(Explorer, SmokeReplicaFormationCharlotteDigestIsPinned) {
+  expect_pinned(replica_formation_sweep(Substrate::kCharlotte), 40,
+                0x291adf62b37383c0ull);
+}
+
+TEST(Explorer, SmokeReplicaFormationSodaDigestIsPinned) {
+  expect_pinned(replica_formation_sweep(Substrate::kSoda), 40,
+                0x9a55880887168325ull);
+}
+
+TEST(Explorer, SmokeReplicaFormationChrysalisDigestIsPinned) {
+  expect_pinned(replica_formation_sweep(Substrate::kChrysalis), 40,
+                0x8f0c2e356d585992ull);
 }
 
 TEST(Explorer, ExploreCatchesAndMinimizesPlantedBug) {

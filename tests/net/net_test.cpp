@@ -232,6 +232,159 @@ TEST(CsmaBusTest, FramesAreStampedWithUniqueIds) {
   EXPECT_NE(ids.front(), 0u);
 }
 
+// -- the compressed backoff chain ---------------------------------------------
+
+// Draws `entry`'s chain from time `t`, attempt `*attempt` on, up to the
+// first retry at or after `until`, as the bus does for a deferred frame.
+sim::Time first_retry(const CsmaBus& bus, std::uint64_t entry, sim::Time t,
+                      sim::Time until, int* attempt) {
+  do {
+    t += bus.backoff_delay(entry, (*attempt)++);
+  } while (t < until);
+  return t;
+}
+
+// A deferring frame's one retry event fires at the sum of its own draws:
+// the first partial sum at or after the end of the transmission it found.
+TEST(CsmaBusTest, RetryFiresAtTheSumOfTheFramesOwnDraws) {
+  sim::Engine e;
+  CsmaBusParams p;
+  p.broadcast_drop_prob = 0.0;
+  CsmaBus bus(e, sim::Rng(11), p);
+  Collector c(e, bus, {NodeId(0), NodeId(1), NodeId(2)});
+  bus.send(make_frame(NodeId(0), NodeId(1), 1000, "a"));  // entry 1
+  bus.send(make_frame(NodeId(2), NodeId(1), 0, "b"));     // entry 2
+  const sim::Time busy_until = bus.clock_out_time(1000);
+  int draws = 0;
+  const sim::Time retry = first_retry(bus, 2, 0, busy_until, &draws);
+  e.run();
+  ASSERT_EQ(c.deliveries.size(), 2u);
+  EXPECT_EQ(c.deliveries[0].when, busy_until + p.propagation);
+  EXPECT_EQ(c.deliveries[1].tag, "b");
+  EXPECT_EQ(c.deliveries[1].when,
+            retry + bus.clock_out_time(0) + p.propagation);
+  // An 8 ms transmission outlasts several slot windows: every draw is
+  // counted, though only one retry event fired.  Each unicast frame is
+  // delivered by one event: three events in all.
+  EXPECT_GT(draws, 2);
+  EXPECT_EQ(bus.backoffs(), static_cast<std::uint64_t>(draws));
+  EXPECT_EQ(e.events_fired(), 3u);
+}
+
+TEST(CsmaBusTest, BackoffDrawsStayInTheirWindow) {
+  sim::Engine e;
+  CsmaBusParams p;
+  CsmaBus bus(e, sim::Rng(5), p);
+  for (std::uint64_t entry = 1; entry <= 50; ++entry) {
+    for (int attempt = 0; attempt < 10; ++attempt) {
+      const sim::Duration d = bus.backoff_delay(entry, attempt);
+      const sim::Duration window =
+          p.slot_time * (1 << std::min(attempt, p.max_backoff_exponent));
+      EXPECT_GE(d, p.slot_time);
+      EXPECT_LE(d, window);
+      EXPECT_EQ(d % p.slot_time, 0);
+      EXPECT_EQ(d, bus.backoff_delay(entry, attempt));  // pure
+    }
+  }
+}
+
+// The bus is idle from busy_until_ on, whichever same-instant event the
+// engine fires first.  A zero-byte frame clocks out in exactly one slot
+// here, and a first backoff is exactly one slot, so the deferred frame's
+// retry lands on the instant the first transmission ends.
+TEST(CsmaBusTest, RetryAtEndOfTransmissionFindsTheBusIdle) {
+  std::vector<sim::TiePolicy> policies = {{sim::TieBreak::kFifo}};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    policies.push_back({sim::TieBreak::kSeededPermutation, seed});
+  }
+  for (const sim::TiePolicy& policy : policies) {
+    sim::Engine e;
+    e.set_tie_policy(policy);
+    CsmaBusParams p;
+    p.header_bytes = 0;
+    p.frame_overhead = p.slot_time;
+    p.broadcast_drop_prob = 0.0;
+    CsmaBus bus(e, sim::Rng(3), p);
+    ASSERT_EQ(bus.clock_out_time(0), p.slot_time);
+    ASSERT_EQ(bus.backoff_delay(2, 0), p.slot_time);
+    Collector c(e, bus, {NodeId(0), NodeId(1), NodeId(2)});
+    bus.send(make_frame(NodeId(0), NodeId(1), 0, "a"));
+    bus.send(make_frame(NodeId(2), NodeId(1), 0, "b"));
+    e.run();
+    ASSERT_EQ(c.deliveries.size(), 2u) << sim::to_string(policy.kind);
+    EXPECT_EQ(bus.backoffs(), 1u) << sim::to_string(policy.kind);
+    EXPECT_EQ(c.deliveries[1].tag, "b");
+    EXPECT_EQ(c.deliveries[1].when, 2 * p.slot_time + p.propagation)
+        << sim::to_string(policy.kind) << " seed " << policy.seed;
+  }
+}
+
+// Backoff is keyed on the bus's entry number, not on Frame::id: two
+// entries of one frame id (what FaultyMedium's duplicates are) draw
+// independent chains, so they do not retry in lockstep.  Both defer
+// behind a long frame; whichever chain ends first takes the idle bus,
+// and the other, if it lands inside that transmission, draws on.
+TEST(CsmaBusTest, SameIdDuplicatesDrawIndependentChains) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Engine e;
+    CsmaBusParams p;
+    p.broadcast_drop_prob = 0.0;
+    CsmaBus bus(e, sim::Rng(seed), p);
+    Collector c(e, bus, {NodeId(0), NodeId(1), NodeId(2)});
+    bus.send(make_frame(NodeId(0), NodeId(1), 1000, "a"));  // entry 1
+    Frame dup = make_frame(NodeId(2), NodeId(1), 0, "dup");
+    dup.id = 42;
+    bus.send(dup);             // entry 2
+    bus.send(std::move(dup));  // entry 3, same id
+    const sim::Duration tx = bus.clock_out_time(0);
+    int attempts[2] = {0, 0};
+    sim::Time retry[2];
+    for (int i = 0; i < 2; ++i) {
+      retry[i] = first_retry(bus, 2 + i, 0, bus.clock_out_time(1000),
+                             &attempts[i]);
+    }
+    // Same-instant retries fire in scheduling order: entry 2 first.
+    const int winner = retry[0] <= retry[1] ? 0 : 1;
+    const int other = 1 - winner;
+    const sim::Time winner_end = retry[winner] + tx;
+    if (retry[other] < winner_end) {
+      retry[other] = first_retry(bus, 2 + other, retry[other], winner_end,
+                                 &attempts[other]);
+    }
+    e.run();
+    ASSERT_EQ(c.deliveries.size(), 3u);
+    EXPECT_EQ(c.deliveries[1].when, winner_end + p.propagation)
+        << "seed " << seed;
+    EXPECT_EQ(c.deliveries[2].when, retry[other] + tx + p.propagation)
+        << "seed " << seed;
+    EXPECT_EQ(bus.backoffs(),
+              static_cast<std::uint64_t>(attempts[0] + attempts[1]));
+  }
+}
+
+TEST(CsmaBusTest, UnicastDropObserverSeesEachLostFrame) {
+  sim::Engine e;
+  CsmaBusParams p;
+  p.unicast_drop_prob = 0.5;
+  CsmaBus bus(e, sim::Rng(4), p);
+  Collector c(e, bus, {NodeId(0), NodeId(1)});
+  std::vector<std::uint64_t> lost;
+  bus.set_drop_observer([&](const Frame& f, NodeId receiver) {
+    EXPECT_EQ(receiver, NodeId(1));
+    lost.push_back(f.id);
+  });
+  for (int i = 0; i < 40; ++i) {
+    bus.send(make_frame(NodeId(0), NodeId(1), 10, std::to_string(i)));
+  }
+  e.run();
+  EXPECT_GT(lost.size(), 5u);
+  EXPECT_LT(lost.size(), 35u);
+  EXPECT_EQ(lost.size(), bus.drops());
+  EXPECT_EQ(bus.drops_at(NodeId(1)), bus.drops());
+  EXPECT_EQ(c.deliveries.size() + lost.size(), 40u);
+  EXPECT_EQ(bus.frames_sent(), 40u);  // lost frames still used the wire
+}
+
 TEST(ButterflyTest, StagesGrowWithNodes) {
   EXPECT_EQ(ButterflyFabric({.nodes = 1}).stages(), 0u);
   EXPECT_EQ(ButterflyFabric({.nodes = 4}).stages(), 1u);
