@@ -139,9 +139,7 @@ void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
     // kernel still does the protocol work.
     cluster_->engine().schedule(
         cluster_->costs().frame_processing,
-        [this, f = std::move(frame)]() mutable {
-          std::visit([this](auto& m) { handle(std::move(m), node_); }, f);
-        });
+        [this, f = std::move(frame)]() mutable { dispatch(f, node_); });
     return;
   }
   net::Frame out{node_, dst, bytes, std::move(frame)};
@@ -150,13 +148,13 @@ void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
 }
 
 void Kernel::on_frame(net::Frame frame) {
-  if (std::any_cast<form::Batch>(&frame.body) != nullptr) {
+  if (frame.holds<form::Batch>()) {
     on_batch(std::move(frame));
     return;
   }
-  wire::KernelFrame kf = frame.take<wire::KernelFrame>();
   sim::Duration cost = cluster_->costs().frame_processing;
-  if (const auto* msg = std::get_if<wire::Msg>(&kf)) {
+  if (const auto* msg =
+          std::get_if<wire::Msg>(&frame.as<wire::KernelFrame>())) {
     cost += cluster_->costs().per_byte_copy *
             static_cast<sim::Duration>(msg->data.size());
   }
@@ -164,10 +162,11 @@ void Kernel::on_frame(net::Frame frame) {
     rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
                  frame.payload_bytes);
   }
-  cluster_->engine().schedule(
-      cost, [this, kf = std::move(kf), src = frame.src]() mutable {
-        std::visit([this, src](auto& m) { handle(std::move(m), src); }, kf);
-      });
+  // The closure carries the frame, not the 144-byte wire variant, so it
+  // stays inside EventFn's inline buffer (DESIGN.md §18).
+  cluster_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
+    dispatch(f.as<wire::KernelFrame>(), f.src);
+  });
 }
 
 // A form::Batch arrived: pay frame absorption ONCE, then a cheap
@@ -175,7 +174,7 @@ void Kernel::on_frame(net::Frame frame) {
 // order within a single scheduled event — per-link FIFO is exactly what
 // it would have been frame-per-message, minus the per-frame overheads.
 void Kernel::on_batch(net::Frame frame) {
-  form::Batch batch = frame.take<form::Batch>();
+  const form::Batch& batch = frame.as<form::Batch>();
   const Costs& costs = cluster_->costs();
   sim::Duration cost = costs.frame_processing;
   auto* rec = trace::get(cluster_->engine());
@@ -183,12 +182,10 @@ void Kernel::on_batch(net::Frame frame) {
     rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
                  batch.frames.size());
   }
-  std::vector<wire::KernelFrame> enclosed;
-  enclosed.reserve(batch.frames.size());
-  for (net::Frame& sub : batch.frames) {
-    wire::KernelFrame kf = sub.take<wire::KernelFrame>();
+  for (const net::Frame& sub : batch.frames) {
     cost += costs.form_enclosure_processing;
-    if (const auto* msg = std::get_if<wire::Msg>(&kf)) {
+    if (const auto* msg =
+            std::get_if<wire::Msg>(&sub.as<wire::KernelFrame>())) {
       cost += costs.per_byte_copy *
               static_cast<sim::Duration>(msg->data.size());
     }
@@ -199,14 +196,16 @@ void Kernel::on_batch(net::Frame frame) {
       rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
                    sub.payload_bytes);
     }
-    enclosed.push_back(std::move(kf));
   }
-  cluster_->engine().schedule(
-      cost, [this, enclosed = std::move(enclosed), src = frame.src]() mutable {
-        for (wire::KernelFrame& kf : enclosed) {
-          std::visit([this, src](auto& m) { handle(std::move(m), src); }, kf);
-        }
-      });
+  cluster_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
+    for (net::Frame& sub : f.as<form::Batch>().frames) {
+      dispatch(sub.as<wire::KernelFrame>(), f.src);
+    }
+  });
+}
+
+void Kernel::dispatch(wire::KernelFrame& frame, net::NodeId src) {
+  std::visit([this, src](auto& m) { handle(std::move(m), src); }, frame);
 }
 
 Kernel::EndState* Kernel::find_end(EndId id) {

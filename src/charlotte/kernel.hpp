@@ -146,6 +146,8 @@ class Kernel {
     bool in_transit = false;  // enclosed in an unacked outgoing Msg
     std::optional<SendActivity> send;
     std::optional<RecvActivity> recv;
+    // A deque, not a sim::Fifo: duplicate screening iterates it and a
+    // cancel erases from mid-queue (deduplicate, handle(CancelReq)).
     std::deque<PendingMsg> pending;
     int unwaited_recv_completions = 0;
     // ---- ack protocol (DESIGN.md §12) ----
@@ -183,6 +185,8 @@ class Kernel {
   // frame handling
   void on_frame(net::Frame frame);
   void on_batch(net::Frame frame);
+  // Hands a received frame to its handle() overload, moving it out.
+  void dispatch(wire::KernelFrame& frame, net::NodeId src);
   void handle(wire::Msg m, net::NodeId from);
   void handle(const wire::MsgAck& m, net::NodeId from);
   void handle(const wire::MsgNackMoved& m, net::NodeId from);

@@ -1,5 +1,6 @@
 #include "form/packer.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "trace/trace.hpp"
@@ -59,17 +60,23 @@ void Packer::do_flush(net::NodeId dst, Queue& q) {
   if (q.pending.empty()) return;
   q.deadline.cancel();
   const std::size_t bytes = q.bytes;
-  std::vector<net::Frame> frames = std::move(q.pending);
-  q.pending.clear();
   q.bytes = 0;
 
-  if (frames.size() == 1) {
+  if (q.pending.size() == 1) {
     // Sparse traffic: the lone enclosure goes out unwrapped, so the
     // wire format (and every byte the medium charges) is unchanged.
     ++singles_;
-    medium_->send(std::move(frames.front()));
+    net::Frame lone = std::move(q.pending.front());
+    q.pending.clear();
+    medium_->send(std::move(lone));
     return;
   }
+
+  // The enclosures move into an exactly sized vector; pending keeps its
+  // capacity for the next batch to this destination.
+  std::vector<net::Frame> frames(std::make_move_iterator(q.pending.begin()),
+                                 std::make_move_iterator(q.pending.end()));
+  q.pending.clear();
 
   // The batch inherits the first traced enclosure's identity so fault
   // observers can still name the operation a dropped batch serves; the

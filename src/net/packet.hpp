@@ -7,13 +7,17 @@
 // own business).
 #pragma once
 
-#include <any>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <new>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/strong_id.hpp"
+#include "sim/block_pool.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/time.hpp"
 
 namespace net {
@@ -23,11 +27,109 @@ struct NodeTag {
 };
 using NodeId = common::StrongId<NodeTag, std::uint32_t>;
 
+// A frame's body: one value of any copyable type, held in a block from a
+// thread-local pool of its own (DESIGN.md §18).  The handle is two
+// words: the block, and a tag that is the address of the stored type's
+// ops table, so a type test is one pointer compare.  Copying a body
+// clones the value (a common::Body inside it still shares its buffer);
+// take() moves the value out and returns the block at once.
+class FrameBody {
+ public:
+  FrameBody() noexcept = default;
+
+  template <typename T, typename V = std::decay_t<T>,
+            typename = std::enable_if_t<!std::is_same_v<V, FrameBody>>>
+  FrameBody(T&& value)  // NOLINT(google-explicit-constructor): Frame{..., v}
+      : ops_(&kOps<V>), block_(make<V>(std::forward<T>(value))) {}
+
+  FrameBody(const FrameBody& other)
+      : ops_(other.ops_),
+        block_(ops_ != nullptr ? ops_->clone(other.block_) : nullptr) {}
+  FrameBody(FrameBody&& other) noexcept
+      : ops_(std::exchange(other.ops_, nullptr)),
+        block_(std::exchange(other.block_, nullptr)) {}
+  FrameBody& operator=(FrameBody other) noexcept {
+    std::swap(ops_, other.ops_);
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~FrameBody() { reset(); }
+
+  template <typename T>
+  [[nodiscard]] bool holds() const noexcept {
+    return ops_ == &kOps<T>;
+  }
+
+  template <typename T>
+  [[nodiscard]] T& as() {
+    RELYNX_ASSERT_MSG(holds<T>(), "frame body has unexpected type");
+    return *std::launder(static_cast<T*>(block_));
+  }
+  template <typename T>
+  [[nodiscard]] const T& as() const {
+    RELYNX_ASSERT_MSG(holds<T>(), "frame body has unexpected type");
+    return *std::launder(static_cast<const T*>(block_));
+  }
+
+  // Moves the value out and leaves the body empty.
+  template <typename T>
+  [[nodiscard]] T take() {
+    T out(std::move(as<T>()));
+    reset();
+    return out;
+  }
+
+ private:
+  struct PoolTag;
+  using Pool = sim::BlockPool<PoolTag>;
+
+  struct Ops {
+    void* (*clone)(const void*);
+    void (*destroy)(void*) noexcept;
+  };
+
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(block_);
+      ops_ = nullptr;
+      block_ = nullptr;
+    }
+  }
+
+  template <typename V, typename... Args>
+  static void* make(Args&&... args) {
+    static_assert(alignof(V) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "pool blocks carry operator new's default alignment");
+    void* block = Pool::allocate(sizeof(V));
+    try {
+      ::new (block) V(std::forward<Args>(args)...);
+    } catch (...) {
+      Pool::release(block, sizeof(V));
+      throw;
+    }
+    return block;
+  }
+
+  template <typename V>
+  static constexpr Ops kOps{
+      [](const void* src) -> void* {
+        return make<V>(*std::launder(static_cast<const V*>(src)));
+      },
+      [](void* block) noexcept {
+        std::launder(static_cast<V*>(block))->~V();
+        Pool::release(block, sizeof(V));
+      },
+  };
+
+  const Ops* ops_ = nullptr;
+  void* block_ = nullptr;
+};
+
 struct Frame {
   NodeId src;
   NodeId dst;  // ignored for broadcast
   std::size_t payload_bytes = 0;
-  std::any body;
+  FrameBody body;
   // Medium-assigned, unique per medium instance (0 = not yet stamped).
   // Lets fault injection and drop observers name the exact frame lost.
   std::uint64_t id = 0;
@@ -41,19 +143,30 @@ struct Frame {
   std::uint64_t trace_id = 0;
 
   template <typename T>
+  [[nodiscard]] bool holds() const noexcept {
+    return body.holds<T>();
+  }
+  template <typename T>
+  [[nodiscard]] T& as() {
+    return body.as<T>();
+  }
+  template <typename T>
   [[nodiscard]] const T& as() const {
-    const T* p = std::any_cast<T>(&body);
-    RELYNX_ASSERT_MSG(p != nullptr, "frame body has unexpected type");
-    return *p;
+    return body.as<T>();
   }
   // Moves the body out; for the frame's owner, once it is done with it.
   template <typename T>
   [[nodiscard]] T take() {
-    T* p = std::any_cast<T>(&body);
-    RELYNX_ASSERT_MSG(p != nullptr, "frame body has unexpected type");
-    return std::move(*p);
+    return body.take<T>();
   }
 };
+
+// Media and kernels schedule a frame's delivery as a [this, frame]
+// closure; it must stay inside EventFn's inline buffer, or every frame
+// hop would spill to the heap (DESIGN.md §18).
+static_assert(sizeof(void*) + sizeof(Frame) <= sim::EventFn::kInlineSize &&
+                  std::is_nothrow_move_constructible_v<Frame>,
+              "a [this, net::Frame] closure must fit EventFn's inline buffer");
 
 // Delivery callback, invoked in simulated time at the receiving node.
 // The handler owns the frame it is given: unicast media move a frame

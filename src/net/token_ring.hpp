@@ -10,11 +10,10 @@
 // dominates latency — exactly the regime of the paper's §3.3.
 #pragma once
 
-#include <deque>
-
 #include "common/id_map.hpp"
 #include "net/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 
 namespace net {
 
@@ -54,7 +53,7 @@ class TokenRing final : public Medium {
   sim::Engine* engine_;
   TokenRingParams params_;
   common::IdMap<NodeId, FrameHandler> handlers_;
-  std::deque<Frame> backlog_;
+  sim::Fifo<Frame> backlog_;
   bool busy_ = false;
   std::uint64_t frames_ = 0;
   std::uint64_t bytes_ = 0;

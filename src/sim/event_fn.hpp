@@ -7,80 +7,24 @@
 // is 64), so each simulated event paid an allocator round trip before
 // any work happened.  EventFn gives those closures 64 bytes of inline
 // storage, and routes the rare oversized capture through a
-// thread-local size-class freelist so even the spill path stops
-// touching the global allocator in steady state.
-//
-// Engines are strictly single-threaded, so a thread-local pool is
-// exactly one pool per engine-carrying worker (sweep:: runs one engine
-// per thread); block reuse order cannot alter simulation behaviour
-// because no simulated decision reads an address.
+// thread-local size-class freelist (sim::BlockPool) so even the spill
+// path stops touching the global allocator in steady state.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
+
+#include "sim/block_pool.hpp"
 
 namespace sim {
 namespace detail {
 
-// Freelist of heap blocks for callables that do not fit inline,
-// bucketed by 64-byte size class.  Blocks above 1 KiB (no simulated
-// workload produces one) fall through to operator new directly.
-class CallablePool {
- public:
-  static constexpr std::size_t kStride = 64;
-  static constexpr std::size_t kClasses = 16;
-  static constexpr std::size_t kBinCap = 128;  // blocks kept per class
-
-  static void* allocate(std::size_t bytes) {
-    const std::size_t cls = (bytes + kStride - 1) / kStride;
-    if (cls == 0 || cls > kClasses) return ::operator new(bytes);
-    std::vector<void*>& bin = bins()[cls - 1];
-    if (!bin.empty()) {
-      void* p = bin.back();
-      bin.pop_back();
-      return p;
-    }
-    return ::operator new(cls * kStride);
-  }
-
-  static void release(void* p, std::size_t bytes) noexcept {
-    const std::size_t cls = (bytes + kStride - 1) / kStride;
-    if (cls == 0 || cls > kClasses) {
-      ::operator delete(p);
-      return;
-    }
-    std::vector<void*>& bin = bins()[cls - 1];
-    if (bin.size() < kBinCap && bin.capacity() > bin.size()) {
-      bin.push_back(p);
-      return;
-    }
-    if (bin.size() < kBinCap) {
-      // Growing the bin allocates; keep that out of the noexcept path
-      // by reserving first (terminate on OOM is acceptable here).
-      bin.reserve(kBinCap);
-      bin.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-
- private:
-  struct Bins {
-    std::vector<void*> by_class[kClasses];
-    ~Bins() {
-      for (std::vector<void*>& bin : by_class)
-        for (void* p : bin) ::operator delete(p);
-    }
-  };
-  static std::vector<void*>* bins() {
-    thread_local Bins tls;
-    return tls.by_class;
-  }
-};
+// Coroutine frames and oversized event closures share one pool; frame
+// bodies have their own (src/net/packet.hpp).
+struct CallableTag;
+using CallablePool = BlockPool<CallableTag>;
 
 }  // namespace detail
 

@@ -284,28 +284,33 @@ void Kernel::handle(const TransportAck& f, net::NodeId from) {
   apply_cumulative_ack(from, f.watermark);
 }
 
+// Absorbing a fragment costs a copy of its data bytes.
+sim::Duration Kernel::copy_cost(const WireFrame& wf) const {
+  std::size_t bytes = 0;
+  if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
+    bytes = rf->data.size();
+  } else if (const auto* af = std::get_if<AcceptFrag>(&wf)) {
+    bytes = af->data.size();
+  }
+  return network_->costs().per_byte_copy * static_cast<sim::Duration>(bytes);
+}
+
 void Kernel::on_frame(net::Frame frame) {
-  if (std::any_cast<form::Batch>(&frame.body) != nullptr) {
+  if (frame.holds<form::Batch>()) {
     on_batch(std::move(frame));
     return;
   }
-  WireFrame wf = frame.take<WireFrame>();
-  sim::Duration cost = network_->costs().frame_processing;
-  if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
-    cost += network_->costs().per_byte_copy *
-            static_cast<sim::Duration>(rf->data.size());
-  } else if (const auto* af = std::get_if<AcceptFrag>(&wf)) {
-    cost += network_->costs().per_byte_copy *
-            static_cast<sim::Duration>(af->data.size());
-  }
+  const sim::Duration cost = network_->costs().frame_processing +
+                             copy_cost(frame.as<WireFrame>());
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
                  frame.payload_bytes);
   }
-  network_->engine().schedule(
-      cost, [this, wf = std::move(wf), src = frame.src]() mutable {
-        std::visit([this, src](auto& m) { handle(std::move(m), src); }, wf);
-      });
+  // The closure carries the frame, not the 120-byte wire variant, so it
+  // stays inside EventFn's inline buffer (DESIGN.md §18).
+  network_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
+    dispatch(f.as<WireFrame>(), f.src);
+  });
 }
 
 // A form::Batch arrived: one frame absorption for the whole batch, then
@@ -314,17 +319,11 @@ void Kernel::on_frame(net::Frame frame) {
 // per-link FIFO is preserved exactly as if they had been separate
 // frames (src/form/, DESIGN.md §14).
 void Kernel::on_batch(net::Frame frame) {
-  form::Batch batch = frame.take<form::Batch>();
+  const form::Batch& batch = frame.as<form::Batch>();
   const Costs& costs = network_->costs();
   sim::Duration cost = costs.frame_processing;
   for (const net::Frame& sub : batch.frames) {
-    cost += costs.form_enclosure_processing;
-    const auto& wf = sub.as<WireFrame>();
-    if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
-      cost += costs.per_byte_copy * static_cast<sim::Duration>(rf->data.size());
-    } else if (const auto* af = std::get_if<AcceptFrag>(&wf)) {
-      cost += costs.per_byte_copy * static_cast<sim::Duration>(af->data.size());
-    }
+    cost += costs.form_enclosure_processing + copy_cost(sub.as<WireFrame>());
   }
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
@@ -334,17 +333,15 @@ void Kernel::on_batch(net::Frame frame) {
                    sub.payload_bytes);
     }
   }
-  std::vector<WireFrame> enclosed;
-  enclosed.reserve(batch.frames.size());
-  for (net::Frame& sub : batch.frames) {
-    enclosed.push_back(sub.take<WireFrame>());
-  }
-  network_->engine().schedule(
-      cost, [this, enclosed = std::move(enclosed), src = frame.src]() mutable {
-        for (WireFrame& wf : enclosed) {
-          std::visit([this, src](auto& m) { handle(std::move(m), src); }, wf);
-        }
-      });
+  network_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
+    for (net::Frame& sub : f.as<form::Batch>().frames) {
+      dispatch(sub.as<WireFrame>(), f.src);
+    }
+  });
+}
+
+void Kernel::dispatch(WireFrame& frame, net::NodeId src) {
+  std::visit([this, src](auto& m) { handle(std::move(m), src); }, frame);
 }
 
 void Kernel::register_process(Pid pid) {

@@ -17,7 +17,6 @@
 //    in an attempt to get through (the requesting user can proceed)."
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
@@ -32,6 +31,7 @@
 #include "form/packer.hpp"
 #include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/sync.hpp"
 #include "soda/types.hpp"
 
@@ -268,6 +268,9 @@ class Kernel {
  private:
   void on_frame(net::Frame frame);
   void on_batch(net::Frame frame);
+  [[nodiscard]] sim::Duration copy_cost(const WireFrame& wf) const;
+  // Hands a received frame to its handle() overload, moving it out.
+  void dispatch(WireFrame& frame, net::NodeId src);
   void handle(ReqFrag f, net::NodeId from);
   void handle(const ReqNack& f, net::NodeId from);
   void handle(AcceptFrag f, net::NodeId from);
@@ -352,7 +355,7 @@ class Kernel {
   common::IdMap<net::NodeId, PeerRx> peer_rx_;
   // Requests already accepted here; duplicated ReqFrags for them are
   // re-acked and dropped instead of being parked twice.
-  std::deque<ReqId> done_fifo_;
+  sim::Fifo<ReqId> done_fifo_;
   std::unordered_set<ReqId> done_set_;
   common::IdMap<Pid, common::IdMap<Pid, int>> per_pair_;  // see pair_count
   common::IdMap<std::uint64_t, DiscoverWait> discovers_;

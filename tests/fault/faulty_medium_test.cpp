@@ -21,7 +21,7 @@ using net::NodeId;
 
 net::Frame make_frame(NodeId src, NodeId dst, std::size_t bytes,
                       std::string tag) {
-  return net::Frame{src, dst, bytes, std::any(std::move(tag))};
+  return net::Frame{src, dst, bytes, std::move(tag)};
 }
 
 struct Delivery {

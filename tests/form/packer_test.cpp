@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <any>
 #include <string>
 #include <vector>
 

@@ -120,11 +120,11 @@ double recorded(const Echo& echo) {
 constexpr std::size_t kBulk = 1800;
 
 TEST(AllocCount, CharlotteEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kCharlotte}), 26.0);  // 23.3 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte}), 20.0);  // 18.9 measured
 }
 
 TEST(AllocCount, SodaEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kSoda}), 36.0);  // 33.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda}), 31.0);  // 29.1 measured
 }
 
 TEST(AllocCount, ChrysalisEchoStaysUnderCeiling) {
@@ -132,11 +132,11 @@ TEST(AllocCount, ChrysalisEchoStaysUnderCeiling) {
 }
 
 TEST(AllocCount, CharlotteBulkEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kCharlotte, kBulk}), 26.0);  // 23.3 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte, kBulk}), 20.0);  // 18.9 measured
 }
 
 TEST(AllocCount, SodaBulkEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kSoda, kBulk}), 58.0);  // 53.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda, kBulk}), 37.0);  // 35.1 measured
 }
 
 TEST(AllocCount, ChrysalisBulkEchoStaysUnderCeiling) {
@@ -144,11 +144,11 @@ TEST(AllocCount, ChrysalisBulkEchoStaysUnderCeiling) {
 }
 
 TEST(AllocCount, CharlotteFormationEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kCharlotte, 64, true}), 30.0);  // 27.3 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte, 64, true}), 20.0);  // 18.9 measured
 }
 
 TEST(AllocCount, SodaFormationEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kSoda, 64, true}), 45.0);  // 41.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda, 64, true}), 33.0);  // 31.1 measured
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,7 +25,7 @@ struct Delivery {
 };
 
 Frame make_frame(NodeId src, NodeId dst, std::size_t bytes, std::string tag) {
-  return Frame{src, dst, bytes, std::any(std::move(tag))};
+  return Frame{src, dst, bytes, std::move(tag)};
 }
 
 class Collector {
@@ -383,6 +384,85 @@ TEST(CsmaBusTest, UnicastDropObserverSeesEachLostFrame) {
   EXPECT_EQ(bus.drops_at(NodeId(1)), bus.drops());
   EXPECT_EQ(c.deliveries.size() + lost.size(), 40u);
   EXPECT_EQ(bus.frames_sent(), 40u);  // lost frames still used the wire
+}
+
+// ---- frame bodies ------------------------------------------------------
+
+// Delivers every frame's string body, then appends to it: a receiver
+// that shared its body with another copy would show the other's mark.
+struct Scribbler {
+  std::vector<std::string> seen;
+  FrameHandler handler() {
+    return [this](Frame f) {
+      seen.push_back(f.as<std::string>());
+      f.as<std::string>() += "!";
+    };
+  }
+};
+
+TEST(FrameBodyTest, CsmaBusBroadcastCopiesAreIndependent) {
+  sim::Engine e;
+  CsmaBus bus(e, sim::Rng(3), CsmaBusParams{.broadcast_drop_prob = 0.0});
+  Scribbler rx;
+  bus.attach(NodeId(0), [](Frame) {});
+  bus.attach(NodeId(1), rx.handler());
+  bus.attach(NodeId(2), rx.handler());
+  bus.broadcast(make_frame(NodeId(0), NodeId::invalid(), 10, "b"));
+  e.run();
+  ASSERT_EQ(rx.seen.size(), 2u);
+  EXPECT_EQ(rx.seen[0], "b");
+  EXPECT_EQ(rx.seen[1], "b");
+}
+
+TEST(FrameBodyTest, FaultyMediumDuplicateIsAnIndependentCopy) {
+  sim::Engine e;
+  Loopback wire(e, sim::usec(100));
+  fault::Plan plan;
+  plan.background(fault::BackgroundModel{.duplicate_prob = 1.0});
+  fault::FaultyMedium medium(e, wire, /*seed=*/7, plan);
+  Scribbler rx;
+  medium.attach(NodeId(0), [](Frame) {});
+  medium.attach(NodeId(1), rx.handler());
+  medium.send(make_frame(NodeId(0), NodeId(1), 10, "dup"));
+  e.run();
+  ASSERT_EQ(rx.seen.size(), 2u);
+  EXPECT_EQ(rx.seen[0], "dup");
+  EXPECT_EQ(rx.seen[1], "dup");
+}
+
+TEST(FrameBodyTest, TakeAfterACopyLeavesTheOriginalWhole) {
+  Frame original = make_frame(NodeId(0), NodeId(1), 10, "payload");
+  Frame copy = original;
+  EXPECT_NE(&copy.as<std::string>(), &original.as<std::string>());
+  EXPECT_EQ(copy.take<std::string>(), "payload");
+  EXPECT_FALSE(copy.holds<std::string>());
+  ASSERT_TRUE(original.holds<std::string>());
+  EXPECT_EQ(original.as<std::string>(), "payload");
+  EXPECT_EQ(original.take<std::string>(), "payload");
+}
+
+TEST(FrameBodyTest, HoldsIsFalseForAnotherType) {
+  const Frame frame = make_frame(NodeId(0), NodeId(1), 10, "s");
+  EXPECT_TRUE(frame.holds<std::string>());
+  EXPECT_FALSE(frame.holds<int>());
+  EXPECT_FALSE(frame.holds<std::vector<char>>());
+  EXPECT_FALSE(Frame{}.holds<std::string>());
+}
+
+TEST(FrameBodyTest, FreedBlockIsReusedByAnotherTypeOfItsSizeClass) {
+  // Both fit the pool's first 64-byte class.
+  using Words = std::array<std::uint64_t, 6>;
+  static_assert(sizeof(Words) <= 64 && sizeof(std::string) <= 64);
+  const void* block = nullptr;
+  {
+    FrameBody words(Words{1, 2, 3, 4, 5, 6});
+    block = &words.as<Words>();
+    EXPECT_EQ(words.as<Words>()[5], 6u);
+  }
+  FrameBody text(std::string(40, 'x'));
+  EXPECT_EQ(static_cast<const void*>(&text.as<std::string>()), block);
+  EXPECT_FALSE(text.holds<Words>());
+  EXPECT_EQ(text.as<std::string>(), std::string(40, 'x'));
 }
 
 TEST(ButterflyTest, StagesGrowWithNodes) {

@@ -1,10 +1,9 @@
-// Unit tests for common utilities (ids, results, ring buffer).
+// Unit tests for common utilities (ids, results).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/result.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/strong_id.hpp"
 
 namespace {
@@ -66,38 +65,6 @@ TEST(StatusTest, DefaultIsOk) {
   common::Status<Errc> bad = common::Err(Errc::kWorse);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error(), Errc::kWorse);
-}
-
-TEST(RingBufferTest, PushPopWraps) {
-  common::RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.push(1));
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_TRUE(rb.push(3));
-  EXPECT_TRUE(rb.full());
-  EXPECT_FALSE(rb.push(4));
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_TRUE(rb.push(4));
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBufferTest, FrontPeeks) {
-  common::RingBuffer<int> rb(2);
-  ASSERT_TRUE(rb.push(42));
-  EXPECT_EQ(rb.front(), 42);
-  EXPECT_EQ(rb.size(), 1u);
-}
-
-TEST(RingBufferTest, ClearResets) {
-  common::RingBuffer<int> rb(2);
-  ASSERT_TRUE(rb.push(1));
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_TRUE(rb.push(2));
-  EXPECT_EQ(rb.front(), 2);
 }
 
 }  // namespace

@@ -39,8 +39,9 @@ class ReplayMedium final : public net::Medium {
   void send(net::Frame frame) override {
     stamp(frame);
     if (!captured_.has_value() && frame.src == watch_src_) {
-      if (const auto* wf = std::any_cast<Kernel::WireFrame>(&frame.body);
-          wf != nullptr && std::holds_alternative<Kernel::ReqFrag>(*wf)) {
+      if (frame.holds<Kernel::WireFrame>() &&
+          std::holds_alternative<Kernel::ReqFrag>(
+              frame.as<Kernel::WireFrame>())) {
         captured_ = frame;  // same id: a duplicate, not a new frame
       }
     }
