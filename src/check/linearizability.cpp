@@ -132,10 +132,13 @@ LinVerdict check_history(const std::vector<KvOp>& ops) {
 LinVerdict check_trace(const trace::Recorder& rec) {
   std::unordered_map<std::uint64_t, KvOp> by_trace;
   std::vector<std::uint64_t> order;
+  // Labels compared by interned id; one never emitted matches nothing.
+  const auto invoke = rec.find_label("kv.invoke");
+  const auto ok = rec.find_label("kv.ok");
+  const auto err = rec.find_label("kv.err");
   for (const trace::Record& r : rec.snapshot()) {
     if (r.kind != trace::Kind::kInstant) continue;
-    const std::string& name = rec.label_name(r.label);
-    if (name == "kv.invoke") {
+    if (r.label == invoke) {
       KvOp op;
       op.trace = r.trace;
       op.type = static_cast<KvOpType>(r.a >> 32);
@@ -144,13 +147,13 @@ LinVerdict check_trace(const trace::Recorder& rec) {
       op.inv_at = r.at;
       op.inv_seq = r.seq;
       if (by_trace.emplace(r.trace, op).second) order.push_back(r.trace);
-    } else if (name == "kv.ok" || name == "kv.err") {
+    } else if (r.label == ok || r.label == err) {
       const auto it = by_trace.find(r.trace);
       if (it == by_trace.end()) continue;  // invoke lost to ring overwrite
       KvOp& op = it->second;
       op.res_at = r.at;
       op.res_seq = r.seq;
-      if (name == "kv.ok") {
+      if (r.label == ok) {
         op.completed = true;
         op.result = static_cast<std::int64_t>(r.a);
       } else {

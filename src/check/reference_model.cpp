@@ -1,31 +1,39 @@
 #include "check/reference_model.hpp"
 
-#include <sstream>
+#include <cstdio>
+#include <string_view>
 #include <utility>
 
 namespace check {
 
 namespace {
 
-constexpr std::size_t kMaxHistory = 48;  // causal context kept per trace
-
+// Exact simulated time in microseconds, from the integer nanoseconds
+// (a double would keep only six significant digits).
 std::string format_time(sim::Time at) {
-  std::ostringstream os;
-  os << sim::to_usec(at) << "us";
-  return os.str();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%lld.%03lldus",
+                static_cast<long long>(at / 1000),
+                static_cast<long long>(at % 1000));
+  return buf;
 }
 
 }  // namespace
 
 std::string Divergence::render() const {
-  std::ostringstream os;
-  os << "divergence [" << rule << "] at " << format_time(at) << " seq=" << seq
-     << " trace=" << trace << ": " << detail;
+  std::string out = "divergence [";
+  out += rule;
+  out += "] at ";
+  out += format_time(at);
+  out += " seq=" + std::to_string(seq);
+  out += " trace=" + std::to_string(trace);
+  out += ": ";
+  out += detail;
   if (!context.empty()) {
-    os << "\n  causal context (trace " << trace << "):";
-    for (const std::string& line : context) os << "\n    " << line;
+    out += "\n  causal context (trace " + std::to_string(trace) + "):";
+    for (const std::string& line : context) out += "\n    " + line;
   }
-  return os.str();
+  return out;
 }
 
 bool ReferenceModel::replay(const trace::Recorder& rec) {
@@ -46,26 +54,57 @@ bool ReferenceModel::replay(const trace::Recorder& rec) {
     return false;
   }
 
+  bind(rec);
   for (const trace::Record& r : rec.snapshot()) {
-    feed(r, rec);
-    if (divergence_.has_value()) return false;
+    feed(r);
+    if (divergence_.has_value()) break;
   }
-  finish();
+  if (!divergence_.has_value()) finish();
+  rec_ = nullptr;
   return !divergence_.has_value();
 }
 
-std::string ReferenceModel::render(const trace::Record& r,
-                                   const std::string& label,
-                                   const char* what) {
-  std::ostringstream os;
-  os << "[" << format_time(r.at) << "] seq=" << r.seq << " node=" << r.node
-     << " " << what << " " << label;
-  if (r.a != 0) os << " a=" << r.a;
-  return os.str();
+void ReferenceModel::bind(const trace::Recorder& rec) {
+  static constexpr std::pair<std::string_view, Op> kOps[] = {
+      {"call", Op::kCall},
+      {"call.gather", Op::kCallGather},
+      {"call.send", Op::kCallSend},
+      {"call.wait", Op::kCallWait},
+      {"call.scatter", Op::kCallScatter},
+      {"recv.scatter", Op::kRecvScatter},
+      {"reply.gather", Op::kReplyGather},
+      {"reply.send", Op::kReplySend},
+      {"rpc.error", Op::kRpcError},
+      {"req.reject", Op::kReqReject},
+      {"link.dead", Op::kLinkDead},
+  };
+  rec_ = &rec;
+  runtime_track_ = rec.find_track("runtime");
+  ops_.assign(rec.label_count(), Op::kOther);
+  for (const auto& [name, op] : kOps) {
+    if (const auto id = rec.find_label(name)) ops_[*id] = op;
+  }
 }
 
-ReferenceModel::RpcState& ReferenceModel::state_of(std::uint64_t trace) {
-  return rpcs_[trace];
+std::vector<std::string> ReferenceModel::render(const History& history) const {
+  std::vector<std::string> lines;
+  lines.reserve(history.size());
+  for (const ContextEntry& e : history) {
+    const char* edge = e.edge == Edge::kBegin ? "begin"
+                       : e.edge == Edge::kEnd ? "end"
+                                              : "instant";
+    std::string line = "[";
+    line += format_time(e.at);
+    line += "] seq=" + std::to_string(e.seq);
+    line += " node=" + std::to_string(e.node);
+    line += " ";
+    line += edge;
+    line += " ";
+    line += rec_->label_name(e.label);
+    if (e.a != 0) line += " a=" + std::to_string(e.a);
+    lines.push_back(std::move(line));
+  }
+  return lines;
 }
 
 void ReferenceModel::diverge(const trace::Record& r, std::string rule,
@@ -79,59 +118,55 @@ void ReferenceModel::diverge(const trace::Record& r, std::string rule,
   d.detail = std::move(detail);
   if (r.trace != 0) {
     auto it = rpcs_.find(r.trace);
-    if (it != rpcs_.end()) d.context = it->second.history;
+    if (it != rpcs_.end()) d.context = render(it->second.history);
   } else {
-    d.context = untraced_history_;
+    d.context = render(untraced_history_);
   }
   divergence_ = std::move(d);
 }
 
-void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
+void ReferenceModel::feed(const trace::Record& r) {
   ++records_;
 
   // Resolve the (label, trace) this record talks about.  Span ends carry
   // only the span id, so they are attributed via the begin that opened
   // them; everything not on the runtime track is outside the model.
-  std::string label;
+  std::uint16_t label = r.label;
   std::uint64_t trace = r.trace;
-  bool runtime = false;
-  bool is_end = false;
+  Edge edge = Edge::kBegin;
 
   switch (r.kind) {
     case trace::Kind::kSpanBegin:
+      if (r.track != runtime_track_) return;
+      open_spans_[r.span] = {label, trace};
+      break;
     case trace::Kind::kInstant:
-      runtime = rec.track_name(r.track) == "runtime";
-      if (runtime) label = rec.label_name(r.label);
-      if (r.kind == trace::Kind::kSpanBegin && runtime) {
-        open_spans_[r.span] = {label, trace};
-      }
+      if (r.track != runtime_track_) return;
+      edge = Edge::kInstant;
       break;
     case trace::Kind::kSpanEnd: {
       auto it = open_spans_.find(r.span);
       if (it == open_spans_.end()) return;  // end of a non-runtime span
-      label = it->second.first;
-      trace = it->second.second;
+      label = it->second.label;
+      trace = it->second.trace;
       open_spans_.erase(it);
-      runtime = true;
-      is_end = true;
+      edge = Edge::kEnd;
       break;
     }
     default:
       return;  // text / context records carry no RPC semantics
   }
-  if (!runtime) return;
+  const Op op = ops_[label];
+  const ContextEntry entry{r.at, r.seq, r.a, r.node, label, edge};
 
   // Instants are checked even with trace == 0: an error raised outside
   // any call's causal chain (e.g. "call on destroyed link" before a
   // trace is allocated) is still an error the scenario must expect.
-  if (r.kind == trace::Kind::kInstant) {
-    RpcState* st = trace != 0 ? &state_of(trace) : nullptr;
-    if (st != nullptr && st->history.size() < kMaxHistory) {
-      st->history.push_back(render(r, label, "instant"));
-    } else if (st == nullptr && untraced_history_.size() < kMaxHistory) {
-      untraced_history_.push_back(render(r, label, "instant"));
-    }
-    if (label == "rpc.error") {
+  if (edge == Edge::kInstant) {
+    RpcState* st = trace != 0 ? &rpcs_[trace] : nullptr;
+    History& history = st != nullptr ? st->history : untraced_history_;
+    if (history.size() < kMaxHistory) history.push_back(entry);
+    if (op == Op::kRpcError) {
       const auto kind = static_cast<lynx::ErrorKind>(r.a);
       if (st != nullptr) st->failed = true;
       if (!expectation_.allows(kind)) {
@@ -139,14 +174,14 @@ void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
                 std::string("rpc failed with disallowed error kind '") +
                     lynx::to_string(kind) + "'");
       }
-    } else if (label == "req.reject") {
+    } else if (op == Op::kReqReject) {
       if (st != nullptr) st->rejected = true;
       if (!expectation_.allow_rejects) {
         diverge(r, "screening",
                 "kernel screened out a request, but the scenario declares "
                 "every operation it calls");
       }
-    } else if (label == "link.dead") {
+    } else if (op == Op::kLinkDead) {
       if (!expectation_.allow_link_death) {
         diverge(r, "link-death",
                 "a link death notice in a scenario whose processes all "
@@ -157,13 +192,11 @@ void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
   }
   if (trace == 0) return;
 
-  RpcState& st = state_of(trace);
-  if (st.history.size() < kMaxHistory) {
-    st.history.push_back(render(r, label, is_end ? "end" : "begin"));
-  }
+  RpcState& st = rpcs_[trace];
+  if (st.history.size() < kMaxHistory) st.history.push_back(entry);
 
-  if (is_end) {
-    if (label == "call") {
+  if (edge == Edge::kEnd) {
+    if (op == Op::kCall) {
       st.call_open = false;
       if (!st.failed && !st.rejected &&
           !(st.served && st.reply_sent && st.scatter)) {
@@ -179,7 +212,7 @@ void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
   }
 
   // kSpanBegin on the runtime track: the phase machine.
-  if (label == "call") {
+  if (op == Op::kCall) {
     ++calls_;
     if (st.call_begun && expectation_.unique_traces) {
       diverge(r, "unique-call",
@@ -188,22 +221,22 @@ void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
     }
     st.call_begun = true;
     st.call_open = true;
-  } else if (label == "call.gather") {
+  } else if (op == Op::kCallGather) {
     if (!st.call_open) {
       diverge(r, "phase-order", "argument gather outside an open call span");
     }
     st.gather = true;
-  } else if (label == "call.send") {
+  } else if (op == Op::kCallSend) {
     if (!st.call_open || !st.gather) {
       diverge(r, "phase-order", "request send before argument gather");
     }
     st.send = true;
-  } else if (label == "call.wait") {
+  } else if (op == Op::kCallWait) {
     if (!st.call_open || !st.send) {
       diverge(r, "phase-order", "reply wait before request send");
     }
     st.wait = true;
-  } else if (label == "call.scatter") {
+  } else if (op == Op::kCallScatter) {
     if (!st.call_open || !st.wait) {
       diverge(r, "phase-order", "reply scatter before reply wait");
     } else if (!st.reply_sent) {
@@ -211,7 +244,7 @@ void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
               "client scattered a reply the server never sent");
     }
     st.scatter = true;
-  } else if (label == "recv.scatter") {
+  } else if (op == Op::kRecvScatter) {
     if (!st.send) {
       diverge(r, "service-after-send",
               "request serviced before any client sent it");
@@ -221,12 +254,12 @@ void ReferenceModel::feed(const trace::Record& r, const trace::Recorder& rec) {
               "through the kernel's dedup/screening machinery");
     }
     st.served = true;
-  } else if (label == "reply.gather") {
+  } else if (op == Op::kReplyGather) {
     if (!st.served) {
       diverge(r, "reply-after-serve",
               "reply gathered for a request never serviced");
     }
-  } else if (label == "reply.send") {
+  } else if (op == Op::kReplySend) {
     if (!st.served) {
       diverge(r, "reply-after-serve",
               "reply sent for a request never serviced");
@@ -258,7 +291,7 @@ void ReferenceModel::finish() {
     d.detail =
         "a call span never closed: the run ended with an RPC still in "
         "flight";
-    d.context = worst->history;
+    d.context = render(worst->history);
     divergence_ = std::move(d);
   }
 }

@@ -52,6 +52,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/id_map.hpp"
 #include "lynx/errors.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
@@ -97,6 +98,9 @@ struct Divergence {
 
 class ReferenceModel {
  public:
+  // Causal context kept per trace: its first kMaxHistory runtime records.
+  static constexpr std::size_t kMaxHistory = 48;
+
   explicit ReferenceModel(Expectation expectation = {})
       : expectation_(expectation) {}
 
@@ -115,6 +119,36 @@ class ReferenceModel {
   [[nodiscard]] std::uint64_t calls_checked() const { return calls_; }
 
  private:
+  // The runtime-track labels the contract speaks about; every other
+  // runtime label is kept as context but checked by nothing.
+  enum class Op : std::uint8_t {
+    kOther,
+    kCall,
+    kCallGather,
+    kCallSend,
+    kCallWait,
+    kCallScatter,
+    kRecvScatter,
+    kReplyGather,
+    kReplySend,
+    kRpcError,
+    kReqReject,
+    kLinkDead,
+  };
+  enum class Edge : std::uint8_t { kBegin, kEnd, kInstant };
+
+  // One context record, unrendered: text is built only when a
+  // divergence reports it.
+  struct ContextEntry {
+    sim::Time at = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t a = 0;
+    std::uint32_t node = 0;
+    std::uint16_t label = 0;
+    Edge edge = Edge::kBegin;
+  };
+  using History = std::vector<ContextEntry>;
+
   struct RpcState {
     bool call_begun = false;
     bool call_open = false;
@@ -126,27 +160,34 @@ class ReferenceModel {
     bool reply_sent = false;  // reply.send begun (server side)
     bool rejected = false;    // req.reject instant (screening)
     bool failed = false;      // rpc.error instant on this trace
-    std::vector<std::string> history;
+    History history;
   };
 
-  void feed(const trace::Record& r, const trace::Recorder& rec);
+  // A runtime-track span awaiting its end (kSpanEnd records carry only
+  // the span id).
+  struct OpenSpan {
+    std::uint16_t label = 0;
+    std::uint64_t trace = 0;
+  };
+
+  void bind(const trace::Recorder& rec);
+  void feed(const trace::Record& r);
   void finish();
   void diverge(const trace::Record& r, std::string rule, std::string detail);
-  RpcState& state_of(std::uint64_t trace);
-  static std::string render(const trace::Record& r, const std::string& label,
-                            const char* what);
+  [[nodiscard]] std::vector<std::string> render(const History& history) const;
 
   Expectation expectation_;
+  // The recorder being replayed, and its labels resolved to Ops.
+  const trace::Recorder* rec_ = nullptr;
+  std::optional<std::uint32_t> runtime_track_;
+  std::vector<Op> ops_;  // by label id
   std::optional<Divergence> divergence_;
   std::unordered_map<std::uint64_t, RpcState> rpcs_;
   // Runtime-track instants outside any causal chain (trace 0): kept so
   // a trace-0 divergence still carries its lead-up (e.g. the link.dead
   // notice that explains a later "call on destroyed link" error).
-  std::vector<std::string> untraced_history_;
-  // span id -> (label name, trace) of runtime-track begins, so ends can
-  // be attributed (kSpanEnd records carry only the span id).
-  std::unordered_map<std::uint64_t, std::pair<std::string, std::uint64_t>>
-      open_spans_;
+  History untraced_history_;
+  common::IdMap<trace::SpanId, OpenSpan> open_spans_;
   std::uint64_t records_ = 0;
   std::uint64_t calls_ = 0;
 };

@@ -31,19 +31,21 @@ void InvariantChecker::on_fault(const FaultRecord& record) {
 void InvariantChecker::on_delivery(const net::Frame& frame,
                                    net::NodeId receiver) {
   ++deliveries_checked_;
-  std::ostringstream os;
   if (medium_->crashed(receiver)) {
+    std::ostringstream os;
     os << "I1: frame#" << frame.id << " delivered to crashed " << receiver;
     violate(os.str());
     return;
   }
   if (medium_->link_cut(frame.src, receiver)) {
+    std::ostringstream os;
     os << "I2: frame#" << frame.id << " delivered across severed link "
        << frame.src << "<->" << receiver;
     violate(os.str());
     return;
   }
   if (frame.corrupted) {
+    std::ostringstream os;
     os << "I3: corrupted frame#" << frame.id << " reached " << receiver;
     violate(os.str());
     return;
@@ -53,6 +55,7 @@ void InvariantChecker::on_delivery(const net::Frame& frame,
   const std::uint32_t allowed =
       1 + (it == dup_budget_.end() ? 0 : it->second);
   if (seen > allowed) {
+    std::ostringstream os;
     os << "I4: frame#" << frame.id << " delivered " << seen << "x to "
        << receiver << " with only " << (allowed - 1)
        << " duplicate(s) injected";

@@ -62,7 +62,7 @@ void Recorder::fold_bytes(std::string_view bytes) {
 }
 
 std::uint16_t Recorder::intern_label(std::string_view name) {
-  auto it = label_ids_.find(std::string(name));
+  auto it = label_ids_.find(name);
   if (it != label_ids_.end()) return it->second;
   const auto id = static_cast<std::uint16_t>(labels_.size());
   labels_.emplace_back(name);
@@ -72,13 +72,27 @@ std::uint16_t Recorder::intern_label(std::string_view name) {
 }
 
 std::uint32_t Recorder::intern_track(std::string_view name) {
-  auto it = track_ids_.find(std::string(name));
+  auto it = track_ids_.find(name);
   if (it != track_ids_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(tracks_.size());
   tracks_.emplace_back(name);
   track_ids_.emplace(tracks_.back(), id);
   fold_bytes(name);
   return id;
+}
+
+std::optional<std::uint16_t> Recorder::find_label(
+    std::string_view name) const {
+  const auto it = label_ids_.find(name);
+  if (it == label_ids_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<std::uint32_t> Recorder::find_track(
+    std::string_view name) const {
+  const auto it = track_ids_.find(name);
+  if (it == track_ids_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Recorder::emit(Record rec) {
@@ -168,14 +182,39 @@ void Recorder::pop_context() {
 }
 
 std::vector<Record> Recorder::snapshot() const {
-  std::vector<Record> out;
-  out.reserve(retained());
+  // One cursor per non-empty ring, at its oldest record: slot 0 until
+  // the ring wraps, head after (head stays 0 until then).
+  struct Cursor {
+    const std::vector<Record>* slots;
+    std::size_t pos;
+    std::size_t left;  // records of this ring not yet merged
+    [[nodiscard]] const Record& front() const { return (*slots)[pos]; }
+  };
+  std::vector<Cursor> heap;
+  heap.reserve(rings_.size());
   for (const auto& [node, ring] : rings_) {
     (void)node;
-    out.insert(out.end(), ring.slots.begin(), ring.slots.end());
+    if (!ring.slots.empty()) {
+      heap.push_back({&ring.slots, ring.head, ring.slots.size()});
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const Record& x, const Record& y) { return x.seq < y.seq; });
+  const auto later = [](const Cursor& x, const Cursor& y) {
+    return x.front().seq > y.front().seq;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::vector<Record> out;
+  out.reserve(retained());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = heap.back();
+    out.push_back(c.front());
+    if (--c.left == 0) {
+      heap.pop_back();
+      continue;
+    }
+    c.pos = (c.pos + 1) % c.slots->size();
+    std::push_heap(heap.begin(), heap.end(), later);
+  }
   return out;
 }
 

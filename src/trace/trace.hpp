@@ -26,6 +26,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -72,6 +74,11 @@ class Recorder {
   // ---- interning ------------------------------------------------------
   [[nodiscard]] std::uint16_t intern_label(std::string_view name);
   [[nodiscard]] std::uint32_t intern_track(std::string_view name);
+  // Lookups that never intern (interning a new name moves the digest).
+  [[nodiscard]] std::optional<std::uint16_t> find_label(
+      std::string_view name) const;
+  [[nodiscard]] std::optional<std::uint32_t> find_track(
+      std::string_view name) const;
   [[nodiscard]] const std::string& label_name(std::uint16_t id) const {
     return labels_[id];
   }
@@ -82,6 +89,8 @@ class Recorder {
 
   // ---- inspection -----------------------------------------------------
   // All retained records, merged across rings, in emission order.
+  // Each ring already holds its node's records in seq order (from head
+  // once it has wrapped), so this is a k-way merge, not a sort.
   [[nodiscard]] std::vector<Record> snapshot() const;
 
   [[nodiscard]] std::uint64_t total_emitted() const { return emitted_; }
@@ -104,6 +113,17 @@ class Recorder {
     std::vector<Record> slots;  // grows to capacity, then wraps
     std::size_t head = 0;       // next overwrite position once full
   };
+  // Transparent hashing: emission sites look names up by string_view,
+  // so a hit builds no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename Id>
+  using NameIds =
+      std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
 
   void emit(Record rec);
   void fold(std::uint64_t v);
@@ -117,8 +137,8 @@ class Recorder {
   std::unordered_map<std::uint32_t, Ring> rings_;
   std::vector<std::string> labels_;
   std::vector<std::string> tracks_;
-  std::unordered_map<std::string, std::uint16_t> label_ids_;
-  std::unordered_map<std::string, std::uint32_t> track_ids_;
+  NameIds<std::uint16_t> label_ids_;
+  NameIds<std::uint32_t> track_ids_;
   std::vector<std::pair<Dim, std::uint64_t>> ctx_;
 
   TraceId next_trace_ = 0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "check/explorer.hpp"
 #include "check/reference_model.hpp"
@@ -262,6 +263,58 @@ TEST(Conformance, InFlightCallAtEndOfRunIsCaught) {
   exp.require_completion = false;
   ReferenceModel lax(exp);
   EXPECT_TRUE(lax.replay(s.rec));
+}
+
+TEST(Conformance, InFlightCallDivergenceCarriesItsContext) {
+  Script s;
+  s.conforming_rpc(1);
+  const auto call = s.begin("call", 2);
+  s.end(s.begin("call.gather", 2));
+  (void)call;  // never closed
+  ReferenceModel m;
+  ASSERT_FALSE(m.replay(s.rec));
+  const Divergence& d = *m.divergence();
+  EXPECT_EQ(d.rule, "incomplete-call");
+  EXPECT_EQ(d.trace, 2u);
+  const std::vector<std::string> want = {
+      "[0.000us] seq=16 node=0 begin call",
+      "[0.000us] seq=17 node=0 begin call.gather",
+      "[0.000us] seq=18 node=0 end call.gather",
+  };
+  EXPECT_EQ(d.context, want);
+  EXPECT_NE(d.render().find("causal context (trace 2):"), std::string::npos);
+}
+
+TEST(Conformance, ContextKeepsTheFirstRecordsOfALongTrace) {
+  // 52 runtime records on one trace before it diverges: the context is
+  // its first kMaxHistory records, oldest first, each with its edge.
+  Script s;
+  const auto call = s.begin("call", 1);  // seq 0
+  s.instant("call.note", 1, 7);          // seq 1
+  for (int i = 0; i < 25; ++i) {          // seqs 2..51
+    s.end(s.begin("call.gather", 1));
+  }
+  s.instant("rpc.error", 1,  // seq 52
+            static_cast<std::uint64_t>(lynx::ErrorKind::kLinkDestroyed));
+  (void)call;
+  ReferenceModel m;
+  ASSERT_FALSE(m.replay(s.rec));
+  const Divergence& d = *m.divergence();
+  EXPECT_EQ(d.rule, "error-surface");
+  EXPECT_EQ(d.seq, 52u);
+  ASSERT_EQ(ReferenceModel::kMaxHistory, 48u);
+  ASSERT_EQ(d.context.size(), ReferenceModel::kMaxHistory);
+  for (std::size_t i = 0; i < d.context.size(); ++i) {
+    std::string want = "[0.000us] seq=" + std::to_string(i) + " node=0 ";
+    if (i == 0) {
+      want += "begin call";
+    } else if (i == 1) {
+      want += "instant call.note a=7";
+    } else {
+      want += i % 2 == 0 ? "begin call.gather" : "end call.gather";
+    }
+    EXPECT_EQ(d.context[i], want);
+  }
 }
 
 TEST(Conformance, RingOverflowIsItselfADivergence) {

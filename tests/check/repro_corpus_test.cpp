@@ -6,6 +6,7 @@
 // token, a human appends it here, CI replays it forever.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -65,6 +66,27 @@ TEST(ReproCorpus, EveryTokenStillFailsForItsRecordedReason) {
     ASSERT_TRUE(v.divergence.has_value()) << v.failure;
     EXPECT_EQ(v.divergence->rule, e.rule) << v.failure;
   }
+}
+
+TEST(ReproCorpus, FirstErrorSurfaceTokenReportsItsFullText) {
+  // The whole divergence report, pinned: rule, exact times (integer
+  // nanoseconds, printed as microseconds), detail and causal context.
+  // The model keeps its context unrendered and builds this text only
+  // when it reports a divergence; the text must not change for it.
+  const std::vector<Entry> corpus = load_corpus();
+  const auto first = std::find_if(
+      corpus.begin(), corpus.end(),
+      [](const Entry& e) { return e.rule == "error-surface"; });
+  ASSERT_NE(first, corpus.end());
+  const auto cfg = parse_token(first->token);
+  ASSERT_TRUE(cfg.has_value()) << first->token;
+  const RunVerdict v = run_one(*cfg);
+  EXPECT_EQ(v.failure,
+            "divergence [error-surface] at 7607299.200us seq=193 trace=0: "
+            "rpc failed with disallowed error kind 'link-destroyed'\n"
+            "  causal context (trace 0):\n"
+            "    [7606762.450us] seq=186 node=1 instant link.dead\n"
+            "    [7607299.200us] seq=193 node=1 instant rpc.error");
 }
 
 TEST(ReproCorpus, TokensAreMinimized) {

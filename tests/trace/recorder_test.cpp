@@ -3,6 +3,7 @@
 // disabled-recorder zero-cost contract.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -121,6 +122,36 @@ TEST(Recorder, DigestSurvivesRingOverwrite) {
   }
   EXPECT_EQ(big.overwritten(), 0u);
   EXPECT_EQ(small.digest(), big.digest());
+}
+
+TEST(Recorder, SnapshotMergesWrappedRingsInEmissionOrder) {
+  // Three nodes emit unevenly interleaved records into rings of 8 that
+  // all wrap, each at a different point.  The snapshot must still be in
+  // global emission order and hold exactly each node's newest records.
+  sim::Engine e;
+  constexpr std::size_t kCapacity = 8;
+  Recorder rec(e, kCapacity);
+  std::map<std::uint32_t, std::vector<std::uint64_t>> emitted;  // node -> seqs
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    const auto node = static_cast<std::uint32_t>((i * i + i / 5) % 3);
+    emitted[node].push_back(rec.total_emitted());  // the seq it will get
+    rec.instant(node, "wire", "frame.tx", 0, i);
+  }
+  ASSERT_EQ(emitted.size(), 3u);
+
+  const std::vector<Record> records = rec.snapshot();
+  ASSERT_EQ(records.size(), 3 * kCapacity);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    EXPECT_LT(records[i - 1].seq, records[i].seq) << "at " << i;
+  }
+  std::map<std::uint32_t, std::vector<std::uint64_t>> kept;
+  for (const Record& r : records) kept[r.node].push_back(r.seq);
+  for (const auto& [node, seqs] : emitted) {
+    ASSERT_GT(seqs.size(), kCapacity) << "node " << node << " never wrapped";
+    const std::vector<std::uint64_t> newest(seqs.end() - kCapacity,
+                                            seqs.end());
+    EXPECT_EQ(kept[node], newest) << "node " << node;
+  }
 }
 
 TEST(Recorder, DigestDiffersWhenStreamDiffers) {
