@@ -109,21 +109,10 @@ void report() {
   print_note("wire and framing, exactly the paper's footnote 2.");
 }
 
-void BM_AblationCharlotteFastRing(benchmark::State& state) {
-  net::TokenRingParams ring;
-  ring.bits_per_second = 1'000'000'000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(charlotte_rpc_ms(0, ring, charlotte::Costs{}));
-  }
-}
-BENCHMARK(BM_AblationCharlotteFastRing)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "ablations");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

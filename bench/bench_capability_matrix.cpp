@@ -160,19 +160,10 @@ void report() {
   (void)charlotte_single_message_multimove;
 }
 
-void BM_CapabilityScenario4Soda(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(detects_reply_abort(Substrate::kSoda));
-  }
-}
-BENCHMARK(BM_CapabilityScenario4Soda)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "capability_matrix");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -458,17 +458,6 @@ void traced_run(bool smoke) {
   }
 }
 
-void BM_ChrysalisLoadProbe(benchmark::State& state) {
-  double tput = 0;
-  for (auto _ : state) {
-    load::Scenario sc = base_scenario(/*smoke=*/true);
-    sc.offered_rate = 100.0;
-    tput = load::run_scenario(load::Substrate::kChrysalis, sc).throughput;
-  }
-  state.counters["delivered_per_s"] = tput;
-}
-BENCHMARK(BM_ChrysalisLoadProbe)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -535,7 +524,5 @@ int main(int argc, char** argv) {
     gate_ok = baseline_gate(path, to_string(sub), peaks.of(sub)) && gate_ok;
   }
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return gate_ok ? 0 : 1;
 }

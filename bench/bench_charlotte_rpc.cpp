@@ -91,26 +91,10 @@ void report() {
   traced_phase_report(tw, "E3 Charlotte RPC (1000 B both ways)", 1000);
 }
 
-void BM_LynxCharlotteNullRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = lynx_charlotte_ms(0);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_LynxCharlotteNullRpc)->Unit(benchmark::kMillisecond);
-
-void BM_RawCharlotteNullRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = raw_kernel_rpc_ms(0);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_RawCharlotteNullRpc)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "charlotte_rpc");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

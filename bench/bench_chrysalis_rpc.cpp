@@ -67,26 +67,10 @@ void report() {
   traced_phase_report(tw, "E7 Chrysalis RPC (1000 B both ways)", 1000);
 }
 
-void BM_LynxChrysalisNullRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = chrysalis_ms(0);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_LynxChrysalisNullRpc)->Unit(benchmark::kMillisecond);
-
-void BM_LynxChrysalisKilobyteRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = chrysalis_ms(1000);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_LynxChrysalisKilobyteRpc)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "chrysalis_rpc");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -68,19 +68,10 @@ void report() {
   RELYNX_ASSERT(ch.screening_states > so.screening_states);
 }
 
-void BM_MeasureComplexity(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(metrics::profile_charlotte().source_lines);
-  }
-}
-BENCHMARK(BM_MeasureComplexity);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "code_metrics");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

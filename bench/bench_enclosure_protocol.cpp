@@ -97,19 +97,10 @@ void report() {
   print_note("kernels move any k in one message.");
 }
 
-void BM_CharlotteMoveFourLinks(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = run_move(Substrate::kCharlotte, 4).ms;
-  state.counters["sim_ms"] = ms;
-}
-BENCHMARK(BM_CharlotteMoveFourLinks)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "enclosure_protocol");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -96,26 +96,10 @@ void report() {
   print_note("Chrysalis is flat because no Medium exists to impair.");
 }
 
-void BM_CharlotteLossyRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = impaired_rpc_ms(Substrate::kCharlotte, 401, 0.1);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_CharlotteLossyRpc)->Unit(benchmark::kMillisecond);
-
-void BM_SodaLossyRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = impaired_rpc_ms(Substrate::kSoda, 402, 0.1);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_SodaLossyRpc)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "fault_sweep");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -177,19 +177,10 @@ void report() {
   print_note("cost nothing until they miss).");
 }
 
-void BM_Fig1Charlotte(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fig1(Substrate::kCharlotte).worked);
-  }
-}
-BENCHMARK(BM_Fig1Charlotte)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "link_move");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -186,19 +186,6 @@ void traced_run(bool smoke) {
   }
 }
 
-void BM_ChrysalisReplicatedCommit(benchmark::State& state) {
-  double p50 = 0;
-  for (auto _ : state) {
-    sim::Engine engine;
-    replica::Group g(engine, load::Substrate::kChrysalis,
-                     base_options(/*smoke=*/true));
-    engine.run();
-    p50 = g.metrics().write_latency.quantile(0.50);
-  }
-  state.counters["commit_p50_us"] = p50;
-}
-BENCHMARK(BM_ChrysalisReplicatedCommit)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -227,7 +214,5 @@ int main(int argc, char** argv) {
   bool gate_ok = true;
   if (!baseline.empty()) gate_ok = baseline_gate(baseline, charlotte_p50);
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return gate_ok ? 0 : 1;
 }

@@ -184,19 +184,10 @@ void report() {
   print_note("long as the failure path exists.");
 }
 
-void BM_DormantChainTwoHops(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_chain(2, 64, 0.0, 99).served);
-  }
-}
-BENCHMARK(BM_DormantChainTwoHops)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "soda_hints");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -60,19 +60,10 @@ void report() {
   traced_phase_report(tw, "E5 SODA RPC (null op)", 0, 6);
 }
 
-void BM_SodaNullRpc(benchmark::State& state) {
-  double ms = 0;
-  for (auto _ : state) ms = soda_ms(0);
-  state.counters["sim_ms_per_op"] = ms;
-}
-BENCHMARK(BM_SodaNullRpc)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "soda_vs_charlotte");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

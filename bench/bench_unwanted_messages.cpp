@@ -143,17 +143,10 @@ void report() {
   RELYNX_ASSERT(so.unwanted == 0);
 }
 
-void BM_AdversarialRoundCharlotte(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(run_charlotte(4).unwanted);
-}
-BENCHMARK(BM_AdversarialRoundCharlotte)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init(&argc, argv, "unwanted_messages");
   report();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,12 +1,10 @@
 // Shared infrastructure for the experiment benches.
 //
 // Every bench binary regenerates one of the paper's tables or figures
-// (see DESIGN.md §4).  Each prints a paper-vs-measured table on stdout
-// and registers google-benchmark timings of the simulations themselves
-// (so the harness also tracks the *simulator's* wall-clock cost).
+// (see DESIGN.md §4).  Each prints a paper-vs-measured table on stdout.
+// The simulator's own wall-clock cost is measured by bench_sim (E17) and
+// by perfbench, not here.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -32,8 +30,7 @@ namespace bench {
 //
 // Every bench main starts with
 //     bench::init(&argc, argv, "<bench-name>");
-// which strips the harness's own flags before google-benchmark sees the
-// rest:
+// which reads the harness's own flags:
 //     --json-out=FILE    append every JSON-lines record to FILE as well
 //                        as stdout
 //     --trace-out=FILE   benches that support causal tracing write a

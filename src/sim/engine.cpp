@@ -45,7 +45,7 @@ void Engine::shutdown() {
   // Unwinding frames can enqueue wakeups (e.g. a serializer guard waking
   // the next waiter, whose frame we then destroy too).  Those events hold
   // handles to frames that no longer exist: drop them so a post-shutdown
-  // step()/run() is a no-op instead of a resume-after-destroy.
+  // run() is a no-op instead of a resume-after-destroy.
   for (std::uint32_t& head : bucket_head_) {
     while (head != kNil) {
       const std::uint32_t idx = head;
@@ -57,9 +57,6 @@ void Engine::shutdown() {
   wheel_count_ = 0;
   for (const FarEntry& fe : far_) free_node(fe.idx);
   far_.clear();
-  loc_valid_ = false;
-  loc_kind_ = LocKind::kNone;
-  wf_valid_ = false;
   cancelled_ = 0;
   live_ = 0;
   // Retire every armed timer slot so outstanding TimerHandles observe
@@ -101,86 +98,42 @@ void Engine::push_event(Time at, std::uint64_t seq, EventFn&& fn,
   n.fn = std::move(fn);
   const std::uint64_t b = bucket_of(at);
   // Every queued event is at or after now, so `b - base` cannot wrap.
-  const bool wheel = b - bucket_of(now_) < kBuckets;
-  if (wheel) {
-    if (b < cursor_) cursor_ = b;
-    std::uint32_t& head = bucket_head_[b & kBucketMask];
-    n.next = head;
-    head = idx;
-    mark_bucket(b);
-    ++wheel_count_;
-    if (wf_valid_) {
-      if (b < wf_bucket_) {
-        // wf_bucket_ was the lowest occupied bucket, so this one was
-        // empty: the new event is alone in the new front bucket.
-        wf_bucket_ = b;
-        w1_idx_ = idx;
-        w1_prev_ = kNil;
-        w2_state_ = W2::kNone;
-        w2_more_ = false;
-      } else if (b == wf_bucket_) {
-        // Head insert: whichever tracked node was the head of this
-        // chain now follows the new one.
-        if (w1_prev_ == kNil) {
-          w1_prev_ = idx;
-        } else if (w2_state_ == W2::kKnown && w2_prev_ == kNil) {
-          w2_prev_ = idx;
-        }
-        const Node& w1 = node(w1_idx_);
-        if (fires_later(at, n.key, seq, w1.at, w1.key, w1.seq)) {
-          if (w2_state_ == W2::kNone) {
-            w2_state_ = W2::kKnown;
-            w2_idx_ = idx;
-            w2_prev_ = kNil;
-          } else if (w2_state_ == W2::kKnown) {
-            const Node& w2 = node(w2_idx_);
-            w2_more_ = true;  // a third live event either way
-            if (!fires_later(at, n.key, seq, w2.at, w2.key, w2.seq)) {
-              w2_idx_ = idx;
-              w2_prev_ = kNil;
-            }
-          }
-        } else {
-          // New wheel minimum: the old minimum becomes the runner-up.
-          w2_more_ = w2_more_ || w2_state_ != W2::kNone;
-          w2_state_ = W2::kKnown;
-          w2_idx_ = w1_idx_;
-          w2_prev_ = w1_prev_;
-          w1_idx_ = idx;
-          w1_prev_ = kNil;
-        }
-      }
-      // b > wf_bucket_ cannot affect the front: bucket order is time
-      // order.
-    }
-  } else {
-    far_.push_back(FarEntry{at, seq, n.key, idx});
-    std::push_heap(far_.begin(), far_.end(), Later{});
-  }
-  // Cache maintenance: one comparison decides whether the cached pop
-  // candidate survives the push.  A later-firing event cannot displace
-  // the minimum (a heap push of one never displaces the overflow top
-  // either); an earlier-firing one IS the new minimum, and its location
-  // is known exactly — the head of its bucket, or the overflow top.
-  if (!loc_valid_) return;
-  if (loc_kind_ != LocKind::kNone &&
-      fires_later(at, n.key, seq, loc_time_, loc_key_, loc_seq_)) {
-    // Cached candidate still wins; if the new event was head-inserted
-    // in front of it, the candidate's chain predecessor is now the new
-    // node.
-    if (wheel && loc_kind_ == LocKind::kWheel && b == loc_bucket_ &&
-        loc_prev_ == kNil) {
-      loc_prev_ = idx;
-    }
+  if (b - bucket_of(now_) >= kBuckets) {
+    push_far(idx);
     return;
   }
-  loc_kind_ = wheel ? LocKind::kWheel : LocKind::kFar;
-  loc_bucket_ = b;
-  loc_idx_ = idx;
-  loc_prev_ = kNil;
-  loc_time_ = at;
-  loc_key_ = n.key;
-  loc_seq_ = seq;
+  // Walk the chain to the first event that fires later: chains are kept
+  // in fire order, so a bucket's head is its next event.
+  std::uint32_t* link = &bucket_head_[b & kBucketMask];
+  for (std::size_t walked = 0; *link != kNil; ++walked) {
+    Node& m = node(*link);
+    if (fires_later(m.at, m.key, m.seq, at, n.key, seq)) break;
+    if (walked == kSpillMax) {
+      // Same-instant burst: move the whole chain into the overflow heap
+      // once instead of walking it on every insert.
+      for (std::uint32_t i = bucket_head_[b & kBucketMask]; i != kNil;
+           i = node(i).next) {
+        push_far(i);
+        --wheel_count_;
+      }
+      bucket_head_[b & kBucketMask] = kNil;
+      clear_bucket_mark(b);
+      push_far(idx);
+      return;
+    }
+    link = &m.next;
+  }
+  n.next = *link;
+  *link = idx;
+  if (b < cursor_) cursor_ = b;
+  mark_bucket(b);
+  ++wheel_count_;
+}
+
+void Engine::push_far(std::uint32_t idx) {
+  const Node& n = node(idx);
+  far_.push_back(FarEntry{n.at, n.seq, n.key, idx});
+  std::push_heap(far_.begin(), far_.end(), Later{});
 }
 
 std::uint64_t Engine::next_occupied(std::uint64_t from) const {
@@ -197,8 +150,7 @@ std::uint64_t Engine::next_occupied(std::uint64_t from) const {
   return from + ((found_idx - from_idx) & kBucketMask);
 }
 
-bool Engine::locate() {
-  if (loc_valid_) return loc_kind_ != LocKind::kNone;
+std::uint32_t Engine::locate() {
   // Prune dead overflow heads so the merge below compares live events.
   while (!far_.empty() && node_dead(node(far_.front().idx))) {
     std::pop_heap(far_.begin(), far_.end(), Later{});
@@ -206,180 +158,44 @@ bool Engine::locate() {
     far_.pop_back();
     if (cancelled_ > 0) --cancelled_;
   }
-  std::uint32_t best = kNil;
-  std::uint32_t best_prev = kNil;
-  std::uint64_t best_bucket = 0;
-  if (wf_valid_) {
-    best = w1_idx_;
-    best_prev = w1_prev_;
-    best_bucket = wf_bucket_;
-  } else if (wheel_count_ > 0) {
-    std::uint32_t best2 = kNil;
-    std::uint32_t best2_prev = kNil;
+  while (wheel_count_ > 0) {
     // The cursor may trail now's bucket after a pop from the overflow
     // heap advanced time; every lower bucket is empty either way.
-    std::uint64_t b = std::max(cursor_, bucket_of(now_));
-    std::size_t len = 0;
-    while (wheel_count_ > 0) {
-      b = next_occupied(b);
-      std::uint32_t& head = bucket_head_[b & kBucketMask];
-      // Walk the chain: reclaim dead records in place and track the
-      // comparator minimum and runner-up (chain order is irrelevant to
-      // selection).
-      std::uint32_t prev = kNil;
-      std::uint32_t idx = head;
-      len = 0;
-      while (idx != kNil) {
-        Node& n = node(idx);
-        const std::uint32_t next = n.next;
-        if (node_dead(n)) {
-          if (prev == kNil) {
-            head = next;
-          } else {
-            node(prev).next = next;
-          }
-          free_node(idx);
-          --wheel_count_;
-          if (cancelled_ > 0) --cancelled_;
-          idx = next;
-          continue;
-        }
-        ++len;
-        if (best == kNil) {
-          best = idx;
-          best_prev = prev;
-        } else {
-          const Node& bn = node(best);
-          if (fires_later(bn.at, bn.key, bn.seq, n.at, n.key, n.seq)) {
-            best2 = best;
-            best2_prev = best_prev;
-            best = idx;
-            best_prev = prev;
-          } else if (best2 == kNil) {
-            best2 = idx;
-            best2_prev = prev;
-          } else {
-            const Node& b2 = node(best2);
-            if (fires_later(b2.at, b2.key, b2.seq, n.at, n.key, n.seq)) {
-              best2 = idx;
-              best2_prev = prev;
-            }
-          }
-        }
-        prev = idx;
-        idx = next;
-      }
-      if (head == kNil) {
-        clear_bucket_mark(b);
-        cursor_ = b + 1;
-        best = kNil;
-        best2 = kNil;
-        continue;
-      }
-      if (len > kSpillMax) {
-        // Same-instant burst: push it into the overflow heap once
-        // instead of min-scanning it on every pop.
-        idx = head;
-        while (idx != kNil) {
-          Node& n = node(idx);
-          far_.push_back(FarEntry{n.at, n.seq, n.key, idx});
-          std::push_heap(far_.begin(), far_.end(), Later{});
-          idx = n.next;
-        }
-        wheel_count_ -= len;
-        head = kNil;
-        clear_bucket_mark(b);
-        cursor_ = b + 1;
-        best = kNil;
-        best2 = kNil;
-        continue;
-      }
-      best_bucket = b;
-      cursor_ = b;
-      break;
+    const std::uint64_t b = next_occupied(std::max(cursor_, bucket_of(now_)));
+    cursor_ = b;
+    std::uint32_t& head = bucket_head_[b & kBucketMask];
+    while (head != kNil && node_dead(node(head))) {
+      const std::uint32_t idx = head;
+      head = node(idx).next;
+      free_node(idx);
+      --wheel_count_;
+      if (cancelled_ > 0) --cancelled_;
     }
-    if (best != kNil) {
-      wf_valid_ = true;
-      wf_bucket_ = best_bucket;
-      w1_idx_ = best;
-      w1_prev_ = best_prev;
-      if (best2 == kNil) {
-        w2_state_ = W2::kNone;
-        w2_more_ = false;
-      } else {
-        w2_state_ = W2::kKnown;
-        w2_idx_ = best2;
-        w2_prev_ = best2_prev;
-        w2_more_ = len > 2;
-      }
+    if (head == kNil) {
+      clear_bucket_mark(b);
+      continue;
     }
+    // Bucket order is time order, so this head is the wheel's minimum.
+    const Node& n = node(head);
+    if (far_.empty()) return head;
+    const FarEntry& ft = far_.front();
+    if (fires_later(ft.at, ft.key, ft.seq, n.at, n.key, n.seq)) return head;
+    break;
   }
-  if (best == kNil && far_.empty()) {
-    loc_kind_ = LocKind::kNone;
-    loc_valid_ = true;
-    return false;
-  }
-  if (best != kNil) {
-    const Node& bn = node(best);
-    const FarEntry* ft = far_.empty() ? nullptr : &far_.front();
-    if (ft == nullptr ||
-        fires_later(ft->at, ft->key, ft->seq, bn.at, bn.key, bn.seq)) {
-      loc_kind_ = LocKind::kWheel;
-      loc_bucket_ = best_bucket;
-      loc_idx_ = best;
-      loc_prev_ = best_prev;
-      loc_time_ = bn.at;
-      loc_key_ = bn.key;
-      loc_seq_ = bn.seq;
-      loc_valid_ = true;
-      return true;
-    }
-  }
-  loc_kind_ = LocKind::kFar;
-  loc_idx_ = far_.front().idx;
-  loc_time_ = far_.front().at;
-  loc_key_ = far_.front().key;
-  loc_seq_ = far_.front().seq;
-  loc_valid_ = true;
-  return true;
+  return far_.empty() ? kNil : far_.front().idx;
 }
 
-std::uint32_t Engine::take_located() {
-  loc_valid_ = false;
-  if (loc_kind_ == LocKind::kFar) {
-    std::pop_heap(far_.begin(), far_.end(), Later{});
-    const std::uint32_t idx = far_.back().idx;
-    far_.pop_back();
-    return idx;
-  }
-  const std::uint32_t idx = loc_idx_;
-  if (loc_prev_ == kNil) {
-    bucket_head_[loc_bucket_ & kBucketMask] = node(idx).next;
-    if (node(idx).next == kNil) clear_bucket_mark(loc_bucket_);
-  } else {
-    node(loc_prev_).next = node(idx).next;
-  }
-  --wheel_count_;
-  // Promote the runner-up to wheel minimum.  With untracked live
-  // events left in the bucket (or none at all) the front knowledge is
-  // spent, and the next locate() rescans from the cursor.
-  if (wf_valid_ && idx == w1_idx_) {
-    if (w2_state_ == W2::kKnown) {
-      if (w2_prev_ == idx) w2_prev_ = loc_prev_;  // unlink bridged it
-      w1_idx_ = w2_idx_;
-      w1_prev_ = w2_prev_;
-      w2_state_ = w2_more_ ? W2::kUnknown : W2::kNone;
-      w2_more_ = false;
-    } else {
-      wf_valid_ = false;
-    }
-  }
-  return idx;
-}
-
-void Engine::fire_located() {
-  const std::uint32_t idx = take_located();
+void Engine::fire(std::uint32_t idx) {
   Node& n = node(idx);
+  if (!far_.empty() && far_.front().idx == idx) {
+    std::pop_heap(far_.begin(), far_.end(), Later{});
+    far_.pop_back();
+  } else {
+    const std::uint64_t b = bucket_of(n.at);
+    bucket_head_[b & kBucketMask] = n.next;
+    if (n.next == kNil) clear_bucket_mark(b);
+    --wheel_count_;
+  }
   RELYNX_ASSERT(n.at >= now_);
   now_ = n.at;
   ++fired_;
@@ -409,24 +225,6 @@ void Engine::timer_cancel(std::uint32_t slot1, std::uint32_t gen) {
   ++s.gen;
   s.armed = false;
   free_slots_.push_back(slot1 - 1);
-  note_cancelled();
-}
-
-void Engine::note_cancelled() {
-  // The caches only care about a cancellation of a tracked node; any
-  // other event was already firing later and still is.
-  if (wf_valid_) {
-    if (node_dead(node(w1_idx_))) {
-      wf_valid_ = false;
-    } else if (w2_state_ == W2::kKnown && node_dead(node(w2_idx_))) {
-      w2_state_ = W2::kUnknown;
-      w2_more_ = false;
-    }
-  }
-  if (loc_valid_ && loc_kind_ != LocKind::kNone &&
-      node_dead(node(loc_idx_))) {
-    loc_valid_ = false;
-  }
   ++cancelled_;
   // Reclaim once dead events dominate: O(n) rebuild amortized against
   // the n cancellations that triggered it.
@@ -434,8 +232,6 @@ void Engine::note_cancelled() {
 }
 
 void Engine::compact() {
-  loc_valid_ = false;
-  wf_valid_ = false;
   for (std::size_t w = 0; w < kWords; ++w) {
     std::uint64_t bits = occupied_[w];
     while (bits != 0) {
@@ -493,15 +289,12 @@ TimerHandle Engine::schedule_cancellable(Duration delay, EventFn fn) {
   return TimerHandle(this, slot + 1, gen);
 }
 
-bool Engine::step() {
-  if (!locate()) return false;
-  fire_located();
-  return true;
-}
-
 void Engine::run() {
   stop_requested_ = false;
-  while (!stop_requested_ && step()) {
+  while (!stop_requested_) {
+    const std::uint32_t idx = locate();
+    if (idx == kNil) return;
+    fire(idx);
   }
 }
 
@@ -510,10 +303,10 @@ bool Engine::run_until(Time deadline) {
   for (;;) {
     // Drained is checked first and is authoritative: a stop() that
     // raced the queue's final event still reports the drain.
-    if (!locate()) return true;
-    if (stop_requested_) return false;
-    if (loc_time_ > deadline) return false;
-    fire_located();
+    const std::uint32_t idx = locate();
+    if (idx == kNil) return true;
+    if (stop_requested_ || node(idx).at > deadline) return false;
+    fire(idx);
   }
 }
 

@@ -15,16 +15,20 @@
 // 100-byte closures.  Near-future events — almost everything a kernel
 // schedules: propagation delays, service times, zero-delay fairness
 // yields — land in a bucketed timer wheel (1.024 µs buckets, ~4.2 ms
-// window ahead of now) of intrusive singly-linked chains, where insert
-// is a head-link and pop scans an occupancy bitmap to the first live
-// bucket.  Events beyond the window (retransmit timers, warmup
+// window ahead of now) of intrusive singly-linked chains, each kept in
+// fire order: insert walks its bucket's chain to the event's place, and
+// pop scans an occupancy bitmap to the first occupied bucket and takes
+// its head.  Events beyond the window (retransmit timers, warmup
 // deadlines) go to a binary-heap overflow of (time, key, seq, index)
-// entries; the pop path merges the wheel's candidate with the heap's
-// top under the same (time, key, seq) comparator, so the fire order is
+// entries; pop compares the wheel's first head with the heap's top
+// under the same (time, key, seq) comparator, so the fire order is
 // bit-identical to a single global priority queue — the determinism
-// digests in tests/fault pin exactly that.  Oversized same-instant
-// bursts are spilled from their bucket into the heap rather than
-// rescanned, keeping pop amortized O(1) + O(log n) only for the spill.
+// digests in tests/fault pin exactly that.  An insert that would walk
+// past kSpillMax records (a same-instant burst) moves its whole chain
+// into the heap instead.  No pop candidate or bucket minimum is cached
+// from one pop to the next: such caches sped up only the engine-only
+// microbenchmarks, and no end-to-end metric paid for them (DESIGN.md
+// §15).
 //
 // The engine is strictly single-threaded; host-level parallelism lives in
 // sweep::, which runs many independent Engines on a thread pool.
@@ -122,7 +126,6 @@ class Engine {
   // checker sets it immediately after constructing the engine).  The
   // default FIFO policy reproduces the historical order exactly.
   void set_tie_policy(TiePolicy policy) { tie_policy_ = policy; }
-  [[nodiscard]] const TiePolicy& tie_policy() const { return tie_policy_; }
 
   // -- raw event interface --------------------------------------------
   void schedule(Duration delay, EventFn fn);
@@ -137,8 +140,6 @@ class Engine {
   // drained check is authoritative, so a stop() racing the final event
   // still reports a drained queue as true.
   bool run_until(Time deadline);
-  // Fires a single event; returns false when the queue is empty.
-  bool step();
   void stop() { stop_requested_ = true; }
   // Destroys every still-suspended spawned frame and drops the pending
   // event queue, leaving the engine inert.  Outstanding TimerHandles
@@ -202,8 +203,8 @@ class Engine {
   static constexpr std::uint32_t kNil = ~0u;
 
   // An event record in the slab.  `next` threads the record into its
-  // wheel-bucket chain (or the freelist once reclaimed); records
-  // referenced from the overflow heap are not chained.
+  // wheel-bucket chain, in fire order (or the freelist once reclaimed);
+  // records referenced from the overflow heap are not chained.
   struct Node {
     Time at;
     std::uint64_t seq;
@@ -220,13 +221,6 @@ class Engine {
     std::uint64_t key;
     std::uint32_t idx;
   };
-  struct Later {
-    bool operator()(const FarEntry& a, const FarEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.key != b.key) return a.key > b.key;
-      return a.seq > b.seq;
-    }
-  };
   // True when a should fire later than b: the engine's one event order.
   static bool fires_later(Time a_at, std::uint64_t a_key, std::uint64_t a_seq,
                           Time b_at, std::uint64_t b_key,
@@ -235,6 +229,11 @@ class Engine {
     if (a_key != b_key) return a_key > b_key;
     return a_seq > b_seq;
   }
+  struct Later {
+    bool operator()(const FarEntry& a, const FarEntry& b) const {
+      return fires_later(a.at, a.key, a.seq, b.at, b.key, b.seq);
+    }
+  };
   // A cancellable event's liveness ticket.  The generation bumps when
   // the event fires, is cancelled, or the engine shuts down; a Node
   // or TimerHandle whose gen no longer matches is dead.
@@ -253,9 +252,9 @@ class Engine {
   static constexpr std::size_t kBuckets = 4096;
   static constexpr std::size_t kBucketMask = kBuckets - 1;
   static constexpr std::size_t kWords = kBuckets / 64;
-  // Buckets larger than this are spilled to the overflow heap at pop
-  // time instead of being min-scanned on every pop (same-instant
-  // spawn bursts would otherwise cost O(k^2)).
+  // An insert that walks past this many records spills its bucket's
+  // chain to the overflow heap (same-instant spawn bursts would
+  // otherwise cost O(k^2)).
   static constexpr std::size_t kSpillMax = 16;
 
   // Slab geometry: chunked so record addresses are stable across growth
@@ -290,14 +289,13 @@ class Engine {
   [[nodiscard]] bool node_dead(const Node& n) const {
     return n.slot1 != 0 && slots_[n.slot1 - 1].gen != n.gen;
   }
-  // Finds the next live event across wheel and overflow heap (pruning
-  // dead ones on the way) and caches its location; returns false when
-  // the queue drained.  Idempotent until the queue is mutated.
-  bool locate();
-  // Unlinks the located record and returns its slab index.
-  std::uint32_t take_located();
-  // Pops and runs the located event (caller has checked locate()).
-  void fire_located();
+  void push_far(std::uint32_t idx);
+  // Returns the slab index of the next live event across wheel and
+  // overflow heap, reclaiming dead ones on the way; kNil when the queue
+  // drained.
+  [[nodiscard]] std::uint32_t locate();
+  // Unlinks and runs the event locate() just returned.
+  void fire(std::uint32_t idx);
   [[nodiscard]] std::uint64_t next_occupied(std::uint64_t from) const;
   void mark_bucket(std::uint64_t b) {
     occupied_[(b & kBucketMask) >> 6] |= 1ull << (b & 63);
@@ -310,10 +308,9 @@ class Engine {
                                    std::uint32_t gen) const {
     return slot1 != 0 && slots_[slot1 - 1].gen == gen;
   }
+  // Retires the timer; once dead events outnumber the live ones,
+  // compact() rebuilds the queues without them.
   void timer_cancel(std::uint32_t slot1, std::uint32_t gen);
-  // Called on cancellation; rebuilds the queues without the dead
-  // events once they outnumber the live ones.
-  void note_cancelled();
   void compact();
   friend class TimerHandle;
 
@@ -341,9 +338,8 @@ class Engine {
   std::uint32_t slab_size_ = 0;
   std::uint32_t free_head_ = kNil;
 
-  // Timer wheel: near-future events, one intrusive chain per bucket
-  // (selection within a bucket is by comparator, so chain order is
-  // free).
+  // Timer wheel: near-future events, one intrusive chain per bucket in
+  // fire order.
   std::vector<std::uint32_t> bucket_head_ =
       std::vector<std::uint32_t>(kBuckets, kNil);
   std::array<std::uint64_t, kWords> occupied_{};
@@ -353,43 +349,6 @@ class Engine {
   // Binary heap managed with std::push_heap/pop_heap so compact() can
   // filter the underlying vector (std::priority_queue hides it).
   std::vector<FarEntry> far_;
-
-  // Cached pop candidate (locate() fills): lets run_until peek at the
-  // next fire time and then take it without a second scan, and survives
-  // pushes of later-firing events — push_event either retargets the
-  // cache at the new event (if it fires earlier, it IS the new minimum)
-  // or keeps it with one comparator call, so the fire→reschedule cycle
-  // of a steady-state workload never rescans the wheel.  Only a
-  // cancellation of the cached event itself or a compact() forces a
-  // rescan.
-  enum class LocKind : std::uint8_t { kNone, kWheel, kFar };
-  bool loc_valid_ = false;
-  LocKind loc_kind_ = LocKind::kNone;
-  std::uint64_t loc_bucket_ = 0;   // absolute bucket of the candidate
-  std::uint32_t loc_idx_ = kNil;   // slab index of the candidate
-  std::uint32_t loc_prev_ = kNil;  // chain predecessor (kNil = head)
-  Time loc_time_ = 0;
-  std::uint64_t loc_key_ = 0;      // candidate's tie key and sequence,
-  std::uint64_t loc_seq_ = 0;      // kept so pushes can compare cheaply
-
-  // Wheel-front cache: what the last chain scan learned about the
-  // lowest occupied bucket.  w1 is the comparator minimum of the whole
-  // wheel (bucket order is time order, so the front bucket's minimum
-  // beats every later bucket); w2 is the runner-up within that same
-  // bucket — kNone means w1 is alone, kUnknown means untracked live
-  // events remain and the bucket must be rescanned when w1 goes.
-  // Pushes and pops maintain this in O(1), so the steady-state
-  // fire→reschedule cycle touches chains only when the front bucket
-  // drains.
-  enum class W2 : std::uint8_t { kNone, kKnown, kUnknown };
-  bool wf_valid_ = false;
-  bool w2_more_ = false;  // bucket held live events beyond w1 and w2
-  W2 w2_state_ = W2::kNone;
-  std::uint64_t wf_bucket_ = 0;
-  std::uint32_t w1_idx_ = kNil;
-  std::uint32_t w1_prev_ = kNil;
-  std::uint32_t w2_idx_ = kNil;
-  std::uint32_t w2_prev_ = kNil;
 
   std::vector<TimerSlot> slots_;
   std::vector<std::uint32_t> free_slots_;

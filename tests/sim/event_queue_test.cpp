@@ -1,18 +1,22 @@
 // Property tests pinning the event queue's order.
 //
-// The engine's wheel + overflow heap (engine.cpp) must pop events in
-// exactly the order the historical single binary heap did: ascending
-// (time, key, seq), where key is the tie-break policy's function of
-// seq.  The oracle here IS that old comparator — a std::priority_queue
-// over (at, key, seq) — driven through the same scripted universe as a
-// real Engine: every fired event runs a pure function of its id that
-// may schedule children (so sequence numbers stay in lockstep) or
-// cancel an earlier timer.  The script stresses every structural edge
-// of the new queue: same-instant bursts, zero delays, events landing
-// exactly on bucket boundaries, far-future events that overflow to the
-// heap, single buckets spilling past the chain threshold, and
-// cancellation storms.  Any divergence — a single swap anywhere in the
-// fire order — shows up as a mismatched id sequence.
+// The engine's wheel of fire-ordered chains + overflow heap
+// (engine.cpp) must pop events in exactly the order the historical
+// single binary heap did: ascending (time, key, seq), where key is the
+// tie-break policy's function of seq.  The oracle here IS that old
+// comparator — a std::priority_queue over (at, key, seq) — driven
+// through the same scripted universe as a real Engine: every fired
+// event runs a pure function of its id that may schedule children (so
+// sequence numbers stay in lockstep) or cancel an earlier timer.  The
+// script stresses every structural edge of the queue: same-instant
+// bursts, zero delays, events landing exactly on bucket boundaries,
+// far-future events that overflow to the heap, and one absolute bucket
+// per epoch that a whole delay class aims at — its chain spills to the
+// heap at insert once an insert walks past the threshold, then takes
+// more inserts that must merge with the spilled events — plus
+// cancellations that land on chain heads, chain middles and spilled
+// events.  Any divergence — a single swap anywhere in the fire order —
+// shows up as a mismatched id sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,15 +55,18 @@ std::uint64_t oracle_tie_key(const TiePolicy& p, std::uint64_t seq) {
 constexpr int kInitialEvents = 160;
 constexpr int kSpawnCap = 3000;   // total events per run stays bounded
 constexpr std::uint64_t kBucketNs = 1024;  // engine wheel bucket width
+// Bucket-aligned epoch of the targeted class: its events all aim at the
+// first bucket of the next epoch.
+constexpr std::uint64_t kEpochNs = 1024 * kBucketNs;
 
 std::uint64_t h_of(std::uint64_t workload_seed, std::uint64_t id) {
   return splitmix64(workload_seed * 0x9e3779b97f4a7c15ULL + id);
 }
 
 // Delay classes chosen to hit the queue's structural edges.
-Duration delay_for(std::uint64_t workload_seed, std::uint64_t id) {
+Duration delay_for(std::uint64_t workload_seed, std::uint64_t id, Time now) {
   const std::uint64_t h = h_of(workload_seed, id);
-  switch (h % 8) {
+  switch (h % 9) {
     case 0: return 0;  // same-instant with the scheduler
     case 1: return usec(5);  // heavy pile-up: one bucket spills its chain
     case 2: return static_cast<Duration>(kBucketNs * ((h >> 8) % 6));
@@ -68,6 +75,13 @@ Duration delay_for(std::uint64_t workload_seed, std::uint64_t id) {
       // far future: lands in the overflow heap (window is ~4.19ms)
     case 4: return usec(2) + static_cast<Duration>((h >> 8) % 3);
       // sub-bucket jitter: distinct times inside one bucket
+    case 5: {
+      // one absolute bucket per epoch, at up to three instants in it:
+      // it spills at insert, then keeps taking inserts
+      const auto t = static_cast<std::uint64_t>(now);
+      const std::uint64_t target = (t / kEpochNs + 1) * kEpochNs;
+      return static_cast<Duration>(target + (h >> 8) % 3 - t);
+    }
     default: return static_cast<Duration>((h >> 8) % (2 * 1000 * 1000));
       // anywhere in a 2ms spread
   }
@@ -115,7 +129,7 @@ std::vector<std::uint64_t> oracle_run(std::uint64_t workload_seed,
   std::uint64_t spawned = 0;
 
   auto push = [&](std::uint64_t id) {
-    const Time at = now + delay_for(workload_seed, id);
+    const Time at = now + delay_for(workload_seed, id, now);
     q.push({at, oracle_tie_key(policy, next_seq), next_seq, id});
     ++next_seq;
     if (is_cancellable(workload_seed, id)) cancellable.push_back(id);
@@ -173,7 +187,7 @@ std::vector<std::uint64_t> engine_run(std::uint64_t workload_seed,
       }
     }
     static void push(State* st, std::uint64_t id) {
-      const Duration d = delay_for(st->workload_seed, id);
+      const Duration d = delay_for(st->workload_seed, id, st->e->now());
       if (is_cancellable(st->workload_seed, id)) {
         st->cancellable.push_back(
             st->e->schedule_cancellable(d, Fire{st, id}));
