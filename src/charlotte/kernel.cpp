@@ -117,8 +117,15 @@ Kernel::Kernel(Cluster& cluster, net::NodeId node)
       packer_(cluster.engine(), cluster.medium(), node,
               form::Params{cluster.costs().form_delay,
                            cluster.costs().form_max_bytes}) {
-  cluster_->medium().attach(
-      node_, [this](net::Frame f) { on_frame(std::move(f)); });
+  cluster_->medium().attach(node_, [this](net::Frame f) {
+    const Costs& costs = cluster_->costs();
+    packer_.receive(
+        std::move(f), costs.frame_processing, costs.form_enclosure_processing,
+        [this](const net::Frame& sub) { return copy_cost(sub); },
+        [this](net::Frame& sub) {
+          dispatch(sub.as<wire::KernelFrame>(), sub.src);
+        });
+  });
 }
 
 void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
@@ -147,61 +154,12 @@ void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
   packer_.submit(std::move(out));
 }
 
-void Kernel::on_frame(net::Frame frame) {
-  if (frame.holds<form::Batch>()) {
-    on_batch(std::move(frame));
-    return;
-  }
-  sim::Duration cost = cluster_->costs().frame_processing;
-  if (const auto* msg =
-          std::get_if<wire::Msg>(&frame.as<wire::KernelFrame>())) {
-    cost += cluster_->costs().per_byte_copy *
-            static_cast<sim::Duration>(msg->data.size());
-  }
-  if (auto* rec = trace::get(cluster_->engine())) {
-    rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
-                 frame.payload_bytes);
-  }
-  // The closure carries the frame, not the 144-byte wire variant, so it
-  // stays inside EventFn's inline buffer (DESIGN.md §18).
-  cluster_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
-    dispatch(f.as<wire::KernelFrame>(), f.src);
-  });
-}
-
-// A form::Batch arrived: pay frame absorption ONCE, then a cheap
-// demultiplex per enclosure, and dispatch the enclosures in submission
-// order within a single scheduled event — per-link FIFO is exactly what
-// it would have been frame-per-message, minus the per-frame overheads.
-void Kernel::on_batch(net::Frame frame) {
-  const form::Batch& batch = frame.as<form::Batch>();
-  const Costs& costs = cluster_->costs();
-  sim::Duration cost = costs.frame_processing;
-  auto* rec = trace::get(cluster_->engine());
-  if (rec != nullptr) {
-    rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
-                 batch.frames.size());
-  }
-  for (const net::Frame& sub : batch.frames) {
-    cost += costs.form_enclosure_processing;
-    if (const auto* msg =
-            std::get_if<wire::Msg>(&sub.as<wire::KernelFrame>())) {
-      cost += costs.per_byte_copy *
-              static_cast<sim::Duration>(msg->data.size());
-    }
-    // Per-enclosure frame.rx with the enclosure's own TraceId, so the
-    // phase tables keep decomposing each RPC even when its frames
-    // shared a batch with strangers.
-    if (rec != nullptr) {
-      rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
-                   sub.payload_bytes);
-    }
-  }
-  cluster_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
-    for (net::Frame& sub : f.as<form::Batch>().frames) {
-      dispatch(sub.as<wire::KernelFrame>(), f.src);
-    }
-  });
+// Absorbing a data frame costs a copy of its bytes.
+sim::Duration Kernel::copy_cost(const net::Frame& frame) const {
+  const auto* msg = std::get_if<wire::Msg>(&frame.as<wire::KernelFrame>());
+  if (msg == nullptr) return 0;
+  return cluster_->costs().per_byte_copy *
+         static_cast<sim::Duration>(msg->data.size());
 }
 
 void Kernel::dispatch(wire::KernelFrame& frame, net::NodeId src) {

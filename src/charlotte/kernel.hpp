@@ -183,8 +183,7 @@ class Kernel {
   };
 
   // frame handling
-  void on_frame(net::Frame frame);
-  void on_batch(net::Frame frame);
+  [[nodiscard]] sim::Duration copy_cost(const net::Frame& frame) const;
   // Hands a received frame to its handle() overload, moving it out.
   void dispatch(wire::KernelFrame& frame, net::NodeId src);
   void handle(wire::Msg m, net::NodeId from);

@@ -114,7 +114,7 @@ struct Costs {
   sim::Duration ack_coalesce_delay = sim::msec(3);
   // ---- RPC formation (src/form/, DESIGN.md §14) ----
   // Kernel frames posted to the same destination node within form_delay
-  // of each other are packed into one form::Batch wire frame of up to
+  // of each other are packed into one batch wire frame of up to
   // form_max_bytes; the receiver pays frame_processing once for the
   // batch plus form_enclosure_processing to demultiplex each enclosure
   // (much cheaper than a full frame absorption — no interrupt, no

@@ -457,44 +457,6 @@ sim::Task<Status> Kernel::enqueue_many(Pid caller, DqId id,
   co_return status;
 }
 
-sim::Task<Result<Kernel::DequeueOutcome>> Kernel::dequeue(Pid caller, DqId id,
-                                                          EventId my_event) {
-  ++ops_;
-  auto it = queues_.find(id);
-  if (it == queues_.end()) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(Status::kNoSuchObject);
-  }
-  DualQueue& q = it->second;
-  const bool remote = is_remote(caller, q.home);
-  if (remote) ++remote_;
-  co_await engine_->sleep(costs_.primitive_call + costs_.dq_dequeue +
-                          (remote ? fabric_.word_reference(true) : 0));
-  auto it2 = queues_.find(id);
-  if (it2 == queues_.end()) co_return common::Err(Status::kNoSuchObject);
-  DualQueue& q2 = it2->second;
-  if (!q2.data.empty()) {
-    DequeueOutcome out;
-    out.datum = q2.data.front();
-    q2.data.pop_front();
-    co_return out;
-  }
-  // "Once a queue becomes empty, subsequent dequeue operations actually
-  // enqueue event block names, on which the calling processes can wait."
-  // An uncontended consumer arms the cheap flag instead of pushing its
-  // event name; a second concurrent consumer falls back to the queue.
-  if (!q2.fast_armed && q2.waiters.empty()) {
-    q2.fast_event = my_event;
-    q2.fast_armed = true;
-  } else {
-    q2.waiters.push_back(my_event);
-    ++queue_allocs_;
-  }
-  DequeueOutcome out;
-  out.would_block = true;
-  co_return out;
-}
-
 sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
     Pid caller, DqId id, EventId my_event, std::size_t max) {
   ++ops_;
@@ -524,6 +486,10 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
     }
     co_return out;
   }
+  // "Once a queue becomes empty, subsequent dequeue operations actually
+  // enqueue event block names, on which the calling processes can wait."
+  // An uncontended consumer arms the cheap flag instead of pushing its
+  // event name; a second concurrent consumer falls back to the queue.
   if (!q2.fast_armed && q2.waiters.empty()) {
     q2.fast_event = my_event;
     q2.fast_armed = true;
@@ -533,16 +499,6 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
   }
   out.would_block = true;
   co_return out;
-}
-
-sim::Task<Result<std::uint32_t>> Kernel::dequeue_wait(Pid caller, DqId id,
-                                                      EventId my_event) {
-  auto outcome = co_await dequeue(caller, id, my_event);
-  if (!outcome.ok()) co_return common::Err(outcome.error());
-  if (!outcome.value().would_block) co_return outcome.value().datum;
-  auto datum = co_await wait_event(caller, my_event);
-  if (!datum.ok()) co_return common::Err(datum.error());
-  co_return datum.value();
 }
 
 }  // namespace chrysalis

@@ -108,30 +108,18 @@ class Kernel {
   // kQueueFull after delivering the rest.
   [[nodiscard]] sim::Task<Status> enqueue_many(Pid caller, DqId q,
                                                std::vector<std::uint32_t> data);
-  // dequeue: pops a datum, or — if empty — enqueues `my_event`'s name and
-  // reports would-block; the caller then waits on its event block.
-  struct DequeueOutcome {
-    bool would_block = false;
-    std::uint32_t datum = 0;
-  };
-  [[nodiscard]] sim::Task<Result<DequeueOutcome>> dequeue(Pid caller, DqId q,
-                                                          EventId my_event);
-  // Batched dequeue — one microcode dispatch pops every ready datum (up
-  // to `max`), charging Costs::dq_dequeue_extra for each after the
-  // first.  An empty queue behaves exactly like dequeue: `my_event`'s
-  // name is left behind (or the cheap flag armed) and would_block is
-  // reported.
+  // dequeue_many: one microcode dispatch pops every ready datum (up to
+  // `max`), charging Costs::dq_dequeue_extra for each after the first.
+  // An empty queue leaves `my_event`'s name behind (or arms the cheap
+  // flag) and reports would-block; the caller then waits on its event
+  // block ("The most common use of event blocks is in conjunction with
+  // dual queues").  `max` = 1 is the paper's one-datum dequeue.
   struct DequeueManyOutcome {
     bool would_block = false;
     std::vector<std::uint32_t> data;
   };
   [[nodiscard]] sim::Task<Result<DequeueManyOutcome>> dequeue_many(
       Pid caller, DqId q, EventId my_event, std::size_t max);
-  // Convenience composite: dequeue, waiting on `my_event` if needed (the
-  // paper: "The most common use of event blocks is in conjunction with
-  // dual queues").
-  [[nodiscard]] sim::Task<Result<std::uint32_t>> dequeue_wait(
-      Pid caller, DqId q, EventId my_event);
 
   // ---- instrumentation -------------------------------------------------
   [[nodiscard]] std::uint64_t microcode_ops() const { return ops_; }

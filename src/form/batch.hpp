@@ -1,4 +1,4 @@
-// RPC formation: the batch wire format (ROADMAP item 5, DESIGN.md §14).
+// RPC formation: the batch wire format (DESIGN.md §14).
 //
 // A form::Batch is one physical wire frame carrying several co-destined
 // kernel frames as enclosures.  Each enclosure keeps its own body,
@@ -8,6 +8,7 @@
 // descriptor on top of the enclosed payloads — media charge batched
 // traffic honestly, the win comes from amortizing per-frame overheads
 // (medium headers, token waits, frame_processing) across enclosures.
+// Only form::Packer builds and opens batches.
 //
 // Loss semantics are deliberately all-or-nothing: the fault layer drops
 // whole net::Frames, so one dropped batch loses every enclosure in it.

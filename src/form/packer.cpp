@@ -7,9 +7,9 @@
 
 namespace form {
 
-Packer::Packer(sim::Engine& engine, net::Medium& medium, net::NodeId src,
+Packer::Packer(sim::Engine& engine, net::Medium& medium, net::NodeId node,
                Params params)
-    : engine_(&engine), medium_(&medium), src_(src), params_(params) {}
+    : engine_(&engine), medium_(&medium), node_(node), params_(params) {}
 
 Packer::~Packer() {
   // Never flush here: teardown runs after the engine stopped, and
@@ -91,14 +91,34 @@ void Packer::do_flush(net::NodeId dst, Queue& q) {
   const std::size_t count = frames.size();
   ++batches_;
   enclosed_ += count;
-  net::Frame out{src_, dst, kBatchHeaderBytes + bytes,
+  net::Frame out{node_, dst, kBatchHeaderBytes + bytes,
                  Batch{std::move(frames)}};
   out.trace_id = trace;
   if (auto* rec = trace::get(*engine_)) {
-    rec->instant(src_.value(), "wire", "batch.tx", trace, count,
+    rec->instant(node_.value(), "wire", "batch.tx", trace, count,
                  out.payload_bytes);
   }
   medium_->send(std::move(out));
+}
+
+void Packer::record_rx(const net::Frame& frame) const {
+  auto* rec = trace::get(*engine_);
+  if (rec == nullptr) return;
+  if (!frame.holds<Batch>()) {
+    rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
+                 frame.payload_bytes);
+    return;
+  }
+  const Batch& batch = frame.as<Batch>();
+  rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
+               batch.frames.size());
+  // Per-enclosure frame.rx with the enclosure's own TraceId, so the
+  // phase tables keep decomposing each RPC even when its frames shared
+  // a batch with strangers.
+  for (const net::Frame& sub : batch.frames) {
+    rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
+                 sub.payload_bytes);
+  }
 }
 
 }  // namespace form

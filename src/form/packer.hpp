@@ -1,7 +1,9 @@
-// RPC formation: the send-side Packer (ROADMAP item 5, DESIGN.md §14).
+// RPC formation: the Packer (DESIGN.md §14).
 //
-// One Packer per (engine, sending kernel); it sits between the kernel's
-// transmit path and the medium.  Unicast frames are queued per
+// One Packer per (engine, kernel); it sits between the kernel and the
+// medium, and is the only code that knows the form::Batch format.
+//
+// Send side.  Unicast frames are queued per
 // destination node and flushed as a single form::Batch frame when one
 // of three triggers fires, the same knob idiom as Charlotte's
 // Costs::ack_coalesce_delay:
@@ -22,6 +24,13 @@
 // A flush holding exactly one frame sends it UNWRAPPED — sparse traffic
 // pays the formation delay but never the batch framing bytes, and the
 // wire stays identical to today's except for timing.
+//
+// Receive side.  receive() absorbs whatever the medium delivers: a lone
+// frame pays one absorption; a batch pays one absorption for the whole
+// frame plus a cheap length-prefixed demultiplex per enclosure.  Every
+// kernel frame is then dispatched in submission order within a single
+// event, so per-link FIFO is exactly what it would have been
+// frame-per-message, minus the per-frame overheads.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +52,7 @@ struct Params {
 
 class Packer {
  public:
-  Packer(sim::Engine& engine, net::Medium& medium, net::NodeId src,
+  Packer(sim::Engine& engine, net::Medium& medium, net::NodeId node,
          Params params);
   Packer(const Packer&) = delete;
   Packer& operator=(const Packer&) = delete;
@@ -66,6 +75,15 @@ class Packer {
   void flush(net::NodeId dst);
   void flush_all();
 
+  // Absorbs a frame delivered to this node.  After `absorb` plus
+  // copy_cost(frame) — or, for a batch, `absorb` plus `demux` +
+  // copy_cost(enclosure) per enclosure — hands each kernel frame to
+  // `dispatch(net::Frame&)` in one event.  Records frame.rx (a batch:
+  // batch.rx, then frame.rx per enclosure) at arrival.
+  template <typename CopyCost, typename Dispatch>
+  void receive(net::Frame frame, sim::Duration absorb, sim::Duration demux,
+               CopyCost copy_cost, Dispatch dispatch);
+
   // ---- instrumentation (E16) ----
   [[nodiscard]] std::uint64_t batches_sent() const { return batches_; }
   [[nodiscard]] std::uint64_t enclosures_batched() const { return enclosed_; }
@@ -79,15 +97,41 @@ class Packer {
   };
 
   void do_flush(net::NodeId dst, Queue& q);
+  void record_rx(const net::Frame& frame) const;
 
   sim::Engine* engine_;
   net::Medium* medium_;
-  net::NodeId src_;
+  net::NodeId node_;
   Params params_;
   common::IdMap<net::NodeId, Queue> queues_;
   std::uint64_t batches_ = 0;
   std::uint64_t enclosed_ = 0;
   std::uint64_t singles_ = 0;
 };
+
+template <typename CopyCost, typename Dispatch>
+void Packer::receive(net::Frame frame, sim::Duration absorb,
+                     sim::Duration demux, CopyCost copy_cost,
+                     Dispatch dispatch) {
+  // The event carries `dispatch` and the frame, not a kernel's wire
+  // variant, so it stays inside EventFn's inline buffer (DESIGN.md §18).
+  static_assert(sizeof(Dispatch) <= sizeof(void*));
+  sim::Duration cost = absorb;
+  if (frame.holds<Batch>()) {
+    for (const net::Frame& sub : frame.as<Batch>().frames) {
+      cost += demux + copy_cost(sub);
+    }
+  } else {
+    cost += copy_cost(frame);
+  }
+  record_rx(frame);
+  engine_->schedule(cost, [dispatch, f = std::move(frame)]() mutable {
+    if (!f.holds<Batch>()) {
+      dispatch(f);
+      return;
+    }
+    for (net::Frame& sub : f.as<Batch>().frames) dispatch(sub);
+  });
+}
 
 }  // namespace form

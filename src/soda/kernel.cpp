@@ -77,19 +77,22 @@ Kernel::Kernel(Network& network, net::NodeId node)
       packer_(network.engine(), network.medium(), node,
               form::Params{network.costs().form_delay,
                            network.costs().form_max_bytes}) {
-  network_->medium().attach(
-      node_, [this](net::Frame f) { on_frame(std::move(f)); });
+  network_->medium().attach(node_, [this](net::Frame f) {
+    const Costs& costs = network_->costs();
+    packer_.receive(
+        std::move(f), costs.frame_processing, costs.form_enclosure_processing,
+        [this](const net::Frame& sub) { return copy_cost(sub); },
+        [this](net::Frame& sub) { dispatch(sub); });
+  });
 }
 
 void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
                       std::uint64_t trace) {
-  attach_frag_ack(dst, frame);
-  // The frontier can never legitimately exceed the live fragment that
-  // carries it — clamp so a frame is never self-screening.
-  if (auto* rf = std::get_if<ReqFrag>(&frame)) {
-    if (rf->tseq > 0) rf->tseq_base = std::min(tx_frontier(dst), rf->tseq);
-  } else if (auto* af = std::get_if<AcceptFrag>(&frame)) {
-    if (af->tseq > 0) af->tseq_base = std::min(tx_frontier(dst), af->tseq);
+  if (Transport* t = transport_of(frame)) {
+    attach_frag_ack(dst, *t);
+    // The frontier can never legitimately exceed the live fragment that
+    // carries it — clamp so a frame is never self-screening.
+    if (t->tseq > 0) t->tseq_base = std::min(tx_frontier(dst), t->tseq);
   }
   ++frames_out_;
   if (auto* rec = trace::get(network_->engine())) {
@@ -99,6 +102,12 @@ void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
   net::Frame out{node_, dst, bytes, std::move(frame)};
   out.trace_id = trace;
   packer_.submit(std::move(out));
+}
+
+Kernel::Transport* Kernel::transport_of(WireFrame& frame) {
+  if (auto* rf = std::get_if<ReqFrag>(&frame)) return &rf->transport;
+  if (auto* af = std::get_if<AcceptFrag>(&frame)) return &af->transport;
+  return nullptr;
 }
 
 std::uint64_t Kernel::frame_code(const WireFrame& frame) {
@@ -116,19 +125,37 @@ bool Kernel::acks_enabled() const {
 
 // ---- ack protocol: receiver side ---------------------------------------
 
-bool Kernel::transport_dup(net::NodeId from, std::uint64_t tseq) {
-  const PeerRx& rx = peer_rx_[from];
-  return tseq <= rx.watermark || rx.ooo.contains(tseq);
+void Kernel::PeerRx::settle() {
+  while (!ooo.empty() && *ooo.begin() <= watermark + 1) {
+    watermark = std::max(watermark, *ooo.begin());
+    ooo.erase(ooo.begin());
+  }
 }
 
-void Kernel::record_tseq(net::NodeId from, std::uint64_t tseq) {
+bool Kernel::screen(const Transport& t, net::NodeId from,
+                    std::uint64_t trace) {
+  // A piggybacked cumulative ack applies no matter what becomes of the
+  // fragment itself.
+  if (t.has_ack) apply_cumulative_ack(from, t.ack_seq);
+  if (t.tseq == 0) return false;
+  advance_base(from, t.tseq_base, trace);
+  // Unlike the request-level done_set_, the watermark never forgets,
+  // so arbitrarily-delayed duplicates cannot be serviced twice.
+  const PeerRx& rx = peer_rx_[from];
+  if (t.tseq > rx.watermark && !rx.ooo.contains(t.tseq)) return false;
+  reack_now(from, trace);
+  return true;
+}
+
+void Kernel::ack_fragment(net::NodeId from, std::uint64_t tseq,
+                          std::uint64_t trace) {
+  if (tseq == 0) return;  // sent with acks off, or with no leg left
   PeerRx& rx = peer_rx_[from];
-  if (tseq <= rx.watermark) return;
-  rx.ooo.insert(tseq);
-  while (rx.ooo.contains(rx.watermark + 1)) {
-    rx.ooo.erase(rx.watermark + 1);
-    ++rx.watermark;
+  if (tseq > rx.watermark) {
+    rx.ooo.insert(tseq);
+    rx.settle();
   }
+  owe_transport_ack(from, trace);
 }
 
 void Kernel::advance_base(net::NodeId from, std::uint64_t base,
@@ -141,32 +168,8 @@ void Kernel::advance_base(net::NodeId from, std::uint64_t base,
   // hole that would otherwise pin the watermark (and with it every
   // later send) forever.  Jump over it and ack so the sender learns.
   rx.watermark = base - 1;
-  while (!rx.ooo.empty() && *rx.ooo.begin() <= rx.watermark) {
-    rx.ooo.erase(rx.ooo.begin());
-  }
-  while (rx.ooo.contains(rx.watermark + 1)) {
-    rx.ooo.erase(rx.watermark + 1);
-    ++rx.watermark;
-  }
+  rx.settle();
   owe_transport_ack(from, trace);
-}
-
-std::uint64_t Kernel::tx_frontier(net::NodeId dst) {
-  const PeerTx& tx = peer_tx_[dst];
-  std::uint64_t base = tx.next_tseq;
-  for (const ReqId req : tx.sends) {
-    const TransportSend& ts = transport_.at(req);
-    for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
-      if (!ts.acked[i]) base = std::min(base, ts.tseq[i]);
-    }
-  }
-  for (const ReqId req : tx.accepts) {
-    const PendingAccept& pa = pending_accepts_.at(req);
-    for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
-      if (!pa.acked[i]) base = std::min(base, pa.tseq[i]);
-    }
-  }
-  return base;
 }
 
 void Kernel::owe_transport_ack(net::NodeId to, std::uint64_t trace) {
@@ -199,26 +202,13 @@ void Kernel::reack_now(net::NodeId to, std::uint64_t trace) {
   transmit(to, TransportAck{rx.watermark}, 8, trace);
 }
 
-void Kernel::ack_req_frag(net::NodeId from, const ReqFrag& f) {
-  if (f.tseq == 0) return;  // sent with acks off, or with no tracker left
-  record_tseq(from, f.tseq);
-  owe_transport_ack(from, f.trace);
-}
-
-void Kernel::attach_frag_ack(net::NodeId dst, WireFrame& frame) {
+void Kernel::attach_frag_ack(net::NodeId dst, Transport& t) {
   if (!acks_enabled()) return;
   auto it = peer_rx_.find(dst);
   if (it == peer_rx_.end() || !it->second.ack_owed) return;
   PeerRx& rx = it->second;
-  if (auto* rf = std::get_if<ReqFrag>(&frame)) {
-    rf->has_ack = true;
-    rf->ack_seq = rx.watermark;
-  } else if (auto* af = std::get_if<AcceptFrag>(&frame)) {
-    af->has_ack = true;
-    af->ack_seq = rx.watermark;
-  } else {
-    return;
-  }
+  t.has_ack = true;
+  t.ack_seq = rx.watermark;
   rx.ack_owed = false;
   rx.ack_timer.cancel();
   if (auto* rec = trace::get(network_->engine())) {
@@ -229,54 +219,52 @@ void Kernel::attach_frag_ack(net::NodeId dst, WireFrame& frame) {
 
 // ---- ack protocol: sender side -----------------------------------------
 
+std::uint64_t Kernel::tx_frontier(net::NodeId dst) {
+  const PeerTx& tx = peer_tx_[dst];
+  std::uint64_t base = tx.next_tseq;
+  const auto scan = [&base](const Leg& leg) {
+    for (std::size_t i = 0; i < leg.tseq.size(); ++i) {
+      if (!leg.acked[i]) base = std::min(base, leg.tseq[i]);
+    }
+  };
+  for (const ReqId req : tx.sends) scan(*outstanding_.at(req).leg);
+  for (const ReqId req : tx.accepts) scan(pending_accepts_.at(req).leg);
+  return base;
+}
+
 void Kernel::apply_cumulative_ack(net::NodeId from, std::uint64_t watermark) {
   const sim::Time now = network_->engine().now();
   auto peer = peer_tx_.find(from);
   if (peer == peer_tx_.end()) return;
   PeerTx& tx = peer->second;
+  // Marks the leg's fragments up to the watermark acked; true once all
+  // are.  Karn's rule: only a leg acked whole without a retransmission
+  // gives the estimator a sample, and only once.
+  const auto ack = [&](Leg& leg) {
+    bool all = true;
+    bool any_new = false;
+    for (std::size_t i = 0; i < leg.tseq.size(); ++i) {
+      if (!leg.acked[i] && leg.tseq[i] <= watermark) {
+        leg.acked[i] = true;
+        any_new = true;
+      }
+      all = all && leg.acked[i];
+    }
+    if (all && any_new && leg.attempts == 1 && leg.first_sent_at > 0) {
+      tx.rtt.observe(now - leg.first_sent_at);
+      leg.first_sent_at = 0;
+    }
+    return all;
+  };
   // Newest ReqId first: a batch of RTT samples reaches the estimator in
-  // the order E11's SODA loss curves were recorded with.
+  // the order E11's SODA loss curves were recorded with.  A request leg
+  // stays until its timer finds it acked; an accept leg retires here.
   for (auto r = tx.sends.rbegin(); r != tx.sends.rend(); ++r) {
-    TransportSend& ts = transport_.at(*r);
-    bool all = true;
-    bool any_new = false;
-    for (std::size_t i = 0; i < ts.tseq.size(); ++i) {
-      if (!ts.acked[i] && ts.tseq[i] <= watermark) {
-        ts.acked[i] = true;
-        any_new = true;
-      }
-      all = all && ts.acked[i];
-    }
-    if (all && any_new && ts.attempts == 1 && ts.first_sent_at > 0) {
-      // Karn's rule: only unretransmitted exchanges produce samples.
-      tx.rtt.observe(now - ts.first_sent_at);
-      ts.first_sent_at = 0;
-    }
+    ack(*outstanding_.at(*r).leg);
   }
-  std::vector<ReqId> finished;
-  for (auto r = tx.accepts.rbegin(); r != tx.accepts.rend(); ++r) {
-    const ReqId req = *r;
-    PendingAccept& pa = pending_accepts_.at(req);
-    bool all = true;
-    bool any_new = false;
-    for (std::size_t i = 0; i < pa.tseq.size(); ++i) {
-      if (!pa.acked[i] && pa.tseq[i] <= watermark) {
-        pa.acked[i] = true;
-        any_new = true;
-      }
-      all = all && pa.acked[i];
-    }
-    if (all) {
-      if (any_new && pa.attempts == 1 && pa.first_sent_at > 0) {
-        tx.rtt.observe(now - pa.first_sent_at);
-      }
-      finished.push_back(req);
-    }
-  }
-  for (const ReqId req : finished) {
-    auto it = pending_accepts_.find(req);
-    it->second.timer.cancel();
-    erase_accept(it);
+  for (std::size_t i = tx.accepts.size(); i-- > 0;) {
+    auto it = pending_accepts_.find(tx.accepts[i]);
+    if (ack(it->second.leg)) erase_accept(it);
   }
 }
 
@@ -285,7 +273,8 @@ void Kernel::handle(const TransportAck& f, net::NodeId from) {
 }
 
 // Absorbing a fragment costs a copy of its data bytes.
-sim::Duration Kernel::copy_cost(const WireFrame& wf) const {
+sim::Duration Kernel::copy_cost(const net::Frame& frame) const {
+  const WireFrame& wf = frame.as<WireFrame>();
   std::size_t bytes = 0;
   if (const auto* rf = std::get_if<ReqFrag>(&wf)) {
     bytes = rf->data.size();
@@ -295,53 +284,9 @@ sim::Duration Kernel::copy_cost(const WireFrame& wf) const {
   return network_->costs().per_byte_copy * static_cast<sim::Duration>(bytes);
 }
 
-void Kernel::on_frame(net::Frame frame) {
-  if (frame.holds<form::Batch>()) {
-    on_batch(std::move(frame));
-    return;
-  }
-  const sim::Duration cost = network_->costs().frame_processing +
-                             copy_cost(frame.as<WireFrame>());
-  if (auto* rec = trace::get(network_->engine())) {
-    rec->instant(node_.value(), "wire", "frame.rx", frame.trace_id, frame.id,
-                 frame.payload_bytes);
-  }
-  // The closure carries the frame, not the 120-byte wire variant, so it
-  // stays inside EventFn's inline buffer (DESIGN.md §18).
-  network_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
-    dispatch(f.as<WireFrame>(), f.src);
-  });
-}
-
-// A form::Batch arrived: one frame absorption for the whole batch, then
-// a cheap length-prefixed walk demultiplexes the enclosures.  All
-// enclosures dispatch in one scheduled event, in submission order, so
-// per-link FIFO is preserved exactly as if they had been separate
-// frames (src/form/, DESIGN.md §14).
-void Kernel::on_batch(net::Frame frame) {
-  const form::Batch& batch = frame.as<form::Batch>();
-  const Costs& costs = network_->costs();
-  sim::Duration cost = costs.frame_processing;
-  for (const net::Frame& sub : batch.frames) {
-    cost += costs.form_enclosure_processing + copy_cost(sub.as<WireFrame>());
-  }
-  if (auto* rec = trace::get(network_->engine())) {
-    rec->instant(node_.value(), "wire", "batch.rx", frame.trace_id, frame.id,
-                 batch.frames.size());
-    for (const net::Frame& sub : batch.frames) {
-      rec->instant(node_.value(), "wire", "frame.rx", sub.trace_id, frame.id,
-                   sub.payload_bytes);
-    }
-  }
-  network_->engine().schedule(cost, [this, f = std::move(frame)]() mutable {
-    for (net::Frame& sub : f.as<form::Batch>().frames) {
-      dispatch(sub.as<WireFrame>(), f.src);
-    }
-  });
-}
-
-void Kernel::dispatch(WireFrame& frame, net::NodeId src) {
-  std::visit([this, src](auto& m) { handle(std::move(m), src); }, frame);
+void Kernel::dispatch(net::Frame& frame) {
+  std::visit([this, src = frame.src](auto& m) { handle(std::move(m), src); },
+             frame.as<WireFrame>());
 }
 
 void Kernel::register_process(Pid pid) {
@@ -373,11 +318,7 @@ void Kernel::terminate_process(Pid pid) {
     if (out.from == pid) mine.push_back(id);
   }
   std::sort(mine.begin(), mine.end());
-  for (ReqId id : mine) {
-    pair_count(outstanding_[id].from, outstanding_[id].target)--;
-    outstanding_.erase(id);
-    drop_transport(id);
-  }
+  for (ReqId id : mine) resolve(outstanding_.find(id), std::nullopt);
   advertised_.erase(pid);
   handler_open_.erase(pid);
   interrupts_.erase(pid);
@@ -447,61 +388,13 @@ sim::Task<std::optional<Pid>> Kernel::discover(Pid caller, Name name) {
 
 // ===================== request =====================
 
-void Kernel::send_request_frags(const Outstanding& out,
-                                const std::vector<bool>* skip) {
-  const std::size_t mtu = network_->costs().mtu_bytes;
-  const std::size_t len = out.data.size();
-  const auto frag_count = static_cast<std::uint32_t>(
-      len == 0 ? 1 : (len + mtu - 1) / mtu);
-  // Each fragment carries the per-peer transport sequence it was
-  // assigned at first transmission (stored on the tracker).
-  const std::vector<std::uint64_t>* tseqs = nullptr;
-  if (auto tt = transport_.find(out.id); tt != transport_.end()) {
-    tseqs = &tt->second.tseq;
-  }
-  for (std::uint32_t i = 0; i < frag_count; ++i) {
-    if (skip != nullptr && i < skip->size() && (*skip)[i]) continue;
-    const std::size_t lo = static_cast<std::size_t>(i) * mtu;
-    const std::size_t hi = std::min(len, lo + mtu);
-    // Each fragment shares the request's buffer; a retransmission
-    // shares it again.
-    ReqFrag frag{out.id,  out.from,       out.target,
-                 out.name, out.oob,       out.data.size(),
-                 out.recv_limit, i,       frag_count,
-                 out.data.slice(lo, hi - lo),
-                 out.trace};
-    if (tseqs != nullptr && i < tseqs->size()) frag.tseq = (*tseqs)[i];
-    transmit(out.target_node, std::move(frag), 24 + (hi - lo), out.trace);
-  }
-}
-
-void Kernel::send_accept_frags(const PendingAccept& pa,
-                               const std::vector<bool>* skip) {
-  const std::size_t mtu = network_->costs().mtu_bytes;
-  const std::size_t give = pa.reply.size();
-  const auto frag_count = static_cast<std::uint32_t>(
-      give == 0 ? 1 : (give + mtu - 1) / mtu);
-  for (std::uint32_t i = 0; i < frag_count; ++i) {
-    if (skip != nullptr && i < skip->size() && (*skip)[i]) continue;
-    const std::size_t lo = static_cast<std::size_t>(i) * mtu;
-    const std::size_t hi = std::min(give, lo + mtu);
-    AcceptFrag frag{pa.req, pa.oob, pa.delivered, pa.reply_total, i,
-                    frag_count, pa.reply.slice(lo, hi - lo), pa.trace};
-    if (i < pa.tseq.size()) frag.tseq = pa.tseq[i];
-    transmit(pa.dst, std::move(frag), 24 + (hi - lo), pa.trace);
-  }
-}
-
-// ---- transport-level retransmission (Costs::ack_timeout > 0) ----------
-
-void Kernel::drop_transport(ReqId req) {
-  auto it = transport_.find(req);
-  if (it == transport_.end()) return;
-  it->second.timer.cancel();
-  erase_transport(it);
-}
-
 namespace {
+
+// Fragments a payload of `len` bytes is cut into (an empty one still
+// takes one fragment).
+std::uint32_t frags_for(std::size_t len, std::size_t mtu) {
+  return static_cast<std::uint32_t>(len == 0 ? 1 : (len + mtu - 1) / mtu);
+}
 
 void insert_sorted(std::vector<ReqId>& ids, ReqId id) {
   ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
@@ -515,15 +408,91 @@ void erase_sorted(std::vector<ReqId>& ids, ReqId id) {
 
 }  // namespace
 
-void Kernel::erase_transport(
-    std::unordered_map<ReqId, TransportSend>::iterator it) {
-  erase_sorted(peer_tx_.at(it->second.dst).sends, it->first);
-  transport_.erase(it);
+bool Kernel::Reassembly::add(std::uint32_t index, std::uint32_t count,
+                             std::size_t total, std::size_t mtu,
+                             const Payload& frag) {
+  if (data.empty()) data = Payload(total, 0);
+  if (have.empty()) have.resize(count, false);
+  if (index >= have.size() || have[index]) return false;
+  have[index] = true;
+  const std::size_t lo = static_cast<std::size_t>(index) * mtu;
+  RELYNX_ASSERT(lo + frag.size() <= data.size());
+  std::copy(frag.begin(), frag.end(), data.writable() + lo);
+  ++seen;
+  return true;
+}
+
+void Kernel::send_request_frags(const Outstanding& out, bool unacked_only) {
+  const std::size_t mtu = network_->costs().mtu_bytes;
+  const std::size_t len = out.data.size();
+  const std::uint32_t frag_count = frags_for(len, mtu);
+  for (std::uint32_t i = 0; i < frag_count; ++i) {
+    if (unacked_only && out.leg->acked[i]) continue;
+    const std::size_t lo = static_cast<std::size_t>(i) * mtu;
+    const std::size_t hi = std::min(len, lo + mtu);
+    // Each fragment shares the request's buffer; a retransmission
+    // shares it again.
+    ReqFrag frag{out.id,  out.from,       out.target,
+                 out.name, out.oob,       len,
+                 out.recv_limit, i,       frag_count,
+                 out.data.slice(lo, hi - lo),
+                 out.trace};
+    if (out.leg) frag.transport.tseq = out.leg->tseq[i];
+    transmit(out.target_node, std::move(frag), 24 + (hi - lo), out.trace);
+  }
+}
+
+void Kernel::send_accept_frags(const PendingAccept& pa, bool unacked_only) {
+  const std::size_t mtu = network_->costs().mtu_bytes;
+  const std::size_t give = pa.reply.size();
+  const std::uint32_t frag_count = frags_for(give, mtu);
+  for (std::uint32_t i = 0; i < frag_count; ++i) {
+    if (unacked_only && pa.leg.acked[i]) continue;
+    const std::size_t lo = static_cast<std::size_t>(i) * mtu;
+    const std::size_t hi = std::min(give, lo + mtu);
+    AcceptFrag frag{pa.req, pa.oob, pa.delivered, pa.reply_total, i,
+                    frag_count, pa.reply.slice(lo, hi - lo), pa.trace};
+    if (!pa.leg.tseq.empty()) frag.transport.tseq = pa.leg.tseq[i];
+    transmit(pa.leg.dst, std::move(frag), 24 + (hi - lo), pa.trace);
+  }
+}
+
+// ---- transport-level retransmission (Costs::ack_timeout > 0) ----------
+
+Kernel::Leg Kernel::open_leg(net::NodeId dst, std::size_t frags) {
+  const Costs& costs = network_->costs();
+  PeerTx& tx = peer_tx_[dst];
+  Leg leg;
+  leg.dst = dst;
+  leg.tseq.resize(frags);
+  for (std::uint64_t& s : leg.tseq) s = tx.next_tseq++;
+  leg.acked.assign(frags, false);
+  leg.cur_rto = tx.rtt.rto(costs.ack_timeout, costs.rto_min, costs.rto_max);
+  leg.first_sent_at = network_->engine().now();
+  return leg;
+}
+
+bool Kernel::retransmit_due(Leg& leg) {
+  const Costs& costs = network_->costs();
+  if (leg.attempts >= costs.max_transport_attempts) return false;
+  ++leg.attempts;
+  ++retries_;
+  // Exponential backoff, as Charlotte's.
+  leg.cur_rto = std::min(leg.cur_rto * 2, costs.rto_max);
+  return true;
+}
+
+void Kernel::drop_leg(Outstanding& out) {
+  if (!out.leg) return;
+  out.leg->timer.cancel();
+  erase_sorted(peer_tx_.at(out.leg->dst).sends, out.id);
+  out.leg.reset();
 }
 
 void Kernel::erase_accept(
     std::unordered_map<ReqId, PendingAccept>::iterator it) {
-  erase_sorted(peer_tx_.at(it->second.dst).accepts, it->first);
+  it->second.leg.timer.cancel();
+  erase_sorted(peer_tx_.at(it->second.leg.dst).accepts, it->first);
   pending_accepts_.erase(it);
 }
 
@@ -536,82 +505,52 @@ void Kernel::note_done(ReqId req) {
   }
 }
 
-void Kernel::arm_transport_timer(ReqId req) {
-  auto it = transport_.find(req);
-  if (it == transport_.end()) return;
-  it->second.timer = network_->engine().schedule_cancellable(
-      it->second.cur_rto, [this, req] { on_transport_timeout(req); });
-}
-
-void Kernel::on_transport_timeout(ReqId req) {
-  auto tt = transport_.find(req);
-  if (tt == transport_.end()) return;
+void Kernel::on_request_timeout(ReqId req) {
   auto it = outstanding_.find(req);
-  if (it == outstanding_.end()) {  // resolved while the timer was armed
-    erase_transport(tt);
-    return;
-  }
-  TransportSend& ts = tt->second;
-  const bool all_acked =
-      std::all_of(ts.acked.begin(), ts.acked.end(), [](bool b) { return b; });
-  if (all_acked) {
+  if (it == outstanding_.end() || !it->second.leg) return;
+  Outstanding& out = it->second;
+  Leg& leg = *out.leg;
+  if (std::all_of(leg.acked.begin(), leg.acked.end(),
+                  [](bool b) { return b; })) {
     // The wire leg is done; the rendezvous itself may take arbitrarily
     // long (accept is the target's business) — stop watching.
-    erase_transport(tt);
+    drop_leg(out);
     return;
   }
-  if (ts.attempts >= network_->costs().max_transport_attempts) {
+  if (!retransmit_due(leg)) {
     // Nothing but silence: the hint was stale, the path is cut, or the
     // target is gone.  SODA can only ever conclude this by timeout.
-    Outstanding& out = it->second;
-    CrashInterrupt intr{out.id, out.target};
-    const Pid from_pid = out.from;
-    pair_count(out.from, out.target)--;
-    outstanding_.erase(it);
-    erase_transport(tt);
-    raise(from_pid, intr);
+    resolve(it, CrashInterrupt{out.id, out.target});
     return;
   }
-  ++ts.attempts;
-  ++retries_;
-  // Exponential backoff, as Charlotte's.
-  ts.cur_rto = std::min(ts.cur_rto * 2, network_->costs().rto_max);
   if (auto* rec = trace::get(network_->engine())) {
-    rec->instant(node_.value(), "kernel", "req.retransmit", it->second.trace,
-                 req.value(), static_cast<std::uint64_t>(ts.attempts));
+    rec->instant(node_.value(), "kernel", "req.retransmit", out.trace,
+                 req.value(), static_cast<std::uint64_t>(leg.attempts));
   }
-  send_request_frags(it->second, &ts.acked);
-  arm_transport_timer(req);
-}
-
-void Kernel::arm_accept_timer(ReqId req) {
-  auto it = pending_accepts_.find(req);
-  if (it == pending_accepts_.end()) return;
-  it->second.timer = network_->engine().schedule_cancellable(
-      it->second.cur_rto, [this, req] { on_accept_timeout(req); });
+  send_request_frags(out, /*unacked_only=*/true);
+  leg.timer = network_->engine().schedule_cancellable(
+      leg.cur_rto, [this, req] { on_request_timeout(req); });
 }
 
 void Kernel::on_accept_timeout(ReqId req) {
   auto it = pending_accepts_.find(req);
   if (it == pending_accepts_.end()) return;
   PendingAccept& pa = it->second;
-  if (pa.attempts >= network_->costs().max_transport_attempts) {
+  if (!retransmit_due(pa.leg)) {
     // We accepted but cannot reach the requester.  Best effort: tell it
     // the rendezvous failed (the note itself may be lost; the requester
     // side then never learns, which is exactly SODA's failure mode).
-    transmit(pa.dst, CrashNote{pa.req, Pid::invalid()}, 16, pa.trace);
+    transmit(pa.leg.dst, CrashNote{pa.req, Pid::invalid()}, 16, pa.trace);
     erase_accept(it);
     return;
   }
-  ++pa.attempts;
-  ++retries_;
-  pa.cur_rto = std::min(pa.cur_rto * 2, network_->costs().rto_max);
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "kernel", "accept.retransmit", pa.trace,
-                 req.value(), static_cast<std::uint64_t>(pa.attempts));
+                 req.value(), static_cast<std::uint64_t>(pa.leg.attempts));
   }
-  send_accept_frags(pa, &pa.acked);
-  arm_accept_timer(req);
+  send_accept_frags(pa, /*unacked_only=*/true);
+  pa.leg.timer = network_->engine().schedule_cancellable(
+      pa.leg.cur_rto, [this, req] { on_accept_timeout(req); });
 }
 
 sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
@@ -620,11 +559,10 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
                                          std::uint64_t trace) {
   const Costs& costs = network_->costs();
   const std::size_t len = send_data.size();
-  const std::size_t mtu = costs.mtu_bytes;
-  const auto frags = static_cast<sim::Duration>(
-      len == 0 ? 1 : (len + mtu - 1) / mtu);
+  const std::uint32_t frags = frags_for(len, costs.mtu_bytes);
   co_await network_->engine().sleep(
-      costs.call_overhead + costs.frame_processing * frags +
+      costs.call_overhead +
+      costs.frame_processing * static_cast<sim::Duration>(frags) +
       costs.per_byte_copy * static_cast<sim::Duration>(len));
 
   if (!processes_.contains(caller)) co_return common::Err(Status::kProcessDead);
@@ -638,26 +576,23 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
   ++in_flight;
 
   const ReqId id = network_->new_req();
-  Outstanding out{id,   caller, target, network_->node_of(target),
-                  name, oob,    std::move(send_data), recv_limit, 0, trace};
-  const auto frag_count = static_cast<std::size_t>(frags);
+  const net::NodeId node = network_->node_of(target);
+  Outstanding& out =
+      outstanding_
+          .emplace(id, Outstanding{id, caller, target, node, name, oob,
+                                   std::move(send_data), recv_limit, 0, trace})
+          .first->second;
   if (acks_enabled()) {
-    // The tracker goes in before the fragments leave: send_request_frags
-    // reads the assigned tseqs from it.
-    PeerTx& tx = peer_tx_[out.target_node];
-    TransportSend ts;
-    ts.acked.assign(frag_count, false);
-    ts.dst = out.target_node;
-    ts.tseq.resize(frag_count);
-    for (std::uint64_t& s : ts.tseq) s = tx.next_tseq++;
-    insert_sorted(tx.sends, id);
-    ts.cur_rto = tx.rtt.rto(costs.ack_timeout, costs.rto_min, costs.rto_max);
-    ts.first_sent_at = network_->engine().now();
-    transport_.emplace(id, std::move(ts));
+    // The leg goes in before the fragments leave: the frontier scan in
+    // tx_frontier must see its live tseqs.
+    out.leg = open_leg(node, frags);
+    insert_sorted(peer_tx_[node].sends, id);
   }
   send_request_frags(out);
-  outstanding_.emplace(id, std::move(out));
-  if (acks_enabled()) arm_transport_timer(id);
+  if (out.leg) {
+    out.leg->timer = network_->engine().schedule_cancellable(
+        out.leg->cur_rto, [this, id] { on_request_timeout(id); });
+  }
   co_return id;
 }
 
@@ -712,70 +647,45 @@ sim::Task<Result<Payload>> Kernel::accept(Pid caller, ReqId request, Oob oob,
   const std::size_t give = std::min(reply_data.size(), parked.recv_limit);
   reply_data.truncate(give);
 
-  const std::size_t mtu = costs.mtu_bytes;
-  const auto frag_count = static_cast<std::uint32_t>(
-      give == 0 ? 1 : (give + mtu - 1) / mtu);
+  const std::uint32_t frag_count = frags_for(give, costs.mtu_bytes);
   co_await network_->engine().sleep(
       costs.call_overhead +
       costs.per_byte_copy * static_cast<sim::Duration>(take + give) +
       costs.frame_processing * frag_count);
 
-  PendingAccept pa;
-  pa.req = request;
-  pa.dst = parked.from_node;
-  pa.oob = oob;
-  pa.delivered = take;
-  pa.reply_total = give;
-  pa.reply = std::move(reply_data);
-  pa.acked.assign(frag_count, false);
-  pa.attempts = 1;
-  pa.trace = parked.trace;
+  PendingAccept pa{request, oob,         take, give, std::move(reply_data),
+                   parked.trace, Leg{}};
+  pa.leg.dst = parked.from_node;
   if (!acks_enabled()) {
     send_accept_frags(pa);
     co_return taken;
   }
-  PeerTx& tx = peer_tx_[pa.dst];
-  pa.tseq.resize(frag_count);
-  for (std::uint64_t& s : pa.tseq) s = tx.next_tseq++;
-  pa.cur_rto = tx.rtt.rto(costs.ack_timeout, costs.rto_min, costs.rto_max);
-  pa.first_sent_at = network_->engine().now();
-  // Tracker first, fragments second (like the request path): the
-  // frontier scan in tx_frontier must see this accept's live tseqs, or
-  // the fragments would carry a tseq_base beyond themselves and the
+  pa.leg = open_leg(parked.from_node, frag_count);
+  // Leg first, fragments second (like the request path): the frontier
+  // scan in tx_frontier must see this accept's live tseqs, or the
+  // fragments would carry a tseq_base beyond themselves and the
   // receiver would screen them as duplicates.
   auto [pit, inserted] = pending_accepts_.emplace(request, std::move(pa));
-  if (inserted) insert_sorted(tx.accepts, request);
+  if (inserted) insert_sorted(peer_tx_[parked.from_node].accepts, request);
+  Leg& leg = pit->second.leg;
   send_accept_frags(pit->second);
-  arm_accept_timer(request);
+  leg.timer = network_->engine().schedule_cancellable(
+      leg.cur_rto, [this, request] { on_accept_timeout(request); });
   co_return taken;
 }
 
 // ===================== frame handlers =====================
 
 void Kernel::handle(ReqFrag f, net::NodeId from) {
-  // A piggybacked cumulative ack applies no matter what becomes of the
-  // fragment itself.
-  if (f.has_ack) apply_cumulative_ack(from, f.ack_seq);
-
-  // Transport-level duplicates are screened by the per-peer watermark
-  // before any request-level state is consulted — the peer is
-  // retransmitting because its ack was lost, so re-ack immediately
-  // (never coalesced) and drop.  Unlike the done_set_ below, the
-  // watermark never forgets, so arbitrarily-delayed duplicates cannot
-  // be serviced twice.
-  if (f.tseq > 0) {
-    advance_base(from, f.tseq_base, f.trace);
-    if (transport_dup(from, f.tseq)) {
-      reack_now(from, f.trace);
-      return;
-    }
-  }
+  // Transport-level duplicates are screened before any request-level
+  // state is consulted.
+  if (screen(f.transport, from, f.trace)) return;
 
   // Whole-request duplicates: already parked here, or already accepted
   // (a retransmission raced the accept).  Re-ack — the first ack may
   // have been lost — but don't park twice.
   if (parked_.contains(f.req) || done_set_.contains(f.req)) {
-    ack_req_frag(from, f);
+    ack_fragment(from, f.transport.tseq, f.trace);
     return;
   }
 
@@ -783,25 +693,16 @@ void Kernel::handle(ReqFrag f, net::NodeId from) {
   // fragments carry no verdict and are safe to ack immediately; the
   // COMPLETING fragment is only acked once the request is accepted for
   // parking.  If it were acked before a NACK and the NACK frame then
-  // lost, the requester's transport tracker would retire with nothing
-  // left to retransmit — a lost NACK must leave an unacked fragment
-  // behind so retransmission re-elicits the verdict.
+  // lost, the requester's leg would retire with nothing left to
+  // retransmit — a lost NACK must leave an unacked fragment behind so
+  // retransmission re-elicits the verdict.
+  Reassembly* r = nullptr;
   if (f.frag_count > 1) {
-    Reassembly& r = req_reassembly_[f.req];
-    if (r.data.empty()) r.data = Payload(f.send_total, 0);
-    if (r.have.empty()) r.have.resize(f.frag_count, false);
-    if (f.frag_index >= r.have.size()) return;
-    if (r.have[f.frag_index]) {
-      ack_req_frag(from, f);
-      return;
-    }
-    r.have[f.frag_index] = true;
-    const std::size_t lo = static_cast<std::size_t>(f.frag_index) *
-                           network_->costs().mtu_bytes;
-    RELYNX_ASSERT(lo + f.data.size() <= r.data.size());
-    std::copy(f.data.begin(), f.data.end(), r.data.writable() + lo);
-    if (++r.seen < f.frag_count) {
-      ack_req_frag(from, f);
+    r = &req_reassembly_[f.req];
+    if (!r->add(f.frag_index, f.frag_count, f.send_total,
+                network_->costs().mtu_bytes, f.data) ||
+        !r->whole()) {
+      ack_fragment(from, f.transport.tseq, f.trace);
       return;
     }
   }
@@ -810,12 +711,9 @@ void Kernel::handle(ReqFrag f, net::NodeId from) {
   // fragment (keeping the rest of the buffer) so a retransmission of
   // just that fragment re-runs this verdict.
   const auto nack = [&](NackReason reason) {
-    if (f.frag_count > 1) {
-      auto it = req_reassembly_.find(f.req);
-      if (it != req_reassembly_.end()) {
-        it->second.have[f.frag_index] = false;
-        --it->second.seen;
-      }
+    if (r != nullptr) {
+      r->have[f.frag_index] = false;
+      --r->seen;
     }
     transmit(from, ReqNack{f.req, reason}, 12, f.trace);
   };
@@ -833,106 +731,67 @@ void Kernel::handle(ReqFrag f, net::NodeId from) {
     return;
   }
 
-  ack_req_frag(from, f);
-  Payload data;
-  if (f.frag_count > 1) {
-    data = std::move(req_reassembly_[f.req].data);
+  ack_fragment(from, f.transport.tseq, f.trace);
+  Payload data = std::move(f.data);
+  if (r != nullptr) {
+    data = std::move(r->data);
     req_reassembly_.erase(f.req);
-  } else {
-    data = std::move(f.data);
   }
   park_and_interrupt(ParkedRequest{f.req, f.from, from, f.target, f.name,
                                    f.oob, std::move(data), f.send_total,
                                    f.recv_limit, f.trace});
 }
 
+void Kernel::resolve(std::unordered_map<ReqId, Outstanding>::iterator it,
+                     std::optional<Interrupt> intr) {
+  Outstanding& out = it->second;
+  const Pid from = out.from;
+  pair_count(out.from, out.target)--;
+  drop_leg(out);
+  outstanding_.erase(it);
+  if (intr) raise(from, std::move(*intr));
+}
+
 void Kernel::handle(const ReqNack& f, net::NodeId /*from*/) {
   auto it = outstanding_.find(f.req);
   if (it == outstanding_.end()) return;
   Outstanding& out = it->second;
-  switch (f.reason) {
-    case NackReason::kDead: {
-      CrashInterrupt intr{out.id, out.target};
-      const Pid from_pid = out.from;
-      pair_count(out.from, out.target)--;
-      outstanding_.erase(it);
-      drop_transport(f.req);
-      raise(from_pid, intr);
-      return;
-    }
-    case NackReason::kClosed:
-    case NackReason::kNoName: {
-      if (++out.attempts >= network_->costs().max_request_attempts) {
-        RejectInterrupt intr{out.id, out.target, out.name};
-        const Pid from_pid = out.from;
-        pair_count(out.from, out.target)--;
-        outstanding_.erase(it);
-        drop_transport(f.req);
-        raise(from_pid, intr);
-        return;
-      }
-      schedule_retry(f.req);
-      return;
-    }
+  if (f.reason == NackReason::kDead) {
+    resolve(it, CrashInterrupt{out.id, out.target});
+  } else if (++out.attempts >= network_->costs().max_request_attempts) {
+    resolve(it, RejectInterrupt{out.id, out.target, out.name});
+  } else {
+    schedule_retry(f.req);
   }
 }
 
 void Kernel::handle(AcceptFrag f, net::NodeId from) {
-  if (f.has_ack) apply_cumulative_ack(from, f.ack_seq);
+  if (screen(f.transport, from, f.trace)) return;
   // Ack even when the request is already resolved here: the accepter
   // may be retransmitting because *its* acks were lost.  AcceptFrags
-  // carry no verdict, so the tseq is recorded at receipt; duplicates are
-  // screened by the watermark and re-acked immediately.
-  if (f.tseq > 0) {
-    advance_base(from, f.tseq_base, f.trace);
-    if (transport_dup(from, f.tseq)) {
-      reack_now(from, f.trace);
-      return;
-    }
-    record_tseq(from, f.tseq);
-    owe_transport_ack(from, f.trace);
-  }
+  // carry no verdict, so the tseq is recorded at receipt.
+  ack_fragment(from, f.transport.tseq, f.trace);
   auto it = outstanding_.find(f.req);
   if (it == outstanding_.end()) return;
-
-  Payload data;
-  if (f.frag_count > 1) {
-    Reassembly& r = accept_reassembly_[f.req];
-    if (r.data.empty()) r.data = Payload(f.reply_total, 0);
-    if (r.have.empty()) r.have.resize(f.frag_count, false);
-    if (f.frag_index >= r.have.size() || r.have[f.frag_index]) return;
-    r.have[f.frag_index] = true;
-    const std::size_t lo = static_cast<std::size_t>(f.frag_index) *
-                           network_->costs().mtu_bytes;
-    RELYNX_ASSERT(lo + f.data.size() <= r.data.size());
-    std::copy(f.data.begin(), f.data.end(), r.data.writable() + lo);
-    if (++r.seen < f.frag_count) return;
-    data = std::move(r.data);
-    accept_reassembly_.erase(f.req);
-  } else {
-    data = std::move(f.data);
-  }
-
   Outstanding& out = it->second;
+
+  Payload data = std::move(f.data);
+  if (f.frag_count > 1) {
+    if (!out.reply.add(f.frag_index, f.frag_count, f.reply_total,
+                       network_->costs().mtu_bytes, data) ||
+        !out.reply.whole()) {
+      return;
+    }
+    data = std::move(out.reply.data);
+  }
   data.truncate(out.recv_limit);
-  CompletionInterrupt intr{f.req, f.oob, std::move(data), f.delivered,
-                           f.trace};
-  const Pid from_pid = out.from;
-  pair_count(out.from, out.target)--;
-  outstanding_.erase(it);
-  drop_transport(f.req);
-  raise(from_pid, intr);
+  resolve(it, CompletionInterrupt{f.req, f.oob, std::move(data), f.delivered,
+                                  f.trace});
 }
 
 void Kernel::handle(const CrashNote& f, net::NodeId /*from*/) {
   auto it = outstanding_.find(f.req);
-  if (it == outstanding_.end()) return;
-  CrashInterrupt intr{f.req, f.target};
-  const Pid from_pid = it->second.from;
-  pair_count(it->second.from, it->second.target)--;
-  outstanding_.erase(it);
-  drop_transport(f.req);
-  raise(from_pid, intr);
+  if (it != outstanding_.end()) resolve(it, CrashInterrupt{f.req, f.target});
 }
 
 void Kernel::announce_reboot() {
@@ -953,13 +812,8 @@ void Kernel::handle(const RebootNote& f, net::NodeId /*from*/) {
   }
   std::sort(doomed.begin(), doomed.end());  // ReqId order, not bucket order
   for (const ReqId id : doomed) {
-    Outstanding& out = outstanding_.at(id);
-    CrashInterrupt intr{out.id, out.target};
-    const Pid from_pid = out.from;
-    pair_count(out.from, out.target)--;
-    outstanding_.erase(id);
-    drop_transport(id);
-    raise(from_pid, intr);
+    auto it = outstanding_.find(id);
+    resolve(it, CrashInterrupt{id, it->second.target});
   }
 }
 

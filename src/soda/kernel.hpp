@@ -114,6 +114,31 @@ class Kernel {
     std::size_t recv_limit = 0;
     std::uint64_t trace = 0;
   };
+  struct Reassembly {  // a multi-fragment payload, put back together
+    Payload data;  // unshared until the last fragment lands
+    // Which fragment indices arrived; lets duplicated fragments (ack
+    // lost, retransmission raced the original) be counted once.
+    std::vector<bool> have;
+    std::uint32_t seen = 0;
+    // Copies fragment `index` of `count` into place in a `total`-byte
+    // payload cut every `mtu` bytes.  False for a fragment already seen.
+    bool add(std::uint32_t index, std::uint32_t count, std::size_t total,
+             std::size_t mtu, const Payload& frag);
+    [[nodiscard]] bool whole() const { return seen == have.size(); }
+  };
+  // A sender's fragments until the receiver has acked them all: the
+  // request's on the requester side, the accept's on the accepter side.
+  struct Leg {
+    net::NodeId dst;
+    // Per-peer transport sequence number of each fragment, assigned
+    // once and reused verbatim across retransmissions.
+    std::vector<std::uint64_t> tseq;
+    std::vector<bool> acked;
+    int attempts = 1;
+    sim::TimerHandle timer;
+    sim::Time first_sent_at = 0;  // Karn: sample only unretransmitted
+    sim::Duration cur_rto = 0;    // current timeout; doubles per attempt
+  };
   struct Outstanding {  // at the requester kernel
     ReqId id;
     Pid from;
@@ -123,42 +148,19 @@ class Kernel {
     Oob oob{};
     Payload data;
     std::size_t recv_limit = 0;
-    int attempts = 0;
+    int attempts = 0;  // NACK-driven retries
     std::uint64_t trace = 0;
-  };
-  struct Reassembly {
-    std::uint32_t expected = 0;
-    std::uint32_t seen = 0;
-    Payload data;  // unshared until the last fragment lands
-    // Which fragment indices arrived; lets duplicated fragments (ack
-    // lost, retransmission raced the original) be counted once.
-    std::vector<bool> have;
-  };
-  struct TransportSend {  // requester side, one per unresolved request
-    int attempts = 1;
-    std::vector<bool> acked;  // per request fragment
-    sim::TimerHandle timer;
-    // Per-peer transport sequence number of each fragment, assigned
-    // once and reused verbatim across retransmissions.
-    net::NodeId dst;
-    std::vector<std::uint64_t> tseq;
-    sim::Time first_sent_at = 0;  // Karn: sample only unretransmitted
-    sim::Duration cur_rto = 0;    // current timeout; doubles per attempt
+    std::optional<Leg> leg{};  // while request fragments await acks
+    Reassembly reply{};        // the accept's fragments so far
   };
   struct PendingAccept {  // accepter side, until its fragments are acked
     ReqId req;
-    net::NodeId dst;
     Oob oob{};
     std::size_t delivered = 0;
     std::size_t reply_total = 0;
     Payload reply;
-    std::vector<bool> acked;  // per accept fragment
-    int attempts = 1;
-    sim::TimerHandle timer;
     std::uint64_t trace = 0;
-    std::vector<std::uint64_t> tseq;  // as TransportSend::tseq
-    sim::Time first_sent_at = 0;
-    sim::Duration cur_rto = 0;
+    Leg leg{};
   };
   // Per-peer transport state.  One sequence-number stream covers
   // every fragment this kernel sends to `peer`, so a single cumulative
@@ -166,9 +168,8 @@ class Kernel {
   struct PeerTx {  // sender side
     std::uint64_t next_tseq = 1;
     common::RttEstimator rtt;
-    // The ReqIds whose fragments to this peer carry live tseqs, kept in
-    // ascending order: requests tracked in transport_ and accepts in
-    // pending_accepts_.  A cumulative ack from the peer scans only these,
+    // The ReqIds whose legs to this peer are live, kept in ascending
+    // order: requests in outstanding_ and accepts in pending_accepts_.  A cumulative ack from the peer scans only these,
     // so it touches no other peer's sends, and feeds the RTT estimator
     // newest ReqId first.
     std::vector<ReqId> sends;
@@ -180,6 +181,8 @@ class Kernel {
     bool ack_owed = false;
     std::uint64_t owed_trace = 0;
     sim::TimerHandle ack_timer;       // standalone-ack fallback
+    // Folds the out-of-order tseqs the watermark has reached into it.
+    void settle();
   };
   struct DiscoverWait {
     // Non-owning: the OneShot lives in the discover() coroutine frame,
@@ -192,6 +195,19 @@ class Kernel {
   // wire frames — public so tests and fault-injection tooling can
   // inspect frame bodies on the medium (the Charlotte wire:: idiom).
  public:
+  // The transport descriptor both data fragments carry: the per-peer
+  // transport sequence (0 = acks off) and an optional piggybacked
+  // cumulative ack for the reverse direction.
+  struct Transport {
+    std::uint64_t tseq = 0;
+    // Sender frontier: every tseq below this is acked or abandoned
+    // (retransmission exhaustion at a crashed peer) — the receiver may
+    // jump its watermark to tseq_base - 1 so abandoned holes cannot
+    // stall the cumulative ack stream forever.
+    std::uint64_t tseq_base = 0;
+    bool has_ack = false;
+    std::uint64_t ack_seq = 0;
+  };
   struct ReqFrag {
     ReqId req;
     Pid from;
@@ -204,17 +220,7 @@ class Kernel {
     std::uint32_t frag_count = 1;
     Payload data;
     std::uint64_t trace = 0;
-    // Transport descriptor: per-peer transport sequence (0 = acks off)
-    // and an optional piggybacked cumulative ack for the reverse
-    // direction.
-    std::uint64_t tseq = 0;
-    // Sender frontier: every tseq below this is acked or abandoned
-    // (retransmission exhaustion at a crashed peer) — the receiver may
-    // jump its watermark to tseq_base - 1 so abandoned holes cannot
-    // stall the cumulative ack stream forever.
-    std::uint64_t tseq_base = 0;
-    bool has_ack = false;
-    std::uint64_t ack_seq = 0;
+    Transport transport{};
   };
   enum class NackReason : std::uint8_t { kClosed, kNoName, kDead };
   struct ReqNack {
@@ -230,10 +236,7 @@ class Kernel {
     std::uint32_t frag_count = 1;
     Payload data;
     std::uint64_t trace = 0;
-    std::uint64_t tseq = 0;       // transport descriptor, as ReqFrag
-    std::uint64_t tseq_base = 0;  // sender frontier, as ReqFrag
-    bool has_ack = false;
-    std::uint64_t ack_seq = 0;
+    Transport transport{};
   };
   struct CrashNote {
     ReqId req;
@@ -266,11 +269,9 @@ class Kernel {
   [[nodiscard]] static std::uint64_t frame_code(const WireFrame& frame);
 
  private:
-  void on_frame(net::Frame frame);
-  void on_batch(net::Frame frame);
-  [[nodiscard]] sim::Duration copy_cost(const WireFrame& wf) const;
+  [[nodiscard]] sim::Duration copy_cost(const net::Frame& frame) const;
   // Hands a received frame to its handle() overload, moving it out.
-  void dispatch(WireFrame& frame, net::NodeId src);
+  void dispatch(net::Frame& frame);
   void handle(ReqFrag f, net::NodeId from);
   void handle(const ReqNack& f, net::NodeId from);
   void handle(AcceptFrag f, net::NodeId from);
@@ -284,52 +285,65 @@ class Kernel {
   // pass the fragment's trace where one exists, 0 for protocol frames.
   void transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
                 std::uint64_t trace = 0);
-  // skip[i] == true suppresses fragment i (already acknowledged).
-  void send_request_frags(const Outstanding& out,
-                          const std::vector<bool>* skip = nullptr);
-  void send_accept_frags(const PendingAccept& pa,
-                         const std::vector<bool>* skip = nullptr);
+  // The transport descriptor of a data fragment; null for other frames.
+  [[nodiscard]] static Transport* transport_of(WireFrame& frame);
+  // `unacked_only` skips the fragments the leg has seen acked.
+  void send_request_frags(const Outstanding& out, bool unacked_only = false);
+  void send_accept_frags(const PendingAccept& pa, bool unacked_only = false);
   void schedule_retry(ReqId req);
-  [[nodiscard]] bool acks_enabled() const;
-  void arm_transport_timer(ReqId req);
-  void on_transport_timeout(ReqId req);
-  void arm_accept_timer(ReqId req);
-  void on_accept_timeout(ReqId req);
-  void drop_transport(ReqId req);  // cancels the retransmit timer
-  // Every transport_ / pending_accepts_ entry leaves through these, so
-  // the per-peer in-flight lists stay exact.
-  void erase_transport(std::unordered_map<ReqId, TransportSend>::iterator it);
-  void erase_accept(std::unordered_map<ReqId, PendingAccept>::iterator it);
+  // The single exit of an outstanding request: releases its pair slot
+  // and leg, forgets it, and raises `intr` (none when its process died).
+  void resolve(std::unordered_map<ReqId, Outstanding>::iterator it,
+               std::optional<Interrupt> intr);
   void note_done(ReqId req);       // remember accepted reqs for re-acking
-  // ---- transport helpers ----
-  // Receiver: is this a transport-level duplicate from `from`?
-  [[nodiscard]] bool transport_dup(net::NodeId from, std::uint64_t tseq);
-  // Receiver: mark tseq received and advance the watermark through the
-  // out-of-order set.
-  void record_tseq(net::NodeId from, std::uint64_t tseq);
-  // Receiver: the sender promised never to (re)transmit below `base`;
-  // jump the watermark over abandoned holes (crash recovery).
+  [[nodiscard]] bool acks_enabled() const;
+
+  // ---- transport: sender side ----
+  // A fresh leg of `frags` fragments to `dst`: assigns their tseqs and
+  // the peer's current RTO.
+  [[nodiscard]] Leg open_leg(net::NodeId dst, std::size_t frags);
+  // A leg's timer fired with fragments unacked.  False once the attempt
+  // budget is spent; otherwise counts the attempt and backs off the RTO.
+  [[nodiscard]] bool retransmit_due(Leg& leg);
+  void on_request_timeout(ReqId req);
+  void on_accept_timeout(ReqId req);
+  // Every leg leaves through these (cancelling its timer), so the
+  // per-peer in-flight lists stay exact.
+  void drop_leg(Outstanding& out);
+  void erase_accept(std::unordered_map<ReqId, PendingAccept>::iterator it);
+  // Lowest unacked live tseq bound for `dst` (next_tseq if none) —
+  // stamped on every outgoing sequenced data fragment.
+  [[nodiscard]] std::uint64_t tx_frontier(net::NodeId dst);
+  // A cumulative watermark from `from` arrived (standalone or
+  // piggybacked); retire acked fragments and feed the RTT estimator.
+  void apply_cumulative_ack(net::NodeId from, std::uint64_t watermark);
+  // Attach an owed ack to an outgoing data fragment bound for `dst`, if
+  // one is pending there.
+  void attach_frag_ack(net::NodeId dst, Transport& t);
+
+  // ---- transport: receiver side ----
+  // The prologue of both data fragments' handlers: applies a piggybacked
+  // ack and the sender's frontier, then screens transport duplicates by
+  // the per-peer watermark.  True for a duplicate, which is re-acked at
+  // once and must be dropped.
+  [[nodiscard]] bool screen(const Transport& t, net::NodeId from,
+                            std::uint64_t trace);
+  // Mark `tseq` received and owe `from` a cumulative ack (nothing for a
+  // fragment sent with acks off, tseq 0).
+  void ack_fragment(net::NodeId from, std::uint64_t tseq,
+                    std::uint64_t trace);
+  // The sender promised never to (re)transmit below `base`; jump the
+  // watermark over abandoned holes (crash recovery).
   void advance_base(net::NodeId from, std::uint64_t base,
                     std::uint64_t trace);
-  // Sender: lowest unacked live tseq bound for `dst` (next_tseq if
-  // none) — stamped on every outgoing sequenced data fragment.
-  [[nodiscard]] std::uint64_t tx_frontier(net::NodeId dst);
-  // Receiver: owe `to` a cumulative ack; flushed standalone after
+  // Owe `to` a cumulative ack; flushed standalone after
   // ack_coalesce_delay unless a reverse-leg fragment picks it up first.
   void owe_transport_ack(net::NodeId to, std::uint64_t trace);
   void flush_transport_ack(net::NodeId to);
-  // Receiver: a duplicate means the peer is retransmitting — its ack was
-  // lost.  Re-ack the watermark immediately, never coalesced.
+  // A duplicate means the peer is retransmitting — its ack was lost.
+  // Re-ack the watermark immediately, never coalesced.
   void reack_now(net::NodeId to, std::uint64_t trace);
-  // Receiver: record the tseq and owe a cumulative ack.  Used for
-  // every acknowledged ReqFrag.
-  void ack_req_frag(net::NodeId from, const ReqFrag& f);
-  // Sender: a cumulative watermark from `from` arrived (standalone or
-  // piggybacked); retire acked fragments and feed the RTT estimator.
-  void apply_cumulative_ack(net::NodeId from, std::uint64_t watermark);
-  // Sender: attach an owed ack to an outgoing data fragment bound for
-  // `dst`, if one is pending there.
-  void attach_frag_ack(net::NodeId dst, WireFrame& frame);
+
   void raise(Pid pid, Interrupt intr);
   void park_and_interrupt(ParkedRequest parked);
   // Outstanding requests between two processes, in either direction.
@@ -347,9 +361,6 @@ class Kernel {
   std::unordered_map<ReqId, ParkedRequest> parked_;
   std::unordered_map<ReqId, Reassembly> req_reassembly_;
   std::unordered_map<ReqId, Outstanding> outstanding_;
-  std::unordered_map<ReqId, Reassembly> accept_reassembly_;
-  std::unordered_map<ReqId, AcceptFrag> accept_header_;
-  std::unordered_map<ReqId, TransportSend> transport_;
   std::unordered_map<ReqId, PendingAccept> pending_accepts_;
   common::IdMap<net::NodeId, PeerTx> peer_tx_;
   common::IdMap<net::NodeId, PeerRx> peer_rx_;

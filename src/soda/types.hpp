@@ -134,7 +134,7 @@ struct Costs {
   int max_outstanding_per_pair = 8;
   // ---- RPC formation (src/form/, DESIGN.md §14) ----
   // Wire frames posted to the same destination node within form_delay of
-  // each other are packed into one form::Batch frame of up to
+  // each other are packed into one batch frame of up to
   // form_max_bytes; the receiver pays frame_processing once plus
   // form_enclosure_processing per enclosure to demultiplex.  0 = today's
   // frame-per-message wire (the default).  Note form_max_bytes is a

@@ -4,12 +4,12 @@
 // piggyback/coalescing machinery.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "../support/spy_medium.hpp"
 #include "charlotte/kernel.hpp"
 #include "fault/faulty_medium.hpp"
 #include "net/token_ring.hpp"
@@ -22,48 +22,6 @@ using net::NodeId;
 
 Payload bytes(std::string s) { return Payload(s.begin(), s.end()); }
 std::string text(const Payload& p) { return std::string(p.begin(), p.end()); }
-
-// A medium that keeps a copy of the first data (Msg) frame leaving
-// `watch_src` and can re-inject it later — the "duplicate delayed by the
-// network for an arbitrarily long time" that windowed dedup schemes
-// cannot screen.
-class ReplayMedium final : public net::Medium {
- public:
-  ReplayMedium(net::Medium& inner, NodeId watch_src)
-      : inner_(&inner), watch_src_(watch_src) {}
-
-  void attach(NodeId node, net::FrameHandler handler) override {
-    inner_->attach(node, std::move(handler));
-  }
-  void send(net::Frame frame) override {
-    stamp(frame);
-    if (!captured_.has_value() && frame.src == watch_src_ &&
-        std::holds_alternative<wire::Msg>(frame.as<wire::KernelFrame>())) {
-      captured_ = frame;  // same id: a duplicate, not a new frame
-    }
-    inner_->send(std::move(frame));
-  }
-  void broadcast(net::Frame frame) override {
-    stamp(frame);
-    inner_->broadcast(std::move(frame));
-  }
-  [[nodiscard]] std::uint64_t frames_sent() const override {
-    return inner_->frames_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const override {
-    return inner_->bytes_sent();
-  }
-
-  void replay() {
-    ASSERT_TRUE(captured_.has_value()) << "no Msg frame was captured";
-    inner_->send(net::Frame(*captured_));
-  }
-
- private:
-  net::Medium* inner_;
-  NodeId watch_src_;
-  std::optional<net::Frame> captured_;
-};
 
 sim::Task<> send_one(Cluster* cl, Pid me, EndId end, std::string body,
                      std::vector<std::string>* log) {
@@ -109,7 +67,12 @@ sim::Task<> recv_n(Cluster* cl, Pid me, EndId end, int n,
 TEST(CharlotteAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
   sim::Engine e;
   net::TokenRing ring(e);
-  ReplayMedium medium(ring, NodeId(0));
+  // Keeps the first data (Msg) frame node 0 sends, to replay it.
+  test_support::SpyMedium medium(ring);
+  medium.log_filter = [&medium](const net::Frame& f) {
+    return medium.logged.empty() && f.src == NodeId(0) &&
+           std::holds_alternative<wire::Msg>(f.as<wire::KernelFrame>());
+  };
   Cluster cluster(e, 2, medium);
 
   Pid pa = cluster.create_process(NodeId(0));
@@ -127,7 +90,8 @@ TEST(CharlotteAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
   // The network "finds" the long-lost duplicate of delivery #1, then a
   // genuinely new message follows.  Exactly one receive is posted: it
   // must yield the new message, not the duplicate.
-  medium.replay();
+  ASSERT_EQ(medium.logged.size(), 1u) << "no Msg frame was captured";
+  medium.inject(medium.logged.front());
   std::vector<std::string> tail;
   e.spawn("send-fresh", send_one(&cluster, pa, link.end1, "fresh", &tail));
   e.spawn("recv-fresh", recv_one(&cluster, pb, link.end2, &tail));

@@ -43,12 +43,13 @@ sim::Task<> burst_produce(sim::Engine* e, Kernel* k, Pid me, DqId q, int n,
   }
 }
 
-// Consumer, batched: every wakeup drains all ready notices through one
-// dequeue_many dispatch (the backend's pump loop).
-sim::Task<> drain_batched(Kernel* k, Pid me, DqId q, EventId ev, int n,
-                          std::vector<std::uint32_t>* log) {
+// Consumer: every wakeup drains up to `max` ready notices through one
+// dequeue_many dispatch — 16 is the backend's pump loop, 1 the
+// one-at-a-time reference.
+sim::Task<> drain(Kernel* k, Pid me, DqId q, EventId ev, int n,
+                  std::vector<std::uint32_t>* log, std::size_t max) {
   while (static_cast<int>(log->size()) < n) {
-    auto out = co_await k->dequeue_many(me, q, ev, 16);
+    auto out = co_await k->dequeue_many(me, q, ev, max);
     CO_CHECK(out.ok());
     if (out.value().would_block) {
       auto datum = co_await k->wait_event(me, ev);
@@ -57,16 +58,6 @@ sim::Task<> drain_batched(Kernel* k, Pid me, DqId q, EventId ev, int n,
       continue;
     }
     for (const std::uint32_t d : out.value().data) log->push_back(d);
-  }
-}
-
-// Consumer, reference: one notice per wakeup.
-sim::Task<> drain_single(Kernel* k, Pid me, DqId q, EventId ev, int n,
-                         std::vector<std::uint32_t>* log) {
-  while (static_cast<int>(log->size()) < n) {
-    auto datum = co_await k->dequeue_wait(me, q, ev);
-    CO_CHECK(datum.ok());
-    log->push_back(datum.value());
   }
 }
 
@@ -89,13 +80,8 @@ TEST(ChrysalisDrain, BatchedDrainPreservesFifoOrder) {
       world->engine.spawn(
           "produce", burst_produce(&world->engine, &k, p, q.value(), kNotices,
                                    /*seed=*/99));
-      if (use_batched) {
-        world->engine.spawn(
-            "drain", drain_batched(&k, c, q.value(), ev.value(), kNotices, lg));
-      } else {
-        world->engine.spawn(
-            "drain", drain_single(&k, c, q.value(), ev.value(), kNotices, lg));
-      }
+      world->engine.spawn("drain", drain(&k, c, q.value(), ev.value(),
+                                         kNotices, lg, use_batched ? 16 : 1));
     }(&w, prod, cons, batched, &log));
     w.engine.run();
     EXPECT_TRUE(w.engine.process_failures().empty());
@@ -148,7 +134,7 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
       }
     }(&e, &k, p, q.value()));
     e.spawn("drain",
-            drain_single(&k, c, q.value(), ev.value(), kCycles, lg));
+            drain(&k, c, q.value(), ev.value(), kCycles, lg, 1));
   }(&w, prod, cons, &log, &allocs_before, &fast_before));
   w.engine.run();
 
@@ -164,8 +150,8 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
 }
 
 // The dispatch-count pin: draining 32 parked notices takes 32 kernel
-// dispatches one-at-a-time but exactly 2 dequeue_many dispatches at
-// 16 notices per drain — the 16x per-wakeup op ratio the backend's
+// dispatches one at a time (max = 1) but exactly 2 dequeue_many
+// dispatches at 16 notices per drain — the 16x per-wakeup op ratio the backend's
 // pump relies on (each dispatch is a primitive_call on the wire; extra
 // notices in a batch cost only dq_dequeue_extra).
 TEST(ChrysalisDrain, BatchedDrainCollapsesDispatchCount) {
@@ -191,11 +177,8 @@ TEST(ChrysalisDrain, BatchedDrainCollapsesDispatchCount) {
                     Status::kOk);
       }
       const std::uint64_t ops_before = k.microcode_ops();
-      if (use_batched) {
-        co_await drain_batched(&k, c, q.value(), ev.value(), kParked, lg);
-      } else {
-        co_await drain_single(&k, c, q.value(), ev.value(), kParked, lg);
-      }
+      co_await drain(&k, c, q.value(), ev.value(), kParked, lg,
+                     use_batched ? 16 : 1);
       *ops_out = k.microcode_ops() - ops_before;
     }(&w, prod, cons, batched, drain_ops, &log));
     w.engine.run();

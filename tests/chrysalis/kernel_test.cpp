@@ -178,7 +178,13 @@ sim::Task<> dq_consumer(Kernel* k, Pid me, DqId q,
   auto ev = co_await k->make_event(me);
   CO_CHECK(ev.ok());
   for (int i = 0; i < n; ++i) {
-    auto v = co_await k->dequeue_wait(me, q, ev.value());
+    auto out = co_await k->dequeue_many(me, q, ev.value(), 1);
+    CO_CHECK(out.ok());
+    if (!out.value().would_block) {
+      got->push_back(out.value().data.front());
+      continue;
+    }
+    auto v = co_await k->wait_event(me, ev.value());
     CO_CHECK(v.ok());
     got->push_back(v.value());
   }

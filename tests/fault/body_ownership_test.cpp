@@ -6,12 +6,12 @@
 // byte.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "../support/spy_medium.hpp"
 #include "charlotte/kernel.hpp"
 #include "common/body.hpp"
 #include "fault/faulty_medium.hpp"
@@ -25,45 +25,12 @@ namespace {
 
 using common::Body;
 using net::NodeId;
+using test_support::SpyMedium;
 
 constexpr const char* kMessage = "0123456789abcdef";
 
 Body bytes(std::string s) { return Body(s.begin(), s.end()); }
 std::string text(const Body& b) { return std::string(b.begin(), b.end()); }
-
-// Forwards to an inner medium, drops the frames `drop` selects and logs
-// every frame `log` selects (the log's copies share the bodies).
-class SpyMedium final : public net::Medium {
- public:
-  explicit SpyMedium(net::Medium& inner) : inner_(&inner) {}
-
-  void attach(NodeId node, net::FrameHandler handler) override {
-    inner_->attach(node, std::move(handler));
-  }
-  void send(net::Frame frame) override {
-    if (log_filter && log_filter(frame)) logged.push_back(frame);
-    if (drop && drop(frame)) return;
-    inner_->send(std::move(frame));
-  }
-  void broadcast(net::Frame frame) override {
-    inner_->broadcast(std::move(frame));
-  }
-  [[nodiscard]] std::uint64_t frames_sent() const override {
-    return inner_->frames_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const override {
-    return inner_->bytes_sent();
-  }
-  // Puts a frame on the inner wire, as if a peer had sent it.
-  void inject(net::Frame frame) { inner_->send(std::move(frame)); }
-
-  std::function<bool(const net::Frame&)> drop;
-  std::function<bool(const net::Frame&)> log_filter;
-  std::vector<net::Frame> logged;
-
- private:
-  net::Medium* inner_;
-};
 
 // ---- Charlotte: truncating receive, then a MsgNackMoved resend --------
 

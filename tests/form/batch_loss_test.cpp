@@ -251,20 +251,20 @@ TEST(FormBatchLoss, ChrysalisBatchedEnqueueSurvivesQueueOverflowViaRetry) {
     std::vector<std::uint32_t> first{1, 2, 3, 4};
     st->push_back(co_await k->enqueue_many(pid, dq.value(), std::move(first)));
     for (int i = 0; i < 2; ++i) {
-      auto o = co_await k->dequeue(pid, dq.value(), ev.value());
+      auto o = co_await k->dequeue_many(pid, dq.value(), ev.value(), 1);
       CO_CHECK(o.ok());
       CO_CHECK(!o.value().would_block);
-      out->push_back(o.value().datum);
+      out->push_back(o.value().data.front());
     }
     // The caller's recovery — Chrysalis flags are ABSOLUTE, so the
     // recheck discipline re-derives the lost hints and re-posts them.
     std::vector<std::uint32_t> retry{3, 4};
     st->push_back(co_await k->enqueue_many(pid, dq.value(), std::move(retry)));
     for (int i = 0; i < 2; ++i) {
-      auto o = co_await k->dequeue(pid, dq.value(), ev.value());
+      auto o = co_await k->dequeue_many(pid, dq.value(), ev.value(), 1);
       CO_CHECK(o.ok());
       CO_CHECK(!o.value().would_block);
-      out->push_back(o.value().datum);
+      out->push_back(o.value().data.front());
     }
     *calls = k->enqueue_calls() - before;
   };

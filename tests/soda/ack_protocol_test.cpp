@@ -5,12 +5,12 @@
 // RTO, and the piggyback win.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "../support/spy_medium.hpp"
 #include "fault/faulty_medium.hpp"
 #include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
@@ -23,51 +23,6 @@ using net::NodeId;
 
 Payload bytes(std::string s) { return Payload(s.begin(), s.end()); }
 std::string text(const Payload& p) { return std::string(p.begin(), p.end()); }
-
-// A medium that keeps a copy of the first request fragment leaving
-// `watch_src` and can re-inject it later — the "duplicate delayed by
-// the network for an arbitrarily long time" that windowed dedup schemes
-// (like the kernel's 64-entry ring of accepted requests) cannot screen.
-class ReplayMedium final : public net::Medium {
- public:
-  ReplayMedium(net::Medium& inner, NodeId watch_src)
-      : inner_(&inner), watch_src_(watch_src) {}
-
-  void attach(NodeId node, net::FrameHandler handler) override {
-    inner_->attach(node, std::move(handler));
-  }
-  void send(net::Frame frame) override {
-    stamp(frame);
-    if (!captured_.has_value() && frame.src == watch_src_) {
-      if (frame.holds<Kernel::WireFrame>() &&
-          std::holds_alternative<Kernel::ReqFrag>(
-              frame.as<Kernel::WireFrame>())) {
-        captured_ = frame;  // same id: a duplicate, not a new frame
-      }
-    }
-    inner_->send(std::move(frame));
-  }
-  void broadcast(net::Frame frame) override {
-    stamp(frame);
-    inner_->broadcast(std::move(frame));
-  }
-  [[nodiscard]] std::uint64_t frames_sent() const override {
-    return inner_->frames_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const override {
-    return inner_->bytes_sent();
-  }
-
-  void replay() {
-    ASSERT_TRUE(captured_.has_value()) << "no ReqFrag frame was captured";
-    inner_->send(net::Frame(*captured_));
-  }
-
- private:
-  net::Medium* inner_;
-  NodeId watch_src_;
-  std::optional<net::Frame> captured_;
-};
 
 // One request/accept round trip; the server side records the payload it
 // took, the client side records the reply it got.
@@ -112,7 +67,12 @@ sim::Task<> call_n(Network* nw, Pid me, Pid server, Name* name,
 TEST(SodaAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
   sim::Engine e;
   net::CsmaBus bus(e, sim::Rng(7));
-  ReplayMedium medium(bus, NodeId(1));  // watch the client's requests
+  // Keeps the first request fragment the client sends, to replay it.
+  test_support::SpyMedium medium(bus);
+  medium.log_filter = [&medium](const net::Frame& f) {
+    return medium.logged.empty() && f.src == NodeId(1) &&
+           std::holds_alternative<Kernel::ReqFrag>(f.as<Kernel::WireFrame>());
+  };
   Costs costs;
   costs.ack_timeout = sim::msec(10);
   Network nw(e, 2, medium, costs);
@@ -134,7 +94,8 @@ TEST(SodaAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
   // The network "finds" the long-lost duplicate of request #1, then a
   // genuinely new request follows.  The server takes exactly one more
   // request, and it must be the fresh one.
-  medium.replay();
+  ASSERT_EQ(medium.logged.size(), 1u) << "no ReqFrag frame was captured";
+  medium.inject(medium.logged.front());
   std::vector<std::string> tail;
   auto one_more = [](Network* n, Pid me, std::vector<std::string>* log)
       -> sim::Task<> {
