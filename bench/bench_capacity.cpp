@@ -10,16 +10,17 @@
 // SODA-vs-Charlotte break-even in throughput terms.
 //
 // Flags (bench::init): --json-out, --trace-out, --seed, plus --smoke
-// for the CI-sized version (short windows, 3 rates) and
-// --baseline=PATH / --baseline-soda=PATH / --baseline-chrysalis=PATH
-// to compare each kernel's measured peak against a checked-in baseline
-// (bench/baselines/): exits nonzero on a >10% regression, so CI
-// catches an ack-protocol slowdown — on any substrate — at the PR.
+// for the CI-sized version (short windows, 3 rates) and a repeatable
+// --baseline=PATH to compare a kernel's measured peak against a
+// checked-in baseline (bench/baselines/); each file's own "backend"
+// field picks the kernel it gates.  Exits nonzero on a >10%
+// regression, so CI catches an ack-protocol slowdown — on any
+// substrate — at the PR.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
+#include <utility>
 
 #include "charlotte/types.hpp"
 #include "harness.hpp"
@@ -94,7 +95,7 @@ void curves_report(bool smoke, sweep::ThreadPool& pool) {
   for (double r : rates) bound.add(r, kKneeBoundMs);
 
   for (load::Substrate sub : load::all_substrates()) {
-    const auto reports = sweep::map<double, load::Report>(
+    const auto reports = sweep::map(
         rates,
         [sub, smoke](const double& rate) {
           load::Scenario sc = base_scenario(smoke);
@@ -268,7 +269,7 @@ void formation_report(bool smoke, sweep::ThreadPool& pool) {
               "delivered/s", "p50 ms", "p99 ms", "frames/op", "ratio");
   const std::vector<int> modes = {0, 1};
   for (load::Substrate sub : load::all_substrates()) {
-    const auto reports = sweep::map<int, load::Report>(
+    const auto reports = sweep::map(
         modes,
         [sub, smoke](const int& on) {
           return load::run_scenario(sub, depth8_scenario(smoke, sub, on != 0));
@@ -305,67 +306,22 @@ void formation_report(bool smoke, sweep::ThreadPool& pool) {
 
 // ---- baseline gate ---------------------------------------------------------
 
-// Reads one numeric field out of a flat JSON object, the same
-// hand-rolled idiom as the explorer's repro-token parsing: find the
-// quoted key, skip the colon, strtod the value.  Returns NaN if absent.
-double json_number_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
-// Reads one string field out of the same flat JSON object.  Returns ""
-// if the key is absent or not a quoted string.
-std::string json_string_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return "";
-  p = text.find('"', p + 1);
-  if (p == std::string::npos) return "";
-  const std::size_t end = text.find('"', p + 1);
-  if (end == std::string::npos) return "";
-  return text.substr(p + 1, end - p - 1);
-}
-
 // Compares one substrate's measured peak against its checked-in
 // baseline.  Returns false (CI failure) on a >10% throughput
 // regression.  Better peaks pass with a note: refreshing the baseline
 // file is a deliberate, reviewed act, not something a lucky run does
 // implicitly.  Pass or fail, the verdict line names the backend, the
 // scenario, the metric, and the signed delta, so a red CI log says
-// *what* regressed without opening JSON.  The file's own "backend"
-// field must name the substrate being gated — handing the SODA
-// baseline to the Charlotte gate is a config bug, not a pass.
-bool baseline_gate(const std::string& path, const char* backend,
+// *what* regressed without opening JSON.
+bool baseline_gate(const Baseline& base, const char* backend,
                    double measured) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline gate (%s): cannot read %s\n", backend,
-                 path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::string file_backend = json_string_field(text, "backend");
-  if (file_backend != backend) {
-    std::fprintf(stderr,
-                 "baseline gate (%s): %s is a baseline for backend \"%s\"\n",
-                 backend, path.c_str(), file_backend.c_str());
-    return false;
-  }
-  const double expected = json_number_field(text, "peak_throughput");
+  const double expected = base.number_field("peak_throughput");
   if (!(expected > 0)) {
     std::fprintf(stderr, "baseline gate (%s): no peak_throughput metric in %s\n",
-                 backend, path.c_str());
+                 backend, base.path.c_str());
     return false;
   }
-  std::string scenario = json_string_field(text, "scenario");
+  std::string scenario = base.string_field("scenario");
   if (scenario.empty()) scenario = "(unnamed)";
   constexpr double kTolerance = 0.10;
   const double floor = expected * (1.0 - kTolerance);
@@ -401,7 +357,7 @@ void payload_report(bool smoke, sweep::ThreadPool& pool) {
   // compare *delivered* throughput: E5's latency break-even, re-asked
   // as "which kernel moves more requests per second at this size?".
   auto delivered = [smoke, &pool, &payloads](load::Substrate sub) {
-    return sweep::map<double, load::Report>(
+    return sweep::map(
         payloads,
         [sub, smoke](const double& payload) {
           load::Scenario sc = base_scenario(smoke);
@@ -442,6 +398,35 @@ void payload_report(bool smoke, sweep::ThreadPool& pool) {
   }
 }
 
+// Sorts the --baseline files by the substrate their "backend" field
+// names.  Returns false, after saying why, on an unreadable file, an
+// unknown backend, or a second baseline for one backend.
+bool resolve_baselines(std::optional<Baseline> (&gates)[3]) {
+  for (const std::string& path : baseline_paths()) {
+    std::optional<Baseline> base = read_baseline(path, "baseline gate");
+    if (!base) return false;
+    const std::string backend = base->string_field("backend");
+    std::optional<Baseline>* slot = nullptr;
+    for (load::Substrate sub : load::all_substrates()) {
+      if (backend == to_string(sub)) slot = &gates[static_cast<int>(sub)];
+    }
+    if (slot == nullptr) {
+      std::fprintf(stderr, "baseline gate: %s names unknown backend \"%s\"\n",
+                   path.c_str(), backend.c_str());
+      return false;
+    }
+    if (slot->has_value()) {
+      std::fprintf(stderr,
+                   "baseline gate: %s and %s are both baselines for backend "
+                   "\"%s\"\n",
+                   (*slot)->path.c_str(), path.c_str(), backend.c_str());
+      return false;
+    }
+    *slot = std::move(base);
+  }
+  return true;
+}
+
 // ---- traced run ------------------------------------------------------------
 
 void traced_run(bool smoke) {
@@ -462,31 +447,11 @@ void traced_run(bool smoke) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  // One optional baseline path per substrate: --baseline= stays the
-  // Charlotte spelling CI has used all along; the SODA and Chrysalis
-  // wires got their own gates when the ack protocol was ported to
-  // them.  Indexed by load::Substrate.
-  std::string baselines[3];
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-      continue;
-    }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baselines[static_cast<int>(load::Substrate::kCharlotte)] =
-          arg.substr(std::string("--baseline=").size());
-      continue;
-    }
-    if (arg.rfind("--baseline-soda=", 0) == 0) {
-      baselines[static_cast<int>(load::Substrate::kSoda)] =
-          arg.substr(std::string("--baseline-soda=").size());
-      continue;
-    }
-    if (arg.rfind("--baseline-chrysalis=", 0) == 0) {
-      baselines[static_cast<int>(load::Substrate::kChrysalis)] =
-          arg.substr(std::string("--baseline-chrysalis=").size());
       continue;
     }
     if (arg == "--formation=on" || arg == "--formation=off") {
@@ -497,6 +462,10 @@ int main(int argc, char** argv) {
   }
   argc = kept;
   bench::init(&argc, argv, "capacity");
+  // Indexed by load::Substrate.  The checked-in baselines measure the
+  // frame-per-message wire, so a formation-on run gates nothing.
+  std::optional<Baseline> gates[3];
+  if (!g_formation && !resolve_baselines(gates)) return 1;
 
   sweep::ThreadPool pool;
   curves_report(smoke, pool);
@@ -505,23 +474,19 @@ int main(int argc, char** argv) {
   formation_report(smoke, pool);
   traced_run(smoke);
 
-  bool gate_ok = true;
-  const bool any_baseline = !baselines[0].empty() || !baselines[1].empty() ||
-                            !baselines[2].empty();
-  if (any_baseline && g_formation) {
-    // The checked-in baselines measure the frame-per-message wire; a
-    // formation-on peak is a different quantity and must not be gated
-    // (or silently refreshed) against it.
+  if (g_formation && !baseline_paths().empty()) {
+    // A formation-on peak is a different quantity and must not be gated
+    // (or silently refreshed) against the formation-off baselines.
     print_note("baseline gate skipped: --formation=on changes the measured");
     print_note("quantity; the gate only runs on formation-off invocations.");
-    for (auto& b : baselines) b.clear();
   }
+  bool gate_ok = true;
   for (load::Substrate sub : load::all_substrates()) {
-    const std::string& path = baselines[static_cast<int>(sub)];
-    if (path.empty()) continue;
+    const std::optional<Baseline>& base = gates[static_cast<int>(sub)];
+    if (!base) continue;
     // Every configured gate runs and reports — a SODA regression is
     // named even when Charlotte also regressed.
-    gate_ok = baseline_gate(path, to_string(sub), peaks.of(sub)) && gate_ok;
+    gate_ok = baseline_gate(*base, to_string(sub), peaks.of(sub)) && gate_ok;
   }
 
   return gate_ok ? 0 : 1;

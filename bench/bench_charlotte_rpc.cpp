@@ -48,7 +48,8 @@ sim::Task<> raw_client(charlotte::Cluster* cl, charlotte::Pid pid,
 
 double raw_kernel_rpc_ms(std::size_t bytes, int reps = 10) {
   sim::Engine engine;
-  charlotte::Cluster cluster(engine, 4);
+  net::TokenRing ring(engine);
+  charlotte::Cluster cluster(engine, 4, ring);
   charlotte::Pid ps = cluster.create_process(net::NodeId(0));
   charlotte::Pid pc = cluster.create_process(net::NodeId(1));
   charlotte::LinkPair pair = cluster.bootstrap_link(pc, ps);

@@ -52,13 +52,13 @@ void report() {
   const double chrysalis_ms = lynx_rpc_ms(chw, kPayload, kReps);
 
   sweep::ThreadPool pool;
-  auto charlotte = sweep::map<double, double>(
+  auto charlotte = sweep::map(
       rates,
       [](const double& r) {
         return impaired_rpc_ms(Substrate::kCharlotte, 401, r);
       },
       pool);
-  auto soda = sweep::map<double, double>(
+  auto soda = sweep::map(
       rates,
       [](const double& r) { return impaired_rpc_ms(Substrate::kSoda, 402, r); },
       pool);

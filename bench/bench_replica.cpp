@@ -15,10 +15,7 @@
 // smoke commit p50 against bench/baselines/replica.json: exits nonzero
 // when the measured latency climbs more than 10% above the baseline,
 // so CI catches an ack-protocol or replication-path slowdown at the PR.
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "harness.hpp"
 #include "replica/replica.hpp"
@@ -35,22 +32,6 @@ replica::Options base_options(bool smoke) {
   o.keys = 4;
   o.seed = bench::seed();
   return o;
-}
-
-// Crash/restart instants per substrate, mid-commit-stream for the
-// workload above (same constants as the explorer's crash plans).
-struct FaultTimes {
-  sim::Time crash;
-  sim::Time restart;
-};
-
-FaultTimes fault_times(load::Substrate s) {
-  switch (s) {
-    case load::Substrate::kCharlotte: return {sim::msec(300), sim::msec(700)};
-    case load::Substrate::kSoda: return {sim::msec(120), sim::msec(280)};
-    case load::Substrate::kChrysalis: return {sim::msec(20), sim::msec(45)};
-  }
-  return {sim::msec(100), sim::msec(200)};
 }
 
 // ---- clean commits ---------------------------------------------------------
@@ -101,7 +82,7 @@ void failover_report(bool smoke) {
   for (load::Substrate sub : load::all_substrates()) {
     sim::Engine engine;
     replica::Options o = base_options(smoke);
-    const FaultTimes ft = fault_times(sub);
+    const replica::FaultTimes ft = replica::fault_times(sub);
     o.crash_primary_at = ft.crash;
     o.restart_primary_at = ft.restart;
     replica::Group g(engine, sub, o);
@@ -128,27 +109,13 @@ void failover_report(bool smoke) {
 
 // ---- baseline gate ---------------------------------------------------------
 
-double json_number_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
 // Latency gate: fails when the measured Charlotte smoke commit p50
 // climbs more than 10% ABOVE the checked-in baseline (lower is always
 // fine; refreshing the baseline is a deliberate, reviewed act).
 bool baseline_gate(const std::string& path, double measured_ms) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline gate: cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const double expected = json_number_field(buf.str(), "commit_p50_ms");
+  const std::optional<Baseline> base = read_baseline(path, "baseline gate");
+  if (!base) return false;
+  const double expected = base->number_field("commit_p50_ms");
   if (!(expected > 0)) {
     std::fprintf(stderr, "baseline gate: no commit_p50_ms in %s\n",
                  path.c_str());
@@ -190,16 +157,11 @@ void traced_run(bool smoke) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string baseline;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-      continue;
-    }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline = arg.substr(std::string("--baseline=").size());
       continue;
     }
     argv[kept++] = argv[i];
@@ -212,7 +174,9 @@ int main(int argc, char** argv) {
   traced_run(smoke);
 
   bool gate_ok = true;
-  if (!baseline.empty()) gate_ok = baseline_gate(baseline, charlotte_p50);
+  for (const std::string& path : baseline_paths()) {
+    gate_ok = baseline_gate(path, charlotte_p50) && gate_ok;
+  }
 
   return gate_ok ? 0 : 1;
 }

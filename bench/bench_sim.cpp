@@ -34,8 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <vector>
 
 #include "harness.hpp"
@@ -258,33 +257,18 @@ void report(const Metric& m) {
   line.emit();
 }
 
-// Flat-JSON field read, the same idiom as bench_capacity's gate.
-double json_number_field(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return std::nan("");
-  const std::size_t p = text.find(':', at + needle.size());
-  if (p == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + p + 1, nullptr);
-}
-
 // Each metric is gated against "<name>_floor" in the baseline file
 // (events per wall-second).  Floors are deliberately set well under a
 // healthy run — CI machines are noisy — so a trip means a structural
 // slowdown, not scheduler jitter.  Metrics without a floor pass with a
 // note, so adding a workload does not require touching the baseline.
 bool baseline_gate(const std::string& path, const std::vector<Metric>& ms) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline gate (sim): cannot read %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  const std::optional<Baseline> base =
+      read_baseline(path, "baseline gate (sim)");
+  if (!base) return false;
   bool ok = true;
   for (const Metric& m : ms) {
-    const double floor = json_number_field(text, m.name + "_floor");
+    const double floor = base->number_field(m.name + "_floor");
     if (std::isnan(floor)) {
       std::printf("baseline gate: %s has no floor in %s (ungated)\n",
                   m.name.c_str(), path.c_str());
@@ -312,16 +296,11 @@ bool baseline_gate(const std::string& path, const std::vector<Metric>& ms) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string baseline;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-      continue;
-    }
-    if (arg.rfind("--baseline=", 0) == 0) {
-      baseline = arg.substr(std::string("--baseline=").size());
       continue;
     }
     argv[kept++] = argv[i];
@@ -363,7 +342,9 @@ int main(int argc, char** argv) {
   for (const Metric& m : metrics) report(m);
 
   bool gate_ok = true;
-  if (!baseline.empty()) gate_ok = baseline_gate(baseline, metrics);
+  for (const std::string& path : baseline_paths()) {
+    gate_ok = baseline_gate(path, metrics) && gate_ok;
+  }
 
   return gate_ok ? 0 : 1;
 }

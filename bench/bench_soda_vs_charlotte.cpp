@@ -29,9 +29,9 @@ void report() {
   const std::vector<std::size_t> sizes{0,    128,  256,  512, 768, 1024,
                                        1536, 2048, 3072, 4096};
   sweep::ThreadPool pool;
-  auto soda = sweep::map<std::size_t, double>(
+  auto soda = sweep::map(
       sizes, [](const std::size_t& b) { return soda_ms(b); }, pool);
-  auto charlotte = sweep::map<std::size_t, double>(
+  auto charlotte = sweep::map(
       sizes, [](const std::size_t& b) { return charlotte_ms(b); }, pool);
 
   sim::Series s_soda("soda"), s_charlotte("charlotte");

@@ -6,11 +6,15 @@
 // by perfbench, not here.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +44,8 @@ namespace bench {
 //                        the bench (default 2026), so a specific run —
 //                        one JSON record, one capacity curve — can be
 //                        reproduced without recompiling
+//     --baseline=PATH    a checked-in baseline to gate against
+//                        (repeatable; ignored by benches without a gate)
 
 inline std::FILE*& json_file() {
   static std::FILE* f = nullptr;
@@ -57,6 +63,10 @@ inline std::uint64_t& seed() {
   static std::uint64_t s = 2026;
   return s;
 }
+inline std::vector<std::string>& baseline_paths() {
+  static std::vector<std::string> paths;
+  return paths;
+}
 
 inline void init(int* argc, char** argv, const char* name) {
   bench_name() = name;
@@ -66,6 +76,7 @@ inline void init(int* argc, char** argv, const char* name) {
     const std::string json_flag = "--json-out=";
     const std::string trace_flag = "--trace-out=";
     const std::string seed_flag = "--seed=";
+    const std::string baseline_flag = "--baseline=";
     if (arg.rfind(json_flag, 0) == 0) {
       const std::string path = arg.substr(json_flag.size());
       json_file() = std::fopen(path.c_str(), "w");
@@ -76,6 +87,8 @@ inline void init(int* argc, char** argv, const char* name) {
       trace_out_path() = arg.substr(trace_flag.size());
     } else if (arg.rfind(seed_flag, 0) == 0) {
       seed() = std::strtoull(arg.substr(seed_flag.size()).c_str(), nullptr, 10);
+    } else if (arg.rfind(baseline_flag, 0) == 0) {
+      baseline_paths().push_back(arg.substr(baseline_flag.size()));
     } else {
       argv[kept++] = argv[i];
     }
@@ -87,6 +100,58 @@ inline void init(int* argc, char** argv, const char* name) {
       json_file() = nullptr;
     }
   });
+}
+
+// ---- baseline gates --------------------------------------------------------
+//
+// A checked-in baseline (bench/baselines/) is one flat JSON object.  Its
+// fields are read with the same hand-rolled idiom as the explorer's
+// repro-token parsing: find the quoted key, skip the colon, read the
+// value.
+struct Baseline {
+  std::string path;
+  std::string text;
+
+  // One numeric field; NaN if absent.
+  [[nodiscard]] double number_field(const std::string& key) const {
+    const std::size_t p = value_at(key);
+    if (p == std::string::npos) return std::nan("");
+    return std::strtod(text.c_str() + p, nullptr);
+  }
+  // One string field; "" if absent or not a quoted string.
+  [[nodiscard]] std::string string_field(const std::string& key) const {
+    std::size_t p = value_at(key);
+    if (p == std::string::npos) return "";
+    p = text.find('"', p);
+    if (p == std::string::npos) return "";
+    const std::size_t end = text.find('"', p + 1);
+    if (end == std::string::npos) return "";
+    return text.substr(p + 1, end - p - 1);
+  }
+
+ private:
+  // Offset just past the colon that follows `key`, or npos.
+  [[nodiscard]] std::size_t value_at(const std::string& key) const {
+    const std::string needle = "\"" + key + "\"";
+    const std::size_t at = text.find(needle);
+    if (at == std::string::npos) return std::string::npos;
+    const std::size_t p = text.find(':', at + needle.size());
+    return p == std::string::npos ? p : p + 1;
+  }
+};
+
+// Reads one baseline file.  On failure prints "<gate>: cannot read
+// <path>" to stderr and returns nothing.
+inline std::optional<Baseline> read_baseline(const std::string& path,
+                                             const char* gate) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "%s: cannot read %s\n", gate, path.c_str());
+    return std::nullopt;
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return Baseline{path, buf.str()};
 }
 
 // ---- the client/server pair every RPC experiment measures ------------------

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "lynx/lynx.hpp"
+#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -117,17 +118,21 @@ sim::Task<> client_main(ThreadCtx& ctx, LinkHandle server, std::string who,
 
 int main() {
   sim::Engine engine;
-  charlotte::Cluster crystal(engine, 4);
+  net::TokenRing ring(engine);
+  charlotte::Cluster crystal(engine, 4, ring);
 
-  lynx::Process server(engine, "fileserver",
-                       lynx::make_charlotte_backend(crystal, net::NodeId(0)),
-                       lynx::vax_runtime_costs());
-  lynx::Process alice(engine, "alice",
-                      lynx::make_charlotte_backend(crystal, net::NodeId(1)),
-                      lynx::vax_runtime_costs());
-  lynx::Process bob(engine, "bob",
-                    lynx::make_charlotte_backend(crystal, net::NodeId(2)),
-                    lynx::vax_runtime_costs());
+  lynx::Process server(
+      engine, "fileserver",
+      std::make_unique<lynx::CharlotteBackend>(crystal, net::NodeId(0)),
+      lynx::vax_runtime_costs());
+  lynx::Process alice(
+      engine, "alice",
+      std::make_unique<lynx::CharlotteBackend>(crystal, net::NodeId(1)),
+      lynx::vax_runtime_costs());
+  lynx::Process bob(
+      engine, "bob",
+      std::make_unique<lynx::CharlotteBackend>(crystal, net::NodeId(2)),
+      lynx::vax_runtime_costs());
   server.start();
   alice.start();
   bob.start();

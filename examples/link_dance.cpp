@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "lynx/lynx.hpp"
+#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -77,11 +78,13 @@ sim::Task<> process_c(ThreadCtx& ctx, LinkHandle link2) {
 
 int main() {
   sim::Engine engine;
-  charlotte::Cluster crystal(engine, 4);
+  net::TokenRing ring(engine);
+  charlotte::Cluster crystal(engine, 4, ring);
 
   auto mk = [&](const char* name, std::uint32_t node) {
     auto p = std::make_unique<lynx::Process>(
-        engine, name, lynx::make_charlotte_backend(crystal, net::NodeId(node)),
+        engine, name,
+        std::make_unique<lynx::CharlotteBackend>(crystal, net::NodeId(node)),
         lynx::vax_runtime_costs());
     p->start();
     return p;

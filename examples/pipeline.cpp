@@ -17,6 +17,7 @@
 #include <string>
 
 #include "lynx/lynx.hpp"
+#include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
@@ -130,21 +131,20 @@ int main() {
   sim::Engine engine;
   trace::Recorder recorder(engine);
   lynx::SodaDirectory directory;
-  net::CsmaBusParams bus;
-  bus.broadcast_drop_prob = 0.0;
-  soda::Network network(engine, 8, sim::Rng(7), bus);
+  net::CsmaBus bus(engine, sim::Rng(7), {.broadcast_drop_prob = 0.0});
+  soda::Network network(engine, 8, bus);
 
-  lynx::Process coord(engine, "coord",
-                      lynx::make_soda_backend(network, directory,
-                                              net::NodeId(0)),
-                      lynx::pdp11_runtime_costs());
+  lynx::Process coord(
+      engine, "coord",
+      std::make_unique<lynx::SodaBackend>(network, directory, net::NodeId(0)),
+      lynx::pdp11_runtime_costs());
   std::vector<std::unique_ptr<lynx::Process>> stages;
   const char* tags[3] = {"parse", "transform", "render"};
   for (int i = 0; i < 3; ++i) {
     stages.push_back(std::make_unique<lynx::Process>(
         engine, tags[i],
-        lynx::make_soda_backend(network, directory,
-                                net::NodeId(static_cast<std::uint32_t>(i) + 1)),
+        std::make_unique<lynx::SodaBackend>(
+            network, directory, net::NodeId(static_cast<std::uint32_t>(i) + 1)),
         lynx::pdp11_runtime_costs()));
   }
   coord.start();

@@ -78,12 +78,14 @@ int main(int argc, char** argv) {
   trace::Recorder recorder(engine);
   chrysalis::Kernel butterfly(engine);
 
-  lynx::Process server(engine, "server",
-                       lynx::make_chrysalis_backend(butterfly, net::NodeId(0)),
-                       lynx::mc68000_runtime_costs());
-  lynx::Process client(engine, "client",
-                       lynx::make_chrysalis_backend(butterfly, net::NodeId(1)),
-                       lynx::mc68000_runtime_costs());
+  lynx::Process server(
+      engine, "server",
+      std::make_unique<lynx::ChrysalisBackend>(butterfly, net::NodeId(0)),
+      lynx::mc68000_runtime_costs());
+  lynx::Process client(
+      engine, "client",
+      std::make_unique<lynx::ChrysalisBackend>(butterfly, net::NodeId(1)),
+      lynx::mc68000_runtime_costs());
   server.start();
   client.start();
 

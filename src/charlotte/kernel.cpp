@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
-#include "net/token_ring.hpp"
 #include "trace/trace.hpp"
 
 namespace charlotte {
 
 // ===================== Cluster =====================
-
-Cluster::Cluster(sim::Engine& engine, std::size_t nodes,
-                 net::TokenRingParams ring_params, Costs costs)
-    : engine_(&engine),
-      costs_(costs),
-      ring_(std::make_unique<net::TokenRing>(engine, ring_params)),
-      medium_(ring_.get()) {
-  kernels_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    kernels_.push_back(
-        std::make_unique<Kernel>(*this, net::NodeId(static_cast<std::uint32_t>(i))));
-  }
-}
 
 Cluster::Cluster(sim::Engine& engine, std::size_t nodes, net::Medium& medium,
                  Costs costs)
@@ -115,8 +101,7 @@ Kernel::Kernel(Cluster& cluster, net::NodeId node)
     : cluster_(&cluster),
       node_(node),
       packer_(cluster.engine(), cluster.medium(), node,
-              form::Params{cluster.costs().form_delay,
-                           cluster.costs().form_max_bytes}) {
+              cluster.costs().form_delay) {
   cluster_->medium().attach(node_, [this](net::Frame f) {
     const Costs& costs = cluster_->costs();
     packer_.receive(

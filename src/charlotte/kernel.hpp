@@ -31,7 +31,6 @@
 #include "common/rtt_estimator.hpp"
 #include "form/packer.hpp"
 #include "net/packet.hpp"
-#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -247,11 +246,9 @@ class Kernel {
 // A Crystal: N nodes running Charlotte on a token ring.
 class Cluster {
  public:
-  Cluster(sim::Engine& engine, std::size_t nodes,
-          net::TokenRingParams ring_params = {}, Costs costs = {});
-  // Runs the cluster over an externally-owned medium (typically a
-  // fault::FaultyMedium wrapping a TokenRing).  The medium must outlive
-  // the cluster; ring() is unavailable in this mode.
+  // Runs the cluster over a caller-owned medium (a net::TokenRing, or a
+  // fault::FaultyMedium wrapping one).  The medium must outlive the
+  // cluster.
   Cluster(sim::Engine& engine, std::size_t nodes, net::Medium& medium,
           Costs costs = {});
   Cluster(const Cluster&) = delete;
@@ -260,10 +257,6 @@ class Cluster {
 
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
   [[nodiscard]] const Costs& costs() const { return costs_; }
-  [[nodiscard]] net::TokenRing& ring() {
-    RELYNX_ASSERT_MSG(ring_ != nullptr, "cluster runs on an external medium");
-    return *ring_;
-  }
   [[nodiscard]] net::Medium& medium() { return *medium_; }
   [[nodiscard]] std::size_t node_count() const { return kernels_.size(); }
 
@@ -296,8 +289,7 @@ class Cluster {
 
   sim::Engine* engine_;
   Costs costs_;
-  std::unique_ptr<net::TokenRing> ring_;  // null when medium is external
-  net::Medium* medium_;                   // the wire all kernels use
+  net::Medium* medium_;  // the wire all kernels use
   std::vector<std::unique_ptr<Kernel>> kernels_;
   common::IdMap<Pid, net::NodeId> process_node_;
   common::IdAllocator<EndId> end_ids_;

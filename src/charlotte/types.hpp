@@ -115,13 +115,12 @@ struct Costs {
   // ---- RPC formation (src/form/, DESIGN.md §14) ----
   // Kernel frames posted to the same destination node within form_delay
   // of each other are packed into one batch wire frame of up to
-  // form_max_bytes; the receiver pays frame_processing once for the
+  // form::kMaxBatchBytes; the receiver pays frame_processing once for the
   // batch plus form_enclosure_processing to demultiplex each enclosure
   // (much cheaper than a full frame absorption — no interrupt, no
   // header validation, just a length-prefixed walk).  0 = today's
   // frame-per-message wire (the default until gated wins are recorded).
   sim::Duration form_delay = sim::Duration(0);
-  std::size_t form_max_bytes = 1024;
   sim::Duration form_enclosure_processing = sim::msec(1);
   // Transport-level send retransmission, for running over an impaired
   // medium.  0 disables the timer entirely (the seed behaviour: the

@@ -80,11 +80,7 @@ load::UniverseSpec echo_spec(const RunConfig& cfg) {
   // 40 x 12ms of per-fragment retransmission outlasts the storm window.
   spec.soda.ack_timeout = sim::msec(12);
   spec.soda.max_transport_attempts = 40;
-  if (formation_on(cfg)) {
-    spec.charlotte.form_delay = kFormDelay;
-    spec.soda.form_delay = kFormDelay;
-    spec.chrysalis_backend.form_delay = kFormDelay;
-  }
+  if (formation_on(cfg)) spec.with_formation(kFormDelay);
   return spec;
 }
 
@@ -160,24 +156,6 @@ std::optional<Workload> workload_from(std::string_view name) {
 
 namespace {
 
-// Crash/restart instants per substrate, chosen to land mid-commit-stream
-// for the default workload size: an op takes ~105 ms on Charlotte,
-// ~38 ms on SODA, ~5 ms on Chrysalis (tests/replica/replica_test.cpp
-// uses the same constants).
-struct FaultTimes {
-  sim::Time crash;
-  sim::Time restart;
-};
-
-FaultTimes fault_times(load::Substrate s) {
-  switch (s) {
-    case load::Substrate::kCharlotte: return {sim::msec(300), sim::msec(700)};
-    case load::Substrate::kSoda: return {sim::msec(120), sim::msec(280)};
-    case load::Substrate::kChrysalis: return {sim::msec(20), sim::msec(45)};
-  }
-  return {sim::msec(100), sim::msec(200)};
-}
-
 replica::Options replica_options_of(const RunConfig& cfg) {
   replica::Options o;
   o.replicas = 3;
@@ -186,7 +164,7 @@ replica::Options replica_options_of(const RunConfig& cfg) {
   o.seed = cfg.seed;
   o.debug_stale_reads = cfg.inject_stale_bug;
   if (formation_on(cfg)) o.form_delay = kFormDelay;
-  const FaultTimes ft = fault_times(cfg.substrate);
+  const replica::FaultTimes ft = replica::fault_times(cfg.substrate);
   switch (cfg.plan) {
     case PlanSpec::kPrimaryCrash:
       o.crash_primary_at = ft.crash;  // no restart: fail-over only

@@ -135,7 +135,6 @@ sim::Task<Result<std::uint16_t>> Kernel::read16(Pid caller, MemId id,
     co_await engine_->sleep(costs_.primitive_call);
     co_return common::Err(st);
   }
-  if (is_remote(caller, obj->home)) ++remote_;
   co_await engine_->sleep(access_cost(caller, *obj, costs_.atomic16));
   obj = find_object(id);
   if (obj == nullptr) co_return common::Err(Status::kDeallocated);
@@ -153,7 +152,6 @@ sim::Task<Status> Kernel::write16(Pid caller, MemId id, std::size_t offset,
     co_await engine_->sleep(costs_.primitive_call);
     co_return st;
   }
-  if (is_remote(caller, obj->home)) ++remote_;
   co_await engine_->sleep(access_cost(caller, *obj, costs_.atomic16));
   obj = find_object(id);
   if (obj == nullptr) co_return Status::kDeallocated;
@@ -171,7 +169,6 @@ sim::Task<Result<std::uint16_t>> Kernel::fetch_or16(Pid caller, MemId id,
     co_await engine_->sleep(costs_.primitive_call);
     co_return common::Err(st);
   }
-  if (is_remote(caller, obj->home)) ++remote_;
   // The read-modify-write is performed atomically *at this point in
   // simulated time* (the microcode holds the memory bank); the charged
   // delay models the caller's latency, during which the new value is
@@ -194,7 +191,6 @@ sim::Task<Result<std::uint16_t>> Kernel::fetch_and16(Pid caller, MemId id,
     co_await engine_->sleep(costs_.primitive_call);
     co_return common::Err(st);
   }
-  if (is_remote(caller, obj->home)) ++remote_;
   std::uint16_t old;
   std::memcpy(&old, obj->bytes.data() + offset, 2);
   const std::uint16_t neu = static_cast<std::uint16_t>(old & mask);
@@ -212,7 +208,6 @@ sim::Task<Result<std::uint32_t>> Kernel::read32(Pid caller, MemId id,
     co_await engine_->sleep(costs_.primitive_call);
     co_return common::Err(st);
   }
-  if (is_remote(caller, obj->home)) ++remote_;
   co_await engine_->sleep(access_cost(caller, *obj, costs_.word32));
   obj = find_object(id);
   if (obj == nullptr) co_return common::Err(Status::kDeallocated);
@@ -230,7 +225,6 @@ sim::Task<Status> Kernel::write32(Pid caller, MemId id, std::size_t offset,
     co_await engine_->sleep(costs_.primitive_call);
     co_return st;
   }
-  if (is_remote(caller, obj->home)) ++remote_;
   // Non-atomic 32-bit write: the paper's §5.2 relies on exactly this
   // (dual queue names are written non-atomically, made safe by update
   // ordering).  We model the tear window by writing the low half now and
@@ -255,7 +249,6 @@ sim::Task<Status> Kernel::block_write(Pid caller, MemId id,
     co_return st;
   }
   const bool remote = is_remote(caller, obj->home);
-  if (remote) ++remote_;
   co_await engine_->sleep(costs_.primitive_call +
                           fabric_.block_transfer(data.size(), remote));
   obj = find_object(id);
@@ -275,7 +268,6 @@ sim::Task<Result<common::Body>> Kernel::block_read(
     co_return common::Err(st);
   }
   const bool remote = is_remote(caller, obj->home);
-  if (remote) ++remote_;
   co_await engine_->sleep(costs_.primitive_call +
                           fabric_.block_transfer(length, remote));
   obj = find_object(id);
@@ -387,7 +379,9 @@ Status Kernel::deliver_to_queue(DualQueue& q, std::uint32_t datum) {
   return Status::kOk;
 }
 
-sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
+sim::Task<Status> Kernel::enqueue(Pid caller, DqId id,
+                                  std::span<const std::uint32_t> data) {
+  if (data.empty()) co_return Status::kOk;
   ++ops_;
   ++enqueue_calls_;
   auto it = queues_.find(id);
@@ -397,11 +391,12 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
   }
   DualQueue& q = it->second;
   const bool remote = is_remote(caller, q.home);
-  if (remote) ++remote_;
-  if (q.fast_armed && q.data.empty() && q.waiters.empty()) {
+  if (data.size() == 1 && q.fast_armed && q.data.empty() &&
+      q.waiters.empty()) {
     // Cheap-flag fast path: claim the armed slot at the call instant
     // (an atomic16 — nothing else can take it across the suspension)
     // and post the consumer's event directly.  No queue is touched.
+    const std::uint32_t datum = data.front();
     const EventId target = q.fast_event;
     q.fast_armed = false;
     ++fast_deliveries_;
@@ -420,32 +415,10 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id, std::uint32_t datum) {
     co_return Status::kOk;
   }
   co_await engine_->sleep(costs_.primitive_call + costs_.dq_enqueue +
-                          (remote ? fabric_.word_reference(true) : 0));
-  // queue object may have been reclaimed across the suspension
-  auto it2 = queues_.find(id);
-  if (it2 == queues_.end()) co_return Status::kNoSuchObject;
-  co_return deliver_to_queue(it2->second, datum);
-}
-
-sim::Task<Status> Kernel::enqueue_many(Pid caller, DqId id,
-                                       std::vector<std::uint32_t> data) {
-  if (data.empty()) co_return Status::kOk;
-  ++ops_;
-  ++enqueue_calls_;
-  auto it = queues_.find(id);
-  if (it == queues_.end()) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return Status::kNoSuchObject;
-  }
-  DualQueue& q = it->second;
-  const bool remote = is_remote(caller, q.home);
-  if (remote) ++remote_;
-  // One dispatch + one switch setup for the whole batch; each datum
-  // after the first costs only dq_enqueue_extra.
-  co_await engine_->sleep(costs_.primitive_call + costs_.dq_enqueue +
                           costs_.dq_enqueue_extra *
                               static_cast<sim::Duration>(data.size() - 1) +
                           (remote ? fabric_.word_reference(true) : 0));
+  // queue object may have been reclaimed across the suspension
   auto it2 = queues_.find(id);
   if (it2 == queues_.end()) co_return Status::kNoSuchObject;
   Status status = Status::kOk;
@@ -467,7 +440,6 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
   }
   DualQueue& q = it->second;
   const bool remote = is_remote(caller, q.home);
-  if (remote) ++remote_;
   co_await engine_->sleep(costs_.primitive_call + costs_.dq_dequeue +
                           (remote ? fabric_.word_reference(true) : 0));
   auto it2 = queues_.find(id);

@@ -95,19 +95,17 @@ class Kernel {
   // ---- dual queues ---------------------------------------------------------
   [[nodiscard]] sim::Task<Result<DqId>> make_dual_queue(Pid caller,
                                                         std::size_t capacity);
-  // enqueue: appends datum, or — if the queue holds waiter event names —
-  // posts the front event with the datum instead (paper §5.1).
+  // enqueue: appends each datum, or — if the queue holds waiter event
+  // names — posts the front event with the datum instead (paper §5.1).
+  // One microcode dispatch (primitive_call + dq_enqueue + the remote
+  // switch setup, paid once) delivers every datum in order, charging
+  // only Costs::dq_enqueue_extra for each datum after the first: the
+  // shared-memory analogue of RPC formation (DESIGN.md §14).  Data that
+  // find the queue full are dropped; the call then reports kQueueFull
+  // after delivering the rest.  `data` must stay alive until the call
+  // completes.
   [[nodiscard]] sim::Task<Status> enqueue(Pid caller, DqId q,
-                                          std::uint32_t datum);
-  // Batched enqueue — the shared-memory analogue of RPC formation
-  // (DESIGN.md §14).  One microcode dispatch (primitive_call +
-  // dq_enqueue + the remote switch setup, paid once) delivers every
-  // datum in order, charging only Costs::dq_enqueue_extra for each
-  // datum after the first.  Data that find the queue full are dropped
-  // exactly as a lone enqueue's would be; the call then reports
-  // kQueueFull after delivering the rest.
-  [[nodiscard]] sim::Task<Status> enqueue_many(Pid caller, DqId q,
-                                               std::vector<std::uint32_t> data);
+                                          std::span<const std::uint32_t> data);
   // dequeue_many: one microcode dispatch pops every ready datum (up to
   // `max`), charging Costs::dq_dequeue_extra for each after the first.
   // An empty queue leaves `my_event`'s name behind (or arms the cheap
@@ -123,10 +121,9 @@ class Kernel {
 
   // ---- instrumentation -------------------------------------------------
   [[nodiscard]] std::uint64_t microcode_ops() const { return ops_; }
-  [[nodiscard]] std::uint64_t remote_references() const { return remote_; }
-  // Dual-queue enqueue *dispatches* (enqueue and enqueue_many each count
-  // once, however many data the latter carries) — Chrysalis has no wire
-  // frames, so this is its frames-per-message analogue for E16.
+  // Dual-queue enqueue *dispatches* (each counts once, however many
+  // data it carries) — Chrysalis has no wire frames, so this is its
+  // frames-per-message analogue for E16.
   [[nodiscard]] std::uint64_t enqueue_calls() const { return enqueue_calls_; }
   // Pushes into a dual queue's data/waiter queues — the bookkeeping the
   // cheap-flag fast path exists to avoid.
@@ -175,7 +172,7 @@ class Kernel {
   [[nodiscard]] bool is_remote(Pid caller, net::NodeId home) const;
   // Post-suspension delivery of one datum into a dual queue: posts the
   // front waiter event if the queue holds event names, else appends
-  // (kQueueFull drops the datum).  Shared by enqueue / enqueue_many.
+  // (kQueueFull drops the datum).
   Status deliver_to_queue(DualQueue& q, std::uint32_t datum);
 
   sim::Engine* engine_;
@@ -191,7 +188,6 @@ class Kernel {
   common::IdAllocator<EventId> event_ids_;
   common::IdAllocator<DqId> dq_ids_;
   std::uint64_t ops_ = 0;
-  std::uint64_t remote_ = 0;
   std::uint64_t enqueue_calls_ = 0;
   std::uint64_t queue_allocs_ = 0;
   std::uint64_t fast_deliveries_ = 0;

@@ -73,7 +73,7 @@ struct Costs {
   sim::Duration event_wait = sim::usec(30);
   sim::Duration dq_enqueue = sim::usec(70);
   // Marginal cost of each datum after the first in a batched
-  // enqueue_many (src/form/, DESIGN.md §14): the microcode holds the
+  // enqueue (src/form/, DESIGN.md §14): the microcode holds the
   // queue and pays the dispatch/switch setup once, so extra data cost
   // little more than the word writes themselves.
   sim::Duration dq_enqueue_extra = sim::usec(8);

@@ -28,6 +28,10 @@ namespace form {
 inline constexpr std::size_t kBatchHeaderBytes = 8;      // count + flags
 inline constexpr std::size_t kEnclosureHeaderBytes = 4;  // length + type
 
+// The byte budget of one batch frame: a batch flushes as soon as it
+// would reach this size.  Formation's only knob is the delay window.
+inline constexpr std::size_t kMaxBatchBytes = 1024;
+
 struct Batch {
   std::vector<net::Frame> frames;  // enclosures, in submission order
 };

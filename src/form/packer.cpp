@@ -8,8 +8,8 @@
 namespace form {
 
 Packer::Packer(sim::Engine& engine, net::Medium& medium, net::NodeId node,
-               Params params)
-    : engine_(&engine), medium_(&medium), node_(node), params_(params) {}
+               sim::Duration delay)
+    : engine_(&engine), medium_(&medium), node_(node), delay_(delay) {}
 
 Packer::~Packer() {
   // Never flush here: teardown runs after the engine stopped, and
@@ -29,16 +29,16 @@ void Packer::submit(net::Frame frame) {
   // A frame that would blow the byte budget closes the current batch
   // first; FIFO order to this destination is preserved either way.
   if (!q.pending.empty() &&
-      kBatchHeaderBytes + q.bytes + wrapped > params_.max_bytes) {
+      kBatchHeaderBytes + q.bytes + wrapped > kMaxBatchBytes) {
     do_flush(dst, q);
   }
   q.pending.push_back(std::move(frame));
   q.bytes += wrapped;
-  if (kBatchHeaderBytes + q.bytes >= params_.max_bytes) {
+  if (kBatchHeaderBytes + q.bytes >= kMaxBatchBytes) {
     do_flush(dst, q);
   } else if (q.pending.size() == 1) {
-    q.deadline = engine_->schedule_cancellable(params_.delay,
-                                               [this, dst] { flush(dst); });
+    q.deadline =
+        engine_->schedule_cancellable(delay_, [this, dst] { flush(dst); });
   }
 }
 

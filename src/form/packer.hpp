@@ -8,8 +8,8 @@
 // of three triggers fires, the same knob idiom as Charlotte's
 // Costs::ack_coalesce_delay:
 //
-//   * byte budget — pending enclosures reach Params::max_bytes;
-//   * deadline    — Params::delay elapsed since the queue went
+//   * byte budget — pending enclosures reach kMaxBatchBytes;
+//   * deadline    — the formation delay elapsed since the queue went
 //                   non-empty (so a lone message is never held longer
 //                   than the formation window);
 //   * flush hint  — the kernel flushes explicitly (e.g. before a
@@ -43,23 +43,17 @@
 
 namespace form {
 
-struct Params {
-  // Formation window.  0 = off: frames pass straight through.
-  sim::Duration delay = 0;
-  // Flush as soon as the pending batch frame would reach this size.
-  std::size_t max_bytes = 1024;
-};
-
 class Packer {
  public:
+  // `delay` is the formation window.  0 = off: frames pass straight
+  // through.
   Packer(sim::Engine& engine, net::Medium& medium, net::NodeId node,
-         Params params);
+         sim::Duration delay);
   Packer(const Packer&) = delete;
   Packer& operator=(const Packer&) = delete;
   ~Packer();  // cancels deadline timers; never flushes into teardown
 
-  [[nodiscard]] bool enabled() const { return params_.delay > 0; }
-  [[nodiscard]] const Params& params() const { return params_; }
+  [[nodiscard]] bool enabled() const { return delay_ > 0; }
 
   // Unicast: queue behind the formation trigger (or pass through when
   // formation is off).  Takes over the frame's FIFO position: frames to
@@ -102,7 +96,7 @@ class Packer {
   sim::Engine* engine_;
   net::Medium* medium_;
   net::NodeId node_;
-  Params params_;
+  sim::Duration delay_;
   common::IdMap<net::NodeId, Queue> queues_;
   std::uint64_t batches_ = 0;
   std::uint64_t enclosed_ = 0;

@@ -123,7 +123,7 @@ UniverseSpec spec_of(Substrate substrate, const Scenario& sc) {
   spec.substrate = substrate;
   spec.nodes = sc.servers + sc.clients;
   spec.seed = sc.seed ^ 0x50da50daULL;
-  spec.with_formation(sc.form_delay, sc.form_max_bytes);
+  spec.with_formation(sc.form_delay);
   // Each LYNX link end parks one standing status signal at its peer
   // (SodaBackend::post_signal), so a client pipelining across N channels
   // holds N signal slots PLUS up to N data requests against the §4.2.1

@@ -78,11 +78,10 @@ struct Scenario {
 
   // RPC formation (src/form/, DESIGN.md §14): co-destined kernel frames
   // posted within form_delay of each other share one wire frame of up
-  // to form_max_bytes.  0 = frame-per-message (the default).  On
-  // Chrysalis — which has no wire — the same knobs drive dual-queue
-  // notice batching (form_max_bytes / 16 notices per batch).
+  // to form::kMaxBatchBytes.  0 = frame-per-message (the default).  On
+  // Chrysalis — which has no wire — the same window drives dual-queue
+  // notice batching.
   sim::Duration form_delay = 0;
-  std::size_t form_max_bytes = 1024;
 
   // Open loop: drop arrivals once a client's pending queue reaches this
   // depth (0 = unbounded).  A capped run is by definition not

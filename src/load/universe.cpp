@@ -1,6 +1,5 @@
 #include "load/universe.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "charlotte/kernel.hpp"
@@ -28,14 +27,10 @@ std::array<Substrate, 3> all_substrates() {
   return {Substrate::kCharlotte, Substrate::kSoda, Substrate::kChrysalis};
 }
 
-UniverseSpec& UniverseSpec::with_formation(sim::Duration delay,
-                                           std::size_t max_bytes) {
+UniverseSpec& UniverseSpec::with_formation(sim::Duration delay) {
   charlotte.form_delay = delay;
-  charlotte.form_max_bytes = max_bytes;
   soda.form_delay = delay;
-  soda.form_max_bytes = max_bytes;
   chrysalis_backend.form_delay = delay;
-  chrysalis_backend.form_max_notices = std::max<std::size_t>(2, max_bytes / 16);
   return *this;
 }
 
@@ -106,17 +101,17 @@ lynx::Process& Universe::spawn(std::string name, std::size_t node) {
   lynx::RuntimeCosts host;
   switch (spec_.substrate) {
     case Substrate::kCharlotte:
-      backend = lynx::make_charlotte_backend(*cluster_, nid);
+      backend = std::make_unique<lynx::CharlotteBackend>(*cluster_, nid);
       host = lynx::vax_runtime_costs();
       break;
     case Substrate::kSoda:
-      backend = lynx::make_soda_backend(*network_, directory_, nid,
-                                        spec_.soda_backend);
+      backend = std::make_unique<lynx::SodaBackend>(*network_, directory_, nid,
+                                                    spec_.soda_backend);
       host = lynx::pdp11_runtime_costs();
       break;
     case Substrate::kChrysalis:
-      backend = lynx::make_chrysalis_backend(*kernel_, nid,
-                                             spec_.chrysalis_backend);
+      backend = std::make_unique<lynx::ChrysalisBackend>(
+          *kernel_, nid, spec_.chrysalis_backend);
       host = lynx::mc68000_runtime_costs();
       break;
   }

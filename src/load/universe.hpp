@@ -82,10 +82,9 @@ struct UniverseSpec {
   std::optional<lynx::RuntimeCosts> runtime;
 
   // RPC formation (DESIGN.md §14) on every substrate: frames to one node
-  // within `delay` share a wire frame of up to `max_bytes`; Chrysalis
-  // batches notices, one 32-bit datum each, so a 1024-byte budget holds
-  // 64 of them.
-  UniverseSpec& with_formation(sim::Duration delay, std::size_t max_bytes);
+  // within `delay` share a wire frame of up to form::kMaxBatchBytes;
+  // Chrysalis batches up to 64 notices per enqueue dispatch.
+  UniverseSpec& with_formation(sim::Duration delay);
 };
 
 class Universe {

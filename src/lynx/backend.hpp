@@ -93,7 +93,6 @@ class Backend {
 
   virtual ~Backend() = default;
 
-  [[nodiscard]] virtual std::string kernel_name() const = 0;
   [[nodiscard]] virtual Capabilities capabilities() const = 0;
 
   // Installs the event sink and starts internal pumps.
@@ -126,10 +125,6 @@ class Backend {
 
   // Destroys one end (and so the link).
   [[nodiscard]] virtual sim::Task<void> destroy(BLink link) = 0;
-
-  // Instrumentation for the experiments: kernel-level messages/frames
-  // attributable to this backend since start.
-  [[nodiscard]] virtual std::uint64_t protocol_messages() const = 0;
 
   // The simulated node this backend's process lives on, for trace
   // records (one Perfetto track group per node).

@@ -214,7 +214,6 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
   KSend& ks = link->ksend_queue.front();
   const std::uint64_t sent_out_id = ks.out_id;
   const PType sent_ptype = ks.ptype;
-  ++packets_sent_;
   ++stats_.packets_sent;
   charlotte::Status st = co_await cluster_->kernel(node_).send(
       pid_, link->end, std::move(ks.payload), ks.enclosure, ks.trace);
@@ -777,11 +776,6 @@ sim::Task<std::pair<LinkHandle, LinkHandle>> CharlotteBackend::connect(
   const BLink ta = ba->adopt_end(pair.end1);
   const BLink tb = bb->adopt_end(pair.end2);
   co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
-}
-
-std::unique_ptr<CharlotteBackend> make_charlotte_backend(
-    charlotte::Cluster& cluster, net::NodeId node) {
-  return std::make_unique<CharlotteBackend>(cluster, node);
 }
 
 }  // namespace lynx

@@ -45,9 +45,6 @@ class CharlotteBackend final : public Backend {
   CharlotteBackend(charlotte::Cluster& cluster, net::NodeId node);
   ~CharlotteBackend() override;
 
-  [[nodiscard]] std::string kernel_name() const override {
-    return "charlotte";
-  }
   [[nodiscard]] Capabilities capabilities() const override {
     return Capabilities{
         .moves_multiple_links_in_one_message = false,  // packetized
@@ -69,9 +66,6 @@ class CharlotteBackend final : public Backend {
                     bool want_replies) override;
   void retract_reply_interest(BLink link) override;  // cannot help: no-op
   [[nodiscard]] sim::Task<void> destroy(BLink link) override;
-  [[nodiscard]] std::uint64_t protocol_messages() const override {
-    return packets_sent_;
-  }
   [[nodiscard]] std::uint32_t trace_node() const override {
     return node_.value();
   }
@@ -214,11 +208,7 @@ class CharlotteBackend final : public Backend {
   common::IdMap<std::uint64_t, OutMsg> out_msgs_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
-  std::uint64_t packets_sent_ = 0;
   Stats stats_;
 };
-
-[[nodiscard]] std::unique_ptr<CharlotteBackend> make_charlotte_backend(
-    charlotte::Cluster& cluster, net::NodeId node);
 
 }  // namespace lynx

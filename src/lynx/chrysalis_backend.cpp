@@ -40,6 +40,8 @@ constexpr std::uint32_t kCodePoison = 15;
 
 // Most notices one pump wakeup takes off the dual queue.
 constexpr std::size_t kDrainMaxNotices = 16;
+// Most notices one formation batch carries (one enqueue dispatch).
+constexpr std::size_t kFormMaxNotices = 64;
 
 [[nodiscard]] constexpr std::uint32_t make_notice(chrysalis::MemId obj,
                                                   std::uint32_t code) {
@@ -178,14 +180,13 @@ ChrysalisBackend::~ChrysalisBackend() {
 
 sim::Task<> ChrysalisBackend::post_notice(chrysalis::DqId dq,
                                           std::uint32_t datum) {
-  ++notices_;
   if (params_.form_delay <= 0) {
-    (void)co_await kernel_->enqueue(pid_, dq, datum);
+    (void)co_await kernel_->enqueue(pid_, dq, {&datum, 1});
     co_return;
   }
   NoticeQueue& q = notice_queues_[dq];
   q.pending.push_back(datum);
-  if (q.pending.size() >= params_.form_max_notices) {
+  if (q.pending.size() >= kFormMaxNotices) {
     q.deadline.cancel();
     co_await flush_notices(dq);
   } else if (q.pending.size() == 1) {
@@ -201,11 +202,7 @@ sim::Task<> ChrysalisBackend::flush_notices(chrysalis::DqId dq) {
   if (it == notice_queues_.end() || it->second.pending.empty()) co_return;
   std::vector<std::uint32_t> batch = std::move(it->second.pending);
   it->second.pending.clear();
-  if (batch.size() == 1) {
-    (void)co_await kernel_->enqueue(pid_, dq, batch.front());
-  } else {
-    (void)co_await kernel_->enqueue_many(pid_, dq, std::move(batch));
-  }
+  (void)co_await kernel_->enqueue(pid_, dq, batch);
 }
 
 std::size_t ChrysalisBackend::slot_offset(int slot) const {
@@ -260,7 +257,6 @@ sim::Task<> ChrysalisBackend::pump() {
         poisoned = true;
         break;
       }
-      ++notices_taken_;
       switch (code) {
         case kCodeRecheck:
           co_await recheck_link(obj);
@@ -765,9 +761,8 @@ sim::Task<> ChrysalisBackend::perform_shutdown() {
   }
   for (const chrysalis::DqId dq : held) co_await flush_notices(dq);
   if (comm_ready_) {
-    (void)co_await kernel_->enqueue(pid_, my_dq_,
-                                    make_notice(chrysalis::MemId(0),
-                                                kCodePoison));
+    const std::uint32_t poison = make_notice(chrysalis::MemId(0), kCodePoison);
+    (void)co_await kernel_->enqueue(pid_, my_dq_, {&poison, 1});
   }
 }
 
@@ -798,12 +793,6 @@ sim::Task<std::pair<LinkHandle, LinkHandle>> ChrysalisBackend::connect(
   bb->links_.emplace(tb, ChrysalisBackend::make_rec(tb, obj.value(), 1));
   bb->index_link(bb->links_.at(tb));
   co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
-}
-
-std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(
-    chrysalis::Kernel& kernel, net::NodeId node,
-    ChrysalisBackendParams params) {
-  return std::make_unique<ChrysalisBackend>(kernel, node, params);
 }
 
 }  // namespace lynx

@@ -35,10 +35,9 @@ struct ChrysalisBackendParams {
   // Notice formation (src/form/, DESIGN.md §14) — the shared-memory
   // analogue of RPC formation: notices bound for the same dual queue
   // (another process's or our own) within form_delay of each other ride
-  // one kernel enqueue_many dispatch (up to form_max_notices per
-  // batch).  0 = one enqueue per notice (the default).
+  // one kernel enqueue dispatch (up to 64 per batch).  0 = one enqueue
+  // per notice (the default).
   sim::Duration form_delay = sim::Duration(0);
-  std::size_t form_max_notices = 16;
   // Consumed-notice coalescing (the ack piggyback, DESIGN.md §12):
   // after consuming a request we owe the sender a CONSUMED notice — but
   // if our reply goes out within this delay, the reply's FILLED notice
@@ -54,9 +53,6 @@ class ChrysalisBackend final : public Backend {
                    ChrysalisBackendParams params = {});
   ~ChrysalisBackend() override;
 
-  [[nodiscard]] std::string kernel_name() const override {
-    return "chrysalis";
-  }
   [[nodiscard]] Capabilities capabilities() const override {
     return Capabilities{
         .moves_multiple_links_in_one_message = true,
@@ -80,9 +76,6 @@ class ChrysalisBackend final : public Backend {
                     bool want_replies) override;
   void retract_reply_interest(BLink link) override;
   [[nodiscard]] sim::Task<void> destroy(BLink link) override;
-  [[nodiscard]] std::uint64_t protocol_messages() const override {
-    return notices_;
-  }
   [[nodiscard]] std::uint32_t trace_node() const override {
     return node_.value();
   }
@@ -150,7 +143,7 @@ class ChrysalisBackend final : public Backend {
   // Notice formation: every hint leaves through here.  With form_delay
   // == 0 each notice goes straight to Kernel::enqueue; otherwise
   // notices are held per destination queue for up to form_delay and
-  // delivered together by one Kernel::enqueue_many dispatch.  The
+  // delivered together by one Kernel::enqueue dispatch.  The
   // shutdown poison bypasses this path so teardown never waits on a
   // deadline timer.
   [[nodiscard]] sim::Task<> post_notice(chrysalis::DqId dq,
@@ -178,17 +171,11 @@ class ChrysalisBackend final : public Backend {
   common::IdMap<BLink, LinkRec> links_;
   common::IdMap<chrysalis::MemId, std::array<BLink, 2>> by_obj_;
   common::IdAllocator<BLink> blink_ids_;
-  std::uint64_t notices_ = 0;  // logical notices, batched or not
-  std::uint64_t notices_taken_ = 0;
   struct NoticeQueue {
     std::vector<std::uint32_t> pending;
     sim::TimerHandle deadline;
   };
   common::IdMap<chrysalis::DqId, NoticeQueue> notice_queues_;
 };
-
-[[nodiscard]] std::unique_ptr<ChrysalisBackend> make_chrysalis_backend(
-    chrysalis::Kernel& kernel, net::NodeId node,
-    ChrysalisBackendParams params = {});
 
 }  // namespace lynx

@@ -6,11 +6,12 @@
 // sim::Engine:
 //
 //   sim::Engine engine;
-//   charlotte::Cluster crystal(engine, 8);
+//   net::TokenRing ring(engine);
+//   charlotte::Cluster crystal(engine, 8, ring);
 //   lynx::Process server(engine, "server",
-//                        lynx::make_charlotte_backend(crystal, net::NodeId(0)));
+//       std::make_unique<lynx::CharlotteBackend>(crystal, net::NodeId(0)));
 //   lynx::Process client(engine, "client",
-//                        lynx::make_charlotte_backend(crystal, net::NodeId(1)));
+//       std::make_unique<lynx::CharlotteBackend>(crystal, net::NodeId(1)));
 //   ... CharlotteBackend::connect(server, client) ...
 //   server.spawn_thread("serve", ...); client.spawn_thread("drive", ...);
 //   engine.run();

@@ -111,7 +111,6 @@ class Process {
   void terminate();
   [[nodiscard]] bool terminated() const { return terminated_; }
 
-  [[nodiscard]] std::size_t live_threads() const { return live_threads_; }
   [[nodiscard]] const std::vector<std::string>& thread_failures() const {
     return thread_failures_;
   }

@@ -238,7 +238,6 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
                                        : Oop::kReplyMsg),
         0};
     out.target = link->peer_hint;
-    ++requests_issued_;
     ++stats_.requests_issued;
     auto req = co_await network_->kernel_of(pid_).request(
         pid_, link->peer_hint, link->peer_name, oob, out.data, 0, out.trace);
@@ -954,13 +953,6 @@ sim::Task<std::pair<LinkHandle, LinkHandle>> SodaBackend::connect(
                                false, {}, {}, soda::ReqId::invalid()});
   bb->by_name_.emplace(nb, tb);
   co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
-}
-
-std::unique_ptr<SodaBackend> make_soda_backend(soda::Network& network,
-                                               SodaDirectory& directory,
-                                               net::NodeId node,
-                                               SodaBackendParams params) {
-  return std::make_unique<SodaBackend>(network, directory, node, params);
 }
 
 }  // namespace lynx

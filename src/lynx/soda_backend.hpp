@@ -61,7 +61,6 @@ class SodaBackend final : public Backend {
               net::NodeId node, SodaBackendParams params = {});
   ~SodaBackend() override;
 
-  [[nodiscard]] std::string kernel_name() const override { return "soda"; }
   [[nodiscard]] Capabilities capabilities() const override {
     return Capabilities{
         .moves_multiple_links_in_one_message = true,
@@ -84,9 +83,6 @@ class SodaBackend final : public Backend {
                     bool want_replies) override;
   void retract_reply_interest(BLink link) override;
   [[nodiscard]] sim::Task<void> destroy(BLink link) override;
-  [[nodiscard]] std::uint64_t protocol_messages() const override {
-    return requests_issued_;
-  }
   [[nodiscard]] std::uint32_t trace_node() const override {
     return node_.value();
   }
@@ -252,12 +248,7 @@ class SodaBackend final : public Backend {
   std::unordered_map<soda::Name, soda::Pid> async_hints_;
   common::IdAllocator<BLink> blink_ids_;
   std::uint64_t next_out_id_ = 1;
-  std::uint64_t requests_issued_ = 0;
   Stats stats_;
 };
-
-[[nodiscard]] std::unique_ptr<SodaBackend> make_soda_backend(
-    soda::Network& network, SodaDirectory& directory, net::NodeId node,
-    SodaBackendParams params = {});
 
 }  // namespace lynx

@@ -19,6 +19,15 @@ const char* to_string(OpType t) {
   return "?";
 }
 
+FaultTimes fault_times(load::Substrate substrate) {
+  switch (substrate) {
+    case load::Substrate::kCharlotte: return {sim::msec(300), sim::msec(700)};
+    case load::Substrate::kSoda: return {sim::msec(120), sim::msec(280)};
+    case load::Substrate::kChrysalis: return {sim::msec(20), sim::msec(45)};
+  }
+  return {sim::msec(100), sim::msec(200)};
+}
+
 // All mutable group state lives here, behind one stable pointer, so the
 // coroutine thread bodies (free functions per CP.51) can share it with
 // the fault schedule and the view-change driver.
@@ -418,7 +427,7 @@ Group::Group(sim::Engine& engine, load::Substrate substrate, Options opt)
   // into a crashed node must die by retransmission exhaustion
   // (CrashInterrupt) rather than hang forever (§2, §4.1).
   spec.soda.ack_timeout = sim::msec(10);
-  spec.with_formation(opt_.form_delay, opt_.form_max_bytes);
+  spec.with_formation(opt_.form_delay);
   universe_ = std::make_unique<load::Universe>(engine, spec);
 
   core_ = std::make_unique<Core>();

@@ -38,6 +38,15 @@ enum class OpType : std::uint8_t { kPut = 0, kGet = 1, kAdd = 2 };
 
 [[nodiscard]] const char* to_string(OpType t);
 
+// Crash/restart instants for the crash plans, per substrate, chosen to
+// land mid-commit-stream for a workload of a few ops per client: an op
+// takes ~105 ms on Charlotte, ~38 ms on SODA, ~5 ms on Chrysalis.
+struct FaultTimes {
+  sim::Time crash;
+  sim::Time restart;
+};
+[[nodiscard]] FaultTimes fault_times(load::Substrate substrate);
+
 struct Options {
   std::size_t replicas = 3;  // nodes 0..replicas-1; node 0 starts as primary
   std::size_t clients = 2;   // nodes replicas..replicas+clients-1
@@ -59,7 +68,6 @@ struct Options {
   // fan-out emits one small Apply frame per backup per write, so
   // co-destined frames batch well.  0 = frame-per-message (default).
   sim::Duration form_delay = 0;
-  std::size_t form_max_bytes = 1024;
 
   // Planted bug for the oracle self-test (the debug_drop_reacks idiom):
   // the primary serves every get from a snapshot that lags the last

@@ -9,19 +9,6 @@ namespace soda {
 
 // ===================== Network =====================
 
-Network::Network(sim::Engine& engine, std::size_t nodes, sim::Rng rng,
-                 net::CsmaBusParams bus_params, Costs costs)
-    : engine_(&engine),
-      costs_(costs),
-      bus_(std::make_unique<net::CsmaBus>(engine, rng, bus_params)),
-      medium_(bus_.get()) {
-  kernels_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    kernels_.push_back(std::make_unique<Kernel>(
-        *this, net::NodeId(static_cast<std::uint32_t>(i))));
-  }
-}
-
 Network::Network(sim::Engine& engine, std::size_t nodes, net::Medium& medium,
                  Costs costs)
     : engine_(&engine), costs_(costs), medium_(&medium) {
@@ -75,8 +62,7 @@ std::uint64_t Network::total_frames() const {
 Kernel::Kernel(Network& network, net::NodeId node)
     : network_(&network), node_(node),
       packer_(network.engine(), network.medium(), node,
-              form::Params{network.costs().form_delay,
-                           network.costs().form_max_bytes}) {
+              network.costs().form_delay) {
   network_->medium().attach(node_, [this](net::Frame f) {
     const Costs& costs = network_->costs();
     packer_.receive(

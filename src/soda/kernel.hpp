@@ -29,7 +29,6 @@
 #include "common/result.hpp"
 #include "common/rtt_estimator.hpp"
 #include "form/packer.hpp"
-#include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/sync.hpp"
@@ -378,11 +377,9 @@ class Kernel {
 // A SODA network: N single-process nodes on a CSMA bus.
 class Network {
  public:
-  Network(sim::Engine& engine, std::size_t nodes, sim::Rng rng,
-          net::CsmaBusParams bus_params = {}, Costs costs = {});
-  // Runs the network over an externally-owned medium (typically a
-  // fault::FaultyMedium wrapping a CsmaBus).  The medium must outlive
-  // the network; bus() is unavailable in this mode.
+  // Runs the network over a caller-owned medium (a net::CsmaBus, or a
+  // fault::FaultyMedium wrapping one).  The medium must outlive the
+  // network.
   Network(sim::Engine& engine, std::size_t nodes, net::Medium& medium,
           Costs costs = {});
   Network(const Network&) = delete;
@@ -391,10 +388,6 @@ class Network {
 
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
   [[nodiscard]] const Costs& costs() const { return costs_; }
-  [[nodiscard]] net::CsmaBus& bus() {
-    RELYNX_ASSERT_MSG(bus_ != nullptr, "network runs on an external medium");
-    return *bus_;
-  }
   [[nodiscard]] net::Medium& medium() { return *medium_; }
   [[nodiscard]] std::size_t node_count() const { return kernels_.size(); }
 
@@ -417,8 +410,7 @@ class Network {
 
   sim::Engine* engine_;
   Costs costs_;
-  std::unique_ptr<net::CsmaBus> bus_;  // null when medium is external
-  net::Medium* medium_;                // the wire all kernels use
+  net::Medium* medium_;  // the wire all kernels use
   std::vector<std::unique_ptr<Kernel>> kernels_;
   common::IdMap<Pid, net::NodeId> process_node_;
   common::IdSet<Pid> dead_;

@@ -135,13 +135,12 @@ struct Costs {
   // ---- RPC formation (src/form/, DESIGN.md §14) ----
   // Wire frames posted to the same destination node within form_delay of
   // each other are packed into one batch frame of up to
-  // form_max_bytes; the receiver pays frame_processing once plus
+  // form::kMaxBatchBytes; the receiver pays frame_processing once plus
   // form_enclosure_processing per enclosure to demultiplex.  0 = today's
-  // frame-per-message wire (the default).  Note form_max_bytes is a
-  // *batch* budget, distinct from mtu_bytes (which splits user payloads
-  // into fragments *before* formation sees them).
+  // frame-per-message wire (the default).  Note the batch budget is
+  // distinct from mtu_bytes (which splits user payloads into fragments
+  // *before* formation sees them).
   sim::Duration form_delay = sim::Duration(0);
-  std::size_t form_max_bytes = 1024;
   sim::Duration form_enclosure_processing = sim::usec(200);
   // Transport-level per-fragment acknowledgement + retransmission, for
   // running over an impaired medium.  0 disables both directions (the

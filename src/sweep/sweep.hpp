@@ -5,7 +5,6 @@
 // input order.
 #pragma once
 
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -13,36 +12,10 @@
 
 namespace sweep {
 
-// Runs fn(point) for every point, in parallel, preserving input order.
-template <typename P, typename R>
-[[nodiscard]] std::vector<R> map(const std::vector<P>& points,
-                                 std::function<R(const P&)> fn,
-                                 ThreadPool& pool) {
-  std::vector<std::future<R>> futures;
-  futures.reserve(points.size());
-  for (const P& p : points) {
-    futures.push_back(pool.enqueue([&fn, p] { return fn(p); }));
-  }
-  std::vector<R> out;
-  out.reserve(points.size());
-  for (auto& f : futures) out.push_back(f.get());
-  return out;
-}
-
-// Convenience: sweep with a one-off pool.
-template <typename P, typename R>
-[[nodiscard]] std::vector<R> map(const std::vector<P>& points,
-                                 std::function<R(const P&)> fn) {
-  ThreadPool pool;
-  return map<P, R>(points, std::move(fn), pool);
-}
-
-// Generalized overload: any callable, result type deduced — the shape
-// capacity searches and the explorer use (the std::function overloads
-// above predate it and stay for the explicit-argument call sites).
+// Runs fn(point) for every point on `pool`, in parallel, preserving
+// input order.
 template <typename P, typename F,
-          typename R = std::invoke_result_t<F&, const P&>,
-          typename = std::enable_if_t<std::is_invocable_v<F&, const P&>>>
+          typename R = std::invoke_result_t<F&, const P&>>
 [[nodiscard]] std::vector<R> map(const std::vector<P>& points, F fn,
                                  ThreadPool& pool) {
   std::vector<std::future<R>> futures;

@@ -245,7 +245,8 @@ TEST(CharlotteAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
     costs.call_overhead = sim::usec(200);
     costs.frame_processing = sim::usec(200);
     costs.ack_coalesce_delay = coalesce;
-    Cluster cluster(e, 2, net::TokenRingParams{}, costs);
+    net::TokenRing ring(e);
+    Cluster cluster(e, 2, ring, costs);
     Pid pa = cluster.create_process(NodeId(0));
     Pid pb = cluster.create_process(NodeId(1));
     LinkPair link = cluster.bootstrap_link(pa, pb);

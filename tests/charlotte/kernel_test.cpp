@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 
 #include "../support/co_check.hpp"
@@ -23,7 +24,8 @@ std::string text(const Payload& p) { return std::string(p.begin(), p.end()); }
 
 struct World {
   sim::Engine engine;
-  Cluster cluster{engine, 4};
+  net::TokenRing ring{engine};
+  Cluster cluster{engine, 4, ring};
 };
 
 // -------- MakeLink basics ------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 
 namespace charlotte {
@@ -22,7 +23,8 @@ std::string text(const Payload& p) { return std::string(p.begin(), p.end()); }
 
 struct World {
   sim::Engine engine;
-  Cluster cluster{engine, 6};
+  net::TokenRing ring{engine};
+  Cluster cluster{engine, 6, ring};
 };
 
 // A chain: the end hops P0 -> P1 -> ... -> Pn while the fixed-end

@@ -121,7 +121,7 @@ TEST(Explorer, ChrysalisBackendV2Deterministic) {
   // No medium to impair on the Butterfly, so the Chrysalis "new wire"
   // (batched drains, cheap-flag fast path, consumed-notice coalescing)
   // is explored through schedule permutation alone — with notice
-  // formation armed so the enqueue_many batching timers are in play
+  // formation armed so the batched-enqueue timers are in play
   // too.  Conform + bit-identical digests, per seed, run over run.
   std::set<std::uint64_t> digests;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "../support/co_check.hpp"
@@ -35,7 +36,8 @@ sim::Task<> burst_produce(sim::Engine* e, Kernel* k, Pid me, DqId q, int n,
   while (sent < n) {
     const auto burst = static_cast<int>(rng.next_range(1, 8));
     for (int i = 0; i < burst && sent < n; ++i) {
-      CO_CHECK_EQ(co_await k->enqueue(me, q, static_cast<std::uint32_t>(sent)),
+      const auto datum = static_cast<std::uint32_t>(sent);
+      CO_CHECK_EQ(co_await k->enqueue(me, q, std::span(&datum, 1)),
                   Status::kOk);
       ++sent;
     }
@@ -129,7 +131,8 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
         // Arrive well after the consumer has parked: queue empty, flag
         // armed — the uncontended case the fast path exists for.
         co_await eng->sleep(sim::msec(5));
-        CO_CHECK_EQ(co_await kk->enqueue(me, qq, static_cast<std::uint32_t>(i)),
+        const auto datum = static_cast<std::uint32_t>(i);
+        CO_CHECK_EQ(co_await kk->enqueue(me, qq, std::span(&datum, 1)),
                     Status::kOk);
       }
     }(&e, &k, p, q.value()));
@@ -172,8 +175,8 @@ TEST(ChrysalisDrain, BatchedDrainCollapsesDispatchCount) {
       // Park all 32 notices first: the consumer is not running yet, so
       // every datum lands in the deque.
       for (int i = 0; i < kParked; ++i) {
-        CO_CHECK_EQ(co_await k.enqueue(p, q.value(),
-                                       static_cast<std::uint32_t>(i)),
+        const auto datum = static_cast<std::uint32_t>(i);
+        CO_CHECK_EQ(co_await k.enqueue(p, q.value(), std::span(&datum, 1)),
                     Status::kOk);
       }
       const std::uint64_t ops_before = k.microcode_ops();

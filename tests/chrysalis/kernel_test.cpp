@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -193,9 +194,9 @@ sim::Task<> dq_consumer(Kernel* k, Pid me, DqId q,
 sim::Task<> dq_producer(Kernel* k, Pid me, DqId q, std::uint32_t base,
                         int n) {
   for (int i = 0; i < n; ++i) {
-    CO_CHECK_EQ(
-        co_await k->enqueue(me, q, base + static_cast<std::uint32_t>(i)),
-        Status::kOk);
+    const std::uint32_t datum = base + static_cast<std::uint32_t>(i);
+    CO_CHECK_EQ(co_await k->enqueue(me, q, std::span(&datum, 1)),
+                Status::kOk);
   }
 }
 
@@ -251,9 +252,9 @@ TEST(ChrysalisKernel, DualQueueCapacityIsEnforced) {
   auto prog = [](Kernel* k, Pid pid, std::vector<Status>* out) -> sim::Task<> {
     auto r = co_await k->make_dual_queue(pid, 2);
     CO_CHECK(r.ok());
-    out->push_back(co_await k->enqueue(pid, r.value(), 1));
-    out->push_back(co_await k->enqueue(pid, r.value(), 2));
-    out->push_back(co_await k->enqueue(pid, r.value(), 3));
+    for (std::uint32_t datum = 1; datum <= 3; ++datum) {
+      out->push_back(co_await k->enqueue(pid, r.value(), std::span(&datum, 1)));
+    }
   };
   std::vector<Status> out;
   w.engine.spawn("p", prog(&w.kernel, a, &out));

@@ -208,10 +208,10 @@ RunResult run_chrysalis_universe(std::uint64_t seed, sim::Duration coalesce) {
   chrysalis::Kernel kernel(e);
   lynx::ChrysalisBackendParams params;
   params.consumed_coalesce_delay = coalesce;
-  lynx::Process server(e, "server",
-                       lynx::make_chrysalis_backend(kernel, NodeId(0), params));
-  lynx::Process client(e, "client",
-                       lynx::make_chrysalis_backend(kernel, NodeId(1), params));
+  lynx::Process server(e, "server", std::make_unique<lynx::ChrysalisBackend>(
+                                         kernel, NodeId(0), params));
+  lynx::Process client(e, "client", std::make_unique<lynx::ChrysalisBackend>(
+                                         kernel, NodeId(1), params));
   server.start();
   client.start();
   lynx::LinkHandle server_end;

@@ -8,7 +8,7 @@
 //   * SODA: transport-level per-fragment acks (Costs::ack_timeout)
 //     drive retransmission of every enclosed ReqFrag.
 //   * Chrysalis has no wire frames; its formation batches dual-queue
-//     notices, and the loss analogue is a batched enqueue_many finding
+//     notices, and the loss analogue is a batched enqueue finding
 //     the queue full — overflow data are dropped exactly as a lone
 //     enqueue's would be, the call reports kQueueFull, and the caller
 //     (the backend's flags-are-absolute recheck discipline) re-derives
@@ -249,7 +249,7 @@ TEST(FormBatchLoss, ChrysalisBatchedEnqueueSurvivesQueueOverflowViaRetry) {
     // initializer list's backing array across a co_await suspension, so
     // the batches are named vectors.)
     std::vector<std::uint32_t> first{1, 2, 3, 4};
-    st->push_back(co_await k->enqueue_many(pid, dq.value(), std::move(first)));
+    st->push_back(co_await k->enqueue(pid, dq.value(), first));
     for (int i = 0; i < 2; ++i) {
       auto o = co_await k->dequeue_many(pid, dq.value(), ev.value(), 1);
       CO_CHECK(o.ok());
@@ -259,7 +259,7 @@ TEST(FormBatchLoss, ChrysalisBatchedEnqueueSurvivesQueueOverflowViaRetry) {
     // The caller's recovery — Chrysalis flags are ABSOLUTE, so the
     // recheck discipline re-derives the lost hints and re-posts them.
     std::vector<std::uint32_t> retry{3, 4};
-    st->push_back(co_await k->enqueue_many(pid, dq.value(), std::move(retry)));
+    st->push_back(co_await k->enqueue(pid, dq.value(), retry));
     for (int i = 0; i < 2; ++i) {
       auto o = co_await k->dequeue_many(pid, dq.value(), ev.value(), 1);
       CO_CHECK(o.ok());

@@ -66,7 +66,7 @@ std::string tag_of(const net::Frame& f) { return f.as<std::string>(); }
 TEST(FormPacker, DelayZeroIsExactPassthrough) {
   sim::Engine e;
   RecordingMedium medium(e);
-  Packer packer(e, medium, NodeId(0), Params{sim::Duration(0), 1024});
+  Packer packer(e, medium, NodeId(0), sim::Duration(0));
   EXPECT_FALSE(packer.enabled());
 
   packer.submit(frame_to(NodeId(0), NodeId(1), 40, "a", 7));
@@ -89,7 +89,7 @@ TEST(FormPacker, DelayZeroIsExactPassthrough) {
 TEST(FormPacker, CoDestinedFramesShareOneBatchAtTheDeadline) {
   sim::Engine e;
   RecordingMedium medium(e);
-  Packer packer(e, medium, NodeId(0), Params{sim::msec(2), 1024});
+  Packer packer(e, medium, NodeId(0), sim::msec(2));
   EXPECT_TRUE(packer.enabled());
 
   packer.submit(frame_to(NodeId(0), NodeId(1), 10, "a"));
@@ -122,14 +122,19 @@ TEST(FormPacker, CoDestinedFramesShareOneBatchAtTheDeadline) {
 TEST(FormPacker, ByteBudgetClosesTheBatchBeforeTheDeadline) {
   sim::Engine e;
   RecordingMedium medium(e);
-  // Budget fits two wrapped 20-byte frames (8 + 2*24 = 56 <= 64) but
-  // not three (80 > 64).
-  Packer packer(e, medium, NodeId(0), Params{sim::msec(5), 64});
+  // The budget fits two wrapped 400-byte frames (8 + 2*404 = 816 <=
+  // 1024) but not three (1220 > 1024).
+  constexpr std::size_t kBytes = 400;
+  static_assert(kBatchHeaderBytes + 2 * (kEnclosureHeaderBytes + kBytes) <=
+                kMaxBatchBytes);
+  static_assert(kBatchHeaderBytes + 3 * (kEnclosureHeaderBytes + kBytes) >
+                kMaxBatchBytes);
+  Packer packer(e, medium, NodeId(0), sim::msec(5));
 
-  packer.submit(frame_to(NodeId(0), NodeId(1), 20, "a"));
-  packer.submit(frame_to(NodeId(0), NodeId(1), 20, "b"));
+  packer.submit(frame_to(NodeId(0), NodeId(1), kBytes, "a"));
+  packer.submit(frame_to(NodeId(0), NodeId(1), kBytes, "b"));
   ASSERT_TRUE(medium.log.empty());
-  packer.submit(frame_to(NodeId(0), NodeId(1), 20, "c"));
+  packer.submit(frame_to(NodeId(0), NodeId(1), kBytes, "c"));
   // The third frame would blow the budget: the pending pair flushes
   // immediately (t == 0), "c" starts a fresh window.
   ASSERT_EQ(medium.log.size(), 1u);
@@ -151,7 +156,7 @@ TEST(FormPacker, ByteBudgetClosesTheBatchBeforeTheDeadline) {
 TEST(FormPacker, LoneEnclosureGoesOutUnwrapped) {
   sim::Engine e;
   RecordingMedium medium(e);
-  Packer packer(e, medium, NodeId(0), Params{sim::msec(3), 1024});
+  Packer packer(e, medium, NodeId(0), sim::msec(3));
 
   packer.submit(frame_to(NodeId(0), NodeId(1), 64, "solo", 9));
   e.run();
@@ -170,7 +175,7 @@ TEST(FormPacker, LoneEnclosureGoesOutUnwrapped) {
 TEST(FormPacker, BroadcastFlushesEveryQueueFirst) {
   sim::Engine e;
   RecordingMedium medium(e);
-  Packer packer(e, medium, NodeId(0), Params{sim::msec(5), 1024});
+  Packer packer(e, medium, NodeId(0), sim::msec(5));
 
   packer.submit(frame_to(NodeId(0), NodeId(1), 16, "u1"));
   packer.submit(frame_to(NodeId(0), NodeId(2), 16, "u2"));
@@ -191,7 +196,7 @@ TEST(FormPacker, BroadcastFlushesEveryQueueFirst) {
 TEST(FormPacker, FlushHintDrainsOnlyTheNamedDestination) {
   sim::Engine e;
   RecordingMedium medium(e);
-  Packer packer(e, medium, NodeId(0), Params{sim::msec(4), 1024});
+  Packer packer(e, medium, NodeId(0), sim::msec(4));
 
   packer.submit(frame_to(NodeId(0), NodeId(1), 16, "a"));
   packer.submit(frame_to(NodeId(0), NodeId(2), 16, "b"));
@@ -209,7 +214,7 @@ TEST(FormPacker, DestructionCancelsDeadlinesWithoutFlushing) {
   sim::Engine e;
   RecordingMedium medium(e);
   {
-    Packer packer(e, medium, NodeId(0), Params{sim::msec(2), 1024});
+    Packer packer(e, medium, NodeId(0), sim::msec(2));
     packer.submit(frame_to(NodeId(0), NodeId(1), 16, "doomed"));
   }
   e.run();

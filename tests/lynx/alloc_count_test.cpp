@@ -97,7 +97,7 @@ double allocations_per_rpc(const Echo& echo) {
   sim::Engine engine;
   UniverseSpec spec;
   spec.substrate = echo.substrate;
-  if (echo.formation) spec.with_formation(sim::msec(5), 1024);
+  if (echo.formation) spec.with_formation(sim::msec(5));
   Universe u(engine, spec);
   lynx::Process& client = u.spawn("client", 0);
   lynx::Process& server = u.spawn("server", 1);

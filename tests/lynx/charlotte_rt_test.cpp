@@ -11,6 +11,7 @@
 #include "../support/co_check.hpp"
 #include "lynx/charlotte_backend.hpp"
 #include "lynx/runtime.hpp"
+#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 
 namespace lynx {
@@ -26,9 +27,12 @@ std::string join(const std::vector<std::string>& v) {
 
 struct World {
   sim::Engine engine;
-  charlotte::Cluster cluster{engine, 4};
-  Process server{engine, "server", make_charlotte_backend(cluster, NodeId(0))};
-  Process client{engine, "client", make_charlotte_backend(cluster, NodeId(1))};
+  net::TokenRing ring{engine};
+  charlotte::Cluster cluster{engine, 4, ring};
+  Process server{engine, "server",
+                 std::make_unique<CharlotteBackend>(cluster, NodeId(0))};
+  Process client{engine, "client",
+                 std::make_unique<CharlotteBackend>(cluster, NodeId(1))};
   LinkHandle server_end;
   LinkHandle client_end;
 

@@ -24,9 +24,9 @@ struct World {
   sim::Engine engine;
   chrysalis::Kernel kernel{engine};
   Process server{engine, "server",
-                 make_chrysalis_backend(kernel, NodeId(0))};
+                 std::make_unique<ChrysalisBackend>(kernel, NodeId(0))};
   Process client{engine, "client",
-                 make_chrysalis_backend(kernel, NodeId(1))};
+                 std::make_unique<ChrysalisBackend>(kernel, NodeId(1))};
   LinkHandle server_end;
   LinkHandle client_end;
 
@@ -309,14 +309,16 @@ sim::Task<> hammer_client_thread(ThreadCtx& ctx, LinkHandle link, int n) {
 TEST(LynxChrysalis, ReceiveIsFairAcrossLinks) {
   sim::Engine engine;
   chrysalis::Kernel kernel(engine);
-  Process server(engine, "server", make_chrysalis_backend(kernel, NodeId(0)));
+  Process server(engine, "server",
+                 std::make_unique<ChrysalisBackend>(kernel, NodeId(0)));
   std::vector<std::unique_ptr<Process>> clients;
   std::vector<LinkHandle> server_ends(3);
   std::vector<LinkHandle> client_ends(3);
   for (int i = 0; i < 3; ++i) {
     clients.push_back(std::make_unique<Process>(
         engine, "client" + std::to_string(i),
-        make_chrysalis_backend(kernel, NodeId(1 + static_cast<std::uint32_t>(i)))));
+        std::make_unique<ChrysalisBackend>(
+            kernel, NodeId(1 + static_cast<std::uint32_t>(i)))));
   }
   server.start();
   for (auto& c : clients) c->start();

@@ -18,8 +18,10 @@ using net::NodeId;
 struct World {
   sim::Engine engine;
   chrysalis::Kernel kernel{engine};
-  Process server{engine, "server", make_chrysalis_backend(kernel, NodeId(0))};
-  Process client{engine, "client", make_chrysalis_backend(kernel, NodeId(1))};
+  Process server{engine, "server",
+                 std::make_unique<ChrysalisBackend>(kernel, NodeId(0))};
+  Process client{engine, "client",
+                 std::make_unique<ChrysalisBackend>(kernel, NodeId(1))};
   LinkHandle server_end;
   LinkHandle client_end;
 
@@ -147,9 +149,9 @@ sim::Task<> owing_server(ThreadCtx& ctx, LinkHandle front, LinkHandle other,
 TEST(LynxSemantics, CannotMoveEndWithOwedReply) {
   sim::Engine engine;
   chrysalis::Kernel kernel(engine);
-  Process a(engine, "a", make_chrysalis_backend(kernel, NodeId(0)));
-  Process b(engine, "b", make_chrysalis_backend(kernel, NodeId(1)));
-  Process c(engine, "c", make_chrysalis_backend(kernel, NodeId(2)));
+  Process a(engine, "a", std::make_unique<ChrysalisBackend>(kernel, NodeId(0)));
+  Process b(engine, "b", std::make_unique<ChrysalisBackend>(kernel, NodeId(1)));
+  Process c(engine, "c", std::make_unique<ChrysalisBackend>(kernel, NodeId(2)));
   a.start();
   b.start();
   c.start();

@@ -17,6 +17,7 @@
 #include "../support/co_check.hpp"
 #include "lynx/runtime.hpp"
 #include "lynx/soda_backend.hpp"
+#include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
 
 namespace lynx {
@@ -34,17 +35,20 @@ struct FreezeWorldResult {
 FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
   sim::Engine engine;
   SodaDirectory directory;
-  net::CsmaBusParams bus;
-  bus.broadcast_drop_prob = broadcast_drop;
-  soda::Network network(engine, 5, sim::Rng(31), bus);
+  net::CsmaBus bus(engine, sim::Rng(31),
+                   {.broadcast_drop_prob = broadcast_drop});
+  soda::Network network(engine, 5, bus);
   SodaBackendParams bp;
   bp.moved_cache_capacity = 0;  // forget moves instantly
   bp.discover_attempts = 2;
   bp.enable_freeze_fallback = enable_freeze;
 
-  Process a(engine, "A", make_soda_backend(network, directory, NodeId(0), bp));
-  Process b(engine, "B", make_soda_backend(network, directory, NodeId(1), bp));
-  Process c(engine, "C", make_soda_backend(network, directory, NodeId(2), bp));
+  Process a(engine, "A",
+            std::make_unique<SodaBackend>(network, directory, NodeId(0), bp));
+  Process b(engine, "B",
+            std::make_unique<SodaBackend>(network, directory, NodeId(1), bp));
+  Process c(engine, "C",
+            std::make_unique<SodaBackend>(network, directory, NodeId(2), bp));
   a.start();
   b.start();
   c.start();

@@ -11,6 +11,7 @@
 #include "../support/co_check.hpp"
 #include "lynx/runtime.hpp"
 #include "lynx/soda_backend.hpp"
+#include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
 
 namespace lynx {
@@ -31,16 +32,20 @@ net::CsmaBusParams quiet_bus() {
 }
 
 struct World {
-  explicit World(net::CsmaBusParams bus = quiet_bus(),
+  explicit World(net::CsmaBusParams bus_params = quiet_bus(),
                  SodaBackendParams bp = {})
-      : network(engine, 6, sim::Rng(2026), bus),
+      : bus(engine, sim::Rng(2026), bus_params),
+        network(engine, 6, bus),
         server(engine, "server",
-               make_soda_backend(network, directory, NodeId(0), bp)),
+               std::make_unique<SodaBackend>(network, directory, NodeId(0),
+                                             bp)),
         client(engine, "client",
-               make_soda_backend(network, directory, NodeId(1), bp)) {}
+               std::make_unique<SodaBackend>(network, directory, NodeId(1),
+                                             bp)) {}
 
   sim::Engine engine;
   SodaDirectory directory;
+  net::CsmaBus bus;
   soda::Network network;
   Process server;
   Process client;
@@ -287,10 +292,14 @@ TEST(LynxSoda, PeerTerminationRaisesException) {
 TEST(LynxSoda, DormantMovedLinkIsFoundViaCache) {
   sim::Engine engine;
   SodaDirectory directory;
-  soda::Network network(engine, 6, sim::Rng(7), quiet_bus());
-  Process a(engine, "A", make_soda_backend(network, directory, NodeId(0)));
-  Process b(engine, "B", make_soda_backend(network, directory, NodeId(1)));
-  Process c(engine, "C", make_soda_backend(network, directory, NodeId(2)));
+  net::CsmaBus bus(engine, sim::Rng(7), quiet_bus());
+  soda::Network network(engine, 6, bus);
+  Process a(engine, "A",
+            std::make_unique<SodaBackend>(network, directory, NodeId(0)));
+  Process b(engine, "B",
+            std::make_unique<SodaBackend>(network, directory, NodeId(1)));
+  Process c(engine, "C",
+            std::make_unique<SodaBackend>(network, directory, NodeId(2)));
   a.start();
   b.start();
   c.start();

@@ -38,23 +38,6 @@ TEST(Replica, CleanRunCommitsEverythingOnAllSubstrates) {
   }
 }
 
-// Mid-workload fault times per substrate: an op takes ~105 ms on
-// Charlotte, ~38 ms on SODA, ~5 ms on Chrysalis (see the probe above),
-// so these land a crash while commits are streaming.
-struct FaultTimes {
-  sim::Time crash;
-  sim::Time restart;
-};
-
-FaultTimes fault_times(load::Substrate s) {
-  switch (s) {
-    case load::Substrate::kCharlotte: return {sim::msec(300), sim::msec(700)};
-    case load::Substrate::kSoda: return {sim::msec(120), sim::msec(280)};
-    case load::Substrate::kChrysalis: return {sim::msec(20), sim::msec(45)};
-  }
-  return {sim::msec(100), sim::msec(200)};
-}
-
 TEST(Replica, PrimaryFailoverKeepsHistoryLinearizable) {
   for (load::Substrate s : load::all_substrates()) {
     sim::Engine engine;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "../support/co_check.hpp"
+#include "net/csma_bus.hpp"
 #include "sim/engine.hpp"
 
 namespace soda {
@@ -19,12 +20,10 @@ std::string text(const Payload& p) { return std::string(p.begin(), p.end()); }
 
 struct World {
   explicit World(double drop = 0.0, std::size_t nodes = 4)
-      : network(engine, nodes, sim::Rng(42), [&] {
-          net::CsmaBusParams p;
-          p.broadcast_drop_prob = drop;
-          return p;
-        }()) {}
+      : bus(engine, sim::Rng(42), {.broadcast_drop_prob = drop}),
+        network(engine, nodes, bus) {}
   sim::Engine engine;
+  net::CsmaBus bus;
   Network network;
 };
 
@@ -347,9 +346,8 @@ TEST(SodaKernel, DiscoverIsUnreliableUnderDrops) {
   int found = 0, lost = 0;
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     sim::Engine engine;
-    net::CsmaBusParams p;
-    p.broadcast_drop_prob = 0.5;
-    Network nw(engine, 3, sim::Rng(seed), p);
+    net::CsmaBus bus(engine, sim::Rng(seed), {.broadcast_drop_prob = 0.5});
+    Network nw(engine, 3, bus);
     Pid a = nw.create_process(NodeId(0));
     Pid b = nw.create_process(NodeId(1));
     Name name;

@@ -28,7 +28,8 @@ TEST(ThreadPoolTest, RunsAllJobs) {
 TEST(SweepTest, MapPreservesOrder) {
   std::vector<int> points(50);
   std::iota(points.begin(), points.end(), 0);
-  auto results = map<int, int>(points, [](const int& p) { return p * p; });
+  ThreadPool pool(4);
+  auto results = map(points, [](const int& p) { return p * p; }, pool);
   ASSERT_EQ(results.size(), 50u);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(results[static_cast<size_t>(i)], i * i);
@@ -44,8 +45,9 @@ TEST(SweepTest, ParallelSimulationsAreIndependent) {
     for (int i = 0; i < 10000; ++i) x = x * 6364136223846793005ULL + 1;
     return x;
   };
-  auto a = map<std::uint64_t, std::uint64_t>(seeds, run);
-  auto b = map<std::uint64_t, std::uint64_t>(seeds, run);
+  ThreadPool pool(4);
+  auto a = map(seeds, run, pool);
+  auto b = map(seeds, run, pool);
   EXPECT_EQ(a, b);
 }
 

@@ -10,6 +10,7 @@
 
 #include "lynx/charlotte_backend.hpp"
 #include "lynx/runtime.hpp"
+#include "net/token_ring.hpp"
 #include "sim/engine.hpp"
 #include "trace/phases.hpp"
 #include "trace/trace.hpp"
@@ -22,11 +23,14 @@ using net::NodeId;
 struct World {
   sim::Engine engine;
   Recorder rec{engine};
-  charlotte::Cluster cluster{engine, 4};
-  lynx::Process server{engine, "server",
-                       lynx::make_charlotte_backend(cluster, NodeId(0))};
-  lynx::Process client{engine, "client",
-                       lynx::make_charlotte_backend(cluster, NodeId(1))};
+  net::TokenRing ring{engine};
+  charlotte::Cluster cluster{engine, 4, ring};
+  lynx::Process server{
+      engine, "server",
+      std::make_unique<lynx::CharlotteBackend>(cluster, NodeId(0))};
+  lynx::Process client{
+      engine, "client",
+      std::make_unique<lynx::CharlotteBackend>(cluster, NodeId(1))};
   lynx::LinkHandle server_end;
   lynx::LinkHandle client_end;
 
