@@ -5,7 +5,7 @@
 // window is only affordable if the engine retires tens of millions of
 // events per second.  This bench measures exactly that, as
 // simulated-events-per-wall-second (the BENCH_SIM trajectory), on three
-// workloads:
+// engine-level workloads:
 //
 //   * storm      — a raw engine event storm (self-rescheduling chains
 //                  with same-instant bursts, no kernels): pure event
@@ -19,11 +19,10 @@
 //                  the thousands, so this is exactly the regime where
 //                  the old binary heap paid a deep sift plus a
 //                  std::function heap allocation per event.
-//   * fanin-*    — the E12 fan-in-4x1 open-loop scenario per substrate:
-//                  the full stack (kernels, media, trace gate, LYNX
-//                  runtimes) driven at a fixed offered rate.  This is
-//                  the acceptance workload: events/wall-second here is
-//                  what bounds bench_capacity and the explorer sweeps.
+//
+// The full stack's host cost (kernels, media, trace gate, LYNX runtimes)
+// is perfbench's to measure: its fanin-small workload runs a 64x16
+// fan-in below each kernel's knee and reports host ns per RPC.
 //
 // Flags (bench::init): --json-out, --seed, plus --smoke for the
 // CI-sized version and --baseline=PATH to gate each metric against an
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "load/load.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -57,19 +55,11 @@ struct Metric {
   std::string name;
   std::uint64_t events = 0;
   double wall_s = 0.0;
-  // Work done, for the full-stack fan-ins (0 elsewhere): the RPCs the
-  // run completed in its measure window, as perfbench counts them.  An
-  // events/s rate alone cannot tell fewer, cheaper events from a slower
-  // simulator; host ns per RPC can.
-  std::int64_t rpcs = 0;
   // The engine fan-in's payload checksum (0 elsewhere): compared across
   // reps, which also keeps the payload work from being optimized away.
   std::uint64_t checksum = 0;
   [[nodiscard]] double events_per_sec() const {
     return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
-  }
-  [[nodiscard]] double host_ns_per_rpc() const {
-    return rpcs > 0 ? wall_s * 1e9 / static_cast<double>(rpcs) : 0.0;
   }
 };
 
@@ -179,82 +169,22 @@ Metric run_fanin_storm(std::uint64_t seed, int sources, int rounds) {
     e.schedule(sim::usec(i & 1023), [s]() mutable { s.fire(); });
   }
   e.run();
-  return {"fanin", e.events_fired(), wall_seconds_since(t0), 0, sink};
-}
-
-// ---- fan-in: the E12 capacity workload, timed on the wall ------------------
-
-// The E12 fan-in scenario scaled out to a fleet: 64 clients fanning in
-// on 16 server processes (client i → server i mod 16), at a fixed
-// offered rate per substrate (roughly 16× each kernel's single-server
-// sustainable rate, so the event mix is steady-state request service,
-// not queueing divergence).  The metric divides the engine's
-// fired-event count by the wall-clock of the whole run — exactly the
-// regime ROADMAP item 2's "1 000+-node fleets, million-request windows"
-// cares about.
-load::Scenario fanin_scenario(bool smoke, double rate) {
-  load::Scenario sc;
-  sc.name = "fleet-fanin-64x16";
-  sc.clients = 64;
-  sc.servers = 16;
-  sc.arrival = load::Arrival::kOpenPoisson;
-  sc.mix = {{64, 64, 1.0}};
-  sc.seed = bench::seed();
-  sc.offered_rate = rate;
-  if (smoke) {
-    sc.warmup = sim::msec(250);
-    sc.measure = sim::sec(4);
-    sc.drain = sim::msec(500);
-  } else {
-    sc.warmup = sim::sec(1);
-    sc.measure = sim::sec(20);
-    sc.drain = sim::sec(2);
-  }
-  return sc;
-}
-
-double fanin_rate_for(load::Substrate sub) {
-  switch (sub) {
-    case load::Substrate::kCharlotte: return 480.0;
-    case load::Substrate::kSoda: return 1024.0;
-    case load::Substrate::kChrysalis: return 3584.0;
-  }
-  return 480.0;
-}
-
-Metric run_fanin(load::Substrate sub, bool smoke) {
-  const auto t0 = std::chrono::steady_clock::now();
-  load::Runner runner(sub, fanin_scenario(smoke, fanin_rate_for(sub)));
-  const load::Report r = runner.run();
-  Metric m{std::string("fanin-") + to_string(sub),
-           runner.engine().events_fired(), wall_seconds_since(t0),
-           r.completed};
-  RELYNX_ASSERT_MSG(r.errors == 0, "fan-in run must be clean");
-  RELYNX_ASSERT_MSG(r.samples > 0, "fan-in run must complete requests");
-  return m;
+  return {"fanin", e.events_fired(), wall_seconds_since(t0), sink};
 }
 
 // ---- reporting and the baseline gate ---------------------------------------
 
 void report(const Metric& m) {
-  std::printf("%-16s %14llu events %10.3f s %16.0f events/s",
+  std::printf("%-16s %14llu events %10.3f s %16.0f events/s\n",
               m.name.c_str(), static_cast<unsigned long long>(m.events),
               m.wall_s, m.events_per_sec());
-  if (m.rpcs > 0) {
-    std::printf(" %9lld rpcs %9.0f host ns/rpc", static_cast<long long>(m.rpcs),
-                m.host_ns_per_rpc());
-  }
-  std::printf("\n");
-  auto line = json();
-  line.field("kind", "sim_speed")
+  json()
+      .field("kind", "sim_speed")
       .field("metric", m.name)
       .field("events", static_cast<std::int64_t>(m.events))
       .field("wall_s", m.wall_s)
-      .field("events_per_sec", m.events_per_sec());
-  if (m.rpcs > 0) {
-    line.field("rpcs", m.rpcs).field("host_ns_per_rpc", m.host_ns_per_rpc());
-  }
-  line.emit();
+      .field("events_per_sec", m.events_per_sec())
+      .emit();
 }
 
 // Each metric is gated against "<name>_floor" in the baseline file
@@ -336,9 +266,6 @@ int main(int argc, char** argv) {
   metrics.push_back(best_of([&] {
     return run_fanin_storm(bench::seed(), 4096, smoke ? 500 : 2500);
   }));
-  for (load::Substrate sub : load::all_substrates()) {
-    metrics.push_back(best_of([&] { return run_fanin(sub, smoke); }));
-  }
   for (const Metric& m : metrics) report(m);
 
   bool gate_ok = true;

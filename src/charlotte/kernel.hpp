@@ -68,11 +68,6 @@ class Kernel {
   // Non-blocking poll used by tests.
   [[nodiscard]] bool completion_ready(Pid caller);
 
-  // Posts a synthetic completion to a process's Wait queue.  Used by
-  // language run-time packages to wake their own kernel-wait pump (e.g.
-  // at process shutdown); not a Charlotte call.
-  void inject_completion(Pid pid, Completion c) { complete(pid, std::move(c)); }
-
   // ---- failure notices -------------------------------------------------
   // The kernel has learned (from the fault layer, or from exhausted
   // retransmission) that `peer` is unreachable.  Every link with an end

@@ -116,15 +116,16 @@ sim::Task<std::pair<BLink, BLink>> CharlotteBackend::make_link() {
 //          [2..] serialized body (Request/Reply first packets only).
 // The first packet's header goes into the headroom the runtime left in
 // front of the body (header_bytes); the receiver strips it by offset.
+// Every other packet is the two header bytes alone.
 
-namespace {
-
-charlotte::Payload control_packet(std::uint8_t ptype,
-                                  std::uint8_t enc_total) {
-  return charlotte::Payload{ptype, enc_total};
+CharlotteBackend::KSend CharlotteBackend::control_packet(
+    PType ptype, std::uint8_t enc_total, std::uint64_t trace) {
+  KSend ks;
+  ks.ptype = ptype;
+  ks.payload = charlotte::Payload{static_cast<std::uint8_t>(ptype), enc_total};
+  ks.trace = trace;
+  return ks;
 }
-
-}  // namespace
 
 // ===================== sending =====================
 
@@ -310,27 +311,13 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
     auto it = out_msgs_.find(ks.out_id);
     if (it != out_msgs_.end()) {
       OutMsg& out = it->second;
-      const auto total = static_cast<int>(out.enclosure_ends.size());
-      const bool multi = total >= 2;
-      if (ks.ptype == PType::kRequest && multi) {
+      if (ks.ptype == PType::kRequest && out.enclosure_ends.size() >= 2) {
         // figure 2: wait for GOAHEAD before streaming more enclosures
         out.awaiting_goahead = true;
         update_receive_posting(*link);
-      } else if (out.next_enclosure < total) {
-        // reply multi-enclosure, or post-goahead stream: next ENC packet
-        KSend enc;
-        enc.ptype = PType::kEnc;
-        enc.payload = control_packet(static_cast<std::uint8_t>(PType::kEnc),
-                                     static_cast<std::uint8_t>(total));
-        enc.enclosure = out.enclosure_ends[
-            static_cast<std::size_t>(out.next_enclosure)];
-        enc.out_id = out.id;
-        enc.trace = out.trace;
-        ++out.next_enclosure;
-        ++stats_.enc_packets_sent;
-        queue_ksend(*link, std::move(enc));
-      } else {
-        // message fully shipped
+      } else if (!send_next_enc(*link, out)) {
+        // message fully shipped (a multi-enclosure reply, or a request
+        // past its GOAHEAD, first streams one ENC packet per completion)
         resolve(out, SendOutcome{SendResult::kDelivered, {}});
         if (out.kind == MsgKind::kReply) {
           out_msgs_.erase(it);
@@ -343,6 +330,20 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
     }
   }
   drain(*link);
+}
+
+bool CharlotteBackend::send_next_enc(CLink& link, OutMsg& out) {
+  const auto total = static_cast<int>(out.enclosure_ends.size());
+  if (out.next_enclosure >= total) return false;
+  KSend enc = control_packet(PType::kEnc, static_cast<std::uint8_t>(total),
+                             out.trace);
+  enc.enclosure =
+      out.enclosure_ends[static_cast<std::size_t>(out.next_enclosure)];
+  enc.out_id = out.id;
+  ++out.next_enclosure;
+  ++stats_.enc_packets_sent;
+  queue_ksend(link, std::move(enc));
+  return true;
 }
 
 void CharlotteBackend::drain(CLink& link) {
@@ -377,67 +378,40 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
                                    charlotte::EndId enclosure,
                                    std::uint64_t trace) {
   switch (ptype) {
-    case PType::kRequest: {
-      if (!link.want_requests) {
+    case PType::kRequest:
+    case PType::kReply: {
+      const MsgKind kind =
+          ptype == PType::kRequest ? MsgKind::kRequest : MsgKind::kReply;
+      if (kind == MsgKind::kRequest && !link.want_requests) {
         // ---- unwanted message (paper §3.2.1) ----
         ++stats_.unwanted_received;
-        KSend back;
-        if (link.want_replies || link.assembly.has_value()) {
-          // We must keep a Receive posted (a reply/goahead is coming),
-          // so the kernel cannot delay retransmissions for us: FORBID.
-          back.ptype = PType::kForbid;
-          back.payload =
-              control_packet(static_cast<std::uint8_t>(PType::kForbid), 0);
+        // We must keep a Receive posted if a reply or goahead is coming,
+        // so the kernel cannot delay retransmissions for us: FORBID.
+        const bool forbid = link.want_replies || link.assembly.has_value();
+        if (forbid) {
           link.forbade_peer = true;
           ++stats_.forbids_sent;
         } else {
-          back.ptype = PType::kRetry;
-          back.payload =
-              control_packet(static_cast<std::uint8_t>(PType::kRetry), 0);
           ++stats_.retries_sent;
         }
+        // The bounce keeps the request's identity.
+        KSend back = control_packet(forbid ? PType::kForbid : PType::kRetry,
+                                    0, trace);
         back.enclosure = enclosure;  // return the moved end
-        back.trace = trace;          // bounce keeps the request's identity
         queue_ksend(link, std::move(back));
         return;
       }
-      if (enc_total >= 2) {
-        Assembly a;
-        a.kind = MsgKind::kRequest;
-        a.body = std::move(body);
-        a.expected = enc_total;
-        a.trace = trace;
-        if (enclosure.valid()) a.enclosures.push_back(adopt_end(enclosure));
-        link.assembly = std::move(a);
-        KSend go;
-        go.ptype = PType::kGoahead;
-        go.payload =
-            control_packet(static_cast<std::uint8_t>(PType::kGoahead), 0);
-        go.trace = trace;
-        ++stats_.goaheads_sent;
-        queue_ksend(link, std::move(go));
+      std::vector<BLink> encl;
+      if (enclosure.valid()) encl.push_back(adopt_end(enclosure));
+      if (enc_total < 2) {
+        deliver(link, kind, std::move(body), std::move(encl), trace);
         return;
       }
-      std::vector<BLink> encl;
-      if (enclosure.valid()) encl.push_back(adopt_end(enclosure));
-      deliver(link, MsgKind::kRequest, std::move(body), std::move(encl),
-              trace);
-      return;
-    }
-    case PType::kReply: {
-      if (enc_total >= 2) {
-        Assembly a;
-        a.kind = MsgKind::kReply;
-        a.body = std::move(body);
-        a.expected = enc_total;
-        a.trace = trace;
-        if (enclosure.valid()) a.enclosures.push_back(adopt_end(enclosure));
-        link.assembly = std::move(a);
-        return;  // ENC packets follow, no goahead needed
-      }
-      std::vector<BLink> encl;
-      if (enclosure.valid()) encl.push_back(adopt_end(enclosure));
-      deliver(link, MsgKind::kReply, std::move(body), std::move(encl), trace);
+      link.assembly =
+          Assembly{kind, std::move(body), std::move(encl), enc_total, trace};
+      if (kind == MsgKind::kReply) return;  // ENC packets follow unasked
+      ++stats_.goaheads_sent;
+      queue_ksend(link, control_packet(PType::kGoahead, 0, trace));
       return;
     }
     case PType::kEnc: {
@@ -458,22 +432,8 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
       if (link.active_out == 0) return;
       auto it = out_msgs_.find(link.active_out);
       if (it == out_msgs_.end() || !it->second.awaiting_goahead) return;
-      OutMsg& out = it->second;
-      out.awaiting_goahead = false;
-      const auto total = static_cast<int>(out.enclosure_ends.size());
-      if (out.next_enclosure < total) {
-        KSend enc;
-        enc.ptype = PType::kEnc;
-        enc.payload = control_packet(static_cast<std::uint8_t>(PType::kEnc),
-                                     static_cast<std::uint8_t>(total));
-        enc.enclosure = out.enclosure_ends[
-            static_cast<std::size_t>(out.next_enclosure)];
-        enc.out_id = out.id;
-        enc.trace = out.trace;
-        ++out.next_enclosure;
-        ++stats_.enc_packets_sent;
-        queue_ksend(link, std::move(enc));
-      }
+      it->second.awaiting_goahead = false;
+      send_next_enc(link, it->second);
       return;
     }
     case PType::kRetry:
@@ -489,9 +449,6 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
             // The sending coroutine aborted after the kernel delivered
             // the packet: the request dies here, and the returned
             // enclosure has no owner any more — it is lost (§3.2.2).
-            if (enclosure.valid() || !out.enclosure_ends.empty()) {
-              ++stats_.enclosures_lost;
-            }
             out_msgs_.erase(it);
             link.last_request = 0;
             start_next_out(link);
@@ -508,11 +465,9 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
           }
           link.last_request = 0;
         }
-      } else if (enclosure.valid()) {
-        // A bounce for a request we no longer track (cancelled and
-        // raced): the returned end is stranded — the §3.2.2 loss.
-        ++stats_.enclosures_lost;
       }
+      // A bounce for a request we no longer track (cancelled and raced)
+      // strands any returned end: the §3.2.2 loss.
       start_next_out(link);
       return;
     }
@@ -611,12 +566,8 @@ void CharlotteBackend::maybe_send_allow(CLink& link) {
   if (!link.forbade_peer) return;
   if (link.want_requests || !link.recv_posted) {
     link.forbade_peer = false;
-    KSend allow;
-    allow.ptype = PType::kAllow;
-    allow.payload =
-        control_packet(static_cast<std::uint8_t>(PType::kAllow), 0);
     ++stats_.allows_sent;
-    queue_ksend(link, std::move(allow));
+    queue_ksend(link, control_packet(PType::kAllow, 0, 0));
   }
 }
 
@@ -646,7 +597,9 @@ void CharlotteBackend::request_cancel(std::uint64_t out_id) {
   CLink* link = find(out.link);
   if (link == nullptr) return;
   // Still queued (not yet at the kernel)?  Revoke locally: enclosures
-  // are untouched.
+  // are untouched.  An unsettled send is queued or active: a request
+  // that RETRY/FORBID bounced was already settled delivered, so its
+  // PendingSend never asks to cancel.
   auto queued = std::find(link->out_queue.begin(), link->out_queue.end(),
                           out_id);
   if (queued != link->out_queue.end()) {
@@ -655,25 +608,13 @@ void CharlotteBackend::request_cancel(std::uint64_t out_id) {
     out_msgs_.erase(it);
     return;
   }
-  auto deferred = std::find(link->deferred_requests.begin(),
-                            link->deferred_requests.end(), out_id);
-  if (deferred != link->deferred_requests.end()) {
-    link->deferred_requests.erase(deferred);
-    resolve(out, SendOutcome{SendResult::kCancelled, {}});
-    out_msgs_.erase(it);
-    return;
-  }
+  // At the kernel: race a kernel Cancel against delivery.  If the Cancel
+  // loses, cancel_requested keeps a later RETRY/FORBID bounce from
+  // resurrecting the request; any enclosure it carried comes back
+  // ownerless and is LOST (the paper's §3.2.2 deviation).
   if (link->active_out == out_id) {
     cluster_->engine().spawn("charlotte-cancel-send",
                              issue_cancel(out.link));
-    return;
-  }
-  if (link->last_request == out_id) {
-    // Already shipped and acknowledged: too late to revoke.  Mark it so
-    // a later RETRY/FORBID bounce does not resurrect the aborted
-    // request; any enclosure it carried comes back ownerless and is
-    // LOST (the paper's §3.2.2 deviation).
-    // (cancel_requested was set above.)
   }
 }
 
@@ -693,7 +634,6 @@ void CharlotteBackend::fail_link(CLink& link) {
   auto fail_out = [&](std::uint64_t id) {
     auto it = out_msgs_.find(id);
     if (it == out_msgs_.end()) return;
-    stats_.enclosures_lost += it->second.enclosure_ends.empty() ? 0 : 1;
     resolve(it->second, SendOutcome{SendResult::kLinkDestroyed, {}});
     out_msgs_.erase(it);
   };

@@ -84,7 +84,6 @@ class CharlotteBackend final : public Backend {
     std::uint64_t enc_packets_sent = 0;
     std::uint64_t unwanted_received = 0;
     std::uint64_t requests_returned = 0;  // our requests bounced back
-    std::uint64_t enclosures_lost = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -172,7 +171,13 @@ class CharlotteBackend final : public Backend {
                    std::uint64_t trace);
   void deliver(CLink& link, MsgKind kind, common::Body body,
                std::vector<BLink> enclosures, std::uint64_t trace);
+  [[nodiscard]] static KSend control_packet(PType ptype,
+                                            std::uint8_t enc_total,
+                                            std::uint64_t trace);
   void start_next_out(CLink& link);
+  // Queues `out`'s next enclosure in its own ENC packet (figure 2);
+  // false once every enclosure has shipped.
+  bool send_next_enc(CLink& link, OutMsg& out);
   void queue_ksend(CLink& link, KSend ks);
   void drain(CLink& link);
   void request_cancel(std::uint64_t out_id);

@@ -197,6 +197,16 @@ sim::Task<> ChrysalisBackend::post_notice(chrysalis::DqId dq,
   }
 }
 
+sim::Task<> ChrysalisBackend::notify_peer(chrysalis::MemId obj,
+                                          std::uint8_t my_side,
+                                          std::uint32_t code) {
+  auto dq_name = co_await kernel_->read32(pid_, obj, dq_offset(my_side ^ 1));
+  if (dq_name.ok()) {
+    co_await post_notice(chrysalis::DqId(dq_name.value()),
+                         make_notice(obj, code));
+  }
+}
+
 sim::Task<> ChrysalisBackend::flush_notices(chrysalis::DqId dq) {
   auto it = notice_queues_.find(dq);
   if (it == notice_queues_.end() || it->second.pending.empty()) co_return;
@@ -293,9 +303,15 @@ ChrysalisBackend::LinkRec* ChrysalisBackend::find(BLink link) {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-void ChrysalisBackend::index_link(const LinkRec& rec) {
-  auto& sides = by_obj_[rec.obj];
-  sides[rec.side] = rec.token;
+BLink ChrysalisBackend::adopt_end(chrysalis::MemId obj, std::uint8_t side) {
+  const BLink token = blink_ids_.next();
+  LinkRec rec;
+  rec.token = token;
+  rec.obj = obj;
+  rec.side = side;
+  links_.emplace(token, std::move(rec));
+  by_obj_[obj][side] = token;
+  return token;
 }
 
 void ChrysalisBackend::unindex_link(const LinkRec& rec) {
@@ -314,12 +330,8 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
                                   static_cast<std::uint32_t>(my_dq_.value()));
   (void)co_await kernel_->write32(pid_, obj.value(), kOffDqB,
                                   static_cast<std::uint32_t>(my_dq_.value()));
-  const BLink a = blink_ids_.next();
-  const BLink b = blink_ids_.next();
-  links_.emplace(a, make_rec(a, obj.value(), 0));
-  links_.emplace(b, make_rec(b, obj.value(), 1));
-  index_link(links_.at(a));
-  index_link(links_.at(b));
+  const BLink a = adopt_end(obj.value(), 0);
+  const BLink b = adopt_end(obj.value(), 1);
   co_return std::pair(a, b);
 }
 
@@ -408,12 +420,8 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
   // ordering (against the mover's write-name-then-inspect-flags) is what
   // makes the non-atomic name update safe (paper §5.2).
   (void)co_await kernel_->fetch_or16(pid_, obj, kOffFlags, slot_bit(slot));
-  auto dq_name = co_await kernel_->read32(pid_, obj, dq_offset(peer));
-  if (dq_name.ok()) {
-    co_await post_notice(
-        chrysalis::DqId(dq_name.value()),
-        make_notice(obj, kCodeFilledBase + static_cast<std::uint32_t>(slot)));
-  }
+  co_await notify_peer(obj, side,
+                       kCodeFilledBase + static_cast<std::uint32_t>(slot));
   // Enclosure-free replies resolve early (DESIGN.md §12): the flag bit
   // is absolute truth and the buffer lives in the link object, which
   // shared memory keeps intact until the consumer reads it regardless
@@ -463,14 +471,9 @@ sim::Task<> ChrysalisBackend::post_deferred_consumed(BLink token) {
   LinkRec* rec = find(token);
   if (rec == nullptr || rec->destroyed || !rec->consumed_owed) co_return;
   rec->consumed_owed = false;
-  const chrysalis::MemId obj = rec->obj;
-  const std::uint8_t sender_side = rec->side ^ 1;
-  const auto slot = static_cast<std::uint32_t>(rec->consumed_slot);
-  auto dq_name = co_await kernel_->read32(pid_, obj, dq_offset(sender_side));
-  if (dq_name.ok()) {
-    co_await post_notice(chrysalis::DqId(dq_name.value()),
-                         make_notice(obj, kCodeConsumedBase + slot));
-  }
+  co_await notify_peer(
+      rec->obj, rec->side,
+      kCodeConsumedBase + static_cast<std::uint32_t>(rec->consumed_slot));
 }
 
 sim::Task<> ChrysalisBackend::unmap_object(chrysalis::MemId obj) {
@@ -514,19 +517,10 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
   //    send now — its CONSUMED notice may have been piggybacked away;
   //  * requests: defer the CONSUMED notice by consumed_coalesce_delay —
   //    if our reply beats the timer, the notice is never posted.
-  const std::uint8_t sender_side = recv_side ^ 1;
+  const auto consumed = kCodeConsumedBase + static_cast<std::uint32_t>(slot);
   if (slot_is_reply(slot)) {
     handle_consumed(obj, recv_side == 0 ? 0 : 2);
-    if (!decoded.encs.empty()) {
-      auto dq_name =
-          co_await kernel_->read32(pid_, obj, dq_offset(sender_side));
-      if (dq_name.ok()) {
-        co_await post_notice(
-            chrysalis::DqId(dq_name.value()),
-            make_notice(obj,
-                        kCodeConsumedBase + static_cast<std::uint32_t>(slot)));
-      }
-    }
+    if (!decoded.encs.empty()) co_await notify_peer(obj, recv_side, consumed);
   } else {
     rec = side_rec(obj, recv_side);  // re-find: awaits above may rehash
     if (rec != nullptr && !rec->destroyed &&
@@ -542,14 +536,7 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
                                     post_deferred_consumed(owed_token));
           });
     } else {
-      auto dq_name =
-          co_await kernel_->read32(pid_, obj, dq_offset(sender_side));
-      if (dq_name.ok()) {
-        co_await post_notice(
-            chrysalis::DqId(dq_name.value()),
-            make_notice(obj,
-                        kCodeConsumedBase + static_cast<std::uint32_t>(slot)));
-      }
+      co_await notify_peer(obj, recv_side, consumed);
     }
   }
   if (auto* trec = trace::get(kernel_->engine())) {
@@ -565,11 +552,7 @@ sim::Task<> ChrysalisBackend::consume_incoming(chrysalis::MemId obj,
     (void)co_await kernel_->write32(
         pid_, eobj, dq_offset(eside),
         static_cast<std::uint32_t>(my_dq_.value()));
-    const BLink nb = blink_ids_.next();
-    links_.emplace(nb,
-                   make_rec(nb, eobj, eside));
-    index_link(links_.at(nb));
-    enclosures.push_back(nb);
+    enclosures.push_back(adopt_end(eobj, eside));
     auto eflags = co_await kernel_->read16(pid_, eobj, kOffFlags);
     if (eflags.ok()) {
       for (int s = 0; s < 4; ++s) {
@@ -619,19 +602,18 @@ sim::Task<> ChrysalisBackend::handle_destroyed_notice(chrysalis::MemId obj) {
     LinkRec* rec = side_rec(obj, side);
     if (rec == nullptr || rec->destroyed) continue;
     auto flags = co_await kernel_->read16(pid_, obj, kOffFlags);
+    rec = side_rec(obj, side);  // re-find: shutdown may have dropped it
+    if (rec == nullptr || rec->destroyed) continue;
     if (!flags.ok()) {
       // object reclaimed already: treat as destroyed
     } else if ((flags.value() & destroyed_bit(side ^ 1)) == 0) {
       continue;  // stale hint
     }
     rec->destroyed = true;
-    if (rec->out_req.ps != nullptr) {
-      rec->out_req.ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
-      rec->out_req.ps = nullptr;
-    }
-    if (rec->out_rep.ps != nullptr) {
-      rec->out_rep.ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
-      rec->out_rep.ps = nullptr;
+    for (PendingOut* out : {&rec->out_req, &rec->out_rep}) {
+      if (out->ps == nullptr) continue;
+      out->ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
+      out->ps = nullptr;
     }
     BackendEvent ev;
     ev.kind = BackendEvent::Kind::kLinkDestroyed;
@@ -716,11 +698,7 @@ sim::Task<> ChrysalisBackend::perform_destroy_bits(chrysalis::MemId obj,
                                                    std::uint8_t side) {
   (void)co_await kernel_->fetch_or16(pid_, obj, kOffFlags,
                                      destroyed_bit(side));
-  auto dq_name = co_await kernel_->read32(pid_, obj, dq_offset(side ^ 1));
-  if (dq_name.ok()) {
-    co_await post_notice(chrysalis::DqId(dq_name.value()),
-                         make_notice(obj, kCodeDestroyed));
-  }
+  co_await notify_peer(obj, side, kCodeDestroyed);
   kernel_->release_when_unreferenced(obj);
   (void)co_await kernel_->unmap(pid_, obj);
 }
@@ -786,12 +764,8 @@ sim::Task<std::pair<LinkHandle, LinkHandle>> ChrysalisBackend::connect(
                            static_cast<std::uint32_t>(ba->my_dq_.value()));
   (void)co_await k.write32(bb->pid_, obj.value(), kOffDqB,
                            static_cast<std::uint32_t>(bb->my_dq_.value()));
-  const BLink ta = ba->blink_ids_.next();
-  ba->links_.emplace(ta, ChrysalisBackend::make_rec(ta, obj.value(), 0));
-  ba->index_link(ba->links_.at(ta));
-  const BLink tb = bb->blink_ids_.next();
-  bb->links_.emplace(tb, ChrysalisBackend::make_rec(tb, obj.value(), 1));
-  bb->index_link(bb->links_.at(tb));
+  const BLink ta = ba->adopt_end(obj.value(), 0);
+  const BLink tb = bb->adopt_end(obj.value(), 1);
   co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
 }
 

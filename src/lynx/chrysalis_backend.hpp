@@ -110,15 +110,6 @@ class ChrysalisBackend final : public Backend {
     sim::TimerHandle consumed_timer;
   };
 
-  [[nodiscard]] static LinkRec make_rec(BLink token, chrysalis::MemId obj,
-                                        std::uint8_t side) {
-    LinkRec rec;
-    rec.token = token;
-    rec.obj = obj;
-    rec.side = side;
-    return rec;
-  }
-
   // object layout helpers
   [[nodiscard]] std::size_t slot_offset(int slot) const;
   [[nodiscard]] std::size_t object_size() const;
@@ -149,11 +140,18 @@ class ChrysalisBackend final : public Backend {
   [[nodiscard]] sim::Task<> post_notice(chrysalis::DqId dq,
                                         std::uint32_t datum);
   [[nodiscard]] sim::Task<> flush_notices(chrysalis::DqId dq);
+  // Posts `code` about `obj` to the process holding the other side: its
+  // dual-queue name is read from the object header, so it is a hint.
+  [[nodiscard]] sim::Task<> notify_peer(chrysalis::MemId obj,
+                                        std::uint8_t my_side,
+                                        std::uint32_t code);
   [[nodiscard]] sim::Task<> set_unwanted_bit(chrysalis::MemId obj,
                                              std::uint8_t side);
   [[nodiscard]] LinkRec* side_rec(chrysalis::MemId obj, std::uint8_t side);
   [[nodiscard]] LinkRec* find(BLink link);
-  void index_link(const LinkRec& rec);
+  // The one place a link record is built and indexed: a fresh link, a
+  // moved-in enclosure, or a bootstrap connection.
+  [[nodiscard]] BLink adopt_end(chrysalis::MemId obj, std::uint8_t side);
   void unindex_link(const LinkRec& rec);
 
   chrysalis::Kernel* kernel_;

@@ -289,10 +289,6 @@ void ThreadCtx::set_trace_context(std::uint64_t t) {
   proc_->threads_.at(id_).trace_ctx = t;
 }
 
-std::uint64_t ThreadCtx::trace_context() const {
-  return proc_->threads_.at(id_).trace_ctx;
-}
-
 void ThreadCtx::check_abort() {
   auto& ts = proc_->threads_.at(id_);
   if (ts.abort_requested) {

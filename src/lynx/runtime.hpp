@@ -241,7 +241,6 @@ class ThreadCtx {
   // co_await boundaries implicitly; this is the explicit propagation
   // point for multi-hop chains (see examples/pipeline.cpp).
   void set_trace_context(std::uint64_t t);
-  [[nodiscard]] std::uint64_t trace_context() const;
 
  private:
   void check_abort();

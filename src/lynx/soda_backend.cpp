@@ -156,6 +156,23 @@ SodaBackend::SLink* SodaBackend::find_by_name(soda::Name name) {
   return it == by_name_.end() ? nullptr : find(it->second);
 }
 
+BLink SodaBackend::adopt_end(soda::Name my_name, soda::Name peer_name,
+                             soda::Pid peer_hint) {
+  const BLink token = blink_ids_.next();
+  links_.emplace(token, SLink{token, my_name, peer_name, peer_hint});
+  by_name_.emplace(my_name, token);
+  return token;
+}
+
+std::optional<soda::Pid> SodaBackend::moved_to(soda::Name name) const {
+  // Newest first: an end that moved away, came back and moved again has
+  // one entry per departure, and only the last names its owner.
+  for (auto it = moved_cache_.rbegin(); it != moved_cache_.rend(); ++it) {
+    if (it->first == name) return it->second;
+  }
+  return std::nullopt;
+}
+
 void SodaBackend::remember_move(soda::Name name, soda::Pid new_owner) {
   moved_cache_.emplace_back(name, new_owner);
   if (moved_cache_.size() > params_.moved_cache_capacity) {
@@ -178,14 +195,8 @@ sim::Task<std::pair<BLink, BLink>> SodaBackend::make_link() {
   const soda::Name n2 = co_await k.generate_name(pid_);
   (void)co_await k.advertise(pid_, n1);
   (void)co_await k.advertise(pid_, n2);
-  const BLink a = blink_ids_.next();
-  const BLink b = blink_ids_.next();
-  links_.emplace(a, SLink{a, n1, n2, pid_, false, false, false, false,
-                          {}, {}, soda::ReqId::invalid()});
-  links_.emplace(b, SLink{b, n2, n1, pid_, false, false, false, false,
-                          {}, {}, soda::ReqId::invalid()});
-  by_name_.emplace(n1, a);
-  by_name_.emplace(n2, b);
+  const BLink a = adopt_end(n1, n2, pid_);
+  const BLink b = adopt_end(n2, n1, pid_);
   co_return std::pair(a, b);
 }
 
@@ -238,7 +249,6 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
                                        : Oop::kReplyMsg),
         0};
     out.target = link->peer_hint;
-    ++stats_.requests_issued;
     auto req = co_await network_->kernel_of(pid_).request(
         pid_, link->peer_hint, link->peer_name, oob, out.data, 0, out.trace);
     if (!outs_.contains(out_id)) co_return;
@@ -355,22 +365,26 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
   const auto op = static_cast<Oop>(r.oob[0]);
   switch (op) {
     case Oop::kRequestMsg:
-    case Oop::kReplyMsg: {
+    case Oop::kReplyMsg:
+    case Oop::kSignal: {
       SLink* link = find_by_name(r.name);
       if (link == nullptr || link->destroyed) {
         // Stragglers: a recently-moved end answers from the cache, an
         // unknown one is (assumed) destroyed.
-        for (const auto& [name, owner] : moved_cache_) {
-          if (name == r.name) {
-            ++stats_.moved_redirects;
-            network_->engine().spawn(
-                "soda-redirect",
-                accept_with(r.request, Oop::kMoved, owner.value()));
-            return;
-          }
+        if (const auto owner = moved_to(r.name)) {
+          ++stats_.moved_redirects;
+          network_->engine().spawn(
+              "soda-redirect",
+              accept_with(r.request, Oop::kMoved, owner->value()));
+        } else {
+          network_->engine().spawn(
+              "soda-dead", accept_with(r.request, Oop::kDestroyed, 0));
         }
-        network_->engine().spawn("soda-dead",
-                                 accept_with(r.request, Oop::kDestroyed, 0));
+        return;
+      }
+      if (op == Oop::kSignal) {
+        parked_.emplace(r.request, ParkedInfo{link->token, op, r.from, 0});
+        link->parked_signals.push_back(r.request);
         return;
       }
       if (op == Oop::kReplyMsg) {
@@ -385,7 +399,8 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
         // Replies are always wanted: accept at once.
         network_->engine().spawn(
             "soda-reply-accept",
-            accept_reply(link->token, r.request, r.trace));
+            accept_and_deliver(link->token, r.request, MsgKind::kReply,
+                               r.trace));
         return;
       }
       // LYNX request: PARK until the runtime wants it — screening by
@@ -394,27 +409,6 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
                                             r.send_bytes, r.trace});
       link->parked_requests.push_back(r.request);
       maybe_accept_parked(*link);
-      return;
-    }
-    case Oop::kSignal: {
-      SLink* link = find_by_name(r.name);
-      if (link == nullptr || link->destroyed) {
-        for (const auto& [name, owner] : moved_cache_) {
-          if (name == r.name) {
-            ++stats_.moved_redirects;
-            network_->engine().spawn(
-                "soda-redirect",
-                accept_with(r.request, Oop::kMoved, owner.value()));
-            return;
-          }
-        }
-        network_->engine().spawn("soda-dead",
-                                 accept_with(r.request, Oop::kDestroyed, 0));
-        return;
-      }
-      parked_.emplace(r.request,
-                      ParkedInfo{link->token, op, r.from, 0});
-      link->parked_signals.push_back(r.request);
       return;
     }
     case Oop::kCancel: {
@@ -483,22 +477,16 @@ sim::Task<> SodaBackend::answer_freeze(soda::ReqId req, soda::Pid from) {
   // LYNX would use two phases; we emulate by answering in a follow-up
   // request if we do hold a hint.
   const soda::Name sought = decode_name(taken.value());
-  std::uint64_t hint = 0;
-  if (find_by_name(sought) != nullptr) {
-    hint = pid_.value() + 1;  // +1 so pid 0 is distinguishable from "none"
-  } else {
-    for (const auto& [name, owner] : moved_cache_) {
-      if (name == sought) hint = owner.value() + 1;
-    }
-  }
-  if (hint != 0) {
+  const std::optional<soda::Pid> hint =
+      find_by_name(sought) != nullptr ? pid_ : moved_to(sought);
+  if (hint.has_value()) {
     // Tell the searcher via its freeze name (it is in the directory).
     for (const auto& entry : directory_->processes) {
       if (entry.pid == from) {
         (void)co_await network_->kernel_of(pid_).request(
             pid_, entry.pid, entry.freeze_name,
             soda::Oob{static_cast<std::uint32_t>(Oop::kHint),
-                      static_cast<std::uint32_t>(hint - 1)},
+                      static_cast<std::uint32_t>(hint->value())},
             encode_name(sought), 0);
         break;
       }
@@ -725,6 +713,19 @@ sim::Task<> SodaBackend::accept_with(soda::ReqId req, Oop code,
       {}, 0);
 }
 
+sim::Task<> SodaBackend::bounce_parked(SLink& link, Oop code,
+                                       std::uint64_t word1) {
+  std::vector<soda::ReqId> to_bounce(link.parked_requests.begin(),
+                                     link.parked_requests.end());
+  to_bounce.insert(to_bounce.end(), link.parked_signals.begin(),
+                   link.parked_signals.end());
+  link.parked_requests.clear();
+  link.parked_signals.clear();
+  for (soda::ReqId r : to_bounce) {
+    if (parked_.erase(r) > 0) co_await accept_with(r, code, word1);
+  }
+}
+
 void SodaBackend::maybe_accept_parked(SLink& link) {
   if (!link.want_requests || link.destroyed || freeze_count_ > 0) return;
   while (!link.parked_requests.empty()) {
@@ -735,28 +736,20 @@ void SodaBackend::maybe_accept_parked(SLink& link) {
     const std::uint64_t trace = pit->second.trace;
     parked_.erase(pit);
     network_->engine().spawn(
-        "soda-accept", accept_parked_request(link.token, req, trace));
+        "soda-accept",
+        accept_and_deliver(link.token, req, MsgKind::kRequest, trace));
   }
 }
 
-sim::Task<> SodaBackend::accept_parked_request(BLink token, soda::ReqId req,
-                                               std::uint64_t trace) {
+sim::Task<> SodaBackend::accept_and_deliver(BLink token, soda::ReqId req,
+                                            MsgKind kind,
+                                            std::uint64_t trace) {
   auto taken = co_await network_->kernel_of(pid_).accept(
       pid_, req, soda::Oob{static_cast<std::uint32_t>(Oop::kAcceptOk), 0},
       {}, kBigBuffer);
   SLink* link = find(token);
   if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, MsgKind::kRequest, std::move(taken.value()), trace);
-}
-
-sim::Task<> SodaBackend::accept_reply(BLink token, soda::ReqId req,
-                                      std::uint64_t trace) {
-  auto taken = co_await network_->kernel_of(pid_).accept(
-      pid_, req, soda::Oob{static_cast<std::uint32_t>(Oop::kAcceptOk), 0},
-      {}, kBigBuffer);
-  SLink* link = find(token);
-  if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, MsgKind::kReply, std::move(taken.value()), trace);
+  co_await deliver(*link, kind, std::move(taken.value()), trace);
 }
 
 sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
@@ -769,11 +762,7 @@ sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
     const soda::Name peer_name(e[1]);
     const soda::Pid hint(static_cast<std::uint32_t>(e[2]));
     (void)co_await k.advertise(pid_, my_name);
-    const BLink nb = blink_ids_.next();
-    links_.emplace(nb, SLink{nb, my_name, peer_name, hint, false, false,
-                             false, false, {}, {}, soda::ReqId::invalid()});
-    by_name_.emplace(my_name, nb);
-    enclosures.push_back(nb);
+    enclosures.push_back(adopt_end(my_name, peer_name, hint));
   }
   BackendEvent ev;
   ev.kind = kind == MsgKind::kRequest ? BackendEvent::Kind::kRequestArrived
@@ -794,14 +783,7 @@ sim::Task<> SodaBackend::finish_moves(BLink carrier,
     if (link == nullptr) continue;
     // "A process that moves a link end must accept any previously-posted
     // SODA request from the other end" — with MOVED info.
-    std::vector<soda::ReqId> to_bounce;
-    for (soda::ReqId r : link->parked_requests) to_bounce.push_back(r);
-    for (soda::ReqId r : link->parked_signals) to_bounce.push_back(r);
-    for (soda::ReqId r : to_bounce) {
-      if (parked_.erase(r) > 0) {
-        co_await accept_with(r, Oop::kMoved, new_owner.value());
-      }
-    }
+    co_await bounce_parked(*link, Oop::kMoved, new_owner.value());
     remember_move(link->my_name, new_owner);
     by_name_.erase(link->my_name);
     links_.erase(token);
@@ -829,7 +811,6 @@ sim::Task<> SodaBackend::post_signal(BLink token) {
     co_return;
   }
   link->signal_out = soda::ReqId(0);  // placeholder: posting in progress
-  ++stats_.signals_posted;
   auto req = co_await network_->kernel_of(pid_).request(
       pid_, link->peer_hint, link->peer_name,
       soda::Oob{static_cast<std::uint32_t>(Oop::kSignal), 0}, {}, 0);
@@ -890,16 +871,7 @@ sim::Task<> SodaBackend::perform_destroy(BLink token) {
   // previously-posted status signal on its end, mentioning the
   // destruction ... also ... any outstanding put request, but with a
   // zero-length buffer, again mentioning the destruction."
-  std::vector<soda::ReqId> to_bounce;
-  for (soda::ReqId r : link->parked_requests) to_bounce.push_back(r);
-  for (soda::ReqId r : link->parked_signals) to_bounce.push_back(r);
-  link->parked_requests.clear();
-  link->parked_signals.clear();
-  for (soda::ReqId r : to_bounce) {
-    if (parked_.erase(r) > 0) {
-      co_await accept_with(r, Oop::kDestroyed, 0);
-    }
-  }
+  co_await bounce_parked(*link, Oop::kDestroyed, 0);
   // "After clearing the signals and puts, the process can unadvertise
   // the name of the end and forget that it ever existed."
   (void)co_await network_->kernel_of(pid_).unadvertise(pid_,
@@ -944,14 +916,8 @@ sim::Task<std::pair<LinkHandle, LinkHandle>> SodaBackend::connect(
   const soda::Name nb = co_await ka.generate_name(ba->pid_);
   (void)co_await ka.advertise(ba->pid_, na);
   (void)co_await kb.advertise(bb->pid_, nb);
-  const BLink ta = ba->blink_ids_.next();
-  ba->links_.emplace(ta, SLink{ta, na, nb, bb->pid_, false, false, false,
-                               false, {}, {}, soda::ReqId::invalid()});
-  ba->by_name_.emplace(na, ta);
-  const BLink tb = bb->blink_ids_.next();
-  bb->links_.emplace(tb, SLink{tb, nb, na, ba->pid_, false, false, false,
-                               false, {}, {}, soda::ReqId::invalid()});
-  bb->by_name_.emplace(nb, tb);
+  const BLink ta = ba->adopt_end(na, nb, bb->pid_);
+  const BLink tb = bb->adopt_end(nb, na, ba->pid_);
   co_return std::pair(a.adopt_link(ta), b.adopt_link(tb));
 }
 

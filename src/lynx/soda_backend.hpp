@@ -90,8 +90,6 @@ class SodaBackend final : public Backend {
   [[nodiscard]] soda::Pid pid() const { return pid_; }
 
   struct Stats {
-    std::uint64_t requests_issued = 0;
-    std::uint64_t signals_posted = 0;
     std::uint64_t moved_redirects = 0;  // stragglers served from cache
     std::uint64_t hint_misses = 0;      // sends that needed re-routing
     std::uint64_t discover_searches = 0;
@@ -135,9 +133,9 @@ class SodaBackend final : public Backend {
     bool want_replies = false;
     bool reply_unwanted = false;  // aborted caller: bounce the next reply
     bool destroyed = false;
-    std::deque<soda::ReqId> parked_requests;  // unaccepted LYNX requests
-    std::deque<soda::ReqId> parked_signals;   // peer's status signals
-    soda::ReqId signal_out;  // our outstanding status signal (if valid)
+    std::deque<soda::ReqId> parked_requests{};  // unaccepted LYNX requests
+    std::deque<soda::ReqId> parked_signals{};   // peer's status signals
+    soda::ReqId signal_out{};  // our outstanding status signal (if valid)
     // The caller answered our status signal with REPLY-UNWANTED: our
     // next reply must take the full kernel round trip so the peer's
     // authoritative reply_unwanted flag can bounce it (capability 4
@@ -166,7 +164,6 @@ class SodaBackend final : public Backend {
     // The LYNX thread was released before the kernel leg finished (the
     // early reply resolve, DESIGN.md §12); shutdown drains these.
     bool early_resolved = false;
-    int reroutes = 0;
     std::uint64_t trace = 0;       // causal identity from the WireMessage
   };
 
@@ -185,10 +182,13 @@ class SodaBackend final : public Backend {
   void resolve_out(std::uint64_t out_id, SendOutcome outcome);
   void request_cancel(std::uint64_t out_id);
   [[nodiscard]] sim::Task<> issue_cancel(std::uint64_t out_id);
-  [[nodiscard]] sim::Task<> accept_parked_request(BLink token, soda::ReqId req,
-                                                  std::uint64_t trace);
-  [[nodiscard]] sim::Task<> accept_reply(BLink token, soda::ReqId req,
-                                         std::uint64_t trace);
+  [[nodiscard]] sim::Task<> accept_and_deliver(BLink token, soda::ReqId req,
+                                               MsgKind kind,
+                                               std::uint64_t trace);
+  // Accept every put parked on `link` with `code`: the end is moving or
+  // being destroyed, and each parked request and signal learns which.
+  [[nodiscard]] sim::Task<> bounce_parked(SLink& link, Oop code,
+                                          std::uint64_t word1);
   [[nodiscard]] sim::Task<> accept_with(soda::ReqId req, Oop code,
                                         std::uint64_t word1);
   [[nodiscard]] sim::Task<> answer_freeze(soda::ReqId req, soda::Pid from);
@@ -214,7 +214,13 @@ class SodaBackend final : public Backend {
   void note_drain_progress();
   [[nodiscard]] SLink* find(BLink token);
   [[nodiscard]] SLink* find_by_name(soda::Name name);
+  // The one place an end record is built: a fresh link, a moved-in
+  // enclosure, or a bootstrap connection.
+  [[nodiscard]] BLink adopt_end(soda::Name my_name, soda::Name peer_name,
+                                soda::Pid peer_hint);
   void remember_move(soda::Name name, soda::Pid new_owner);
+  // Where a recently moved-away end went (its newest cache entry).
+  [[nodiscard]] std::optional<soda::Pid> moved_to(soda::Name name) const;
 
   soda::Network* network_;
   SodaDirectory* directory_;

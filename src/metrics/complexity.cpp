@@ -74,8 +74,13 @@ BackendProfile profile_charlotte(const std::string& source_root) {
   const std::string src = root + "/src/lynx/charlotte_backend.cpp";
   p.source_lines = count_source_lines(src) +
                    count_source_lines(root + "/src/lynx/charlotte_backend.hpp");
+  // control_packet builds every RETRY/FORBID/ALLOW/GOAHEAD/ENC packet,
+  // and send_next_enc holds the ENC stream that on_incoming's GOAHEAD
+  // case and dispatch_send_done share.
   p.special_case_lines = count_region_lines(
       src, {"void CharlotteBackend::on_incoming",
+            "CharlotteBackend::KSend CharlotteBackend::control_packet",
+            "bool CharlotteBackend::send_next_enc",
             "void CharlotteBackend::maybe_send_allow",
             "void CharlotteBackend::update_receive_posting",
             "sim::Task<> CharlotteBackend::cancel_receive"});

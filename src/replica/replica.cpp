@@ -519,12 +519,6 @@ const Store& Group::store(std::size_t replica) const {
   return core_->nodes.at(replica).store;
 }
 const Metrics& Group::metrics() const { return core_->metrics; }
-lynx::Process& Group::replica_process(std::size_t i) {
-  return *core_->replicas.at(i);
-}
-lynx::Process& Group::client_process(std::size_t i) {
-  return *core_->clients.at(i);
-}
 std::optional<std::string> Group::invariant_violation() const {
   return universe_->invariant_violation();
 }

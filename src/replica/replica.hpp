@@ -132,8 +132,6 @@ class Group {
   [[nodiscard]] const Store& store(std::size_t replica) const;
   [[nodiscard]] const Metrics& metrics() const;
 
-  [[nodiscard]] lynx::Process& replica_process(std::size_t i);
-  [[nodiscard]] lynx::Process& client_process(std::size_t i);
   // First medium-invariant violation, if any (empty when there is no
   // medium, i.e. Chrysalis).
   [[nodiscard]] std::optional<std::string> invariant_violation() const;

@@ -829,17 +829,7 @@ sim::Task<Interrupt> Kernel::next_interrupt(Pid caller) {
   co_return intr;
 }
 
-bool Kernel::interrupt_pending(Pid caller) {
-  auto it = interrupts_.find(caller);
-  return it != interrupts_.end() && !it->second->empty();
-}
-
 void Kernel::close_handler(Pid caller) { handler_open_[caller] = false; }
 void Kernel::open_handler(Pid caller) { handler_open_[caller] = true; }
-
-bool Kernel::handler_open(Pid caller) const {
-  auto it = handler_open_.find(caller);
-  return it != handler_open_.end() && it->second;
-}
 
 }  // namespace soda

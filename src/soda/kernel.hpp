@@ -76,10 +76,8 @@ class Kernel {
 
   // ---- software interrupts ------------------------------------------------
   [[nodiscard]] sim::Task<Interrupt> next_interrupt(Pid caller);
-  [[nodiscard]] bool interrupt_pending(Pid caller);
   void close_handler(Pid caller);  // mask: requests get NACK-deferred
   void open_handler(Pid caller);
-  [[nodiscard]] bool handler_open(Pid caller) const;
 
   // ---- lifecycle -----------------------------------------------------------
   void register_process(Pid pid);

@@ -5,6 +5,7 @@
 // documented semantic deviations.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "lynx/runtime.hpp"
 #include "net/token_ring.hpp"
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace lynx {
 namespace {
@@ -171,17 +173,23 @@ TEST(LynxCharlotte, MovesSingleLinkAcrossProcesses) {
 
 // ---- figure 2: multiple enclosures ------------------------------------------
 
+// The caller probes n links whose far ends end up at the server.  The
+// caller makes them and encloses their ends in its request, or, with
+// `in_reply`, the server makes them and encloses its ends in the reply.
 sim::Task<> multi_mover(ThreadCtx& ctx, LinkHandle via, int n,
-                        std::vector<std::string>* log) {
+                        std::vector<std::string>* log, bool in_reply = false) {
   std::vector<LinkHandle> keep;
   Message req = make_message("take", {});
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n && !in_reply; ++i) {
     LocalLinkPair pair = co_await ctx.new_link();
     keep.push_back(pair.end1);
     req.args.emplace_back(pair.end2);
   }
   Message rep = co_await ctx.call(via, std::move(req));
-  (void)rep;
+  if (in_reply) {
+    CO_CHECK_EQ(static_cast<int>(rep.count_links()), n);
+    for (const Value& v : rep.args) keep.push_back(std::get<LinkHandle>(v));
+  }
   for (std::size_t i = 0; i < keep.size(); ++i) {
     Message probe = make_message("probe", {static_cast<std::int64_t>(i)});
     Message r = co_await ctx.call(keep[i], std::move(probe));
@@ -190,14 +198,22 @@ sim::Task<> multi_mover(ThreadCtx& ctx, LinkHandle via, int n,
 }
 
 sim::Task<> multi_taker(ThreadCtx& ctx, LinkHandle via, int n,
-                        std::vector<std::string>* log) {
+                        std::vector<std::string>* log, bool in_reply = false) {
   ctx.enable_requests(via);
   Incoming in = co_await ctx.receive();
-  CO_CHECK_EQ(static_cast<int>(in.msg.count_links()), n);
   std::vector<LinkHandle> got;
-  for (const Value& v : in.msg.args) got.push_back(std::get<LinkHandle>(v));
-  Message empty;
-  co_await ctx.reply(in, std::move(empty));
+  Message rep;
+  if (in_reply) {
+    for (int i = 0; i < n; ++i) {
+      LocalLinkPair pair = co_await ctx.new_link();
+      got.push_back(pair.end1);
+      rep.args.emplace_back(pair.end2);
+    }
+  } else {
+    CO_CHECK_EQ(static_cast<int>(in.msg.count_links()), n);
+    for (const Value& v : in.msg.args) got.push_back(std::get<LinkHandle>(v));
+  }
+  co_await ctx.reply(in, std::move(rep));
   log->push_back("took");
   for (LinkHandle h : got) ctx.enable_requests(h);
   for (int i = 0; i < n; ++i) {
@@ -210,6 +226,7 @@ sim::Task<> multi_taker(ThreadCtx& ctx, LinkHandle via, int n,
 
 TEST(LynxCharlotte, Figure2MultiEnclosureRequest) {
   World w;
+  trace::Recorder rec(w.engine);
   w.boot();
   std::vector<std::string> log;
   constexpr int kLinks = 4;
@@ -228,6 +245,36 @@ TEST(LynxCharlotte, Figure2MultiEnclosureRequest) {
   EXPECT_EQ(w.client_stats().enc_packets_sent,
             static_cast<std::uint64_t>(kLinks - 1));
   EXPECT_EQ(w.client_stats().requests_returned, 0u);
+  // Every ENC packet carries the causal identity of its request.
+  std::set<trace::TraceId> requests;
+  std::vector<trace::TraceId> encs;
+  for (const trace::Record& r : rec.snapshot()) {
+    if (rec.label_name(r.label) == "pkt.request") requests.insert(r.trace);
+    if (rec.label_name(r.label) == "pkt.enc") encs.push_back(r.trace);
+  }
+  ASSERT_EQ(encs.size(), static_cast<std::size_t>(kLinks - 1));
+  for (trace::TraceId t : encs) EXPECT_TRUE(requests.contains(t)) << t;
+}
+
+TEST(LynxCharlotte, Figure2MultiEnclosureReply) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  constexpr int kLinks = 3;
+  w.server.spawn_thread("give", [&](ThreadCtx& ctx) {
+    return multi_taker(ctx, w.server_end, kLinks, &log, /*in_reply=*/true);
+  });
+  w.client.spawn_thread("take", [&](ThreadCtx& ctx) {
+    return multi_mover(ctx, w.client_end, kLinks, &log, /*in_reply=*/true);
+  });
+  w.engine.run();
+  ASSERT_EQ(log.size(), 1u + kLinks)
+      << join(w.server.thread_failures()) << join(w.client.thread_failures());
+  // A reply needs no GOAHEAD: its enclosures after the first stream
+  // straight out in ENC packets.
+  EXPECT_EQ(w.client_stats().goaheads_sent, 0u);
+  EXPECT_EQ(w.server_stats().enc_packets_sent,
+            static_cast<std::uint64_t>(kLinks - 1));
 }
 
 // ---- §3.2.1: bidirectional requests force FORBID ---------------------------
@@ -240,10 +287,11 @@ TEST(LynxCharlotte, Figure2MultiEnclosureRequest) {
 // with FORBID; once A's own call completes and A opens its request
 // queue, it sends ALLOW and B's request goes through.
 sim::Task<> forbid_b_server(ThreadCtx& ctx, LinkHandle link,
-                            std::vector<std::string>* log) {
+                            std::vector<std::string>* log,
+                            sim::Duration hold = sim::msec(150)) {
   ctx.enable_requests(link);
   Incoming in = co_await ctx.receive();  // A's "forward"
-  co_await ctx.delay(sim::msec(150));    // window for the counter-request
+  co_await ctx.delay(hold);              // window for the counter-request
   Message rep;
   co_await ctx.reply(in, std::move(rep));
   log->push_back("b-served-forward");
@@ -291,11 +339,100 @@ TEST(LynxCharlotte, BidirectionalRequestsTriggerForbidAllow) {
   w.engine.run();
   EXPECT_EQ(log.size(), 4u) << join(w.server.thread_failures())
                             << join(w.client.thread_failures());
-  // A received B's request unintentionally and bounced it.
-  EXPECT_GE(w.client_stats().unwanted_received, 1u);
-  EXPECT_GE(w.client_stats().forbids_sent, 1u);
-  EXPECT_GE(w.client_stats().allows_sent, 1u);
-  EXPECT_GE(w.server_stats().requests_returned, 1u);
+  // A received B's request unintentionally and bounced it once: after
+  // a FORBID, B holds the request until A's ALLOW.
+  EXPECT_EQ(w.client_stats().unwanted_received, 1u);
+  EXPECT_EQ(w.client_stats().forbids_sent, 1u);
+  EXPECT_EQ(w.client_stats().retries_sent, 0u);
+  EXPECT_EQ(w.client_stats().allows_sent, 1u);
+  EXPECT_EQ(w.server_stats().requests_returned, 1u);
+}
+
+// B replies to A's call at once and issues its counter-request at 48 ms,
+// while the kernel has not yet acknowledged that reply: the request
+// waits in the backend's queue.  Aborted there at 51 ms, it is revoked
+// locally, so A, ready to serve it, never receives it.
+sim::Task<> aborted_b_counter(ThreadCtx& ctx, LinkHandle link,
+                              std::vector<std::string>* log) {
+  co_await ctx.delay(sim::msec(48));
+  try {
+    Message counter = make_message("reverse", {});
+    (void)co_await ctx.call(link, std::move(counter));
+    log->push_back("b-counter-done");
+  } catch (const LynxError& e) {
+    log->push_back(std::string("b-counter:") + to_string(e.kind()));
+  }
+  co_await ctx.delay(sim::sec(1));  // B stays up: A could still be sent it
+}
+
+TEST(LynxCharlotte, AbortWhileQueuedRevokesTheRequest) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  w.server.spawn_thread("B-serve", [&](ThreadCtx& ctx) {
+    return forbid_b_server(ctx, w.server_end, &log, /*hold=*/0);
+  });
+  const ThreadId counter =
+      w.server.spawn_thread("B-counter", [&](ThreadCtx& ctx) {
+        return aborted_b_counter(ctx, w.server_end, &log);
+      });
+  w.client.spawn_thread("A", [&](ThreadCtx& ctx) {
+    return forbid_client_a(ctx, w.client_end, &log);
+  });
+  w.engine.schedule(sim::msec(51),
+                    [&, counter] { w.server.abort_thread(counter); });
+  w.engine.run();
+  // A's thread stays parked in receive(): the request never arrives.
+  EXPECT_EQ(log, (std::vector<std::string>{"b-served-forward",
+                                           "b-counter:aborted",
+                                           "a-call-done"}));
+  EXPECT_EQ(w.client_stats().unwanted_received, 0u);
+}
+
+// ---- §3.2.1: a closing request queue bounces with RETRY --------------------
+
+// B opens its request queue, then closes it at 50 ms; A's request lands
+// while B's kernel Receive is still being cancelled.  B wants nothing on
+// the link, so it returns the request with RETRY rather than FORBID; A
+// resends at once, and the kernel holds the resend until B reopens.
+sim::Task<> retry_b_server(ThreadCtx& ctx, LinkHandle link,
+                           std::vector<std::string>* log) {
+  ctx.enable_requests(link);
+  co_await ctx.delay(sim::msec(50));
+  ctx.disable_requests(link);
+  co_await ctx.delay(sim::msec(200));
+  ctx.enable_requests(link);
+  Incoming in = co_await ctx.receive();
+  Message rep;
+  co_await ctx.reply(in, std::move(rep));
+  log->push_back("b-served");
+}
+
+sim::Task<> retry_a_caller(ThreadCtx& ctx, LinkHandle link,
+                           std::vector<std::string>* log) {
+  co_await ctx.delay(sim::msec(26));  // lands during B's Receive cancel
+  Message req = make_message("late", {});
+  (void)co_await ctx.call(link, std::move(req));
+  log->push_back("a-call-done");
+}
+
+TEST(LynxCharlotte, ClosingRequestQueueBouncesWithRetry) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  w.server.spawn_thread("B", [&](ThreadCtx& ctx) {
+    return retry_b_server(ctx, w.server_end, &log);
+  });
+  w.client.spawn_thread("A", [&](ThreadCtx& ctx) {
+    return retry_a_caller(ctx, w.client_end, &log);
+  });
+  w.engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"b-served", "a-call-done"}))
+      << join(w.server.thread_failures()) << join(w.client.thread_failures());
+  EXPECT_EQ(w.server_stats().unwanted_received, 1u);
+  EXPECT_EQ(w.server_stats().retries_sent, 1u);
+  EXPECT_EQ(w.server_stats().forbids_sent, 0u);
+  EXPECT_EQ(w.client_stats().requests_returned, 1u);
 }
 
 // ---- deviation: replier is NOT told about an aborted caller ----------------

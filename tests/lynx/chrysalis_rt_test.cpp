@@ -1,6 +1,7 @@
 // End-to-end tests: LYNX runtime over the Chrysalis backend.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,16 @@ std::string join(const std::vector<std::string>& v) {
 }
 
 struct World {
+  explicit World(ChrysalisBackendParams bp = {})
+      : server(engine, "server",
+               std::make_unique<ChrysalisBackend>(kernel, NodeId(0), bp)),
+        client(engine, "client",
+               std::make_unique<ChrysalisBackend>(kernel, NodeId(1), bp)) {}
+
   sim::Engine engine;
   chrysalis::Kernel kernel{engine};
-  Process server{engine, "server",
-                 std::make_unique<ChrysalisBackend>(kernel, NodeId(0))};
-  Process client{engine, "client",
-                 std::make_unique<ChrysalisBackend>(kernel, NodeId(1))};
+  Process server;
+  Process client;
   LinkHandle server_end;
   LinkHandle client_end;
 
@@ -90,18 +95,25 @@ TEST(LynxChrysalis, EchoRpcRoundTrips) {
 
 // ---- moving links (single and multiple enclosures) ------------------------
 
+// With `in_reply` the taker makes the links and sends their far ends
+// back in its reply instead.
 sim::Task<> mover_thread(ThreadCtx& ctx, LinkHandle via, int n_new_links,
-                         std::vector<std::string>* log) {
+                         std::vector<std::string>* log,
+                         bool in_reply = false) {
   // Make n fresh links, keep end1s, send all end2s in ONE message.
   std::vector<LinkHandle> keep;
   Message req = make_message("take", {});
-  for (int i = 0; i < n_new_links; ++i) {
+  for (int i = 0; i < n_new_links && !in_reply; ++i) {
     LocalLinkPair pair = co_await ctx.new_link();
     keep.push_back(pair.end1);
     req.args.emplace_back(pair.end2);
   }
   Message rep = co_await ctx.call(via, std::move(req));
   CO_CHECK_EQ(rep.op, "take");
+  if (in_reply) {
+    CO_CHECK_EQ(static_cast<int>(rep.count_links()), n_new_links);
+    for (const Value& v : rep.args) keep.push_back(std::get<LinkHandle>(v));
+  }
   // Now exercise each moved link with an RPC served by the taker.
   for (std::size_t i = 0; i < keep.size(); ++i) {
     Message probe =
@@ -113,15 +125,24 @@ sim::Task<> mover_thread(ThreadCtx& ctx, LinkHandle via, int n_new_links,
 }
 
 sim::Task<> taker_thread(ThreadCtx& ctx, LinkHandle via, int n_expected,
-                         std::vector<std::string>* log) {
+                         std::vector<std::string>* log,
+                         bool in_reply = false) {
   ctx.enable_requests(via);
   Incoming in = co_await ctx.receive();
   CO_CHECK_EQ(in.msg.op, "take");
-  CO_CHECK_EQ(static_cast<int>(in.msg.count_links()), n_expected);
   std::vector<LinkHandle> got;
-  for (const Value& v : in.msg.args) got.push_back(std::get<LinkHandle>(v));
-  Message empty;
-  co_await ctx.reply(in, std::move(empty));
+  Message rep;
+  if (in_reply) {
+    for (int i = 0; i < n_expected; ++i) {
+      LocalLinkPair pair = co_await ctx.new_link();
+      got.push_back(pair.end1);
+      rep.args.emplace_back(pair.end2);
+    }
+  } else {
+    CO_CHECK_EQ(static_cast<int>(in.msg.count_links()), n_expected);
+    for (const Value& v : in.msg.args) got.push_back(std::get<LinkHandle>(v));
+  }
+  co_await ctx.reply(in, std::move(rep));
   log->push_back("took-" + std::to_string(got.size()));
   for (LinkHandle h : got) ctx.enable_requests(h);
   for (int i = 0; i < n_expected; ++i) {
@@ -133,15 +154,15 @@ sim::Task<> taker_thread(ThreadCtx& ctx, LinkHandle via, int n_expected,
   }
 }
 
-TEST(LynxChrysalis, MovesMultipleLinksInOneMessage) {
+void moves_three_links(bool in_reply) {
   World w;
   w.boot();
   std::vector<std::string> log;
   w.server.spawn_thread("take", [&](ThreadCtx& ctx) {
-    return taker_thread(ctx, w.server_end, 3, &log);
+    return taker_thread(ctx, w.server_end, 3, &log, in_reply);
   });
   w.client.spawn_thread("move", [&](ThreadCtx& ctx) {
-    return mover_thread(ctx, w.client_end, 3, &log);
+    return mover_thread(ctx, w.client_end, 3, &log, in_reply);
   });
   w.engine.run();
   ASSERT_EQ(log.size(), 4u) << "server: " << join(w.server.thread_failures())
@@ -155,6 +176,16 @@ TEST(LynxChrysalis, MovesMultipleLinksInOneMessage) {
   EXPECT_EQ(log[3], "probe-ok-2");
   EXPECT_TRUE(w.server.thread_failures().empty());
   EXPECT_TRUE(w.client.thread_failures().empty());
+}
+
+TEST(LynxChrysalis, MovesMultipleLinksInOneMessage) {
+  moves_three_links(/*in_reply=*/false);
+}
+
+// A reply that moves ends waits for the caller's CONSUMED notice before
+// the replier gives them up, so the replier logs "took" only then.
+TEST(LynxChrysalis, MovesMultipleLinksInOneReply) {
+  moves_three_links(/*in_reply=*/true);
 }
 
 // ---- screening: closed request queues park messages ------------------------
@@ -249,6 +280,51 @@ TEST(LynxChrysalis, ProcessEndDestroysLinks) {
   EXPECT_TRUE(w.server.terminated());
 }
 
+// A reply that moves ends parks until the caller consumes it; if the
+// caller's process ends first, its DESTROYED notice must settle the
+// parked reply.  The caller ends at every 20 us from 40 to 70 ms, around
+// the reply at about 57 ms, and the replier must finish every time.
+sim::Task<> enclosing_replier(ThreadCtx& ctx, LinkHandle link,
+                              std::string* outcome) {
+  ctx.enable_requests(link);
+  Incoming in = co_await ctx.receive();
+  co_await ctx.delay(sim::msec(50));
+  Message rep;
+  for (int i = 0; i < 2; ++i) {
+    LocalLinkPair pair = co_await ctx.new_link();
+    rep.args.emplace_back(pair.end2);
+  }
+  try {
+    co_await ctx.reply(in, std::move(rep));
+    *outcome = "replied";
+  } catch (const LynxError& e) {
+    *outcome = std::string("reply:") + to_string(e.kind());
+  }
+}
+
+TEST(LynxChrysalis, EnclosingReplyEndsWhenCallerEnds) {
+  std::set<std::string> outcomes;
+  for (sim::Duration at = sim::msec(40); at <= sim::msec(70);
+       at += sim::usec(20)) {
+    World w;
+    w.boot();
+    std::vector<std::string> log;
+    std::string outcome = "unfinished";
+    w.server.spawn_thread("reply", [&](ThreadCtx& ctx) {
+      return enclosing_replier(ctx, w.server_end, &outcome);
+    });
+    w.client.spawn_thread("call", [&](ThreadCtx& ctx) {
+      return victim_call_thread(ctx, w.client_end, &log, sim::sec(1));
+    });
+    w.engine.schedule(at, [&] { w.client.terminate(); });
+    w.engine.run();
+    ASSERT_NE(outcome, "unfinished") << "caller ended at " << at << " ns";
+    outcomes.insert(outcome);
+  }
+  EXPECT_EQ(outcomes,
+            (std::set<std::string>{"replied", "reply:link-destroyed"}));
+}
+
 // ---- reply to aborted caller is DETECTED on Chrysalis (capability 4) --------
 
 sim::Task<> slow_replier_thread(ThreadCtx& ctx, LinkHandle link,
@@ -265,8 +341,11 @@ sim::Task<> slow_replier_thread(ThreadCtx& ctx, LinkHandle link,
   }
 }
 
-TEST(LynxChrysalis, ReplierFeelsExceptionWhenCallerAborted) {
-  World w;
+// The caller consumed the request before aborting, so its send ends
+// with the CONSUMED notice: posted after the coalesce delay, or at once
+// when coalescing is off.
+void replier_feels_abort(ChrysalisBackendParams bp) {
+  World w(bp);
   w.boot();
   std::vector<std::string> log;
   w.server.spawn_thread("slow", [&](ThreadCtx& ctx) {
@@ -282,6 +361,16 @@ TEST(LynxChrysalis, ReplierFeelsExceptionWhenCallerAborted) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "caught:aborted");
   EXPECT_EQ(log[1], "replier-caught:reply-unwanted");
+}
+
+TEST(LynxChrysalis, ReplierFeelsExceptionWhenCallerAborted) {
+  replier_feels_abort({});
+}
+
+TEST(LynxChrysalis, ReplierFeelsExceptionWhenCallerAbortedUncoalesced) {
+  ChrysalisBackendParams bp;
+  bp.consumed_coalesce_delay = 0;
+  replier_feels_abort(bp);
 }
 
 // ---- fairness: no queue ignored forever ---------------------------------------

@@ -160,6 +160,11 @@ TEST(LynxSoda, MovesMultipleLinksInOneMessage) {
   ASSERT_EQ(log.size(), 1u + kLinks)
       << join(w.server.thread_failures()) << join(w.client.thread_failures());
   EXPECT_EQ(log[0], "took");
+  // Each enclosure carries its far end's location, so the taker reaches
+  // the mover without a single stale hint.
+  const auto& taker_stats =
+      dynamic_cast<SodaBackend&>(w.server.backend()).stats();
+  EXPECT_EQ(taker_stats.hint_misses, 0u);
 }
 
 // ---- capability 4: aborted caller detected by the replier -------------------
@@ -288,8 +293,16 @@ TEST(LynxSoda, PeerTerminationRaisesException) {
 
 // Chain: A holds link L to C (via bootstrap), A ships its end of L to B;
 // C's hint still points at A.  When C finally uses L, A redirects it to
-// B from the moved-link cache.
-TEST(LynxSoda, DormantMovedLinkIsFoundViaCache) {
+// B from the moved-link cache.  With `watch`, C keeps its request queue
+// open on L from the start, so its status signal is parked at A when the
+// end moves, and A answers it MOVED instead.
+struct DormantMove {
+  std::vector<std::string> log;
+  SodaBackend::Stats a;  // the mover
+  SodaBackend::Stats c;  // the far end
+};
+
+DormantMove dormant_move(bool watch) {
   sim::Engine engine;
   SodaDirectory directory;
   net::CsmaBus bus(engine, sim::Rng(7), quiet_bus());
@@ -347,26 +360,135 @@ TEST(LynxSoda, DormantMovedLinkIsFoundViaCache) {
   // C: wait until the move is long done, then use the dormant link; its
   // hint (A) is stale and must be fixed via A's cache.
   c.spawn_thread("lateuser", [&](ThreadCtx& ctx) {
-    return [](ThreadCtx& cx, LinkHandle l,
+    return [](ThreadCtx& cx, LinkHandle l, bool watch_l,
               std::vector<std::string>* lg) -> sim::Task<> {
+      if (watch_l) cx.enable_requests(l);
       co_await cx.delay(sim::msec(500));
       Message req = make_message("late", {});
       Message rep = co_await cx.call(l, std::move(req));
       (void)rep;
       lg->push_back("c-late-ok");
-    }(ctx, l_c, &log);
+    }(ctx, l_c, watch, &log);
   });
   engine.run();
-  ASSERT_EQ(log.size(), 3u) << join(a.thread_failures())
-                            << join(b.thread_failures())
-                            << join(c.thread_failures());
-  EXPECT_EQ(log[0], "a-shipped");
-  EXPECT_EQ(log[1], "b-served:late");
-  EXPECT_EQ(log[2], "c-late-ok");
-  const auto& sa = dynamic_cast<SodaBackend&>(a.backend()).stats();
-  const auto& sc = dynamic_cast<SodaBackend&>(c.backend()).stats();
-  EXPECT_GE(sa.moved_redirects, 1u);  // A redirected C from its cache
-  EXPECT_GE(sc.hint_misses, 1u);      // C's hint was stale
+  EXPECT_TRUE(a.thread_failures().empty()) << join(a.thread_failures());
+  EXPECT_TRUE(b.thread_failures().empty()) << join(b.thread_failures());
+  EXPECT_TRUE(c.thread_failures().empty()) << join(c.thread_failures());
+  return {log, dynamic_cast<SodaBackend&>(a.backend()).stats(),
+          dynamic_cast<SodaBackend&>(c.backend()).stats()};
+}
+
+TEST(LynxSoda, DormantMovedLinkIsFoundViaCache) {
+  const DormantMove r = dormant_move(/*watch=*/false);
+  EXPECT_EQ(r.log, (std::vector<std::string>{"a-shipped", "b-served:late",
+                                             "c-late-ok"}));
+  EXPECT_GE(r.a.moved_redirects, 1u);  // A redirected C from its cache
+  EXPECT_GE(r.c.hint_misses, 1u);      // C's hint was stale
+}
+
+TEST(LynxSoda, WatchedMovedLinkLearnsNewOwnerFromSignal) {
+  const DormantMove r = dormant_move(/*watch=*/true);
+  EXPECT_EQ(r.log, (std::vector<std::string>{"a-shipped", "b-served:late",
+                                             "c-late-ok"}));
+  EXPECT_EQ(r.a.moved_redirects, 0u);  // C's call went straight to B
+  EXPECT_GE(r.c.hint_misses, 1u);      // the MOVED answer fixed C's hint
+}
+
+// An end that moved A->B, back to A, then A->C leaves two entries for
+// its name in A's moved cache.  The dormant peer D still hints A; A must
+// answer with the newest entry (C).  Answering with the oldest (B) sends
+// D to B, whose own cache sends it back to A, and the call ping-pongs
+// between the two for as long as they both live.
+TEST(LynxSoda, ReturnedThenMovedEndRedirectsToNewestOwner) {
+  sim::Engine engine;
+  SodaDirectory directory;
+  net::CsmaBus bus(engine, sim::Rng(7), quiet_bus());
+  soda::Network network(engine, 6, bus);
+  Process a(engine, "A",
+            std::make_unique<SodaBackend>(network, directory, NodeId(0)));
+  Process b(engine, "B",
+            std::make_unique<SodaBackend>(network, directory, NodeId(1)));
+  Process c(engine, "C",
+            std::make_unique<SodaBackend>(network, directory, NodeId(2)));
+  Process d(engine, "D",
+            std::make_unique<SodaBackend>(network, directory, NodeId(3)));
+  for (Process* p : {&a, &b, &c, &d}) p->start();
+  // A<->B and A<->C carry the end; L = A<->D is the link that moves.
+  std::pair<LinkHandle, LinkHandle> ab, ac, l;
+  engine.spawn("wire", [](Process* pa, Process* pb, Process* pc, Process* pd,
+                          std::pair<LinkHandle, LinkHandle>* wab,
+                          std::pair<LinkHandle, LinkHandle>* wac,
+                          std::pair<LinkHandle, LinkHandle>* wl)
+                           -> sim::Task<> {
+    *wab = co_await SodaBackend::connect(*pa, *pb);
+    *wac = co_await SodaBackend::connect(*pa, *pc);
+    *wl = co_await SodaBackend::connect(*pa, *pd);
+  }(&a, &b, &c, &d, &ab, &ac, &l));
+  engine.run();
+
+  std::vector<std::string> log;
+  // A: ship L to B and take it back in the reply, then ship it to C.
+  a.spawn_thread("shuttle", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, LinkHandle to_b, LinkHandle to_c,
+              LinkHandle moving, std::vector<std::string>* lg)
+               -> sim::Task<> {
+      Message there = make_message("take", {moving});
+      Message back = co_await cx.call(to_b, std::move(there));
+      Message onward = make_message("take", {back.args.at(0)});
+      (void)co_await cx.call(to_c, std::move(onward));
+      lg->push_back("a-shipped");
+      co_await cx.delay(sim::sec(20));
+    }(ctx, ab.first, ac.first, l.first, &log);
+  });
+  // B: return the end in its reply, then stay alive.
+  b.spawn_thread("bounce", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, LinkHandle via) -> sim::Task<> {
+      cx.enable_requests(via);
+      Incoming in = co_await cx.receive();
+      Message rep;
+      rep.args.push_back(in.msg.args.at(0));
+      co_await cx.reply(in, std::move(rep));
+      co_await cx.delay(sim::sec(20));
+    }(ctx, ab.second);
+  });
+  // C: keep the end and serve one request on it.
+  c.spawn_thread("keep", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, LinkHandle via,
+              std::vector<std::string>* lg) -> sim::Task<> {
+      cx.enable_requests(via);
+      Incoming in = co_await cx.receive();
+      LinkHandle got = std::get<LinkHandle>(in.msg.args.at(0));
+      Message empty;
+      co_await cx.reply(in, std::move(empty));
+      cx.enable_requests(got);
+      Incoming r = co_await cx.receive();
+      lg->push_back("c-served:" + r.msg.op);
+      Message rep;
+      co_await cx.reply(r, std::move(rep));
+    }(ctx, ac.second, &log);
+  });
+  // D: dormant until 2 s, then call on L with a hint that still names A.
+  sim::Time issued = 0;
+  sim::Time done = 0;
+  d.spawn_thread("late", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, sim::Engine* eng, LinkHandle l, sim::Time* t0,
+              sim::Time* t1, std::vector<std::string>* lg) -> sim::Task<> {
+      co_await cx.delay(sim::sec(2));
+      *t0 = eng->now();
+      Message req = make_message("late", {});
+      (void)co_await cx.call(l, std::move(req));
+      *t1 = eng->now();
+      lg->push_back("d-late-ok");
+    }(ctx, &engine, l.second, &issued, &done, &log);
+  });
+  engine.run();
+  ASSERT_EQ(log, (std::vector<std::string>{"a-shipped", "c-served:late",
+                                           "d-late-ok"}))
+      << join(a.thread_failures()) << join(b.thread_failures())
+      << join(c.thread_failures()) << join(d.thread_failures());
+  EXPECT_LE(done - issued, sim::sec(1));
+  const auto& sd = dynamic_cast<SodaBackend&>(d.backend()).stats();
+  EXPECT_LE(sd.hint_misses, 2u);
 }
 
 }  // namespace
