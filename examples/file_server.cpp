@@ -170,5 +170,8 @@ int main() {
       "\nfile server handled %d opens, %d reads, %d writes in %.1f "
       "simulated ms\n",
       fs.opens, fs.reads, fs.writes, sim::to_msec(engine.now()));
-  return 0;
+  const bool clean = server.thread_failures().empty() &&
+                     alice.thread_failures().empty() &&
+                     bob.thread_failures().empty();
+  return clean ? 0 : 1;
 }

@@ -193,5 +193,7 @@ int main() {
                 r.node, recorder.track_name(r.track).c_str(),
                 recorder.label_name(r.label).c_str());
   }
-  return 0;
+  bool clean = coord.thread_failures().empty();
+  for (const auto& st : stages) clean = clean && st->thread_failures().empty();
+  return clean ? 0 : 1;
 }

@@ -101,10 +101,10 @@ int main(int argc, char** argv) {
   });
   engine.run();
 
+  const std::size_t failures =
+      server.thread_failures().size() + client.thread_failures().size();
   std::printf("done at %.3f simulated ms; thread failures: %zu\n",
-              sim::to_msec(engine.now()),
-              server.thread_failures().size() +
-                  client.thread_failures().size());
+              sim::to_msec(engine.now()), failures);
 
   if (!trace_out.empty()) {
     if (trace::write_chrome_trace_file(recorder, trace_out)) {
@@ -117,5 +117,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -54,33 +54,25 @@ net::NodeId Cluster::node_of(Pid pid) const {
 void Cluster::terminate(Pid pid) { kernel_of(pid).terminate_process(pid); }
 
 LinkPair Cluster::bootstrap_link(Pid a, Pid b) {
-  const net::NodeId na = node_of(a);
-  const net::NodeId nb = node_of(b);
   const LinkId link = new_link_id();
-  const EndId e1 = new_end();
-  const EndId e2 = new_end();
-  Kernel& ka = kernel(na);
-  Kernel& kb = kernel(nb);
-  Kernel::EndState s1;
-  s1.id = e1;
-  s1.link = link;
-  s1.peer = e2;
-  s1.owner = a;
-  s1.peer_node = nb;
-  s1.home = na;
-  ka.ends_.emplace(e1, std::move(s1));
-  Kernel::EndState s2;
-  s2.id = e2;
-  s2.link = link;
-  s2.peer = e1;
-  s2.owner = b;
-  s2.peer_node = na;
-  s2.home = na;
-  kb.ends_.emplace(e2, std::move(s2));
-  ka.homes_.emplace(link,
-                    Kernel::HomeRecord{link, Kernel::HomeEndInfo{e1, na, a},
-                                       Kernel::HomeEndInfo{e2, nb, b}, false});
-  return LinkPair{e1, e2};
+  const Kernel::HomeEndInfo ea{new_end(), node_of(a), a};
+  const Kernel::HomeEndInfo eb{new_end(), node_of(b), b};
+  // Each end lives on its owner's kernel; the link's home is a's.
+  auto install = [&](const Kernel::HomeEndInfo& self,
+                     const Kernel::HomeEndInfo& peer) {
+    Kernel::EndState s;
+    s.id = self.end;
+    s.link = link;
+    s.peer = peer.end;
+    s.owner = self.owner;
+    s.peer_node = peer.node;
+    s.home = ea.node;
+    kernel(self.node).ends_.emplace(self.end, std::move(s));
+  };
+  install(ea, eb);
+  install(eb, ea);
+  kernel(ea.node).homes_.emplace(link, Kernel::HomeRecord{link, ea, eb, false});
+  return LinkPair{ea.end, eb.end};
 }
 
 std::uint64_t Cluster::total_frames() const {
@@ -156,12 +148,42 @@ Kernel::EndState* Kernel::find_end(EndId id) {
   return it == ends_.end() ? nullptr : &it->second;
 }
 
+Kernel::EndState* Kernel::find_send(EndId id, std::uint64_t seq) {
+  EndState* end = find_end(id);
+  return end != nullptr && end->send.has_value() && end->send->msg.seq == seq
+             ? end
+             : nullptr;
+}
+
+Kernel::EndState* Kernel::find_owing(EndId id, std::uint64_t seq) {
+  EndState* end = find_end(id);
+  return end != nullptr && end->owed_ack.has_value() &&
+                 end->owed_ack->seq == seq
+             ? end
+             : nullptr;
+}
+
 Status Kernel::validate_owned(Pid caller, EndId id, EndState** out) {
   EndState* end = find_end(id);
   if (end == nullptr) return Status::kNoSuchEnd;
   if (end->owner != caller) return Status::kNotOwner;
   *out = end;
   return Status::kOk;
+}
+
+Status Kernel::validate_usable(Pid caller, EndId id, EndState** out) {
+  if (Status st = validate_owned(caller, id, out); st != Status::kOk) {
+    return st;
+  }
+  if ((*out)->destroyed) return Status::kLinkDestroyed;
+  if ((*out)->in_transit) return Status::kEndInTransit;
+  return Status::kOk;
+}
+
+std::optional<net::NodeId> Kernel::moved_to(EndId id) const {
+  auto it = forwarded_.find(id);
+  if (it == forwarded_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Kernel::complete(Pid pid, Completion c) {
@@ -183,63 +205,33 @@ sim::Task<common::Result<LinkPair, Status>> Kernel::make_link(Pid caller) {
   if (!processes_.contains(caller)) {
     co_return common::Err(Status::kNoSuchEnd);
   }
-  const LinkId link = cluster_->new_link_id();
-  const EndId e1 = cluster_->new_end();
-  const EndId e2 = cluster_->new_end();
-  EndState s1;
-  s1.id = e1;
-  s1.link = link;
-  s1.peer = e2;
-  s1.owner = caller;
-  s1.peer_node = node_;
-  s1.home = node_;
-  EndState s2;
-  s2.id = e2;
-  s2.link = link;
-  s2.peer = e1;
-  s2.owner = caller;
-  s2.peer_node = node_;
-  s2.home = node_;
-  ends_.emplace(e1, std::move(s1));
-  ends_.emplace(e2, std::move(s2));
-  homes_.emplace(link, HomeRecord{link,
-                                  HomeEndInfo{e1, node_, caller},
-                                  HomeEndInfo{e2, node_, caller}, false});
-  co_return LinkPair{e1, e2};
+  // Both ends start with the caller, so the link's home is this kernel.
+  co_return cluster_->bootstrap_link(caller, caller);
 }
 
 sim::Task<Status> Kernel::send(Pid caller, EndId end_id, Payload data,
                                EndId enclosure, std::uint64_t trace) {
+  // Decide the refusal first; any refusal costs one call_overhead.
   EndState* end = nullptr;
-  if (Status st = validate_owned(caller, end_id, &end); st != Status::kOk) {
-    co_await cluster_->engine().sleep(cluster_->costs().call_overhead);
-    co_return st;
+  EndState* enc = nullptr;
+  Status refusal = validate_usable(caller, end_id, &end);
+  if (refusal == Status::kOk && end->send.has_value()) {
+    refusal = Status::kActivityPending;
   }
-  if (end->destroyed) {
-    co_await cluster_->engine().sleep(cluster_->costs().call_overhead);
-    co_return Status::kLinkDestroyed;
+  if (refusal == Status::kOk && enclosure.valid() &&
+      (validate_usable(caller, enclosure, &enc) != Status::kOk ||
+       enc->send.has_value() || enc->recv.has_value() ||
+       enclosure == end_id || enclosure == end->peer)) {
+    refusal = Status::kBadEnclosure;
   }
-  if (end->in_transit) {
+  if (refusal != Status::kOk) {
     co_await cluster_->engine().sleep(cluster_->costs().call_overhead);
-    co_return Status::kEndInTransit;
-  }
-  if (end->send.has_value()) {
-    co_await cluster_->engine().sleep(cluster_->costs().call_overhead);
-    co_return Status::kActivityPending;
+    co_return refusal;
   }
 
-  bool has_enclosure = false;
+  const bool has_enclosure = enclosure.valid();
   wire::EnclosureDesc desc{};
-  if (enclosure.valid()) {
-    EndState* enc = nullptr;
-    if (Status st = validate_owned(caller, enclosure, &enc);
-        st != Status::kOk || enc->destroyed || enc->in_transit ||
-        enc->send.has_value() || enc->recv.has_value() ||
-        enclosure == end_id || enclosure == end->peer) {
-      co_await cluster_->engine().sleep(cluster_->costs().call_overhead);
-      co_return Status::kBadEnclosure;
-    }
-    has_enclosure = true;
+  if (has_enclosure) {
     // The end's ack-protocol counters move with it (wire.hpp): the
     // receiving kernel resumes both streams where this kernel stopped.
     desc = wire::EnclosureDesc{enc->id,           enc->link,
@@ -312,45 +304,73 @@ void Kernel::arm_send_timer(EndState& end) {
 }
 
 void Kernel::on_send_timeout(EndId end_id, std::uint64_t seq) {
-  EndState* end = find_end(end_id);
-  if (end == nullptr || end->destroyed || !end->send.has_value() ||
-      end->send->msg.seq != seq) {
-    return;
-  }
+  EndState* end = find_send(end_id, seq);
+  if (end == nullptr) return;
   if (end->send->attempts >= cluster_->costs().max_send_attempts) {
     // Out of patience: the peer, or every path to it, is gone.  Report
     // an absolute failure — Charlotte knows, it does not hint.
-    end->destroyed = true;
-    fail_end_activities(*end, Status::kLinkFailed);
+    kill_end(*end, Status::kLinkFailed);
     return;
   }
   ++end->send->attempts;
-  ++retransmits_;
-  if (auto* rec = trace::get(cluster_->engine())) {
-    rec->instant(node_.value(), "kernel", "msg.retransmit",
-                 end->send->msg.trace, seq,
-                 static_cast<std::uint64_t>(end->send->attempts));
-  }
-  transmit(end->peer_node, end->send->msg, end->send->msg.trace);
   // Exponential backoff: a timeout is evidence the estimate was low (or
   // the path is impaired); don't hammer a congested ring.
   end->send->cur_rto =
       std::min(end->send->cur_rto * 2, cluster_->costs().rto_max);
-  arm_send_timer(*end);
+  retransmit(*end, "msg.retransmit",
+             static_cast<std::uint64_t>(end->send->attempts));
 }
 
-void Kernel::clear_send(EndState& end) {
-  if (end.send.has_value()) {
-    end.send->retry.cancel();
-    end.send.reset();
+void Kernel::retransmit(EndState& end, const char* record, std::uint64_t b) {
+  ++retransmits_;
+  if (auto* rec = trace::get(cluster_->engine())) {
+    rec->instant(node_.value(), "kernel", record, end.send->msg.trace,
+                 end.send->msg.seq, b);
+  }
+  transmit(end.peer_node, end.send->msg, end.send->msg.trace);
+  arm_send_timer(end);
+}
+
+EndId Kernel::settle_send(EndState& end, Status status, std::size_t length) {
+  const EndId enclosure = end.send->enclosure;
+  // A send that did not deliver never moved its enclosure; give it back.
+  if (status != Status::kOk && enclosure.valid()) {
+    if (EndState* enc = find_end(enclosure)) enc->in_transit = false;
+  }
+  end.send->retry.cancel();
+  end.send.reset();
+  Completion c;
+  c.end = end.id;
+  c.direction = Direction::kSend;
+  c.status = status;
+  c.length = length;
+  complete(end.owner, c);
+  return enclosure;
+}
+
+void Kernel::bounce_pending(EndState& end,
+                            std::optional<net::NodeId> new_node) {
+  while (!end.pending.empty()) {
+    PendingMsg pm = std::move(end.pending.front());
+    end.pending.pop_front();
+    bounce(pm.msg, pm.from_node, new_node);
+  }
+}
+
+void Kernel::bounce(const wire::Msg& m, net::NodeId sender,
+                    std::optional<net::NodeId> new_node) {
+  if (new_node.has_value()) {
+    transmit(sender,
+             wire::MsgNackMoved{m.seq, m.from_end, m.to_end, *new_node});
+  } else {
+    transmit(sender, wire::MsgNackDestroyed{m.seq, m.from_end});
   }
 }
 
 void Kernel::notify_peer_lost(net::NodeId peer) {
   for (auto& [id, end] : ends_) {
     if (end.destroyed || end.peer_node != peer) continue;
-    end.destroyed = true;
-    fail_end_activities(end, Status::kLinkFailed);
+    kill_end(end, Status::kLinkFailed);
     // Tell the home (unless the home itself is the lost node) so the
     // record is retired and any third party holding the far end hears
     // LinkDown as well.
@@ -364,11 +384,9 @@ sim::Task<Status> Kernel::receive(Pid caller, EndId end_id,
                                   std::size_t max_len) {
   co_await cluster_->engine().sleep(cluster_->costs().call_overhead);
   EndState* end = nullptr;
-  if (Status st = validate_owned(caller, end_id, &end); st != Status::kOk) {
+  if (Status st = validate_usable(caller, end_id, &end); st != Status::kOk) {
     co_return st;
   }
-  if (end->destroyed) co_return Status::kLinkDestroyed;
-  if (end->in_transit) co_return Status::kEndInTransit;
   if (end->recv.has_value()) co_return Status::kActivityPending;
   end->recv = RecvActivity{max_len};
   deliver_pending(*end);
@@ -411,8 +429,7 @@ sim::Task<Status> Kernel::destroy(Pid caller, EndId end_id) {
 }
 
 void Kernel::begin_destroy(EndState& end) {
-  end.destroyed = true;
-  fail_end_activities(end, Status::kLinkDestroyed);
+  kill_end(end, Status::kLinkDestroyed);
   transmit(end.home, wire::DestroyUpdate{end.link, end.id});
 }
 
@@ -521,8 +538,7 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
     // The end vanished (moved away or destroyed) between delivery and
     // this point: fall back to an immediate standalone ack, as with
     // ack_coalesce_delay = 0.
-    transmit(owed.to, wire::MsgAck{owed.seq, owed.peer, owed.len, owed.trace},
-             owed.trace);
+    transmit_ack(owed);
     return;
   }
   flush_owed_ack(*end);  // stop-and-wait should make this a no-op
@@ -543,10 +559,8 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
   // full ack_coalesce_delay of retransmit-timer exposure (the E3
   // regression): flush immediately instead.
   cluster_->engine().schedule(0, [this, end_id, seq = owed.seq] {
-    EndState* e = find_end(end_id);
-    if (e == nullptr || !e->owed_ack.has_value() || e->owed_ack->seq != seq) {
-      return;
-    }
+    EndState* e = find_owing(end_id, seq);
+    if (e == nullptr) return;
     const sim::Duration window = cluster_->costs().ack_coalesce_delay;
     const bool reverse_pending =
         e->send.has_value() && e->send->first_sent_at == 0 &&
@@ -562,12 +576,7 @@ void Kernel::owe_ack(EndId end_id, OwedAck owed) {
     e->ack_timer.cancel();
     e->ack_timer = cluster_->engine().schedule_cancellable(
         window, [this, end_id, seq] {
-          EndState* e2 = find_end(end_id);
-          if (e2 == nullptr || !e2->owed_ack.has_value() ||
-              e2->owed_ack->seq != seq) {
-            return;
-          }
-          flush_owed_ack(*e2);
+          if (EndState* e2 = find_owing(end_id, seq)) flush_owed_ack(*e2);
         });
   });
 }
@@ -577,28 +586,20 @@ void Kernel::flush_owed_ack(EndState& end) {
   const OwedAck owed = *end.owed_ack;
   end.ack_timer.cancel();
   end.owed_ack.reset();
+  transmit_ack(owed);
+}
+
+void Kernel::transmit_ack(const OwedAck& owed) {
   transmit(owed.to, wire::MsgAck{owed.seq, owed.peer, owed.len, owed.trace},
            owed.trace);
 }
 
-void Kernel::fail_end_activities(EndState& end, Status status) {
+void Kernel::kill_end(EndState& end, Status status) {
+  end.destroyed = true;
   // An ack still coalescing must not die with the end: the peer's send
   // did complete, and it must hear so before it hears the link is gone.
   flush_owed_ack(end);
-  if (end.send.has_value()) {
-    Completion c;
-    c.end = end.id;
-    c.direction = Direction::kSend;
-    c.status = status;
-    // A failed send never moved its enclosure; give it back.
-    if (end.send->enclosure.valid()) {
-      if (EndState* enc = find_end(end.send->enclosure)) {
-        enc->in_transit = false;
-      }
-    }
-    clear_send(end);
-    complete(end.owner, c);
-  }
+  if (end.send.has_value()) settle_send(end, status);
   if (end.recv.has_value()) {
     Completion c;
     c.end = end.id;
@@ -609,12 +610,7 @@ void Kernel::fail_end_activities(EndState& end, Status status) {
     complete(end.owner, c);
   }
   // Pending undelivered messages: bounce to their senders.
-  while (!end.pending.empty()) {
-    PendingMsg pm = std::move(end.pending.front());
-    end.pending.pop_front();
-    transmit(pm.from_node,
-             wire::MsgNackDestroyed{pm.msg.seq, pm.msg.from_end});
-  }
+  bounce_pending(end, std::nullopt);
 }
 
 // ===================== frame handlers =====================
@@ -624,17 +620,8 @@ void Kernel::handle(wire::Msg m, net::NodeId from) {
   // be what this very frame's recipient is blocked on.
   if (m.has_ack) apply_ack(m.to_end, m.ack_seq, m.ack_len, from);
   EndState* end = find_end(m.to_end);
-  if (end == nullptr) {
-    if (auto it = forwarded_.find(m.to_end); it != forwarded_.end()) {
-      transmit(from,
-               wire::MsgNackMoved{m.seq, m.from_end, m.to_end, it->second});
-    } else {
-      transmit(from, wire::MsgNackDestroyed{m.seq, m.from_end});
-    }
-    return;
-  }
-  if (end->destroyed) {
-    transmit(from, wire::MsgNackDestroyed{m.seq, m.from_end});
+  if (end == nullptr || end->destroyed) {
+    bounce(m, from, end == nullptr ? moved_to(m.to_end) : std::nullopt);
     return;
   }
   if (deduplicate(*end, m, from)) return;
@@ -673,36 +660,21 @@ bool Kernel::deduplicate(EndState& end, const wire::Msg& m, net::NodeId from) {
 
 void Kernel::apply_ack(EndId to_end, std::uint64_t seq, std::size_t len,
                        net::NodeId from) {
-  EndState* end = find_end(to_end);
-  if (end == nullptr || !end->send.has_value() ||
-      end->send->msg.seq != seq) {
-    return;  // stale ack (e.g. the send was failed by a LinkDown race)
-  }
+  EndState* end = find_send(to_end, seq);
+  // A stale ack (e.g. the send was failed by a LinkDown race) is dropped.
+  if (end == nullptr) return;
   if (end->send->attempts == 1 && end->send->first_sent_at > 0) {
     // Karn's rule: only unretransmitted exchanges produce samples (a
     // retransmitted one can't tell which copy this ack answers).
     end->rtt.observe(cluster_->engine().now() - end->send->first_sent_at);
   }
-  const EndId enclosure = end->send->enclosure;
-  clear_send(*end);
-  Completion c;
-  c.end = end->id;
-  c.direction = Direction::kSend;
-  c.status = Status::kOk;
-  c.length = len;
-  complete(end->owner, c);
-
+  const EndId enclosure = settle_send(*end, Status::kOk, len);
   if (enclosure.valid()) {
     // The enclosure now lives at the receiver: retire the local record,
     // leave a tombstone, bounce anything that was parked on it.
     if (EndState* enc = find_end(enclosure)) {
       flush_owed_ack(*enc);  // an ack it still owed leaves from here
-      while (!enc->pending.empty()) {
-        PendingMsg pm = std::move(enc->pending.front());
-        enc->pending.pop_front();
-        transmit(pm.from_node, wire::MsgNackMoved{pm.msg.seq, pm.msg.from_end,
-                                                  enclosure, from});
-      }
+      bounce_pending(*enc, from);
       ends_.erase(enclosure);
     }
     forwarded_[enclosure] = from;
@@ -714,11 +686,8 @@ void Kernel::handle(const wire::MsgAck& m, net::NodeId from) {
 }
 
 void Kernel::handle(const wire::MsgNackMoved& m, net::NodeId /*from*/) {
-  EndState* end = find_end(m.to_end);
-  if (end == nullptr || !end->send.has_value() ||
-      end->send->msg.seq != m.seq) {
-    return;
-  }
+  EndState* end = find_send(m.to_end, m.seq);
+  if (end == nullptr) return;
   end->peer_node = m.new_node;
   const Costs& costs = cluster_->costs();
   const sim::Duration cost =
@@ -733,29 +702,17 @@ void Kernel::handle(const wire::MsgNackMoved& m, net::NodeId /*from*/) {
   // `retransmits_` claimed a retransmission and the freshly-armed timer
   // could fire a spurious copy measured from the wrong origin.
   cluster_->engine().schedule(cost, [this, id = m.to_end, seq = m.seq] {
-    EndState* e = find_end(id);
-    if (e == nullptr || e->destroyed || !e->send.has_value() ||
-        e->send->msg.seq != seq) {
-      return;  // settled while the kernel was repackaging; nothing to resend
+    // Settled while the kernel was repackaging: nothing to resend.
+    if (EndState* e = find_send(id, seq)) {
+      retransmit(*e, "msg.retransmit.moved", e->peer_node.value());
     }
-    ++retransmits_;
-    if (auto* rec = trace::get(cluster_->engine())) {
-      rec->instant(node_.value(), "kernel", "msg.retransmit.moved",
-                   e->send->msg.trace, seq, e->peer_node.value());
-    }
-    transmit(e->peer_node, e->send->msg, e->send->msg.trace);
-    arm_send_timer(*e);
   });
 }
 
 void Kernel::handle(const wire::MsgNackDestroyed& m, net::NodeId /*from*/) {
-  EndState* end = find_end(m.to_end);
-  if (end == nullptr || !end->send.has_value() ||
-      end->send->msg.seq != m.seq) {
-    return;
+  if (EndState* end = find_send(m.to_end, m.seq)) {
+    kill_end(*end, Status::kLinkDestroyed);
   }
-  end->destroyed = true;
-  fail_end_activities(*end, Status::kLinkDestroyed);
 }
 
 void Kernel::handle(const wire::CancelReq& m, net::NodeId from) {
@@ -775,22 +732,9 @@ void Kernel::handle(const wire::CancelReq& m, net::NodeId from) {
 
 void Kernel::handle(const wire::CancelReply& m, net::NodeId /*from*/) {
   if (!m.revoked) return;  // delivery won the race; MsgAck settles it
-  EndState* end = find_end(m.to_end);
-  if (end == nullptr || !end->send.has_value() ||
-      end->send->msg.seq != m.seq) {
-    return;
+  if (EndState* end = find_send(m.to_end, m.seq)) {
+    settle_send(*end, Status::kCancelled);
   }
-  if (end->send->enclosure.valid()) {
-    if (EndState* enc = find_end(end->send->enclosure)) {
-      enc->in_transit = false;
-    }
-  }
-  clear_send(*end);
-  Completion c;
-  c.end = end->id;
-  c.direction = Direction::kSend;
-  c.status = Status::kCancelled;
-  complete(end->owner, c);
 }
 
 void Kernel::handle(const wire::MoveUpdate& m, net::NodeId from) {
@@ -814,9 +758,7 @@ void Kernel::handle(const wire::PeerMoved& m, net::NodeId from) {
   EndState* end = find_end(m.end);
   if (end == nullptr) {
     // The informed end itself moved meanwhile; chase it.
-    if (auto it = forwarded_.find(m.end); it != forwarded_.end()) {
-      transmit(it->second, m);
-    }
+    if (auto to = moved_to(m.end)) transmit(*to, m);
     return;
   }
   (void)from;
@@ -827,8 +769,7 @@ void Kernel::handle(const wire::MoveAck& m, net::NodeId /*from*/) {
   EndState* end = find_end(m.end);
   if (end == nullptr) return;
   if (m.link_destroyed) {
-    end->destroyed = true;
-    fail_end_activities(*end, Status::kLinkDestroyed);
+    kill_end(*end, Status::kLinkDestroyed);
     return;
   }
   end->peer_node = m.peer_node;
@@ -848,14 +789,11 @@ void Kernel::handle(const wire::DestroyUpdate& m, net::NodeId /*from*/) {
 void Kernel::handle(const wire::LinkDown& m, net::NodeId /*from*/) {
   EndState* end = find_end(m.end);
   if (end == nullptr) {
-    if (auto it = forwarded_.find(m.end); it != forwarded_.end()) {
-      transmit(it->second, m);
-    }
+    if (auto to = moved_to(m.end)) transmit(*to, m);
     return;
   }
   if (end->destroyed) return;  // we initiated; already failed locally
-  end->destroyed = true;
-  fail_end_activities(*end, Status::kLinkDestroyed);
+  kill_end(*end, Status::kLinkDestroyed);
 }
 
 }  // namespace charlotte

@@ -198,11 +198,25 @@ class Kernel {
                 std::uint64_t trace = 0);
   void deliver_pending(EndState& end);
   void complete(Pid pid, Completion c);
-  void fail_end_activities(EndState& end, Status status);
+  // Link death at this end: the end is dead for good, its activities
+  // complete with `status`, and messages parked on it bounce.
+  void kill_end(EndState& end, Status status);
   void begin_destroy(EndState& end);
   void arm_send_timer(EndState& end);
   void on_send_timeout(EndId end_id, std::uint64_t seq);
-  void clear_send(EndState& end);  // cancels the retry timer too
+  // Resends `end`'s outstanding Msg and re-arms its timer; `record` names
+  // the trace instant, whose `b` is the caller's.
+  void retransmit(EndState& end, const char* record, std::uint64_t b);
+  // Ends `end`'s send activity (and its retry timer) and reports it to
+  // the owner.  A send that did not deliver gives its enclosure back.
+  // Returns the enclosure, if the send carried one.
+  EndId settle_send(EndState& end, Status status, std::size_t length = 0);
+  // NACKs `m` back to the kernel that sent it: moved (to `new_node`) when
+  // known, else destroyed.  bounce_pending does so for every message
+  // parked on `end`.
+  void bounce(const wire::Msg& m, net::NodeId sender,
+              std::optional<net::NodeId> new_node);
+  void bounce_pending(EndState& end, std::optional<net::NodeId> new_node);
   // True if `seq` was already delivered on `end` (re-acks if so).
   bool deduplicate(EndState& end, const wire::Msg& m, net::NodeId from);
   // ---- ack protocol helpers ----
@@ -214,13 +228,22 @@ class Kernel {
   void owe_ack(EndId end_id, OwedAck owed);
   // Transmit the owed standalone MsgAck now, if one is pending.
   void flush_owed_ack(EndState& end);
+  void transmit_ack(const OwedAck& owed);
   // Attach the owed ack to an outgoing Msg bound for `dst`, if it is
   // owed to that kernel.
   void attach_piggyback(EndState& end, wire::Msg& m, net::NodeId dst);
   // Initial retransmission timeout for a fresh send on `end`.
   [[nodiscard]] sim::Duration initial_rto(const EndState& end) const;
   [[nodiscard]] EndState* find_end(EndId id);
+  // The end whose outstanding send is still `seq` (a dead end has none).
+  [[nodiscard]] EndState* find_send(EndId id, std::uint64_t seq);
+  // The end that still owes the ack for `seq`.
+  [[nodiscard]] EndState* find_owing(EndId id, std::uint64_t seq);
   [[nodiscard]] Status validate_owned(Pid caller, EndId id, EndState** out);
+  // validate_owned, and the end is alive and not enclosed in a send.
+  [[nodiscard]] Status validate_usable(Pid caller, EndId id, EndState** out);
+  // Where `id` went when it moved away from this kernel (its tombstone).
+  [[nodiscard]] std::optional<net::NodeId> moved_to(EndId id) const;
 
   Cluster* cluster_;
   net::NodeId node_;
@@ -270,7 +293,8 @@ class Cluster {
   // Loader fiat: creates a link with end1 owned by `a` and end2 owned by
   // `b`, as the Crystal loader did when wiring freshly loaded processes
   // to each other and to long-lived servers.  No protocol traffic and no
-  // cost; use before (or outside) timed regions.
+  // cost; use before (or outside) timed regions.  MakeLink installs its
+  // links here too, after charging the call.
   [[nodiscard]] LinkPair bootstrap_link(Pid a, Pid b);
 
   // Total protocol frames (all kernels) — experiment E2/E9 counters.

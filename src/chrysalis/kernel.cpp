@@ -54,6 +54,10 @@ bool Kernel::is_remote(Pid caller, net::NodeId home) const {
   return node_of(caller) != home;
 }
 
+sim::Duration Kernel::remote_reference(Pid caller, net::NodeId home) const {
+  return is_remote(caller, home) ? fabric_.word_reference(true) : 0;
+}
+
 // ===================== memory objects =====================
 
 Kernel::Object* Kernel::find_object(MemId id) {
@@ -72,11 +76,29 @@ Status Kernel::check_access(Pid caller, MemId id, std::size_t offset,
   return Status::kOk;
 }
 
-sim::Duration Kernel::access_cost(Pid caller, const Object& obj,
-                                  sim::Duration base) const {
-  const bool remote = is_remote(caller, obj.home);
-  return base + fabric_.word_reference(remote) -
-         fabric_.word_reference(false);
+Kernel::Access Kernel::begin_access(Pid caller, MemId id,
+                                    std::size_t offset, std::size_t len,
+                                    std::optional<sim::Duration> word) {
+  ++ops_;
+  Access a;
+  a.id = id;
+  a.status = check_access(caller, id, offset, len, &a.obj);
+  if (a.status != Status::kOk) {
+    a.delay = costs_.primitive_call;
+    return a;
+  }
+  const bool remote = is_remote(caller, a.obj->home);
+  a.delay = word.has_value() ? *word + fabric_.word_reference(remote) -
+                                   fabric_.word_reference(false)
+                             : costs_.primitive_call +
+                                   fabric_.block_transfer(len, remote);
+  return a;
+}
+
+Status Kernel::reopen(Access& a) {
+  if (a.status != Status::kOk) return a.status;
+  a.obj = find_object(a.id);
+  return a.obj == nullptr ? Status::kDeallocated : Status::kOk;
 }
 
 void Kernel::reap_object_if_dead(Object& obj) {
@@ -128,112 +150,78 @@ void Kernel::release_when_unreferenced(MemId id) {
 
 sim::Task<Result<std::uint16_t>> Kernel::read16(Pid caller, MemId id,
                                                 std::size_t offset) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, 2, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(st);
-  }
-  co_await engine_->sleep(access_cost(caller, *obj, costs_.atomic16));
-  obj = find_object(id);
-  if (obj == nullptr) co_return common::Err(Status::kDeallocated);
+  Access a = begin_access(caller, id, offset, 2, costs_.atomic16);
+  co_await engine_->sleep(a.delay);
+  if (Status st = reopen(a); st != Status::kOk) co_return common::Err(st);
   std::uint16_t v;
-  std::memcpy(&v, obj->bytes.data() + offset, 2);
+  std::memcpy(&v, a.obj->bytes.data() + offset, 2);
   co_return v;
 }
 
 sim::Task<Status> Kernel::write16(Pid caller, MemId id, std::size_t offset,
                                   std::uint16_t value) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, 2, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return st;
-  }
-  co_await engine_->sleep(access_cost(caller, *obj, costs_.atomic16));
-  obj = find_object(id);
-  if (obj == nullptr) co_return Status::kDeallocated;
-  std::memcpy(obj->bytes.data() + offset, &value, 2);
+  Access a = begin_access(caller, id, offset, 2, costs_.atomic16);
+  co_await engine_->sleep(a.delay);
+  if (Status st = reopen(a); st != Status::kOk) co_return st;
+  std::memcpy(a.obj->bytes.data() + offset, &value, 2);
   co_return Status::kOk;
 }
 
 sim::Task<Result<std::uint16_t>> Kernel::fetch_or16(Pid caller, MemId id,
                                                     std::size_t offset,
                                                     std::uint16_t bits) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, 2, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(st);
-  }
-  // The read-modify-write is performed atomically *at this point in
-  // simulated time* (the microcode holds the memory bank); the charged
-  // delay models the caller's latency, during which the new value is
-  // already visible to others — conservative and race-free.
-  std::uint16_t old;
-  std::memcpy(&old, obj->bytes.data() + offset, 2);
-  const std::uint16_t neu = static_cast<std::uint16_t>(old | bits);
-  std::memcpy(obj->bytes.data() + offset, &neu, 2);
-  co_await engine_->sleep(access_cost(caller, *obj, costs_.atomic16));
-  co_return old;
+  return fetch_mask16(caller, id, offset, 0xffff, bits);
 }
 
 sim::Task<Result<std::uint16_t>> Kernel::fetch_and16(Pid caller, MemId id,
                                                      std::size_t offset,
                                                      std::uint16_t mask) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, 2, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(st);
+  return fetch_mask16(caller, id, offset, mask, 0);
+}
+
+sim::Task<Result<std::uint16_t>> Kernel::fetch_mask16(Pid caller, MemId id,
+                                                      std::size_t offset,
+                                                      std::uint16_t keep,
+                                                      std::uint16_t set) {
+  const Access a = begin_access(caller, id, offset, 2, costs_.atomic16);
+  // The read-modify-write is performed atomically *at this point in
+  // simulated time* (the microcode holds the memory bank); the charged
+  // delay models the caller's latency, during which the new value is
+  // already visible to others — conservative and race-free.
+  std::uint16_t old = 0;
+  if (a.status == Status::kOk) {
+    std::memcpy(&old, a.obj->bytes.data() + offset, 2);
+    const auto neu = static_cast<std::uint16_t>((old & keep) | set);
+    std::memcpy(a.obj->bytes.data() + offset, &neu, 2);
   }
-  std::uint16_t old;
-  std::memcpy(&old, obj->bytes.data() + offset, 2);
-  const std::uint16_t neu = static_cast<std::uint16_t>(old & mask);
-  std::memcpy(obj->bytes.data() + offset, &neu, 2);
-  co_await engine_->sleep(access_cost(caller, *obj, costs_.atomic16));
+  co_await engine_->sleep(a.delay);
+  if (a.status != Status::kOk) co_return common::Err(a.status);
   co_return old;
 }
 
 sim::Task<Result<std::uint32_t>> Kernel::read32(Pid caller, MemId id,
                                                 std::size_t offset) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, 4, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(st);
-  }
-  co_await engine_->sleep(access_cost(caller, *obj, costs_.word32));
-  obj = find_object(id);
-  if (obj == nullptr) co_return common::Err(Status::kDeallocated);
+  Access a = begin_access(caller, id, offset, 4, costs_.word32);
+  co_await engine_->sleep(a.delay);
+  if (Status st = reopen(a); st != Status::kOk) co_return common::Err(st);
   std::uint32_t v;
-  std::memcpy(&v, obj->bytes.data() + offset, 4);
+  std::memcpy(&v, a.obj->bytes.data() + offset, 4);
   co_return v;
 }
 
 sim::Task<Status> Kernel::write32(Pid caller, MemId id, std::size_t offset,
                                   std::uint32_t value) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, 4, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return st;
-  }
+  Access a = begin_access(caller, id, offset, 4, costs_.word32);
   // Non-atomic 32-bit write: the paper's §5.2 relies on exactly this
   // (dual queue names are written non-atomically, made safe by update
   // ordering).  We model the tear window by writing the low half now and
   // the high half after the delay.
-  std::memcpy(obj->bytes.data() + offset, &value, 2);
-  co_await engine_->sleep(access_cost(caller, *obj, costs_.word32));
-  obj = find_object(id);
-  if (obj == nullptr) co_return Status::kDeallocated;
-  std::memcpy(obj->bytes.data() + offset + 2,
+  if (a.status == Status::kOk) {
+    std::memcpy(a.obj->bytes.data() + offset, &value, 2);
+  }
+  co_await engine_->sleep(a.delay);
+  if (Status st = reopen(a); st != Status::kOk) co_return st;
+  std::memcpy(a.obj->bytes.data() + offset + 2,
               reinterpret_cast<const std::uint8_t*>(&value) + 2, 2);
   co_return Status::kOk;
 }
@@ -241,40 +229,22 @@ sim::Task<Status> Kernel::write32(Pid caller, MemId id, std::size_t offset,
 sim::Task<Status> Kernel::block_write(Pid caller, MemId id,
                                       std::size_t offset,
                                       std::span<const std::uint8_t> data) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, data.size(), &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return st;
-  }
-  const bool remote = is_remote(caller, obj->home);
-  co_await engine_->sleep(costs_.primitive_call +
-                          fabric_.block_transfer(data.size(), remote));
-  obj = find_object(id);
-  if (obj == nullptr) co_return Status::kDeallocated;
+  Access a = begin_access(caller, id, offset, data.size(), std::nullopt);
+  co_await engine_->sleep(a.delay);
+  if (Status st = reopen(a); st != Status::kOk) co_return st;
   std::copy(data.begin(), data.end(),
-            obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset));
+            a.obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset));
   co_return Status::kOk;
 }
 
 sim::Task<Result<common::Body>> Kernel::block_read(
     Pid caller, MemId id, std::size_t offset, std::size_t length) {
-  ++ops_;
-  Object* obj = nullptr;
-  if (Status st = check_access(caller, id, offset, length, &obj);
-      st != Status::kOk) {
-    co_await engine_->sleep(costs_.primitive_call);
-    co_return common::Err(st);
-  }
-  const bool remote = is_remote(caller, obj->home);
-  co_await engine_->sleep(costs_.primitive_call +
-                          fabric_.block_transfer(length, remote));
-  obj = find_object(id);
-  if (obj == nullptr) co_return common::Err(Status::kDeallocated);
+  Access a = begin_access(caller, id, offset, length, std::nullopt);
+  co_await engine_->sleep(a.delay);
+  if (Status st = reopen(a); st != Status::kOk) co_return common::Err(st);
   common::Body out(
-      obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-      obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset + length));
+      a.obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+      a.obj->bytes.begin() + static_cast<std::ptrdiff_t>(offset + length));
   co_return out;
 }
 
@@ -296,15 +266,21 @@ sim::Task<Status> Kernel::post(Pid caller, EventId id, std::uint32_t datum) {
   ++ops_;
   co_await engine_->sleep(costs_.primitive_call + costs_.event_post);
   (void)caller;  // any process that knows the name may post
+  co_return post_event(id, datum) ? Status::kOk : Status::kNoSuchObject;
+}
+
+bool Kernel::post_event(EventId id, std::uint32_t datum) {
   auto it = events_.find(id);
-  if (it == events_.end()) co_return Status::kNoSuchObject;
+  if (it == events_.end()) return false;
   Event& ev = it->second;
-  if (ev.waiter != nullptr && !ev.waiter->fulfilled()) {
+  // The one-shot takes a datum only when none is queued ahead of it, and
+  // wait_event drains the one-shot before `pending`: posts stay FIFO.
+  if (ev.waiter != nullptr && !ev.waiter->fulfilled() && ev.pending.empty()) {
     ev.waiter->fulfill(datum);
   } else {
     ev.pending.push_back(datum);
   }
-  co_return Status::kOk;
+  return true;
 }
 
 sim::Task<Result<std::uint32_t>> Kernel::wait_event(Pid caller, EventId id) {
@@ -314,7 +290,8 @@ sim::Task<Result<std::uint32_t>> Kernel::wait_event(Pid caller, EventId id) {
   if (it == events_.end()) co_return common::Err(Status::kNoSuchObject);
   Event& ev = it->second;
   if (ev.owner != caller) co_return common::Err(Status::kNotOwner);
-  if (!ev.pending.empty()) {
+  const bool posted_first = ev.waiter != nullptr && ev.waiter->fulfilled();
+  if (!posted_first && !ev.pending.empty()) {
     const std::uint32_t datum = ev.pending.front();
     ev.pending.pop_front();
     co_return datum;
@@ -346,16 +323,8 @@ Status Kernel::deliver_to_queue(DualQueue& q, std::uint32_t datum) {
   if (q.fast_armed) {
     // The cheap flag was armed first (waiters were empty then), so its
     // consumer is served first; FIFO over consumers is preserved.
-    const EventId target = q.fast_event;
     q.fast_armed = false;
-    auto ev = events_.find(target);
-    if (ev != events_.end()) {
-      if (ev->second.waiter != nullptr && !ev->second.waiter->fulfilled()) {
-        ev->second.waiter->fulfill(datum);
-      } else {
-        ev->second.pending.push_back(datum);
-      }
-    }
+    post_event(q.fast_event, datum);
     return Status::kOk;
   }
   if (!q.waiters.empty()) {
@@ -363,14 +332,7 @@ Status Kernel::deliver_to_queue(DualQueue& q, std::uint32_t datum) {
     // actually posts a queued event instead of adding its datum."
     const EventId target = q.waiters.front();
     q.waiters.pop_front();
-    auto ev = events_.find(target);
-    if (ev != events_.end()) {
-      if (ev->second.waiter != nullptr && !ev->second.waiter->fulfilled()) {
-        ev->second.waiter->fulfill(datum);
-      } else {
-        ev->second.pending.push_back(datum);
-      }
-    }
+    post_event(target, datum);
     return Status::kOk;
   }
   if (q.data.size() >= q.capacity) return Status::kQueueFull;
@@ -390,7 +352,7 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id,
     co_return Status::kNoSuchObject;
   }
   DualQueue& q = it->second;
-  const bool remote = is_remote(caller, q.home);
+  const sim::Duration reach = remote_reference(caller, q.home);
   if (data.size() == 1 && q.fast_armed && q.data.empty() &&
       q.waiters.empty()) {
     // Cheap-flag fast path: claim the armed slot at the call instant
@@ -401,23 +363,14 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id,
     q.fast_armed = false;
     ++fast_deliveries_;
     co_await engine_->sleep(costs_.primitive_call + costs_.atomic16 +
-                            costs_.event_post +
-                            (remote ? fabric_.word_reference(true) : 0));
-    auto ev = events_.find(target);
-    if (ev != events_.end()) {
-      Event& e = ev->second;
-      if (e.waiter != nullptr && !e.waiter->fulfilled()) {
-        e.waiter->fulfill(datum);
-      } else {
-        e.pending.push_back(datum);
-      }
-    }
+                            costs_.event_post + reach);
+    post_event(target, datum);
     co_return Status::kOk;
   }
   co_await engine_->sleep(costs_.primitive_call + costs_.dq_enqueue +
                           costs_.dq_enqueue_extra *
                               static_cast<sim::Duration>(data.size() - 1) +
-                          (remote ? fabric_.word_reference(true) : 0));
+                          reach);
   // queue object may have been reclaimed across the suspension
   auto it2 = queues_.find(id);
   if (it2 == queues_.end()) co_return Status::kNoSuchObject;
@@ -438,10 +391,8 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
     co_await engine_->sleep(costs_.primitive_call);
     co_return common::Err(Status::kNoSuchObject);
   }
-  DualQueue& q = it->second;
-  const bool remote = is_remote(caller, q.home);
   co_await engine_->sleep(costs_.primitive_call + costs_.dq_dequeue +
-                          (remote ? fabric_.word_reference(true) : 0));
+                          remote_reference(caller, it->second.home));
   auto it2 = queues_.find(id);
   if (it2 == queues_.end()) co_return common::Err(Status::kNoSuchObject);
   DualQueue& q2 = it2->second;

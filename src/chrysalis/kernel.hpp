@@ -163,13 +163,39 @@ class Kernel {
     bool fast_armed = false;
   };
 
+  // A memory primitive in progress: its access check and the delay it
+  // sleeps (one primitive_call for a refusal).
+  struct Access {
+    MemId id;
+    Status status = Status::kOk;
+    Object* obj = nullptr;  // valid until the primitive suspends
+    sim::Duration delay = 0;
+  };
+
   [[nodiscard]] Object* find_object(MemId id);
   [[nodiscard]] Status check_access(Pid caller, MemId obj, std::size_t offset,
                                     std::size_t len, Object** out);
-  [[nodiscard]] sim::Duration access_cost(Pid caller, const Object& obj,
-                                          sim::Duration base) const;
+  // The prologue of every memory primitive: counts the microcode op and
+  // checks the access.  A granted access costs a word reference of base
+  // cost `word` or, without one, a `len`-byte block transfer.
+  [[nodiscard]] Access begin_access(Pid caller, MemId obj, std::size_t offset,
+                                    std::size_t len,
+                                    std::optional<sim::Duration> word);
+  // After the delay: the refusal, or kDeallocated if the object was
+  // reclaimed meanwhile; else re-points `a.obj` at the object.
+  [[nodiscard]] Status reopen(Access& a);
+  // fetch_or16 and fetch_and16: new = (old & keep) | set.
+  [[nodiscard]] sim::Task<Result<std::uint16_t>> fetch_mask16(
+      Pid caller, MemId obj, std::size_t offset, std::uint16_t keep,
+      std::uint16_t set);
   void reap_object_if_dead(Object& obj);
   [[nodiscard]] bool is_remote(Pid caller, net::NodeId home) const;
+  // The switch setup a call pays when `home` is not the caller's board.
+  [[nodiscard]] sim::Duration remote_reference(Pid caller,
+                                               net::NodeId home) const;
+  // Posts `datum` to event `id` (every post, kernel call or queue
+  // delivery, goes through here).  False if there is no such event.
+  bool post_event(EventId id, std::uint32_t datum);
   // Post-suspension delivery of one datum into a dual queue: posts the
   // front waiter event if the queue holds event names, else appends
   // (kQueueFull drops the datum).

@@ -6,24 +6,6 @@
 
 namespace lynx {
 
-namespace {
-
-// Conformance-visible error surface.  Every LynxError a thread can feel
-// is announced as an "rpc.error" instant (a = ErrorKind) on the runtime
-// track before it is thrown, so the reference model (src/check/) can
-// judge whether the error was legal in the scenario being explored.
-[[noreturn]] void throw_traced(trace::Recorder* rec, std::uint32_t node,
-                               std::uint64_t trace, ErrorKind kind,
-                               const std::string& detail) {
-  if (rec != nullptr) {
-    rec->instant(node, "runtime", "rpc.error", trace,
-                 static_cast<std::uint64_t>(kind));
-  }
-  throw LynxError(kind, detail);
-}
-
-}  // namespace
-
 // ===================== Process =====================
 
 Process::Process(sim::Engine& engine, std::string name,
@@ -83,24 +65,24 @@ ThreadId Process::spawn_thread(std::string thread_name, ThreadBody body) {
   threads_.emplace(tid, std::move(ts));
   threads_.at(tid).ctx = std::make_unique<ThreadCtx>(*this, tid);
   if (started_) {
-    ++live_threads_;
-    engine_->spawn(name_ + "/" + threads_.at(tid).name,
-                   run_thread_body(tid, std::move(body)));
+    launch(tid, std::move(body));
   } else {
     pending_threads_.emplace_back(tid, std::move(body));
   }
   return tid;
 }
 
+void Process::launch(ThreadId tid, ThreadBody body) {
+  ++live_threads_;
+  engine_->spawn(name_ + "/" + threads_.at(tid).name,
+                 run_thread_body(tid, std::move(body)));
+}
+
 void Process::start() {
   RELYNX_ASSERT_MSG(!started_, "Process started twice");
   started_ = true;
   backend_->start([this](BackendEvent ev) { on_backend_event(std::move(ev)); });
-  for (auto& [tid, body] : pending_threads_) {
-    ++live_threads_;
-    engine_->spawn(name_ + "/" + threads_.at(tid).name,
-                   run_thread_body(tid, std::move(body)));
-  }
+  for (auto& [tid, body] : pending_threads_) launch(tid, std::move(body));
   pending_threads_.clear();
 }
 
@@ -131,14 +113,11 @@ void Process::abort_thread(ThreadId tid) {
   if (ts.awaiting_reply_on.valid()) {
     if (LinkState* ls = find_link(ts.awaiting_reply_on);
         ls != nullptr && ls->active_call != nullptr) {
-      CallRecord* rec = ls->active_call;
-      rec->failed = true;
-      rec->error = ErrorKind::kAborted;
       // A reply already on the wire will arrive unwanted; remember to
       // drop it rather than misdeliver it to the next call.
       ++ls->stale_replies_expected;
       backend_->retract_reply_interest(ls->blink);
-      rec->wake->fulfill(0);
+      fail_call(*ls->active_call, ErrorKind::kAborted);
     }
     return;
   }
@@ -150,15 +129,7 @@ void Process::abort_thread(ThreadId tid) {
 void Process::terminate() {
   if (terminated_) return;
   terminated_ = true;
-  for (auto& [h, ls] : links_) {
-    ls.destroyed = true;
-    if (ls.active_call != nullptr) {
-      ls.active_call->failed = true;
-      ls.active_call->error = ErrorKind::kLinkDestroyed;
-      ls.active_call->wake->fulfill(0);
-      ls.active_call = nullptr;
-    }
-  }
+  for (auto& [h, ls] : links_) mark_dead(ls);
   backend_->shutdown();
   receive_waiters_->wake_all();
 }
@@ -189,12 +160,9 @@ void Process::on_backend_event(BackendEvent ev) {
           Message reject;
           reject.op = "%reject";
           for (LinkHandle h : handles) reject.args.emplace_back(h);
-          Serialized ser =
-              serialize(reject, backend_->header_bytes(handles.size()));
-          std::vector<BLink> blinks;
-          for (LinkHandle h : ser.enclosures) {
-            blinks.push_back(links_.at(h).blink);
-          }
+          Serialized ser = marshal(reject);
+          std::vector<BLink> blinks =
+              check_and_stage_enclosures(ls.handle, ser.enclosures);
           auto ps = backend_->begin_send(
               ls.blink, WireMessage{MsgKind::kReply, std::move(ser.body),
                                     std::move(blinks), ev.trace});
@@ -234,29 +202,60 @@ void Process::on_backend_event(BackendEvent ev) {
     }
 
     case BackendEvent::Kind::kLinkDestroyed: {
-      ls.destroyed = true;
       // Death notice surface: a later kLinkDestroyed rpc.error on this
       // process is explained by this instant (a = backend link token).
       if (auto* rec = trace::get(*engine_)) {
         rec->instant(backend_->trace_node(), "runtime", "link.dead",
                      ev.trace, ev.link.value());
       }
-      if (ls.active_call != nullptr) {
-        ls.active_call->failed = true;
-        ls.active_call->error = ErrorKind::kLinkDestroyed;
-        ls.active_call->wake->fulfill(0);
-        ls.active_call = nullptr;
-      }
+      mark_dead(ls);
       receive_waiters_->wake_all();
       return;
     }
   }
 }
 
+void Process::mark_dead(LinkState& ls) {
+  ls.destroyed = true;
+  if (ls.active_call != nullptr) {
+    fail_call(*ls.active_call, ErrorKind::kLinkDestroyed);
+    ls.active_call = nullptr;
+  }
+}
+
+void Process::fail_call(CallRecord& call, ErrorKind error) {
+  call.failed = true;
+  call.error = error;
+  call.wake->fulfill(0);
+}
+
+Serialized Process::marshal(const Message& m) const {
+  return serialize(m, backend_->header_bytes(m.count_links()));
+}
+
+sim::Duration Process::marshal_cost(std::size_t bytes) const {
+  return costs_.per_operation +
+         costs_.per_byte * static_cast<sim::Duration>(bytes);
+}
+
+std::unique_ptr<PendingSend> Process::start_send(ThreadState& ts,
+                                                 LinkState& ls,
+                                                 WireMessage msg) {
+  auto ps = backend_->begin_send(ls.blink, std::move(msg));
+  ts.current_send = ps.get();
+  ++ls.sends_in_flight;
+  return ps;
+}
+
+Process::LinkState* Process::finish_send(ThreadState& ts, LinkHandle link) {
+  ts.current_send = nullptr;
+  LinkState* ls = find_link(link);
+  if (ls != nullptr) --ls->sends_in_flight;
+  return ls;
+}
+
 std::vector<BLink> Process::check_and_stage_enclosures(
-    const Message& m, LinkHandle carrier,
-    const std::vector<LinkHandle>& handles) {
-  (void)m;
+    LinkHandle carrier, const std::vector<LinkHandle>& handles) {
   std::vector<BLink> blinks;
   blinks.reserve(handles.size());
   for (LinkHandle h : handles) {
@@ -289,12 +288,24 @@ void ThreadCtx::set_trace_context(std::uint64_t t) {
   proc_->threads_.at(id_).trace_ctx = t;
 }
 
+void ThreadCtx::fail(std::uint64_t trace_id, ErrorKind kind,
+                     const std::string& detail) {
+  // Conformance-visible error surface: every LynxError a thread can feel
+  // is announced as an "rpc.error" instant (a = ErrorKind) on the runtime
+  // track before it is thrown, so the reference model (src/check/) can
+  // judge whether the error was legal in the scenario being explored.
+  if (auto* rec = trace::get(engine())) {
+    rec->instant(proc_->backend_->trace_node(), "runtime", "rpc.error",
+                 trace_id, static_cast<std::uint64_t>(kind));
+  }
+  throw LynxError(kind, detail);
+}
+
 void ThreadCtx::check_abort() {
   auto& ts = proc_->threads_.at(id_);
   if (ts.abort_requested) {
     ts.abort_requested = false;
-    throw_traced(trace::get(engine()), proc_->backend_->trace_node(), 0,
-                 ErrorKind::kAborted, "thread aborted");
+    fail(0, ErrorKind::kAborted, "thread aborted");
   }
 }
 
@@ -344,8 +355,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   {
     Process::LinkState& ls = p.require_link(link);
     if (ls.destroyed) {
-      throw_traced(rec, tnode, 0, ErrorKind::kLinkDestroyed,
-                   "call on destroyed link");
+      fail(0, ErrorKind::kLinkDestroyed, "call on destroyed link");
     }
     // One outstanding call per link: later callers queue (their sends
     // would violate stop-and-wait anyway).  The claim is taken
@@ -354,8 +364,9 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
     while (true) {
       Process::LinkState* cur = p.find_link(link);
       if (cur == nullptr || cur->destroyed) {
-        throw_traced(rec, tnode, 0, ErrorKind::kLinkDestroyed,
-                     "link vanished");
+        // Pass the death on: the next queued caller feels it too.
+        if (cur != nullptr) cur->call_serializer->wake_one();
+        fail(0, ErrorKind::kLinkDestroyed, "link vanished");
       }
       if (!cur->call_claimed && cur->active_call == nullptr &&
           cur->sends_in_flight == 0) {
@@ -378,11 +389,8 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   // gather + type bookkeeping
   trace::SpanScope gather_span(rec, tnode, "runtime", "call.gather",
                                call_trace);
-  Serialized ser =
-      serialize(request, p.backend_->header_bytes(request.count_links()));
-  co_await engine().sleep(
-      p.costs_.per_operation +
-      p.costs_.per_byte * static_cast<sim::Duration>(ser.body.size()));
+  Serialized ser = p.marshal(request);
+  co_await engine().sleep(p.marshal_cost(ser.body.size()));
   gather_span.end();
 
   struct ClaimGuard {
@@ -404,7 +412,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
 
   Process::LinkState& ls = p.require_link(link);
   std::vector<BLink> blinks =
-      p.check_and_stage_enclosures(request, link, ser.enclosures);
+      p.check_and_stage_enclosures(link, ser.enclosures);
 
   // "A now expects a reply on L and starts a receive activity": the
   // reply queue opens when the request is SENT (paper §2.1/§3.2.1),
@@ -413,18 +421,12 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   p.backend_->set_interest(ls.blink, ls.open_requests, true);
   trace::SpanScope send_span(rec, tnode, "runtime", "call.send", call_trace,
                              ser.body.size());
-  auto ps = p.backend_->begin_send(
-      ls.blink, WireMessage{MsgKind::kRequest, std::move(ser.body),
-                            std::move(blinks), call_trace});
   auto& ts = p.threads_.at(id_);
-  ts.current_send = ps.get();
-  ++ls.sends_in_flight;
+  auto ps = p.start_send(ts, ls,
+                         WireMessage{MsgKind::kRequest, std::move(ser.body),
+                                     std::move(blinks), call_trace});
   SendOutcome out = co_await ps->wait();
-  ts.current_send = nullptr;
-  {
-    Process::LinkState* cur = p.find_link(link);
-    if (cur != nullptr) --cur->sends_in_flight;
-  }
+  p.finish_send(ts, link);
   send_span.end();
 
   switch (out.result) {
@@ -440,19 +442,17 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
       }
       if (auto* cur = p.find_link(link)) p.refresh_interest(*cur);
       ts.abort_requested = false;
-      throw_traced(rec, tnode, call_trace, ErrorKind::kAborted,
-                   "request aborted in flight");
+      fail(call_trace, ErrorKind::kAborted, "request aborted in flight");
     }
     case SendResult::kLinkDestroyed: {
       auto* cur = p.find_link(link);
-      if (cur != nullptr) cur->destroyed = true;
+      if (cur != nullptr) p.mark_dead(*cur);
       // A reply already queued for this call proves the request WAS
       // delivered: the peer answered it and only the delivery ack (or
       // the link itself, afterwards) was lost.  Hand the caller its
       // reply; the destroyed link bites on the NEXT use.
       if (cur == nullptr || cur->reply_q.empty()) {
-        throw_traced(rec, tnode, call_trace, ErrorKind::kLinkDestroyed,
-                     "request undeliverable");
+        fail(call_trace, ErrorKind::kLinkDestroyed, "request undeliverable");
       }
       break;
     }
@@ -464,8 +464,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   trace::SpanScope wait_span(rec, tnode, "runtime", "call.wait", call_trace);
   Process::LinkState* lsp = p.find_link(link);
   if (lsp == nullptr || (lsp->destroyed && lsp->reply_q.empty())) {
-    throw_traced(rec, tnode, call_trace, ErrorKind::kLinkDestroyed,
-                 "link died before reply");
+    fail(call_trace, ErrorKind::kLinkDestroyed, "link died before reply");
   }
   Process::Delivered reply_msg{};
   if (!lsp->reply_q.empty()) {
@@ -486,8 +485,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
     }
     if (call_rec.failed) {
       if (call_rec.error == ErrorKind::kAborted) ts.abort_requested = false;
-      throw_traced(rec, tnode, call_trace, call_rec.error,
-                   "call failed awaiting reply");
+      fail(call_trace, call_rec.error, "call failed awaiting reply");
     }
     RELYNX_ASSERT(call_rec.reply.has_value());
     reply_msg = std::move(*call_rec.reply);
@@ -497,17 +495,14 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   // scatter + type check
   trace::SpanScope scatter_span(rec, tnode, "runtime", "call.scatter",
                                 call_trace, reply_msg.raw_size);
-  co_await engine().sleep(
-      p.costs_.per_operation +
-      p.costs_.per_byte * static_cast<sim::Duration>(reply_msg.raw_size));
+  co_await engine().sleep(p.marshal_cost(reply_msg.raw_size));
   if (reply_msg.msg.op == "%reject") {
-    throw_traced(rec, tnode, call_trace, ErrorKind::kOperationRejected,
-                 request.op);
+    fail(call_trace, ErrorKind::kOperationRejected, request.op);
   }
   if (reply_msg.msg.op != request.op) {
-    throw_traced(rec, tnode, call_trace, ErrorKind::kTypeClash,
-                 "reply op '" + reply_msg.msg.op + "' for request '" +
-                     request.op + "'");
+    fail(call_trace, ErrorKind::kTypeClash,
+         "reply op '" + reply_msg.msg.op + "' for request '" + request.op +
+             "'");
   }
   scatter_span.end();
   call_span.end();
@@ -521,8 +516,7 @@ sim::Task<Incoming> ThreadCtx::receive() {
   for (;;) {
     check_abort();
     if (p.terminated_) {
-      throw_traced(trace::get(engine()), p.backend_->trace_node(), 0,
-                   ErrorKind::kLinkDestroyed, "process terminated");
+      fail(0, ErrorKind::kLinkDestroyed, "process terminated");
     }
     // Fair scan: rotate over links, starting past the last served one.
     const std::size_t n = p.fair_order_.size();
@@ -543,9 +537,7 @@ sim::Task<Incoming> ThreadCtx::receive() {
         trace::SpanScope scatter(trace::get(engine()),
                                  p.backend_->trace_node(), "runtime",
                                  "recv.scatter", d.trace, d.raw_size);
-        co_await engine().sleep(
-            p.costs_.per_operation +
-            p.costs_.per_byte * static_cast<sim::Duration>(d.raw_size));
+        co_await engine().sleep(p.marshal_cost(d.raw_size));
       }
       const std::uint64_t token = p.next_token_++;
       p.owed_[token] = ls->handle;
@@ -554,9 +546,7 @@ sim::Task<Incoming> ThreadCtx::receive() {
       co_return Incoming{ls->handle, std::move(d.msg), token, d.trace};
     }
     if (any_open && !any_open_alive) {
-      throw_traced(trace::get(engine()), p.backend_->trace_node(), 0,
-                   ErrorKind::kLinkDestroyed,
-                   "all open request queues destroyed");
+      fail(0, ErrorKind::kLinkDestroyed, "all open request queues destroyed");
     }
     co_await p.receive_waiters_->wait();
   }
@@ -569,44 +559,33 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
   const std::uint32_t tnode = p.backend_->trace_node();
   auto owed = p.owed_.find(incoming.token);
   if (owed == p.owed_.end()) {
-    throw_traced(rec, tnode, incoming.trace, ErrorKind::kInvalidLink,
-                 "no such reply obligation");
+    fail(incoming.trace, ErrorKind::kInvalidLink, "no such reply obligation");
   }
   const LinkHandle link = owed->second;
   Process::LinkState* ls = p.find_link(link);
   if (ls == nullptr || ls->destroyed) {
     p.owed_.erase(owed);
-    throw_traced(rec, tnode, incoming.trace, ErrorKind::kLinkDestroyed,
-                 "reply on destroyed link");
+    fail(incoming.trace, ErrorKind::kLinkDestroyed, "reply on destroyed link");
   }
 
   reply_msg.op = incoming.msg.op;  // replies answer the operation called
   trace::SpanScope gather_span(rec, tnode, "runtime", "reply.gather",
                                incoming.trace);
-  Serialized ser =
-      serialize(reply_msg, p.backend_->header_bytes(reply_msg.count_links()));
-  co_await engine().sleep(
-      p.costs_.per_operation +
-      p.costs_.per_byte * static_cast<sim::Duration>(ser.body.size()));
+  Serialized ser = p.marshal(reply_msg);
+  co_await engine().sleep(p.marshal_cost(ser.body.size()));
   gather_span.end();
   std::vector<BLink> blinks =
-      p.check_and_stage_enclosures(reply_msg, link, ser.enclosures);
+      p.check_and_stage_enclosures(link, ser.enclosures);
 
   trace::SpanScope send_span(rec, tnode, "runtime", "reply.send",
                              incoming.trace, ser.body.size());
-  auto ps = p.backend_->begin_send(
-      ls->blink, WireMessage{MsgKind::kReply, std::move(ser.body),
-                             std::move(blinks), incoming.trace});
   auto& ts = p.threads_.at(id_);
-  ts.current_send = ps.get();
-  ++ls->sends_in_flight;
+  auto ps = p.start_send(ts, *ls,
+                         WireMessage{MsgKind::kReply, std::move(ser.body),
+                                     std::move(blinks), incoming.trace});
   SendOutcome out = co_await ps->wait();
-  ts.current_send = nullptr;
+  if (auto* cur = p.finish_send(ts, link)) cur->call_serializer->wake_one();
   send_span.end();
-  if (auto* cur = p.find_link(link)) {
-    --cur->sends_in_flight;
-    cur->call_serializer->wake_one();
-  }
   p.owed_.erase(incoming.token);
   if (auto* cur = p.find_link(link); cur != nullptr) --cur->owed_replies;
 
@@ -616,16 +595,13 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
       ++p.ops_;
       co_return;
     case SendResult::kCancelled:
-      throw_traced(rec, tnode, incoming.trace, ErrorKind::kAborted,
-                   "reply aborted in flight");
+      fail(incoming.trace, ErrorKind::kAborted, "reply aborted in flight");
     case SendResult::kLinkDestroyed:
-      throw_traced(rec, tnode, incoming.trace, ErrorKind::kLinkDestroyed,
-                   "reply undeliverable");
+      fail(incoming.trace, ErrorKind::kLinkDestroyed, "reply undeliverable");
     case SendResult::kReplyUnwanted:
       // Capability (4): SODA/Chrysalis backends detect an aborted
       // caller; the server feels the exception the language defines.
-      throw_traced(rec, tnode, incoming.trace, ErrorKind::kReplyUnwanted,
-                   incoming.msg.op);
+      fail(incoming.trace, ErrorKind::kReplyUnwanted, incoming.msg.op);
   }
 }
 

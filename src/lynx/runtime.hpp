@@ -176,10 +176,29 @@ class Process {
   [[nodiscard]] LinkState* find_link(LinkHandle h);
   void refresh_interest(LinkState& ls);
   [[nodiscard]] sim::Task<> run_thread_body(ThreadId tid, ThreadBody body);
+  void launch(ThreadId tid, ThreadBody body);  // spawns a registered thread
   void drop_link(LinkHandle h);
+  // Link death: the link is dead for good, and a call awaiting its reply
+  // fails with kLinkDestroyed.
+  void mark_dead(LinkState& ls);
+  // Wakes a call blocked awaiting its reply with `error`.
+  void fail_call(CallRecord& call, ErrorKind error);
+  // Serializes `m`, leaving room for the backend's packet header.
+  [[nodiscard]] Serialized marshal(const Message& m) const;
+  // Gather or scatter cost of a `bytes`-long body (§3.3).
+  [[nodiscard]] sim::Duration marshal_cost(std::size_t bytes) const;
+  // The one send path of call() and reply(): start_send begins `msg` on
+  // `ls` as `ts`'s current send (an abort cancels it) and counts it in
+  // flight; once it settles, finish_send undoes both and returns the
+  // link, if it still exists.
+  [[nodiscard]] std::unique_ptr<PendingSend> start_send(ThreadState& ts,
+                                                        LinkState& ls,
+                                                        WireMessage msg);
+  LinkState* finish_send(ThreadState& ts, LinkHandle link);
+  // Refuses enclosures that may not move (§2.1); else their backend
+  // tokens, in order.
   [[nodiscard]] std::vector<BLink> check_and_stage_enclosures(
-      const Message& m, LinkHandle carrier,
-      const std::vector<LinkHandle>& handles);
+      LinkHandle carrier, const std::vector<LinkHandle>& handles);
 
   sim::Engine* engine_;
   std::string name_;
@@ -243,6 +262,9 @@ class ThreadCtx {
   void set_trace_context(std::uint64_t t);
 
  private:
+  // Throws `kind` to the thread, announcing it on the trace first.
+  [[noreturn]] void fail(std::uint64_t trace_id, ErrorKind kind,
+                         const std::string& detail);
   void check_abort();
   Process* proc_;
   ThreadId id_;

@@ -101,6 +101,33 @@ TEST(CharlotteAckProtocol, DelayedDuplicateBeyondOldWindowIsScreened) {
   EXPECT_EQ(tail[0], "got:fresh") << "replayed duplicate was re-delivered";
   EXPECT_EQ(tail[1], "sent:5");
   EXPECT_TRUE(e.process_failures().empty());
+
+  // Frames about delivery #1 that reach the sender are screened too.
+  // While the next send waits undelivered, a stale ack, both NACKs and a
+  // revoking CancelReply for seq 1 arrive: none may settle it or move
+  // its peer, so it and the send after it complete normally.
+  std::vector<std::string> late;
+  e.spawn("send-late", send_one(&cluster, pa, link.end1, "late", &late));
+  e.run();  // parked at node 1: no receive is posted yet
+  for (wire::KernelFrame f :
+       {wire::KernelFrame{wire::MsgAck{1, link.end1, 2}},
+        wire::KernelFrame{wire::MsgNackDestroyed{1, link.end1}},
+        wire::KernelFrame{wire::CancelReply{1, link.end1, true}},
+        wire::KernelFrame{wire::MsgNackMoved{1, link.end1, link.end2,
+                                             NodeId(0)}}}) {
+    const std::size_t n = wire::frame_bytes(f);
+    medium.inject(net::Frame{NodeId(1), NodeId(0), n, std::move(f)});
+  }
+  e.run();
+  EXPECT_TRUE(late.empty()) << "a stale frame settled the undelivered send";
+  e.spawn("recv-late", recv_one(&cluster, pb, link.end2, &late));
+  e.run();
+  e.spawn("send-again", send_one(&cluster, pa, link.end1, "again", &late));
+  e.spawn("recv-again", recv_one(&cluster, pb, link.end2, &late));
+  e.run();
+  EXPECT_EQ(late, (std::vector<std::string>{"got:late", "sent:4", "got:again",
+                                            "sent:5"}));
+  EXPECT_TRUE(e.process_failures().empty());
 }
 
 // The watermark must travel with a moved end.  Sequence numbers are

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -164,24 +165,76 @@ TEST(CharlotteKernel, SecondSendWithoutWaitIsRejected) {
   EXPECT_EQ(sts[1], Status::kActivityPending);
 }
 
+// Sends `end` (enclosing `enclosure`) and records the status and the
+// simulated time the call took.
+struct TimedStatus {
+  Status status;
+  sim::Duration took;
+};
+
+sim::Task<> timed_send(Cluster* cl, Pid pid, EndId end, EndId enclosure,
+                       std::vector<TimedStatus>* out) {
+  const sim::Time t0 = cl->engine().now();
+  const Status st =
+      co_await cl->kernel_of(pid).send(pid, end, {}, enclosure);
+  out->push_back(TimedStatus{st, cl->engine().now() - t0});
+}
+
+// Every send refusal, in the order the kernel checks them.
+sim::Task<> send_refusals(Cluster* cl, Pid pa, Pid pc, LinkPair foreign,
+                          std::vector<TimedStatus>* out) {
+  Kernel& k = cl->kernel_of(pa);
+  const EndId none = EndId::invalid();
+  // pb's end lives on another node (unknown here), then a bogus id.
+  co_await timed_send(cl, pa, foreign.end2, none, out);  // kNoSuchEnd
+  co_await timed_send(cl, pa, EndId(999), none, out);    // kNoSuchEnd
+  // pc shares pa's node but not its end.
+  co_await timed_send(cl, pc, foreign.end1, none, out);  // kNotOwner
+  auto dead = co_await k.make_link(pa);
+  CO_CHECK(dead.ok());
+  CO_CHECK_EQ(co_await k.destroy(pa, dead.value().end1), Status::kOk);
+  co_await timed_send(cl, pa, dead.value().end1, none, out);  // kLinkDestroyed
+  auto moving = co_await k.make_link(pa);
+  CO_CHECK(moving.ok());
+  const LinkPair m = moving.value();
+  // An end may not enclose itself.
+  co_await timed_send(cl, pa, m.end2, m.end2, out);  // kBadEnclosure
+  // Enclose m.end1 in a send pb never receives: it stays in transit, and
+  // the carrier's send stays pending.
+  co_await timed_send(cl, pa, foreign.end1, m.end1, out);  // kOk
+  co_await timed_send(cl, pa, m.end1, none, out);          // kEndInTransit
+  // Nor may an end in transit, or a dead one, be enclosed.
+  auto spare = co_await k.make_link(pa);
+  CO_CHECK(spare.ok());
+  const EndId carrier = spare.value().end1;
+  co_await timed_send(cl, pa, carrier, m.end1, out);  // kBadEnclosure
+  co_await timed_send(cl, pa, carrier, dead.value().end1, out);  // same
+  co_await timed_send(cl, pa, foreign.end1, none, out);  // kActivityPending
+}
+
 TEST(CharlotteKernel, SendOnForeignEndRejected) {
   World w;
   Pid pa = w.cluster.create_process(NodeId(0));
   Pid pb = w.cluster.create_process(NodeId(1));
+  Pid pc = w.cluster.create_process(NodeId(0));
   LinkPair pair = Bootstrap::link_between(w.cluster, pa, pb);
-  std::vector<Status> sts;
-  auto prog = [](Cluster* cl, Pid pid, EndId end,
-                 std::vector<Status>* out) -> sim::Task<> {
-    out->push_back(co_await cl->kernel_of(pid).send(pid, end, {}));
-  };
-  // pa tries to send on pb's end (which lives on another node: unknown
-  // there) and on a bogus id.
-  w.engine.spawn("p", prog(&w.cluster, pa, pair.end2, &sts));
-  w.engine.spawn("q", prog(&w.cluster, pa, EndId(999), &sts));
+  std::vector<TimedStatus> sts;
+  w.engine.spawn("p", send_refusals(&w.cluster, pa, pc, pair, &sts));
   w.engine.run();
-  ASSERT_EQ(sts.size(), 2u);
-  EXPECT_EQ(sts[0], Status::kNoSuchEnd);
-  EXPECT_EQ(sts[1], Status::kNoSuchEnd);
+  EXPECT_TRUE(w.engine.process_failures().empty());
+  const Status want[] = {Status::kNoSuchEnd,     Status::kNoSuchEnd,
+                         Status::kNotOwner,      Status::kLinkDestroyed,
+                         Status::kBadEnclosure,  Status::kOk,
+                         Status::kEndInTransit,  Status::kBadEnclosure,
+                         Status::kBadEnclosure,  Status::kActivityPending};
+  ASSERT_EQ(sts.size(), std::size(want));
+  for (std::size_t i = 0; i < sts.size(); ++i) {
+    SCOPED_TRACE("send " + std::to_string(i));
+    EXPECT_EQ(sts[i].status, want[i]);
+    if (want[i] != Status::kOk) {
+      EXPECT_EQ(sts[i].took, w.cluster.costs().call_overhead);
+    }
+  }
 }
 
 // -------- cancel ----------------------------------------------------------
@@ -250,16 +303,23 @@ TEST(CharlotteKernel, CancelSendBeforeDeliverySucceeds) {
   auto prog = [](Cluster* cl, Pid pid, EndId end,
                  std::vector<std::string>* lg) -> sim::Task<> {
     Kernel& k = cl->kernel_of(pid);
-    CO_CHECK_EQ(co_await k.send(pid, end, bytes("doomed")), Status::kOk);
+    auto enc = co_await k.make_link(pid);
+    CO_CHECK(enc.ok());
+    CO_CHECK_EQ(co_await k.send(pid, end, bytes("doomed"), enc.value().end1),
+                Status::kOk);
     CO_CHECK_EQ(co_await k.cancel(pid, end, Direction::kSend), Status::kOk);
     Completion c = co_await k.wait(pid);
     lg->push_back(std::string("send-outcome:") + to_string(c.status));
+    // The cancelled send gave its enclosure back.
+    lg->push_back(std::string("enclosure:") +
+                  to_string(co_await k.receive(pid, enc.value().end1, 8)));
   };
   // No receiver is ever posted, so the cancel always wins.
   w.engine.spawn("p", prog(&w.cluster, pa, pair.end1, &log));
   w.engine.run();
-  ASSERT_EQ(log.size(), 1u);
+  ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "send-outcome:cancelled");
+  EXPECT_EQ(log[1], "enclosure:ok");
 }
 
 // -------- enclosures (moving link ends) -----------------------------------
@@ -350,8 +410,9 @@ sim::Task<> blocked_receiver(Cluster* cl, Pid pid, EndId end,
   log->push_back(std::string("recv-outcome:") + to_string(c.status));
 }
 
-sim::Task<> destroyer(Cluster* cl, Pid pid, EndId end) {
-  co_await cl->engine().sleep(sim::msec(20));
+sim::Task<> destroyer(Cluster* cl, Pid pid, EndId end,
+                      sim::Duration after = sim::msec(20)) {
+  co_await cl->engine().sleep(after);
   Status st = co_await cl->kernel_of(pid).destroy(pid, end);
   CO_CHECK_EQ(st, Status::kOk);
 }
@@ -363,10 +424,11 @@ TEST(CharlotteKernel, DestroyFailsPeersBlockedReceive) {
   LinkPair pair = Bootstrap::link_between(w.cluster, pa, pb);
   std::vector<std::string> log;
   w.engine.spawn("recv", blocked_receiver(&w.cluster, pb, pair.end2, &log));
+  // The destroyer's own blocked receive fails the same way.
+  w.engine.spawn("own", blocked_receiver(&w.cluster, pa, pair.end1, &log));
   w.engine.spawn("destroy", destroyer(&w.cluster, pa, pair.end1));
   w.engine.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0], "recv-outcome:link-destroyed");
+  EXPECT_EQ(log, std::vector<std::string>(2, "recv-outcome:link-destroyed"));
 }
 
 TEST(CharlotteKernel, SendOnDestroyedLinkFails) {
@@ -392,6 +454,34 @@ TEST(CharlotteKernel, SendOnDestroyedLinkFails) {
   w.engine.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], "send:link-destroyed");
+
+  // A send already waiting at the peer when it destroys the link fails
+  // too, and gives its enclosure back.
+  World w2;
+  pa = w2.cluster.create_process(NodeId(0));
+  pb = w2.cluster.create_process(NodeId(1));
+  pair = Bootstrap::link_between(w2.cluster, pa, pb);
+  std::vector<std::string> log2;
+  w2.engine.spawn("destroy",
+                  destroyer(&w2.cluster, pa, pair.end1, sim::msec(100)));
+  w2.engine.spawn("send", [](Cluster* cl, Pid pid, EndId end,
+                             std::vector<std::string>* lg) -> sim::Task<> {
+    Kernel& k = cl->kernel_of(pid);
+    auto enc = co_await k.make_link(pid);
+    CO_CHECK(enc.ok());
+    CO_CHECK_EQ(co_await k.send(pid, end, bytes("x"), enc.value().end1),
+                Status::kOk);
+    Completion c = co_await k.wait(pid);
+    lg->push_back(std::string("send:") + to_string(c.status));
+    lg->push_back(std::string("enclosure:") +
+                  to_string(co_await k.receive(pid, enc.value().end1, 8)));
+  }(&w2.cluster, pb, pair.end2, &log2));
+  w2.engine.run();
+  EXPECT_EQ(log2, (std::vector<std::string>{"send:link-destroyed",
+                                            "enclosure:ok"}));
+  // The Msg, its bounce (MsgNackDestroyed), the DestroyUpdate and the two
+  // LinkDowns: the bounce fails the send before LinkDown arrives.
+  EXPECT_EQ(w2.cluster.total_frames(), 5u);
 }
 
 TEST(CharlotteKernel, ProcessTerminationDestroysItsLinks) {
@@ -467,6 +557,14 @@ TEST(CharlotteKernel, Figure1SimultaneousMoveOfBothEnds) {
   EXPECT_EQ(log[0], "c-heard:across-link3");
   EXPECT_EQ(log[1], "b-send:ok");
   EXPECT_TRUE(w.engine.process_failures().empty());
+  // B's first send reaches C's end after one NACK-driven resend, and one
+  // PeerMoved is chased on after an end that had moved: 15 frames.
+  std::uint64_t nacked = 0;
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    nacked += w.cluster.kernel(NodeId(n)).nack_retransmits();
+  }
+  EXPECT_EQ(nacked, 1u);
+  EXPECT_EQ(w.cluster.total_frames(), 15u);
 }
 
 // -------- determinism ------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "lynx/chrysalis_backend.hpp"
 #include "lynx/runtime.hpp"
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace lynx {
 namespace {
@@ -346,6 +347,7 @@ sim::Task<> slow_replier_thread(ThreadCtx& ctx, LinkHandle link,
 // when coalescing is off.
 void replier_feels_abort(ChrysalisBackendParams bp) {
   World w(bp);
+  trace::Recorder rec(w.engine);
   w.boot();
   std::vector<std::string> log;
   w.server.spawn_thread("slow", [&](ThreadCtx& ctx) {
@@ -361,6 +363,18 @@ void replier_feels_abort(ChrysalisBackendParams bp) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "caught:aborted");
   EXPECT_EQ(log[1], "replier-caught:reply-unwanted");
+  // Both errors were announced on the trace, where the checker reads them.
+  std::vector<std::uint64_t> announced;
+  for (const trace::Record& r : rec.snapshot()) {
+    if (r.kind == trace::Kind::kInstant &&
+        rec.label_name(r.label) == "rpc.error") {
+      announced.push_back(r.a);
+    }
+  }
+  EXPECT_EQ(announced,
+            (std::vector<std::uint64_t>{
+                static_cast<std::uint64_t>(ErrorKind::kAborted),
+                static_cast<std::uint64_t>(ErrorKind::kReplyUnwanted)}));
 }
 
 TEST(LynxChrysalis, ReplierFeelsExceptionWhenCallerAborted) {

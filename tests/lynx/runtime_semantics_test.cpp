@@ -2,6 +2,8 @@
 // run over the Chrysalis backend for speed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "lynx/chrysalis_backend.hpp"
 #include "lynx/runtime.hpp"
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace lynx {
 namespace {
@@ -88,7 +91,9 @@ TEST(LynxSemantics, UndeclaredOperationIsRejected) {
     return [](ThreadCtx& c, LinkHandle l,
               std::vector<std::string>* lg) -> sim::Task<> {
       try {
-        Message bad = make_message("format-disk", {});
+        // The rejection carries the enclosed end back.
+        LocalLinkPair spare = co_await c.new_link();
+        Message bad = make_message("format-disk", {spare.end2});
         (void)co_await c.call(l, std::move(bad));
         lg->push_back("unexpected-success");
       } catch (const LynxError& e) {
@@ -103,6 +108,9 @@ TEST(LynxSemantics, UndeclaredOperationIsRejected) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "rejected:operation-rejected");
   EXPECT_EQ(log[1], "read-ok");
+  EXPECT_TRUE(w.engine.process_failures().empty());
+  EXPECT_TRUE(w.client.thread_failures().empty());
+  EXPECT_TRUE(w.server.thread_failures().empty());
 }
 
 // ---- enclosure restrictions (§2.1) ------------------------------------------
@@ -121,11 +129,31 @@ TEST(LynxSemantics, CannotEncloseCarrierEnd) {
       } catch (const LynxError& e) {
         lg->push_back(std::string("caught:") + to_string(e.kind()));
       }
+      Message again = make_message("take", {});
+      (void)co_await c.call(l, std::move(again));
+      lg->push_back("took");
     }(ctx, w.client_end, &log);
   });
+  // A reply may not enclose its carrier either; the obligation survives.
+  w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& c, LinkHandle l,
+              std::vector<std::string>* lg) -> sim::Task<> {
+      c.enable_requests(l);
+      Incoming in = co_await c.receive();
+      try {
+        Message rep = make_message("take", {l});  // enclose the carrier!
+        co_await c.reply(in, std::move(rep));
+        lg->push_back("unexpected-reply");
+      } catch (const LynxError& e) {
+        lg->push_back(std::string("reply-caught:") + to_string(e.kind()));
+      }
+      Message ok;
+      co_await c.reply(in, std::move(ok));
+    }(ctx, w.server_end, &log);
+  });
   w.engine.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0], "caught:link-busy");
+  EXPECT_EQ(log, (std::vector<std::string>{"caught:link-busy",
+                                           "reply-caught:link-busy", "took"}));
 }
 
 // "a process is not permitted to move a link ... on which it owes a
@@ -204,6 +232,24 @@ sim::Task<> numbered_caller(ThreadCtx& ctx, LinkHandle link, int id,
   order->push_back(static_cast<int>(std::get<std::int64_t>(rep.args.at(0))));
 }
 
+// Both ends serve one request and call once on their one link.
+sim::Task<> serve_one(ThreadCtx& ctx, LinkHandle link,
+                      std::vector<std::string>* log) {
+  ctx.enable_requests(link);
+  Incoming in = co_await ctx.receive();
+  Message rep;
+  co_await ctx.reply(in, std::move(rep));
+  log->push_back("served:" + in.msg.op);
+}
+
+sim::Task<> call_after(ThreadCtx& ctx, LinkHandle link, sim::Duration after,
+                       std::string op, std::vector<std::string>* log) {
+  co_await ctx.delay(after);
+  Message req = make_message(op, {});
+  (void)co_await ctx.call(link, std::move(req));
+  log->push_back("returned:" + op);
+}
+
 TEST(LynxSemantics, CallsOnOneLinkSerialize) {
   World w;
   w.boot();
@@ -227,6 +273,66 @@ TEST(LynxSemantics, CallsOnOneLinkSerialize) {
   w.engine.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(w.client.thread_failures().empty());
+
+  // A reply in flight holds its link like a call does: a call the
+  // replier's process makes on the same link, at any moment of the
+  // reply, waits for it.
+  std::set<std::vector<std::string>> logs;
+  for (sim::Duration at = 0; at <= sim::msec(6); at += sim::usec(50)) {
+    World v;
+    v.boot();
+    std::vector<std::string> log;
+    v.server.spawn_thread("serve", [&](ThreadCtx& ctx) {
+      return serve_one(ctx, v.server_end, &log);
+    });
+    v.client.spawn_thread("call", [&](ThreadCtx& ctx) {
+      return call_after(ctx, v.client_end, 0, "ping", &log);
+    });
+    v.client.spawn_thread("serve", [&](ThreadCtx& ctx) {
+      return serve_one(ctx, v.client_end, &log);
+    });
+    v.server.spawn_thread("call", [&](ThreadCtx& ctx) {
+      return call_after(ctx, v.server_end, at, "pong", &log);
+    });
+    v.engine.run();
+    EXPECT_TRUE(v.engine.process_failures().empty()) << "at " << at;
+    EXPECT_TRUE(v.server.thread_failures().empty()) << "at " << at;
+    EXPECT_TRUE(v.client.thread_failures().empty()) << "at " << at;
+    std::sort(log.begin(), log.end());
+    logs.insert(log);
+  }
+  EXPECT_EQ(logs, (std::set<std::vector<std::string>>{
+                      {"returned:ping", "returned:pong", "served:ping",
+                       "served:pong"}}));
+}
+
+// The server never opens its queue and exits after 100 ms: the call in
+// flight and both callers queued behind it must all feel the link die.
+sim::Task<> outcome_caller(ThreadCtx& ctx, LinkHandle link,
+                           std::vector<std::string>* log) {
+  try {
+    Message req = make_message("op", {});
+    (void)co_await ctx.call(link, std::move(req));
+    log->push_back("unexpected-reply");
+  } catch (const LynxError& e) {
+    log->push_back(to_string(e.kind()));
+  }
+}
+
+TEST(LynxSemantics, EveryQueuedCallerFeelsLinkDeath) {
+  World w;
+  w.boot();
+  std::vector<std::string> log;
+  w.server.spawn_thread("idle", [](ThreadCtx& ctx) {
+    return ctx.delay(sim::msec(100));
+  });
+  for (int i = 0; i < 3; ++i) {
+    w.client.spawn_thread("cli" + std::to_string(i), [&](ThreadCtx& ctx) {
+      return outcome_caller(ctx, w.client_end, &log);
+    });
+  }
+  w.engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>(3, "link-destroyed")));
 }
 
 // ---- message ordering within a queue (§2.1) -----------------------------------
@@ -265,7 +371,6 @@ TEST(LynxSemantics, MessagesInOneQueueArriveInOrder) {
 
 TEST(LynxSemantics, InvalidHandleThrows) {
   World w;
-  w.boot();
   std::vector<std::string> log;
   w.client.spawn_thread("cli", [&](ThreadCtx& ctx) {
     return [](ThreadCtx& c, std::vector<std::string>* lg) -> sim::Task<> {
@@ -282,6 +387,7 @@ TEST(LynxSemantics, InvalidHandleThrows) {
       }
     }(ctx, &log);
   });
+  w.boot();  // a thread registered before start() runs once it starts
   w.engine.run();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "call:invalid-link");
@@ -292,6 +398,7 @@ TEST(LynxSemantics, InvalidHandleThrows) {
 
 TEST(LynxSemantics, AbortWakesBlockedReceiver) {
   World w;
+  trace::Recorder rec(w.engine);
   w.boot();
   std::vector<std::string> log;
   ThreadId tid = w.server.spawn_thread("blocked", [&](ThreadCtx& ctx) {
@@ -315,6 +422,16 @@ TEST(LynxSemantics, AbortWakesBlockedReceiver) {
   w.engine.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], "caught:aborted");
+  // The abort was announced on the trace, where the checker reads it.
+  std::vector<std::uint64_t> announced;
+  for (const trace::Record& r : rec.snapshot()) {
+    if (r.kind == trace::Kind::kInstant &&
+        rec.label_name(r.label) == "rpc.error") {
+      announced.push_back(r.a);
+    }
+  }
+  EXPECT_EQ(announced, (std::vector<std::uint64_t>{
+                           static_cast<std::uint64_t>(ErrorKind::kAborted)}));
 }
 
 }  // namespace
