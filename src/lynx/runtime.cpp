@@ -324,11 +324,19 @@ sim::Task<LocalLinkPair> ThreadCtx::new_link() {
 
 sim::Task<void> ThreadCtx::destroy(LinkHandle link) {
   check_abort();
-  Process::LinkState& ls = proc_->require_link(link);
+  (void)proc_->require_link(link);
   co_await engine().sleep(proc_->costs_.per_operation);
-  if (!ls.destroyed) {
-    co_await proc_->backend_->destroy(ls.blink);
+  // Re-found after each suspension: another thread may drop it meanwhile.
+  Process::LinkState* ls = proc_->find_link(link);
+  if (ls != nullptr && !ls->destroyed) {
+    co_await proc_->backend_->destroy(ls->blink);
+    ls = proc_->find_link(link);
   }
+  if (ls == nullptr) co_return;
+  // A local destroy releases every caller: the one awaiting its reply
+  // and each one queued behind it feel link-destroyed.
+  proc_->mark_dead(*ls);
+  ls->call_serializer->wake_all();
   proc_->drop_link(link);
 }
 
