@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/digest.hpp"
+
 namespace fault {
 
 const char* to_string(FaultKind kind) {
@@ -23,22 +25,16 @@ const char* to_string(FaultKind kind) {
 }
 
 std::uint64_t digest(const std::vector<FaultRecord>& log) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  };
+  common::Digest d;
   for (const FaultRecord& r : log) {
-    mix(static_cast<std::uint64_t>(r.at));
-    mix(static_cast<std::uint64_t>(r.kind));
-    mix(r.frame_id);
-    mix(r.src.value());
-    mix(r.dst.value());
-    mix(static_cast<std::uint64_t>(r.delay));
+    d.add(static_cast<std::uint64_t>(r.at));
+    d.add(static_cast<std::uint64_t>(r.kind));
+    d.add(r.frame_id);
+    d.add(r.src.value());
+    d.add(r.dst.value());
+    d.add(static_cast<std::uint64_t>(r.delay));
   }
-  return h;
+  return d.value();
 }
 
 std::string describe(const FaultRecord& record) {

@@ -45,7 +45,7 @@ struct FaultRecord {
   sim::Duration delay = 0;     // kDelay only
 };
 
-// Order-sensitive FNV-1a over the record stream.
+// common::Digest over the record stream, six words per record.
 [[nodiscard]] std::uint64_t digest(const std::vector<FaultRecord>& log);
 
 [[nodiscard]] std::string describe(const FaultRecord& record);

@@ -274,45 +274,45 @@ void expect_pinned(const ExploreResult& res, std::uint64_t runs,
 using load::Substrate;
 
 TEST(Explorer, SmokeEchoSweepCharlotteDigestIsPinned) {
-  expect_pinned(echo_sweep(Substrate::kCharlotte), 60, 0xd34dd59d5dd95137ull);
+  expect_pinned(echo_sweep(Substrate::kCharlotte), 60, 0x955ee0f45e50f8feull);
 }
 
 TEST(Explorer, SmokeEchoSweepSodaDigestIsPinned) {
-  expect_pinned(echo_sweep(Substrate::kSoda), 60, 0xa4f21315099c3852ull);
+  expect_pinned(echo_sweep(Substrate::kSoda), 60, 0x83937a951c78aaeaull);
 }
 
 TEST(Explorer, SmokeEchoSweepChrysalisDigestIsPinned) {
   // Ack-storm and batch-storm need a medium; Chrysalis runs only `none`.
-  expect_pinned(echo_sweep(Substrate::kChrysalis), 20, 0xca0c546d8d1ea5edull);
+  expect_pinned(echo_sweep(Substrate::kChrysalis), 20, 0xf56ba695bde2d4b2ull);
 }
 
 TEST(Explorer, SmokeReplicaSweepCharlotteDigestIsPinned) {
   expect_pinned(replica_sweep(Substrate::kCharlotte), 80,
-                0x8df46e0d6124875eull);
+                0xaf42c4df5d261127ull);
 }
 
 TEST(Explorer, SmokeReplicaSweepSodaDigestIsPinned) {
-  expect_pinned(replica_sweep(Substrate::kSoda), 80, 0x1b5de333af097d4eull);
+  expect_pinned(replica_sweep(Substrate::kSoda), 80, 0xbbc756a9914d9007ull);
 }
 
 TEST(Explorer, SmokeReplicaSweepChrysalisDigestIsPinned) {
   expect_pinned(replica_sweep(Substrate::kChrysalis), 80,
-                0xee6764705b6f0d9cull);
+                0xa1dfe0fe48568d08ull);
 }
 
 TEST(Explorer, SmokeReplicaFormationCharlotteDigestIsPinned) {
   expect_pinned(replica_formation_sweep(Substrate::kCharlotte), 40,
-                0x291adf62b37383c0ull);
+                0x9a6c19237be03067ull);
 }
 
 TEST(Explorer, SmokeReplicaFormationSodaDigestIsPinned) {
   expect_pinned(replica_formation_sweep(Substrate::kSoda), 40,
-                0x9a55880887168325ull);
+                0x9b8edebb786b3b72ull);
 }
 
 TEST(Explorer, SmokeReplicaFormationChrysalisDigestIsPinned) {
   expect_pinned(replica_formation_sweep(Substrate::kChrysalis), 40,
-                0x8f0c2e356d585992ull);
+                0x42c1474038170c59ull);
 }
 
 TEST(Explorer, ExploreCatchesAndMinimizesPlantedBug) {

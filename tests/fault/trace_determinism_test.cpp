@@ -1,7 +1,7 @@
 // Trace determinism under chaos: the recorded event stream must be a
 // pure function of (seed, plan, workload).  Re-running any chaos-sweep
 // universe with a Recorder attached yields a byte-identical stream —
-// pinned by the same FNV-1a digest scheme as fault::digest() — even
+// pinned by common::Digest, the digest fault::digest() uses too — even
 // though drops, duplicates, corruption and retransmits all emit into it.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "../support/co_check.hpp"
 #include "charlotte/kernel.hpp"
+#include "common/digest.hpp"
 #include "fault/faulty_medium.hpp"
 #include "fault/invariant_checker.hpp"
 #include "load/load.hpp"
@@ -488,16 +489,11 @@ TEST(TraceDeterminism, SodaMultiFragmentTransportDigestIsPinned) {
   // fragments are tracked, retransmitted, screened or reassembled that
   // moves any event, cost or frame moves a fold.
   const auto sweep = [](bool acks, std::set<std::string>* labels) {
-    std::uint64_t fold = 1469598103934665603ull;  // FNV-1a offset basis
+    common::Digest fold;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      const std::uint64_t digest =
-          run_multi_fragment_universe(seed, acks, labels);
-      for (int i = 0; i < 8; ++i) {
-        fold ^= (digest >> (8 * i)) & 0xff;
-        fold *= 1099511628211ull;  // FNV prime
-      }
+      fold.add(run_multi_fragment_universe(seed, acks, labels));
     }
-    return fold;
+    return fold.value();
   };
   std::set<std::string> labels;
   const std::uint64_t lossy = sweep(/*acks=*/true, &labels);
@@ -506,9 +502,9 @@ TEST(TraceDeterminism, SodaMultiFragmentTransportDigestIsPinned) {
   EXPECT_TRUE(labels.contains("req.retransmit"));
   EXPECT_TRUE(labels.contains("accept.retransmit"));
   EXPECT_TRUE(labels.contains("req.retry"));
-  EXPECT_EQ(lossy, 0x247da4ed16b1dd17ull) << std::hex << "0x" << lossy;
+  EXPECT_EQ(lossy, 0xb7778c92777637feull) << std::hex << "0x" << lossy;
   const std::uint64_t unscreened = sweep(/*acks=*/false, &labels);
-  EXPECT_EQ(unscreened, 0xd068444de26ccd0bull) << std::hex << "0x" << unscreened;
+  EXPECT_EQ(unscreened, 0x4110d776d680b0c0ull) << std::hex << "0x" << unscreened;
 }
 
 TEST(TraceDeterminism, SodaFrameTxCodesArePinned) {
