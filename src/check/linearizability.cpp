@@ -130,13 +130,18 @@ LinVerdict check_history(const std::vector<KvOp>& ops) {
 }
 
 LinVerdict check_trace(const trace::Recorder& rec) {
+  return check_trace(rec, rec.snapshot());
+}
+
+LinVerdict check_trace(const trace::Recorder& rec,
+                       std::span<const trace::Record> records) {
   std::unordered_map<std::uint64_t, KvOp> by_trace;
   std::vector<std::uint64_t> order;
   // Labels compared by interned id; one never emitted matches nothing.
   const auto invoke = rec.find_label("kv.invoke");
   const auto ok = rec.find_label("kv.ok");
   const auto err = rec.find_label("kv.err");
-  for (const trace::Record& r : rec.snapshot()) {
+  for (const trace::Record& r : records) {
     if (r.kind != trace::Kind::kInstant) continue;
     if (r.label == invoke) {
       KvOp op;

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,5 +69,9 @@ struct LinVerdict {
 // checks it.  Responses whose invoke was overwritten in the ring are
 // ignored; a wrapped ring cannot produce a false alarm this way.
 [[nodiscard]] LinVerdict check_trace(const trace::Recorder& rec);
+// The same over `records`, rec.snapshot() taken by the caller, so
+// oracles that read one run share one snapshot.
+[[nodiscard]] LinVerdict check_trace(const trace::Recorder& rec,
+                                     std::span<const trace::Record> records);
 
 }  // namespace check

@@ -37,6 +37,11 @@ std::string Divergence::render() const {
 }
 
 bool ReferenceModel::replay(const trace::Recorder& rec) {
+  return replay(rec, rec.snapshot());
+}
+
+bool ReferenceModel::replay(const trace::Recorder& rec,
+                            std::span<const trace::Record> records) {
   divergence_.reset();
   rpcs_.clear();
   open_spans_.clear();
@@ -55,7 +60,7 @@ bool ReferenceModel::replay(const trace::Recorder& rec) {
   }
 
   bind(rec);
-  for (const trace::Record& r : rec.snapshot()) {
+  for (const trace::Record& r : records) {
     feed(r);
     if (divergence_.has_value()) break;
   }

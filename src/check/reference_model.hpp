@@ -48,6 +48,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -111,6 +112,9 @@ class ReferenceModel {
   // a wrapped ring is itself reported as a divergence ("ring-overflow")
   // rather than silently passing on partial evidence.
   bool replay(const trace::Recorder& rec);
+  // The same over `records`, rec.snapshot() taken by the caller.
+  bool replay(const trace::Recorder& rec,
+              std::span<const trace::Record> records);
 
   [[nodiscard]] const std::optional<Divergence>& divergence() const {
     return divergence_;
