@@ -631,6 +631,14 @@ sim::Task<> CharlotteBackend::issue_cancel(BLink token) {
 void CharlotteBackend::fail_link(CLink& link) {
   if (link.destroyed) return;
   link.destroyed = true;
+  fail_sends(link);
+  BackendEvent ev;
+  ev.kind = BackendEvent::Kind::kLinkDestroyed;
+  ev.link = link.token;
+  if (sink_) sink_(std::move(ev));
+}
+
+void CharlotteBackend::fail_sends(CLink& link) {
   auto fail_out = [&](std::uint64_t id) {
     auto it = out_msgs_.find(id);
     if (it == out_msgs_.end()) return;
@@ -647,10 +655,6 @@ void CharlotteBackend::fail_link(CLink& link) {
     out_msgs_.erase(link.last_request);
     link.last_request = 0;
   }
-  BackendEvent ev;
-  ev.kind = BackendEvent::Kind::kLinkDestroyed;
-  ev.link = link.token;
-  if (sink_) sink_(std::move(ev));
 }
 
 sim::Task<void> CharlotteBackend::destroy(BLink token) {
@@ -658,6 +662,7 @@ sim::Task<void> CharlotteBackend::destroy(BLink token) {
   if (link == nullptr) co_return;
   const charlotte::EndId end = link->end;
   link->destroyed = true;
+  fail_sends(*link);  // a send in flight on the end feels its destroy
   by_end_.erase(end);
   links_.erase(token);
   (void)co_await cluster_->kernel(node_).destroy(pid_, end);

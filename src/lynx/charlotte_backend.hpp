@@ -189,6 +189,8 @@ class CharlotteBackend final : public Backend {
   void maybe_send_allow(CLink& link);
   void resolve(OutMsg& out, SendOutcome outcome);
   void fail_link(CLink& link);
+  // Settles every send of the link as link-destroyed.
+  void fail_sends(CLink& link);
   [[nodiscard]] CLink* find(BLink token);
   [[nodiscard]] CLink* find_by_end(charlotte::EndId end);
   [[nodiscard]] BLink adopt_end(charlotte::EndId end);

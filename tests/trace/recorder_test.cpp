@@ -1,9 +1,13 @@
-// Recorder unit tests: interning, span pairing, the context stack, the
-// determinism digest (including its survival of ring overwrite), and the
-// disabled-recorder zero-cost contract.
+// Recorder unit tests: interning (also through the address-keyed name
+// cache), span pairing, the context stack, the snapshot with and
+// without a merge, the determinism digest (every field it covers, and
+// its survival of ring overwrite), and the disabled-recorder zero-cost
+// contract.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,6 +164,175 @@ TEST(Recorder, DigestDiffersWhenStreamDiffers) {
   a.instant(0, "wire", "frame.tx", 1);
   b.instant(0, "wire", "frame.rx", 1);
   EXPECT_NE(a.digest(), b.digest());
+}
+
+// ---- names found by address --------------------------------------------
+
+// Two arrays with one text: distinct addresses, as two translation units'
+// copies of one literal may have.
+constexpr char kSendA[] = "call.send";
+constexpr char kSendB[] = "call.send";
+constexpr char kRuntimeA[] = "runtime";
+constexpr char kRuntimeB[] = "runtime";
+
+TEST(Recorder, OneTextThroughTwoAddressesIsOneName) {
+  ASSERT_NE(static_cast<const void*>(kSendA), static_cast<const void*>(kSendB));
+  sim::Engine e1, e2;
+  Recorder two(e1), one(e2);
+  two.instant(0, kRuntimeA, kSendA, 1);
+  two.instant(0, kRuntimeB, kSendB, 2);
+  one.instant(0, kRuntimeA, kSendA, 1);
+  one.instant(0, kRuntimeA, kSendA, 2);
+  const std::vector<Record> records = two.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].label, records[1].label);
+  EXPECT_EQ(records[0].track, records[1].track);
+  EXPECT_EQ(two.label_count(), 1u);
+  EXPECT_EQ(two.digest(), one.digest());
+}
+
+// 200 labels on 40 tracks, cycled in an order that revisits each name
+// after many others, overflow the name caches' slots many times over.
+// Ids and the digest must equal those of the same names each passed
+// through a fresh address (every lookup a miss, so the text table
+// alone decides): ids go by first use, never by address.
+TEST(Recorder, CollidingNamesKeepIdsAndDigest) {
+  constexpr std::size_t kLabels = 200;
+  constexpr std::size_t kTracks = 40;
+  std::vector<std::string> labels;
+  std::vector<std::string> tracks;
+  for (std::size_t i = 0; i < kLabels; ++i) {
+    labels.push_back("label." + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < kTracks; ++i) {
+    tracks.push_back("track." + std::to_string(i));
+  }
+  sim::Engine e1, e2;
+  Recorder cached(e1), fresh(e2);
+  std::vector<std::unique_ptr<std::string>> copies;  // alive to the end
+  std::vector<std::uint16_t> first_use;              // label id by order
+  std::map<std::size_t, std::uint16_t> expected;     // label -> id
+  for (std::size_t round = 0; round < 6; ++round) {
+    for (std::size_t k = 0; k < kLabels; ++k) {
+      const std::size_t i = (k * 37 + round * 11) % kLabels;
+      const std::size_t t = (k * 7 + round) % kTracks;
+      expected.emplace(i, static_cast<std::uint16_t>(expected.size()));
+      cached.instant(0, tracks[t].c_str(), labels[i].c_str(), round, k);
+      copies.push_back(std::make_unique<std::string>(tracks[t]));
+      const char* track_copy = copies.back()->c_str();
+      copies.push_back(std::make_unique<std::string>(labels[i]));
+      fresh.instant(0, track_copy, copies.back()->c_str(), round, k);
+      first_use.push_back(expected.at(i));
+    }
+  }
+  const std::vector<Record> got = cached.snapshot();
+  const std::vector<Record> want = fresh.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.size(), first_use.size());
+  for (std::size_t n = 0; n < got.size(); ++n) {
+    ASSERT_EQ(got[n].label, first_use[n]) << "record " << n;
+    ASSERT_EQ(got[n].label, want[n].label) << "record " << n;
+    ASSERT_EQ(got[n].track, want[n].track) << "record " << n;
+  }
+  EXPECT_EQ(cached.label_count(), kLabels);
+  EXPECT_EQ(cached.digest(), fresh.digest());
+}
+
+// ---- snapshot ------------------------------------------------------------
+
+// While no ring has wrapped, the snapshot places records by seq.  It
+// must give the emission order, and the same records the k-way merge
+// gives: a second recorder that also feeds a fourth node until its ring
+// wraps takes the merge path, and agrees once that node is left out.
+TEST(Recorder, UnwrappedSnapshotIsTheMergedEmissionOrder) {
+  sim::Engine e1, e2;
+  constexpr std::size_t kCapacity = 64;
+  Recorder direct(e1, kCapacity);
+  Recorder merged(e2, kCapacity);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> emitted;
+  for (std::uint64_t i = 0; i < 90; ++i) {
+    const auto node = static_cast<std::uint32_t>((i * i + i / 5) % 3);
+    emitted.emplace_back(node, i);
+    direct.instant(node, "wire", "frame.tx", 0, i);
+    merged.instant(node, "wire", "frame.tx", 0, i);
+    merged.instant(7, "wire", "frame.tx", 0, i);
+  }
+  ASSERT_EQ(direct.overwritten(), 0u);
+  ASSERT_GT(merged.overwritten(), 0u);
+
+  const std::vector<Record> records = direct.snapshot();
+  ASSERT_EQ(records.size(), emitted.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i);
+    EXPECT_EQ(records[i].node, emitted[i].first) << "at " << i;
+    EXPECT_EQ(records[i].a, emitted[i].second) << "at " << i;
+  }
+  std::vector<Record> via_merge;
+  for (const Record& r : merged.snapshot()) {
+    if (r.node != 7) via_merge.push_back(r);
+  }
+  ASSERT_EQ(via_merge.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(via_merge[i].node, records[i].node) << "at " << i;
+    EXPECT_EQ(via_merge[i].a, records[i].a) << "at " << i;
+    if (i > 0) EXPECT_LT(via_merge[i - 1].seq, via_merge[i].seq);
+  }
+}
+
+// ---- digest --------------------------------------------------------------
+
+// Two streams that differ in one field of one record digest apart, for
+// every field the digest covers.  Both recorders intern the same names
+// in the same order first, so only the field differs.
+TEST(Recorder, DigestCoversEveryRecordField) {
+  struct Emit {
+    std::uint32_t node = 0;
+    const char* track = "wire";
+    const char* label = "frame.tx";
+    TraceId trace = 1;
+    std::uint64_t a = 2;
+    std::uint64_t b = 3;
+  };
+  const auto digest_of = [](const std::function<void(Recorder&)>& second,
+                            sim::Duration at = 0) {
+    sim::Engine e;
+    Recorder rec(e);
+    (void)rec.intern_track("wire");
+    (void)rec.intern_track("kernel");
+    (void)rec.intern_label("frame.tx");
+    (void)rec.intern_label("frame.rx");
+    rec.push_context(Dim::kThread, 5);
+    e.schedule(at, [&] { second(rec); });
+    e.run();
+    return rec.digest();
+  };
+  const auto instant = [](Emit x) {
+    return [x](Recorder& r) {
+      r.instant(x.node, x.track, x.label, x.trace, x.a, x.b);
+    };
+  };
+  const std::uint64_t base = digest_of(instant({}));
+  EXPECT_NE(digest_of(instant({}), sim::usec(1)), base) << "at";
+  EXPECT_NE(digest_of(instant({.node = 1})), base) << "node";
+  EXPECT_NE(digest_of(instant({.track = "kernel"})), base) << "track";
+  EXPECT_NE(digest_of(instant({.label = "frame.rx"})), base) << "label";
+  EXPECT_NE(digest_of(instant({.trace = 9})), base) << "trace";
+  EXPECT_NE(digest_of(instant({.a = 9})), base) << "a";
+  EXPECT_NE(digest_of(instant({.b = 9})), base) << "b";
+
+  // kCtxPop(thread, 5) and kCtxPush(thread, 5) differ in kind alone.
+  const std::uint64_t pop = digest_of([](Recorder& r) { r.pop_context(); });
+  EXPECT_NE(digest_of([](Recorder& r) { r.push_context(Dim::kThread, 5); }),
+            pop)
+      << "kind";
+  const std::uint64_t thread =
+      digest_of([](Recorder& r) { r.push_context(Dim::kThread, 6); });
+  EXPECT_NE(digest_of([](Recorder& r) { r.push_context(Dim::kLink, 6); }),
+            thread)
+      << "dim";
+  const std::uint64_t span = digest_of([](Recorder& r) { r.end_span(0, 1); });
+  EXPECT_NE(digest_of([](Recorder& r) { r.end_span(0, 2); }), span)
+      << "span";
 }
 
 TEST(Recorder, DisabledRecorderEmitsAndAllocatesNothing) {
