@@ -4,8 +4,8 @@
 // fault injections — is one 64-byte POD appended to
 // a per-node ring.  Records never hold host pointers or host time, only
 // simulated time and small interned indices, so the stream for a run is
-// a pure function of (seed, plan, workload) and can be digested for
-// determinism checks exactly like `fault::digest()`.
+// a pure function of (seed, plan, workload) and is digested for
+// determinism checks by the same `common::Digest` as `fault::digest()`.
 #pragma once
 
 #include <cstdint>
