@@ -53,8 +53,8 @@ bool ReferenceModel::replay(const trace::Recorder& rec,
     Divergence d;
     d.rule = "ring-overflow";
     d.detail = "recorder dropped " + std::to_string(rec.overwritten()) +
-               " records; conformance needs the full stream (raise "
-               "ring_capacity)";
+               " records; conformance needs the full stream (raise the "
+               "recorder's capacity)";
     divergence_ = std::move(d);
     return false;
   }

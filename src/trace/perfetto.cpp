@@ -67,7 +67,6 @@ void write_chrome_trace(const Recorder& rec, std::ostream& os) {
   std::unordered_map<SpanId, const Record*> open;
   for (const Record& r : records) {
     max_at = std::max(max_at, r.at);
-    if (r.kind == Kind::kCtxPush || r.kind == Kind::kCtxPop) continue;
     nodes.insert(r.node);
     node_tracks.insert({r.node, r.track});
   }
@@ -116,9 +115,6 @@ void write_chrome_trace(const Recorder& rec, std::ostream& os) {
            << ",\"b\":" << r.b << "}}";
         break;
       }
-      case Kind::kCtxPush:
-      case Kind::kCtxPop:
-        break;  // stream bookkeeping, not timeline content
     }
   }
 

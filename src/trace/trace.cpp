@@ -8,7 +8,7 @@ namespace trace {
 namespace {
 
 // The cache slot of `key`: the top bits of a Fibonacci hash, so
-// neighbouring addresses and node numbers spread.
+// neighbouring addresses spread.
 template <std::size_t Slots>
 [[nodiscard]] std::size_t slot_of(std::uint64_t key) {
   static_assert(std::has_single_bit(Slots) && Slots > 1);
@@ -22,26 +22,12 @@ const char* to_string(Kind kind) {
     case Kind::kSpanBegin: return "span-begin";
     case Kind::kSpanEnd: return "span-end";
     case Kind::kInstant: return "instant";
-    case Kind::kCtxPush: return "ctx-push";
-    case Kind::kCtxPop: return "ctx-pop";
   }
   return "?";
 }
 
-const char* to_string(Dim dim) {
-  switch (dim) {
-    case Dim::kNone: return "none";
-    case Dim::kNode: return "node";
-    case Dim::kProcess: return "process";
-    case Dim::kThread: return "thread";
-    case Dim::kLink: return "link";
-    case Dim::kRpc: return "rpc";
-  }
-  return "?";
-}
-
-Recorder::Recorder(sim::Engine& engine, std::size_t ring_capacity)
-    : engine_(&engine), capacity_(std::max<std::size_t>(ring_capacity, 8)) {
+Recorder::Recorder(sim::Engine& engine, std::size_t capacity)
+    : engine_(&engine), capacity_(std::max<std::size_t>(capacity, 8)) {
   if (engine_->recorder() == nullptr) {
     engine_->set_recorder(this);
     attached_ = true;
@@ -88,12 +74,6 @@ std::uint32_t Recorder::track_id(const char* name) {
   return slot.id;
 }
 
-Recorder::Ring& Recorder::ring_of(std::uint32_t node) {
-  RingSlot& slot = ring_cache_[slot_of<kRingSlots>(node)];
-  if (slot.ring == nullptr || slot.node != node) slot = {node, &rings_[node]};
-  return *slot.ring;
-}
-
 std::optional<std::uint16_t> Recorder::find_label(
     std::string_view name) const {
   const auto it = label_ids_.find(name);
@@ -110,32 +90,29 @@ std::optional<std::uint32_t> Recorder::find_track(
 
 void Recorder::emit(Record rec) {
   rec.at = engine_->now();
-  rec.seq = next_seq_++;
-  ++emitted_;
-  // kind, dim, label and node share one word: 8 + 8 + 16 + 32 bits.
+  rec.seq = emitted_++;
+  // kind, label and node share one word: bits 56-63, 32-47 and 0-31
+  // (bits 48-55 stay 0).
   digest_.add(static_cast<std::uint64_t>(rec.at));
   digest_.add((static_cast<std::uint64_t>(rec.kind) << 56) |
-              (static_cast<std::uint64_t>(rec.dim) << 48) |
               (static_cast<std::uint64_t>(rec.label) << 32) | rec.node);
   digest_.add(rec.track);
   digest_.add(rec.span);
   digest_.add(rec.trace);
   digest_.add(rec.a);
   digest_.add(rec.b);
-  Ring& ring = ring_of(rec.node);
-  if (ring.slots.size() < capacity_) {
-    ring.slots.push_back(rec);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(rec);
     return;
   }
   ++overwritten_;
-  ring.slots[ring.head] = rec;
-  ring.head = (ring.head + 1) % capacity_;
+  ring_[head_] = rec;
+  if (++head_ == capacity_) head_ = 0;
 }
 
 SpanId Recorder::begin_span(std::uint32_t node, const char* track,
                             const char* label, TraceId trace,
                             std::uint64_t a, std::uint64_t b) {
-  if (!enabled_) return 0;
   const SpanId id = ++next_span_;
   Record rec;
   rec.kind = Kind::kSpanBegin;
@@ -151,7 +128,7 @@ SpanId Recorder::begin_span(std::uint32_t node, const char* track,
 }
 
 void Recorder::end_span(std::uint32_t node, SpanId span) {
-  if (!enabled_ || span == 0) return;
+  if (span == 0) return;
   Record rec;
   rec.kind = Kind::kSpanEnd;
   rec.node = node;
@@ -162,7 +139,6 @@ void Recorder::end_span(std::uint32_t node, SpanId span) {
 void Recorder::instant(std::uint32_t node, const char* track,
                        const char* label, TraceId trace, std::uint64_t a,
                        std::uint64_t b) {
-  if (!enabled_) return;
   Record rec;
   rec.kind = Kind::kInstant;
   rec.label = label_id(label);
@@ -174,89 +150,13 @@ void Recorder::instant(std::uint32_t node, const char* track,
   emit(rec);
 }
 
-void Recorder::push_context(Dim dim, std::uint64_t value) {
-  if (!enabled_) return;
-  ctx_.emplace_back(dim, value);
-  Record rec;
-  rec.kind = Kind::kCtxPush;
-  rec.dim = dim;
-  rec.a = value;
-  emit(rec);
-}
-
-void Recorder::pop_context() {
-  if (!enabled_) return;
-  RELYNX_ASSERT_MSG(!ctx_.empty(), "context pop without push");
-  Record rec;
-  rec.kind = Kind::kCtxPop;
-  rec.dim = ctx_.back().first;
-  rec.a = ctx_.back().second;
-  ctx_.pop_back();
-  emit(rec);
-}
-
 std::vector<Record> Recorder::snapshot() const {
-  if (overwritten_ == 0) {
-    // Every record ever emitted is retained, and seq numbers them.
-    std::vector<Record> out(next_seq_);
-    for (const auto& [node, ring] : rings_) {
-      (void)node;
-      for (const Record& r : ring.slots) out[r.seq] = r;
-    }
-    return out;
-  }
-  // One cursor per non-empty ring, at its oldest record: slot 0 until
-  // the ring wraps, head after (head stays 0 until then).
-  struct Cursor {
-    const std::vector<Record>* slots;
-    std::size_t pos;
-    std::size_t left;  // records of this ring not yet merged
-    [[nodiscard]] const Record& front() const { return (*slots)[pos]; }
-  };
-  std::vector<Cursor> heap;
-  heap.reserve(rings_.size());
-  for (const auto& [node, ring] : rings_) {
-    (void)node;
-    if (!ring.slots.empty()) {
-      heap.push_back({&ring.slots, ring.head, ring.slots.size()});
-    }
-  }
-  const auto later = [](const Cursor& x, const Cursor& y) {
-    return x.front().seq > y.front().seq;
-  };
-  std::make_heap(heap.begin(), heap.end(), later);
   std::vector<Record> out;
-  out.reserve(retained());
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Cursor& c = heap.back();
-    out.push_back(c.front());
-    if (--c.left == 0) {
-      heap.pop_back();
-      continue;
-    }
-    c.pos = (c.pos + 1) % c.slots->size();
-    std::push_heap(heap.begin(), heap.end(), later);
-  }
+  out.reserve(ring_.size());
+  const auto oldest = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
+  out.insert(out.end(), oldest, ring_.end());
+  out.insert(out.end(), ring_.begin(), oldest);
   return out;
-}
-
-std::size_t Recorder::retained() const {
-  std::size_t n = 0;
-  for (const auto& [node, ring] : rings_) {
-    (void)node;
-    n += ring.slots.size();
-  }
-  return n;
-}
-
-std::size_t Recorder::allocated_slots() const {
-  std::size_t n = 0;
-  for (const auto& [node, ring] : rings_) {
-    (void)node;
-    n += ring.slots.capacity();
-  }
-  return n;
 }
 
 }  // namespace trace

@@ -3,19 +3,19 @@
 //
 // One Recorder per Engine.  Instrumentation sites go through the
 // trace::get(engine) gate, which costs one pointer load and one branch
-// when recording is compiled in but disabled, and is constant-folded
-// away entirely when RELYNX_TRACE_ENABLED is 0:
+// when no recorder is attached:
 //
 //   if (auto* r = trace::get(engine)) {
 //     r->instant(node, "wire", "frame.tx", msg.trace, frame_id, bytes);
 //   }
 //
-// Storage is a fixed-capacity overwriting ring of 64-byte records per
-// node (allocated lazily — a disabled recorder allocates nothing).  The
-// determinism digest (common::Digest, the one fault::digest() uses too)
-// is folded record-by-record AT EMISSION TIME, so it covers the full
-// event stream even after old records have been overwritten: same
-// (seed, plan, workload) => same digest.
+// Storage is one fixed-capacity overwriting ring of 64-byte records in
+// emission order (allocated lazily — a recorder that has recorded
+// nothing allocates nothing).  The determinism digest (common::Digest,
+// the one fault::digest() uses too) is folded record-by-record AT
+// EMISSION TIME, so it covers the full event stream even after old
+// records have been overwritten: same (seed, plan, workload) => same
+// digest.
 //
 // Track and label names passed to begin_span/instant must be static
 // strings (literals, or pointers into static tables such as to_string):
@@ -23,12 +23,6 @@
 // address to keep its text.  Ids are still assigned in first-use order
 // by text, so ids and digests depend neither on addresses nor on which
 // names collide in the cache.
-//
-// The context stack (node/process/thread/link/rpc, addb2-style) brackets
-// synchronous scopes with kCtxPush/kCtxPop records, making the stream
-// self-describing.  It is NOT valid across a co_await — a coroutine that
-// suspends mid-scope would interleave with others — so causal identity
-// across suspension points travels as an explicit TraceId instead.
 #pragma once
 
 #include <array>
@@ -45,24 +39,17 @@
 #include "sim/engine.hpp"
 #include "trace/record.hpp"
 
-#ifndef RELYNX_TRACE_ENABLED
-#define RELYNX_TRACE_ENABLED 1
-#endif
-
 namespace trace {
 
 class Recorder {
  public:
   // Attaches itself to the engine (and detaches on destruction) so
-  // instrumentation sites can reach it via trace::get(engine).
-  explicit Recorder(sim::Engine& engine,
-                    std::size_t ring_capacity = 1u << 15);
+  // instrumentation sites can reach it via trace::get(engine).  The
+  // ring keeps the newest `capacity` records of the whole stream.
+  explicit Recorder(sim::Engine& engine, std::size_t capacity = 1u << 15);
   ~Recorder();
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
-
-  void enable(bool on = true) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   // ---- causal identity ------------------------------------------------
   [[nodiscard]] TraceId new_trace() { return ++next_trace_; }
@@ -75,11 +62,6 @@ class Recorder {
   void end_span(std::uint32_t node, SpanId span);
   void instant(std::uint32_t node, const char* track, const char* label,
                TraceId trace, std::uint64_t a = 0, std::uint64_t b = 0);
-
-  // ---- context stack (synchronous scopes only) ------------------------
-  void push_context(Dim dim, std::uint64_t value);
-  void pop_context();
-  [[nodiscard]] std::size_t context_depth() const { return ctx_.size(); }
 
   // ---- interning ------------------------------------------------------
   [[nodiscard]] std::uint16_t intern_label(std::string_view name);
@@ -98,20 +80,18 @@ class Recorder {
   [[nodiscard]] std::size_t label_count() const { return labels_.size(); }
 
   // ---- inspection -----------------------------------------------------
-  // All retained records, across rings, in emission order.  Until a
-  // ring wraps, each record's seq is its index in the stream, so every
-  // record is placed at out[seq]; once one has wrapped, each ring still
-  // holds its node's records in seq order (from head), so this is a
-  // k-way merge, not a sort.
+  // All retained records in emission order: the ring from its oldest
+  // record.
   [[nodiscard]] std::vector<Record> snapshot() const;
 
   [[nodiscard]] std::uint64_t total_emitted() const { return emitted_; }
   [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
-  [[nodiscard]] std::size_t retained() const;
-  // Ring slots currently allocated across all nodes (0 while disabled:
-  // the zero-allocation contract is tested).
-  [[nodiscard]] std::size_t allocated_slots() const;
-  [[nodiscard]] std::size_t ring_capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t retained() const { return ring_.size(); }
+  // Ring slots currently allocated (0 until the first record: the
+  // zero-allocation contract is tested).
+  [[nodiscard]] std::size_t allocated_slots() const {
+    return ring_.capacity();
+  }
 
   // common::Digest over every record ever emitted, seven words each,
   // and over each name's text once, when it is first interned.
@@ -122,10 +102,6 @@ class Recorder {
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
 
  private:
-  struct Ring {
-    std::vector<Record> slots;  // grows to capacity, then wraps
-    std::size_t head = 0;       // next overwrite position once full
-  };
   // Transparent hashing: a name-cache miss looks the name up by
   // string_view, so a known name builds no std::string.
   struct NameHash {
@@ -143,56 +119,38 @@ class Recorder {
     const char* name = nullptr;
     std::uint32_t id = 0;
   };
-  // A direct-mapped cache slot: a node and its ring's address (an
-  // unordered_map never moves its elements).
-  struct RingSlot {
-    std::uint32_t node = 0;
-    Ring* ring = nullptr;
-  };
 
   [[nodiscard]] std::uint16_t label_id(const char* name);
   [[nodiscard]] std::uint32_t track_id(const char* name);
-  [[nodiscard]] Ring& ring_of(std::uint32_t node);
   void emit(Record rec);
 
   sim::Engine* engine_;
   std::size_t capacity_;
-  bool enabled_ = true;
   bool attached_ = false;
 
-  std::unordered_map<std::uint32_t, Ring> rings_;
+  std::vector<Record> ring_;  // grows to capacity_, then wraps
+  std::size_t head_ = 0;      // the oldest record once full (0 until then)
   std::vector<std::string> labels_;
   std::vector<std::string> tracks_;
   NameIds<std::uint16_t> label_ids_;
   NameIds<std::uint32_t> track_ids_;
   static constexpr std::size_t kLabelSlots = 256;
   static constexpr std::size_t kTrackSlots = 16;
-  static constexpr std::size_t kRingSlots = 16;
   std::array<NameSlot, kLabelSlots> label_cache_{};
   std::array<NameSlot, kTrackSlots> track_cache_{};
-  std::array<RingSlot, kRingSlots> ring_cache_{};
-  std::vector<std::pair<Dim, std::uint64_t>> ctx_;
 
   TraceId next_trace_ = 0;
   SpanId next_span_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t overwritten_ = 0;
   common::Digest digest_;
 };
 
-// The gate every instrumentation site goes through.  Returns nullptr
-// unless recording is compiled in, a recorder is attached, and it is
-// runtime-enabled; with RELYNX_TRACE_ENABLED=0 it is constexpr nullptr
-// and the dependent code folds away.
-#if RELYNX_TRACE_ENABLED
+// The gate every instrumentation site goes through: the attached
+// recorder, or nullptr when there is none.
 [[nodiscard]] inline Recorder* get(sim::Engine& engine) {
-  Recorder* rec = engine.recorder();
-  return (rec != nullptr && rec->enabled()) ? rec : nullptr;
+  return engine.recorder();
 }
-#else
-[[nodiscard]] constexpr Recorder* get(sim::Engine&) { return nullptr; }
-#endif
 
 // RAII span for scopes that may exit by exception or early co_return.
 // Safe across co_await (the frame owns it); end() is idempotent.
@@ -238,22 +196,6 @@ class SpanScope {
   sim::Engine* engine_ = nullptr;
   std::uint32_t node_ = 0;
   SpanId span_ = 0;
-};
-
-// RAII context-stack frame for synchronous scopes.
-class CtxScope {
- public:
-  CtxScope(Recorder* rec, Dim dim, std::uint64_t value) : rec_(rec) {
-    if (rec_ != nullptr) rec_->push_context(dim, value);
-  }
-  CtxScope(const CtxScope&) = delete;
-  CtxScope& operator=(const CtxScope&) = delete;
-  ~CtxScope() {
-    if (rec_ != nullptr) rec_->pop_context();
-  }
-
- private:
-  Recorder* rec_;
 };
 
 }  // namespace trace
