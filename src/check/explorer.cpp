@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <climits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -415,10 +416,14 @@ std::optional<RunConfig> parse_token(std::string_view json) {
     cfg.workload = *wl;
   }
   if (const auto h = json_u64(json, "horizon")) cfg.horizon = *h;
-  if (const auto ch = json_u64(json, "channels")) {
-    cfg.channels = static_cast<int>(*ch);
+  // A count past INT_MAX would wrap in the cast: refuse it instead.
+  for (auto [key, field] : {std::pair{"channels", &cfg.channels},
+                            std::pair{"calls", &cfg.calls}}) {
+    if (const auto n = json_u64(json, key)) {
+      if (*n > static_cast<std::uint64_t>(INT_MAX)) return std::nullopt;
+      *field = static_cast<int>(*n);
+    }
   }
-  if (const auto c = json_u64(json, "calls")) cfg.calls = static_cast<int>(*c);
   if (const auto b = json_u64(json, "bytes")) {
     cfg.bytes = static_cast<std::size_t>(*b);
   }

@@ -41,9 +41,9 @@
 //                         the whole window can forbid it
 //
 // Because trace emission order equals simulated causality order (one
-// engine, one recorder, monotone seq), checking the merged stream
-// online yields the FIRST divergent event, reported with the causal
-// context of its trace.
+// engine, one recorder, monotone seq), checking the recorder's one
+// stream online yields the FIRST divergent event, reported with the
+// causal context of its trace.
 #pragma once
 
 #include <cstdint>

@@ -8,14 +8,15 @@
 // and the *cost* of bridging the gap is what the experiments measure.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/strong_id.hpp"
 #include "lynx/message.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace lynx {
@@ -52,15 +53,6 @@ struct SendOutcome {
   // Charlotte deviation (§3.2.2): enclosures of an aborted/failed
   // message may be unrecoverable.
   std::vector<BLink> lost_enclosures;
-};
-
-// A send in flight.  The runtime awaits it in the sending thread and may
-// cancel it from an abort path.
-class PendingSend {
- public:
-  virtual ~PendingSend() = default;
-  [[nodiscard]] virtual sim::Task<SendOutcome> wait() = 0;
-  virtual void cancel() = 0;
 };
 
 struct BackendEvent {
@@ -109,10 +101,12 @@ class Backend {
   // Creates a link with both ends owned by this process.
   [[nodiscard]] virtual sim::Task<std::pair<BLink, BLink>> make_link() = 0;
 
-  // Begins transmission of a request or reply.  The runtime guarantees
-  // at most one send in flight per link end.
-  [[nodiscard]] virtual std::unique_ptr<PendingSend> begin_send(
-      BLink link, WireMessage msg) = 0;
+  // Begins transmission of a request or reply, named `id` (unique within
+  // the process).  The backend reports how it ended through settle(id).
+  // The runtime guarantees at most one send in flight per link end.
+  virtual void begin_send(BLink link, WireMessage msg, std::uint64_t id) = 0;
+  // The thread that sent `id` was aborted while the send was awaited.
+  virtual void cancel_send(std::uint64_t id) = 0;
 
   // Screening interest: want_requests mirrors the open/closed request
   // queue; want_replies is true while some thread awaits a reply.
@@ -129,6 +123,32 @@ class Backend {
   // The simulated node this backend's process lives on, for trace
   // records (one Perfetto track group per node).
   [[nodiscard]] virtual std::uint32_t trace_node() const { return 0; }
+
+  // The runtime's half of a send: `done` receives send `id`'s outcome,
+  // and the send is awaited until then.
+  void await_send(std::uint64_t id, sim::OneShot<SendOutcome>& done) {
+    awaited_.emplace_back(id, &done);
+  }
+  [[nodiscard]] bool awaited(std::uint64_t id) const {
+    return std::ranges::find(awaited_, id, &Awaited::first) != awaited_.end();
+  }
+
+ protected:
+  // Reports how send `id` ended; once it has been reported, a no-op.
+  void settle(std::uint64_t id, SendOutcome outcome) {
+    auto it = std::ranges::find(awaited_, id, &Awaited::first);
+    if (it == awaited_.end()) return;
+    sim::OneShot<SendOutcome>* done = it->second;
+    *it = awaited_.back();
+    awaited_.pop_back();
+    done->fulfill(std::move(outcome));
+  }
+
+ private:
+  // One entry per sending thread: a flat vector scanned by id, which
+  // allocates nothing once warm.
+  using Awaited = std::pair<std::uint64_t, sim::OneShot<SendOutcome>*>;
+  std::vector<Awaited> awaited_;
 };
 
 }  // namespace lynx

@@ -34,37 +34,6 @@ bool link_gone(charlotte::Status st) {
 
 }  // namespace
 
-// A Charlotte send in flight at the LYNX level.
-class CharlottePendingSend final : public PendingSend {
- public:
-  CharlottePendingSend(CharlotteBackend& backend, std::uint64_t out_id,
-                       sim::Engine& engine)
-      : backend_(&backend), out_id_(out_id), done_(engine) {}
-
-  sim::Task<SendOutcome> wait() override {
-    SendOutcome out = co_await done_.take();
-    co_return out;
-  }
-
-  void cancel() override {
-    if (settled_) return;
-    backend_->request_cancel(out_id_);
-  }
-
-  void settle(SendOutcome out) {
-    if (settled_) return;
-    settled_ = true;
-    done_.fulfill(std::move(out));
-  }
-
- private:
-  friend class CharlotteBackend;
-  CharlotteBackend* backend_;
-  std::uint64_t out_id_;
-  sim::OneShot<SendOutcome> done_;
-  bool settled_ = false;
-};
-
 // ===================== setup =====================
 
 CharlotteBackend::CharlotteBackend(charlotte::Cluster& cluster,
@@ -129,16 +98,12 @@ CharlotteBackend::KSend CharlotteBackend::control_packet(
 
 // ===================== sending =====================
 
-std::unique_ptr<PendingSend> CharlotteBackend::begin_send(BLink token,
-                                                          WireMessage msg) {
-  const std::uint64_t id = next_out_id_++;
-  auto ps = std::make_unique<CharlottePendingSend>(*this, id,
-                                                   cluster_->engine());
+void CharlotteBackend::begin_send(BLink token, WireMessage msg,
+                                  std::uint64_t id) {
   OutMsg out;
   out.id = id;
   out.link = token;
   out.kind = msg.kind;
-  out.ps = ps.get();
   out.trace = msg.trace_id;
   for (BLink e : msg.enclosures) {
     CLink* enc = find(e);
@@ -153,13 +118,12 @@ std::unique_ptr<PendingSend> CharlotteBackend::begin_send(BLink token,
   header[1] = static_cast<std::uint8_t>(out.enclosure_ends.size());
   CLink* link = find(token);
   if (link == nullptr || link->destroyed) {
-    ps->settle(SendOutcome{SendResult::kLinkDestroyed, {}});
-    return ps;
+    settle(id, SendOutcome{SendResult::kLinkDestroyed, {}});
+    return;
   }
   out_msgs_.emplace(id, std::move(out));
   link->out_queue.push_back(id);
   start_next_out(*link);
-  return ps;
 }
 
 void CharlotteBackend::start_next_out(CLink& link) {
@@ -236,7 +200,7 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
         auto it = out_msgs_.find(sent_out_id);
         if (it != out_msgs_.end() && it->second.kind == MsgKind::kReply &&
             it->second.enclosure_ends.empty()) {
-          resolve(it->second, SendOutcome{SendResult::kDelivered, {}});
+          settle(sent_out_id, SendOutcome{SendResult::kDelivered, {}});
         }
       }
     }
@@ -272,13 +236,6 @@ sim::Task<> CharlotteBackend::pump() {
   }
 }
 
-void CharlotteBackend::resolve(OutMsg& out, SendOutcome outcome) {
-  if (out.ps != nullptr) {
-    out.ps->settle(std::move(outcome));
-    out.ps = nullptr;
-  }
-}
-
 void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
   CLink* link = find_by_end(c.end);
   if (link == nullptr) return;
@@ -296,7 +253,7 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
     if (ks.out_id != 0) {
       auto it = out_msgs_.find(ks.out_id);
       if (it != out_msgs_.end()) {
-        resolve(it->second, SendOutcome{SendResult::kCancelled, {}});
+        settle(ks.out_id, SendOutcome{SendResult::kCancelled, {}});
         if (link->active_out == ks.out_id) link->active_out = 0;
         out_msgs_.erase(it);
       }
@@ -318,7 +275,7 @@ void CharlotteBackend::dispatch_send_done(const charlotte::Completion& c) {
       } else if (!send_next_enc(*link, out)) {
         // message fully shipped (a multi-enclosure reply, or a request
         // past its GOAHEAD, first streams one ENC packet per completion)
-        resolve(out, SendOutcome{SendResult::kDelivered, {}});
+        settle(out.id, SendOutcome{SendResult::kDelivered, {}});
         if (out.kind == MsgKind::kReply) {
           out_msgs_.erase(it);
         } else {
@@ -589,7 +546,7 @@ void CharlotteBackend::retract_reply_interest(BLink token) {
 
 // ===================== cancel / destroy / shutdown =====================
 
-void CharlotteBackend::request_cancel(std::uint64_t out_id) {
+void CharlotteBackend::cancel_send(std::uint64_t out_id) {
   auto it = out_msgs_.find(out_id);
   if (it == out_msgs_.end()) return;
   OutMsg& out = it->second;
@@ -598,13 +555,13 @@ void CharlotteBackend::request_cancel(std::uint64_t out_id) {
   if (link == nullptr) return;
   // Still queued (not yet at the kernel)?  Revoke locally: enclosures
   // are untouched.  An unsettled send is queued or active: a request
-  // that RETRY/FORBID bounced was already settled delivered, so its
-  // PendingSend never asks to cancel.
+  // that RETRY/FORBID bounced was already settled delivered, so the
+  // runtime never cancels it.
   auto queued = std::find(link->out_queue.begin(), link->out_queue.end(),
                           out_id);
   if (queued != link->out_queue.end()) {
     link->out_queue.erase(queued);
-    resolve(out, SendOutcome{SendResult::kCancelled, {}});
+    settle(out_id, SendOutcome{SendResult::kCancelled, {}});
     out_msgs_.erase(it);
     return;
   }
@@ -642,7 +599,7 @@ void CharlotteBackend::fail_sends(CLink& link) {
   auto fail_out = [&](std::uint64_t id) {
     auto it = out_msgs_.find(id);
     if (it == out_msgs_.end()) return;
-    resolve(it->second, SendOutcome{SendResult::kLinkDestroyed, {}});
+    settle(id, SendOutcome{SendResult::kLinkDestroyed, {}});
     out_msgs_.erase(it);
   };
   if (link.active_out != 0) fail_out(link.active_out);

@@ -38,8 +38,6 @@
 
 namespace lynx {
 
-class CharlottePendingSend;
-
 class CharlotteBackend final : public Backend {
  public:
   CharlotteBackend(charlotte::Cluster& cluster, net::NodeId node);
@@ -60,8 +58,8 @@ class CharlotteBackend final : public Backend {
     return 2;  // [ptype][total enclosures]
   }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
-  [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
-      BLink link, WireMessage msg) override;
+  void begin_send(BLink link, WireMessage msg, std::uint64_t id) override;
+  void cancel_send(std::uint64_t id) override;
   void set_interest(BLink link, bool want_requests,
                     bool want_replies) override;
   void retract_reply_interest(BLink link) override;  // cannot help: no-op
@@ -92,8 +90,6 @@ class CharlotteBackend final : public Backend {
       Process& a, Process& b);
 
  private:
-  friend class CharlottePendingSend;
-
   enum class PType : std::uint8_t {
     kRequest = 0,
     kReply = 1,
@@ -104,10 +100,11 @@ class CharlotteBackend final : public Backend {
     kEnc = 6,
   };
 
-  // A LYNX-level message in transmission.  Lives in the backend until
-  // definitively delivered or failed (it can outlive its PendingSend:
-  // a FORBID can bounce a request whose kernel sends were already
-  // acknowledged, and the retransmission is the backend's business).
+  // A LYNX-level message in transmission, under the id the runtime named
+  // its send by.  Lives in the backend until definitively delivered or
+  // failed, which can be after the send is settled: a FORBID can bounce
+  // a request whose kernel sends were already acknowledged, and the
+  // retransmission is the backend's business.
   struct OutMsg {
     std::uint64_t id;
     BLink link;
@@ -120,7 +117,6 @@ class CharlotteBackend final : public Backend {
     int next_enclosure = 0;      // how many already shipped
     bool awaiting_goahead = false;
     bool cancel_requested = false;
-    CharlottePendingSend* ps = nullptr;  // null once resolved
     std::uint64_t trace = 0;     // causal identity from the WireMessage
   };
 
@@ -180,14 +176,12 @@ class CharlotteBackend final : public Backend {
   bool send_next_enc(CLink& link, OutMsg& out);
   void queue_ksend(CLink& link, KSend ks);
   void drain(CLink& link);
-  void request_cancel(std::uint64_t out_id);
   [[nodiscard]] sim::Task<> run_ksend(BLink token);
   void update_receive_posting(CLink& link);
   [[nodiscard]] sim::Task<> post_receive(BLink token);
   [[nodiscard]] sim::Task<> cancel_receive(BLink token);
   [[nodiscard]] sim::Task<> issue_cancel(BLink token);
   void maybe_send_allow(CLink& link);
-  void resolve(OutMsg& out, SendOutcome outcome);
   void fail_link(CLink& link);
   // Settles every send of the link as link-destroyed.
   void fail_sends(CLink& link);
@@ -214,7 +208,6 @@ class CharlotteBackend final : public Backend {
   common::IdMap<charlotte::EndId, BLink> by_end_;
   common::IdMap<std::uint64_t, OutMsg> out_msgs_;
   common::IdAllocator<BLink> blink_ids_;
-  std::uint64_t next_out_id_ = 1;
   Stats stats_;
 };
 

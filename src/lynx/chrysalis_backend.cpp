@@ -121,31 +121,6 @@ DecodedBuffer decode_buffer(common::Body raw) {
 
 }  // namespace
 
-// A Chrysalis send in flight: resolved by the pump when the consumed
-// notice arrives (or by destruction / cancellation).  The backend keeps
-// the send's state under its id (OutSend).
-class ChrysalisPendingSend final : public PendingSend {
- public:
-  ChrysalisPendingSend(ChrysalisBackend& backend, std::uint64_t id,
-                       sim::Engine& engine)
-      : backend_(&backend), id_(id), done_(engine) {}
-
-  sim::Task<SendOutcome> wait() override {
-    SendOutcome out = co_await done_.take();
-    co_return out;
-  }
-
-  // A settled send is gone from the backend, so this is a no-op then.
-  void cancel() override { backend_->request_cancel(id_); }
-
-  void settle(SendOutcome out) { done_.fulfill(std::move(out)); }
-
- private:
-  ChrysalisBackend* backend_;
-  std::uint64_t id_;
-  sim::OneShot<SendOutcome> done_;
-};
-
 // ===================== backend =====================
 
 ChrysalisBackend::ChrysalisBackend(chrysalis::Kernel& kernel,
@@ -319,15 +294,11 @@ sim::Task<std::pair<BLink, BLink>> ChrysalisBackend::make_link() {
   co_return std::pair(a, b);
 }
 
-std::unique_ptr<PendingSend> ChrysalisBackend::begin_send(BLink link,
-                                                          WireMessage msg) {
-  const std::uint64_t id = next_send_id_++;
-  auto ps = std::make_unique<ChrysalisPendingSend>(*this, id,
-                                                   kernel_->engine());
-  sends_.push_back(OutSend{id, ps.get(), link, msg.kind, msg.enclosures});
+void ChrysalisBackend::begin_send(BLink link, WireMessage msg,
+                                  std::uint64_t id) {
+  sends_.push_back(OutSend{id, link, msg.kind, msg.enclosures});
   kernel_->engine().spawn("chrysalis-send",
                           perform_send(link, std::move(msg), id));
-  return ps;
 }
 
 ChrysalisBackend::OutSend* ChrysalisBackend::find_send(std::uint64_t send_id) {
@@ -340,10 +311,9 @@ ChrysalisBackend::OutSend* ChrysalisBackend::find_send(std::uint64_t send_id) {
 void ChrysalisBackend::settle_send(std::uint64_t send_id, SendOutcome out) {
   OutSend* s = find_send(send_id);
   if (s == nullptr) return;
-  ChrysalisPendingSend* ps = s->ps;
   if (s != &sends_.back()) *s = std::move(sends_.back());
   sends_.pop_back();
-  ps->settle(std::move(out));
+  settle(send_id, std::move(out));
 }
 
 sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
@@ -635,7 +605,7 @@ void ChrysalisBackend::fail_parked_sends(LinkRec& rec) {
   }
 }
 
-void ChrysalisBackend::request_cancel(std::uint64_t send_id) {
+void ChrysalisBackend::cancel_send(std::uint64_t send_id) {
   OutSend* send = find_send(send_id);
   if (send == nullptr) return;
   send->cancel_requested = true;

@@ -70,8 +70,8 @@ class ChrysalisBackend final : public Backend {
   }
   void shutdown() override;
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
-  [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
-      BLink link, WireMessage msg) override;
+  void begin_send(BLink link, WireMessage msg, std::uint64_t id) override;
+  void cancel_send(std::uint64_t id) override;
   void set_interest(BLink link, bool want_requests,
                     bool want_replies) override;
   void retract_reply_interest(BLink link) override;
@@ -88,14 +88,11 @@ class ChrysalisBackend final : public Backend {
       Process& a, Process& b);
 
  private:
-  friend class ChrysalisPendingSend;
-
-  // A send in flight, named by id.  The runtime frees a PendingSend as
-  // soon as it is settled, so every step that suspends re-finds its
-  // send here by id instead of holding the pointer across the await.
+  // A send in flight, under the id the runtime named it by.  A settled
+  // send is gone from sends_, so every step that suspends re-finds its
+  // send here by id instead of holding a reference across the await.
   struct OutSend {
     std::uint64_t id = 0;
-    class ChrysalisPendingSend* ps = nullptr;
     BLink link;
     MsgKind kind = MsgKind::kRequest;
     std::vector<BLink> enclosures;  // backend tokens riding this send
@@ -131,7 +128,6 @@ class ChrysalisBackend final : public Backend {
   [[nodiscard]] sim::Task<> handle_destroyed_notice(chrysalis::MemId obj);
   [[nodiscard]] sim::Task<> perform_send(BLink link, WireMessage msg,
                                          std::uint64_t send_id);
-  void request_cancel(std::uint64_t send_id);
   [[nodiscard]] sim::Task<> perform_cancel(std::uint64_t send_id);
   // Null once the send is settled.
   [[nodiscard]] OutSend* find_send(std::uint64_t send_id);
@@ -187,7 +183,6 @@ class ChrysalisBackend final : public Backend {
   // A handful in flight at a time (at most two per link): a flat vector
   // scanned by id, which allocates nothing once warm.
   std::vector<OutSend> sends_;
-  std::uint64_t next_send_id_ = 1;
   struct NoticeQueue {
     std::vector<std::uint32_t> pending;
     sim::TimerHandle deadline;

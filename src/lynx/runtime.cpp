@@ -106,8 +106,10 @@ void Process::abort_thread(ThreadId tid) {
   if (it == threads_.end()) return;
   ThreadState& ts = it->second;
   ts.abort_requested = true;
-  if (ts.current_send != nullptr) {
-    ts.current_send->cancel();
+  if (ts.current_send != 0) {
+    if (backend_->awaited(ts.current_send)) {
+      backend_->cancel_send(ts.current_send);
+    }
     return;
   }
   if (ts.awaiting_reply_on.valid()) {
@@ -163,18 +165,19 @@ void Process::on_backend_event(BackendEvent ev) {
           Serialized ser = marshal(reject);
           std::vector<BLink> blinks =
               check_and_stage_enclosures(ls.handle, ser.enclosures);
-          auto ps = backend_->begin_send(
-              ls.blink, WireMessage{MsgKind::kReply, std::move(ser.body),
-                                    std::move(blinks), ev.trace});
+          auto done = std::make_unique<sim::OneShot<SendOutcome>>(*engine_);
+          begin_send(ls.blink,
+                     WireMessage{MsgKind::kReply, std::move(ser.body),
+                                 std::move(blinks), ev.trace},
+                     *done);
           // fire and forget; drop the moved-back ends
-          auto* raw = ps.release();
-          engine_->spawn(name_ + "/reject",
-                         [](Process* p, PendingSend* send,
-                            std::vector<LinkHandle> hs) -> sim::Task<> {
-                           (void)co_await send->wait();
-                           delete send;
-                           for (LinkHandle h : hs) p->drop_link(h);
-                         }(this, raw, handles));
+          engine_->spawn(
+              name_ + "/reject",
+              [](Process* p, std::unique_ptr<sim::OneShot<SendOutcome>> sent,
+                 std::vector<LinkHandle> hs) -> sim::Task<> {
+                (void)co_await sent->take();
+                for (LinkHandle h : hs) p->drop_link(h);
+              }(this, std::move(done), handles));
           return;
         }
         ls.request_q.push_back(std::move(d));
@@ -238,17 +241,22 @@ sim::Duration Process::marshal_cost(std::size_t bytes) const {
          costs_.per_byte * static_cast<sim::Duration>(bytes);
 }
 
-std::unique_ptr<PendingSend> Process::start_send(ThreadState& ts,
-                                                 LinkState& ls,
-                                                 WireMessage msg) {
-  auto ps = backend_->begin_send(ls.blink, std::move(msg));
-  ts.current_send = ps.get();
+std::uint64_t Process::begin_send(BLink blink, WireMessage msg,
+                                  sim::OneShot<SendOutcome>& done) {
+  const std::uint64_t id = next_send_++;
+  backend_->await_send(id, done);
+  backend_->begin_send(blink, std::move(msg), id);
+  return id;
+}
+
+void Process::start_send(ThreadState& ts, LinkState& ls, WireMessage msg,
+                         sim::OneShot<SendOutcome>& done) {
+  ts.current_send = begin_send(ls.blink, std::move(msg), done);
   ++ls.sends_in_flight;
-  return ps;
 }
 
 Process::LinkState* Process::finish_send(ThreadState& ts, LinkHandle link) {
-  ts.current_send = nullptr;
+  ts.current_send = 0;
   LinkState* ls = find_link(link);
   if (ls != nullptr) --ls->sends_in_flight;
   return ls;
@@ -430,10 +438,12 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   trace::SpanScope send_span(rec, tnode, "runtime", "call.send", call_trace,
                              ser.body.size());
   auto& ts = p.threads_.at(id_);
-  auto ps = p.start_send(ts, ls,
-                         WireMessage{MsgKind::kRequest, std::move(ser.body),
-                                     std::move(blinks), call_trace});
-  SendOutcome out = co_await ps->wait();
+  sim::OneShot<SendOutcome> sent(engine());
+  p.start_send(ts, ls,
+               WireMessage{MsgKind::kRequest, std::move(ser.body),
+                           std::move(blinks), call_trace},
+               sent);
+  SendOutcome out = co_await sent.take();
   p.finish_send(ts, link);
   send_span.end();
 
@@ -588,10 +598,12 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
   trace::SpanScope send_span(rec, tnode, "runtime", "reply.send",
                              incoming.trace, ser.body.size());
   auto& ts = p.threads_.at(id_);
-  auto ps = p.start_send(ts, *ls,
-                         WireMessage{MsgKind::kReply, std::move(ser.body),
-                                     std::move(blinks), incoming.trace});
-  SendOutcome out = co_await ps->wait();
+  sim::OneShot<SendOutcome> sent(engine());
+  p.start_send(ts, *ls,
+               WireMessage{MsgKind::kReply, std::move(ser.body),
+                           std::move(blinks), incoming.trace},
+               sent);
+  SendOutcome out = co_await sent.take();
   if (auto* cur = p.finish_send(ts, link)) cur->call_serializer->wake_one();
   send_span.end();
   p.owed_.erase(incoming.token);

@@ -163,7 +163,7 @@ class Process {
     ThreadId id;
     std::string name;
     std::unique_ptr<ThreadCtx> ctx;
-    PendingSend* current_send = nullptr;
+    std::uint64_t current_send = 0;  // the send it awaits, 0 = none
     LinkHandle awaiting_reply_on;  // valid while blocked in call()
     bool abort_requested = false;
     // When non-zero, calls made by this thread join this causal chain
@@ -187,13 +187,16 @@ class Process {
   [[nodiscard]] Serialized marshal(const Message& m) const;
   // Gather or scatter cost of a `bytes`-long body (§3.3).
   [[nodiscard]] sim::Duration marshal_cost(std::size_t bytes) const;
+  // Names a send and begins `msg` on `blink`; `done` receives its
+  // outcome.
+  std::uint64_t begin_send(BLink blink, WireMessage msg,
+                           sim::OneShot<SendOutcome>& done);
   // The one send path of call() and reply(): start_send begins `msg` on
   // `ls` as `ts`'s current send (an abort cancels it) and counts it in
   // flight; once it settles, finish_send undoes both and returns the
   // link, if it still exists.
-  [[nodiscard]] std::unique_ptr<PendingSend> start_send(ThreadState& ts,
-                                                        LinkState& ls,
-                                                        WireMessage msg);
+  void start_send(ThreadState& ts, LinkState& ls, WireMessage msg,
+                  sim::OneShot<SendOutcome>& done);
   LinkState* finish_send(ThreadState& ts, LinkHandle link);
   // Refuses enclosures that may not move (§2.1); else their backend
   // tokens, in order.
@@ -221,6 +224,7 @@ class Process {
   std::size_t fair_cursor_ = 0;
   std::unordered_set<std::string> declared_ops_;
   std::uint64_t next_token_ = 1;
+  std::uint64_t next_send_ = 1;
   common::IdMap<std::uint64_t, LinkHandle> owed_;
   std::uint64_t ops_ = 0;
 };

@@ -77,37 +77,6 @@ soda::Name decode_name(const soda::Payload& raw) {
 
 }  // namespace
 
-// A SODA send in flight.
-class SodaPendingSend final : public PendingSend {
- public:
-  SodaPendingSend(SodaBackend& backend, std::uint64_t out_id,
-                  sim::Engine& engine)
-      : backend_(&backend), out_id_(out_id), done_(engine) {}
-
-  sim::Task<SendOutcome> wait() override {
-    SendOutcome out = co_await done_.take();
-    co_return out;
-  }
-
-  void cancel() override {
-    if (settled_) return;
-    backend_->request_cancel(out_id_);
-  }
-
-  void settle(SendOutcome out) {
-    if (settled_) return;
-    settled_ = true;
-    done_.fulfill(std::move(out));
-  }
-
- private:
-  friend class SodaBackend;
-  SodaBackend* backend_;
-  std::uint64_t out_id_;
-  sim::OneShot<SendOutcome> done_;
-  bool settled_ = false;
-};
-
 // ===================== setup =====================
 
 SodaBackend::SodaBackend(soda::Network& network, SodaDirectory& directory,
@@ -202,16 +171,11 @@ sim::Task<std::pair<BLink, BLink>> SodaBackend::make_link() {
 
 // ===================== sending =====================
 
-std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
-                                                     WireMessage msg) {
-  const std::uint64_t id = next_out_id_++;
-  auto ps =
-      std::make_unique<SodaPendingSend>(*this, id, network_->engine());
+void SodaBackend::begin_send(BLink token, WireMessage msg, std::uint64_t id) {
   OutSend out;
   out.id = id;
   out.link = token;
   out.kind = msg.kind;
-  out.ps = ps.get();
   out.trace = msg.trace_id;
   std::vector<std::array<std::uint64_t, 3>> encs;
   for (BLink e : msg.enclosures) {
@@ -225,7 +189,6 @@ std::unique_ptr<PendingSend> SodaBackend::begin_send(BLink token,
   encode_put_header(out.data.prepend(header_bytes(encs.size())), encs);
   outs_.emplace(id, std::move(out));
   network_->engine().spawn("soda-send", issue_send(id));
-  return ps;
 }
 
 sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
@@ -291,14 +254,12 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
     // authoritative flag can answer REPLY-UNWANTED.  Consume the hint.
     link2->peer_reply_unwanted = false;
   } else if (placed.kind == MsgKind::kReply &&
-             placed.enclosure_tokens.empty() && placed.ps != nullptr &&
-             !placed.cancel_requested) {
-    placed.ps->settle(SendOutcome{SendResult::kDelivered, {}});
-    placed.ps = nullptr;
+             placed.enclosure_tokens.empty() && !placed.cancel_requested) {
+    settle(out_id, SendOutcome{SendResult::kDelivered, {}});
     placed.early_resolved = true;
   }
   // A cancel that arrived while the kernel was placing the request
-  // could not name it yet (request_cancel leaves it to us).
+  // could not name it yet (cancel_send leaves it to us).
   if (placed.cancel_requested) co_await issue_cancel(out_id);
 }
 
@@ -306,7 +267,7 @@ void SodaBackend::resolve_out(std::uint64_t out_id, SendOutcome outcome) {
   auto it = outs_.find(out_id);
   if (it == outs_.end()) return;
   if (it->second.req.valid()) out_by_req_.erase(it->second.req);
-  if (it->second.ps != nullptr) it->second.ps->settle(std::move(outcome));
+  settle(out_id, std::move(outcome));
   outs_.erase(it);
   note_drain_progress();
 }
@@ -322,7 +283,7 @@ void SodaBackend::note_drain_progress() {
   if (draining_ && !has_unsettled_early()) drained_->wake_all();
 }
 
-void SodaBackend::request_cancel(std::uint64_t out_id) {
+void SodaBackend::cancel_send(std::uint64_t out_id) {
   auto it = outs_.find(out_id);
   if (it == outs_.end()) return;
   it->second.cancel_requested = true;

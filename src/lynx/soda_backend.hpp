@@ -36,8 +36,6 @@
 
 namespace lynx {
 
-class SodaPendingSend;
-
 // Shared per-experiment directory: "SODA makes it easy to guess their
 // ids" — the freeze search needs to reach every LYNX process, so each
 // backend publishes its pid and freeze name here.
@@ -77,8 +75,8 @@ class SodaBackend final : public Backend {
     return 1 + 20 * enclosures;  // [count][per end: names + hint]
   }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
-  [[nodiscard]] std::unique_ptr<PendingSend> begin_send(
-      BLink link, WireMessage msg) override;
+  void begin_send(BLink link, WireMessage msg, std::uint64_t id) override;
+  void cancel_send(std::uint64_t id) override;
   void set_interest(BLink link, bool want_requests,
                     bool want_replies) override;
   void retract_reply_interest(BLink link) override;
@@ -104,8 +102,6 @@ class SodaBackend final : public Backend {
       Process& a, Process& b);
 
  private:
-  friend class SodaPendingSend;
-
   // accept / completion out-of-band codes (word 0)
   enum class Oop : std::uint32_t {
     kRequestMsg = 1,   // request oob: a LYNX request rides this put
@@ -159,7 +155,6 @@ class SodaBackend final : public Backend {
     soda::ReqId req;               // current kernel request
     soda::Pid target;              // pid the request went to
     std::vector<BLink> enclosure_tokens;
-    SodaPendingSend* ps = nullptr;
     bool cancel_requested = false;
     // The LYNX thread was released before the kernel leg finished (the
     // early reply resolve, DESIGN.md §12); shutdown drains these.
@@ -180,7 +175,6 @@ class SodaBackend final : public Backend {
   void on_crash_or_reject(soda::ReqId req);
   [[nodiscard]] sim::Task<> issue_send(std::uint64_t out_id);
   void resolve_out(std::uint64_t out_id, SendOutcome outcome);
-  void request_cancel(std::uint64_t out_id);
   [[nodiscard]] sim::Task<> issue_cancel(std::uint64_t out_id);
   [[nodiscard]] sim::Task<> accept_and_deliver(BLink token, soda::ReqId req,
                                                MsgKind kind,
@@ -253,7 +247,6 @@ class SodaBackend final : public Backend {
   std::unordered_map<soda::ReqId, FreezeCollector*> freeze_collects_;
   std::unordered_map<soda::Name, soda::Pid> async_hints_;
   common::IdAllocator<BLink> blink_ids_;
-  std::uint64_t next_out_id_ = 1;
   Stats stats_;
 };
 

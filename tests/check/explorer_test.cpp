@@ -193,6 +193,13 @@ TEST(Explorer, TokensRoundTrip) {
   EXPECT_FALSE(
       parse_token(R"({"substrate":"vms","tie":"fifo","seed":1,"plan":"none"})")
           .has_value());
+  // Counts past INT_MAX are refused, not wrapped into a small run.
+  EXPECT_FALSE(parse_token(R"({"substrate":"charlotte","tie":"fifo","seed":1,)"
+                           R"("plan":"none","channels":4294967297})")
+                   .has_value());
+  EXPECT_FALSE(parse_token(R"({"substrate":"charlotte","tie":"fifo","seed":1,)"
+                           R"("plan":"none","calls":4294967300})")
+                   .has_value());
 }
 
 TEST(Explorer, SweepIsCleanAcrossSubstratesPoliciesAndPlans) {

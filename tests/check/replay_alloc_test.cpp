@@ -7,11 +7,10 @@
 // 20 s window on each substrate, then counts the allocations of one
 // ReferenceModel::replay over the finished stream.  A passing replay
 // keeps small fixed-size context entries and renders no text, so its
-// cost is the snapshot (one vector, filled in place by seq: a stream
-// that lost no record needs no merge) and the per-trace and per-span
-// tables; a
-// change that goes back to formatting each record (or copying label
-// strings per record) multiplies the count.  The ceiling sits a little
+// cost is the snapshot (one vector, the ring copied from its oldest
+// record in two runs) and the per-trace and per-span tables; a change
+// that goes back to formatting each record (or copying label strings
+// per record) multiplies the count.  The ceiling sits a little
 // above the current count; lower it when a change cuts more.
 #include <gtest/gtest.h>
 

@@ -120,35 +120,35 @@ double recorded(const Echo& echo) {
 constexpr std::size_t kBulk = 1800;
 
 TEST(AllocCount, CharlotteEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kCharlotte}), 20.0);  // 18.9 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte}), 18.0);  // 16.9 measured
 }
 
 TEST(AllocCount, SodaEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kSoda}), 31.0);  // 27.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda}), 29.0);  // 25.1 measured
 }
 
 TEST(AllocCount, ChrysalisEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kChrysalis}), 20.0);  // 18.0 measured
+  EXPECT_LE(recorded({Substrate::kChrysalis}), 18.0);  // 16.0 measured
 }
 
 TEST(AllocCount, CharlotteBulkEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kCharlotte, kBulk}), 20.0);  // 18.9 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte, kBulk}), 18.0);  // 16.9 measured
 }
 
 TEST(AllocCount, SodaBulkEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kSoda, kBulk}), 37.0);  // 33.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda, kBulk}), 35.0);  // 31.1 measured
 }
 
 TEST(AllocCount, ChrysalisBulkEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kChrysalis, kBulk}), 20.0);  // 18.0 measured
+  EXPECT_LE(recorded({Substrate::kChrysalis, kBulk}), 18.0);  // 16.0 measured
 }
 
 TEST(AllocCount, CharlotteFormationEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kCharlotte, 64, true}), 20.0);  // 18.9 measured
+  EXPECT_LE(recorded({Substrate::kCharlotte, 64, true}), 18.0);  // 16.9 measured
 }
 
 TEST(AllocCount, SodaFormationEchoStaysUnderCeiling) {
-  EXPECT_LE(recorded({Substrate::kSoda, 64, true}), 33.0);  // 29.1 measured
+  EXPECT_LE(recorded({Substrate::kSoda, 64, true}), 31.0);  // 27.1 measured
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -409,9 +411,11 @@ TEST(LynxSemantics, LocalDestroyReleasesEveryCaller) {
 
 // An abort that lands anywhere in an echo, on either side of the
 // replier's send, settles that send once and touches nothing the
-// runtime freed after it: the replier is aborted at every 20 µs offset
-// from 1 to 4 ms into the echo.  Both threads always finish.  (The
-// ASan build is what sees a send read after it was freed.)
+// runtime freed after it: on each substrate the replier is aborted at
+// every 250 µs offset into the echo, until well past its end.  Both
+// threads always finish, and each substrate's outcome counts are
+// pinned.  (The ASan build is what sees a send read after it was
+// freed.)
 sim::Task<> echo_once(ThreadCtx& ctx, LinkHandle link, std::string* outcome) {
   try {
     ctx.enable_requests(link);
@@ -434,27 +438,111 @@ sim::Task<> call_once(ThreadCtx& ctx, LinkHandle link, std::string* outcome) {
   }
 }
 
+sim::Task<> wire_aborted_echo(load::Universe* u, Process* client,
+                              Process* server, sim::Duration abort_at,
+                              std::string* served, std::string* called) {
+  auto [ce, se] = co_await u->connect(*client, *server);
+  const ThreadId tid = server->spawn_thread("srv", [se, served](ThreadCtx& c) {
+    return echo_once(c, se, served);
+  });
+  client->spawn_thread("cli", [ce, called](ThreadCtx& c) {
+    return call_once(c, ce, called);
+  });
+  u->engine().schedule(abort_at,
+                       [server, tid] { server->abort_thread(tid); });
+}
+
 TEST(LynxSemantics, AbortAcrossAReplySettlesItsSendOnce) {
-  std::set<std::string> outcomes;
-  for (sim::Duration at = sim::msec(1); at <= sim::msec(4);
-       at += sim::usec(20)) {
-    World w;
-    w.boot();
-    std::string served = "unfinished";
-    std::string called = "unfinished";
-    const ThreadId tid = w.server.spawn_thread("srv", [&](ThreadCtx& ctx) {
-      return echo_once(ctx, w.server_end, &served);
-    });
-    w.client.spawn_thread("cli", [&](ThreadCtx& ctx) {
-      return call_once(ctx, w.client_end, &called);
-    });
-    w.engine.schedule(at, [&, tid] { w.server.abort_thread(tid); });
-    w.engine.run();
-    EXPECT_TRUE(w.engine.process_failures().empty()) << "at " << at;
-    outcomes.insert(served + "/" + called);
+  using Counts = std::map<std::string, int>;
+  const std::map<load::Substrate, std::pair<sim::Duration, Counts>> pinned{
+      {load::Substrate::kCharlotte,
+       {sim::msec(120),
+        {{"aborted/link-destroyed", 113}, {"replied/returned", 367}}}},
+      {load::Substrate::kSoda,
+       {sim::msec(40),
+        {{"aborted/link-destroyed", 37}, {"replied/returned", 123}}}},
+      {load::Substrate::kChrysalis,
+       {sim::msec(40),
+        {{"aborted/link-destroyed", 5}, {"replied/returned", 155}}}},
+  };
+  for (const auto& [sub, until_counts] : pinned) {
+    const auto& [until, expected] = until_counts;
+    Counts outcomes;
+    for (sim::Duration at = sim::usec(250); at <= until;
+         at += sim::usec(250)) {
+      sim::Engine engine;
+      load::UniverseSpec spec;
+      spec.substrate = sub;
+      load::Universe u(engine, spec);
+      Process& client = u.spawn("client", 0);
+      Process& server = u.spawn("server", 1);
+      std::string served = "unfinished";
+      std::string called = "unfinished";
+      engine.spawn("wire", wire_aborted_echo(&u, &client, &server, at,
+                                             &served, &called));
+      engine.run();
+      EXPECT_TRUE(engine.process_failures().empty()) << "at " << at;
+      ++outcomes[served + "/" + called];
+    }
+    EXPECT_EQ(outcomes, expected) << load::to_string(sub);
   }
-  EXPECT_EQ(outcomes, (std::set<std::string>{"aborted/link-destroyed",
-                                              "replied/returned"}));
+}
+
+// A send stays cancellable only while it is awaited.  This backend
+// settles each send from an event of its own and, in that same event,
+// aborts the sender before its thread resumes: the runtime must not
+// cancel a send that has already settled (on Charlotte and SODA an
+// early-settled reply is still at the kernel, where a cancel could
+// revoke a reply the server was told went out).
+class SettleThenAbortBackend final : public Backend {
+ public:
+  explicit SettleThenAbortBackend(sim::Engine& engine) : engine_(&engine) {}
+
+  [[nodiscard]] Capabilities capabilities() const override { return {}; }
+  void start(Sink) override {}
+  void shutdown() override {}
+  [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
+    return 0;
+  }
+  [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override {
+    co_return std::pair(BLink(1), BLink(2));
+  }
+  void begin_send(BLink, WireMessage, std::uint64_t id) override {
+    engine_->schedule(sim::usec(10), [this, id] {
+      settle(id, SendOutcome{});
+      after_settle();
+    });
+  }
+  void cancel_send(std::uint64_t id) override { cancelled.push_back(id); }
+  void set_interest(BLink, bool, bool) override {}
+  void retract_reply_interest(BLink) override {}
+  [[nodiscard]] sim::Task<void> destroy(BLink) override { co_return; }
+
+  std::function<void()> after_settle;
+  std::vector<std::uint64_t> cancelled;
+
+ private:
+  sim::Engine* engine_;
+};
+
+sim::Task<> call_unanswered(ThreadCtx& ctx, LinkHandle link) {
+  Message req = make_message("echo", {});
+  (void)co_await ctx.call(link, std::move(req));
+}
+
+TEST(LynxSemantics, AbortAfterASendSettlesDoesNotCancelIt) {
+  sim::Engine engine;
+  auto backend = std::make_unique<SettleThenAbortBackend>(engine);
+  SettleThenAbortBackend* fake = backend.get();
+  Process p(engine, "p", std::move(backend));
+  const LinkHandle link = p.adopt_link(BLink(1));
+  p.start();
+  const ThreadId tid = p.spawn_thread("caller", [link](ThreadCtx& ctx) {
+    return call_unanswered(ctx, link);
+  });
+  fake->after_settle = [&p, tid] { p.abort_thread(tid); };
+  engine.run();
+  EXPECT_TRUE(fake->cancelled.empty());
 }
 
 // ---- message ordering within a queue (§2.1) -----------------------------------
