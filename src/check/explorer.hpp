@@ -8,8 +8,8 @@
 // randomness.  run_one() builds the world, runs it, and asks the
 // oracles whether anything broke:
 //
-//   * the LYNX reference model (reference_model.hpp) replaying the
-//     runtime trace stream,
+//   * the LYNX reference model (reference_model.hpp), fed the runtime
+//     trace stream as it is emitted (the recorder's sink; no ring),
 //   * fault::InvariantChecker over the impaired medium,
 //   * the engine's own process-failure log,
 //   * the workload threads' failure logs,
@@ -122,6 +122,12 @@ struct RunVerdict {
 // "horizon", "workload", "bug" and "stale" are omitted when at their
 // defaults, so pre-replica tokens still parse (and old parsers still
 // read echo tokens).
+// parse_token() refuses a shape past these bounds: a token from
+// outside the program could otherwise ask for a universe that runs for
+// hours or exhausts memory.
+inline constexpr std::uint64_t kMaxChannels = 64;
+inline constexpr std::uint64_t kMaxCalls = 1024;
+inline constexpr std::uint64_t kMaxBytes = 65536;
 [[nodiscard]] std::string to_json(const RunConfig& cfg);
 [[nodiscard]] std::optional<RunConfig> parse_token(std::string_view json);
 

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 namespace check {
@@ -129,47 +128,45 @@ LinVerdict check_history(const std::vector<KvOp>& ops) {
   return v;
 }
 
-LinVerdict check_trace(const trace::Recorder& rec) {
-  return check_trace(rec, rec.snapshot());
-}
-
-LinVerdict check_trace(const trace::Recorder& rec,
-                       std::span<const trace::Record> records) {
-  std::unordered_map<std::uint64_t, KvOp> by_trace;
-  std::vector<std::uint64_t> order;
-  // Labels compared by interned id; one never emitted matches nothing.
-  const auto invoke = rec.find_label("kv.invoke");
-  const auto ok = rec.find_label("kv.ok");
-  const auto err = rec.find_label("kv.err");
-  for (const trace::Record& r : records) {
-    if (r.kind != trace::Kind::kInstant) continue;
-    if (r.label == invoke) {
-      KvOp op;
-      op.trace = r.trace;
-      op.type = static_cast<KvOpType>(r.a >> 32);
-      op.key = static_cast<std::int32_t>(r.a & 0xffffffffull);
-      op.arg = static_cast<std::int64_t>(r.b);
-      op.inv_at = r.at;
-      op.inv_seq = r.seq;
-      if (by_trace.emplace(r.trace, op).second) order.push_back(r.trace);
-    } else if (r.label == ok || r.label == err) {
-      const auto it = by_trace.find(r.trace);
-      if (it == by_trace.end()) continue;  // invoke lost to ring overwrite
-      KvOp& op = it->second;
-      op.res_at = r.at;
-      op.res_seq = r.seq;
-      if (r.label == ok) {
-        op.completed = true;
-        op.result = static_cast<std::int64_t>(r.a);
-      } else {
-        op.errored = true;
-      }
+void KvHistory::feed(const trace::Recorder& rec, const trace::Record& r) {
+  if (r.kind != trace::Kind::kInstant) return;
+  while (labels_.size() <= r.label) {
+    const std::string& name =
+        rec.label_name(static_cast<std::uint16_t>(labels_.size()));
+    labels_.push_back(name == "kv.invoke" ? Label::kInvoke
+                      : name == "kv.ok"   ? Label::kOk
+                      : name == "kv.err"  ? Label::kErr
+                                          : Label::kOther);
+  }
+  const Label label = labels_[r.label];
+  if (label == Label::kInvoke) {
+    KvOp op;
+    op.trace = r.trace;
+    op.type = static_cast<KvOpType>(r.a >> 32);
+    op.key = static_cast<std::int32_t>(r.a & 0xffffffffull);
+    op.arg = static_cast<std::int64_t>(r.b);
+    op.inv_at = r.at;
+    op.inv_seq = r.seq;
+    if (by_trace_.emplace(r.trace, ops_.size()).second) ops_.push_back(op);
+  } else if (label == Label::kOk || label == Label::kErr) {
+    const auto it = by_trace_.find(r.trace);
+    if (it == by_trace_.end()) return;  // invoke lost to ring overwrite
+    KvOp& op = ops_[it->second];
+    op.res_at = r.at;
+    op.res_seq = r.seq;
+    if (label == Label::kOk) {
+      op.completed = true;
+      op.result = static_cast<std::int64_t>(r.a);
+    } else {
+      op.errored = true;
     }
   }
-  std::vector<KvOp> ops;
-  ops.reserve(order.size());
-  for (const std::uint64_t t : order) ops.push_back(by_trace.at(t));
-  return check_history(ops);
+}
+
+LinVerdict check_trace(const trace::Recorder& rec) {
+  KvHistory history;
+  for (const trace::Record& r : rec.snapshot()) history.feed(rec, r);
+  return history.check();
 }
 
 }  // namespace check

@@ -1,10 +1,10 @@
 // Linearizability oracle for the replicated KV service (the fifth
 // explorer oracle).
 //
-// Input is the client-observed history: one KvOp per operation a
-// client invoked, carrying its real-time interval and, if the call
-// completed, its result.  The check is Wing & Gong's search, made
-// tractable the standard two ways:
+// Input is the client-observed history (KvHistory, collected record by
+// record): one KvOp per operation a client invoked, carrying its
+// real-time interval and, if the call completed, its result.  The check
+// is Wing & Gong's search, made tractable the standard two ways:
 //
 //   * per-key compositionality — linearizability composes over
 //     independent objects, and each key is an independent register/
@@ -28,8 +28,8 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -64,14 +64,25 @@ struct LinVerdict {
 // Pure search over an explicit history (unit-testable without a world).
 [[nodiscard]] LinVerdict check_history(const std::vector<KvOp>& ops);
 
-// Extracts the history from the recorder's kv.invoke / kv.ok / kv.err
-// "app"-track instants (as emitted by replica::Group's clients) and
-// checks it.  Responses whose invoke was overwritten in the ring are
+// The client-observed history, collected one record at a time from the
+// kv.invoke / kv.ok / kv.err "app"-track instants (as emitted by
+// replica::Group's clients): feed it one recorder's stream in emission
+// order, as the recorder's sink or over its snapshot, then check it.
+// Responses whose invoke it never saw (overwritten in a ring) are
 // ignored; a wrapped ring cannot produce a false alarm this way.
+class KvHistory {
+ public:
+  void feed(const trace::Recorder& rec, const trace::Record& r);
+  [[nodiscard]] LinVerdict check() const { return check_history(ops_); }
+
+ private:
+  enum class Label : std::uint8_t { kOther, kInvoke, kOk, kErr };
+  std::vector<Label> labels_;  // by label id, named on first sight
+  std::vector<KvOp> ops_;      // in invoke order
+  std::unordered_map<std::uint64_t, std::size_t> by_trace_;  // index in ops_
+};
+
+// A KvHistory over the recorder's snapshot, checked.
 [[nodiscard]] LinVerdict check_trace(const trace::Recorder& rec);
-// The same over `records`, rec.snapshot() taken by the caller, so
-// oracles that read one run share one snapshot.
-[[nodiscard]] LinVerdict check_trace(const trace::Recorder& rec,
-                                     std::span<const trace::Record> records);
 
 }  // namespace check

@@ -1,5 +1,6 @@
 #include "check/reference_model.hpp"
 
+#include <cassert>
 #include <cstdio>
 #include <string_view>
 #include <utility>
@@ -37,18 +38,7 @@ std::string Divergence::render() const {
 }
 
 bool ReferenceModel::replay(const trace::Recorder& rec) {
-  return replay(rec, rec.snapshot());
-}
-
-bool ReferenceModel::replay(const trace::Recorder& rec,
-                            std::span<const trace::Record> records) {
-  divergence_.reset();
-  rpcs_.clear();
-  open_spans_.clear();
-  untraced_history_.clear();
-  records_ = 0;
-  calls_ = 0;
-
+  assert(records_ == 0 && !divergence_);  // a model checks one stream
   if (rec.overwritten() != 0) {
     Divergence d;
     d.rule = "ring-overflow";
@@ -58,37 +48,8 @@ bool ReferenceModel::replay(const trace::Recorder& rec,
     divergence_ = std::move(d);
     return false;
   }
-
-  bind(rec);
-  for (const trace::Record& r : records) {
-    feed(r);
-    if (divergence_.has_value()) break;
-  }
-  if (!divergence_.has_value()) finish();
-  rec_ = nullptr;
-  return !divergence_.has_value();
-}
-
-void ReferenceModel::bind(const trace::Recorder& rec) {
-  static constexpr std::pair<std::string_view, Op> kOps[] = {
-      {"call", Op::kCall},
-      {"call.gather", Op::kCallGather},
-      {"call.send", Op::kCallSend},
-      {"call.wait", Op::kCallWait},
-      {"call.scatter", Op::kCallScatter},
-      {"recv.scatter", Op::kRecvScatter},
-      {"reply.gather", Op::kReplyGather},
-      {"reply.send", Op::kReplySend},
-      {"rpc.error", Op::kRpcError},
-      {"req.reject", Op::kReqReject},
-      {"link.dead", Op::kLinkDead},
-  };
-  rec_ = &rec;
-  runtime_track_ = rec.find_track("runtime");
-  ops_.assign(rec.label_count(), Op::kOther);
-  for (const auto& [name, op] : kOps) {
-    if (const auto id = rec.find_label(name)) ops_[*id] = op;
-  }
+  for (const trace::Record& r : rec.snapshot()) feed(rec, r);
+  return finish();
 }
 
 std::vector<std::string> ReferenceModel::render(const History& history) const {
@@ -114,7 +75,6 @@ std::vector<std::string> ReferenceModel::render(const History& history) const {
 
 void ReferenceModel::diverge(const trace::Record& r, std::string rule,
                              std::string detail) {
-  if (divergence_.has_value()) return;  // first divergence wins
   Divergence d;
   d.seq = r.seq;
   d.at = r.at;
@@ -130,8 +90,35 @@ void ReferenceModel::diverge(const trace::Record& r, std::string rule,
   divergence_ = std::move(d);
 }
 
-void ReferenceModel::feed(const trace::Record& r) {
+void ReferenceModel::feed(const trace::Recorder& rec, const trace::Record& r) {
+  static constexpr std::pair<std::string_view, Op> kOps[] = {
+      {"call", Op::kCall},                {"call.gather", Op::kCallGather},
+      {"call.send", Op::kCallSend},       {"call.wait", Op::kCallWait},
+      {"call.scatter", Op::kCallScatter}, {"recv.scatter", Op::kRecvScatter},
+      {"reply.gather", Op::kReplyGather}, {"reply.send", Op::kReplySend},
+      {"rpc.error", Op::kRpcError},       {"req.reject", Op::kReqReject},
+      {"link.dead", Op::kLinkDead}};
+  // First divergence wins: a diverged model reads no more.
+  if (divergence_.has_value()) return;
   ++records_;
+  rec_ = &rec;
+
+  // Ids are dense and given in first-use order, so a track or label is
+  // named once, by the first record that carries its id.
+  if (r.kind != trace::Kind::kSpanEnd) {
+    for (; tracks_seen_ <= r.track; ++tracks_seen_) {
+      if (rec.track_name(tracks_seen_) == "runtime") {
+        runtime_track_ = tracks_seen_;
+      }
+    }
+    while (ops_.size() <= r.label) {
+      const auto id = static_cast<std::uint16_t>(ops_.size());
+      ops_.push_back(Op::kOther);
+      for (const auto& [name, op] : kOps) {
+        if (rec.label_name(id) == name) ops_.back() = op;
+      }
+    }
+  }
 
   // Resolve the (label, trace) this record talks about.  Span ends carry
   // only the span id, so they are attributed via the begin that opened
@@ -275,8 +262,9 @@ void ReferenceModel::feed(const trace::Record& r) {
   }
 }
 
-void ReferenceModel::finish() {
-  if (divergence_.has_value() || !expectation_.require_completion) return;
+bool ReferenceModel::finish() {
+  if (divergence_.has_value()) return false;
+  if (!expectation_.require_completion) return true;
   // Deterministic pick: report the lowest trace id left incomplete.
   const RpcState* worst = nullptr;
   std::uint64_t worst_trace = 0;
@@ -289,16 +277,16 @@ void ReferenceModel::finish() {
       worst_trace = trace;
     }
   }
-  if (worst != nullptr) {
-    Divergence d;
-    d.trace = worst_trace;
-    d.rule = "incomplete-call";
-    d.detail =
-        "a call span never closed: the run ended with an RPC still in "
-        "flight";
-    d.context = render(worst->history);
-    divergence_ = std::move(d);
-  }
+  if (worst == nullptr) return true;
+  Divergence d;
+  d.trace = worst_trace;
+  d.rule = "incomplete-call";
+  d.detail =
+      "a call span never closed: the run ended with an RPC still in "
+      "flight";
+  d.context = render(worst->history);
+  divergence_ = std::move(d);
+  return false;
 }
 
 }  // namespace check

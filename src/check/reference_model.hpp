@@ -3,8 +3,8 @@
 // The paper's central claim is semantic: all three substrates must
 // present *identical* LYNX semantics despite radically different kernel
 // interfaces.  This model is the single, substrate-independent
-// definition of "identical": it replays the runtime-track trace stream
-// of a finished run (the spans and instants src/lynx/runtime.cpp emits
+// definition of "identical": it reads a run's runtime-track trace
+// stream record by record (the spans and instants src/lynx/runtime.cpp emits
 // — call / call.gather / call.send / call.wait / call.scatter on the
 // client, recv.scatter / reply.gather / reply.send on the server, plus
 // rpc.error / req.reject / link.dead instants) and checks every event
@@ -42,13 +42,15 @@
 //
 // Because trace emission order equals simulated causality order (one
 // engine, one recorder, monotone seq), checking the recorder's one
-// stream online yields the FIRST divergent event, reported with the
-// causal context of its trace.
+// stream in order yields the FIRST divergent event, reported with the
+// causal context of its trace.  The model reads one record at a time
+// (feed), so it checks a run either as it runs, as the recorder's sink,
+// or afterwards, over the recorder's snapshot (replay); both see the
+// same records and reach the same verdict.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,16 +107,21 @@ class ReferenceModel {
   explicit ReferenceModel(Expectation expectation = {})
       : expectation_(expectation) {}
 
-  // Replays the recorder's retained stream in emission order and then
-  // applies the end-of-stream checks.  Returns true when the stream
-  // conforms; otherwise divergence() describes the first violation.
-  // The recorder must have retained everything (overwritten() == 0) —
-  // a wrapped ring is itself reported as a divergence ("ring-overflow")
-  // rather than silently passing on partial evidence.
+  // Checks `r`, the next record `rec` emitted.  Labels and tracks are
+  // resolved by id on first sight, through the recorder's names.  Once
+  // the model has diverged it reads nothing more.
+  void feed(const trace::Recorder& rec, const trace::Record& r);
+  // Applies the end-of-stream checks.  Returns true when the stream fed
+  // so far conforms; otherwise divergence() describes the first
+  // violation.
+  bool finish();
+
+  // Feeds a fresh model the recorder's retained stream in emission
+  // order, then finishes.  The recorder must have retained everything
+  // (overwritten() == 0) — a wrapped ring, or a recorder with none, is
+  // itself reported as a divergence ("ring-overflow") rather than
+  // silently passing on partial evidence.
   bool replay(const trace::Recorder& rec);
-  // The same over `records`, rec.snapshot() taken by the caller.
-  bool replay(const trace::Recorder& rec,
-              std::span<const trace::Record> records);
 
   [[nodiscard]] const std::optional<Divergence>& divergence() const {
     return divergence_;
@@ -174,17 +181,16 @@ class ReferenceModel {
     std::uint64_t trace = 0;
   };
 
-  void bind(const trace::Recorder& rec);
-  void feed(const trace::Record& r);
-  void finish();
   void diverge(const trace::Record& r, std::string rule, std::string detail);
   [[nodiscard]] std::vector<std::string> render(const History& history) const;
 
   Expectation expectation_;
-  // The recorder being replayed, and its labels resolved to Ops.
+  // The recorder being checked, and the ids of its names seen so far:
+  // labels resolved to Ops, tracks to the runtime track's id.
   const trace::Recorder* rec_ = nullptr;
-  std::optional<std::uint32_t> runtime_track_;
   std::vector<Op> ops_;  // by label id
+  std::uint32_t tracks_seen_ = 0;
+  std::optional<std::uint32_t> runtime_track_;
   std::optional<Divergence> divergence_;
   std::unordered_map<std::uint64_t, RpcState> rpcs_;
   // Runtime-track instants outside any causal chain (trace 0): kept so

@@ -1,6 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace trace {
@@ -27,7 +26,7 @@ const char* to_string(Kind kind) {
 }
 
 Recorder::Recorder(sim::Engine& engine, std::size_t capacity)
-    : engine_(&engine), capacity_(std::max<std::size_t>(capacity, 8)) {
+    : engine_(&engine), capacity_(capacity) {
   if (engine_->recorder() == nullptr) {
     engine_->set_recorder(this);
     attached_ = true;
@@ -74,20 +73,6 @@ std::uint32_t Recorder::track_id(const char* name) {
   return slot.id;
 }
 
-std::optional<std::uint16_t> Recorder::find_label(
-    std::string_view name) const {
-  const auto it = label_ids_.find(name);
-  if (it == label_ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<std::uint32_t> Recorder::find_track(
-    std::string_view name) const {
-  const auto it = track_ids_.find(name);
-  if (it == track_ids_.end()) return std::nullopt;
-  return it->second;
-}
-
 void Recorder::emit(Record rec) {
   rec.at = engine_->now();
   rec.seq = emitted_++;
@@ -101,11 +86,13 @@ void Recorder::emit(Record rec) {
   digest_.add(rec.trace);
   digest_.add(rec.a);
   digest_.add(rec.b);
+  if (sink_) sink_(rec);
   if (ring_.size() < capacity_) {
     ring_.push_back(rec);
     return;
   }
   ++overwritten_;
+  if (capacity_ == 0) return;
   ring_[head_] = rec;
   if (++head_ == capacity_) head_ = 0;
 }

@@ -11,11 +11,12 @@
 //
 // Storage is one fixed-capacity overwriting ring of 64-byte records in
 // emission order (allocated lazily — a recorder that has recorded
-// nothing allocates nothing).  The determinism digest (common::Digest,
-// the one fault::digest() uses too) is folded record-by-record AT
-// EMISSION TIME, so it covers the full event stream even after old
-// records have been overwritten: same (seed, plan, workload) => same
-// digest.
+// nothing allocates nothing; capacity 0 keeps none).  The determinism
+// digest (common::Digest, the one fault::digest() uses too) is folded
+// record-by-record AT EMISSION TIME, so it covers the full event stream
+// even after old records have been overwritten: same (seed, plan,
+// workload) => same digest.  An optional sink then sees each record as
+// it is emitted, so an oracle can check a run as it runs.
 //
 // Track and label names passed to begin_span/instant must be static
 // strings (literals, or pointers into static tables such as to_string):
@@ -29,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -45,7 +45,8 @@ class Recorder {
  public:
   // Attaches itself to the engine (and detaches on destruction) so
   // instrumentation sites can reach it via trace::get(engine).  The
-  // ring keeps the newest `capacity` records of the whole stream.
+  // ring keeps the newest `capacity` records of the whole stream; with
+  // capacity 0 every record counts as overwritten.
   explicit Recorder(sim::Engine& engine, std::size_t capacity = 1u << 15);
   ~Recorder();
   Recorder(const Recorder&) = delete;
@@ -63,14 +64,15 @@ class Recorder {
   void instant(std::uint32_t node, const char* track, const char* label,
                TraceId trace, std::uint64_t a = 0, std::uint64_t b = 0);
 
+  // Called with every record once it is folded into the digest; an
+  // empty function detaches it.  A sink must not emit.
+  void set_sink(std::function<void(const Record&)> sink) {
+    sink_ = std::move(sink);
+  }
+
   // ---- interning ------------------------------------------------------
   [[nodiscard]] std::uint16_t intern_label(std::string_view name);
   [[nodiscard]] std::uint32_t intern_track(std::string_view name);
-  // Lookups that never intern (interning a new name moves the digest).
-  [[nodiscard]] std::optional<std::uint16_t> find_label(
-      std::string_view name) const;
-  [[nodiscard]] std::optional<std::uint32_t> find_track(
-      std::string_view name) const;
   [[nodiscard]] const std::string& label_name(std::uint16_t id) const {
     return labels_[id];
   }
@@ -144,6 +146,7 @@ class Recorder {
   std::uint64_t emitted_ = 0;
   std::uint64_t overwritten_ = 0;
   common::Digest digest_;
+  std::function<void(const Record&)> sink_;
 };
 
 // The gate every instrumentation site goes through: the attached

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -200,6 +201,25 @@ TEST(Explorer, TokensRoundTrip) {
   EXPECT_FALSE(parse_token(R"({"substrate":"charlotte","tie":"fifo","seed":1,)"
                            R"("plan":"none","calls":4294967300})")
                    .has_value());
+
+  // A shape is refused past its bound, so a token from outside cannot ask
+  // for an unbounded universe (only the parse is tested: none of these
+  // runs).
+  const auto shaped = [](const std::string& fields) {
+    return parse_token(R"({"v":1,"substrate":"charlotte","tie":"fifo",)"
+                       R"("seed":1,"plan":"none",)" +
+                       fields + "}");
+  };
+  const auto largest = shaped(R"("channels":64,"calls":1024,"bytes":65536)");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(static_cast<std::uint64_t>(largest->channels), kMaxChannels);
+  EXPECT_EQ(static_cast<std::uint64_t>(largest->calls), kMaxCalls);
+  EXPECT_EQ(largest->bytes, kMaxBytes);
+  EXPECT_FALSE(shaped(R"("channels":65,"calls":4)").has_value());
+  EXPECT_FALSE(shaped(R"("channels":1,"calls":1025)").has_value());
+  EXPECT_FALSE(shaped(R"("channels":1,"calls":2147483647)").has_value());
+  EXPECT_FALSE(shaped(R"("calls":4,"bytes":65537)").has_value());
+  EXPECT_FALSE(shaped(R"("calls":1,"bytes":4294967296)").has_value());
 }
 
 TEST(Explorer, SweepIsCleanAcrossSubstratesPoliciesAndPlans) {

@@ -192,15 +192,16 @@ TEST(Recorder, CollidingNamesKeepIdsAndDigest) {
 
 // ---- snapshot ------------------------------------------------------------
 
-// Three nodes emit unevenly interleaved records into one ring of 8.  A
-// snapshot taken after each record, from the `from`-th on, must be the
-// newest min(n, 8) records of the whole stream merged across the nodes,
+// Three nodes emit unevenly interleaved records into one ring of
+// `capacity` (8 unless a test asks for another).  A snapshot taken after
+// each record, from the `from`-th on, must be the newest
+// min(n, capacity) records of the whole stream merged across the nodes,
 // oldest first, whichever nodes emitted them.
 void expect_snapshots_are_newest_in_emission_order(std::size_t from,
-                                                   std::size_t to) {
+                                                   std::size_t to,
+                                                   std::size_t capacity = 8) {
   sim::Engine e;
-  constexpr std::size_t kCapacity = 8;
-  Recorder rec(e, kCapacity);
+  Recorder rec(e, capacity);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> emitted;  // node, a
   for (std::uint64_t i = 0; i < to; ++i) {
     const auto node = static_cast<std::uint32_t>((i * i + i / 5) % 3);
@@ -208,7 +209,7 @@ void expect_snapshots_are_newest_in_emission_order(std::size_t from,
     rec.instant(node, "wire", "frame.tx", 0, i);
     if (i < from) continue;
 
-    const std::size_t kept = std::min(emitted.size(), kCapacity);
+    const std::size_t kept = std::min(emitted.size(), capacity);
     const std::size_t first = emitted.size() - kept;
     ASSERT_EQ(rec.total_emitted(), emitted.size());
     ASSERT_EQ(rec.overwritten(), first) << "after " << i;
@@ -224,9 +225,13 @@ void expect_snapshots_are_newest_in_emission_order(std::size_t from,
   }
 }
 
-// After the ring has wrapped: the newest 8 records of the stream.
+// After the ring has wrapped: the newest 8 records of the stream.  The
+// capacity is honoured exactly, down to 3 and to 0, which keeps no ring
+// and counts every record as overwritten.
 TEST(Recorder, SnapshotMergesWrappedRingsInEmissionOrder) {
   expect_snapshots_are_newest_in_emission_order(8, 60);
+  expect_snapshots_are_newest_in_emission_order(3, 60, 3);
+  expect_snapshots_are_newest_in_emission_order(0, 60, 0);
 }
 
 // Before the ring wraps: every record so far, in emission order.
