@@ -64,11 +64,10 @@ MoveResult run_move(Substrate substrate, int enclosures) {
   RELYNX_ASSERT(w.engine.process_failures().empty());
   MoveResult r;
   r.ms = sim::to_msec(t1 - t0);
-  if (substrate == Substrate::kCharlotte) {
-    r.goaheads = w.server_stats().goaheads_sent;
-    r.enc_packets = w.client_stats().enc_packets_sent;
-    r.packets = w.client_stats().packets_sent + w.server_stats().packets_sent;
-  }
+  // Charlotte's counts; zero on the other substrates.
+  r.goaheads = w.engine.counts(0).goaheads_sent;  // the server's node
+  r.enc_packets = w.engine.counts(1).enc_packets_sent;
+  r.packets = w.engine.total(&sim::Counts::packets_sent);
   return r;
 }
 

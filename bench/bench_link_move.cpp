@@ -139,10 +139,8 @@ Fig1Result fig1(Substrate substrate) {
   Fig1Result r;
   r.worked = heard && engine.process_failures().empty();
   r.ms = sim::to_msec(engine.now() - t0);
-  // Chrysalis shares memory: no move protocol at all.
-  if (substrate == Substrate::kCharlotte) {
-    r.kernel_move_frames = u.charlotte_cluster().total_move_frames();
-  }
+  // Only Charlotte's kernels run a move protocol.
+  r.kernel_move_frames = engine.total(&sim::Counts::move_protocol_frames);
   return r;
 }
 

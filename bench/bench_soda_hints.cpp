@@ -140,11 +140,9 @@ ChainResult run_chain(int hops, std::size_t cache_capacity,
   r.served = flag_slot();
   flag_slot() = false;
   r.late_call_ms = sim::to_msec(t1 - t0);
-  for (lynx::Process* p : chain) {
-    const auto& st = dynamic_cast<lynx::SodaBackend&>(p->backend()).stats();
-    r.redirects += st.moved_redirects;
-  }
-  const auto& ust = dynamic_cast<lynx::SodaBackend&>(user.backend()).stats();
+  // Only the chain moves ends, so every redirect is served by a hop.
+  r.redirects = engine.total(&sim::Counts::moved_redirects);
+  const sim::Counts& ust = engine.counts(static_cast<std::uint32_t>(hops) + 1);
   r.discovers = ust.discover_searches;
   r.discover_failures = ust.discover_failures;
   r.freezes = ust.freeze_searches;

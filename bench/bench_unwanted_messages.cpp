@@ -85,11 +85,12 @@ Outcome run_charlotte(int rounds) {
   RELYNX_ASSERT(w.engine.process_failures().empty());
   Outcome o;
   o.ms_per_round = sim::to_msec(t1 - t0) / rounds;
-  o.unwanted = w.client_stats().unwanted_received;
-  o.forbids = w.client_stats().forbids_sent;
-  o.retries = w.client_stats().retries_sent;
-  o.allows = w.client_stats().allows_sent;
-  o.returned = w.server_stats().requests_returned;
+  const sim::Counts& client = w.engine.counts(1);  // Pair's node numbers
+  o.unwanted = client.unwanted_received;
+  o.forbids = client.forbids_sent;
+  o.retries = client.retries_sent;
+  o.allows = client.allows_sent;
+  o.returned = w.engine.counts(0).requests_returned;
   return o;
 }
 
@@ -109,9 +110,7 @@ Outcome run_soda(int rounds) {
   RELYNX_ASSERT(w.engine.process_failures().empty());
   Outcome o;
   o.ms_per_round = sim::to_msec(t1 - t0) / rounds;
-  const auto& st =
-      dynamic_cast<lynx::SodaBackend&>(w.client.backend()).stats();
-  o.unwanted = st.unwanted_received;  // structurally zero
+  o.unwanted = w.engine.counts(1).unwanted_received;  // structurally zero
   return o;
 }
 

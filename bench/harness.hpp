@@ -193,13 +193,6 @@ struct Pair {
     p->server_end = se;
     p->client_end = ce;
   }
-  // Charlotte's protocol counters (E2, E9).
-  [[nodiscard]] const lynx::CharlotteBackend::Stats& client_stats() {
-    return dynamic_cast<lynx::CharlotteBackend&>(client.backend()).stats();
-  }
-  [[nodiscard]] const lynx::CharlotteBackend::Stats& server_stats() {
-    return dynamic_cast<lynx::CharlotteBackend&>(server.backend()).stats();
-  }
 
   sim::Engine engine;
   load::Universe universe;

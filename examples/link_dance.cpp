@@ -123,6 +123,7 @@ int main() {
       "\nlink3 now connects B to C (%zu thread failures), with %llu "
       "kernel move-protocol frames spent on agreement\n",
       failures,
-      static_cast<unsigned long long>(crystal.total_move_frames()));
+      static_cast<unsigned long long>(
+          engine.total(&sim::Counts::move_protocol_frames)));
   return failures == 0 ? 0 : 1;
 }

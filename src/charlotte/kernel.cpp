@@ -75,23 +75,12 @@ LinkPair Cluster::bootstrap_link(Pid a, Pid b) {
   return LinkPair{ea.end, eb.end};
 }
 
-std::uint64_t Cluster::total_frames() const {
-  std::uint64_t n = 0;
-  for (const auto& k : kernels_) n += k->frames_emitted();
-  return n;
-}
-
-std::uint64_t Cluster::total_move_frames() const {
-  std::uint64_t n = 0;
-  for (const auto& k : kernels_) n += k->move_protocol_frames();
-  return n;
-}
-
 // ===================== Kernel: plumbing =====================
 
 Kernel::Kernel(Cluster& cluster, net::NodeId node)
     : cluster_(&cluster),
       node_(node),
+      counts_(cluster.engine().counts(node.value())),
       packer_(cluster.engine(), cluster.medium(), node,
               cluster.costs().form_delay) {
   cluster_->medium().attach(node_, [this](net::Frame f) {
@@ -107,11 +96,11 @@ Kernel::Kernel(Cluster& cluster, net::NodeId node)
 
 void Kernel::transmit(net::NodeId dst, wire::KernelFrame frame,
                       std::uint64_t trace) {
-  ++frames_out_;
+  ++counts_.frames_emitted;
   if (std::holds_alternative<wire::MoveUpdate>(frame) ||
       std::holds_alternative<wire::PeerMoved>(frame) ||
       std::holds_alternative<wire::MoveAck>(frame)) {
-    ++move_frames_;
+    ++counts_.move_protocol_frames;
   }
   const std::size_t bytes = wire::frame_bytes(frame);
   if (auto* rec = trace::get(cluster_->engine())) {
@@ -322,7 +311,7 @@ void Kernel::on_send_timeout(EndId end_id, std::uint64_t seq) {
 }
 
 void Kernel::retransmit(EndState& end, const char* record, std::uint64_t b) {
-  ++retransmits_;
+  ++counts_.nack_retransmits;
   if (auto* rec = trace::get(cluster_->engine())) {
     rec->instant(node_.value(), "kernel", record, end.send->msg.trace,
                  end.send->msg.seq, b);
@@ -699,8 +688,8 @@ void Kernel::handle(const wire::MsgNackMoved& m, net::NodeId /*from*/) {
   // — while the repackaging cost is still being paid — double-counts
   // whenever an ack (a racing re-ack, or a CancelReply) lands inside
   // the cost window: the send would already be settled, yet
-  // `retransmits_` claimed a retransmission and the freshly-armed timer
-  // could fire a spurious copy measured from the wrong origin.
+  // `nack_retransmits` claimed a retransmission and the freshly-armed
+  // timer could fire a spurious copy measured from the wrong origin.
   cluster_->engine().schedule(cost, [this, id = m.to_end, seq = m.seq] {
     // Settled while the kernel was repackaging: nothing to resend.
     if (EndState* e = find_send(id, seq)) {

@@ -85,15 +85,6 @@ class Kernel {
     return processes_.contains(pid);
   }
 
-  // ---- instrumentation -------------------------------------------------
-  [[nodiscard]] std::uint64_t frames_emitted() const { return frames_out_; }
-  [[nodiscard]] std::uint64_t move_protocol_frames() const {
-    return move_frames_;
-  }
-  [[nodiscard]] std::uint64_t nack_retransmits() const { return retransmits_; }
-  // The RPC-formation packer between this kernel and the medium (E16).
-  [[nodiscard]] const form::Packer& packer() const { return packer_; }
-
  private:
   friend class Cluster;
 
@@ -247,6 +238,7 @@ class Kernel {
 
   Cluster* cluster_;
   net::NodeId node_;
+  sim::Counts& counts_;
   form::Packer packer_;  // sits between transmit() and the medium
   common::IdMap<EndId, EndState> ends_;
   common::IdMap<LinkId, HomeRecord> homes_;
@@ -256,9 +248,6 @@ class Kernel {
   // Mailboxes of terminated processes, kept until the kernel dies.
   std::vector<std::unique_ptr<sim::Mailbox<Completion>>> retired_completions_;
   std::uint64_t next_move_seq_ = 1;
-  std::uint64_t frames_out_ = 0;
-  std::uint64_t move_frames_ = 0;
-  std::uint64_t retransmits_ = 0;
 };
 
 // A Crystal: N nodes running Charlotte on a token ring.
@@ -296,10 +285,6 @@ class Cluster {
   // cost; use before (or outside) timed regions.  MakeLink installs its
   // links here too, after charging the call.
   [[nodiscard]] LinkPair bootstrap_link(Pid a, Pid b);
-
-  // Total protocol frames (all kernels) — experiment E2/E9 counters.
-  [[nodiscard]] std::uint64_t total_frames() const;
-  [[nodiscard]] std::uint64_t total_move_frames() const;
 
  private:
   friend class Kernel;

@@ -288,7 +288,15 @@ RunVerdict run_one(const RunConfig& cfg) {
                            return drive(ctx, client_end, n, bytes);
                          });
   }
-  engine.run();
+  // As on the replica path, a horizon turns "wedged forever" into a
+  // verdict.  It grows with the shape past what conforming universes
+  // take (Charlotte: 57 ms per 32 B call, 0.7 s per 65 000 B; SODA: 9.8 s
+  // per 65 000 B); run_until adds no event to a run that drains.
+  const sim::Duration per_call =
+      sim::msec(100) + sim::usec(200) * static_cast<sim::Duration>(bytes);
+  const sim::Duration horizon =
+      sim::sec(60) + per_call * cfg.calls * channels;
+  const bool finished = engine.run_until(engine.now() + horizon);
   rec.set_sink(nullptr);  // the run is checked; teardown is not
 
   RunVerdict v;
@@ -296,7 +304,10 @@ RunVerdict run_one(const RunConfig& cfg) {
   v.records = rec.total_emitted();
   const bool conforms = model.finish();
   v.calls_checked = model.calls_checked();
-  if (!conforms) {
+  if (!finished) {
+    v.failure = "wedged: engine still busy at the " +
+                std::to_string(horizon / sim::msec(1)) + " ms horizon";
+  } else if (!conforms) {
     v.divergence = model.divergence();
     v.failure = v.divergence->render();
   } else if (const auto violation = universe.invariant_violation()) {

@@ -13,6 +13,8 @@ Kernel::Kernel(sim::Engine& engine, net::ButterflyParams fabric, Costs costs)
 Pid Kernel::create_process(net::NodeId node) {
   const Pid pid = pids_.next();
   procs_.emplace(pid, host::ProcessInfo{pid, node, true});
+  RELYNX_ASSERT(pid.value() == counts_.size());
+  counts_.push_back(&engine_->counts(node.value()));
   return pid;
 }
 
@@ -79,7 +81,7 @@ Status Kernel::check_access(Pid caller, MemId id, std::size_t offset,
 Kernel::Access Kernel::begin_access(Pid caller, MemId id,
                                     std::size_t offset, std::size_t len,
                                     std::optional<sim::Duration> word) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   Access a;
   a.id = id;
   a.status = check_access(caller, id, offset, len, &a.obj);
@@ -108,7 +110,7 @@ void Kernel::reap_object_if_dead(Object& obj) {
 }
 
 sim::Task<Result<MemId>> Kernel::make_object(Pid caller, std::size_t size) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   co_await engine_->sleep(costs_.primitive_call + costs_.make_object);
   if (!procs_.contains(caller)) co_return common::Err(Status::kProcessDead);
   const MemId id = mem_ids_.next();
@@ -122,7 +124,7 @@ sim::Task<Result<MemId>> Kernel::make_object(Pid caller, std::size_t size) {
 }
 
 sim::Task<Status> Kernel::map(Pid caller, MemId id) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   co_await engine_->sleep(costs_.primitive_call + costs_.map_object);
   if (!procs_.contains(caller)) co_return Status::kProcessDead;
   Object* obj = find_object(id);
@@ -132,7 +134,7 @@ sim::Task<Status> Kernel::map(Pid caller, MemId id) {
 }
 
 sim::Task<Status> Kernel::unmap(Pid caller, MemId id) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   co_await engine_->sleep(costs_.primitive_call + costs_.unmap_object);
   Object* obj = find_object(id);
   if (obj == nullptr) co_return Status::kDeallocated;
@@ -251,7 +253,7 @@ sim::Task<Result<common::Body>> Kernel::block_read(
 // ===================== event blocks =====================
 
 sim::Task<Result<EventId>> Kernel::make_event(Pid owner) {
-  ++ops_;
+  ++counts(owner).microcode_ops;
   co_await engine_->sleep(costs_.primitive_call + costs_.make_event);
   if (!procs_.contains(owner)) co_return common::Err(Status::kProcessDead);
   const EventId id = event_ids_.next();
@@ -263,9 +265,8 @@ sim::Task<Result<EventId>> Kernel::make_event(Pid owner) {
 }
 
 sim::Task<Status> Kernel::post(Pid caller, EventId id, std::uint32_t datum) {
-  ++ops_;
+  ++counts(caller).microcode_ops;  // any process that knows the name may post
   co_await engine_->sleep(costs_.primitive_call + costs_.event_post);
-  (void)caller;  // any process that knows the name may post
   co_return post_event(id, datum) ? Status::kOk : Status::kNoSuchObject;
 }
 
@@ -284,7 +285,7 @@ bool Kernel::post_event(EventId id, std::uint32_t datum) {
 }
 
 sim::Task<Result<std::uint32_t>> Kernel::wait_event(Pid caller, EventId id) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   co_await engine_->sleep(costs_.primitive_call + costs_.event_wait);
   auto it = events_.find(id);
   if (it == events_.end()) co_return common::Err(Status::kNoSuchObject);
@@ -307,7 +308,7 @@ sim::Task<Result<std::uint32_t>> Kernel::wait_event(Pid caller, EventId id) {
 
 sim::Task<Result<DqId>> Kernel::make_dual_queue(Pid caller,
                                                 std::size_t capacity) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   co_await engine_->sleep(costs_.primitive_call + costs_.make_queue);
   if (!procs_.contains(caller)) co_return common::Err(Status::kProcessDead);
   const DqId id = dq_ids_.next();
@@ -337,15 +338,16 @@ Status Kernel::deliver_to_queue(DualQueue& q, std::uint32_t datum) {
   }
   if (q.data.size() >= q.capacity) return Status::kQueueFull;
   q.data.push_back(datum);
-  ++queue_allocs_;
+  ++engine_->counts(q.home.value()).queue_allocs;
   return Status::kOk;
 }
 
 sim::Task<Status> Kernel::enqueue(Pid caller, DqId id,
                                   std::span<const std::uint32_t> data) {
   if (data.empty()) co_return Status::kOk;
-  ++ops_;
-  ++enqueue_calls_;
+  sim::Counts& c = counts(caller);
+  ++c.microcode_ops;
+  ++c.enqueue_calls;
   auto it = queues_.find(id);
   if (it == queues_.end()) {
     co_await engine_->sleep(costs_.primitive_call);
@@ -361,7 +363,7 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id,
     const std::uint32_t datum = data.front();
     const EventId target = q.fast_event;
     q.fast_armed = false;
-    ++fast_deliveries_;
+    ++c.fast_deliveries;
     co_await engine_->sleep(costs_.primitive_call + costs_.atomic16 +
                             costs_.event_post + reach);
     post_event(target, datum);
@@ -385,7 +387,7 @@ sim::Task<Status> Kernel::enqueue(Pid caller, DqId id,
 
 sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
     Pid caller, DqId id, EventId my_event, std::size_t max) {
-  ++ops_;
+  ++counts(caller).microcode_ops;
   auto it = queues_.find(id);
   if (it == queues_.end()) {
     co_await engine_->sleep(costs_.primitive_call);
@@ -418,7 +420,7 @@ sim::Task<Result<Kernel::DequeueManyOutcome>> Kernel::dequeue_many(
     q2.fast_armed = true;
   } else {
     q2.waiters.push_back(my_event);
-    ++queue_allocs_;
+    ++engine_->counts(q2.home.value()).queue_allocs;
   }
   out.would_block = true;
   co_return out;

@@ -119,21 +119,6 @@ class Kernel {
   [[nodiscard]] sim::Task<Result<DequeueManyOutcome>> dequeue_many(
       Pid caller, DqId q, EventId my_event, std::size_t max);
 
-  // ---- instrumentation -------------------------------------------------
-  [[nodiscard]] std::uint64_t microcode_ops() const { return ops_; }
-  // Dual-queue enqueue *dispatches* (each counts once, however many
-  // data it carries) — Chrysalis has no wire frames, so this is its
-  // frames-per-message analogue for E16.
-  [[nodiscard]] std::uint64_t enqueue_calls() const { return enqueue_calls_; }
-  // Pushes into a dual queue's data/waiter queues — the bookkeeping the
-  // cheap-flag fast path exists to avoid.
-  [[nodiscard]] std::uint64_t queue_allocs() const { return queue_allocs_; }
-  // Deliveries that took the cheap-flag fast path: an armed 16-bit flag
-  // turned the enqueue into a bare event post, no queue touched.
-  [[nodiscard]] std::uint64_t fast_deliveries() const {
-    return fast_deliveries_;
-  }
-
  private:
   struct Object {
     MemId id;
@@ -172,6 +157,10 @@ class Kernel {
     sim::Duration delay = 0;
   };
 
+  // The protocol counts of `caller`'s node (sim/counts.hpp).
+  [[nodiscard]] sim::Counts& counts(Pid caller) {
+    return *counts_.at(caller.value());
+  }
   [[nodiscard]] Object* find_object(MemId id);
   [[nodiscard]] Status check_access(Pid caller, MemId obj, std::size_t offset,
                                     std::size_t len, Object** out);
@@ -213,10 +202,9 @@ class Kernel {
   common::IdAllocator<MemId> mem_ids_;
   common::IdAllocator<EventId> event_ids_;
   common::IdAllocator<DqId> dq_ids_;
-  std::uint64_t ops_ = 0;
-  std::uint64_t enqueue_calls_ = 0;
-  std::uint64_t queue_allocs_ = 0;
-  std::uint64_t fast_deliveries_ = 0;
+  // Each pid's node's counts, indexed by pid: a process never changes
+  // node, so the entry outlives the process.
+  std::vector<sim::Counts*> counts_;
 };
 
 }  // namespace chrysalis

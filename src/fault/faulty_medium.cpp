@@ -146,21 +146,21 @@ double FaultyMedium::drop_probability(net::NodeId src, net::NodeId dst) const {
 bool FaultyMedium::impair_outbound(net::Frame& frame, bool is_broadcast) {
   const net::NodeId dst = is_broadcast ? net::NodeId::invalid() : frame.dst;
   if (crashed_.contains(frame.src)) {
-    ++drops_;
+    ++engine_->counts(frame.src.value()).injected_drops;
     record(FaultKind::kCrashDrop, frame.id, frame.src, dst, 0,
            frame.trace_id);
     return false;
   }
   if (!is_broadcast) {
     if (auto kind = severed(frame.src, frame.dst)) {
-      ++drops_;
+      ++engine_->counts(frame.src.value()).injected_drops;
       record(*kind, frame.id, frame.src, frame.dst, 0, frame.trace_id);
       return false;
     }
   }
   const double p = drop_probability(frame.src, dst);
   if (p > 0.0 && rng_.next_bool(p)) {
-    ++drops_;
+    ++engine_->counts(frame.src.value()).injected_drops;
     record(FaultKind::kDrop, frame.id, frame.src, dst, 0, frame.trace_id);
     return false;
   }
@@ -170,7 +170,7 @@ bool FaultyMedium::impair_outbound(net::Frame& frame, bool is_broadcast) {
     record(FaultKind::kCorrupt, frame.id, frame.src, dst, 0, frame.trace_id);
   }
   if (bg.duplicate_prob > 0.0 && rng_.next_bool(bg.duplicate_prob)) {
-    ++duplicates_;
+    ++engine_->counts(frame.src.value()).injected_duplicates;
     record(FaultKind::kDuplicate, frame.id, frame.src, dst, 0,
            frame.trace_id);
     // Same id: a duplicate, not a new frame.  The copy shares any
@@ -188,18 +188,18 @@ bool FaultyMedium::impair_outbound(net::Frame& frame, bool is_broadcast) {
 void FaultyMedium::deliver(const net::FrameHandler& handler,
                            net::NodeId receiver, net::Frame frame) {
   if (crashed_.contains(receiver)) {
-    ++drops_;
+    ++engine_->counts(receiver.value()).injected_drops;
     record(FaultKind::kCrashDrop, frame.id, frame.src, receiver, 0,
            frame.trace_id);
     return;
   }
   if (auto kind = severed(frame.src, receiver)) {
-    ++drops_;
+    ++engine_->counts(receiver.value()).injected_drops;
     record(*kind, frame.id, frame.src, receiver, 0, frame.trace_id);
     return;
   }
   if (frame.corrupted) {
-    ++corrupt_discards_;
+    ++engine_->counts(receiver.value()).corrupt_discards;
     record(FaultKind::kCorruptDiscard, frame.id, frame.src, receiver, 0,
            frame.trace_id);
     return;
@@ -208,7 +208,7 @@ void FaultyMedium::deliver(const net::FrameHandler& handler,
   if (max_jitter > 0) {
     const sim::Duration extra = rng_.next_range(0, max_jitter);
     if (extra > 0) {
-      ++delays_;
+      ++engine_->counts(receiver.value()).injected_delays;
       record(FaultKind::kDelay, frame.id, frame.src, receiver, extra,
              frame.trace_id);
       engine_->schedule(extra, [this, h = &handler, receiver,
@@ -223,7 +223,7 @@ void FaultyMedium::deliver(const net::FrameHandler& handler,
 
 void FaultyMedium::finish_delivery(const net::FrameHandler& handler,
                                    net::NodeId receiver, net::Frame frame) {
-  ++deliveries_;
+  ++engine_->counts(receiver.value()).deliveries;
   for (auto& obs : delivery_observers_) obs(frame, receiver);
   handler(std::move(frame));
 }

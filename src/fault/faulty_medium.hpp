@@ -49,12 +49,6 @@ class FaultyMedium final : public net::Medium {
   void attach(net::NodeId node, net::FrameHandler handler) override;
   void send(net::Frame frame) override;
   void broadcast(net::Frame frame) override;
-  [[nodiscard]] std::uint64_t frames_sent() const override {
-    return inner_->frames_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const override {
-    return inner_->bytes_sent();
-  }
 
   // Replaces the stochastic background model mid-run.  Benches use this
   // to boot a world over a clean wire and then turn on impairment for
@@ -98,15 +92,6 @@ class FaultyMedium final : public net::Medium {
     return log_;
   }
   [[nodiscard]] std::uint64_t fault_digest() const { return digest(log_); }
-  [[nodiscard]] std::uint64_t injected_drops() const { return drops_; }
-  [[nodiscard]] std::uint64_t injected_duplicates() const {
-    return duplicates_;
-  }
-  [[nodiscard]] std::uint64_t injected_delays() const { return delays_; }
-  [[nodiscard]] std::uint64_t corrupt_discards() const {
-    return corrupt_discards_;
-  }
-  [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
 
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
   [[nodiscard]] net::Medium& inner() { return *inner_; }
@@ -148,12 +133,6 @@ class FaultyMedium final : public net::Medium {
   std::vector<DeliveryObserver> delivery_observers_;
   std::vector<NodeObserver> crash_observers_;
   std::vector<NodeObserver> restart_observers_;
-
-  std::uint64_t drops_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t delays_ = 0;
-  std::uint64_t corrupt_discards_ = 0;
-  std::uint64_t deliveries_ = 0;
 };
 
 }  // namespace fault

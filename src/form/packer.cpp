@@ -9,7 +9,8 @@ namespace form {
 
 Packer::Packer(sim::Engine& engine, net::Medium& medium, net::NodeId node,
                sim::Duration delay)
-    : engine_(&engine), medium_(&medium), node_(node), delay_(delay) {}
+    : engine_(&engine), medium_(&medium), node_(node),
+      counts_(engine.counts(node.value())), delay_(delay) {}
 
 Packer::~Packer() {
   // Never flush here: teardown runs after the engine stopped, and
@@ -65,7 +66,7 @@ void Packer::do_flush(net::NodeId dst, Queue& q) {
   if (q.pending.size() == 1) {
     // Sparse traffic: the lone enclosure goes out unwrapped, so the
     // wire format (and every byte the medium charges) is unchanged.
-    ++singles_;
+    ++counts_.singles_sent;
     net::Frame lone = std::move(q.pending.front());
     q.pending.clear();
     medium_->send(std::move(lone));
@@ -89,8 +90,8 @@ void Packer::do_flush(net::NodeId dst, Queue& q) {
     }
   }
   const std::size_t count = frames.size();
-  ++batches_;
-  enclosed_ += count;
+  ++counts_.batches_sent;
+  counts_.enclosures_batched += count;
   net::Frame out{node_, dst, kBatchHeaderBytes + bytes,
                  Batch{std::move(frames)}};
   out.trace_id = trace;

@@ -78,11 +78,6 @@ class Packer {
   void receive(net::Frame frame, sim::Duration absorb, sim::Duration demux,
                CopyCost copy_cost, Dispatch dispatch);
 
-  // ---- instrumentation (E16) ----
-  [[nodiscard]] std::uint64_t batches_sent() const { return batches_; }
-  [[nodiscard]] std::uint64_t enclosures_batched() const { return enclosed_; }
-  [[nodiscard]] std::uint64_t singles_sent() const { return singles_; }
-
  private:
   struct Queue {
     std::vector<net::Frame> pending;
@@ -96,11 +91,9 @@ class Packer {
   sim::Engine* engine_;
   net::Medium* medium_;
   net::NodeId node_;
+  sim::Counts& counts_;
   sim::Duration delay_;
   common::IdMap<net::NodeId, Queue> queues_;
-  std::uint64_t batches_ = 0;
-  std::uint64_t enclosed_ = 0;
-  std::uint64_t singles_ = 0;
 };
 
 template <typename CopyCost, typename Dispatch>

@@ -40,9 +40,9 @@ struct Report {
 
   double sim_end_ms = 0.0;  // simulated clock when the run was cut off
 
-  // Wire economy over the measure window (E16): physical frames sent on
-  // the medium (Chrysalis: dual-queue enqueue dispatches) and the same
-  // normalized per completed request.  Formation drives this down.
+  // Wire economy over the measure window (E16), from the engine's counts
+  // (Universe::wire_ops): frames sent on the medium (Chrysalis: enqueue
+  // dispatches), and the same per completed request.  Formation cuts it.
   std::int64_t wire_ops = 0;
   double frames_per_op = 0.0;
 

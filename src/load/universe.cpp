@@ -166,15 +166,6 @@ void Universe::restart(std::size_t node) {
   }
 }
 
-std::uint64_t Universe::wire_ops() {
-  switch (spec_.substrate) {
-    case Substrate::kCharlotte: return cluster_->medium().frames_sent();
-    case Substrate::kSoda: return network_->medium().frames_sent();
-    case Substrate::kChrysalis: return kernel_->enqueue_calls();
-  }
-  return 0;
-}
-
 std::optional<std::string> Universe::invariant_violation() const {
   if (invariants_ == nullptr || invariants_->ok()) return std::nullopt;
   return invariants_->violations().front();

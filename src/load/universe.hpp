@@ -13,6 +13,8 @@
 // assigned from the first thing construction schedules.  Destruction
 // shuts the engine down first, so coroutine frames parked mid-RPC are
 // destroyed while the processes and kernels they reference still exist.
+// Every protocol tally of the world lands in the engine's counts table
+// (sim/counts.hpp); one universe per engine keeps those tallies its own.
 #pragma once
 
 #include <array>
@@ -121,13 +123,14 @@ class Universe {
 
   // Physical wire operations so far: frames on the medium for Charlotte
   // and SODA, dual-queue enqueue dispatches for Chrysalis (no wire).
-  [[nodiscard]] std::uint64_t wire_ops();
+  // Each substrate leaves the other tally at zero.
+  [[nodiscard]] std::uint64_t wire_ops() const {
+    return engine_->total(&sim::Counts::frames_sent) +
+           engine_->total(&sim::Counts::enqueue_calls);
+  }
 
   // Null unless the spec asked for faults on a substrate with a medium.
   [[nodiscard]] fault::FaultyMedium* faulty_medium() { return faulty_.get(); }
-  // Charlotte only: the kernels, for experiments that read their
-  // counters.
-  [[nodiscard]] charlotte::Cluster& charlotte_cluster() { return *cluster_; }
   // First medium-invariant violation, if any.
   [[nodiscard]] std::optional<std::string> invariant_violation() const;
 

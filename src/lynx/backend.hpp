@@ -97,6 +97,10 @@ class Backend {
   // that much headroom, so the header never costs a copy of the body.
   [[nodiscard]] virtual std::size_t header_bytes(
       std::size_t enclosures) const = 0;
+  // The largest packet (header plus serialized body) the receiving end's
+  // buffer holds.  The runtime refuses a bigger message at the sending
+  // thread, before anything is sent (ErrorKind::kMessageTooLarge).
+  [[nodiscard]] virtual std::size_t max_packet_bytes() const = 0;
 
   // Creates a link with both ends owned by this process.
   [[nodiscard]] virtual sim::Task<std::pair<BLink, BLink>> make_link() = 0;

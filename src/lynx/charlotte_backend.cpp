@@ -8,8 +8,6 @@ namespace lynx {
 
 namespace {
 
-constexpr std::size_t kMaxReceive = 64 * 1024;
-
 // Trace labels for the backend's own packet protocol (indexed by PType).
 const char* ptype_label(std::uint8_t p) {
   switch (p) {
@@ -40,6 +38,7 @@ CharlotteBackend::CharlotteBackend(charlotte::Cluster& cluster,
                                    net::NodeId node)
     : cluster_(&cluster),
       node_(node),
+      counts_(cluster.engine().counts(node.value())),
       pid_(cluster.create_process(node)),
       drained_(cluster.engine()) {}
 
@@ -151,9 +150,9 @@ void CharlotteBackend::start_next_out(CLink& link) {
     out.next_enclosure = 1;
   }
   if (out.kind == MsgKind::kRequest) {
-    ++stats_.requests_sent;
+    ++counts_.requests_sent;
   } else {
-    ++stats_.replies_sent;
+    ++counts_.replies_sent;
   }
   queue_ksend(link, std::move(ks));
 }
@@ -179,7 +178,7 @@ sim::Task<> CharlotteBackend::run_ksend(BLink token) {
   KSend& ks = link->ksend_queue.front();
   const std::uint64_t sent_out_id = ks.out_id;
   const PType sent_ptype = ks.ptype;
-  ++stats_.packets_sent;
+  ++counts_.packets_sent;
   charlotte::Status st = co_await cluster_->kernel(node_).send(
       pid_, link->end, std::move(ks.payload), ks.enclosure, ks.trace);
   if (st == charlotte::Status::kOk) {
@@ -298,7 +297,7 @@ bool CharlotteBackend::send_next_enc(CLink& link, OutMsg& out) {
       out.enclosure_ends[static_cast<std::size_t>(out.next_enclosure)];
   enc.out_id = out.id;
   ++out.next_enclosure;
-  ++stats_.enc_packets_sent;
+  ++counts_.enc_packets_sent;
   queue_ksend(link, std::move(enc));
   return true;
 }
@@ -341,15 +340,15 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
           ptype == PType::kRequest ? MsgKind::kRequest : MsgKind::kReply;
       if (kind == MsgKind::kRequest && !link.want_requests) {
         // ---- unwanted message (paper §3.2.1) ----
-        ++stats_.unwanted_received;
+        ++counts_.unwanted_received;
         // We must keep a Receive posted if a reply or goahead is coming,
         // so the kernel cannot delay retransmissions for us: FORBID.
         const bool forbid = link.want_replies || link.assembly.has_value();
         if (forbid) {
           link.forbade_peer = true;
-          ++stats_.forbids_sent;
+          ++counts_.forbids_sent;
         } else {
-          ++stats_.retries_sent;
+          ++counts_.retries_sent;
         }
         // The bounce keeps the request's identity.
         KSend back = control_packet(forbid ? PType::kForbid : PType::kRetry,
@@ -367,7 +366,7 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
       link.assembly =
           Assembly{kind, std::move(body), std::move(encl), enc_total, trace};
       if (kind == MsgKind::kReply) return;  // ENC packets follow unasked
-      ++stats_.goaheads_sent;
+      ++counts_.goaheads_sent;
       queue_ksend(link, control_packet(PType::kGoahead, 0, trace));
       return;
     }
@@ -396,7 +395,7 @@ void CharlotteBackend::on_incoming(CLink& link, PType ptype,
     case PType::kRetry:
     case PType::kForbid: {
       // One of our requests bounced; the enclosure (if any) came home.
-      ++stats_.requests_returned;
+      ++counts_.requests_returned;
       if (ptype == PType::kForbid) link.forbidden = true;
       if (link.last_request != 0) {
         auto it = out_msgs_.find(link.last_request);
@@ -523,7 +522,7 @@ void CharlotteBackend::maybe_send_allow(CLink& link) {
   if (!link.forbade_peer) return;
   if (link.want_requests || !link.recv_posted) {
     link.forbade_peer = false;
-    ++stats_.allows_sent;
+    ++counts_.allows_sent;
     queue_ksend(link, control_packet(PType::kAllow, 0, 0));
   }
 }

@@ -57,6 +57,9 @@ class CharlotteBackend final : public Backend {
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
     return 2;  // [ptype][total enclosures]
   }
+  [[nodiscard]] std::size_t max_packet_bytes() const override {
+    return kMaxReceive;  // every receive is posted with this buffer
+  }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
   void begin_send(BLink link, WireMessage msg, std::uint64_t id) override;
   void cancel_send(std::uint64_t id) override;
@@ -70,26 +73,12 @@ class CharlotteBackend final : public Backend {
 
   [[nodiscard]] charlotte::Pid pid() const { return pid_; }
 
-  // ---- protocol statistics (experiments E2/E4/E9) ----------------------
-  struct Stats {
-    std::uint64_t packets_sent = 0;
-    std::uint64_t requests_sent = 0;
-    std::uint64_t replies_sent = 0;
-    std::uint64_t retries_sent = 0;
-    std::uint64_t forbids_sent = 0;
-    std::uint64_t allows_sent = 0;
-    std::uint64_t goaheads_sent = 0;
-    std::uint64_t enc_packets_sent = 0;
-    std::uint64_t unwanted_received = 0;
-    std::uint64_t requests_returned = 0;  // our requests bounced back
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
   // Bootstrap: wire two processes together (loader fiat).
   [[nodiscard]] static sim::Task<std::pair<LinkHandle, LinkHandle>> connect(
       Process& a, Process& b);
 
  private:
+  static constexpr std::size_t kMaxReceive = 64 * 1024;
   enum class PType : std::uint8_t {
     kRequest = 0,
     kReply = 1,
@@ -196,6 +185,7 @@ class CharlotteBackend final : public Backend {
 
   charlotte::Cluster* cluster_;
   net::NodeId node_;
+  sim::Counts& counts_;
   charlotte::Pid pid_;
   Sink sink_;
   bool running_ = false;
@@ -208,7 +198,6 @@ class CharlotteBackend final : public Backend {
   common::IdMap<charlotte::EndId, BLink> by_end_;
   common::IdMap<std::uint64_t, OutMsg> out_msgs_;
   common::IdAllocator<BLink> blink_ids_;
-  Stats stats_;
 };
 
 }  // namespace lynx

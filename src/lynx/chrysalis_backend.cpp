@@ -370,7 +370,7 @@ sim::Task<> ChrysalisBackend::perform_send(BLink link, WireMessage msg,
   common::Body framed = std::move(msg.body);
   encode_header(framed.prepend(header_bytes(encs.size())), frame_len,
                 body_len, encs, msg.trace_id);
-  RELYNX_ASSERT_MSG(framed.size() <= 4 + params_.max_message_bytes,
+  RELYNX_ASSERT_MSG(framed.size() <= max_packet_bytes(),
                     "message exceeds link buffer");
   // One block transfer covers the length word, the header and the body
   // — the flag bit (set below) is what publishes the slot, so the

@@ -68,6 +68,9 @@ class ChrysalisBackend final : public Backend {
     // [frame len][body len][count][per end: object + side][trace]
     return 4 + 4 + 1 + 9 * enclosures + 8;
   }
+  [[nodiscard]] std::size_t max_packet_bytes() const override {
+    return 4 + params_.max_message_bytes;  // a slot: length word + buffer
+  }
   void shutdown() override;
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
   void begin_send(BLink link, WireMessage msg, std::uint64_t id) override;

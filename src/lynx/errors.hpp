@@ -21,6 +21,8 @@ enum class ErrorKind : std::uint8_t {
                     // (detectable on SODA/Chrysalis; NOT on Charlotte)
   kEnclosureLost,   // an enclosed link end is unrecoverable (Charlotte
                     // deviation, paper §3.2.2)
+  kMessageTooLarge,  // the packet exceeds the backend's buffer
+                     // (Backend::max_packet_bytes); nothing was sent
 };
 
 [[nodiscard]] constexpr const char* to_string(ErrorKind k) {
@@ -33,6 +35,7 @@ enum class ErrorKind : std::uint8_t {
     case ErrorKind::kAborted: return "aborted";
     case ErrorKind::kReplyUnwanted: return "reply-unwanted";
     case ErrorKind::kEnclosureLost: return "enclosure-lost";
+    case ErrorKind::kMessageTooLarge: return "message-too-large";
   }
   return "?";
 }

@@ -14,7 +14,8 @@ Process::Process(sim::Engine& engine, std::string name,
       name_(std::move(name)),
       backend_(std::move(backend)),
       costs_(costs),
-      receive_waiters_(std::make_unique<sim::WaitList>(engine)) {}
+      receive_waiters_(std::make_unique<sim::WaitList>(engine)),
+      counts_(engine.counts(backend_->trace_node())) {}
 
 Process::~Process() = default;
 
@@ -317,6 +318,16 @@ void ThreadCtx::check_abort() {
   }
 }
 
+void ThreadCtx::check_fits(const Serialized& ser, std::uint64_t trace_id) {
+  const Backend& b = *proc_->backend_;
+  const std::size_t packet =
+      b.header_bytes(ser.enclosures.size()) + ser.body.size();
+  if (packet > b.max_packet_bytes()) {
+    fail(trace_id, ErrorKind::kMessageTooLarge,
+         std::to_string(packet) + " B packet exceeds the buffer");
+  }
+}
+
 sim::Task<void> ThreadCtx::delay(sim::Duration d) {
   check_abort();
   co_await engine().sleep(d);
@@ -425,6 +436,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   } claim{&p, link};
   // An abort that landed during the gather sleep: nothing was sent yet.
   check_abort();
+  check_fits(ser, call_trace);
 
   Process::LinkState& ls = p.require_link(link);
   std::vector<BLink> blinks =
@@ -524,7 +536,7 @@ sim::Task<Message> ThreadCtx::call(LinkHandle link, Message request) {
   }
   scatter_span.end();
   call_span.end();
-  ++p.ops_;
+  ++p.counts_.operations_completed;
   check_abort();
   co_return std::move(reply_msg.msg);
 }
@@ -560,7 +572,7 @@ sim::Task<Incoming> ThreadCtx::receive() {
       const std::uint64_t token = p.next_token_++;
       p.owed_[token] = ls->handle;
       ++ls->owed_replies;
-      ++p.ops_;
+      ++p.counts_.operations_completed;
       co_return Incoming{ls->handle, std::move(d.msg), token, d.trace};
     }
     if (any_open && !any_open_alive) {
@@ -592,6 +604,7 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
   Serialized ser = p.marshal(reply_msg);
   co_await engine().sleep(p.marshal_cost(ser.body.size()));
   gather_span.end();
+  check_fits(ser, incoming.trace);
   std::vector<BLink> blinks =
       p.check_and_stage_enclosures(link, ser.enclosures);
 
@@ -612,7 +625,7 @@ sim::Task<void> ThreadCtx::reply(const Incoming& incoming, Message reply_msg) {
   switch (out.result) {
     case SendResult::kDelivered:
       for (LinkHandle h : ser.enclosures) p.drop_link(h);
-      ++p.ops_;
+      ++p.counts_.operations_completed;
       co_return;
     case SendResult::kCancelled:
       fail(incoming.trace, ErrorKind::kAborted, "reply aborted in flight");

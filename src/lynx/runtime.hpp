@@ -127,9 +127,6 @@ class Process {
     declared_ops_.insert(std::move(op));
   }
 
-  // ---- instrumentation (experiments E4/E9) ----------------------------
-  [[nodiscard]] std::uint64_t operations_completed() const { return ops_; }
-
  private:
   friend class ThreadCtx;
 
@@ -226,7 +223,7 @@ class Process {
   std::uint64_t next_token_ = 1;
   std::uint64_t next_send_ = 1;
   common::IdMap<std::uint64_t, LinkHandle> owed_;
-  std::uint64_t ops_ = 0;
+  sim::Counts& counts_;  // this process's node's
 };
 
 // Thread-facing operations; one ThreadCtx per thread, owned by the
@@ -270,6 +267,9 @@ class ThreadCtx {
   [[noreturn]] void fail(std::uint64_t trace_id, ErrorKind kind,
                          const std::string& detail);
   void check_abort();
+  // Fails the thread with kMessageTooLarge when `ser` and its packet
+  // header exceed what the backend's receiving buffer holds.
+  void check_fits(const Serialized& ser, std::uint64_t trace_id);
   Process* proc_;
   ThreadId id_;
 };

@@ -6,8 +6,6 @@ namespace lynx {
 
 namespace {
 
-constexpr std::size_t kBigBuffer = 64 * 1024;
-
 // put data layout: [u8 n_enc][per enc: u64 my_name, u64 peer_name,
 // u32 hint_pid][body...].  The header is written into the headroom the
 // runtime left in front of the body (header_bytes), and stripped by
@@ -84,6 +82,7 @@ SodaBackend::SodaBackend(soda::Network& network, SodaDirectory& directory,
     : network_(&network),
       directory_(&directory),
       node_(node),
+      counts_(network.engine().counts(node.value())),
       params_(params),
       pid_(network.create_process(node)),
       drained_(std::make_unique<sim::WaitList>(network.engine())),
@@ -333,7 +332,7 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
         // Stragglers: a recently-moved end answers from the cache, an
         // unknown one is (assumed) destroyed.
         if (const auto owner = moved_to(r.name)) {
-          ++stats_.moved_redirects;
+          ++counts_.moved_redirects;
           network_->engine().spawn(
               "soda-redirect",
               accept_with(r.request, Oop::kMoved, owner->value()));
@@ -478,7 +477,7 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
     if (op == Oop::kDestroyed) {
       mark_destroyed(*link);
     } else if (op == Oop::kMoved) {
-      ++stats_.hint_misses;
+      ++counts_.hint_misses;
       link->peer_hint = soda::Pid(c.oob[1]);
       network_->engine().spawn("soda-signal", post_signal(token));
     } else if (op == Oop::kReplyUnwanted) {
@@ -521,7 +520,7 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
       return;
     }
     case Oop::kMoved: {
-      ++stats_.hint_misses;
+      ++counts_.hint_misses;
       if (SLink* link = find(out.link)) {
         link->peer_hint = soda::Pid(c.oob[1]);
       }
@@ -568,14 +567,14 @@ void SodaBackend::on_crash_or_reject(soda::ReqId req) {
 sim::Task<std::optional<soda::Pid>> SodaBackend::locate_peer(
     soda::Name peer_name) {
   soda::Kernel& k = network_->kernel_of(pid_);
-  ++stats_.discover_searches;
+  ++counts_.discover_searches;
   for (int i = 0; i < params_.discover_attempts; ++i) {
     auto found = co_await k.discover(pid_, peer_name);
     if (found.has_value()) co_return found;
   }
-  ++stats_.discover_failures;
+  ++counts_.discover_failures;
   if (!params_.enable_freeze_fallback) co_return std::nullopt;
-  ++stats_.freeze_searches;
+  ++counts_.freeze_searches;
   auto frozen = co_await freeze_search(peer_name);
   co_return frozen;
 }
@@ -583,7 +582,7 @@ sim::Task<std::optional<soda::Pid>> SodaBackend::locate_peer(
 sim::Task<> SodaBackend::hint_fix_and_resend(std::uint64_t out_id) {
   auto it = outs_.find(out_id);
   if (it == outs_.end()) co_return;
-  ++stats_.hint_misses;
+  ++counts_.hint_misses;
   const BLink token = it->second.link;
   SLink* link = find(token);
   if (link == nullptr || link->destroyed) {

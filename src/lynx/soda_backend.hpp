@@ -74,6 +74,9 @@ class SodaBackend final : public Backend {
       std::size_t enclosures) const override {
     return 1 + 20 * enclosures;  // [count][per end: names + hint]
   }
+  [[nodiscard]] std::size_t max_packet_bytes() const override {
+    return kBigBuffer;  // every accept takes at most this much put data
+  }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override;
   void begin_send(BLink link, WireMessage msg, std::uint64_t id) override;
   void cancel_send(std::uint64_t id) override;
@@ -87,21 +90,12 @@ class SodaBackend final : public Backend {
 
   [[nodiscard]] soda::Pid pid() const { return pid_; }
 
-  struct Stats {
-    std::uint64_t moved_redirects = 0;  // stragglers served from cache
-    std::uint64_t hint_misses = 0;      // sends that needed re-routing
-    std::uint64_t discover_searches = 0;
-    std::uint64_t discover_failures = 0;
-    std::uint64_t freeze_searches = 0;
-    std::uint64_t unwanted_received = 0;  // stays 0: screening by accept
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
   // Bootstrap: wire two processes together (loader fiat).
   [[nodiscard]] static sim::Task<std::pair<LinkHandle, LinkHandle>> connect(
       Process& a, Process& b);
 
  private:
+  static constexpr std::size_t kBigBuffer = 64 * 1024;
   // accept / completion out-of-band codes (word 0)
   enum class Oop : std::uint32_t {
     kRequestMsg = 1,   // request oob: a LYNX request rides this put
@@ -219,6 +213,7 @@ class SodaBackend final : public Backend {
   soda::Network* network_;
   SodaDirectory* directory_;
   net::NodeId node_;
+  sim::Counts& counts_;
   SodaBackendParams params_;
   soda::Pid pid_;
   soda::Name freeze_name_;
@@ -247,7 +242,6 @@ class SodaBackend final : public Backend {
   std::unordered_map<soda::ReqId, FreezeCollector*> freeze_collects_;
   std::unordered_map<soda::Name, soda::Pid> async_hints_;
   common::IdAllocator<BLink> blink_ids_;
-  Stats stats_;
 };
 
 }  // namespace lynx

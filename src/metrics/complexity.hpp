@@ -10,7 +10,7 @@
 //   2. source lines of each backend (measured from this repository at
 //      bench run time);
 //   3. dynamic counts (packets per operation, bounce traffic) from the
-//      backend stats.
+//      engine's counts table (sim::Counts).
 #pragma once
 
 #include <cstddef>

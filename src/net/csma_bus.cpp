@@ -22,8 +22,7 @@ void CsmaBus::broadcast(Frame frame) {
 }
 
 void CsmaBus::record_drop(const Frame& frame, NodeId receiver) {
-  ++drops_;
-  ++drops_at_[receiver];
+  ++engine_->counts(receiver.value()).bus_drops;
   if (on_drop_) on_drop_(frame, receiver);
 }
 
@@ -47,7 +46,7 @@ void CsmaBus::try_transmit(Frame frame, std::uint64_t entry, int attempt) {
     // them all now and schedule only the first retry at or after it.
     sim::Time retry = now;
     do {
-      ++backoffs_;
+      ++engine_->counts(frame.src.value()).backoffs;
       retry += backoff_delay(entry, attempt++);
     } while (retry < busy_until_);
     engine_->schedule_at(
@@ -58,8 +57,7 @@ void CsmaBus::try_transmit(Frame frame, std::uint64_t entry, int attempt) {
   }
   const sim::Duration service = clock_out_time(frame.payload_bytes);
   busy_until_ = now + service;
-  ++frames_;
-  bytes_ += frame.payload_bytes;
+  count_sent(*engine_, frame);
   if (frame.dst.valid()) {
     // Unicast: the frame moves end-to-end, into the handler, in one
     // event at end of transmission plus propagation.

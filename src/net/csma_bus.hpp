@@ -21,11 +21,12 @@
 // `busy_until_`, a time, so every retry that would fire before it is
 // sure to find the bus busy; a deferring frame therefore draws its
 // chain up to the first retry at or after busy_until_ and schedules
-// only that one — one event per frame per busy period, with backoffs()
-// still counting every draw.  A unicast frame arrives in one event, at
-// end of transmission plus propagation; a broadcast keeps an
-// end-of-transmission event that fans out one delivery event per
-// receiver, so permuted schedules still interleave the receivers.
+// only that one — one event per frame per busy period, with
+// sim::Counts::backoffs still counting every draw.  A unicast frame
+// arrives in one event, at end of transmission plus propagation; a
+// broadcast keeps an end-of-transmission event that fans out one
+// delivery event per receiver, so permuted schedules still interleave
+// the receivers.
 #pragma once
 
 #include "common/id_map.hpp"
@@ -59,21 +60,11 @@ class CsmaBus final : public Medium {
   void send(Frame frame) override;
   void broadcast(Frame frame) override;
 
-  [[nodiscard]] std::uint64_t frames_sent() const override { return frames_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t backoffs() const { return backoffs_; }
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
-
-  // Loss observability: the global counter says only *that* frames were
-  // lost; callers (fault::InvariantChecker, loss-sensitive protocols)
-  // need to know *which* frame missed *which* receiver.
+  // Loss observability: sim::Counts::bus_drops says only *that* frames
+  // were lost at a node; callers (fault::InvariantChecker, loss-sensitive
+  // protocols) need to know *which* frame missed *which* receiver.
   using DropObserver = std::function<void(const Frame&, NodeId receiver)>;
   void set_drop_observer(DropObserver obs) { on_drop_ = std::move(obs); }
-  // Frames dropped on the way to `node` specifically.
-  [[nodiscard]] std::uint64_t drops_at(NodeId node) const {
-    auto it = drops_at_.find(node);
-    return it == drops_at_.end() ? 0 : it->second;
-  }
 
   // The backoff before retry `attempt` (0, 1, ...) of the frame that
   // entered the bus as entry `entry` (1, 2, ... in send/broadcast
@@ -103,11 +94,6 @@ class CsmaBus final : public Medium {
   DropObserver on_drop_;
   sim::Time busy_until_ = 0;  // the bus is busy while now < busy_until_
   std::uint64_t entries_ = 0;
-  std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t backoffs_ = 0;
-  std::uint64_t drops_ = 0;
-  common::IdMap<NodeId, std::uint64_t> drops_at_;
 };
 
 }  // namespace net

@@ -22,8 +22,7 @@ class Loopback final : public Medium {
 
   void send(Frame frame) override {
     stamp(frame);
-    ++frames_;
-    bytes_ += frame.payload_bytes;
+    count_sent(*engine_, frame);
     auto it = handlers_.find(frame.dst);
     RELYNX_ASSERT_MSG(it != handlers_.end(), "send to unattached node");
     engine_->schedule(latency_,
@@ -34,8 +33,7 @@ class Loopback final : public Medium {
 
   void broadcast(Frame frame) override {
     stamp(frame);
-    ++frames_;
-    bytes_ += frame.payload_bytes;
+    count_sent(*engine_, frame);
     for (auto& [node, handler] : handlers_) {
       if (node == frame.src) continue;
       engine_->schedule(latency_, [h = &handler, f = frame]() mutable {
@@ -44,15 +42,10 @@ class Loopback final : public Medium {
     }
   }
 
-  [[nodiscard]] std::uint64_t frames_sent() const override { return frames_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const override { return bytes_; }
-
  private:
   sim::Engine* engine_;
   sim::Duration latency_;
   common::IdMap<NodeId, FrameHandler> handlers_;
-  std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace net

@@ -17,6 +17,7 @@
 #include "common/assert.hpp"
 #include "common/strong_id.hpp"
 #include "sim/block_pool.hpp"
+#include "sim/engine.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/time.hpp"
 
@@ -188,15 +189,17 @@ class Medium {
   // sender.  Reliability is medium-specific (the CSMA bus may drop).
   virtual void broadcast(Frame frame) = 0;
 
-  // Observability for experiments.
-  [[nodiscard]] virtual std::uint64_t frames_sent() const = 0;
-  [[nodiscard]] virtual std::uint64_t bytes_sent() const = 0;
-
  protected:
   // Gives every frame a medium-unique id on entry (idempotent: a
   // wrapping medium may have stamped it already).
   void stamp(Frame& frame) {
     if (frame.id == 0) frame.id = ++next_frame_id_;
+  }
+  // Counts a frame put on the wire, and its bytes, at its sender.
+  static void count_sent(sim::Engine& engine, const Frame& frame) {
+    sim::Counts& c = engine.counts(frame.src.value());
+    ++c.frames_sent;
+    c.bytes_sent += frame.payload_bytes;
   }
 
  private:

@@ -31,8 +31,7 @@ void TokenRing::start_next() {
   busy_ = true;
   Frame frame = std::move(backlog_.front());
   backlog_.pop_front();
-  ++frames_;
-  bytes_ += frame.payload_bytes;
+  count_sent(*engine_, frame);
   const sim::Duration service = service_time(frame.payload_bytes);
   engine_->schedule(service, [this, f = std::move(frame)]() mutable {
     deliver(std::move(f));

@@ -34,9 +34,6 @@ class TokenRing final : public Medium {
   void send(Frame frame) override;
   void broadcast(Frame frame) override;
 
-  [[nodiscard]] std::uint64_t frames_sent() const override { return frames_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const override { return bytes_; }
-
   // Service time for one frame (token wait + clocking + overhead); used
   // by the calibration tests.
   [[nodiscard]] sim::Duration service_time(std::size_t payload_bytes) const {
@@ -55,8 +52,6 @@ class TokenRing final : public Medium {
   common::IdMap<NodeId, FrameHandler> handlers_;
   sim::Fifo<Frame> backlog_;
   bool busy_ = false;
-  std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace net

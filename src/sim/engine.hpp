@@ -39,12 +39,14 @@
 #include <bit>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "sim/counts.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -190,6 +192,25 @@ class Engine {
     };
     RELYNX_ASSERT(d >= 0);
     return SleepAwaiter{this, d};
+  }
+
+  // -- protocol counts (sim/counts.hpp) ----------------------------------
+  // One table per node, grown on first touch; a fresh engine reads zero
+  // everywhere.  Growing allocates at most once per node, never per
+  // event, and never moves a table: a component that counts at one node
+  // keeps the reference for its lifetime.
+  [[nodiscard]] Counts& counts(std::uint32_t node) {
+    if (node >= counts_.size()) {
+      RELYNX_ASSERT_MSG(node < (1u << 16), "counts: node id out of range");
+      counts_.resize(node + 1);
+    }
+    return counts_[node];
+  }
+  // `field` summed over every node.
+  [[nodiscard]] std::uint64_t total(std::uint64_t Counts::*field) const {
+    std::uint64_t n = 0;
+    for (const Counts& c : counts_) n += c.*field;
+    return n;
   }
 
   // -- tracing -----------------------------------------------------------
@@ -360,6 +381,7 @@ class Engine {
   Root::promise_type* roots_tail_ = nullptr;
   std::vector<std::string> failures_;
   trace::Recorder* recorder_ = nullptr;
+  std::deque<Counts> counts_;
 };
 
 inline void TimerHandle::cancel() {

@@ -51,16 +51,11 @@ void Network::terminate(Pid pid) {
   kernel_of(pid).terminate_process(pid);
 }
 
-std::uint64_t Network::total_frames() const {
-  std::uint64_t n = 0;
-  for (const auto& k : kernels_) n += k->frames_emitted();
-  return n;
-}
-
 // ===================== Kernel plumbing =====================
 
 Kernel::Kernel(Network& network, net::NodeId node)
     : network_(&network), node_(node),
+      counts_(network.engine().counts(node.value())),
       packer_(network.engine(), network.medium(), node,
               network.costs().form_delay) {
   network_->medium().attach(node_, [this](net::Frame f) {
@@ -80,7 +75,7 @@ void Kernel::transmit(net::NodeId dst, WireFrame frame, std::size_t bytes,
     // carries it — clamp so a frame is never self-screening.
     if (t->tseq > 0) t->tseq_base = std::min(tx_frontier(dst), t->tseq);
   }
-  ++frames_out_;
+  ++counts_.frames_emitted;
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "wire", "frame.tx", trace, frame_code(frame),
                  bytes);
@@ -354,7 +349,7 @@ sim::Task<std::optional<Pid>> Kernel::discover(Pid caller, Name name) {
 
   // Unreliable broadcast query; replies race the timeout.  Routed
   // through the packer so the broadcast cannot overtake queued unicasts.
-  ++frames_out_;
+  ++counts_.frames_emitted;
   packer_.submit_broadcast(
       net::Frame{node_, net::NodeId::invalid(), 16,
                  WireFrame(DiscoverQuery{qid, name, node_})});
@@ -462,7 +457,7 @@ bool Kernel::retransmit_due(Leg& leg) {
   const Costs& costs = network_->costs();
   if (leg.attempts >= costs.max_transport_attempts) return false;
   ++leg.attempts;
-  ++retries_;
+  ++counts_.retries;
   // Exponential backoff, as Charlotte's.
   leg.cur_rto = std::min(leg.cur_rto * 2, costs.rto_max);
   return true;
@@ -583,7 +578,7 @@ sim::Task<Result<ReqId>> Kernel::request(Pid caller, Pid target, Name name,
 }
 
 void Kernel::schedule_retry(ReqId req) {
-  ++retries_;
+  ++counts_.retries;
   if (auto it = outstanding_.find(req); it != outstanding_.end()) {
     if (auto* rec = trace::get(network_->engine())) {
       rec->instant(node_.value(), "kernel", "req.retry", it->second.trace,
@@ -781,7 +776,7 @@ void Kernel::handle(const CrashNote& f, net::NodeId /*from*/) {
 }
 
 void Kernel::announce_reboot() {
-  ++frames_out_;
+  ++counts_.frames_emitted;
   if (auto* rec = trace::get(network_->engine())) {
     rec->instant(node_.value(), "kernel", "node.reboot", 0, node_.value(), 0);
   }

@@ -91,11 +91,6 @@ class Kernel {
   // exhaustion), only when it returns.
   void announce_reboot();
 
-  // ---- instrumentation -------------------------------------------------------
-  [[nodiscard]] std::uint64_t frames_emitted() const { return frames_out_; }
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  [[nodiscard]] const form::Packer& packer() const { return packer_; }
-
  private:
   friend class Network;
 
@@ -350,6 +345,7 @@ class Kernel {
 
   Network* network_;
   net::NodeId node_;
+  sim::Counts& counts_;
   form::Packer packer_;
   common::IdSet<Pid> processes_;
   common::IdMap<Pid, std::unordered_set<Name>> advertised_;
@@ -368,8 +364,6 @@ class Kernel {
   common::IdMap<Pid, common::IdMap<Pid, int>> per_pair_;  // see pair_count
   common::IdMap<std::uint64_t, DiscoverWait> discovers_;
   std::uint64_t next_qid_ = 1;
-  std::uint64_t frames_out_ = 0;
-  std::uint64_t retries_ = 0;
 };
 
 // A SODA network: N single-process nodes on a CSMA bus.
@@ -398,8 +392,6 @@ class Network {
     return process_node_.contains(pid);
   }
   void terminate(Pid pid);
-
-  [[nodiscard]] std::uint64_t total_frames() const;
 
  private:
   friend class Kernel;

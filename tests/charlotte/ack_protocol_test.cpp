@@ -239,7 +239,7 @@ std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
   e.spawn("send", send_one(&cluster, pa, link.end1, "m1", log));
   e.run();
   EXPECT_TRUE(e.process_failures().empty());
-  return cluster.kernel(NodeId(0)).nack_retransmits();
+  return e.counts(0).nack_retransmits;
 }
 
 TEST(CharlotteAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
@@ -296,7 +296,7 @@ TEST(CharlotteAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
     e.spawn("pong", pong(&cluster, pb, link.end2, log));
     e.run();
     EXPECT_TRUE(e.process_failures().empty());
-    return cluster.total_frames();
+    return e.total(&sim::Counts::frames_emitted);
   };
 
   std::vector<std::string> log_off;

@@ -378,7 +378,7 @@ TEST(CharlotteKernel, EnclosureMovesEndAcrossNodes) {
   EXPECT_EQ(log[2], "heard:over-moved-link");
   EXPECT_EQ(log[3], "spoke");
   EXPECT_TRUE(w.engine.process_failures().empty());
-  EXPECT_GT(w.cluster.total_move_frames(), 0u);
+  EXPECT_GT(w.engine.total(&sim::Counts::move_protocol_frames), 0u);
 }
 
 TEST(CharlotteKernel, CannotEncloseCarrierOrPeer) {
@@ -481,7 +481,7 @@ TEST(CharlotteKernel, SendOnDestroyedLinkFails) {
                                             "enclosure:ok"}));
   // The Msg, its bounce (MsgNackDestroyed), the DestroyUpdate and the two
   // LinkDowns: the bounce fails the send before LinkDown arrives.
-  EXPECT_EQ(w2.cluster.total_frames(), 5u);
+  EXPECT_EQ(w2.engine.total(&sim::Counts::frames_emitted), 5u);
 }
 
 TEST(CharlotteKernel, ProcessTerminationDestroysItsLinks) {
@@ -559,12 +559,8 @@ TEST(CharlotteKernel, Figure1SimultaneousMoveOfBothEnds) {
   EXPECT_TRUE(w.engine.process_failures().empty());
   // B's first send reaches C's end after one NACK-driven resend, and one
   // PeerMoved is chased on after an end that had moved: 15 frames.
-  std::uint64_t nacked = 0;
-  for (std::uint32_t n = 0; n < 4; ++n) {
-    nacked += w.cluster.kernel(NodeId(n)).nack_retransmits();
-  }
-  EXPECT_EQ(nacked, 1u);
-  EXPECT_EQ(w.cluster.total_frames(), 15u);
+  EXPECT_EQ(w.engine.total(&sim::Counts::nack_retransmits), 1u);
+  EXPECT_EQ(w.engine.total(&sim::Counts::frames_emitted), 15u);
 }
 
 // -------- determinism ------------------------------------------------------

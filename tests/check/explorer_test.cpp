@@ -157,6 +157,18 @@ TEST(Explorer, SodaAcceptWindowRegression) {
   }
 }
 
+// The known eight-channel SODA wedge (ROADMAP "Fix first" 1) ends at
+// the shape's horizon as a "wedged" verdict; its replay used to hang.
+TEST(Explorer, WedgedEchoUniverseIsReportedNotHung) {
+  const std::optional<RunConfig> cfg = parse_token(
+      R"({"v":1,"substrate":"soda","tie":"fifo","seed":1,"plan":"none",)"
+      R"("calls":4,"channels":8,"bytes":32})");
+  ASSERT_TRUE(cfg.has_value());
+  const RunVerdict v = run_one(*cfg);
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.failure.rfind("wedged: ", 0), 0u) << v.failure;
+}
+
 TEST(Explorer, TokensRoundTrip) {
   RunConfig cfg;
   cfg.substrate = load::Substrate::kSoda;

@@ -123,8 +123,8 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
     CO_CHECK(q.ok());
     auto ev = co_await k.make_event(c);
     CO_CHECK(ev.ok());
-    *allocs0 = k.queue_allocs();
-    *fast0 = k.fast_deliveries();
+    *allocs0 = e.total(&sim::Counts::queue_allocs);
+    *fast0 = e.total(&sim::Counts::fast_deliveries);
     e.spawn("produce", [](sim::Engine* eng, Kernel* kk, Pid me,
                           DqId qq) -> sim::Task<> {
       for (int i = 0; i < kCycles; ++i) {
@@ -145,9 +145,9 @@ TEST(ChrysalisDrain, CheapFlagFastPathSkipsQueueMachinery) {
   for (int i = 0; i < kCycles; ++i) {
     EXPECT_EQ(log[static_cast<std::size_t>(i)], static_cast<std::uint32_t>(i));
   }
-  EXPECT_EQ(w.kernel.fast_deliveries() - fast_before,
+  EXPECT_EQ(w.engine.total(&sim::Counts::fast_deliveries) - fast_before,
             static_cast<std::uint64_t>(kCycles));
-  EXPECT_EQ(w.kernel.queue_allocs() - allocs_before, 0u)
+  EXPECT_EQ(w.engine.total(&sim::Counts::queue_allocs) - allocs_before, 0u)
       << "fast-path delivery touched the deque";
   EXPECT_TRUE(w.engine.process_failures().empty());
 }
@@ -179,10 +179,12 @@ TEST(ChrysalisDrain, BatchedDrainCollapsesDispatchCount) {
         CO_CHECK_EQ(co_await k.enqueue(p, q.value(), std::span(&datum, 1)),
                     Status::kOk);
       }
-      const std::uint64_t ops_before = k.microcode_ops();
+      const std::uint64_t ops_before =
+          world->engine.total(&sim::Counts::microcode_ops);
       co_await drain(&k, c, q.value(), ev.value(), kParked, lg,
                      use_batched ? 16 : 1);
-      *ops_out = k.microcode_ops() - ops_before;
+      *ops_out =
+          world->engine.total(&sim::Counts::microcode_ops) - ops_before;
     }(&w, prod, cons, batched, drain_ops, &log));
     w.engine.run();
     EXPECT_TRUE(w.engine.process_failures().empty());

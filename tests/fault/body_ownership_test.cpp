@@ -103,7 +103,7 @@ TEST(BodyOwnership, CharlotteTruncatedReceiveLeavesNackMovedResendWhole) {
   ASSERT_TRUE(settled);
   EXPECT_EQ(sent.status, charlotte::Status::kOk);
   EXPECT_EQ(sent.length, 4u);
-  EXPECT_EQ(cluster.kernel(NodeId(0)).nack_retransmits(), 1u);
+  EXPECT_EQ(e.counts(0).nack_retransmits, 1u);
   EXPECT_TRUE(e.process_failures().empty());
 }
 
@@ -179,7 +179,7 @@ TEST(BodyOwnership, SodaShortAcceptLeavesRetransmittedReqFragWhole) {
     EXPECT_EQ(as_req_frag(f)->send_total, 16u);
     EXPECT_EQ(text(as_req_frag(f)->data), kMessage);
   }
-  EXPECT_GE(network.kernel(NodeId(0)).retries(), 1u);
+  EXPECT_GE(e.counts(0).retries, 1u);
   EXPECT_TRUE(e.process_failures().empty());
 }
 
@@ -216,7 +216,7 @@ TEST(BodyOwnership, FaultyMediumDuplicateDeliversTheWholeBodyTwice) {
   medium.send(net::Frame{NodeId(0), NodeId(1), sent.size(), sent});
   e.run();
 
-  EXPECT_EQ(medium.injected_duplicates(), 1u);
+  EXPECT_EQ(e.total(&sim::Counts::injected_duplicates), 1u);
   ASSERT_EQ(rx.seen.size(), 2u);
   EXPECT_EQ(rx.seen[0], kMessage);
   EXPECT_EQ(rx.seen[1], kMessage);

@@ -123,7 +123,7 @@ TEST(Chaos, CharlotteRetransmitExhaustionDeclaresLinkFailed) {
 
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], "send:link-failed");
-  EXPECT_GT(cluster.kernel(NodeId(0)).nack_retransmits(), 0u);
+  EXPECT_GT(e.counts(0).nack_retransmits, 0u);
   EXPECT_TRUE(check.ok()) << check.violations().front();
   EXPECT_TRUE(e.process_failures().empty());
 }
@@ -178,7 +178,7 @@ TEST(Chaos, CharlotteSurvivesLossyRingWithRetransmission) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "recv:done");
   EXPECT_EQ(log[1], "send:done");
-  EXPECT_GT(fm.injected_drops(), 0u);
+  EXPECT_GT(e.total(&sim::Counts::injected_drops), 0u);
   EXPECT_TRUE(check.ok()) << check.violations().front();
   EXPECT_TRUE(e.process_failures().empty());
 }
@@ -258,7 +258,7 @@ TEST(Chaos, SodaConvergesWhenCutHealsBeforeTimeout) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "server-got:ping");
   EXPECT_EQ(log[1], "client-got:pong");
-  EXPECT_GT(nw.kernel(NodeId(1)).retries(), 0u);
+  EXPECT_GT(e.counts(1).retries, 0u);
   EXPECT_TRUE(check.ok()) << check.violations().front();
   EXPECT_TRUE(e.process_failures().empty());
 }

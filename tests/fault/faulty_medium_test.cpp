@@ -52,6 +52,8 @@ TEST(FaultyMedium, EmptyPlanIsTimingTransparent) {
   // Run the same traffic through a bare Loopback and a wrapped one;
   // delivery times must be identical to the nanosecond.
   std::vector<Delivery> bare;
+  std::uint64_t bare_frames = 0;
+  std::uint64_t bare_bytes = 0;
   {
     sim::Engine e;
     net::Loopback lo(e, sim::usec(25));
@@ -60,6 +62,8 @@ TEST(FaultyMedium, EmptyPlanIsTimingTransparent) {
     lo.send(make_frame(NodeId(1), NodeId(0), 50, "b"));
     e.run();
     bare = c.deliveries;
+    bare_frames = e.total(&sim::Counts::frames_sent);
+    bare_bytes = e.total(&sim::Counts::bytes_sent);
   }
   std::vector<Delivery> wrapped;
   {
@@ -72,9 +76,9 @@ TEST(FaultyMedium, EmptyPlanIsTimingTransparent) {
     e.run();
     wrapped = c.deliveries;
     EXPECT_EQ(fm.fault_log().size(), 0u);
-    EXPECT_EQ(fm.deliveries(), 2u);
-    EXPECT_EQ(fm.frames_sent(), lo.frames_sent());
-    EXPECT_EQ(fm.bytes_sent(), lo.bytes_sent());
+    EXPECT_EQ(e.total(&sim::Counts::deliveries), 2u);
+    EXPECT_EQ(e.total(&sim::Counts::frames_sent), bare_frames);
+    EXPECT_EQ(e.total(&sim::Counts::bytes_sent), bare_bytes);
   }
   ASSERT_EQ(bare.size(), wrapped.size());
   for (std::size_t i = 0; i < bare.size(); ++i) {
@@ -97,7 +101,7 @@ TEST(FaultyMedium, BackgroundDropLosesFrames) {
   }
   e.run();
   EXPECT_EQ(c.deliveries.size(), 0u);
-  EXPECT_EQ(fm.injected_drops(), 10u);
+  EXPECT_EQ(e.total(&sim::Counts::injected_drops), 10u);
   for (const FaultRecord& r : fm.fault_log()) {
     EXPECT_EQ(r.kind, FaultKind::kDrop);
   }
@@ -117,7 +121,7 @@ TEST(FaultyMedium, DuplicateInjectsExtraCopyWithSameId) {
   ASSERT_EQ(seen_ids.size(), 2u);
   EXPECT_EQ(seen_ids[0], seen_ids[1]);
   EXPECT_NE(seen_ids[0], 0u);
-  EXPECT_EQ(fm.injected_duplicates(), 1u);
+  EXPECT_EQ(e.total(&sim::Counts::injected_duplicates), 1u);
 }
 
 TEST(FaultyMedium, CorruptFramesAreDiscardedAtTheReceiver) {
@@ -129,7 +133,7 @@ TEST(FaultyMedium, CorruptFramesAreDiscardedAtTheReceiver) {
   fm.send(make_frame(NodeId(0), NodeId(1), 10, "x"));
   e.run();
   EXPECT_EQ(c.deliveries.size(), 0u);
-  EXPECT_EQ(fm.corrupt_discards(), 1u);
+  EXPECT_EQ(e.total(&sim::Counts::corrupt_discards), 1u);
   // Both the corruption and the checksum rejection are logged.
   ASSERT_EQ(fm.fault_log().size(), 2u);
   EXPECT_EQ(fm.fault_log()[0].kind, FaultKind::kCorrupt);
@@ -147,7 +151,7 @@ TEST(FaultyMedium, JitterDelaysButDelivers) {
   }
   e.run();
   EXPECT_EQ(c.deliveries.size(), 8u);
-  EXPECT_GT(fm.injected_delays(), 0u);
+  EXPECT_GT(e.total(&sim::Counts::injected_delays), 0u);
   for (const Delivery& d : c.deliveries) {
     EXPECT_GE(d.when, sim::usec(10));
     EXPECT_LE(d.when, sim::usec(10) + sim::msec(1));
@@ -174,7 +178,7 @@ TEST(FaultyMedium, DropWindowOnlyAffectsItsInterval) {
   ASSERT_EQ(c.deliveries.size(), 2u);
   EXPECT_EQ(c.deliveries[0].tag, "before");
   EXPECT_EQ(c.deliveries[1].tag, "after");
-  EXPECT_EQ(fm.injected_drops(), 1u);
+  EXPECT_EQ(e.total(&sim::Counts::injected_drops), 1u);
 }
 
 TEST(FaultyMedium, CutLinkKillsUnicastBothWaysUntilHealed) {
@@ -317,7 +321,7 @@ RunResult lossy_bus_run(std::uint64_t seed) {
     });
   }
   e.run();
-  return {fm.fault_digest(), fm.deliveries(), e.now()};
+  return {fm.fault_digest(), e.total(&sim::Counts::deliveries), e.now()};
 }
 
 TEST(FaultyMedium, SameSeedSamePlanIsByteIdentical) {

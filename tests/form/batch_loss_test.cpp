@@ -115,11 +115,11 @@ TEST(FormBatchLoss, CharlotteDroppedBatchIsFullyRedelivered) {
   // The recovery really ran: batches formed, frames were injected-drop
   // casualties, retransmits fired, and nothing landed inside the dark
   // window.
-  const form::Packer& packer = cluster.kernel(NodeId(0)).packer();
-  EXPECT_GE(packer.batches_sent(), 1u);
-  EXPECT_GE(packer.enclosures_batched(), static_cast<std::uint64_t>(kN));
-  EXPECT_GE(fm.injected_drops(), 1u);
-  EXPECT_GT(cluster.kernel(NodeId(0)).nack_retransmits(), 0u);
+  const sim::Counts& sender = e.counts(0);
+  EXPECT_GE(sender.batches_sent, 1u);
+  EXPECT_GE(sender.enclosures_batched, static_cast<std::uint64_t>(kN));
+  EXPECT_GE(e.total(&sim::Counts::injected_drops), 1u);
+  EXPECT_GT(sender.nack_retransmits, 0u);
   for (sim::Time t : when) EXPECT_GT(t, kDark);
 }
 
@@ -217,10 +217,10 @@ TEST(FormBatchLoss, SodaDroppedBatchIsFullyRedelivered) {
   EXPECT_TRUE(e.process_failures().empty());
 
   // The batch formed, died, and was re-driven by the transport layer.
-  const form::Packer& packer = nw.kernel(NodeId(1)).packer();
-  EXPECT_GE(packer.batches_sent(), 1u);
-  EXPECT_GE(packer.enclosures_batched(), static_cast<std::uint64_t>(kN));
-  EXPECT_GE(fm.injected_drops(), 1u);
+  const sim::Counts& sender = e.counts(1);
+  EXPECT_GE(sender.batches_sent, 1u);
+  EXPECT_GE(sender.enclosures_batched, static_cast<std::uint64_t>(kN));
+  EXPECT_GE(e.total(&sim::Counts::injected_drops), 1u);
   for (sim::Time t : when) EXPECT_GT(t, kDark);
 }
 
@@ -242,7 +242,8 @@ TEST(FormBatchLoss, ChrysalisBatchedEnqueueSurvivesQueueOverflowViaRetry) {
     CO_CHECK(dq.ok());
     auto ev = co_await k->make_event(pid);
     CO_CHECK(ev.ok());
-    const std::uint64_t before = k->enqueue_calls();
+    const std::uint64_t before =
+        k->engine().total(&sim::Counts::enqueue_calls);
     // Four batched notices against capacity 2: the first two land, the
     // overflow pair is dropped on the floor — hints are hints — and the
     // single dispatch honestly reports the loss.  (gcc can't keep an
@@ -266,7 +267,7 @@ TEST(FormBatchLoss, ChrysalisBatchedEnqueueSurvivesQueueOverflowViaRetry) {
       CO_CHECK(!o.value().would_block);
       out->push_back(o.value().data.front());
     }
-    *calls = k->enqueue_calls() - before;
+    *calls = k->engine().total(&sim::Counts::enqueue_calls) - before;
   };
   e.spawn("p", prog(&kernel, p, &got, &sts, &dispatches));
   e.run();
@@ -277,7 +278,7 @@ TEST(FormBatchLoss, ChrysalisBatchedEnqueueSurvivesQueueOverflowViaRetry) {
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got, (std::vector<std::uint32_t>{1, 2, 3, 4}));  // FIFO kept
   // Six data moved in two dispatches — the frames-per-message analogue
-  // Chrysalis formation is measured by (Kernel::enqueue_calls, E16).
+  // Chrysalis formation is measured by (sim::Counts::enqueue_calls, E16).
   EXPECT_EQ(dispatches, 2u);
   EXPECT_TRUE(e.process_failures().empty());
 }

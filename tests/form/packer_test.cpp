@@ -33,25 +33,16 @@ class RecordingMedium final : public net::Medium {
   void attach(NodeId, net::FrameHandler) override {}
   void send(net::Frame frame) override {
     stamp(frame);
-    ++frames_;
-    bytes_ += frame.payload_bytes;
     log.push_back(Record{std::move(frame), engine_->now(), false});
   }
   void broadcast(net::Frame frame) override {
     stamp(frame);
-    ++frames_;
-    bytes_ += frame.payload_bytes;
     log.push_back(Record{std::move(frame), engine_->now(), true});
   }
-  [[nodiscard]] std::uint64_t frames_sent() const override { return frames_; }
-  [[nodiscard]] std::uint64_t bytes_sent() const override { return bytes_; }
-
   std::vector<Record> log;
 
  private:
   sim::Engine* engine_;
-  std::uint64_t frames_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 net::Frame frame_to(NodeId src, NodeId dst, std::size_t bytes,
@@ -82,8 +73,8 @@ TEST(FormPacker, DelayZeroIsExactPassthrough) {
   EXPECT_EQ(medium.log[0].frame.trace_id, 7u);
   EXPECT_EQ(medium.log[0].at, sim::Time(0));
   EXPECT_EQ(tag_of(medium.log[2].frame), "c");
-  EXPECT_EQ(packer.batches_sent(), 0u);
-  EXPECT_EQ(packer.singles_sent(), 0u);
+  EXPECT_EQ(e.counts(0).batches_sent, 0u);
+  EXPECT_EQ(e.counts(0).singles_sent, 0u);
 }
 
 TEST(FormPacker, CoDestinedFramesShareOneBatchAtTheDeadline) {
@@ -114,9 +105,9 @@ TEST(FormPacker, CoDestinedFramesShareOneBatchAtTheDeadline) {
   EXPECT_EQ(tag_of(batch.frames[1]), "b");
   EXPECT_EQ(tag_of(batch.frames[2]), "c");
   EXPECT_EQ(batch.frames[2].trace_id, 43u);  // per-enclosure TraceIds
-  EXPECT_EQ(packer.batches_sent(), 1u);
-  EXPECT_EQ(packer.enclosures_batched(), 3u);
-  EXPECT_EQ(packer.singles_sent(), 0u);
+  EXPECT_EQ(e.counts(0).batches_sent, 1u);
+  EXPECT_EQ(e.counts(0).enclosures_batched, 3u);
+  EXPECT_EQ(e.counts(0).singles_sent, 0u);
 }
 
 TEST(FormPacker, ByteBudgetClosesTheBatchBeforeTheDeadline) {
@@ -148,9 +139,9 @@ TEST(FormPacker, ByteBudgetClosesTheBatchBeforeTheDeadline) {
   ASSERT_EQ(medium.log.size(), 2u);
   EXPECT_EQ(medium.log[1].at, sim::msec(5));
   EXPECT_EQ(tag_of(medium.log[1].frame), "c");
-  EXPECT_EQ(packer.batches_sent(), 1u);
-  EXPECT_EQ(packer.enclosures_batched(), 2u);
-  EXPECT_EQ(packer.singles_sent(), 1u);
+  EXPECT_EQ(e.counts(0).batches_sent, 1u);
+  EXPECT_EQ(e.counts(0).enclosures_batched, 2u);
+  EXPECT_EQ(e.counts(0).singles_sent, 1u);
 }
 
 TEST(FormPacker, LoneEnclosureGoesOutUnwrapped) {
@@ -168,8 +159,8 @@ TEST(FormPacker, LoneEnclosureGoesOutUnwrapped) {
   EXPECT_EQ(tag_of(medium.log[0].frame), "solo");
   EXPECT_EQ(medium.log[0].frame.payload_bytes, 64u);
   EXPECT_EQ(medium.log[0].frame.trace_id, 9u);
-  EXPECT_EQ(packer.batches_sent(), 0u);
-  EXPECT_EQ(packer.singles_sent(), 1u);
+  EXPECT_EQ(e.counts(0).batches_sent, 0u);
+  EXPECT_EQ(e.counts(0).singles_sent, 1u);
 }
 
 TEST(FormPacker, BroadcastFlushesEveryQueueFirst) {

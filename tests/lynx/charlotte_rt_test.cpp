@@ -52,12 +52,9 @@ struct World {
     w->client_end = ce;
   }
 
-  [[nodiscard]] const CharlotteBackend::Stats& server_stats() {
-    return dynamic_cast<CharlotteBackend&>(server.backend()).stats();
-  }
-  [[nodiscard]] const CharlotteBackend::Stats& client_stats() {
-    return dynamic_cast<CharlotteBackend&>(client.backend()).stats();
-  }
+  // Each process's node's protocol counts.
+  [[nodiscard]] sim::Counts& server_counts() { return engine.counts(0); }
+  [[nodiscard]] sim::Counts& client_counts() { return engine.counts(1); }
 };
 
 sim::Task<> echo_server_thread(ThreadCtx& ctx, LinkHandle link, int n) {
@@ -95,11 +92,11 @@ TEST(LynxCharlotte, EchoRpcRoundTrips) {
   EXPECT_TRUE(w.engine.process_failures().empty());
   // simple case (figure 2 top): exactly 1 request + 1 reply per op,
   // no retry/forbid/goahead traffic
-  EXPECT_EQ(w.client_stats().requests_sent, 3u);
-  EXPECT_EQ(w.server_stats().replies_sent, 3u);
-  EXPECT_EQ(w.client_stats().requests_returned, 0u);
-  EXPECT_EQ(w.server_stats().forbids_sent, 0u);
-  EXPECT_EQ(w.server_stats().retries_sent, 0u);
+  EXPECT_EQ(w.client_counts().requests_sent, 3u);
+  EXPECT_EQ(w.server_counts().replies_sent, 3u);
+  EXPECT_EQ(w.client_counts().requests_returned, 0u);
+  EXPECT_EQ(w.server_counts().forbids_sent, 0u);
+  EXPECT_EQ(w.server_counts().retries_sent, 0u);
 }
 
 TEST(LynxCharlotte, LatencyIsTensOfMilliseconds) {
@@ -167,8 +164,8 @@ TEST(LynxCharlotte, MovesSingleLinkAcrossProcesses) {
   EXPECT_EQ(log[0], "taker-got:probe");
   EXPECT_EQ(log[1], "probe:7");
   // one enclosure: no goahead, no enc packets (figure 2 simple case)
-  EXPECT_EQ(w.server_stats().goaheads_sent, 0u);
-  EXPECT_EQ(w.client_stats().enc_packets_sent, 0u);
+  EXPECT_EQ(w.server_counts().goaheads_sent, 0u);
+  EXPECT_EQ(w.client_counts().enc_packets_sent, 0u);
 }
 
 // ---- figure 2: multiple enclosures ------------------------------------------
@@ -241,10 +238,10 @@ TEST(LynxCharlotte, Figure2MultiEnclosureRequest) {
       << join(w.server.thread_failures()) << join(w.client.thread_failures());
   // figure 2 bottom: first packet carries enclosure 1; the receiver
   // sends GOAHEAD; the remaining n-1 ride in ENC packets.
-  EXPECT_EQ(w.server_stats().goaheads_sent, 1u);
-  EXPECT_EQ(w.client_stats().enc_packets_sent,
+  EXPECT_EQ(w.server_counts().goaheads_sent, 1u);
+  EXPECT_EQ(w.client_counts().enc_packets_sent,
             static_cast<std::uint64_t>(kLinks - 1));
-  EXPECT_EQ(w.client_stats().requests_returned, 0u);
+  EXPECT_EQ(w.client_counts().requests_returned, 0u);
   // Every ENC packet carries the causal identity of its request.
   std::set<trace::TraceId> requests;
   std::vector<trace::TraceId> encs;
@@ -272,8 +269,8 @@ TEST(LynxCharlotte, Figure2MultiEnclosureReply) {
       << join(w.server.thread_failures()) << join(w.client.thread_failures());
   // A reply needs no GOAHEAD: its enclosures after the first stream
   // straight out in ENC packets.
-  EXPECT_EQ(w.client_stats().goaheads_sent, 0u);
-  EXPECT_EQ(w.server_stats().enc_packets_sent,
+  EXPECT_EQ(w.client_counts().goaheads_sent, 0u);
+  EXPECT_EQ(w.server_counts().enc_packets_sent,
             static_cast<std::uint64_t>(kLinks - 1));
 }
 
@@ -341,11 +338,11 @@ TEST(LynxCharlotte, BidirectionalRequestsTriggerForbidAllow) {
                             << join(w.client.thread_failures());
   // A received B's request unintentionally and bounced it once: after
   // a FORBID, B holds the request until A's ALLOW.
-  EXPECT_EQ(w.client_stats().unwanted_received, 1u);
-  EXPECT_EQ(w.client_stats().forbids_sent, 1u);
-  EXPECT_EQ(w.client_stats().retries_sent, 0u);
-  EXPECT_EQ(w.client_stats().allows_sent, 1u);
-  EXPECT_EQ(w.server_stats().requests_returned, 1u);
+  EXPECT_EQ(w.client_counts().unwanted_received, 1u);
+  EXPECT_EQ(w.client_counts().forbids_sent, 1u);
+  EXPECT_EQ(w.client_counts().retries_sent, 0u);
+  EXPECT_EQ(w.client_counts().allows_sent, 1u);
+  EXPECT_EQ(w.server_counts().requests_returned, 1u);
 }
 
 // B replies to A's call at once and issues its counter-request at 48 ms,
@@ -386,7 +383,7 @@ TEST(LynxCharlotte, AbortWhileQueuedRevokesTheRequest) {
   EXPECT_EQ(log, (std::vector<std::string>{"b-served-forward",
                                            "b-counter:aborted",
                                            "a-call-done"}));
-  EXPECT_EQ(w.client_stats().unwanted_received, 0u);
+  EXPECT_EQ(w.client_counts().unwanted_received, 0u);
 }
 
 // ---- §3.2.1: a closing request queue bounces with RETRY --------------------
@@ -429,10 +426,10 @@ TEST(LynxCharlotte, ClosingRequestQueueBouncesWithRetry) {
   w.engine.run();
   EXPECT_EQ(log, (std::vector<std::string>{"b-served", "a-call-done"}))
       << join(w.server.thread_failures()) << join(w.client.thread_failures());
-  EXPECT_EQ(w.server_stats().unwanted_received, 1u);
-  EXPECT_EQ(w.server_stats().retries_sent, 1u);
-  EXPECT_EQ(w.server_stats().forbids_sent, 0u);
-  EXPECT_EQ(w.client_stats().requests_returned, 1u);
+  EXPECT_EQ(w.server_counts().unwanted_received, 1u);
+  EXPECT_EQ(w.server_counts().retries_sent, 1u);
+  EXPECT_EQ(w.server_counts().forbids_sent, 0u);
+  EXPECT_EQ(w.client_counts().requests_returned, 1u);
 }
 
 // ---- deviation: replier is NOT told about an aborted caller ----------------

@@ -504,6 +504,9 @@ class SettleThenAbortBackend final : public Backend {
   [[nodiscard]] std::size_t header_bytes(std::size_t) const override {
     return 0;
   }
+  [[nodiscard]] std::size_t max_packet_bytes() const override {
+    return 1 << 16;
+  }
   [[nodiscard]] sim::Task<std::pair<BLink, BLink>> make_link() override {
     co_return std::pair(BLink(1), BLink(2));
   }
@@ -543,6 +546,77 @@ TEST(LynxSemantics, AbortAfterASendSettlesDoesNotCancelIt) {
   fake->after_settle = [&p, tid] { p.abort_thread(tid); };
   engine.run();
   EXPECT_TRUE(fake->cancelled.empty());
+}
+
+// ---- message size: the backend's buffer ------------------------------------
+
+// The echo argument whose packet (header plus serialized body) is
+// exactly `packet` bytes.
+std::size_t arg_bytes_for_packet(const Backend& b, std::size_t packet) {
+  const Serialized empty = serialize(make_message("echo", {Bytes{}}));
+  return packet - b.header_bytes(0) - empty.body.size();
+}
+
+sim::Task<> echo_n(ThreadCtx& ctx, LinkHandle link, int n) {
+  ctx.enable_requests(link);
+  for (int i = 0; i < n; ++i) {
+    Incoming in = co_await ctx.receive();
+    Message rep;
+    rep.args = in.msg.args;
+    co_await ctx.reply(in, std::move(rep));
+  }
+}
+
+// Calls with each argument size in turn; logs the echoed size or the
+// error kind.
+sim::Task<> call_sizes(ThreadCtx& ctx, LinkHandle link,
+                       std::vector<std::size_t> sizes,
+                       std::vector<std::string>* log) {
+  for (const std::size_t n : sizes) {
+    try {
+      Message req = make_message("echo", {Bytes(n, 7)});
+      Message rep = co_await ctx.call(link, std::move(req));
+      log->push_back(std::to_string(std::get<Bytes>(rep.args.at(0)).size()));
+    } catch (const LynxError& e) {
+      log->push_back(to_string(e.kind()));
+    }
+  }
+}
+
+sim::Task<> wire_sizes(load::Universe* u, Process* client, Process* server,
+                       std::vector<std::size_t> sizes,
+                       std::vector<std::string>* log) {
+  auto [ce, se] = co_await u->connect(*client, *server);
+  server->spawn_thread("srv", [se](ThreadCtx& c) { return echo_n(c, se, 2); });
+  client->spawn_thread("cli", [ce, sizes, log](ThreadCtx& c) {
+    return call_sizes(c, ce, sizes, log);
+  });
+}
+
+// The largest message whose packet fills the receiving buffer echoes
+// whole; one byte more fails the calling thread with kMessageTooLarge
+// before anything is sent, and the link still carries a small call.
+TEST(LynxSemantics, OversizedMessageFailsTheCallNotTheProcess) {
+  for (const load::Substrate sub : load::all_substrates()) {
+    sim::Engine engine;
+    load::UniverseSpec spec;
+    spec.substrate = sub;
+    load::Universe u(engine, spec);
+    Process& client = u.spawn("client", 0);
+    Process& server = u.spawn("server", 1);
+    const std::size_t limit = client.backend().max_packet_bytes();
+    const std::size_t fits = arg_bytes_for_packet(client.backend(), limit);
+    const Serialized full = serialize(make_message("echo", {Bytes(fits, 7)}));
+    ASSERT_EQ(client.backend().header_bytes(0) + full.body.size(), limit);
+    std::vector<std::string> log;
+    engine.spawn("wire", wire_sizes(&u, &client, &server, {fits, fits + 1, 8},
+                                    &log));
+    engine.run();
+    EXPECT_EQ(log, (std::vector<std::string>{std::to_string(fits),
+                                             "message-too-large", "8"}))
+        << load::to_string(sub);
+    EXPECT_TRUE(engine.process_failures().empty()) << load::to_string(sub);
+  }
 }
 
 // ---- message ordering within a queue (§2.1) -----------------------------------

@@ -105,11 +105,10 @@ FreezeWorldResult run(double broadcast_drop, bool enable_freeze) {
 
   FreezeWorldResult r;
   r.served = served_flag;
-  const auto& st = dynamic_cast<SodaBackend&>(c.backend()).stats();
+  const sim::Counts& st = engine.counts(2);  // C's node
   r.freezes = st.freeze_searches;
   r.discover_failures = st.discover_failures;
-  const auto& sa = dynamic_cast<SodaBackend&>(a.backend()).stats();
-  r.moved_redirects = sa.moved_redirects;
+  r.moved_redirects = engine.counts(0).moved_redirects;  // A's node
   return r;
 }
 

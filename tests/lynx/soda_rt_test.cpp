@@ -66,9 +66,8 @@ struct World {
     w->client_end = ce;
   }
 
-  [[nodiscard]] const SodaBackend::Stats& client_stats() {
-    return dynamic_cast<SodaBackend&>(client.backend()).stats();
-  }
+  // The client's node's protocol counts.
+  [[nodiscard]] sim::Counts& client_counts() { return engine.counts(1); }
 };
 
 sim::Task<> echo_server_thread(ThreadCtx& ctx, LinkHandle link, int n) {
@@ -104,7 +103,7 @@ TEST(LynxSoda, EchoRpcRoundTrips) {
   EXPECT_EQ(log, (std::vector<std::string>{"s0", "s1", "s2"}))
       << join(w.server.thread_failures()) << join(w.client.thread_failures());
   // Screening by accept: nothing unwanted was ever received.
-  EXPECT_EQ(w.client_stats().unwanted_received, 0u);
+  EXPECT_EQ(w.client_counts().unwanted_received, 0u);
 }
 
 TEST(LynxSoda, MovesMultipleLinksInOneMessage) {
@@ -162,9 +161,7 @@ TEST(LynxSoda, MovesMultipleLinksInOneMessage) {
   EXPECT_EQ(log[0], "took");
   // Each enclosure carries its far end's location, so the taker reaches
   // the mover without a single stale hint.
-  const auto& taker_stats =
-      dynamic_cast<SodaBackend&>(w.server.backend()).stats();
-  EXPECT_EQ(taker_stats.hint_misses, 0u);
+  EXPECT_EQ(w.engine.counts(0).hint_misses, 0u);  // the taker's node
 }
 
 // ---- capability 4: aborted caller detected by the replier -------------------
@@ -298,8 +295,8 @@ TEST(LynxSoda, PeerTerminationRaisesException) {
 // end moves, and A answers it MOVED instead.
 struct DormantMove {
   std::vector<std::string> log;
-  SodaBackend::Stats a;  // the mover
-  SodaBackend::Stats c;  // the far end
+  sim::Counts a;  // the mover's node
+  sim::Counts c;  // the far end's node
 };
 
 DormantMove dormant_move(bool watch) {
@@ -374,8 +371,7 @@ DormantMove dormant_move(bool watch) {
   EXPECT_TRUE(a.thread_failures().empty()) << join(a.thread_failures());
   EXPECT_TRUE(b.thread_failures().empty()) << join(b.thread_failures());
   EXPECT_TRUE(c.thread_failures().empty()) << join(c.thread_failures());
-  return {log, dynamic_cast<SodaBackend&>(a.backend()).stats(),
-          dynamic_cast<SodaBackend&>(c.backend()).stats()};
+  return {log, engine.counts(0), engine.counts(2)};
 }
 
 TEST(LynxSoda, DormantMovedLinkIsFoundViaCache) {
@@ -487,8 +483,7 @@ TEST(LynxSoda, ReturnedThenMovedEndRedirectsToNewestOwner) {
       << join(a.thread_failures()) << join(b.thread_failures())
       << join(c.thread_failures()) << join(d.thread_failures());
   EXPECT_LE(done - issued, sim::sec(1));
-  const auto& sd = dynamic_cast<SodaBackend&>(d.backend()).stats();
-  EXPECT_LE(sd.hint_misses, 2u);
+  EXPECT_LE(engine.counts(3).hint_misses, 2u);  // D's node
 }
 
 }  // namespace

@@ -54,8 +54,8 @@ TEST(LoopbackTest, DeliversWithFixedLatency) {
   EXPECT_EQ(c.deliveries[0].at, NodeId(1));
   EXPECT_EQ(c.deliveries[0].when, sim::usec(25));
   EXPECT_EQ(c.deliveries[0].tag, "hello");
-  EXPECT_EQ(lo.frames_sent(), 1u);
-  EXPECT_EQ(lo.bytes_sent(), 100u);
+  EXPECT_EQ(e.total(&sim::Counts::frames_sent), 1u);
+  EXPECT_EQ(e.total(&sim::Counts::bytes_sent), 100u);
 }
 
 TEST(LoopbackTest, BroadcastSkipsSender) {
@@ -155,7 +155,7 @@ TEST(CsmaBusTest, BusyBusForcesBackoff) {
   bus.send(make_frame(NodeId(2), NodeId(1), 0, "b"));
   e.run();
   ASSERT_EQ(c.deliveries.size(), 2u);
-  EXPECT_GE(bus.backoffs(), 1u);
+  EXPECT_GE(e.total(&sim::Counts::backoffs), 1u);
   EXPECT_EQ(c.deliveries[0].tag, "a");
 }
 
@@ -172,7 +172,7 @@ TEST(CsmaBusTest, BroadcastDropsAreApplied) {
   // 40 potential receivers at 50% drop: expect far from both extremes.
   EXPECT_GT(c.deliveries.size(), 5u);
   EXPECT_LT(c.deliveries.size(), 35u);
-  EXPECT_GT(bus.drops(), 0u);
+  EXPECT_GT(e.total(&sim::Counts::bus_drops), 0u);
 }
 
 TEST(CsmaBusTest, UnicastIsReliableByDefault) {
@@ -184,7 +184,7 @@ TEST(CsmaBusTest, UnicastIsReliableByDefault) {
   }
   e.run();
   EXPECT_EQ(c.deliveries.size(), 50u);
-  EXPECT_EQ(bus.drops(), 0u);
+  EXPECT_EQ(e.total(&sim::Counts::bus_drops), 0u);
 }
 
 
@@ -208,13 +208,13 @@ TEST(CsmaBusTest, DropObserverSeesEachLostFrame) {
   }
   e.run();
   EXPECT_GT(observed, 0u);
-  EXPECT_EQ(observed, bus.drops());
-  EXPECT_EQ(observed_at_node1, bus.drops_at(NodeId(1)));
+  EXPECT_EQ(observed, e.total(&sim::Counts::bus_drops));
+  EXPECT_EQ(observed_at_node1, e.counts(1).bus_drops);
   // Per-node counters partition the total.
   std::uint64_t sum = 0;
-  for (NodeId n : nodes) sum += bus.drops_at(n);
-  EXPECT_EQ(sum, bus.drops());
-  EXPECT_EQ(bus.drops_at(NodeId(999)), 0u);  // never attached, never counted
+  for (NodeId n : nodes) sum += e.counts(n.value()).bus_drops;
+  EXPECT_EQ(sum, e.total(&sim::Counts::bus_drops));
+  EXPECT_EQ(e.counts(999).bus_drops, 0u);  // never attached, never counted
 }
 
 TEST(CsmaBusTest, FramesAreStampedWithUniqueIds) {
@@ -268,7 +268,8 @@ TEST(CsmaBusTest, RetryFiresAtTheSumOfTheFramesOwnDraws) {
   // counted, though only one retry event fired.  Each unicast frame is
   // delivered by one event: three events in all.
   EXPECT_GT(draws, 2);
-  EXPECT_EQ(bus.backoffs(), static_cast<std::uint64_t>(draws));
+  EXPECT_EQ(e.total(&sim::Counts::backoffs),
+            static_cast<std::uint64_t>(draws));
   EXPECT_EQ(e.events_fired(), 3u);
 }
 
@@ -313,7 +314,8 @@ TEST(CsmaBusTest, RetryAtEndOfTransmissionFindsTheBusIdle) {
     bus.send(make_frame(NodeId(2), NodeId(1), 0, "b"));
     e.run();
     ASSERT_EQ(c.deliveries.size(), 2u) << sim::to_string(policy.kind);
-    EXPECT_EQ(bus.backoffs(), 1u) << sim::to_string(policy.kind);
+    EXPECT_EQ(e.total(&sim::Counts::backoffs), 1u)
+        << sim::to_string(policy.kind);
     EXPECT_EQ(c.deliveries[1].tag, "b");
     EXPECT_EQ(c.deliveries[1].when, 2 * p.slot_time + p.propagation)
         << sim::to_string(policy.kind) << " seed " << policy.seed;
@@ -358,7 +360,7 @@ TEST(CsmaBusTest, SameIdDuplicatesDrawIndependentChains) {
         << "seed " << seed;
     EXPECT_EQ(c.deliveries[2].when, retry[other] + tx + p.propagation)
         << "seed " << seed;
-    EXPECT_EQ(bus.backoffs(),
+    EXPECT_EQ(e.total(&sim::Counts::backoffs),
               static_cast<std::uint64_t>(attempts[0] + attempts[1]));
   }
 }
@@ -380,10 +382,11 @@ TEST(CsmaBusTest, UnicastDropObserverSeesEachLostFrame) {
   e.run();
   EXPECT_GT(lost.size(), 5u);
   EXPECT_LT(lost.size(), 35u);
-  EXPECT_EQ(lost.size(), bus.drops());
-  EXPECT_EQ(bus.drops_at(NodeId(1)), bus.drops());
+  EXPECT_EQ(lost.size(), e.total(&sim::Counts::bus_drops));
+  EXPECT_EQ(e.counts(1).bus_drops, e.total(&sim::Counts::bus_drops));
   EXPECT_EQ(c.deliveries.size() + lost.size(), 40u);
-  EXPECT_EQ(bus.frames_sent(), 40u);  // lost frames still used the wire
+  // Lost frames still used the wire.
+  EXPECT_EQ(e.total(&sim::Counts::frames_sent), 40u);
 }
 
 // ---- frame bodies ------------------------------------------------------

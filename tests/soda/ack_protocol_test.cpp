@@ -196,7 +196,7 @@ TEST(SodaAckProtocol, FrontierRepairUnsticksWatermarkAfterAbandonedSend) {
   EXPECT_EQ(log[1], "got:pong");
   // Exactly the abandoned request's retransmissions: the second request
   // was retired by the (repaired) cumulative ack before its RTO fired.
-  EXPECT_EQ(nw.kernel(NodeId(1)).retries(),
+  EXPECT_EQ(e.counts(1).retries,
             static_cast<std::uint64_t>(costs.max_transport_attempts - 1));
   EXPECT_TRUE(e.process_failures().empty());
 }
@@ -205,7 +205,7 @@ TEST(SodaAckProtocol, FrontierRepairUnsticksWatermarkAfterAbandonedSend) {
 // The original fragment is dropped; the timeout retransmit gets through
 // and its cumulative ack races the next timer tick.  With fixed pacing
 // (rto_min == rto_max == ack_timeout) the tick wins: a spurious second
-// retransmit goes out and is billed to retries().  With the adaptive
+// retransmit goes out and is billed to sim::Counts::retries.  With the adaptive
 // RTO the backed-off tick loses the race and the counter records
 // exactly the one real retransmission.  Both runs must deliver exactly
 // once either way.
@@ -238,7 +238,7 @@ std::uint64_t run_reack_race(bool adaptive, std::vector<std::string>* log) {
   e.run();
   EXPECT_EQ(served.size(), 1u);
   EXPECT_TRUE(e.process_failures().empty());
-  return nw.kernel(NodeId(1)).retries();
+  return e.counts(1).retries;
 }
 
 TEST(SodaAckProtocol, ReackRaceDoesNotInflateRetransmitsUnderBackoff) {
@@ -285,7 +285,7 @@ TEST(SodaAckProtocol, PiggybackedAcksSaveStandaloneFrames) {
     e.spawn("call", call_n(&nw, client, server, &name, &ready, kRounds, got));
     e.run();
     EXPECT_TRUE(e.process_failures().empty());
-    return nw.total_frames();
+    return e.total(&sim::Counts::frames_emitted);
   };
 
   std::vector<std::string> served_off, got_off, served_on, got_on;

@@ -191,7 +191,7 @@ TEST(SodaKernel, LargePayloadIsFragmentedAndReassembled) {
   EXPECT_EQ(log[0], "edges:AZ");
   EXPECT_EQ(log[1], "client-done");
   // 1000 B at 256 B MTU = 4 request fragments (+1 accept frame).
-  EXPECT_GE(w.network.total_frames(), 5u);
+  EXPECT_GE(w.engine.total(&sim::Counts::frames_emitted), 5u);
 }
 
 // ---- handler masking / retry ----------------------------------------------------
@@ -227,7 +227,7 @@ TEST(SodaKernel, ClosedHandlerDelaysRequestViaKernelRetry) {
   w.engine.run();
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "served-after-unmask");
-  EXPECT_GT(w.network.kernel(NodeId(1)).retries(), 0u);
+  EXPECT_GT(w.engine.counts(1).retries, 0u);
 }
 
 TEST(SodaKernel, UnadvertisedNameEventuallyRejects) {

@@ -32,12 +32,6 @@ class SpyMedium final : public net::Medium {
     stamp(frame);
     inner_->broadcast(std::move(frame));
   }
-  [[nodiscard]] std::uint64_t frames_sent() const override {
-    return inner_->frames_sent();
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const override {
-    return inner_->bytes_sent();
-  }
   // Puts a frame on the inner wire, as if a peer had sent it.
   void inject(net::Frame frame) {
     stamp(frame);
