@@ -4,7 +4,7 @@
 // discrete-event engine's wall-clock throughput: a million-request
 // window is only affordable if the engine retires tens of millions of
 // events per second.  This bench measures exactly that, as
-// simulated-events-per-wall-second (the BENCH_SIM trajectory), on three
+// simulated-events-per-wall-second (the BENCH_SIM trajectory), on four
 // engine-level workloads:
 //
 //   * storm      — a raw engine event storm (self-rescheduling chains
@@ -19,6 +19,10 @@
 //                  the thousands, so this is exactly the regime where
 //                  the old binary heap paid a deep sift plus a
 //                  std::function heap allocation per event.
+//   * sparse     — Charlotte-shaped chains: two hops in three wait
+//                  0.5-4.2 ms, one in three 8-33 ms (a kernel call, a
+//                  bus deferral), so events are sparse across the
+//                  first level and a third of them wait in the second.
 //
 // The full stack's host cost (kernels, media, trace gate, LYNX runtimes)
 // is perfbench's to measure: its fanin-small workload runs a 64x16
@@ -135,7 +139,7 @@ Metric run_cancel_storm(std::uint64_t seed, int chains, int hops) {
 // std::function's 16-byte small-buffer, comfortably inside EventFn's 64).
 // Delays spread deliveries across ~2 ms so thousands of events are
 // pending at once, and every 64th delivery is scheduled at a
-// retransmit-horizon 8 ms out to exercise the overflow-heap path.
+// retransmit-horizon 8 ms out to exercise the engine's second level.
 Metric run_fanin_storm(std::uint64_t seed, int sources, int rounds) {
   sim::Engine e;
   std::int64_t remaining = static_cast<std::int64_t>(sources) * rounds;
@@ -170,6 +174,39 @@ Metric run_fanin_storm(std::uint64_t seed, int sources, int rounds) {
   }
   e.run();
   return {"fanin", e.events_fired(), wall_seconds_since(t0), sink};
+}
+
+// `chains` self-rescheduling chains with the delay mix of a Charlotte
+// run (EXPERIMENTS.md E17, "Two-level wheel"): a third of its events
+// wait 8-33 ms, the rest 0.5-4.2 ms.  Few events share a bucket, so
+// this is the engine's cost per event when the wheel is sparse and
+// much of the queue sits past the first level.
+Metric run_sparse(std::uint64_t seed, int chains, int hops) {
+  sim::Engine e;
+  std::int64_t remaining = static_cast<std::int64_t>(chains) * hops;
+  const auto t0 = std::chrono::steady_clock::now();
+  struct Chain {
+    sim::Engine* e;
+    std::int64_t* remaining;
+    std::uint64_t state;
+    void fire() {
+      if (--*remaining <= 0) return;
+      state = splitmix64(state);
+      const auto jitter = static_cast<sim::Duration>(state >> 8);
+      const sim::Duration d = state % 3 == 0
+                                  ? sim::msec(8) + jitter % sim::msec(25)
+                                  : sim::usec(500) + jitter % sim::usec(3700);
+      e->schedule(d, [c = *this]() mutable { c.fire(); });
+    }
+  };
+  for (int i = 0; i < chains; ++i) {
+    const std::uint64_t mix =
+        0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(i + 1);
+    Chain c{&e, &remaining, splitmix64(seed ^ mix)};
+    e.schedule(sim::usec(i), [c]() mutable { c.fire(); });
+  }
+  e.run();
+  return {"sparse", e.events_fired(), wall_seconds_since(t0)};
 }
 
 // ---- reporting and the baseline gate ---------------------------------------
@@ -266,6 +303,8 @@ int main(int argc, char** argv) {
   metrics.push_back(best_of([&] {
     return run_fanin_storm(bench::seed(), 4096, smoke ? 500 : 2500);
   }));
+  metrics.push_back(best_of(
+      [&] { return run_sparse(bench::seed(), storm_chains, storm_hops); }));
   for (const Metric& m : metrics) report(m);
 
   bool gate_ok = true;

@@ -46,15 +46,27 @@ void Engine::shutdown() {
   // the next waiter, whose frame we then destroy too).  Those events hold
   // handles to frames that no longer exist: drop them so a post-shutdown
   // run() is a no-op instead of a resume-after-destroy.
-  for (std::uint32_t& head : bucket_head_) {
-    while (head != kNil) {
-      const std::uint32_t idx = head;
-      head = node(idx).next;
+  auto free_chain = [this](std::uint32_t idx) {
+    while (idx != kNil) {
+      const std::uint32_t next = node(idx).next;
       free_node(idx);
+      idx = next;
     }
+  };
+  for (std::uint32_t& head : bucket_head_) {
+    free_chain(head);
+    head = kNil;
   }
   occupied_.fill(0);
+  summary_ = 0;
   wheel_count_ = 0;
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    if ((epoch_occupied_[e >> 6] >> (e & 63) & 1) != 0) {
+      free_chain(epoch_head_[e]);
+    }
+  }
+  epoch_occupied_.fill(0);
+  epoch_count_ = 0;
   for (const FarEntry& fe : far_) free_node(fe.idx);
   far_.clear();
   cancelled_ = 0;
@@ -96,27 +108,42 @@ void Engine::push_event(Time at, std::uint64_t seq, EventFn&& fn,
   n.slot1 = slot1;
   n.gen = gen;
   n.fn = std::move(fn);
-  const std::uint64_t b = bucket_of(at);
-  // Every queued event is at or after now, so `b - base` cannot wrap.
-  if (b - bucket_of(now_) >= kBuckets) {
+  const std::uint64_t e = epoch_of(at);
+  if (e == epoch_) {
+    push_near(idx);
+  } else if (e > epoch_ && e - epoch_ <= kEpochs) {
+    // Second level: O(1), unsorted; the cascade sorts it.
+    std::uint64_t& bits = epoch_occupied_[(e & kEpochMask) >> 6];
+    const std::uint64_t bit = 1ull << (e & 63);
+    n.next = (bits & bit) != 0 ? epoch_head_[e & kEpochMask] : kNil;
+    epoch_head_[e & kEpochMask] = idx;
+    bits |= bit;
+    ++epoch_count_;
+  } else {
+    // Past the second level, or before the first level's epoch (now
+    // trails it when run_until returned right after pop moved the first
+    // level on), where a ring slot would alias.
     push_far(idx);
-    return;
   }
+}
+
+void Engine::push_near(std::uint32_t idx) {
+  Node& n = node(idx);
+  const std::uint64_t b = bucket_of(n.at);
   // Walk the chain to the first event that fires later: chains are kept
   // in fire order, so a bucket's head is its next event.
-  std::uint32_t* link = &bucket_head_[b & kBucketMask];
+  std::uint32_t* link = &bucket_head_[b];
   for (std::size_t walked = 0; *link != kNil; ++walked) {
     Node& m = node(*link);
-    if (fires_later(m.at, m.key, m.seq, at, n.key, seq)) break;
+    if (fires_later(m.at, m.key, m.seq, n.at, n.key, n.seq)) break;
     if (walked == kSpillMax) {
       // Same-instant burst: move the whole chain into the overflow heap
       // once instead of walking it on every insert.
-      for (std::uint32_t i = bucket_head_[b & kBucketMask]; i != kNil;
-           i = node(i).next) {
+      for (std::uint32_t i = bucket_head_[b]; i != kNil; i = node(i).next) {
         push_far(i);
         --wheel_count_;
       }
-      bucket_head_[b & kBucketMask] = kNil;
+      bucket_head_[b] = kNil;
       clear_bucket_mark(b);
       push_far(idx);
       return;
@@ -125,7 +152,6 @@ void Engine::push_event(Time at, std::uint64_t seq, EventFn&& fn,
   }
   n.next = *link;
   *link = idx;
-  if (b < cursor_) cursor_ = b;
   mark_bucket(b);
   ++wheel_count_;
 }
@@ -136,18 +162,34 @@ void Engine::push_far(std::uint32_t idx) {
   std::push_heap(far_.begin(), far_.end(), Later{});
 }
 
-std::uint64_t Engine::next_occupied(std::uint64_t from) const {
-  // Caller guarantees an occupied bucket within one window of `from`.
-  const std::uint64_t from_idx = from & kBucketMask;
-  std::uint64_t word = from_idx >> 6;
-  std::uint64_t bits = occupied_[word] & (~0ull << (from_idx & 63));
+std::uint64_t Engine::next_epoch() const {
+  const std::uint64_t from = (epoch_ + 1) & kEpochMask;
+  std::uint64_t word = from >> 6;
+  std::uint64_t bits = epoch_occupied_[word] & (~0ull << (from & 63));
   while (bits == 0) {
-    word = (word + 1) & (kWords - 1);
-    bits = occupied_[word];
+    word = (word + 1) & (kEpochWords - 1);
+    bits = epoch_occupied_[word];
   }
-  const std::uint64_t found_idx =
+  const std::uint64_t found =
       (word << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
-  return from + ((found_idx - from_idx) & kBucketMask);
+  return epoch_ + 1 + ((found - from) & kEpochMask);
+}
+
+void Engine::cascade(std::uint64_t e) {
+  epoch_ = e;
+  epoch_occupied_[(e & kEpochMask) >> 6] &= ~(1ull << (e & 63));
+  std::uint32_t idx = epoch_head_[e & kEpochMask];
+  while (idx != kNil) {
+    const std::uint32_t next = node(idx).next;
+    --epoch_count_;
+    if (node_dead(node(idx))) {
+      free_node(idx);
+      if (cancelled_ > 0) --cancelled_;
+    } else {
+      push_near(idx);
+    }
+    idx = next;
+  }
 }
 
 std::uint32_t Engine::locate() {
@@ -158,31 +200,42 @@ std::uint32_t Engine::locate() {
     far_.pop_back();
     if (cancelled_ > 0) --cancelled_;
   }
-  while (wheel_count_ > 0) {
-    // The cursor may trail now's bucket after a pop from the overflow
-    // heap advanced time; every lower bucket is empty either way.
-    const std::uint64_t b = next_occupied(std::max(cursor_, bucket_of(now_)));
-    cursor_ = b;
-    std::uint32_t& head = bucket_head_[b & kBucketMask];
-    while (head != kNil && node_dead(node(head))) {
-      const std::uint32_t idx = head;
-      head = node(idx).next;
-      free_node(idx);
-      --wheel_count_;
-      if (cancelled_ > 0) --cancelled_;
+  for (;;) {
+    while (wheel_count_ > 0) {
+      const std::uint64_t b = first_bucket();
+      std::uint32_t& head = bucket_head_[b];
+      while (head != kNil && node_dead(node(head))) {
+        const std::uint32_t idx = head;
+        head = node(idx).next;
+        free_node(idx);
+        --wheel_count_;
+        if (cancelled_ > 0) --cancelled_;
+      }
+      if (head == kNil) {
+        clear_bucket_mark(b);
+        continue;
+      }
+      // Bucket order is time order, and every second-level event fires
+      // later, so this head is the wheels' minimum.
+      const Node& n = node(head);
+      if (far_.empty()) return head;
+      const FarEntry& ft = far_.front();
+      return fires_later(ft.at, ft.key, ft.seq, n.at, n.key, n.seq) ? head
+                                                                    : ft.idx;
     }
-    if (head == kNil) {
-      clear_bucket_mark(b);
-      continue;
-    }
-    // Bucket order is time order, so this head is the wheel's minimum.
-    const Node& n = node(head);
-    if (far_.empty()) return head;
-    const FarEntry& ft = far_.front();
-    if (fires_later(ft.at, ft.key, ft.seq, n.at, n.key, n.seq)) return head;
-    break;
+    // The first level is empty: refill it from the earliest epoch,
+    // unless the heap's top fires in an earlier one.
+    if (epoch_count_ == 0) break;
+    const std::uint64_t e = next_epoch();
+    if (!far_.empty() && epoch_of(far_.front().at) < e) break;
+    cascade(e);
   }
-  return far_.empty() ? kNil : far_.front().idx;
+  if (far_.empty()) return kNil;
+  // Both wheels are empty up to the heap's top: move the first level to
+  // its epoch, so what it schedules lands on the wheels again.  Every
+  // second-level event is in a later epoch, so none aliases.
+  epoch_ = std::max(epoch_, epoch_of(far_.front().at));
+  return far_.front().idx;
 }
 
 void Engine::fire(std::uint32_t idx) {
@@ -192,7 +245,7 @@ void Engine::fire(std::uint32_t idx) {
     far_.pop_back();
   } else {
     const std::uint64_t b = bucket_of(n.at);
-    bucket_head_[b & kBucketMask] = n.next;
+    bucket_head_[b] = n.next;
     if (n.next == kNil) clear_bucket_mark(b);
     --wheel_count_;
   }
@@ -231,26 +284,38 @@ void Engine::timer_cancel(std::uint32_t slot1, std::uint32_t gen) {
   if (cancelled_ >= 64 && cancelled_ * 2 >= queue_size()) compact();
 }
 
+std::size_t Engine::drop_dead(std::uint32_t* link) {
+  std::size_t dropped = 0;
+  while (*link != kNil) {
+    const std::uint32_t idx = *link;
+    Node& n = node(idx);
+    if (node_dead(n)) {
+      *link = n.next;
+      free_node(idx);
+      ++dropped;
+    } else {
+      link = &n.next;
+    }
+  }
+  return dropped;
+}
+
 void Engine::compact() {
-  for (std::size_t w = 0; w < kWords; ++w) {
-    std::uint64_t bits = occupied_[w];
-    while (bits != 0) {
-      const std::uint64_t bidx =
+  for (std::uint64_t words = summary_; words != 0; words &= words - 1) {
+    const auto w = static_cast<std::size_t>(std::countr_zero(words));
+    for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t b =
           (w << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      std::uint32_t* link = &bucket_head_[bidx];
-      while (*link != kNil) {
-        const std::uint32_t idx = *link;
-        Node& n = node(idx);
-        if (node_dead(n)) {
-          *link = n.next;
-          free_node(idx);
-          --wheel_count_;
-        } else {
-          link = &n.next;
-        }
-      }
-      if (bucket_head_[bidx] == kNil) occupied_[w] &= ~(1ull << (bidx & 63));
+      wheel_count_ -= drop_dead(&bucket_head_[b]);
+      if (bucket_head_[b] == kNil) clear_bucket_mark(b);
+    }
+  }
+  for (std::size_t w = 0; w < kEpochWords; ++w) {
+    for (std::uint64_t bits = epoch_occupied_[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t e =
+          (w << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
+      epoch_count_ -= drop_dead(&epoch_head_[e]);
+      if (epoch_head_[e] == kNil) epoch_occupied_[w] &= ~(1ull << (e & 63));
     }
   }
   std::erase_if(far_, [this](const FarEntry& fe) {

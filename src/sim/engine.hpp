@@ -8,25 +8,38 @@
 // waits — is expressed as awaitables that park the coroutine and schedule
 // its resumption.
 //
-// The pending-event structure is two-level.  Event records live in a
-// chunked slab (stable addresses, freelist reuse): a record is
-// constructed once at schedule time and never moved again — the
-// containers below shuffle 4-byte indices and 32-byte sort keys, not
-// 100-byte closures.  Near-future events — almost everything a kernel
-// schedules: propagation delays, service times, zero-delay fairness
-// yields — land in a bucketed timer wheel (1.024 µs buckets, ~4.2 ms
-// window ahead of now) of intrusive singly-linked chains, each kept in
-// fire order: insert walks its bucket's chain to the event's place, and
-// pop scans an occupancy bitmap to the first occupied bucket and takes
-// its head.  Events beyond the window (retransmit timers, warmup
-// deadlines) go to a binary-heap overflow of (time, key, seq, index)
-// entries; pop compares the wheel's first head with the heap's top
-// under the same (time, key, seq) comparator, so the fire order is
-// bit-identical to a single global priority queue — the determinism
-// digests in tests/fault pin exactly that.  An insert that would walk
-// past kSpillMax records (a same-instant burst) moves its whole chain
-// into the heap instead.  No pop candidate or bucket minimum is cached
-// from one pop to the next: such caches sped up only the engine-only
+// Event records live in a chunked slab (stable addresses, freelist
+// reuse): a record is constructed once at schedule time and never moved
+// again — the queues below shuffle 4-byte indices and 32-byte sort
+// keys, not 100-byte closures.  The pending events sit in a two-level
+// timer wheel in the style of Varghese & Lauck's hierarchical wheels,
+// plus an overflow heap:
+//
+//   * First level: one epoch (4096 buckets × 1.024 µs ≈ 4.19 ms) of
+//     intrusive singly-linked chains, each kept in fire order: insert
+//     walks its bucket's chain to the event's place, and pop takes the
+//     head of the first occupied bucket, found by two countr_zero calls
+//     over a summary word and the 64 occupancy words.
+//   * Second level: a ring of 256 unsorted epoch chains (about 1.07 s
+//     past the first level's epoch) with an occupancy bitmap.  A push
+//     there is O(1).  When the first level is empty, pop cascades the
+//     earliest non-empty epoch into it — each live event is inserted
+//     once into its bucket's chain, each dead one freed — unless the
+//     heap's top fires in an earlier epoch.
+//   * Overflow heap of (time, key, seq, index) entries: events past the
+//     second level's span, same-instant bursts (an insert that would
+//     walk past kSpillMax records moves its whole chain here), and
+//     events for an epoch earlier than the first level's.  The last
+//     exist only after run_until() returned right after pop moved the
+//     first level to a later epoch (a cascade, say), with now still in
+//     an earlier one; in the ring they would alias.
+//
+// Pop compares the first level's head with the heap's top under the
+// one (time, key, seq) comparator.  Every second-level event fires
+// after every first-level one, so the fire order is bit-identical to a
+// single global priority queue — the determinism digests in tests/fault
+// pin exactly that.  No pop candidate or bucket minimum is cached from
+// one pop to the next: such caches sped up only the engine-only
 // microbenchmarks, and no end-to-end metric paid for them (DESIGN.md
 // §15).
 //
@@ -170,7 +183,7 @@ class Engine {
   // Exposed so tests can assert that cancellation does not accumulate
   // garbage across a long run.
   [[nodiscard]] std::size_t queue_size() const {
-    return wheel_count_ + far_.size();
+    return wheel_count_ + epoch_count_ + far_.size();
   }
   [[nodiscard]] std::size_t cancelled_pending() const { return cancelled_; }
   // Total events fired over the engine's lifetime (cancelled events are
@@ -224,8 +237,9 @@ class Engine {
   static constexpr std::uint32_t kNil = ~0u;
 
   // An event record in the slab.  `next` threads the record into its
-  // wheel-bucket chain, in fire order (or the freelist once reclaimed);
-  // records referenced from the overflow heap are not chained.
+  // first-level bucket chain, in fire order, or its second-level epoch
+  // chain, unsorted (or the freelist once reclaimed); records referenced
+  // from the overflow heap are not chained.
   struct Node {
     Time at;
     std::uint64_t seq;
@@ -264,15 +278,23 @@ class Engine {
   };
 
   // -- timer wheel geometry ---------------------------------------------
-  // 2^12 buckets of 2^10 ns: a ~4.19 ms forward window, wide enough for
-  // every media/service delay the kernels schedule.  Bucket index is the
-  // absolute bucket number masked into the ring; since every queued
-  // event lies within one window of now (enforced at insert), ring
-  // aliasing is unambiguous.
+  // First level: 2^12 buckets of 2^10 ns, one epoch of ~4.19 ms.  It
+  // holds only the epoch `epoch_`, so a bucket's index is its absolute
+  // bucket number masked into the epoch, without aliasing.  One epoch
+  // alone is too narrow for the kernels: a third of Charlotte's events
+  // and two fifths of SODA's wait 4-33 ms (DESIGN.md §15 has the census).
   static constexpr int kBucketShift = 10;
-  static constexpr std::size_t kBuckets = 4096;
+  static constexpr int kBucketBits = 12;
+  static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
   static constexpr std::size_t kBucketMask = kBuckets - 1;
   static constexpr std::size_t kWords = kBuckets / 64;
+  static_assert(kWords <= 64, "one summary word covers the occupancy words");
+  // Second level: a ring of 2^8 epoch chains for epochs epoch_ + 1 to
+  // epoch_ + 256 (~1.07 s).  Ring index is the absolute epoch masked.
+  static constexpr int kEpochShift = kBucketShift + kBucketBits;
+  static constexpr std::size_t kEpochs = 256;
+  static constexpr std::size_t kEpochMask = kEpochs - 1;
+  static constexpr std::size_t kEpochWords = kEpochs / 64;
   // An insert that walks past this many records spills its bucket's
   // chain to the overflow heap (same-instant spawn bursts would
   // otherwise cost O(k^2)).
@@ -285,8 +307,12 @@ class Engine {
   static constexpr std::size_t kChunkNodes = 1024;
   static constexpr std::size_t kChunkMask = kChunkNodes - 1;
 
+  // A first-level bucket's index within its epoch.
   static std::uint64_t bucket_of(Time t) {
-    return static_cast<std::uint64_t>(t) >> kBucketShift;
+    return (static_cast<std::uint64_t>(t) >> kBucketShift) & kBucketMask;
+  }
+  static std::uint64_t epoch_of(Time t) {
+    return static_cast<std::uint64_t>(t) >> kEpochShift;
   }
 
   [[nodiscard]] Node& node(std::uint32_t idx) {
@@ -310,20 +336,37 @@ class Engine {
   [[nodiscard]] bool node_dead(const Node& n) const {
     return n.slot1 != 0 && slots_[n.slot1 - 1].gen != n.gen;
   }
+  // Links an event of epoch epoch_ into its bucket's chain, in fire
+  // order, or spills the chain to the heap.
+  void push_near(std::uint32_t idx);
   void push_far(std::uint32_t idx);
-  // Returns the slab index of the next live event across wheel and
-  // overflow heap, reclaiming dead ones on the way; kNil when the queue
-  // drained.
+  // Returns the slab index of the next live event across both levels
+  // and the overflow heap, reclaiming dead ones on the way; kNil when
+  // the queue drained.
   [[nodiscard]] std::uint32_t locate();
+  // Moves epoch `e`'s chain into the (empty) first level.
+  void cascade(std::uint64_t e);
   // Unlinks and runs the event locate() just returned.
   void fire(std::uint32_t idx);
-  [[nodiscard]] std::uint64_t next_occupied(std::uint64_t from) const;
+  // The first occupied bucket; the first level must not be empty.
+  [[nodiscard]] std::uint64_t first_bucket() const {
+    const int w = std::countr_zero(summary_);
+    return (static_cast<std::uint64_t>(w) << 6) |
+           static_cast<std::uint64_t>(std::countr_zero(occupied_[w]));
+  }
+  // The earliest non-empty second-level epoch; the ring must not be
+  // empty.
+  [[nodiscard]] std::uint64_t next_epoch() const;
   void mark_bucket(std::uint64_t b) {
-    occupied_[(b & kBucketMask) >> 6] |= 1ull << (b & 63);
+    occupied_[b >> 6] |= 1ull << (b & 63);
+    summary_ |= 1ull << (b >> 6);
   }
   void clear_bucket_mark(std::uint64_t b) {
-    occupied_[(b & kBucketMask) >> 6] &= ~(1ull << (b & 63));
+    occupied_[b >> 6] &= ~(1ull << (b & 63));
+    if (occupied_[b >> 6] == 0) summary_ &= ~(1ull << (b >> 6));
   }
+  // Frees the dead records of a chain, returning how many.
+  std::size_t drop_dead(std::uint32_t* link);
 
   [[nodiscard]] bool timer_pending(std::uint32_t slot1,
                                    std::uint32_t gen) const {
@@ -359,14 +402,16 @@ class Engine {
   std::uint32_t slab_size_ = 0;
   std::uint32_t free_head_ = kNil;
 
-  // Timer wheel: near-future events, one intrusive chain per bucket in
-  // fire order.
+  // First level: the events of epoch `epoch_`, one intrusive chain per
+  // bucket in fire order.  epoch_ never trails now's epoch.
   std::vector<std::uint32_t> bucket_head_ =
       std::vector<std::uint32_t>(kBuckets, kNil);
   std::array<std::uint64_t, kWords> occupied_{};
-  std::uint64_t cursor_ = 0;  // absolute bucket; all lower buckets empty
+  std::uint64_t summary_ = 0;  // bit w: occupied_[w] != 0
+  std::uint64_t epoch_ = 0;
   std::size_t wheel_count_ = 0;
-  // Overflow: events beyond the wheel window and spilled bursts.
+  // Overflow: events past the second level, spilled bursts, and events
+  // for an epoch before epoch_.
   // Binary heap managed with std::push_heap/pop_heap so compact() can
   // filter the underlying vector (std::priority_queue hides it).
   std::vector<FarEntry> far_;
@@ -382,6 +427,13 @@ class Engine {
   std::vector<std::string> failures_;
   trace::Recorder* recorder_ = nullptr;
   std::deque<Counts> counts_;
+  // Second level: one unsorted chain per epoch; a head is meaningful
+  // only while its occupancy bit is set.  Kept last, so its 1 KB of
+  // ring heads moves no member above it (EXPERIMENTS.md E17 measured
+  // both layouts).
+  std::array<std::uint32_t, kEpochs> epoch_head_{};
+  std::array<std::uint64_t, kEpochWords> epoch_occupied_{};
+  std::size_t epoch_count_ = 0;
 };
 
 inline void TimerHandle::cancel() {
