@@ -1,7 +1,6 @@
 #include "check/explorer.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <memory>
 #include <thread>
@@ -357,6 +356,10 @@ namespace {
 
 // Minimal flat-JSON field extraction — tokens are machine-written, one
 // level deep, and dependency-free parsing beats vendoring a library.
+// The raw text of `key`'s value, or nullopt when the key is absent: a
+// quoted value with its quotes, a bare one up to the ',' or '}' that
+// ends it.  A bare value that nothing ends reads as empty, which no
+// field accepts.
 std::optional<std::string_view> json_raw(std::string_view j,
                                          std::string_view key) {
   const std::string needle = "\"" + std::string(key) + "\":";
@@ -364,28 +367,31 @@ std::optional<std::string_view> json_raw(std::string_view j,
   if (pos == std::string_view::npos) return std::nullopt;
   std::size_t i = pos + needle.size();
   while (i < j.size() && j[i] == ' ') ++i;
-  if (i >= j.size()) return std::nullopt;
-  if (j[i] == '"') {
+  if (i < j.size() && j[i] == '"') {
     const std::size_t end = j.find('"', i + 1);
-    if (end == std::string_view::npos) return std::nullopt;
-    return j.substr(i + 1, end - i - 1);
+    if (end == std::string_view::npos) return std::string_view{};
+    return j.substr(i, end - i + 1);
   }
-  std::size_t end = i;
-  while (end < j.size() && (std::isdigit(static_cast<unsigned char>(j[end])) != 0)) {
-    ++end;
-  }
-  if (end == i) return std::nullopt;
+  const std::size_t end = j.find_first_of(",}", i);
+  if (end == std::string_view::npos) return std::string_view{};
   return j.substr(i, end - i);
 }
 
-std::optional<std::uint64_t> json_u64(std::string_view j,
-                                      std::string_view key) {
-  const auto raw = json_raw(j, key);
-  if (!raw.has_value()) return std::nullopt;
+// A quoted value's contents.
+std::optional<std::string_view> json_str(std::string_view raw) {
+  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
+    return std::nullopt;
+  }
+  return raw.substr(1, raw.size() - 2);
+}
+
+// A bare value that is one whole run of decimal digits: no sign,
+// fraction or exponent.
+std::optional<std::uint64_t> json_u64(std::string_view raw) {
   std::uint64_t out = 0;
   const auto [ptr, ec] =
-      std::from_chars(raw->data(), raw->data() + raw->size(), out);
-  if (ec != std::errc{} || ptr != raw->data() + raw->size()) {
+      std::from_chars(raw.data(), raw.data() + raw.size(), out);
+  if (ec != std::errc{} || ptr != raw.data() + raw.size()) {
     return std::nullopt;
   }
   return out;
@@ -410,11 +416,23 @@ std::optional<sim::TieBreak> tie_from(std::string_view name) {
 }  // namespace
 
 std::optional<RunConfig> parse_token(std::string_view json) {
+  // A field may be absent (it keeps its default), but one that is
+  // present and fails to parse refuses the whole token: replaying some
+  // other universe than the one the token names would mislead.
+  bool malformed = false;
+  const auto read = [&](auto parse, std::string_view key)
+      -> decltype(parse(std::string_view{})) {
+    const auto raw = json_raw(json, key);
+    if (!raw.has_value()) return std::nullopt;
+    auto value = parse(*raw);
+    malformed = malformed || !value.has_value();
+    return value;
+  };
   RunConfig cfg;
-  const auto substrate = json_raw(json, "substrate");
-  const auto tie = json_raw(json, "tie");
-  const auto seed = json_u64(json, "seed");
-  const auto plan = json_raw(json, "plan");
+  const auto substrate = read(json_str, "substrate");
+  const auto tie = read(json_str, "tie");
+  const auto seed = read(json_u64, "seed");
+  const auto plan = read(json_str, "plan");
   if (!substrate || !tie || !seed || !plan) return std::nullopt;
   const auto sub = substrate_from(*substrate);
   const auto tb = tie_from(*tie);
@@ -424,31 +442,32 @@ std::optional<RunConfig> parse_token(std::string_view json) {
   cfg.tie = *tb;
   cfg.seed = *seed;
   cfg.plan = *ps;
-  if (const auto w = json_raw(json, "workload")) {
+  if (const auto w = read(json_str, "workload")) {
     const auto wl = workload_from(*w);
     if (!wl) return std::nullopt;
     cfg.workload = *wl;
   }
-  if (const auto h = json_u64(json, "horizon")) cfg.horizon = *h;
+  if (const auto h = read(json_u64, "horizon")) cfg.horizon = *h;
   const std::uint64_t channels =
-      json_u64(json, "channels").value_or(cfg.channels);
-  const std::uint64_t calls = json_u64(json, "calls").value_or(cfg.calls);
-  const std::uint64_t bytes = json_u64(json, "bytes").value_or(cfg.bytes);
+      read(json_u64, "channels").value_or(cfg.channels);
+  const std::uint64_t calls = read(json_u64, "calls").value_or(cfg.calls);
+  const std::uint64_t bytes = read(json_u64, "bytes").value_or(cfg.bytes);
   if (channels > kMaxChannels || calls > kMaxCalls || bytes > kMaxBytes) {
     return std::nullopt;
   }
   cfg.channels = static_cast<int>(channels);
   cfg.calls = static_cast<int>(calls);
   cfg.bytes = bytes;
-  if (const auto bug = json_u64(json, "bug")) {
+  if (const auto bug = read(json_u64, "bug")) {
     cfg.inject_reack_bug = *bug != 0;
   }
-  if (const auto stale = json_u64(json, "stale")) {
+  if (const auto stale = read(json_u64, "stale")) {
     cfg.inject_stale_bug = *stale != 0;
   }
-  if (const auto form = json_u64(json, "form")) {
+  if (const auto form = read(json_u64, "form")) {
     cfg.formation = *form != 0;
   }
+  if (malformed) return std::nullopt;
   return cfg;
 }
 

@@ -236,7 +236,7 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
   }
   auto it2 = outs_.find(out_id);
   it2->second.req = placed_req;
-  out_by_req_[placed_req] = out_id;
+  reqs_.emplace(placed_req, out_id);
   // Early reply resolve (DESIGN.md §12): the request is on the wire and
   // the kernel retries/redirects on its own — "the requesting user can
   // proceed" (§4.1).  Replies carry no further protocol obligations for
@@ -265,7 +265,7 @@ sim::Task<> SodaBackend::issue_send(std::uint64_t out_id) {
 void SodaBackend::resolve_out(std::uint64_t out_id, SendOutcome outcome) {
   auto it = outs_.find(out_id);
   if (it == outs_.end()) return;
-  if (it->second.req.valid()) out_by_req_.erase(it->second.req);
+  if (it->second.req.valid()) reqs_.erase(it->second.req);
   settle(out_id, std::move(outcome));
   outs_.erase(it);
   note_drain_progress();
@@ -343,8 +343,7 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
         return;
       }
       if (op == Oop::kSignal) {
-        parked_.emplace(r.request, ParkedInfo{link->token, op, r.from, 0});
-        link->parked_signals.push_back(r.request);
+        link->parked_signals.push_back({r.request, r.trace});
         return;
       }
       if (op == Oop::kReplyMsg) {
@@ -365,23 +364,21 @@ void SodaBackend::on_request(const soda::RequestInterrupt& r) {
       }
       // LYNX request: PARK until the runtime wants it — screening by
       // (not) accepting, the whole point of lesson two.
-      parked_.emplace(r.request, ParkedInfo{link->token, op, r.from,
-                                            r.send_bytes, r.trace});
-      link->parked_requests.push_back(r.request);
+      link->parked_requests.push_back({r.request, r.trace});
       maybe_accept_parked(*link);
       return;
     }
     case Oop::kCancel: {
+      // A cancel names the end its revoked put named (issue_cancel), and
+      // only a LYNX request put waits parked long enough to be revoked.
       const soda::ReqId target(r.oob[1]);
-      auto pit = parked_.find(target);
-      bool revoked = false;
-      if (pit != parked_.end()) {
-        if (SLink* link = find(pit->second.link)) {
-          std::erase(link->parked_requests, target);
-          std::erase(link->parked_signals, target);
-        }
-        parked_.erase(pit);
-        revoked = true;
+      SLink* link = find_by_name(r.name);
+      const bool revoked =
+          link != nullptr &&
+          std::erase_if(link->parked_requests, [target](const Parked& p) {
+            return p.req == target;
+          }) > 0;
+      if (revoked) {
         network_->engine().spawn(
             "soda-revoke", accept_with(target, Oop::kCancelled, 0));
       }
@@ -455,25 +452,19 @@ sim::Task<> SodaBackend::answer_freeze(soda::ReqId req, soda::Pid from) {
 }
 
 void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
-  // freeze searches first
-  if (auto fit = freeze_collects_.find(c.request);
-      fit != freeze_collects_.end()) {
-    FreezeCollector* col = fit->second;
-    freeze_collects_.erase(fit);
-    const auto op = static_cast<Oop>(c.oob[0]);
-    if (op == Oop::kHint && !col->hint.has_value()) {
-      col->hint = soda::Pid(c.oob[1]);
-    }
-    if (--col->expected == 0) col->done->fulfill(0);
+  auto entry = reqs_.extract(c.request);
+  if (entry.empty()) return;  // cancels, hints, unfreezes
+  const auto& what = entry.mapped();
+  const auto op = static_cast<Oop>(c.oob[0]);
+  if (auto* col = std::get_if<FreezeCollector*>(&what)) {
+    if (--(*col)->expected == 0) (*col)->done->fulfill(0);
     return;
   }
-  if (auto sit = signal_by_req_.find(c.request); sit != signal_by_req_.end()) {
-    const BLink token = sit->second;
-    signal_by_req_.erase(sit);
+  if (const auto* signalled = std::get_if<BLink>(&what)) {
+    const BLink token = *signalled;
     SLink* link = find(token);
     if (link == nullptr) return;
     link->signal_out = soda::ReqId::invalid();
-    const auto op = static_cast<Oop>(c.oob[0]);
     if (op == Oop::kDestroyed) {
       mark_destroyed(*link);
     } else if (op == Oop::kMoved) {
@@ -489,24 +480,18 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
     }
     return;
   }
-  auto oit = out_by_req_.find(c.request);
-  if (oit == out_by_req_.end()) return;  // cancel-puts, unfreezes, ...
-  const std::uint64_t out_id = oit->second;
-  out_by_req_.erase(oit);
+  const std::uint64_t out_id = std::get<std::uint64_t>(what);
   auto it = outs_.find(out_id);
   if (it == outs_.end()) return;
   OutSend& out = it->second;
-  const auto op = static_cast<Oop>(c.oob[0]);
   switch (op) {
     case Oop::kAcceptOk: {
-      const BLink token = out.link;
       const soda::Pid new_owner = out.target;
       std::vector<BLink> moved = out.enclosure_tokens;
       resolve_out(out_id, SendOutcome{SendResult::kDelivered, {}});
       if (!moved.empty()) {
-        network_->engine().spawn(
-            "soda-move-done",
-            finish_moves(token, std::move(moved), new_owner));
+        network_->engine().spawn("soda-move-done",
+                                 finish_moves(std::move(moved), new_owner));
       }
       return;
     }
@@ -537,25 +522,21 @@ void SodaBackend::on_completion(const soda::CompletionInterrupt& c) {
 }
 
 void SodaBackend::on_crash_or_reject(soda::ReqId req) {
-  if (auto fit = freeze_collects_.find(req); fit != freeze_collects_.end()) {
-    FreezeCollector* col = fit->second;
-    freeze_collects_.erase(fit);
-    if (--col->expected == 0) col->done->fulfill(0);
+  auto entry = reqs_.extract(req);
+  if (entry.empty()) return;
+  const auto& what = entry.mapped();
+  if (auto* col = std::get_if<FreezeCollector*>(&what)) {
+    if (--(*col)->expected == 0) (*col)->done->fulfill(0);
     return;
   }
-  if (auto sit = signal_by_req_.find(req); sit != signal_by_req_.end()) {
-    const BLink token = sit->second;
-    signal_by_req_.erase(sit);
-    if (SLink* link = find(token)) {
+  if (const auto* signalled = std::get_if<BLink>(&what)) {
+    if (SLink* link = find(*signalled)) {
       link->signal_out = soda::ReqId::invalid();
-      network_->engine().spawn("soda-signal-fix", fix_signal(token));
+      network_->engine().spawn("soda-signal-fix", fix_signal(*signalled));
     }
     return;
   }
-  auto oit = out_by_req_.find(req);
-  if (oit == out_by_req_.end()) return;
-  const std::uint64_t out_id = oit->second;
-  out_by_req_.erase(oit);
+  const std::uint64_t out_id = std::get<std::uint64_t>(what);
   if (auto it = outs_.find(out_id); it != outs_.end()) {
     it->second.req = soda::ReqId::invalid();
     network_->engine().spawn("soda-fix", hint_fix_and_resend(out_id));
@@ -622,7 +603,7 @@ sim::Task<std::optional<soda::Pid>> SodaBackend::freeze_search(
   soda::Kernel& k = network_->kernel_of(pid_);
   FreezeCollector col;
   col.done = std::make_unique<sim::OneShot<int>>(network_->engine());
-  std::vector<soda::Pid> contacted;
+  std::vector<SodaDirectory::Entry> contacted;
   for (const auto& entry : directory_->processes) {
     if (entry.pid == pid_ || !network_->alive(entry.pid)) continue;
     auto req = co_await k.request(
@@ -631,31 +612,27 @@ sim::Task<std::optional<soda::Pid>> SodaBackend::freeze_search(
         encode_name(peer_name), 0);
     if (req.ok()) {
       ++col.expected;
-      freeze_collects_[req.value()] = &col;
-      contacted.push_back(entry.pid);
+      reqs_.emplace(req.value(), &col);
+      contacted.push_back(entry);
     }
   }
-  // Hints can also arrive as follow-up kHint requests to our own freeze
-  // name (answer_freeze); give the search a settling window.
+  // Every freeze is answered kNoHint: a process that knows the end
+  // follows up with a kHint request to our own freeze name (take_hint);
+  // give the search a settling window.
   if (col.expected > 0) {
     (void)co_await col.done->take();
   }
   co_await network_->engine().sleep(sim::msec(50));
   // unfreeze everyone we froze
-  for (soda::Pid p : contacted) {
-    for (const auto& entry : directory_->processes) {
-      if (entry.pid != p) continue;
-      (void)co_await k.request(
-          pid_, entry.pid, entry.freeze_name,
-          soda::Oob{static_cast<std::uint32_t>(Oop::kUnfreeze), 0}, {}, 0);
-    }
+  for (const auto& entry : contacted) {
+    (void)co_await k.request(
+        pid_, entry.pid, entry.freeze_name,
+        soda::Oob{static_cast<std::uint32_t>(Oop::kUnfreeze), 0}, {}, 0);
   }
-  if (col.hint.has_value()) co_return col.hint;
-  // Check asynchronous kHint answers that landed on our freeze channel.
-  // Entries are NOT consumed: the send-fix and the signal-fix for the
-  // same link may search concurrently (the paper's freeze counter
-  // exists exactly to allow "multiple concurrent searches"), and both
-  // deserve the answer.
+  // async_hints_ entries are NOT consumed: the send-fix and the
+  // signal-fix for the same link may search concurrently (the paper's
+  // freeze counter exists exactly to allow "multiple concurrent
+  // searches"), and both deserve the answer.
   if (auto it = async_hints_.find(peer_name); it != async_hints_.end()) {
     co_return it->second;
   }
@@ -673,50 +650,42 @@ sim::Task<> SodaBackend::accept_with(soda::ReqId req, Oop code,
       {}, 0);
 }
 
-sim::Task<> SodaBackend::bounce_parked(SLink& link, Oop code,
+sim::Task<> SodaBackend::bounce_parked(BLink token, Oop code,
                                        std::uint64_t word1) {
-  std::vector<soda::ReqId> to_bounce(link.parked_requests.begin(),
-                                     link.parked_requests.end());
-  to_bounce.insert(to_bounce.end(), link.parked_signals.begin(),
-                   link.parked_signals.end());
-  link.parked_requests.clear();
-  link.parked_signals.clear();
-  for (soda::ReqId r : to_bounce) {
-    if (parked_.erase(r) > 0) co_await accept_with(r, code, word1);
+  // Requests first, then signals, until both are empty: a put that
+  // parks meanwhile is answered too.  Each accept is a suspension, so
+  // the end is found afresh before every pop.
+  for (SLink* link = find(token); link != nullptr; link = find(token)) {
+    auto& parked = link->parked_requests.empty() ? link->parked_signals
+                                                 : link->parked_requests;
+    if (parked.empty()) break;
+    const soda::ReqId req = parked.front().req;
+    parked.pop_front();
+    co_await accept_with(req, code, word1);
   }
 }
 
 void SodaBackend::maybe_accept_parked(SLink& link) {
   if (!link.want_requests || link.destroyed || freeze_count_ > 0) return;
   while (!link.parked_requests.empty()) {
-    const soda::ReqId req = link.parked_requests.front();
+    const Parked p = link.parked_requests.front();
     link.parked_requests.pop_front();
-    auto pit = parked_.find(req);
-    if (pit == parked_.end()) continue;  // cancelled meanwhile
-    const std::uint64_t trace = pit->second.trace;
-    parked_.erase(pit);
     network_->engine().spawn(
         "soda-accept",
-        accept_and_deliver(link.token, req, MsgKind::kRequest, trace));
+        accept_and_deliver(link.token, p.req, MsgKind::kRequest, p.trace));
   }
 }
 
 sim::Task<> SodaBackend::accept_and_deliver(BLink token, soda::ReqId req,
                                             MsgKind kind,
                                             std::uint64_t trace) {
-  auto taken = co_await network_->kernel_of(pid_).accept(
+  soda::Kernel& k = network_->kernel_of(pid_);
+  auto taken = co_await k.accept(
       pid_, req, soda::Oob{static_cast<std::uint32_t>(Oop::kAcceptOk), 0},
       {}, kBigBuffer);
-  SLink* link = find(token);
-  if (!taken.ok() || link == nullptr) co_return;
-  co_await deliver(*link, kind, std::move(taken.value()), trace);
-}
-
-sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
-                                 soda::Payload raw, std::uint64_t trace) {
-  DecodedPut decoded = decode_put(std::move(raw));
+  if (!taken.ok() || find(token) == nullptr) co_return;
+  DecodedPut decoded = decode_put(std::move(taken.value()));
   std::vector<BLink> enclosures;
-  soda::Kernel& k = network_->kernel_of(pid_);
   for (const auto& e : decoded.encs) {
     const soda::Name my_name(e[0]);
     const soda::Name peer_name(e[1]);
@@ -727,23 +696,21 @@ sim::Task<> SodaBackend::deliver(SLink& link, MsgKind kind,
   BackendEvent ev;
   ev.kind = kind == MsgKind::kRequest ? BackendEvent::Kind::kRequestArrived
                                       : BackendEvent::Kind::kReplyArrived;
-  ev.link = link.token;
+  ev.link = token;
   ev.body = std::move(decoded.body);
   ev.enclosures = std::move(enclosures);
   ev.trace = trace;
   if (sink_) sink_(std::move(ev));
 }
 
-sim::Task<> SodaBackend::finish_moves(BLink carrier,
-                                      std::vector<BLink> moved,
+sim::Task<> SodaBackend::finish_moves(std::vector<BLink> moved,
                                       soda::Pid new_owner) {
-  (void)carrier;
   for (BLink token : moved) {
-    SLink* link = find(token);
-    if (link == nullptr) continue;
     // "A process that moves a link end must accept any previously-posted
     // SODA request from the other end" — with MOVED info.
-    co_await bounce_parked(*link, Oop::kMoved, new_owner.value());
+    co_await bounce_parked(token, Oop::kMoved, new_owner.value());
+    SLink* link = find(token);
+    if (link == nullptr) continue;
     remember_move(link->my_name, new_owner);
     by_name_.erase(link->my_name);
     links_.erase(token);
@@ -781,7 +748,7 @@ sim::Task<> SodaBackend::post_signal(BLink token) {
     co_return;
   }
   link->signal_out = req.value();
-  signal_by_req_[req.value()] = token;
+  reqs_.emplace(req.value(), token);
 }
 
 void SodaBackend::retract_reply_interest(BLink token) {
@@ -794,12 +761,10 @@ void SodaBackend::retract_reply_interest(BLink token) {
   // bounce the reply.  Losing the hint (no signal parked) only costs
   // the exception's punctuality, never the flag's verdict.
   if (!link->parked_signals.empty()) {
-    const soda::ReqId sig = link->parked_signals.front();
+    const soda::ReqId sig = link->parked_signals.front().req;
     link->parked_signals.pop_front();
-    if (parked_.erase(sig) > 0) {
-      network_->engine().spawn("soda-unwanted-hint",
-                               accept_with(sig, Oop::kReplyUnwanted, 0));
-    }
+    network_->engine().spawn("soda-unwanted-hint",
+                             accept_with(sig, Oop::kReplyUnwanted, 0));
   }
 }
 
@@ -820,10 +785,6 @@ void SodaBackend::mark_destroyed(SLink& link) {
 }
 
 sim::Task<void> SodaBackend::destroy(BLink token) {
-  co_await perform_destroy(token);
-}
-
-sim::Task<> SodaBackend::perform_destroy(BLink token) {
   SLink* link = find(token);
   if (link == nullptr) co_return;
   link->destroyed = true;
@@ -831,11 +792,14 @@ sim::Task<> SodaBackend::perform_destroy(BLink token) {
   // previously-posted status signal on its end, mentioning the
   // destruction ... also ... any outstanding put request, but with a
   // zero-length buffer, again mentioning the destruction."
-  co_await bounce_parked(*link, Oop::kDestroyed, 0);
+  co_await bounce_parked(token, Oop::kDestroyed, 0);
   // "After clearing the signals and puts, the process can unadvertise
-  // the name of the end and forget that it ever existed."
+  // the name of the end and forget that it ever existed."  A concurrent
+  // destroy (shutdown's) may have finished the job during either await.
+  if ((link = find(token)) == nullptr) co_return;
   (void)co_await network_->kernel_of(pid_).unadvertise(pid_,
                                                        link->my_name);
+  if ((link = find(token)) == nullptr) co_return;
   by_name_.erase(link->my_name);
   links_.erase(token);
 }
@@ -855,7 +819,7 @@ sim::Task<> SodaBackend::perform_shutdown() {
   draining_ = false;
   std::vector<BLink> tokens;
   for (auto& [token, link] : links_) tokens.push_back(token);
-  for (BLink t : tokens) co_await perform_destroy(t);
+  for (BLink t : tokens) co_await destroy(t);
   network_->terminate(pid_);
 }
 

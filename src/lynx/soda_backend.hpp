@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <variant>
 
 #include "common/id_map.hpp"
 #include "lynx/backend.hpp"
@@ -110,8 +111,14 @@ class SodaBackend final : public Backend {
     kReplyUnwanted = 13,  // accept oob: caller aborted (capability 4)
     kCancelled = 14,   // accept oob: your put was revoked at your ask
     kTooLate = 15,     // accept oob: cancel lost the race
-    kHint = 16,        // accept oob (freeze): word1 = pid holding the end
-    kNoHint = 17,      // accept oob (freeze): never heard of it
+    kHint = 16,        // request oob: word1 = pid holding the end in data
+    kNoHint = 17,      // accept oob: freeze taken (any hint follows, kHint)
+  };
+
+  // A put parked on an end until the run-time accepts it.
+  struct Parked {
+    soda::ReqId req;
+    std::uint64_t trace = 0;  // causal identity from the RequestInterrupt
   };
 
   struct SLink {
@@ -123,22 +130,14 @@ class SodaBackend final : public Backend {
     bool want_replies = false;
     bool reply_unwanted = false;  // aborted caller: bounce the next reply
     bool destroyed = false;
-    std::deque<soda::ReqId> parked_requests{};  // unaccepted LYNX requests
-    std::deque<soda::ReqId> parked_signals{};   // peer's status signals
+    std::deque<Parked> parked_requests{};  // unaccepted LYNX requests
+    std::deque<Parked> parked_signals{};   // peer's status signals
     soda::ReqId signal_out{};  // our outstanding status signal (if valid)
     // The caller answered our status signal with REPLY-UNWANTED: our
     // next reply must take the full kernel round trip so the peer's
     // authoritative reply_unwanted flag can bounce it (capability 4
     // survives the early reply resolve).  One-shot, like the flag.
     bool peer_reply_unwanted = false;
-  };
-
-  struct ParkedInfo {
-    BLink link;
-    Oop kind = Oop::kRequestMsg;
-    soda::Pid from;
-    std::size_t send_bytes = 0;
-    std::uint64_t trace = 0;  // causal identity from the RequestInterrupt
   };
 
   struct OutSend {
@@ -158,7 +157,6 @@ class SodaBackend final : public Backend {
 
   struct FreezeCollector {
     int expected = 0;
-    std::optional<soda::Pid> hint;
     std::unique_ptr<sim::OneShot<int>> done;
   };
 
@@ -173,9 +171,9 @@ class SodaBackend final : public Backend {
   [[nodiscard]] sim::Task<> accept_and_deliver(BLink token, soda::ReqId req,
                                                MsgKind kind,
                                                std::uint64_t trace);
-  // Accept every put parked on `link` with `code`: the end is moving or
+  // Accept every put parked on the end with `code`: the end is moving or
   // being destroyed, and each parked request and signal learns which.
-  [[nodiscard]] sim::Task<> bounce_parked(SLink& link, Oop code,
+  [[nodiscard]] sim::Task<> bounce_parked(BLink token, Oop code,
                                           std::uint64_t word1);
   [[nodiscard]] sim::Task<> accept_with(soda::ReqId req, Oop code,
                                         std::uint64_t word1);
@@ -187,12 +185,8 @@ class SodaBackend final : public Backend {
   [[nodiscard]] sim::Task<std::optional<soda::Pid>> freeze_search(
       soda::Name peer_name);
   [[nodiscard]] sim::Task<> fix_signal(BLink token);
-  [[nodiscard]] sim::Task<> finish_moves(BLink carrier,
-                                         std::vector<BLink> moved,
+  [[nodiscard]] sim::Task<> finish_moves(std::vector<BLink> moved,
                                          soda::Pid new_owner);
-  [[nodiscard]] sim::Task<> deliver(SLink& link, MsgKind kind,
-                                    soda::Payload raw, std::uint64_t trace);
-  [[nodiscard]] sim::Task<> perform_destroy(BLink token);
   [[nodiscard]] sim::Task<> perform_shutdown();
   [[nodiscard]] sim::Task<> post_signal(BLink token);
   void maybe_accept_parked(SLink& link);
@@ -231,15 +225,15 @@ class SodaBackend final : public Backend {
 
   common::IdMap<BLink, SLink> links_;
   std::unordered_map<soda::Name, BLink> by_name_;
-  std::unordered_map<soda::ReqId, ParkedInfo> parked_;
   common::IdMap<std::uint64_t, OutSend> outs_;
-  std::unordered_map<soda::ReqId, std::uint64_t> out_by_req_;
-  // signals we posted, keyed by kernel request id -> link
-  std::unordered_map<soda::ReqId, BLink> signal_by_req_;
+  // What each outstanding kernel request of ours is for: a send (by id),
+  // a link's status signal, or one freeze of a search.
+  std::unordered_map<soda::ReqId,
+                     std::variant<std::uint64_t, BLink, FreezeCollector*>>
+      reqs_;
   // recently moved ends: name -> new owner (kept advertised)
   std::deque<std::pair<soda::Name, soda::Pid>> moved_cache_;
   int freeze_count_ = 0;
-  std::unordered_map<soda::ReqId, FreezeCollector*> freeze_collects_;
   std::unordered_map<soda::Name, soda::Pid> async_hints_;
   common::IdAllocator<BLink> blink_ids_;
 };

@@ -302,7 +302,10 @@ void Kernel::terminate_process(Pid pid) {
   for (ReqId id : mine) resolve(outstanding_.find(id), std::nullopt);
   advertised_.erase(pid);
   handler_open_.erase(pid);
-  interrupts_.erase(pid);
+  // The mailbox outlives its process: an interrupt raised this instant
+  // has already scheduled the reader's wake-up, which must not resume
+  // into freed memory.  raise() delivers nothing more once the process
+  // is gone.
   processes_.erase(pid);
 }
 
@@ -310,9 +313,8 @@ void Kernel::raise(Pid pid, Interrupt intr) {
   network_->engine().schedule(
       network_->costs().interrupt_delivery,
       [this, pid, intr = std::move(intr)]() mutable {
-        auto it = interrupts_.find(pid);
-        if (it == interrupts_.end()) return;  // died meanwhile
-        it->second->put(std::move(intr));
+        if (!processes_.contains(pid)) return;  // died meanwhile
+        interrupts_.at(pid)->put(std::move(intr));
       });
 }
 

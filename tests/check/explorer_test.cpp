@@ -232,6 +232,18 @@ TEST(Explorer, TokensRoundTrip) {
   EXPECT_FALSE(shaped(R"("channels":1,"calls":2147483647)").has_value());
   EXPECT_FALSE(shaped(R"("calls":4,"bytes":65537)").has_value());
   EXPECT_FALSE(shaped(R"("calls":1,"bytes":4294967296)").has_value());
+
+  // A field that is present but malformed refuses the token instead of
+  // replaying a default-shaped universe.
+  const auto fielded = [](const std::string& fields) {
+    return parse_token(R"({"v":1,"substrate":"charlotte","tie":"fifo",)" +
+                       fields + "}");
+  };
+  EXPECT_FALSE(fielded(R"("seed":1.5,"plan":"none")").has_value());
+  EXPECT_FALSE(fielded(R"("seed":1,"plan":"none","calls":4e9)").has_value());
+  EXPECT_FALSE(fielded(R"("seed":1,"plan":"none","channels":-1)").has_value());
+  EXPECT_FALSE(
+      fielded(R"("seed":1,"plan":"none","channels":"x")").has_value());
 }
 
 TEST(Explorer, SweepIsCleanAcrossSubstratesPoliciesAndPlans) {

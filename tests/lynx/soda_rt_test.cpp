@@ -5,6 +5,7 @@
 // distinguish SODA from Charlotte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -286,6 +287,50 @@ TEST(LynxSoda, PeerTerminationRaisesException) {
   EXPECT_EQ(log[0], "caught:link-destroyed");
 }
 
+// ---- termination while a thread is inside destroy ---------------------------
+
+// The client's call and status signal are parked at the server when a
+// server thread destroys the link; the destroy answers both DESTROYED,
+// one kernel accept at a time.  The process terminates `offset` into
+// that destroy, and its shutdown destroys the same end concurrently and
+// forgets it.  The thread's destroy must notice the end is gone when it
+// resumes instead of reading the forgotten record (ASan catches a read
+// of it).
+TEST(LynxSoda, TerminationDuringDestroyForgetsTheEndOnce) {
+  for (sim::Duration offset = 0; offset <= sim::msec(8);
+       offset += sim::usec(250)) {
+    World w;
+    w.boot();
+    std::vector<std::string> log;
+    w.server.spawn_thread("destroyer", [&](ThreadCtx& ctx) {
+      return [](ThreadCtx& c, Process* self, LinkHandle l,
+                sim::Duration at) -> sim::Task<> {
+        co_await c.delay(sim::msec(50));  // the client's puts are parked
+        c.engine().schedule(at, [self] { self->terminate(); });
+        co_await c.destroy(l);
+      }(ctx, &w.server, w.server_end, offset);
+    });
+    w.client.spawn_thread("caller", [&](ThreadCtx& ctx) {
+      return [](ThreadCtx& c, LinkHandle l,
+                std::vector<std::string>* lg) -> sim::Task<> {
+        try {
+          Message req = make_message("x", {});
+          (void)co_await c.call(l, std::move(req));
+          lg->push_back("unexpected-success");
+        } catch (const LynxError& e) {
+          lg->push_back(std::string("caught:") + to_string(e.kind()));
+        }
+      }(ctx, w.client_end, &log);
+    });
+    w.engine.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"caught:link-destroyed"}))
+        << "terminate " << offset << " ns into the destroy; "
+        << join(w.server.thread_failures()) << join(w.client.thread_failures());
+    EXPECT_TRUE(w.server.thread_failures().empty())
+        << join(w.server.thread_failures());
+  }
+}
+
 // ---- dormant link moved, then used: cache redirect (E10) --------------------
 
 // Chain: A holds link L to C (via bootstrap), A ships its end of L to B;
@@ -388,6 +433,91 @@ TEST(LynxSoda, WatchedMovedLinkLearnsNewOwnerFromSignal) {
                                              "c-late-ok"}));
   EXPECT_EQ(r.a.moved_redirects, 0u);  // C's call went straight to B
   EXPECT_GE(r.c.hint_misses, 1u);      // the MOVED answer fixed C's hint
+}
+
+// ---- a request that parks while its end's move bounces ----------------------
+
+// C watches L (its status signal parks at A) while A ships its end of L
+// to B, and C calls on L `offset` after A's shipping call began.  Wherever
+// C's request meets the end — parked at A before the move, arriving
+// while the move's bounce answers the parked signal MOVED, or after A
+// forgot the end — it must reach B.  A request that parks while the
+// bounce runs is answered by the same bounce; one the bounce skipped
+// would wait at A until A exits, 2 s later.
+std::vector<std::string> call_during_move(sim::Duration offset) {
+  sim::Engine engine;
+  SodaDirectory directory;
+  net::CsmaBus bus(engine, sim::Rng(7), quiet_bus());
+  soda::Network network(engine, 6, bus);
+  Process a(engine, "A",
+            std::make_unique<SodaBackend>(network, directory, NodeId(0)));
+  Process b(engine, "B",
+            std::make_unique<SodaBackend>(network, directory, NodeId(1)));
+  Process c(engine, "C",
+            std::make_unique<SodaBackend>(network, directory, NodeId(2)));
+  for (Process* p : {&a, &b, &c}) p->start();
+  std::pair<LinkHandle, LinkHandle> ab, l;  // l = A<->C, the moving link
+  engine.spawn("wire", [](Process* pa, Process* pb, Process* pc,
+                          std::pair<LinkHandle, LinkHandle>* wab,
+                          std::pair<LinkHandle, LinkHandle>* wl)
+                           -> sim::Task<> {
+    *wab = co_await SodaBackend::connect(*pa, *pb);
+    *wl = co_await SodaBackend::connect(*pa, *pc);
+  }(&a, &b, &c, &ab, &l));
+  engine.run();
+
+  std::vector<std::string> log;
+  a.spawn_thread("ship", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, LinkHandle via, LinkHandle moving,
+              std::vector<std::string>* lg) -> sim::Task<> {
+      Message req = make_message("take", {moving});
+      (void)co_await cx.call(via, std::move(req));
+      lg->push_back("a-shipped");
+      co_await cx.delay(sim::sec(2));
+    }(ctx, ab.first, l.first, &log);
+  });
+  b.spawn_thread("takeserve", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, LinkHandle via,
+              std::vector<std::string>* lg) -> sim::Task<> {
+      cx.enable_requests(via);
+      Incoming in = co_await cx.receive();
+      LinkHandle got = std::get<LinkHandle>(in.msg.args.at(0));
+      Message empty;
+      co_await cx.reply(in, std::move(empty));
+      cx.enable_requests(got);
+      Incoming r = co_await cx.receive();
+      lg->push_back("b-served:" + r.msg.op);
+      Message rep;
+      co_await cx.reply(r, std::move(rep));
+    }(ctx, ab.second, &log);
+  });
+  c.spawn_thread("caller", [&](ThreadCtx& ctx) {
+    return [](ThreadCtx& cx, LinkHandle mine, sim::Duration at,
+              std::vector<std::string>* lg) -> sim::Task<> {
+      cx.enable_requests(mine);
+      co_await cx.delay(at);
+      const sim::Time issued = cx.engine().now();
+      Message req = make_message("call", {});
+      (void)co_await cx.call(mine, std::move(req));
+      lg->push_back(cx.engine().now() - issued < sim::sec(1) ? "c-returned"
+                                                             : "c-late");
+    }(ctx, l.second, offset, &log);
+  });
+  engine.run();
+  for (Process* p : {&a, &b, &c}) {
+    for (const std::string& f : p->thread_failures()) log.push_back(f);
+  }
+  return log;
+}
+
+TEST(LynxSoda, RequestParkedDuringMoveBounceReachesNewOwner) {
+  for (sim::Duration at = 0; at <= sim::msec(20); at += sim::usec(100)) {
+    std::vector<std::string> log = call_during_move(at);
+    std::sort(log.begin(), log.end());
+    EXPECT_EQ(log, (std::vector<std::string>{"a-shipped", "b-served:call",
+                                             "c-returned"}))
+        << "C calls " << at << " ns after A begins shipping";
+  }
 }
 
 // An end that moved A->B, back to A, then A->C leaves two entries for
